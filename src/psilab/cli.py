@@ -212,6 +212,8 @@ def _cmd_rearrange(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.check != "iso" and not args.field:
+        raise ValueError(f"verify {args.check} requires --field")
     mesh = _load_mesh_arg(args.mesh)
     choice = _parse_iso(args.iso)
     field = _load_field_arg(args.field, mesh) if args.field else None

@@ -23,6 +23,8 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from .errors import DegenerateTriangle, MeshParseError, NonManifoldMesh
 
@@ -55,9 +57,11 @@ def _triangle_areas(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
 class TriMesh:
     """Oriented triangle mesh, manifold with boundary, embedded in R^d.
 
-    Validation runs at construction: every edge is shared by at most two
-    triangles with opposite directions (consistent orientation), triangles
-    are non-degenerate, and a disconnected mesh only warns.
+    Validation runs at construction: coordinates are finite, every edge is
+    shared by at most two triangles with opposite directions (consistent
+    orientation), triangles are non-degenerate, and a disconnected mesh
+    only warns. The triangle areas and the boundary found on the way are
+    kept as read-only arrays, so the mesh must not be modified afterwards.
     """
 
     vertices: np.ndarray
@@ -68,6 +72,8 @@ class TriMesh:
         triangles = np.asarray(self.triangles, dtype=int)
         if vertices.ndim != 2 or vertices.shape[1] < 3:
             raise ValueError("vertices must be an (N, d) array with d >= 3")
+        if not np.isfinite(vertices).all():
+            raise ValueError("vertex coordinates must be finite")
         if triangles.ndim != 2 or triangles.shape[1] != 3:
             raise ValueError("triangles must be an (M, 3) index array")
         if triangles.size and (triangles.min() < 0 or triangles.max() >= len(vertices)):
@@ -78,64 +84,59 @@ class TriMesh:
 
     def _validate(self):
         tri = self.triangles
-        for t in tri:
-            if t[0] == t[1] or t[1] == t[2] or t[0] == t[2]:
-                raise DegenerateTriangle(f"triangle {t.tolist()} repeats a vertex")
+        repeats = (tri[:, 0] == tri[:, 1]) | (tri[:, 1] == tri[:, 2]) | (tri[:, 0] == tri[:, 2])
+        if repeats.any():
+            raise DegenerateTriangle(f"triangle {tri[repeats.argmax()].tolist()} repeats a vertex")
         span = self.vertices.max(axis=0) - self.vertices.min(axis=0)
         scale2 = float(np.dot(span, span))
         areas = _triangle_areas(self.vertices, tri)
         bad = np.nonzero(areas <= 1e-12 * max(scale2, 1e-300))[0]
         if bad.size:
             raise DegenerateTriangle(f"triangle {tri[bad[0]].tolist()} has (near-)zero area")
-        # directed edge census: manifold + orientation in one pass
-        directed = {}
-        for ti, t in enumerate(tri):
-            for k in range(3):
-                e = (int(t[k]), int(t[(k + 1) % 3]))
-                if e in directed:
-                    raise NonManifoldMesh(
-                        f"directed edge {e} appears twice; non-manifold or inconsistently oriented"
-                    )
-                directed[e] = ti
-        self._directed_edges = directed
-        if tri.size and not self._is_connected():
+        # half-edge 3t+k runs tri[t, k] -> tri[t, k+1]; one sort of the packed
+        # keys checks manifoldness and orientation at once
+        nv = len(self.vertices)
+        src, dst = tri.ravel(), tri[:, [1, 2, 0]].ravel()
+        keys = src * nv + dst
+        order = np.argsort(keys, kind="stable")
+        sorted_keys = keys[order]
+        dup = np.flatnonzero(sorted_keys[1:] == sorted_keys[:-1])
+        if dup.size:
+            e = order[dup + 1].min()  # the repeat met first in triangle order
+            edge = (int(src[e]), int(dst[e]))
+            raise NonManifoldMesh(f"directed edge {edge} appears twice; non-manifold or inconsistently oriented")
+        # triangle across each half-edge (its reverse's), -1 on the boundary
+        rev = dst * nv + src
+        pos = np.minimum(np.searchsorted(sorted_keys, rev), keys.size - 1)
+        has_twin = sorted_keys[pos] == rev
+        across = np.where(has_twin, order[pos] // 3, -1)
+        inner = np.flatnonzero(has_twin)
+        adjacency = coo_matrix((np.ones(inner.size), (inner // 3, across[inner])), shape=(len(tri),) * 2)
+        if connected_components(adjacency, directed=False)[0] > 1:
             warnings.warn("mesh is not connected", stacklevel=3)
-
-    def _is_connected(self) -> bool:
-        adj = [[] for _ in range(len(self.triangles))]
-        for (a, b), ti in self._directed_edges.items():
-            tj = self._directed_edges.get((b, a))
-            if tj is not None:
-                adj[ti].append(tj)
-        seen = np.zeros(len(self.triangles), dtype=bool)
-        stack = [0]
-        seen[0] = True
-        while stack:
-            for nb in adj[stack.pop()]:
-                if not seen[nb]:
-                    seen[nb] = True
-                    stack.append(nb)
-        return bool(seen.all())
+        edges = np.stack([src[~has_twin], dst[~has_twin]], axis=1)
+        self._areas, self._across, self._boundary_edges = areas, across, edges
+        self._boundary_vertices = np.unique(edges)
+        for cached in (areas, across, edges, self._boundary_vertices):
+            cached.setflags(write=False)
 
     @property
     def d(self) -> int:
         return self.vertices.shape[1]
 
     def triangle_areas(self) -> np.ndarray:
-        return _triangle_areas(self.vertices, self.triangles)
+        """Read-only per-triangle areas."""
+        return self._areas
 
-    def boundary_edges(self) -> list[tuple[int, int]]:
-        """Directed edges whose reverse is absent."""
-        return [e for e in self._directed_edges if (e[1], e[0]) not in self._directed_edges]
+    def boundary_edges(self) -> np.ndarray:
+        """Directed edges whose reverse is absent, as a read-only (B, 2) array in triangle order."""
+        return self._boundary_edges
 
     def boundary_vertices(self) -> np.ndarray:
-        edges = self.boundary_edges()
-        if not edges:
-            return np.zeros(0, dtype=int)
-        return np.unique(np.asarray(edges).ravel())
+        return self._boundary_vertices
 
     def is_closed(self) -> bool:
-        return not self.boundary_edges()
+        return not len(self._boundary_edges)
 
     def barycentric_vertex_areas(self) -> np.ndarray:
         areas = self.triangle_areas()
@@ -144,90 +145,101 @@ class TriMesh:
         return out
 
 
+def _read_text(source) -> str:
+    """Text of a string, bytes or a readable stream."""
+    text = source.read() if hasattr(source, "read") else source
+    return text.decode() if isinstance(text, bytes) else text
+
+
+def _loadtxt(rows: list[str], cols: int, dtype) -> np.ndarray:
+    """The leading ``cols`` numbers of every row, in one numpy call."""
+    return np.loadtxt(rows, dtype=dtype, usecols=range(cols), comments=None, ndmin=2)
+
+
+def _first_bad_row(rows: list[str], cols: int, dtype) -> int:
+    """Index of the first row ``_loadtxt`` refuses, found by bisection; some row must fail."""
+    lo, hi = 0, len(rows)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            _loadtxt(rows[lo:mid], cols, dtype)
+            lo = mid
+        except ValueError:
+            hi = mid
+    return lo
+
+
 def load_mesh(source) -> TriMesh:
     """Parse OFF or extended ``nOFF d`` input into a validated TriMesh.
 
     ``source`` may be a text string, bytes, or a readable stream. Comment
     lines (#) and blank lines are skipped. Faces with more than three
-    vertices are rejected (triangles only). Errors carry the 1-based line
-    number of the offending token.
+    vertices are rejected (triangles only), and so are NaN and infinite
+    coordinates. Errors carry the 1-based line number of the offending
+    token.
     """
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        text = source
-    if isinstance(text, bytes):
-        text = text.decode()
-    # (line_number, content) with comments and blanks removed
-    lines = []
-    for i, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0].strip()
-        if body:
-            lines.append((i, body))
-    if not lines:
+    text = _read_text(source)
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line.split("#", 1)[0] for line in lines]
+    body = list(filter(str.strip, lines))  # comments and blanks removed
+
+    def line_of(k):  # 1-based line number of body[k]; only errors need it
+        return [i for i, line in enumerate(lines, start=1) if line.strip()][k]
+
+    if not body:
         raise MeshParseError("empty input", line=1)
-    pos = 0
-
-    def take():
-        nonlocal pos
-        if pos >= len(lines):
-            raise MeshParseError("unexpected end of file", line=lines[-1][0])
-        item = lines[pos]
-        pos += 1
-        return item
-
-    ln, header = take()
-    tokens = header.split()
+    tokens = body[0].split()
     if tokens[0] == "OFF":
         d = 3
         rest = tokens[1:]
     elif tokens[0] == "nOFF":
         if len(tokens) < 2:
-            raise MeshParseError("nOFF header missing the dimension", line=ln)
+            raise MeshParseError("nOFF header missing the dimension", line=line_of(0))
         try:
             d = int(tokens[1])
         except ValueError:
-            raise MeshParseError(f"bad nOFF dimension {tokens[1]!r}", line=ln) from None
+            raise MeshParseError(f"bad nOFF dimension {tokens[1]!r}", line=line_of(0)) from None
         if d < 3:
-            raise MeshParseError(f"ambient dimension must be >= 3, got {d}", line=ln)
+            raise MeshParseError(f"ambient dimension must be >= 3, got {d}", line=line_of(0))
         rest = tokens[2:]
     else:
-        raise MeshParseError(f"expected OFF or nOFF header, got {tokens[0]!r}", line=ln)
-    if rest:
-        counts, ln_counts = rest, ln
-    else:
-        ln_counts, counts_line = take()
-        counts = counts_line.split()
+        raise MeshParseError(f"expected OFF or nOFF header, got {tokens[0]!r}", line=line_of(0))
+    start = 1 if rest else 2  # index in body of the first vertex line
+    if len(body) < start:
+        raise MeshParseError("unexpected end of file", line=line_of(0))
+    counts = rest or body[1].split()
     if len(counts) < 2:
-        raise MeshParseError("expected 'nv nf [ne]' counts", line=ln_counts)
+        raise MeshParseError("expected 'nv nf [ne]' counts", line=line_of(start - 1))
     try:
         nv, nf = int(counts[0]), int(counts[1])
     except ValueError:
-        raise MeshParseError("counts must be integers", line=ln_counts) from None
-    vertices = np.empty((nv, d))
-    for k in range(nv):
-        ln, body = take()
-        parts = body.split()
-        if len(parts) < d:
-            raise MeshParseError(f"vertex needs {d} coordinates, got {len(parts)}", line=ln)
+        nv = nf = -1
+    if min(nv, nf) < 0:
+        raise MeshParseError("counts must be non-negative integers", line=line_of(start - 1))
+    if len(body) < start + nv + nf:
+        raise MeshParseError("unexpected end of file", line=line_of(len(body) - 1))
+
+    def fail(k, problem):
+        raise MeshParseError(f"{problem}: {body[k].strip()!r}", line=line_of(k)) from None
+
+    def block(first, count, cols, dtype, need):
+        rows = body[first : first + count]
         try:
-            vertices[k] = [float(x) for x in parts[:d]]
+            return _loadtxt(rows, cols, dtype) if rows else np.zeros((0, cols), dtype)
         except ValueError:
-            raise MeshParseError(f"bad vertex coordinate in {body!r}", line=ln) from None
-    triangles = np.empty((nf, 3), dtype=int)
-    for k in range(nf):
-        ln, body = take()
-        parts = body.split()
-        try:
-            cnt = int(parts[0])
-            idx = [int(x) for x in parts[1 : 1 + cnt]]
-        except (ValueError, IndexError):
-            raise MeshParseError(f"bad face line {body!r}", line=ln) from None
-        if cnt != 3 or len(idx) != 3:
-            raise MeshParseError(f"only triangles are supported, face has {cnt} vertices", line=ln)
-        if any(i < 0 or i >= nv for i in idx):
-            raise MeshParseError(f"vertex index out of range in face {idx}", line=ln)
-        triangles[k] = idx
+            fail(first + _first_bad_row(rows, cols, dtype), need)
+
+    vertices = block(start, nv, d, float, f"vertex line needs {d} coordinates")
+    faces = block(start + nv, nf, 4, np.int64, "face line needs a count and three vertex indices")
+    triangles = np.ascontiguousarray(faces[:, 1:])
+    for first, ok, problem in (
+        (start, np.isfinite(vertices).all(axis=1), "non-finite vertex coordinate"),
+        (start + nv, faces[:, 0] == 3, "only triangles are supported"),
+        (start + nv, ((triangles >= 0) & (triangles < nv)).all(axis=1), "vertex index out of range"),
+    ):
+        if not ok.all():
+            fail(first + int(ok.argmin()), problem)
     return TriMesh(vertices, triangles)
 
 
@@ -247,6 +259,8 @@ class VertexField:
         values = np.asarray(self.values, dtype=float)
         if values.ndim != 1:
             raise ValueError("field values must be a 1-d array")
+        if not np.isfinite(values).all():
+            raise ValueError("field values must be finite")
         if np.any(values < 0):
             raise ValueError("field values must be >= 0")
         self.values = values
@@ -259,18 +273,29 @@ class VertexField:
 
     @classmethod
     def from_csv(cls, stream, mesh: TriMesh, **kwargs) -> "VertexField":
-        """Read per-vertex values from CSV with a ``vertex_index,value`` header."""
-        if isinstance(stream, (str, bytes)):
-            stream = io.StringIO(stream.decode() if isinstance(stream, bytes) else stream)
-        reader = csv.reader(stream)
-        header = next(reader, None)
-        if header is None or [h.strip().lower() for h in header[:2]] != ["vertex_index", "value"]:
+        """Read per-vertex values from CSV with a ``vertex_index,value`` header.
+
+        Each index must lie in [0, nv) and appear at most once; vertices
+        without a row get 0.
+        """
+        header, _, body = _read_text(stream).partition("\n")
+        if [h.strip().lower() for h in header.split(",")[:2]] != ["vertex_index", "value"]:
             raise ValueError("expected CSV header 'vertex_index,value'")
-        values = np.zeros(len(mesh.vertices))
-        for row in reader:
-            if not row:
-                continue
-            values[int(row[0])] = float(row[1])
+        rows = np.zeros(0, dtype=[("index", np.int64), ("value", float)])
+        if body.strip():
+            rows = np.loadtxt(
+                body.splitlines(), delimiter=",", usecols=(0, 1), dtype=rows.dtype, comments=None, ndmin=1
+            )
+        nv = len(mesh.vertices)
+        index = rows["index"]
+        out_of_range = (index < 0) | (index >= nv)
+        if out_of_range.any():
+            raise ValueError(f"vertex index {index[out_of_range.argmax()]} out of range [0, {nv})")
+        repeated = np.bincount(index, minlength=nv) > 1
+        if repeated.any():
+            raise ValueError(f"vertex index {repeated.argmax()} appears more than once")
+        values = np.zeros(nv)
+        values[index] = rows["value"]
         return cls(values, mesh=mesh, **kwargs)
 
     def to_csv(self) -> str:
@@ -417,18 +442,14 @@ def boundary_measure(mesh: TriMesh, region=None) -> float:
     if region is None:
         edges = mesh.boundary_edges()
     else:
-        region = set(int(r) for r in np.asarray(region, dtype=int).ravel())
-        census = {}
-        for ti in region:
-            t = mesh.triangles[ti]
-            for k in range(3):
-                e = frozenset((int(t[k]), int(t[(k + 1) % 3])))
-                census[e] = census.get(e, 0) + 1
-        edges = [tuple(e) for e, c in census.items() if c == 1]
-    if not edges:
-        return 0.0
-    e = np.asarray(edges, dtype=int)
-    seg = mesh.vertices[e[:, 0]] - mesh.vertices[e[:, 1]]
+        inside = np.zeros(len(mesh.triangles), dtype=bool)
+        inside[np.asarray(region, dtype=int).ravel()] = True
+        across = mesh._across
+        # a half-edge of the region bounds it when no region triangle lies across
+        cut = np.repeat(inside, 3) & ((across < 0) | ~inside[across])
+        tri = mesh.triangles
+        edges = np.stack([tri.ravel()[cut], tri[:, [1, 2, 0]].ravel()[cut]], axis=1)
+    seg = mesh.vertices[edges[:, 0]] - mesh.vertices[edges[:, 1]]
     return float(np.sum(np.linalg.norm(seg, axis=1)))
 
 

@@ -280,9 +280,7 @@ def _region_tc(mesh: TriMesh, report: CurvatureReport, region: np.ndarray) -> fl
     inside_tri = np.zeros(len(mesh.triangles), dtype=bool)
     inside_tri[region] = True
     full_star = np.ones(len(mesh.vertices), dtype=bool)
-    for ti, t in enumerate(mesh.triangles):
-        if not inside_tri[ti]:
-            full_star[t] = False
+    full_star[mesh.triangles[~inside_tri]] = False
     ok = full_star & ~report.boundary_mask
     return float(np.sqrt(np.sum(report.vertex_areas[ok] * report.h_norm[ok] ** 2)))
 
@@ -586,11 +584,13 @@ class MonotoneSpec:
     """Data of a first-order integral inequality.
 
     ``f`` and ``phi`` are continuous strictly increasing maps vanishing at
-    zero; ``g_terms`` and ``psi_terms`` are (coefficient, exponent) lists
-    with coefficients respectively <= 0 and >= 0 and exponents >= 1 in
-    strictly increasing order; ``L(s, t)`` must be non-increasing and
-    ``lam(s, t)`` non-decreasing in t. Sign and exponent conditions are
-    validated at construction, monotonicity of L and lam is trusted.
+    zero; they must accept numpy arrays, since the verifier applies them
+    elementwise to all samples in one call. ``g_terms`` and ``psi_terms``
+    are (coefficient, exponent) lists with coefficients respectively <= 0
+    and >= 0 and exponents >= 1 in strictly increasing order; ``L(s, t)``
+    must be non-increasing and ``lam(s, t)`` non-decreasing in t. Sign and
+    exponent conditions are validated at construction, monotonicity of L
+    and lam is trusted.
     """
 
     f: Callable
@@ -656,7 +656,7 @@ def monotone_preset(name: str, n: int = 2, p: float | None = None) -> MonotoneSp
 
 
 def _profile_integral(profile: RadialProfile, fn: Callable) -> float:
-    """Integral of fn(profile value) against the target measure, per segment."""
+    """Integral of fn(profile value) against the target measure, all segments at once."""
     from .measure_space import _GL_NODES, _GL_WEIGHTS
 
     radii = profile.radii
@@ -665,30 +665,18 @@ def _profile_integral(profile: RadialProfile, fn: Callable) -> float:
     total = 0.0
     if radii[0] > 0:
         total += fn(values[0]) * float(target.ball_volume(radii[0]))
-    for k in range(radii.size - 1):
-        a, b = radii[k], radii[k + 1]
-        v0, v1 = values[k], values[k + 1]
-        slope = (v1 - v0) / (b - a)
-        mid = 0.5 * (a + b)
-        half = 0.5 * (b - a)
-        r = mid + half * _GL_NODES
-        vals = np.array([fn(v0 + slope * (x - a)) for x in r])
-        total += half * float(np.sum(_GL_WEIGHTS * vals * target.density(r)))
-    return total
+    a, b = radii[:-1, None], radii[1:, None]
+    slope = (values[1:, None] - values[:-1, None]) / (b - a)
+    half = 0.5 * (b - a)
+    r = 0.5 * (a + b) + half * _GL_NODES  # (segments, nodes)
+    vals = fn(values[:-1, None] + slope * (r - a))
+    return total + float(np.sum(half * _GL_WEIGHTS * vals * target.density(r)))
 
 
 def _profile_gradient_powers(profile: RadialProfile, terms) -> float:
     vol = np.asarray(profile.target.ball_volume(profile.radii), dtype=float)
-    out = 0.0
-    for coef, ex in terms:
-        acc = 0.0
-        for k in range(profile.radii.size - 1):
-            slope = (profile.values[k + 1] - profile.values[k]) / (
-                profile.radii[k + 1] - profile.radii[k]
-            )
-            acc += abs(slope) ** ex * (vol[k + 1] - vol[k])
-        out += coef * acc
-    return out
+    slope = np.abs(np.diff(profile.values) / np.diff(profile.radii))
+    return sum((coef * float(np.sum(slope**ex * np.diff(vol))) for coef, ex in terms), 0.0)
 
 
 def verify_monotonicity_principle(
@@ -732,8 +720,8 @@ def verify_monotonicity_principle(
             notes="Euclidean hypothesis fails for the rearranged profile; claim is vacuous",
         )
     # transferred claim on the surface, gradients scaled by PS
-    f_int = float(np.sum(dmf.weights * np.array([spec.f(v) for v in dmf.values])))
-    phi_int = float(np.sum(dmf.weights * np.array([spec.phi(v) for v in dmf.values])))
+    f_int = float(np.sum(dmf.weights * spec.f(dmf.values)))
+    phi_int = float(np.sum(dmf.weights * spec.phi(dmf.values)))
     g_int = sum(b * ps**e * p1_gradient_lp(mesh, f, e) for b, e in spec.g_terms)
     psi_int = sum(c * ps**e * p1_gradient_lp(mesh, f, e) for c, e in spec.psi_terms)
     lhs = spec.L(f_int, g_int)

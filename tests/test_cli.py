@@ -152,6 +152,16 @@ class TestVerifyCommand:
         code = dispatch(["verify", "mono", "--mesh", mesh_path, "--field", field_path])
         assert code == 0
 
+    @pytest.mark.parametrize("check", ["ps", "model", "sobolev", "gn", "spectral", "logsob", "ms1", "mono"])
+    def test_missing_field_is_usage_error(self, disk_files, check, capsys):
+        mesh_path, _, _ = disk_files
+        assert dispatch(["verify", check, "--mesh", mesh_path, "--q", "2.5"]) == 2
+        assert capsys.readouterr().err == f"psilab: verify {check} requires --field\n"
+
+    def test_iso_needs_no_field(self, disk_files, capsys):
+        mesh_path, _, _ = disk_files
+        assert dispatch(["verify", "iso", "--mesh", mesh_path]) == 0
+
 
 class TestCounterexampleCommand:
     def test_json_with_threshold(self, capsys):
@@ -201,6 +211,19 @@ class TestExitCodes:
 
     def test_missing_file(self):
         assert dispatch(["curvature", "--mesh", "/nonexistent/mesh.off"]) == 2
+
+    def test_non_finite_coordinate(self, tmp_path, capsys):
+        path = tmp_path / "nan.off"
+        path.write_text("OFF\n3 1 0\n0 0 0\nnan 0 0\n0 1 0\n3 0 1 2\n")
+        assert dispatch(["curvature", "--mesh", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("psilab: line 4: non-finite")
+
+    def test_field_index_out_of_range(self, disk_files, tmp_path, capsys):
+        mesh_path, _, _ = disk_files
+        field_path = tmp_path / "bad.csv"
+        field_path.write_text("vertex_index,value\n-1,1.0\n")
+        assert dispatch(["verify", "ps", "--mesh", mesh_path, "--field", str(field_path)]) == 2
+        assert "out of range" in capsys.readouterr().err
 
     def test_help_exits_zero(self):
         assert dispatch(["--help"]) == 0

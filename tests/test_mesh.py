@@ -1,9 +1,14 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from psilab import analytic
+from psilab import constants as const
+from psilab import verify
 from psilab.errors import DegenerateTriangle, MeshParseError, NonManifoldMesh
 from psilab.mesh import (
     TriMesh,
@@ -76,10 +81,40 @@ class TestOffParsing:
         with pytest.raises(MeshParseError):
             load_mesh("OFF\n4 2 0\n0 0 0\n")
 
+    @pytest.mark.parametrize("text", ["OFF\n", "# c\nnOFF 4\n\n"])
+    def test_header_without_counts(self, text):
+        with pytest.raises(MeshParseError, match="end of file"):
+            load_mesh(text)
+
     def test_index_out_of_range(self):
         text = "OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 9\n"
         with pytest.raises(MeshParseError):
             load_mesh(text)
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_non_finite_coordinate_names_its_line(self, token):
+        text = SQUARE_OFF.replace("1 1 0\n", f"1 {token} 0\n")
+        with pytest.raises(MeshParseError, match="non-finite") as ei:
+            load_mesh(text)
+        assert ei.value.line == 5
+
+    def test_irregular_layout_parses_like_the_clean_file(self):
+        # comments and blank lines are skipped, columns past the numbers a line needs ignored
+        text = (
+            "OFF\n4 2 0\n0 0 0\n# a comment\n1 0 0 0.5 0.5 0.5\n\n1 1 0 # inline\n0 1 0\n"
+            "3 0 1 2 255 0 0\n3 0 2 3\n"
+        )
+        clean = load_mesh(SQUARE_OFF)
+        mesh = load_mesh(text)
+        assert np.array_equal(mesh.vertices, clean.vertices)
+        assert np.array_equal(mesh.triangles, clean.triangles)
+
+    def test_ragged_vertex_lines_rejected(self):
+        # as many numbers as a clean block in total, but line 5 is one short
+        text = SQUARE_OFF.replace("1 0 0\n1 1 0\n", "1 0 0 7\n1 1\n")
+        with pytest.raises(MeshParseError) as ei:
+            load_mesh(text)
+        assert ei.value.line == 5
 
 
 class TestMeshValidation:
@@ -105,6 +140,120 @@ class TestMeshValidation:
         )
         with pytest.warns(UserWarning, match="not connected"):
             TriMesh(v, np.array([[0, 1, 2], [3, 4, 5]]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_vertices_refused(self, bad):
+        v = np.eye(3)
+        v[1, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            TriMesh(v, np.array([[0, 1, 2]]))
+
+    def test_cached_arrays_are_read_only(self, disk32):
+        for arr in (disk32.triangle_areas(), disk32.boundary_edges(), disk32.boundary_vertices()):
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
+
+def _grid(n):
+    """(n+1)^2 vertices of a unit grid in the plane, two triangles per square."""
+    verts = np.array([(x, y, 0.0) for y in range(n + 1) for x in range(n + 1)])
+    tris = []
+    for y in range(n):
+        for x in range(n):
+            a = y * (n + 1) + x
+            tris += [(a, a + 1, a + n + 2), (a, a + n + 2, a + n + 1)]
+    return verts, np.array(tris)
+
+
+def _loop_topology(triangles):
+    """Reference: directed-edge dict and triangle DFS, one Python step at a time.
+
+    Returns the boundary edges in triangle order and whether the triangles
+    are edge-connected; raises NonManifoldMesh on the first repeated
+    directed edge in triangle order.
+    """
+    directed = {}
+    for ti, t in enumerate(triangles):
+        for k in range(3):
+            e = (int(t[k]), int(t[(k + 1) % 3]))
+            if e in directed:
+                raise NonManifoldMesh(
+                    f"directed edge {e} appears twice; non-manifold or inconsistently oriented"
+                )
+            directed[e] = ti
+    boundary = [e for e in directed if (e[1], e[0]) not in directed]
+    adj = [[] for _ in triangles]
+    for (a, b), ti in directed.items():
+        if (b, a) in directed:
+            adj[ti].append(directed[(b, a)])
+    seen, stack = {0}, [0]
+    while stack:
+        for nb in adj[stack.pop()]:
+            if nb not in seen:
+                seen.add(nb)
+                stack.append(nb)
+    return boundary, len(seen) == len(triangles)
+
+
+def _loop_region_boundary(mesh, region):
+    """Reference: undirected edge census over a triangle subset."""
+    census = {}
+    for ti in set(int(r) for r in region):
+        t = mesh.triangles[ti]
+        for k in range(3):
+            e = frozenset((int(t[k]), int(t[(k + 1) % 3])))
+            census[e] = census.get(e, 0) + 1
+    return sum(
+        float(np.linalg.norm(mesh.vertices[a] - mesh.vertices[b]))
+        for a, b in (tuple(e) for e, c in census.items() if c == 1)
+    )
+
+
+GRID_V, GRID_T = _grid(4)
+SMALL_DISK = analytic.make_disk(1.0, 4)
+
+
+class TestTopologyAgainstLoopReference:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, len(GRID_T) - 1), st.booleans()),
+            min_size=1,
+            max_size=len(GRID_T),
+            unique_by=lambda pick: pick[0],
+        )
+    )
+    def test_random_grid_subsets(self, picks):
+        # a flipped triangle next to an unflipped one repeats their shared directed edge
+        tri = np.array([GRID_T[i][::-1] if flip else GRID_T[i] for i, flip in picks])
+        try:
+            want_edges, want_connected = _loop_topology(tri)
+        except NonManifoldMesh as exc:
+            with pytest.raises(NonManifoldMesh) as got:
+                TriMesh(GRID_V, tri)
+            assert str(got.value) == str(exc)
+            return
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            mesh = TriMesh(GRID_V, tri)
+        assert [tuple(e) for e in mesh.boundary_edges().tolist()] == want_edges
+        assert mesh.is_closed() == (not want_edges)
+        assert any("not connected" in str(w.message) for w in caught) == (not want_connected)
+
+    def test_repeated_triangle(self):
+        tri = np.array([GRID_T[0], GRID_T[1], GRID_T[0]])
+        with pytest.raises(NonManifoldMesh) as exc:
+            _loop_topology(tri)
+        with pytest.raises(NonManifoldMesh) as got:
+            TriMesh(GRID_V, tri)
+        assert str(got.value) == str(exc.value)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(0, len(SMALL_DISK.triangles) - 1), max_size=60))
+    def test_region_boundary(self, region):
+        assert boundary_measure(SMALL_DISK, region) == pytest.approx(
+            _loop_region_boundary(SMALL_DISK, region), rel=1e-12, abs=1e-14
+        )
 
 
 class TestBoundary:
@@ -208,6 +357,31 @@ class TestVertexField:
         back = VertexField.from_csv(disk_hat.to_csv(), disk32)
         assert np.array_equal(back.values, disk_hat.values)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_refused(self, disk32, bad):
+        values = np.zeros(len(disk32.vertices))
+        values[3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            VertexField(values, mesh=disk32)
+        with pytest.raises(ValueError, match="finite"):
+            VertexField.from_csv(f"vertex_index,value\n3,{bad}\n", disk32)
+
+    @pytest.mark.parametrize("index", [-1, "nv"])
+    def test_csv_index_out_of_range(self, disk32, index):
+        index = len(disk32.vertices) if index == "nv" else index
+        with pytest.raises(ValueError, match="out of range"):
+            VertexField.from_csv(f"vertex_index,value\n0,1.0\n{index},2.0\n", disk32)
+
+    def test_csv_duplicate_index(self, disk32):
+        with pytest.raises(ValueError, match="vertex index 5 appears more than once"):
+            VertexField.from_csv("vertex_index,value\n5,1.0\n2,1.0\n5,2.0\n", disk32)
+
+    def test_csv_missing_indices_stay_zero(self, disk32):
+        f = VertexField.from_csv("vertex_index,value\n\n4,2.5\n", disk32)
+        assert f.values[4] == 2.5
+        assert np.count_nonzero(f.values) == 1
+        assert not VertexField.from_csv("vertex_index,value\n", disk32).values.any()
+
 
 class TestSampleField:
     def test_weights_partition_the_area(self, disk32, disk_hat):
@@ -231,3 +405,92 @@ class TestSampleField:
         assert float(np.sum(dmf.weights * dmf.values)) == pytest.approx(
             math.pi / 3.0, rel=5e-3
         )
+
+
+def parity_values(kind):
+    """Curvature, boundary lengths and the nine verify reports on a small disk or cap."""
+    b1 = const.brendle(1)
+    if kind == "disk":
+        mesh = analytic.make_disk(1.0, 12)
+        values = 1.0 - np.hypot(mesh.vertices[:, 0], mesh.vertices[:, 1])
+        K = 0.0
+    else:
+        mesh = analytic.make_cap(0.3, rings=12)
+        z = mesh.vertices[:, 2]
+        values = z - z[mesh.boundary_vertices()].min()
+        K = 1.2 * mean_curvature(mesh).total + 0.01
+    f = boundary_vanishing_field(mesh, values)
+    curv = mean_curvature(mesh)
+    region = verify.superlevel_region(mesh, f, 0.5 * f.values.max())
+    out = {
+        "tc": curv.total,
+        "h_sum": float(curv.h_norm.sum()),
+        "area_sum": float(curv.vertex_areas.sum()),
+        "boundary": boundary_measure(mesh),
+        "region_boundary": boundary_measure(mesh, region),
+    }
+    whole = np.arange(len(mesh.triangles))
+    reports = {
+        "ps": verify.verify_polya_szego(mesh, f, 2.0, K, b1),
+        "model": verify.verify_model_space_ps(mesh, f, 1.5, K, b1),
+        "iso": verify.verify_isoperimetric(mesh, K, b1, [whole, region])[1],
+        "sobolev": verify.verify_p_sobolev(mesh, f, 1.5, K, b1),
+        "gn": verify.verify_gn(mesh, 1.5, 2.5, K, b1, f=f),
+        "spectral": verify.verify_spectral_gap(mesh, f, K, b1),
+        "ms1": verify.verify_michael_simon_p1(mesh, f, b1),
+        "mono": verify.verify_monotonicity_principle(
+            mesh, f, verify.monotone_preset("p-sobolev", p=1.5), K, b1
+        ),
+    }
+    if kind == "disk":  # log-Sobolev needs a minimal surface
+        reports["logsob"] = verify.verify_log_sobolev(mesh, 1.5, f=f)
+    for name, rep in reports.items():
+        out[name] = (float(rep.lhs), float(rep.rhs))
+    return out
+
+
+# recorded with the dict/DFS topology, line-by-line parser and per-sample
+# monotonicity loops that the numpy mesh pass replaced
+LOOP_ERA_VALUES = {
+    "disk": {
+        "tc": 1.7438954920250518e-14,
+        "h_sum": 2.4543058030589424e-12,
+        "area_sum": 3.105828541230249,
+        "boundary": 6.265257226562477,
+        "region_boundary": 2.610523844401032,
+        "ps": (1.7843999765356762, 1.7775432321317814),
+        "model": (3.1399996390412523, 3.146115246276457),
+        "iso": (0.7343067097361872, 0.736415180307053),
+        "sobolev": (0.6930868987931735, 0.849933188051607),
+        "gn": (0.6777261871126461, 0.7697591478766558),
+        "spectral": (6.104877509532351, 5.849780274200787),
+        "ms1": (3.1120038439708333, 3.132628613281245),
+        "mono": (0.5770076012286023, 0.7835688843262876),
+        "logsob": (-0.6860041142740971, -0.5695635367418282),
+    },
+    "cap": {
+        "tc": 1.0220977895384211,
+        "h_sum": 534.0418800449552,
+        "area_sum": 0.2775181366212129,
+        "boundary": 1.851510110380194,
+        "region_boundary": 1.2447144604600882,
+        "ps": (0.112624737498647, 0.17079414383786928),
+        "model": (0.013779147515534055, 0.02588740846526577),
+        "iso": (0.35189627687783503, 0.5392131612863753),
+        "sobolev": (0.026042668925043786, 0.05319732177003886),
+        "gn": (0.022964090554874663, 0.04224694170223477),
+        "spectral": (67.2855853409038, 27.76094830258628),
+        "ms1": (0.055482136295293874, 0.06783860185008128),
+        "mono": (0.004202698498271347, 0.01226972000675168),
+    },
+}
+
+
+@pytest.mark.parametrize("kind", ["disk", "cap"])
+def test_values_match_the_loop_implementation(kind):
+    got = parity_values(kind)
+    want = LOOP_ERA_VALUES[kind]
+    assert got.keys() == want.keys()
+    for key, value in want.items():
+        # the flat disk's curvature is rounding noise, hence the absolute floor
+        assert got[key] == pytest.approx(value, rel=1e-12, abs=1e-11), key
