@@ -14,6 +14,7 @@ cli             command-line entry point (``psilab`` console script)
 
 from .errors import (
     DIVERGENT,
+    ComplexValued,
     ConvergenceFailure,
     CurvatureBoundViolated,
     DegenerateTriangle,
@@ -32,6 +33,7 @@ __version__ = "0.1.0"
 __all__ = [
     "DIVERGENT",
     "is_divergent",
+    "ComplexValued",
     "ConvergenceFailure",
     "CurvatureBoundViolated",
     "DegenerateTriangle",

@@ -15,6 +15,7 @@ from typing import Callable
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import beta, betainc
 
 from .errors import DIVERGENT
 from .mesh import TriMesh, VertexField
@@ -65,31 +66,35 @@ _ICO_FACES = np.array(
 
 
 def make_sphere(subdiv: int = 3, radius: float = 1.0) -> TriMesh:
-    """Icosphere: midpoint-subdivided icosahedron projected to the sphere."""
+    """Icosphere: midpoint-subdivided icosahedron projected to the sphere.
+
+    Each level splits every face (a, b, c) into (a, ab, ca), (ab, b, bc),
+    (ca, bc, c), (ab, bc, ca); the edge midpoints are numbered after the
+    existing vertices in the order the faces first meet their edges.
+    """
     if subdiv < 0:
         raise ValueError("subdiv must be >= 0")
-    verts = [tuple(v) for v in _ICO_VERTS / np.linalg.norm(_ICO_VERTS[0])]
-    faces = [tuple(f) for f in _ICO_FACES]
+    verts = _ICO_VERTS / np.linalg.norm(_ICO_VERTS[0])
+    faces = _ICO_FACES
     for _ in range(subdiv):
-        cache: dict[tuple[int, int], int] = {}
-
-        def midpoint(a: int, b: int) -> int:
-            key = (a, b) if a < b else (b, a)
-            if key not in cache:
-                p = 0.5 * (np.asarray(verts[a]) + np.asarray(verts[b]))
-                p /= np.linalg.norm(p)
-                cache[key] = len(verts)
-                verts.append(tuple(p))
-            return cache[key]
-
-        nxt = []
-        for a, b, c in faces:
-            ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
-            nxt.extend([(a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca)])
-        faces = nxt
-    v = np.asarray(verts)
-    v /= np.linalg.norm(v, axis=1, keepdims=True)
-    return TriMesh(radius * v, np.asarray(faces, dtype=int))
+        nv = len(verts)
+        a, b, c = faces.T
+        # the half-edges ab, bc, ca of every face, face by face
+        starts = faces.ravel()
+        ends = faces[:, [1, 2, 0]].ravel()
+        keys = np.minimum(starts, ends) * nv + np.maximum(starts, ends)
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        # number each edge's midpoint by the half-edge that meets it first
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        ab, bc, ca = (nv + rank[inverse]).reshape(-1, 3).T
+        seen = first[order]
+        mids = 0.5 * (verts[starts[seen]] + verts[ends[seen]])
+        verts = np.vstack([verts, mids / np.linalg.norm(mids, axis=1, keepdims=True)])
+        faces = np.stack([a, ab, ca, ab, b, bc, ca, bc, c, ab, bc, ca], axis=1).reshape(-1, 3)
+    verts = verts / np.linalg.norm(verts, axis=1, keepdims=True)
+    return TriMesh(radius * verts, faces)
 
 
 def _polar_grid(rings: int, segments: int | None):
@@ -255,53 +260,72 @@ def example51_profile(lam: float) -> "RadialFunction":
     return RadialFunction(value=value, derivative=derivative, n=2, support=2.0)
 
 
-def example51_surface_lp(lam: float, p: float) -> float:
-    """Integral of u_lambda^p over the unit sphere, exact up to 1-d quadrature.
+def _blowup_args(lam, p):
+    """lambda as an array, x = 1/lambda^2 and 1 - w0 = x / (1 + sqrt(1 - x)),
+    where w0 = sqrt(1 - x) is the cap edge's height (no cancellation)."""
+    lam = np.asarray(lam, dtype=float)
+    if not (np.all(lam >= 1.0) and np.all(np.isfinite(lam))) or p < 1:
+        raise ValueError("need finite lambda >= 1 and p >= 1")
+    x = 1.0 / (lam * lam)
+    return lam, x, x / (1.0 + np.sqrt(1.0 - x))
 
-    The field is 1 off the polar cap; on the cap the surface element over
-    the projected disk is dx dy / sqrt(1 - r^2).
+
+def _shaped(a):
+    """A 0-d result as a float, anything else as the array."""
+    return float(a) if a.ndim == 0 else a
+
+
+def example51_surface_lp(lam, p: float):
+    """Integral of u_lambda^p over the unit sphere, in closed form.
+
+    The field is 1 off the polar cap, whose area is 2 pi (1 - w0). On the cap
+    the surface element over the projected disk is dx dy / sqrt(1 - r^2), and
+    t = r^2 turns 2 pi * integral of lambda^p r^(p+1) / sqrt(1 - r^2) over
+    (0, 1/lambda) into pi lambda^p B(p/2 + 1, 1/2) I_x(p/2 + 1, 1/2) with
+    x = 1/lambda^2 (DLMF 8.17). A scalar lambda gives a float, an array of
+    lambda an array.
     """
-    if lam < 1 or p < 1:
-        raise ValueError("need lambda >= 1 and p >= 1")
-    a = 1.0 / lam
-    cap_area = 2.0 * math.pi * (1.0 - math.sqrt(1.0 - a * a))
-    cap_int, _ = quad(lambda r: lam**p * r ** (p + 1.0) / math.sqrt(1.0 - r * r), 0.0, a)
-    return (4.0 * math.pi - cap_area) + 2.0 * math.pi * cap_int
+    lam, x, one_minus_w0 = _blowup_args(lam, p)
+    a = 0.5 * p + 1.0
+    with np.errstate(over="raise"):
+        cap = math.pi * lam**p * beta(a, 0.5) * betainc(a, 0.5, x)
+    return _shaped(4.0 * math.pi - 2.0 * math.pi * one_minus_w0 + cap)
 
 
-def example51_gradient_integrals(lam: float, p: float):
+def example51_gradient_integrals(lam, p: float):
     """Gradient p-energies of the sphere field and of its planar rearrangement.
 
     surface: the tangential gradient of lambda*r on the sphere has magnitude
     lambda*cos(phi) (polar angle phi), and integrating its p-th power over
-    the cap gives the closed form
-    2 pi lambda^p (1 - (1 - 1/lambda^2)^((p+1)/2)) / (p+1), which behaves
-    like pi lambda^(p-2) for large lambda.
+    the cap gives 2 pi lambda^p (1 - (1 - x)^((p+1)/2)) / (p+1) with
+    x = 1/lambda^2, evaluated as -expm1(((p+1)/2) log1p(-x)) so that it
+    keeps full precision at large lambda, where it behaves like
+    pi lambda^(p-2).
 
     plane: 2 pi lambda^p 2^(p/2) * integral of w^p (1-w)^(-p/2) dw over
-    (sqrt(1 - 1/lambda^2), 1), evaluated after the substitution w = 1 - y^2
-    which removes the endpoint singularity. The integrand behaves like
-    (2 - s)^(-p/2) at the support radius, so the integral is classified
-    divergent exactly when p >= 2, by the exponent test rather than by
-    quadrature overflow.
+    (w0, 1), w0 = sqrt(1 - x), which is the incomplete beta function
+    B(1 - p/2, p + 1) I_(1-w0)(1 - p/2, p + 1) (DLMF 8.17). The integrand
+    behaves like (2 - s)^(-p/2) at the support radius, so the integral is
+    classified divergent exactly when p >= 2, by the exponent test. Its
+    leading term follows from I_y(a, b) ~ y^a / (a B(a, b)) with
+    a = 1 - p/2 and y = 1 - w0 ~ 1/(2 lambda^2):
+    2 pi lambda^p 2^(p/2) (2 lambda^2)^(p/2 - 1) / (1 - p/2)
+    = 2^(p+1) / (2 - p) * pi lambda^(2p-2).
+
+    A scalar lambda gives floats, an array of lambda arrays; the planar
+    energy is the DIVERGENT marker for p >= 2 either way.
     """
-    if lam < 1 or p < 1:
-        raise ValueError("need lambda >= 1 and p >= 1")
-    surface = (
-        2.0 * math.pi * lam**p * (1.0 - (1.0 - 1.0 / lam**2) ** (0.5 * (p + 1.0))) / (p + 1.0)
-    )
+    lam, x, one_minus_w0 = _blowup_args(lam, p)
+    # log(w0^2); lambda = 1 puts w0 on 0, whose logarithm is -inf
+    log_w0_sq = np.log1p(-x, out=np.full_like(x, -np.inf), where=x < 1.0)
+    with np.errstate(over="raise"):
+        scale = 2.0 * math.pi * lam**p
+    surface = _shaped(scale * -np.expm1(0.5 * (p + 1.0) * log_w0_sq) / (p + 1.0))
     if p >= 2.0:
         return surface, DIVERGENT
-    w0 = math.sqrt(1.0 - 1.0 / lam**2)
-    y0 = math.sqrt(1.0 - w0)
-
-    def integrand(y):
-        w = 1.0 - y * y
-        return 2.0 * w**p * y ** (1.0 - p)
-
-    core, _ = quad(integrand, 0.0, y0)
-    plane = 2.0 * math.pi * lam**p * 2.0 ** (0.5 * p) * core
-    return surface, plane
+    a, b = 1.0 - 0.5 * p, p + 1.0
+    plane = scale * 2.0 ** (0.5 * p) * beta(a, b) * betainc(a, b, one_minus_w0)
+    return surface, _shaped(plane)
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,8 @@ import numpy as np
 
 from . import constants as const
 from .analytic import make_surface
-from .counterexample import find_lambda_bar, resolve_jobs, sweep, sweep_to_csv
-from .errors import DIVERGENT, is_divergent
+from .counterexample import find_lambda_bar, sweep, sweep_to_csv
+from .errors import ConvergenceFailure, is_divergent
 from .measure_space import (
     DiscreteMeasuredFunction,
     Interpolation,
@@ -153,7 +153,6 @@ def _build_parser() -> argparse.ArgumentParser:
     px.add_argument("--N", type=float, help="also locate the blowup threshold for this factor")
     px.add_argument("--mesh-check", action="store_true")
     px.add_argument("--subdiv", type=int, default=5)
-    px.add_argument("--jobs", type=int)
     px.add_argument("--plot-data", action="store_true", help="emit gnuplot-friendly columns")
     common(px)
     return ap
@@ -261,7 +260,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_counterexample(args) -> int:
-    rows = sweep(args.p, args.lams, mesh_check=args.mesh_check, subdiv=args.subdiv, jobs=args.jobs)
+    rows = sweep(args.p, args.lams, mesh_check=args.mesh_check, subdiv=args.subdiv)
     payload: dict = {}
     if args.N is not None:
         payload["lambda_bar"] = {"N": args.N, "p": args.p, "value": find_lambda_bar(args.N, args.p)}
@@ -310,7 +309,7 @@ def dispatch(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ValueError, ArithmeticError, OSError) as exc:
+    except (ValueError, ArithmeticError, OSError, ConvergenceFailure) as exc:
         print(f"psilab: {exc}", file=sys.stderr)
         return 2
 

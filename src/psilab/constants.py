@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .errors import CurvatureBoundViolated, GammaPole
+from .errors import ComplexValued, CurvatureBoundViolated, GammaPole
 from .special_fn import gamma, log_gamma, log_unit_ball_volume, unit_ball_volume, bessel_first_zero
 
 __all__ = [
@@ -207,21 +207,14 @@ def gn_r_exponent(n: int, p: float, q: float) -> float:
     return p * (q - 1.0) / (p - 1.0)
 
 
-def _gamma_checked(x: float, context: str) -> float:
-    if x <= 0:
-        if abs(x - round(x)) < 1e-12:
-            raise GammaPole(f"{context}: gamma pole at argument {x}")
-        # reflection formula for negative non-integer arguments
-        return math.pi / (math.sin(math.pi * x) * gamma(1.0 - x))
-    return gamma(x)
-
-
 def egn_constant(n: int, p: float, q: float, reading: EgnReading = EgnReading.GAMMA_CORRECTED) -> float:
     """Sharp Euclidean Gagliardo-Nirenberg constant, in two readings.
 
     ``LITERAL`` evaluates the printed formula exactly as it stands: gamma
     numerator argument q(p-1)/(1-p) (a pole for every integer q) and middle
-    factor (pq / n(q-p))^(1-theta).
+    factor (pq / n(q-p))^(1-theta). Where gamma is negative there, the
+    printed fractional power of the gamma quotient is complex and
+    ``ComplexValued`` is raised.
 
     ``GAMMA_CORRECTED`` is the repaired form validated by the extremal
     oracle: gamma argument q(p-1)/(q-p) and middle-factor exponent theta/p.
@@ -238,13 +231,23 @@ def egn_constant(n: int, p: float, q: float, reading: EgnReading = EgnReading.GA
     else:
         num_arg = q * (p - 1.0) / (q - p)
         mid_exp = theta / p
+    if num_arg <= 0:
+        if abs(num_arg - round(num_arg)) < 1e-12:
+            raise GammaPole(f"EGN numerator: gamma pole at argument {num_arg}")
+        if math.floor(num_arg) % 2:
+            # gamma is negative on (-1, 0), (-3, -2), ...
+            raise ComplexValued(f"EGN numerator: gamma({num_arg}) < 0 under a fractional power")
     t1 = ((q - p) / (p * math.sqrt(math.pi))) ** theta
     t2 = (p * q / (n * (q - p))) ** mid_exp
     t3 = (beta / (p * q)) ** (1.0 / r)
-    g_num = _gamma_checked(num_arg, "EGN numerator")
-    g_den = _gamma_checked((p - 1.0) * beta / (p * (q - p)), "EGN denominator")
-    t4 = (g_num * gamma(0.5 * n + 1.0) / (g_den * gamma(n * (p - 1.0) / p + 1.0))) ** (theta / n)
-    return t1 * t2 * t3 * t4
+    # the gamma quotient through log-gamma: the corrected arguments grow like 1/(q - p)
+    log_quotient = (
+        math.lgamma(num_arg)
+        + math.lgamma(0.5 * n + 1.0)
+        - math.lgamma((p - 1.0) * beta / (p * (q - p)))
+        - math.lgamma(n * (p - 1.0) / p + 1.0)
+    )
+    return t1 * t2 * t3 * math.exp(log_quotient * theta / n)
 
 
 def log_sobolev_constant(n: int, p: float) -> float:
@@ -366,5 +369,7 @@ def build_constants_table(
                 entries["EGN_literal"] = egn_constant(n, p, q, EgnReading.LITERAL)
             except GammaPole:
                 entries["EGN_literal"] = "gamma-pole"
+            except ComplexValued:
+                entries["EGN_literal"] = "complex"
             entries["GN"] = entries["EGN"] * entries["PS"]
     return ConstantsTable(n=n, K=K, choice=choice, p=p, q=q, entries=entries)

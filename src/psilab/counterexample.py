@@ -18,9 +18,9 @@ is p.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+
+import numpy as np
 
 from .analytic import (
     example51_gradient_integrals,
@@ -37,7 +37,6 @@ __all__ = [
     "find_lambda_bar",
     "asymptotic_check",
     "sweep_to_csv",
-    "resolve_jobs",
 ]
 
 
@@ -64,57 +63,36 @@ class SweepRow:
     flagged: bool = False
 
 
-def resolve_jobs(jobs: int | None = None) -> int:
-    """Worker count: explicit argument, else the PSILAB_JOBS variable, else 1."""
-    if jobs is not None:
-        return max(1, jobs)
-    env = os.environ.get("PSILAB_JOBS", "")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
+def sweep(p: float, lam_list, mesh_check: bool = False, subdiv: int = 5):
+    """Closed-form sweep over lambda, optionally cross-checked on an icosphere.
 
-
-def _one_row(lam: float, p: float, mesh=None) -> SweepRow:
-    surface, plane = example51_gradient_integrals(lam, p)
-    curvature = 2.0**p * example51_surface_lp(lam, p)
+    The closed-form columns come from one array call each; only the mesh
+    cross-check visits the lambdas one at a time.
+    """
+    lams = np.array(lam_list, dtype=float, ndmin=1)
+    surface, plane = example51_gradient_integrals(lams, p)
+    curvature = 2.0**p * example51_surface_lp(lams, p)
     if is_divergent(plane):
-        ratio = math.inf
-        gradient_ratio = math.inf
+        planes = [DIVERGENT] * len(lams)
+        ratio = gradient_ratio = np.full(len(lams), math.inf)
     else:
+        planes = plane.tolist()
         ratio = plane / (surface + curvature)
         gradient_ratio = plane / surface
-    row = SweepRow(
-        lam=lam,
-        p=p,
-        surface_grad_p=surface,
-        curvature_term=curvature,
-        plane_grad_p=plane,
-        ratio=ratio,
-        gradient_ratio=gradient_ratio,
-    )
-    if mesh is not None:
-        field = example51_vertex_field(lam, mesh)
-        row.mesh_surface = p1_gradient_lp(mesh, field, p)
-        deviation = abs(row.mesh_surface - surface) / surface
-        # beyond lambda ~ 20 the cap holds too few triangles to trust
-        row.flagged = lam > 20.0 or deviation > 0.05
-    return row
-
-
-def sweep(p: float, lam_list, mesh_check: bool = False, subdiv: int = 5, jobs: int | None = None):
-    """Closed-form sweep over lambda, optionally cross-checked on an icosphere."""
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    lams = [float(l) for l in lam_list]
-    if any(l < 1 for l in lams):
-        raise ValueError("lambda values must be >= 1")
-    mesh = make_sphere(subdiv) if mesh_check else None
-    workers = resolve_jobs(jobs)
-    if workers == 1 or len(lams) <= 1:
-        return [_one_row(l, p, mesh) for l in lams]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda l: _one_row(l, p, mesh), lams))
+    rows = [
+        SweepRow(lam=l, p=p, surface_grad_p=s, curvature_term=c, plane_grad_p=g, ratio=r, gradient_ratio=gr)
+        for l, s, c, g, r, gr in zip(
+            lams.tolist(), surface.tolist(), curvature.tolist(), planes, ratio.tolist(), gradient_ratio.tolist()
+        )
+    ]
+    if mesh_check:
+        mesh = make_sphere(subdiv)
+        for row in rows:
+            row.mesh_surface = p1_gradient_lp(mesh, example51_vertex_field(row.lam, mesh), p)
+            deviation = abs(row.mesh_surface - row.surface_grad_p) / row.surface_grad_p
+            # beyond lambda ~ 20 the cap holds too few triangles to trust
+            row.flagged = row.lam > 20.0 or deviation > 0.05
+    return rows
 
 
 def sweep_to_csv(rows) -> str:
@@ -132,6 +110,14 @@ def sweep_to_csv(rows) -> str:
 
 
 _LAMBDA_CEILING = 1e12
+# the threshold walk's grid: 1, 1.1, 1.1^2, ... below the ceiling, then the ceiling
+_LAMBDA_GRID = np.append(1.1 ** np.arange(math.ceil(math.log(_LAMBDA_CEILING, 1.1))), _LAMBDA_CEILING)
+
+
+def _excess(lam, N: float, p: float):
+    """Planar energy minus N times the full right-hand side, for p < 2."""
+    surface, plane = example51_gradient_integrals(lam, p)
+    return plane - N * (surface + 2.0**p * example51_surface_lp(lam, p))
 
 
 def find_lambda_bar(N: float, p: float) -> float:
@@ -139,9 +125,9 @@ def find_lambda_bar(N: float, p: float) -> float:
     N times the full right-hand side.
 
     For p >= 2 the planar energy is divergent for every lambda, so the
-    threshold is 1. The search walks a geometric grid (factor 1.1) and
-    bisects the first bracket; running past the ceiling reports a failure
-    instead of guessing.
+    threshold is 1. The search evaluates a geometric grid (factor 1.1) up to
+    the ceiling in one call and bisects its first bracket; no crossing below
+    the ceiling reports a failure instead of guessing.
     """
     if N <= 0:
         raise ValueError("N must be > 0")
@@ -149,29 +135,19 @@ def find_lambda_bar(N: float, p: float) -> float:
         raise ValueError("p must be > 1")
     if p >= 2:
         return 1.0
-
-    def excess(lam: float) -> float:
-        row = _one_row(lam, p)
-        return row.plane_grad_p - N * (row.surface_grad_p + row.curvature_term)
-
-    lo = 1.0
-    f_lo = excess(lo)
-    if f_lo > 0:
-        return lo
-    hi = lo
-    while hi < _LAMBDA_CEILING:
-        hi = lo * 1.1
-        if excess(hi) > 0:
-            break
-        lo = hi
-    else:
+    (crossed,) = np.nonzero(_excess(_LAMBDA_GRID, N, p) > 0)
+    if crossed.size == 0:
         raise ConvergenceFailure(
             f"no threshold below lambda = {_LAMBDA_CEILING} for N = {N}, p = {p}"
         )
+    k = crossed[0]
+    if k == 0:
+        return 1.0
+    lo, hi = float(_LAMBDA_GRID[k - 1]), float(_LAMBDA_GRID[k])
     # bisect to 3 significant digits
     while (hi - lo) > 5e-4 * hi:
         mid = 0.5 * (lo + hi)
-        if excess(mid) > 0:
+        if _excess(mid, N, p) > 0:
             hi = mid
         else:
             lo = mid

@@ -9,6 +9,10 @@ class GammaPole(ValueError):
     """A gamma-function evaluation hit a pole (non-positive integer argument)."""
 
 
+class ComplexValued(ValueError):
+    """A real formula raises a negative base to a fractional power."""
+
+
 class InterpolationMismatch(ValueError):
     """Operation requires a different profile interpolation mode."""
 

@@ -387,10 +387,10 @@ def mean_curvature(mesh: TriMesh) -> CurvatureReport:
     tri = mesh.triangles
     nvert = len(v)
     ntri = len(tri)
-    accum = np.zeros_like(v)
-    areas = np.zeros(nvert)
     tri_areas = mesh.triangle_areas()
     cots = np.empty((3, ntri))
+    # scatter-adds as (target vertex, weight) lists, summed by one bincount each
+    h_idx, h_terms = [], []
     for c in range(3):
         i = tri[:, c]
         j = tri[:, (c + 1) % 3]
@@ -404,11 +404,17 @@ def mean_curvature(mesh: TriMesh) -> CurvatureReport:
         cross2 = np.maximum(n1 * n2 - dot * dot, 1e-300)
         cot = dot / np.sqrt(cross2)
         cots[(c + 2) % 3] = cot  # indexed by the corner the angle sits at
-        edge = v[i] - v[j]
-        np.add.at(accum, i, cot[:, None] * edge)
-        np.add.at(accum, j, -cot[:, None] * edge)
+        term = cot[:, None] * (v[i] - v[j])
+        h_idx += [i, j]
+        h_terms += [term, -term]
+    h_idx = np.concatenate(h_idx)
+    h_terms = np.concatenate(h_terms)
+    accum = np.column_stack(
+        [np.bincount(h_idx, weights=h_terms[:, d], minlength=nvert) for d in range(v.shape[1])]
+    )
     obtuse_corner = cots < 0.0  # (3, M), at most one per triangle
     tri_obtuse = obtuse_corner.any(axis=0)
+    area_idx, area_terms = [], []
     for c in range(3):
         i = tri[:, c]
         j = tri[:, (c + 1) % 3]
@@ -416,11 +422,11 @@ def mean_curvature(mesh: TriMesh) -> CurvatureReport:
         edge = v[i] - v[j]
         l2 = np.einsum("ij,ij->i", edge, edge)
         piece = np.where(tri_obtuse, 0.0, cots[(c + 2) % 3] * l2 / 8.0)
-        np.add.at(areas, i, piece)
-        np.add.at(areas, j, piece)
         # obtuse fallback: half the area at the obtuse corner, quarter elsewhere
         fallback = np.where(obtuse_corner[c], 0.5 * tri_areas, 0.25 * tri_areas)
-        np.add.at(areas, tri[:, c], np.where(tri_obtuse, fallback, 0.0))
+        area_idx += [i, j, i]
+        area_terms += [piece, piece, np.where(tri_obtuse, fallback, 0.0)]
+    areas = np.bincount(np.concatenate(area_idx), weights=np.concatenate(area_terms), minlength=nvert)
     boundary = np.zeros(nvert, dtype=bool)
     boundary[mesh.boundary_vertices()] = True
     h = np.zeros(nvert)

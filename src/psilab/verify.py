@@ -192,6 +192,11 @@ def _require_admissible(mesh: TriMesh, K: float, choice: IsoperimetricChoice) ->
     return report
 
 
+def _require_field(f: VertexField | None):
+    if f is None:
+        raise ValueError("mesh input needs a field")
+
+
 def _require_boundary_vanishing(mesh: TriMesh, f: VertexField):
     bv = mesh.boundary_vertices()
     if bv.size and np.any(f.values[bv] != 0.0):
@@ -218,6 +223,7 @@ def verify_polya_szego(
 ) -> VerificationReport:
     """Gradient p-norm of the planar rearrangement vs the surface gradient p-norm
     scaled by the rearrangement constant. Both sides are p-th-root norms."""
+    _require_field(f)
     _require_admissible(mesh, K, choice)
     _require_boundary_vanishing(mesh, f)
     profile = _rearranged_profile(mesh, f, subdivision, lebesgue(2))
@@ -248,6 +254,7 @@ def verify_model_space_ps(
     sequences; the piecewise-linear representative bounds it from above, so
     a pass here is conclusive while a failure would be inconclusive.
     """
+    _require_field(f)
     _require_admissible(mesh, K, choice)
     _require_boundary_vanishing(mesh, f)
     target = model_space(2, K, choice.value(2))
@@ -334,6 +341,7 @@ def verify_p_sobolev(
     tolerance: float | None = None,
 ) -> VerificationReport:
     """L^(p*) norm of the field vs S(2, p, K) times the gradient p-norm, p in (1, 2)."""
+    _require_field(f)
     if not 1.0 < p < 2.0:
         raise ValueError(f"surface dimension 2 requires 1 < p < 2, got {p}")
     _require_admissible(mesh, K, choice)
@@ -450,6 +458,7 @@ def verify_spectral_gap(
 ) -> VerificationReport:
     """Rayleigh quotient of the field vs the spectral-gap constant over the
     support area. This is a lower bound, so the report direction is 'ge'."""
+    _require_field(f)
     _require_admissible(mesh, K, choice)
     _require_boundary_vanishing(mesh, f)
     if not np.any(f.values > 0):
@@ -516,8 +525,7 @@ def verify_log_sobolev(
             "LogSobolev", lhs, rhs, tol, inputs={"n": n, "p": p, "input": "radial"}
         )
     mesh: TriMesh = obj
-    if f is None:
-        raise ValueError("mesh input needs a field")
+    _require_field(f)
     if not 1.0 < p < 2.0:
         raise ValueError(f"surface dimension 2 requires 1 < p < 2, got {p}")
     curv = mean_curvature(mesh)
@@ -556,6 +564,7 @@ def verify_michael_simon_p1(
 ) -> VerificationReport:
     """The p = 1 rearrangement bound with the curvature term on the right:
     no total-curvature assumption, so closed surfaces are allowed."""
+    _require_field(f)
     profile = _rearranged_profile(mesh, f, subdivision, lebesgue(2))
     lhs = gradient_energy(profile, 1.0)
     curv = mean_curvature(mesh)
@@ -697,6 +706,7 @@ def verify_monotonicity_principle(
     are evaluated with the gradient arguments scaled by the rearrangement
     constant.
     """
+    _require_field(f)
     _require_admissible(mesh, K, choice)
     _require_boundary_vanishing(mesh, f)
     ps = const.ps_constant(2, K, choice)

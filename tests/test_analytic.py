@@ -1,7 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+import scipy.integrate
 
 from psilab import analytic
 from psilab.errors import is_divergent
@@ -9,7 +11,39 @@ from psilab.mesh import hausdorff_measure
 from psilab.verify import verify_gn, verify_log_sobolev
 
 
+def _loop_icosphere(subdiv):
+    """The dict-of-midpoints icosphere, face by face: the reference for make_sphere."""
+    verts = [tuple(v) for v in analytic._ICO_VERTS / np.linalg.norm(analytic._ICO_VERTS[0])]
+    faces = [tuple(f) for f in analytic._ICO_FACES]
+    for _ in range(subdiv):
+        cache = {}
+
+        def midpoint(a, b):
+            key = (a, b) if a < b else (b, a)
+            if key not in cache:
+                p = 0.5 * (np.asarray(verts[a]) + np.asarray(verts[b]))
+                p /= np.linalg.norm(p)
+                cache[key] = len(verts)
+                verts.append(tuple(p))
+            return cache[key]
+
+        nxt = []
+        for a, b, c in faces:
+            ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
+            nxt.extend([(a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca)])
+        faces = nxt
+    v = np.asarray(verts)
+    return v / np.linalg.norm(v, axis=1, keepdims=True), np.asarray(faces, dtype=int)
+
+
 class TestSurfaceGenerators:
+    @pytest.mark.parametrize("subdiv", range(6))
+    def test_sphere_matches_loop_reference(self, subdiv):
+        verts, faces = _loop_icosphere(subdiv)
+        mesh = analytic.make_sphere(subdiv)
+        assert np.array_equal(mesh.triangles, faces)
+        np.testing.assert_allclose(mesh.vertices, verts, rtol=0, atol=1e-15)
+
     def test_sphere_area(self):
         mesh = analytic.make_sphere(4)
         assert hausdorff_measure(mesh) == pytest.approx(4.0 * math.pi, rel=5e-3)
@@ -132,6 +166,71 @@ class TestBlowupFamily:
         # p = 1: the planar energy tends to 4 pi as lambda grows
         _, plane = analytic.example51_gradient_integrals(1e6, 1.0)
         assert plane == pytest.approx(4.0 * math.pi, rel=1e-4)
+
+
+class TestBlowupClosedForms:
+    LAMS = np.array([1.0, 1.5, 10.0, 1e3, 1e5, 1e7, 1e9, 1e12])
+
+    @pytest.mark.parametrize("p", [1.0, 1.3, 1.99, 2.0, 2.5])
+    def test_array_call_matches_scalar_calls(self, p):
+        surface, plane = analytic.example51_gradient_integrals(self.LAMS, p)
+        lp = analytic.example51_surface_lp(self.LAMS, p)
+        assert isinstance(surface, np.ndarray) and isinstance(lp, np.ndarray)
+        for k, lam in enumerate(self.LAMS):
+            s, pl = analytic.example51_gradient_integrals(float(lam), p)
+            assert type(s) is float and s == surface[k]
+            assert analytic.example51_surface_lp(float(lam), p) == lp[k]
+            if p < 2.0:
+                assert type(pl) is float and pl == plane[k]
+            else:
+                assert is_divergent(pl) and is_divergent(plane)
+
+    def test_p1_surface_is_pi_over_lambda(self):
+        surface, _ = analytic.example51_gradient_integrals(self.LAMS, 1.0)
+        np.testing.assert_allclose(surface, math.pi / self.LAMS, rtol=1e-14)
+
+    def test_p1_plane_elementary_form(self):
+        # at p = 1 the integral of w (1-w)^(-1/2) over (w0, 1) is 2 sqrt(y0) - (2/3) y0^(3/2), y0 = 1 - w0
+        _, plane = analytic.example51_gradient_integrals(self.LAMS, 1.0)
+        y0 = 1.0 / (self.LAMS**2 * (1.0 + np.sqrt(1.0 - 1.0 / self.LAMS**2)))
+        expect = 2.0 * math.sqrt(2.0) * math.pi * self.LAMS * (2.0 * np.sqrt(y0) - 2.0 / 3.0 * y0**1.5)
+        np.testing.assert_allclose(plane, expect, rtol=1e-13)
+
+    def test_no_collapse_near_p2(self):
+        # (2 - p) * plane tends to 8 pi lambda^2 as p -> 2
+        lams = np.array([1.5, 10.0, 1e3, 1e6])
+        _, plane = analytic.example51_gradient_integrals(lams, 2.0 - 1e-6)
+        np.testing.assert_allclose(1e-6 * plane, 8.0 * math.pi * lams**2, rtol=1e-3)
+
+    @pytest.mark.parametrize("lam", [1.5, 10.0, 1e3])
+    def test_surface_lp_matches_quadrature(self, lam):
+        p = 1.5
+        cap, _ = scipy.integrate.quad(
+            lambda r: lam**p * r ** (p + 1.0) / math.sqrt(1.0 - r * r), 0.0, 1.0 / lam, epsabs=0.0, epsrel=1e-13
+        )
+        off_cap = 4.0 * math.pi - 2.0 * math.pi * (1.0 - math.sqrt(1.0 - 1.0 / lam**2))
+        assert analytic.example51_surface_lp(lam, p) == pytest.approx(off_cap + 2.0 * math.pi * cap, rel=1e-12)
+
+    def test_lambda_one_is_quiet(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            surface, plane = analytic.example51_gradient_integrals(1.0, 1.5)
+            analytic.example51_gradient_integrals(np.array([1.0, 2.0]), 1.5)
+            analytic.example51_surface_lp(1.0, 1.5)
+        assert surface == pytest.approx(2.0 * math.pi / 2.5, rel=1e-15)
+        assert math.isfinite(plane)
+
+    def test_argument_checks(self):
+        for lam, p in ((0.5, 1.5), (np.array([2.0, 0.9]), 1.5), (math.nan, 1.5), (math.inf, 1.5), (2.0, 0.5)):
+            with pytest.raises(ValueError):
+                analytic.example51_gradient_integrals(lam, p)
+            with pytest.raises(ValueError):
+                analytic.example51_surface_lp(lam, p)
+        # lambda^p beyond the double range is an arithmetic error, not an inf in the output
+        with pytest.raises(ArithmeticError):
+            analytic.example51_gradient_integrals(1e12, 40.0)
+        with pytest.raises(ArithmeticError):
+            analytic.example51_surface_lp(1e12, 40.0)
 
 
 class TestRadialFunctions:

@@ -41,6 +41,13 @@ class TestConstantsCommand:
         assert text.startswith("key,value")
         assert "EGN_literal,gamma-pole" in text
 
+    def test_complex_literal_egn_is_a_marker(self, capsys):
+        # the printed EGN takes gamma at -q; gamma(-2.5) < 0 under a fractional power
+        assert dispatch(["constants", "--n", "3", "--p", "2", "--q", "2.5"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["EGN_literal"] == "complex"
+        assert math.isfinite(out["EGN"])
+
     def test_michael_simon_choice(self, capsys):
         assert dispatch(["constants", "--n", "2", "--iso", "michael-simon"]) == 0
         out = json.loads(capsys.readouterr().out)
@@ -178,13 +185,23 @@ class TestCounterexampleCommand:
         assert out["rows"][0]["plane_grad_p"] == "divergent"
         assert out["rows"][0]["ratio"] == "inf"
 
-    def test_csv_and_jobs_env(self, monkeypatch, capsys):
-        monkeypatch.setenv("PSILAB_JOBS", "2")
+    def test_csv(self, capsys):
         code = dispatch(["counterexample", "--p", "1.5", "--lambda", "5", "10", "--format", "csv"])
         assert code == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0].startswith("lambda,p,")
         assert len(lines) == 3
+
+    def test_no_threshold_below_the_ceiling_exits_2(self, capsys):
+        assert dispatch(["counterexample", "--p", "1.01", "--N", "1e6"]) == 2
+        assert "no threshold below" in capsys.readouterr().err
+
+    def test_threshold_search_past_the_cancellation_point(self, capsys):
+        # the walk passes lambda = 2^27, where 1 - 1/lambda^2 rounds to 1
+        assert dispatch(["counterexample", "--p", "1.2", "--N", "1e5"]) == 2
+        err = capsys.readouterr().err
+        assert "division by zero" not in err
+        assert "no threshold below" in err
 
     def test_plot_data(self, capsys):
         code = dispatch(["counterexample", "--p", "1.5", "--lambda", "5", "--plot-data"])

@@ -1,9 +1,10 @@
 import math
 
 import pytest
+from scipy.special import gammaln
 
 from psilab import constants as const
-from psilab.errors import CurvatureBoundViolated, GammaPole
+from psilab.errors import ComplexValued, CurvatureBoundViolated, GammaPole
 from psilab.special_fn import bessel_first_zero, unit_ball_volume
 
 
@@ -123,6 +124,33 @@ class TestGagliardoNirenberg:
         # and it genuinely disagrees with the corrected constant
         w = const.egn_constant(3, 2.0, 3.5)
         assert abs(v - w) / w > 1e-3
+
+    def test_literal_reading_complex_where_gamma_is_negative(self):
+        # the literal numerator is gamma(-q), negative for q in (2, 3)
+        with pytest.raises(ComplexValued):
+            const.egn_constant(3, 2.0, 2.5, const.EgnReading.LITERAL)
+        table = const.build_constants_table(3, 0.0, const.brendle(1), p=2.0, q=2.5).as_dict()
+        assert table["EGN_literal"] == "complex"
+
+    def test_corrected_reading_finite_as_q_approaches_p(self):
+        # the gamma arguments grow like 1/(q - p): gamma(2001) overflows a double
+        n, p, q = 3, 2.0, 2.001
+        beta = n * p - q * (n - p)
+        theta = n * (q - p) / ((q - 1.0) * beta)
+        r = p * (q - 1.0) / (p - 1.0)
+        log_ratio = (
+            gammaln(q * (p - 1.0) / (q - p)) + gammaln(0.5 * n + 1.0)
+            - gammaln((p - 1.0) * beta / (p * (q - p))) - gammaln(n * (p - 1.0) / p + 1.0)
+        )
+        expect = (
+            ((q - p) / (p * math.sqrt(math.pi))) ** theta
+            * (p * q / (n * (q - p))) ** (theta / p)
+            * (beta / (p * q)) ** (1.0 / r)
+            * math.exp(log_ratio * theta / n)
+        )
+        assert const.egn_constant(n, p, q) == pytest.approx(expect, rel=1e-12)
+        table = const.build_constants_table(n, 0.5, const.brendle(1), p=p, q=q).as_dict()
+        assert math.isfinite(table["EGN"]) and math.isfinite(table["GN"])
 
 
 class TestLogSobolev:

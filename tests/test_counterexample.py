@@ -7,29 +7,12 @@ from psilab import constants as const
 from psilab.counterexample import (
     asymptotic_check,
     find_lambda_bar,
-    resolve_jobs,
     sweep,
     sweep_to_csv,
 )
-from psilab.errors import is_divergent
+from psilab.errors import ConvergenceFailure, is_divergent
 from psilab.mesh import total_mean_curvature
-from psilab.analytic import make_sphere
-
-
-class TestResolveJobs:
-    def test_explicit_argument_wins(self, monkeypatch):
-        monkeypatch.setenv("PSILAB_JOBS", "8")
-        assert resolve_jobs(3) == 3
-
-    def test_environment_variable(self, monkeypatch):
-        monkeypatch.setenv("PSILAB_JOBS", "4")
-        assert resolve_jobs() == 4
-
-    def test_default_and_garbage(self, monkeypatch):
-        monkeypatch.delenv("PSILAB_JOBS", raising=False)
-        assert resolve_jobs() == 1
-        monkeypatch.setenv("PSILAB_JOBS", "many")
-        assert resolve_jobs() == 1
+from psilab.analytic import example51_gradient_integrals, example51_surface_lp, make_sphere
 
 
 class TestSweep:
@@ -66,12 +49,20 @@ class TestSweep:
         slope = np.polyfit(x, y, 1)[0]
         assert abs(slope - p) / p < 0.1
 
-    def test_threaded_sweep_matches_serial(self):
+    def test_sweep_is_deterministic(self):
         lams = [2.0, 5.0, 9.0]
-        serial = sweep(1.5, lams, jobs=1)
-        parallel = sweep(1.5, lams, jobs=3)
-        for a, b in zip(serial, parallel):
-            assert a.plane_grad_p == b.plane_grad_p
+        assert sweep(1.5, lams) == sweep(1.5, lams)
+
+    def test_rows_match_scalar_closed_forms(self):
+        lams = [1.0, 1.5, 10.0, 1e4, 1e9]
+        for row, lam in zip(sweep(1.3, lams), lams):
+            surface, plane = example51_gradient_integrals(lam, 1.3)
+            curvature = 2.0**1.3 * example51_surface_lp(lam, 1.3)
+            assert (row.lam, row.surface_grad_p, row.plane_grad_p) == (lam, surface, plane)
+            assert row.curvature_term == curvature
+            assert row.ratio == pytest.approx(plane / (surface + curvature), rel=1e-15)
+            assert row.gradient_ratio == pytest.approx(plane / surface, rel=1e-15)
+            assert type(row.surface_grad_p) is float and type(row.ratio) is float
 
     def test_mesh_cross_check(self):
         rows = sweep(1.5, [2.0, 30.0], mesh_check=True, subdiv=5)
@@ -103,6 +94,23 @@ class TestLambdaBar:
         bars = [find_lambda_bar(N, 1.5) for N in (1.0, 10.0, 100.0)]
         assert all(math.isfinite(b) for b in bars)
         assert bars[0] < bars[1] < bars[2]
+
+    def test_no_threshold_below_the_ceiling(self):
+        # at p = 1.01 the quotient grows like lambda^0.02: far from 1e6 at 1e12
+        with pytest.raises(ConvergenceFailure, match="no threshold below"):
+            find_lambda_bar(1e6, 1.01)
+
+    def test_threshold_is_one_when_lambda_one_crosses(self):
+        assert find_lambda_bar(1e-3, 1.5) == 1.0
+
+    def test_threshold_beyond_the_cancellation_point(self):
+        # the root lies beyond 2^27, where 1 - 1/lambda^2 rounds to 1
+        N, p = 2000.0, 1.2
+        bar = find_lambda_bar(N, p)
+        assert bar > 2.0**27
+        (above,) = sweep(p, [bar])
+        (below,) = sweep(p, [bar * (1.0 - 5e-4)])
+        assert below.ratio < N < above.ratio
 
     def test_threshold_actually_crosses(self):
         N, p = 10.0, 1.5

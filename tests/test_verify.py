@@ -273,3 +273,20 @@ class TestMonotonicityPrinciple:
         assert rep.vacuous
         assert rep.passed
         assert "vacuous" in rep.notes
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda mesh: verify_polya_szego(mesh, None, 2.0, 0.0, B1),
+        lambda mesh: verify_model_space_ps(mesh, None, 2.0, 0.0, B1),
+        lambda mesh: verify_p_sobolev(mesh, None, 1.5, 0.0, B1),
+        lambda mesh: verify_spectral_gap(mesh, None, 0.0, B1),
+        lambda mesh: verify_michael_simon_p1(mesh, None, B1),
+        lambda mesh: verify_monotonicity_principle(mesh, None, monotone_preset("sobolev-l1"), 0.0, B1),
+    ],
+    ids=["ps", "model", "sobolev", "spectral", "ms1", "mono"],
+)
+def test_mesh_checks_require_a_field(disk32, check):
+    with pytest.raises(ValueError, match="mesh input needs a field"):
+        check(disk32)
