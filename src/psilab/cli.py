@@ -16,6 +16,7 @@ nothing is hidden.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -91,6 +92,7 @@ def _load_field_arg(path: str, mesh: TriMesh) -> VertexField:
         return VertexField.from_csv(fh, mesh)
 
 
+@functools.cache  # parse_args leaves the parser unchanged, so one per process serves every dispatch
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="psilab", description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="command", required=True)
@@ -170,18 +172,23 @@ def _cmd_constants(args) -> int:
     return 0
 
 
+def _indented_json(payload: dict) -> str:
+    """``json.dumps(payload, indent=2)`` of a dict of numbers and flat number lists, a list per C-encoder call."""
+    items = []
+    for key, value in payload.items():
+        text = json.dumps(value)
+        if isinstance(value, list) and value:
+            text = "[\n    " + text[1:-1].replace(", ", ",\n    ") + "\n  ]"
+        items.append(f"  {json.dumps(key)}: {text}")
+    return "{\n" + ",\n".join(items) + "\n}"
+
+
 def _cmd_curvature(args) -> int:
     mesh = _load_mesh_arg(args.mesh)
     report = mean_curvature(mesh)
     if args.format == "json":
-        payload = json.loads(report.to_json())
-        conv = (
-            const.TcConvention.PAPER_FORMULA
-            if args.convention == "paper"
-            else const.TcConvention.TRACE_DERIVED
-        )
-        payload["unit_sphere_reference"] = const.tc_unit_sphere(2, conv)
-        _emit(json.dumps(payload, indent=2), args.out)
+        reference = const.tc_unit_sphere(2, const.TcConvention(args.convention))
+        _emit(_indented_json({**report.as_dict(), "unit_sphere_reference": reference}), args.out)
     else:
         _emit(report.to_csv(), args.out)
     return 0
@@ -316,3 +323,7 @@ def dispatch(argv=None) -> int:
 
 def main() -> None:
     sys.exit(dispatch())
+
+
+if __name__ == "__main__":
+    main()

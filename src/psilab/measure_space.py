@@ -18,8 +18,6 @@ quadrature error of its own to inequality verdicts.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 from dataclasses import dataclass
@@ -27,6 +25,7 @@ from enum import Enum
 
 import numpy as np
 
+from ._table import format_table, read_table
 from .errors import InterpolationMismatch
 from .special_fn import unit_ball_volume
 
@@ -65,6 +64,8 @@ class DiscreteMeasuredFunction:
             raise ValueError("values and weights must be 1-d arrays of equal length")
         if values.size == 0:
             raise ValueError("at least one sample is required")
+        if not (np.isfinite(values).all() and np.isfinite(weights).all()):
+            raise ValueError("sample values and weights must be finite")
         if np.any(values < 0):
             raise ValueError("sample values must be >= 0")
         if np.any(weights <= 0):
@@ -80,24 +81,13 @@ class DiscreteMeasuredFunction:
     @classmethod
     def from_csv(cls, stream) -> "DiscreteMeasuredFunction":
         """Read samples from CSV with a ``value,weight`` header."""
-        if isinstance(stream, (str, bytes)):
-            stream = io.StringIO(stream.decode() if isinstance(stream, bytes) else stream)
-        reader = csv.reader(stream)
-        header = next(reader, None)
-        if header is None or [h.strip().lower() for h in header[:2]] != ["value", "weight"]:
-            raise ValueError("expected CSV header 'value,weight'")
-        rows = [(float(r[0]), float(r[1])) for r in reader if r]
-        if not rows:
+        values, weights = read_table(stream, "value,weight")
+        if not values.size:
             raise ValueError("no samples in CSV")
-        return cls.from_samples(rows)
+        return cls(values, weights)
 
     def to_csv(self) -> str:
-        out = io.StringIO()
-        w = csv.writer(out, lineterminator="\n")
-        w.writerow(["value", "weight"])
-        for v, wt in zip(self.values, self.weights):
-            w.writerow([repr(float(v)), repr(float(wt))])
-        return out.getvalue()
+        return format_table("value,weight", self.values, self.weights)
 
     def scaled(self, c: float) -> "DiscreteMeasuredFunction":
         if c <= 0:
@@ -201,6 +191,8 @@ class RadialProfile:
             raise ValueError("radii and values must be 1-d arrays of equal length")
         if radii.size == 0:
             raise ValueError("profile needs at least one knot")
+        if not (np.isfinite(radii).all() and np.isfinite(values).all()):
+            raise ValueError("radii and values must be finite")
         if radii[0] < 0 or np.any(np.diff(radii) <= 0):
             raise ValueError("radii must be nonnegative and strictly increasing")
         if np.any(values < 0) or np.any(np.diff(values) > 1e-15):
@@ -232,24 +224,12 @@ class RadialProfile:
         return float(self.target.ball_volume(tau))
 
     def to_csv(self) -> str:
-        out = io.StringIO()
-        w = csv.writer(out, lineterminator="\n")
-        w.writerow(["radius", "value"])
-        for r, v in zip(self.radii, self.values):
-            w.writerow([repr(float(r)), repr(float(v))])
-        return out.getvalue()
+        return format_table("radius,value", self.radii, self.values)
 
     @classmethod
     def from_csv(cls, stream, target: TargetMeasure, interpolation: Interpolation) -> "RadialProfile":
-        if isinstance(stream, (str, bytes)):
-            stream = io.StringIO(stream.decode() if isinstance(stream, bytes) else stream)
-        reader = csv.reader(stream)
-        header = next(reader, None)
-        if header is None or [h.strip().lower() for h in header[:2]] != ["radius", "value"]:
-            raise ValueError("expected CSV header 'radius,value'")
-        rows = [(float(r[0]), float(r[1])) for r in reader if r]
-        arr = np.asarray(rows, dtype=float)
-        return cls(target, arr[:, 0], arr[:, 1], interpolation)
+        radii, values = read_table(stream, "radius,value")
+        return cls(target, radii, values, interpolation)
 
     def to_json(self) -> str:
         target = {"kind": self.target.kind.value, "n": self.target.n}

@@ -16,8 +16,6 @@ quadrature, since an open fan has no well-defined discrete curvature.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import warnings
 from dataclasses import dataclass, field
@@ -26,6 +24,7 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
+from ._table import format_table, read_table, read_text
 from .errors import DegenerateTriangle, MeshParseError, NonManifoldMesh
 
 __all__ = [
@@ -145,12 +144,6 @@ class TriMesh:
         return out
 
 
-def _read_text(source) -> str:
-    """Text of a string, bytes or a readable stream."""
-    text = source.read() if hasattr(source, "read") else source
-    return text.decode() if isinstance(text, bytes) else text
-
-
 def _loadtxt(rows: list[str], cols: int, dtype) -> np.ndarray:
     """The leading ``cols`` numbers of every row, in one numpy call."""
     return np.loadtxt(rows, dtype=dtype, usecols=range(cols), comments=None, ndmin=2)
@@ -178,7 +171,7 @@ def load_mesh(source) -> TriMesh:
     coordinates. Errors carry the 1-based line number of the offending
     token.
     """
-    text = _read_text(source)
+    text = read_text(source)
     lines = text.splitlines()
     if "#" in text:
         lines = [line.split("#", 1)[0] for line in lines]
@@ -278,33 +271,20 @@ class VertexField:
         Each index must lie in [0, nv) and appear at most once; vertices
         without a row get 0.
         """
-        header, _, body = _read_text(stream).partition("\n")
-        if [h.strip().lower() for h in header.split(",")[:2]] != ["vertex_index", "value"]:
-            raise ValueError("expected CSV header 'vertex_index,value'")
-        rows = np.zeros(0, dtype=[("index", np.int64), ("value", float)])
-        if body.strip():
-            rows = np.loadtxt(
-                body.splitlines(), delimiter=",", usecols=(0, 1), dtype=rows.dtype, comments=None, ndmin=1
-            )
+        index, values = read_table(stream, "vertex_index,value", (np.int64, float))
         nv = len(mesh.vertices)
-        index = rows["index"]
         out_of_range = (index < 0) | (index >= nv)
         if out_of_range.any():
             raise ValueError(f"vertex index {index[out_of_range.argmax()]} out of range [0, {nv})")
         repeated = np.bincount(index, minlength=nv) > 1
         if repeated.any():
             raise ValueError(f"vertex index {repeated.argmax()} appears more than once")
-        values = np.zeros(nv)
-        values[index] = rows["value"]
-        return cls(values, mesh=mesh, **kwargs)
+        full = np.zeros(nv)
+        full[index] = values
+        return cls(full, mesh=mesh, **kwargs)
 
     def to_csv(self) -> str:
-        out = io.StringIO()
-        w = csv.writer(out, lineterminator="\n")
-        w.writerow(["vertex_index", "value"])
-        for i, v in enumerate(self.values):
-            w.writerow([i, repr(float(v))])
-        return out.getvalue()
+        return format_table("vertex_index,value", np.arange(len(self.values)), self.values)
 
 
 def hausdorff_measure(mesh: TriMesh, region=None) -> float:
@@ -353,23 +333,20 @@ class CurvatureReport:
     boundary_mask: np.ndarray = field(repr=False, default=None)
     total: float = 0.0
 
+    def as_dict(self) -> dict:
+        return {
+            "total_mean_curvature": self.total,
+            "h_norm": self.h_norm.tolist(),
+            "vertex_areas": self.vertex_areas.tolist(),
+            "boundary": self.boundary_mask.astype(int).tolist(),
+        }
+
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "total_mean_curvature": self.total,
-                "h_norm": self.h_norm.tolist(),
-                "vertex_areas": self.vertex_areas.tolist(),
-                "boundary": self.boundary_mask.astype(int).tolist(),
-            }
-        )
+        return json.dumps(self.as_dict())
 
     def to_csv(self) -> str:
-        out = io.StringIO()
-        w = csv.writer(out, lineterminator="\n")
-        w.writerow(["vertex_index", "h_norm", "vertex_area", "is_boundary"])
-        for i, (h, a, b) in enumerate(zip(self.h_norm, self.vertex_areas, self.boundary_mask)):
-            w.writerow([i, repr(float(h)), repr(float(a)), int(b)])
-        return out.getvalue()
+        columns = np.arange(len(self.h_norm)), self.h_norm, self.vertex_areas, self.boundary_mask.astype(int)
+        return format_table("vertex_index,h_norm,vertex_area,is_boundary", *columns)
 
 
 def mean_curvature(mesh: TriMesh) -> CurvatureReport:
@@ -388,23 +365,24 @@ def mean_curvature(mesh: TriMesh) -> CurvatureReport:
     nvert = len(v)
     ntri = len(tri)
     tri_areas = mesh.triangle_areas()
+    corners = v[tri]  # (M, 3, d), the one gather both corner loops share
+    # edges[c] = x_i - x_j for the corner pair (i, j) = (c, c+1); the other two
+    # sides seen from corner k = c+2 are x_i - x_k = -edges[k] and x_j - x_k = edges[c+1]
+    edges = [corners[:, c] - corners[:, (c + 1) % 3] for c in range(3)]
+    sq_len = [np.einsum("ij,ij->i", e, e) for e in edges]
     cots = np.empty((3, ntri))
     # scatter-adds as (target vertex, weight) lists, summed by one bincount each
     h_idx, h_terms = [], []
     for c in range(3):
         i = tri[:, c]
         j = tri[:, (c + 1) % 3]
-        k = tri[:, (c + 2) % 3]
+        k = (c + 2) % 3
         # angle at k, opposite edge (i, j)
-        e1 = v[i] - v[k]
-        e2 = v[j] - v[k]
-        dot = np.einsum("ij,ij->i", e1, e2)
-        n1 = np.einsum("ij,ij->i", e1, e1)
-        n2 = np.einsum("ij,ij->i", e2, e2)
-        cross2 = np.maximum(n1 * n2 - dot * dot, 1e-300)
+        dot = -np.einsum("ij,ij->i", edges[k], edges[(c + 1) % 3])
+        cross2 = np.maximum(sq_len[k] * sq_len[(c + 1) % 3] - dot * dot, 1e-300)
         cot = dot / np.sqrt(cross2)
-        cots[(c + 2) % 3] = cot  # indexed by the corner the angle sits at
-        term = cot[:, None] * (v[i] - v[j])
+        cots[k] = cot  # indexed by the corner the angle sits at
+        term = cot[:, None] * edges[c]
         h_idx += [i, j]
         h_terms += [term, -term]
     h_idx = np.concatenate(h_idx)
@@ -419,9 +397,7 @@ def mean_curvature(mesh: TriMesh) -> CurvatureReport:
         i = tri[:, c]
         j = tri[:, (c + 1) % 3]
         # Voronoi piece from the angle at corner (c+2): cot * |ij|^2 / 8 to each end
-        edge = v[i] - v[j]
-        l2 = np.einsum("ij,ij->i", edge, edge)
-        piece = np.where(tri_obtuse, 0.0, cots[(c + 2) % 3] * l2 / 8.0)
+        piece = np.where(tri_obtuse, 0.0, cots[(c + 2) % 3] * sq_len[c] / 8.0)
         # obtuse fallback: half the area at the obtuse corner, quarter elsewhere
         fallback = np.where(obtuse_corner[c], 0.5 * tri_areas, 0.25 * tri_areas)
         area_idx += [i, j, i]

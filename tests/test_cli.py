@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import psilab
 from psilab import analytic
 from psilab.cli import dispatch
 from psilab.mesh import VertexField
@@ -244,3 +248,24 @@ class TestExitCodes:
 
     def test_help_exits_zero(self):
         assert dispatch(["--help"]) == 0
+
+    @pytest.mark.parametrize(
+        "body",
+        ["1.0,0.5\nnan,0.5\n", "1.0,0.5\n2.0,inf\n", "1.0,0.5\n2.0\n"],
+        ids=["nan-value", "inf-weight", "one-column-row"],
+    )
+    def test_bad_sample_csv(self, tmp_path, capsys, body):
+        path = tmp_path / "samples.csv"
+        path.write_text("value,weight\n" + body)
+        assert dispatch(["rearrange", "--input", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("psilab: ")
+
+
+def test_module_entry_point_runs_main():
+    src = os.path.dirname(os.path.dirname(psilab.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    run = [sys.executable, "-m", "psilab.cli"]
+    ok = subprocess.run(run + ["constants", "--n", "2"], env=env, capture_output=True, text=True)
+    assert ok.returncode == 0
+    assert json.loads(ok.stdout)["PS"] == 1.0
+    assert subprocess.run(run, env=env, capture_output=True).returncode == 2

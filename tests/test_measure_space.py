@@ -49,6 +49,27 @@ class TestDiscreteMeasuredFunction:
         with pytest.raises(ValueError):
             DiscreteMeasuredFunction.from_csv("radius,value\n1,1\n")
 
+    def test_nan_value_refused(self):
+        with pytest.raises(ValueError, match="finite"):
+            DiscreteMeasuredFunction(np.array([1.0, math.nan]), np.array([1.0, 1.0]))
+
+    def test_infinite_weight_refused(self):
+        with pytest.raises(ValueError, match="finite"):
+            DiscreteMeasuredFunction(np.array([1.0, 2.0]), np.array([1.0, math.inf]))
+
+    def test_csv_one_column_row_refused(self):
+        with pytest.raises(ValueError):
+            DiscreteMeasuredFunction.from_csv("value,weight\n1.0,0.5\n2.0\n")
+
+    def test_csv_header_only_has_no_samples(self):
+        with pytest.raises(ValueError, match="no samples"):
+            DiscreteMeasuredFunction.from_csv("value,weight\n")
+
+    def test_csv_blank_lines_skipped(self):
+        dmf = DiscreteMeasuredFunction.from_csv("value,weight\n\n1.0,0.5\n\n2.0,0.25\n\n")
+        assert dmf.values.tolist() == [1.0, 2.0]
+        assert dmf.weights.tolist() == [0.5, 0.25]
+
     def test_scaled(self):
         dmf = DiscreteMeasuredFunction.from_samples([(2.0, 1.0)])
         assert dmf.scaled(3.0).values[0] == 6.0
@@ -181,6 +202,16 @@ class TestRadialProfile:
         back = RadialProfile.from_csv(prof.to_csv(), lebesgue(3), STEP)
         assert np.array_equal(back.radii, prof.radii)
         assert np.array_equal(back.values, prof.values)
+
+    def test_csv_one_column_row_refused(self):
+        with pytest.raises(ValueError):
+            RadialProfile.from_csv("radius,value\n1.0,0.5\n2.0\n", lebesgue(3), STEP)
+
+    def test_non_finite_knots_refused(self):
+        with pytest.raises(ValueError, match="finite"):
+            RadialProfile.from_csv("radius,value\n1.0,nan\n", lebesgue(3), STEP)
+        with pytest.raises(ValueError, match="finite"):
+            RadialProfile(lebesgue(3), np.array([1.0, math.inf]), np.array([1.0, 0.5]), STEP)
 
 
 class TestProfileIntegrals:

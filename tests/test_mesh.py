@@ -494,3 +494,66 @@ def test_values_match_the_loop_implementation(kind):
     for key, value in want.items():
         # the flat disk's curvature is rounding noise, hence the absolute floor
         assert got[key] == pytest.approx(value, rel=1e-12, abs=1e-11), key
+
+
+def _per_corner_gather_curvature(mesh):
+    """Vertex areas and |H| computed with fresh v[i], v[j], v[k] gathers in every corner loop."""
+    v, tri = mesh.vertices, mesh.triangles
+    nvert, ntri = len(v), len(tri)
+    tri_areas = mesh.triangle_areas()
+    cots = np.empty((3, ntri))
+    h_idx, h_terms = [], []
+    for c in range(3):
+        i, j, k = tri[:, c], tri[:, (c + 1) % 3], tri[:, (c + 2) % 3]
+        e1, e2 = v[i] - v[k], v[j] - v[k]
+        dot = np.einsum("ij,ij->i", e1, e2)
+        n1 = np.einsum("ij,ij->i", e1, e1)
+        n2 = np.einsum("ij,ij->i", e2, e2)
+        cot = dot / np.sqrt(np.maximum(n1 * n2 - dot * dot, 1e-300))
+        cots[(c + 2) % 3] = cot
+        term = cot[:, None] * (v[i] - v[j])
+        h_idx += [i, j]
+        h_terms += [term, -term]
+    h_idx, h_terms = np.concatenate(h_idx), np.concatenate(h_terms)
+    accum = np.column_stack(
+        [np.bincount(h_idx, weights=h_terms[:, d], minlength=nvert) for d in range(v.shape[1])]
+    )
+    obtuse_corner = cots < 0.0
+    tri_obtuse = obtuse_corner.any(axis=0)
+    area_idx, area_terms = [], []
+    for c in range(3):
+        i, j = tri[:, c], tri[:, (c + 1) % 3]
+        edge = v[i] - v[j]
+        l2 = np.einsum("ij,ij->i", edge, edge)
+        piece = np.where(tri_obtuse, 0.0, cots[(c + 2) % 3] * l2 / 8.0)
+        fallback = np.where(obtuse_corner[c], 0.5 * tri_areas, 0.25 * tri_areas)
+        area_idx += [i, j, i]
+        area_terms += [piece, piece, np.where(tri_obtuse, fallback, 0.0)]
+    areas = np.bincount(np.concatenate(area_idx), weights=np.concatenate(area_terms), minlength=nvert)
+    interior = np.ones(nvert, dtype=bool)
+    interior[mesh.boundary_vertices()] = False
+    interior &= areas > 0
+    h = np.zeros(nvert)
+    h[interior] = np.linalg.norm(accum[interior], axis=1) / (2.0 * areas[interior])
+    return h, areas
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: analytic.make_disk(1.0, 20),
+        lambda: analytic.make_cap(0.7, rings=16),
+        lambda: analytic.make_sphere(4),
+        lambda: analytic.make_clifford_torus(16),
+    ],
+    ids=["disk", "cap", "icosphere", "clifford-r4"],
+)
+def test_mean_curvature_bit_identical_to_per_corner_gathers(make):
+    mesh = make()
+    rng = np.random.default_rng(7)
+    jittered = TriMesh(mesh.vertices + 1e-3 * rng.standard_normal(mesh.vertices.shape), mesh.triangles)
+    for m in (mesh, jittered):
+        got = mean_curvature(m)
+        h, areas = _per_corner_gather_curvature(m)
+        assert np.array_equal(got.vertex_areas, areas)
+        assert np.array_equal(got.h_norm, h)

@@ -1,0 +1,222 @@
+"""Byte parity of the bulk CSV/JSON writers with the row-by-row writers they replaced.
+
+The reference writers below are the ``csv.writer`` loops and the
+``json.dumps(payload, indent=2)`` round trip psilab used before its text
+I/O moved onto bulk numpy and C-encoder calls; every output must match
+them byte for byte, and every CSV must read back bit for bit.
+"""
+
+import csv
+import io
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from psilab import analytic
+from psilab import constants as const
+from psilab.cli import _build_parser, _indented_json, dispatch
+from psilab.measure_space import (
+    DiscreteMeasuredFunction,
+    Interpolation,
+    RadialProfile,
+    lebesgue,
+    model_space,
+    rearrange,
+)
+from psilab.mesh import CurvatureReport, VertexField, load_mesh, mean_curvature, sample_field
+
+from conftest import boundary_vanishing_field, mesh_to_off
+
+STEP = Interpolation.RIGHT_CONTINUOUS_STEP
+LINEAR = Interpolation.PIECEWISE_LINEAR
+
+# the edge cases of float repr: signed zero, the smallest subnormal, the switch
+# to exponent notation at 1e16 and 1e-5, and a 17-digit mantissa
+SPECIAL = [-0.0, 5e-324, 1e16, 1e-5, 1.2345678901234567e300]
+
+nonnegative = st.one_of(
+    st.sampled_from(SPECIAL + [0.0]), st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
+)
+positive = st.one_of(
+    st.sampled_from(SPECIAL[1:]), st.floats(min_value=5e-324, allow_nan=False, allow_infinity=False)
+)
+any_float = st.one_of(st.sampled_from(SPECIAL + [float("nan"), float("inf"), -1.5]), st.floats())
+
+
+def reference_rows_csv(header, rows):
+    out = io.StringIO()
+    w = csv.writer(out, lineterminator="\n")
+    w.writerow(header)
+    for row in rows:
+        w.writerow(row)
+    return out.getvalue()
+
+
+def reference_samples_csv(dmf):
+    rows = ([repr(float(v)), repr(float(wt))] for v, wt in zip(dmf.values, dmf.weights))
+    return reference_rows_csv(["value", "weight"], rows)
+
+
+def reference_profile_csv(profile):
+    rows = ([repr(float(r)), repr(float(v))] for r, v in zip(profile.radii, profile.values))
+    return reference_rows_csv(["radius", "value"], rows)
+
+
+def reference_field_csv(field):
+    return reference_rows_csv(["vertex_index", "value"], ([i, repr(float(v))] for i, v in enumerate(field.values)))
+
+
+def reference_report_csv(report):
+    rows = (
+        [i, repr(float(h)), repr(float(a)), int(b)]
+        for i, (h, a, b) in enumerate(zip(report.h_norm, report.vertex_areas, report.boundary_mask))
+    )
+    return reference_rows_csv(["vertex_index", "h_norm", "vertex_area", "is_boundary"], rows)
+
+
+def reference_curvature_json(report, convention):
+    payload = json.loads(report.to_json())
+    payload["unit_sphere_reference"] = const.tc_unit_sphere(2, convention)
+    return json.dumps(payload, indent=2)
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class TestWritersMatchTheRowLoops:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(nonnegative, positive), min_size=1, max_size=40))
+    def test_samples(self, rows):
+        dmf = DiscreteMeasuredFunction.from_samples(rows)
+        text = dmf.to_csv()
+        assert text == reference_samples_csv(dmf)
+        back = DiscreteMeasuredFunction.from_csv(text)
+        assert same_bits(back.values, dmf.values) and same_bits(back.weights, dmf.weights)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(nonnegative, min_size=1, max_size=40), st.sampled_from([STEP, LINEAR]))
+    def test_profile(self, xs, interpolation):
+        radii = np.unique(xs)
+        profile = RadialProfile(lebesgue(2), radii, radii[::-1], interpolation)
+        text = profile.to_csv()
+        assert text == reference_profile_csv(profile)
+        back = RadialProfile.from_csv(text, lebesgue(2), interpolation)
+        assert same_bits(back.radii, profile.radii) and same_bits(back.values, profile.values)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_vertex_field(self, data):
+        mesh = analytic.make_disk(1.0, 3)
+        values = data.draw(st.lists(nonnegative, min_size=len(mesh.vertices), max_size=len(mesh.vertices)))
+        field = VertexField(values, mesh=mesh)
+        text = field.to_csv()
+        assert text == reference_field_csv(field)
+        assert same_bits(VertexField.from_csv(text, mesh).values, field.values)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(any_float, any_float, st.booleans()), max_size=40))
+    def test_curvature_report(self, rows):
+        h, a, b = (np.array([row[k] for row in rows], dtype=t) for k, t in enumerate((float, float, bool)))
+        report = CurvatureReport(h, a, b, total=float(np.sum(h)))
+        assert report.to_csv() == reference_report_csv(report)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.dictionaries(
+            st.text(max_size=8),
+            st.one_of(any_float, st.integers(), st.lists(any_float, max_size=6), st.lists(st.integers(), max_size=6)),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    def test_indented_json(self, payload):
+        assert _indented_json(payload) == json.dumps(payload, indent=2)
+
+
+@pytest.fixture(scope="module")
+def cli_inputs(tmp_path_factory):
+    base = tmp_path_factory.mktemp("parity")
+    paths = {}
+    for name, mesh in (("disk", analytic.make_disk(1.0, 12)), ("cap", analytic.make_cap(0.6, rings=10))):
+        r = np.hypot(mesh.vertices[:, 0], mesh.vertices[:, 1])
+        field = boundary_vanishing_field(mesh, 1.0 - r)
+        (base / f"{name}.off").write_text(mesh_to_off(mesh))
+        (base / f"{name}.csv").write_text(field.to_csv())
+        paths[name] = (str(base / f"{name}.off"), str(base / f"{name}.csv"))
+    rng = np.random.default_rng(5)
+    values = np.concatenate([SPECIAL, np.round(rng.gamma(2.0, 1.0, 300), 9), np.zeros(5)])
+    weights = np.concatenate([np.full(len(SPECIAL), 1e-3), rng.uniform(0.5, 1.5, 305) * 1e-3])
+    lines = [f"{v!r},{w!r}\n" for v, w in zip(values.tolist(), weights.tolist())]
+    (base / "samples.csv").write_text("value,weight\n" + "".join(lines[:100]) + "\n" + "".join(lines[100:]))
+    paths["samples"] = str(base / "samples.csv")
+    return base, paths
+
+
+def run_cli(base, argv):
+    out = base / "out.txt"
+    assert dispatch(argv + ["--out", str(out)]) == 0
+    return out.read_text()
+
+
+class TestCliOutputsMatchTheRowLoops:
+    @pytest.mark.parametrize("name", ["disk", "cap"])
+    @pytest.mark.parametrize("convention", ["trace", "paper"])
+    def test_curvature(self, cli_inputs, name, convention):
+        base, paths = cli_inputs
+        mesh_path, _ = paths[name]
+        report = mean_curvature(load_mesh(Path(mesh_path).read_text()))
+        conv = const.TcConvention.PAPER_FORMULA if convention == "paper" else const.TcConvention.TRACE_DERIVED
+        argv = ["curvature", "--mesh", mesh_path, "--convention", convention]
+        assert run_cli(base, argv) == reference_curvature_json(report, conv)
+        assert run_cli(base, argv + ["--format", "csv"]) == reference_report_csv(report)
+
+    @pytest.mark.parametrize("name", ["disk", "cap", "samples"])
+    @pytest.mark.parametrize("interp", ["step", "linear"])
+    def test_rearrange(self, cli_inputs, name, interp):
+        base, paths = cli_inputs
+        interpolation = STEP if interp == "step" else LINEAR
+        if name == "samples":
+            argv = ["rearrange", "--input", paths[name]]
+            dmf = DiscreteMeasuredFunction.from_csv(Path(paths[name]).read_text())
+            target = lebesgue(2)
+        else:
+            mesh_path, field_path = paths[name]
+            argv = ["rearrange", "--mesh", mesh_path, "--field", field_path, "--target", "model", "--K", "0.5"]
+            mesh = load_mesh(Path(mesh_path).read_text())
+            dmf = sample_field(mesh, VertexField.from_csv(Path(field_path).read_text(), mesh), 2)
+            target = model_space(2, 0.5, const.brendle(1).value(2))
+        profile = rearrange(dmf, target, interpolation)
+        argv += ["--interpolation", interp]
+        assert run_cli(base, argv + ["--format", "csv"]) == reference_profile_csv(profile)
+        want = {
+            "target": {"kind": target.kind.value, "n": 2, **({"K": 0.5, "C": target.C} if target.C else {})},
+            "interpolation": interp,
+            "radii": profile.radii.tolist(),
+            "values": profile.values.tolist(),
+        }
+        assert run_cli(base, argv) == json.dumps(want)
+
+
+class TestParserBuiltOnce:
+    def test_options_do_not_leak_between_calls(self, capsys):
+        assert _build_parser() is _build_parser()
+        assert dispatch(["counterexample", "--p", "1.5", "--lambda", "5", "20", "--format", "csv"]) == 0
+        assert capsys.readouterr().out.startswith("lambda,p,")
+        assert dispatch(["counterexample", "--p", "1.5"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert [row["lambda"] for row in out["rows"]] == [10.0]
+        assert "lambda_bar" not in out
+
+    def test_usage_errors_still_exit_2(self, capsys):
+        assert dispatch(["constants", "--n", "2", "--format", "csv"]) == 0
+        assert dispatch(["constants"]) == 2
+        assert dispatch(["constants", "--n", "2", "--format", "xml"]) == 2
+        capsys.readouterr()
+        assert dispatch(["constants", "--n", "2"]) == 0
+        assert json.loads(capsys.readouterr().out)["PS"] == 1.0
