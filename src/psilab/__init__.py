@@ -2,7 +2,7 @@
 
 Modules
 -------
-special_fn      gamma, unit-ball volumes, first Bessel zeros (self-contained)
+special_fn      gamma, unit-ball volumes, first Bessel zeros (on math and scipy)
 constants       the named sharp constants, with literal and corrected readings
 measure_space   Schwartz rearrangement over weighted samples, radial profiles
 mesh            triangle meshes in R^d: areas, P1 gradients, mean curvature

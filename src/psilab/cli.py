@@ -60,18 +60,6 @@ def _parse_iso(text: str):
     raise ValueError(f"--iso must be michael-simon or brendle:m, got {text!r}")
 
 
-def _egn_reading(text: str) -> const.EgnReading:
-    return const.EgnReading.LITERAL if text == "literal" else const.EgnReading.GAMMA_CORRECTED
-
-
-def _spectral_reading(text: str) -> const.SpectralReading:
-    return (
-        const.SpectralReading.LITERAL
-        if text == "literal"
-        else const.SpectralReading.FABER_KRAHN_CONSISTENT
-    )
-
-
 def _emit(text: str, out_path: str | None):
     if out_path:
         with open(out_path, "w") as fh:
@@ -133,10 +121,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(pr)
 
     pv = sub.add_parser("verify", help="run one inequality check")
-    pv.add_argument(
-        "check",
-        choices=["ps", "model", "iso", "sobolev", "gn", "spectral", "logsob", "ms1", "mono"],
-    )
+    pv.add_argument("check", choices=list(_CHECKS))
     pv.add_argument("--mesh", required=True)
     pv.add_argument("--field", help="CSV of vertex_index,value")
     pv.add_argument("--p", type=float, default=2.0)
@@ -217,48 +202,47 @@ def _cmd_rearrange(args) -> int:
     return 0
 
 
+def _gn_q(args) -> float:
+    if args.q is None:
+        raise ValueError("gn check requires --q")
+    return args.q
+
+
+def _mono_spec(args):
+    return monotone_preset(args.preset, n=2, p=args.p if args.preset == "p-sobolev" else None)
+
+
+# check name -> (needs --field, adapter(args, mesh, field, iso choice, keywords) -> reports).
+# The adapters look their verifier up as a module attribute at call time, so a rebound
+# attribute (a tracing wrapper, say) is what runs.
+_CHECKS = {
+    "ps": (True, lambda a, m, f, c, kw: [verify_polya_szego(m, f, a.p, a.K, c, **kw)]),
+    "model": (True, lambda a, m, f, c, kw: [verify_model_space_ps(m, f, a.p, a.K, c, **kw)]),
+    "iso": (False, lambda a, m, f, c, kw: verify_isoperimetric(m, a.K, c, [np.arange(len(m.triangles))])),
+    "sobolev": (True, lambda a, m, f, c, kw: [verify_p_sobolev(m, f, a.p, a.K, c, **kw)]),
+    "gn": (
+        True,
+        lambda a, m, f, c, kw: [verify_gn(m, a.p, _gn_q(a), a.K, c, const.EgnReading(a.reading), f=f, **kw)],
+    ),
+    "spectral": (
+        True,
+        lambda a, m, f, c, kw: [verify_spectral_gap(m, f, a.K, c, const.SpectralReading(a.reading), **kw)],
+    ),
+    "logsob": (True, lambda a, m, f, c, kw: [verify_log_sobolev(m, a.p, f=f, **kw)]),
+    "ms1": (True, lambda a, m, f, c, kw: [verify_michael_simon_p1(m, f, c, **kw)]),
+    "mono": (True, lambda a, m, f, c, kw: [verify_monotonicity_principle(m, f, _mono_spec(a), a.K, c, **kw)]),
+}
+
+
 def _cmd_verify(args) -> int:
-    if args.check != "iso" and not args.field:
+    needs_field, run_check = _CHECKS[args.check]
+    if needs_field and not args.field:
         raise ValueError(f"verify {args.check} requires --field")
     mesh = _load_mesh_arg(args.mesh)
     choice = _parse_iso(args.iso)
     field = _load_field_arg(args.field, mesh) if args.field else None
     kw = dict(subdivision=args.subdivision, tolerance=args.tolerance)
-    if args.check == "ps":
-        reports = [verify_polya_szego(mesh, field, args.p, args.K, choice, **kw)]
-    elif args.check == "model":
-        reports = [verify_model_space_ps(mesh, field, args.p, args.K, choice, **kw)]
-    elif args.check == "iso":
-        regions = [np.arange(len(mesh.triangles))]
-        reports = verify_isoperimetric(mesh, args.K, choice, regions)
-    elif args.check == "sobolev":
-        reports = [verify_p_sobolev(mesh, field, args.p, args.K, choice, **kw)]
-    elif args.check == "gn":
-        if args.q is None:
-            raise ValueError("gn check requires --q")
-        reports = [
-            verify_gn(
-                mesh,
-                args.p,
-                args.q,
-                args.K,
-                choice,
-                _egn_reading(args.reading),
-                f=field,
-                **kw,
-            )
-        ]
-    elif args.check == "spectral":
-        reports = [
-            verify_spectral_gap(mesh, field, args.K, choice, _spectral_reading(args.reading), **kw)
-        ]
-    elif args.check == "logsob":
-        reports = [verify_log_sobolev(mesh, args.p, f=field, **kw)]
-    elif args.check == "ms1":
-        reports = [verify_michael_simon_p1(mesh, field, choice, **kw)]
-    else:
-        spec = monotone_preset(args.preset, n=2, p=args.p if args.preset == "p-sobolev" else None)
-        reports = [verify_monotonicity_principle(mesh, field, spec, args.K, choice, **kw)]
+    reports = run_check(args, mesh, field, choice, kw)
     if args.format == "json":
         _emit(json.dumps([r.as_dict() for r in reports], indent=2), args.out)
     else:

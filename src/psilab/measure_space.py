@@ -11,9 +11,12 @@ measure with density (1/C - K)^n r^(n-1) / n^(n-1). With K = 0 and
 C = 1/(n omega_n^(1/n)) the two ball-volume functions coincide, so the model
 rearrangement reproduces the Euclidean one knot for knot.
 
-Profile integrals (L^p norms, gradient p-energies) are evaluated per segment
-in closed form wherever the integrand is polynomial, so the engine adds no
-quadrature error of its own to inequality verdicts.
+Profile integrals are exact sums where the integrand is piecewise constant:
+L^p norms of step profiles and gradient p-energies, whose slope is constant
+on each segment. Every other integral over a linear profile (L^p norms, the
+monotonicity principle's f and phi terms) goes through one helper,
+``_radial_integral``, which applies a 24-node Gauss-Legendre rule to all
+segments at once.
 """
 
 from __future__ import annotations
@@ -289,9 +292,9 @@ def rearrange(
     order = np.argsort(-dmf.values, kind="stable")
     v_sorted = dmf.values[order]
     w_sorted = dmf.weights[order]
-    # merge equal values: one knot per distinct level
-    distinct, starts = np.unique(-v_sorted, return_index=True)
-    levels = -distinct  # descending
+    # merge equal values: one knot per distinct level, each run starting where the value changes
+    starts = np.flatnonzero(np.concatenate(([True], v_sorted[1:] != v_sorted[:-1])))
+    levels = v_sorted[starts]  # descending
     merged_w = np.add.reduceat(w_sorted, starts)
     # drop a zero level: it contributes no mass to any superlevel set
     keep = levels > 0
@@ -364,10 +367,24 @@ def profile_inverse_tau(profile: RadialProfile, t: float) -> float:
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
 
 
-def _segment_integral(fn, a: float, b: float) -> float:
-    mid = 0.5 * (a + b)
+def _radial_integral(profile: RadialProfile, fn) -> float:
+    """Integral of fn(profile) against the target measure for a piecewise-linear profile.
+
+    ``fn`` maps an array of profile values elementwise and vanishes at 0; a
+    profile whose first knot lies beyond 0 is constant inside it.
+    """
+    radii = profile.radii
+    values = profile.values
+    target = profile.target
+    total = 0.0
+    if radii[0] > 0:
+        total += float(fn(values[0]) * target.ball_volume(radii[0]))
+    a, b = radii[:-1, None], radii[1:, None]
+    slope = (values[1:, None] - values[:-1, None]) / (b - a)
     half = 0.5 * (b - a)
-    return half * float(np.sum(_GL_WEIGHTS * fn(mid + half * _GL_NODES)))
+    r = 0.5 * (a + b) + half * _GL_NODES  # (segments, nodes)
+    vals = fn(values[:-1, None] + slope * (r - a))
+    return total + float(np.sum(half * _GL_WEIGHTS * vals * target.density(r)))
 
 
 def lp_norm(obj, p: float) -> float:
@@ -375,35 +392,18 @@ def lp_norm(obj, p: float) -> float:
 
     For samples this is the exact weighted power sum; a step profile gives
     the identical sum by construction (rearrangement preserves L^p norms
-    exactly), and a linear profile is integrated segment by segment.
+    exactly), and a linear profile goes through ``_radial_integral``.
     """
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
     if isinstance(obj, DiscreteMeasuredFunction):
         return float(np.sum(obj.weights * obj.values**p)) ** (1.0 / p)
     profile: RadialProfile = obj
-    radii = profile.radii
-    values = profile.values
-    vol = np.asarray(profile.target.ball_volume(radii), dtype=float)
     if profile.interpolation is Interpolation.RIGHT_CONTINUOUS_STEP:
+        vol = np.asarray(profile.target.ball_volume(profile.radii), dtype=float)
         shell = np.diff(np.concatenate([[0.0], vol]))
-        return float(np.sum(shell * values**p)) ** (1.0 / p)
-    total = 0.0
-    if radii[0] > 0:
-        # constant values[0] inside the first knot
-        total += values[0] ** p * vol[0]
-    for k in range(radii.size - 1):
-        a, b = radii[k], radii[k + 1]
-        v0, v1 = values[k], values[k + 1]
-        if v0 == 0.0 and v1 == 0.0:
-            continue
-        slope = (v1 - v0) / (b - a)
-
-        def integrand(r, a=a, v0=v0, slope=slope):
-            return (v0 + slope * (r - a)) ** p * profile.target.density(r)
-
-        total += _segment_integral(integrand, a, b)
-    return total ** (1.0 / p)
+        return float(np.sum(shell * profile.values**p)) ** (1.0 / p)
+    return _radial_integral(profile, lambda v: v**p) ** (1.0 / p)
 
 
 def gradient_energy(profile: RadialProfile, p: float) -> float:
@@ -419,12 +419,6 @@ def gradient_energy(profile: RadialProfile, p: float) -> float:
         raise InterpolationMismatch(
             "gradient energy needs a piecewise-linear profile; step profiles have no gradient"
         )
-    radii = profile.radii
-    values = profile.values
-    vol = np.asarray(profile.target.ball_volume(radii), dtype=float)
-    total = 0.0
-    for k in range(radii.size - 1):
-        slope = (values[k + 1] - values[k]) / (radii[k + 1] - radii[k])
-        if slope != 0.0:
-            total += abs(slope) ** p * (vol[k + 1] - vol[k])
-    return total
+    vol = np.asarray(profile.target.ball_volume(profile.radii), dtype=float)
+    slope = np.abs(np.diff(profile.values) / np.diff(profile.radii))
+    return float(np.sum(slope**p * np.diff(vol)))

@@ -24,7 +24,7 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
-from ._table import format_table, read_table, read_text
+from ._table import first_bad_row, format_table, read_table, read_text
 from .errors import DegenerateTriangle, MeshParseError, NonManifoldMesh
 
 __all__ = [
@@ -149,19 +149,6 @@ def _loadtxt(rows: list[str], cols: int, dtype) -> np.ndarray:
     return np.loadtxt(rows, dtype=dtype, usecols=range(cols), comments=None, ndmin=2)
 
 
-def _first_bad_row(rows: list[str], cols: int, dtype) -> int:
-    """Index of the first row ``_loadtxt`` refuses, found by bisection; some row must fail."""
-    lo, hi = 0, len(rows)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        try:
-            _loadtxt(rows[lo:mid], cols, dtype)
-            lo = mid
-        except ValueError:
-            hi = mid
-    return lo
-
-
 def load_mesh(source) -> TriMesh:
     """Parse OFF or extended ``nOFF d`` input into a validated TriMesh.
 
@@ -221,7 +208,7 @@ def load_mesh(source) -> TriMesh:
         try:
             return _loadtxt(rows, cols, dtype) if rows else np.zeros((0, cols), dtype)
         except ValueError:
-            fail(first + _first_bad_row(rows, cols, dtype), need)
+            fail(first + first_bad_row(rows, lambda chunk: _loadtxt(chunk, cols, dtype)), need)
 
     vertices = block(start, nv, d, float, f"vertex line needs {d} coordinates")
     faces = block(start + nv, nf, 4, np.int64, "face line needs a count and three vertex indices")

@@ -1,19 +1,21 @@
-"""Self-contained special functions: gamma, unit-ball volumes, first Bessel zeros.
+"""Special functions on the standard library and scipy: gamma, unit-ball volumes, first Bessel zeros.
 
-Gamma uses the 9-term Lanczos approximation (g = 7), which delivers close to
-machine precision on the positive real axis; large arguments go through the
-logarithmic form so that ball volumes and Stirling-regime ratios stay finite
-for dimensions in the hundreds or thousands.
+Gamma and its logarithm are ``math.gamma`` and ``math.lgamma`` behind the
+positive-axis domain check, with +inf where Gamma overflows; ball volumes
+for dimensions beyond a few hundred go through the logarithmic form so that
+Stirling-regime ratios stay finite.
 
-Bessel functions of the first kind are evaluated by their ascending power
-series (term recurrence, log-scaled leading factor), and the first positive
-zero is located by a coarse upward scan seeded below McMahon's asymptotic
-range followed by bisection.
+Bessel functions of the first kind are ``scipy.special.jv``; the first
+positive zero is bracketed by an upward scan from below its known lower
+bound sqrt(order*(order+2)) and then found by ``scipy.optimize.brentq``.
 """
 
 from __future__ import annotations
 
 import math
+
+from scipy.optimize import brentq
+from scipy.special import jv
 
 from .errors import ConvergenceFailure
 
@@ -26,53 +28,22 @@ __all__ = [
     "bessel_first_zero",
 ]
 
-# Lanczos coefficients for g = 7, n = 9 (Godfrey / Numerical Recipes values).
-_LANCZOS_G = 7.0
-_LANCZOS_COEF = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
-def _lanczos_series(x: float) -> float:
-    s = _LANCZOS_COEF[0]
-    for i in range(1, len(_LANCZOS_COEF)):
-        s += _LANCZOS_COEF[i] / (x + i)
-    return s
-
 
 def log_gamma(x: float) -> float:
     """Natural log of Gamma(x) for x > 0."""
     if not x > 0:
         raise ValueError(f"log_gamma requires x > 0, got {x}")
-    if x < 0.5:
-        # reflection keeps the series argument away from 0
-        return math.log(math.pi / math.sin(math.pi * x)) - log_gamma(1.0 - x)
-    z = x - 1.0
-    t = z + _LANCZOS_G + 0.5
-    s = _lanczos_series(z)
-    return 0.5 * math.log(2.0 * math.pi) + (z + 0.5) * math.log(t) - t + math.log(s)
+    return math.lgamma(x)
 
 
 def gamma(x: float) -> float:
-    """Gamma(x) for x > 0; raises ValueError outside the domain."""
+    """Gamma(x) for x > 0, +inf beyond the double range; raises ValueError outside the domain."""
     if not x > 0:
         raise ValueError(f"gamma requires x > 0, got {x}")
-    if x > 140.0:
-        # direct Lanczos would overflow intermediates well before Gamma itself does
-        lg = log_gamma(x)
-        return math.exp(lg) if lg < 709.0 else math.inf
-    z = x - 1.0
-    t = z + _LANCZOS_G + 0.5
-    s = _lanczos_series(z)
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * math.exp(-t) * s
+    try:
+        return math.gamma(x)
+    except OverflowError:
+        return math.inf
 
 
 def log_unit_ball_volume(n: int) -> float:
@@ -91,67 +62,29 @@ def unit_ball_volume(n: int) -> float:
     return math.exp(log_unit_ball_volume(n))
 
 
-def bessel_j(order: float, x: float, *, tol: float = 1e-17, max_terms: int = 500) -> float:
-    """Bessel function of the first kind J_order(x) by ascending power series.
-
-    Accurate for the moderate arguments needed around first zeros; the
-    alternating series is summed with a term recurrence and a log-scaled
-    leading coefficient.
-    """
+def bessel_j(order: float, x: float) -> float:
+    """Bessel function of the first kind J_order(x)."""
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
     if x < 0:
         raise ValueError(f"x must be >= 0, got {x}")
-    if x == 0.0:
-        return 1.0 if order == 0.0 else 0.0
-    half = 0.5 * x
-    # t0 = (x/2)^order / Gamma(order+1)
-    log_t0 = order * math.log(half) - log_gamma(order + 1.0)
-    t = math.exp(log_t0)
-    total = t
-    q = half * half
-    for k in range(max_terms):
-        t *= -q / ((k + 1.0) * (k + 1.0 + order))
-        total += t
-        if abs(t) <= tol * (abs(total) + 1e-300):
-            return total
-    raise ConvergenceFailure(f"Bessel series did not converge for order={order}, x={x}")
+    return float(jv(order, x))
 
 
-def bessel_first_zero(order: float, *, tol: float = 1e-12) -> float:
+def bessel_first_zero(order: float) -> float:
     """Smallest positive root of J_order.
 
-    The scan starts below the first zero (j_order > sqrt(order*(order+2)))
-    and walks upward until the series evaluation changes sign, then bisects.
+    J_order is positive from 0 up to its first zero, which lies above
+    sqrt(order*(order+2)); the scan steps upward from there until J is no
+    longer positive and hands that bracket to brentq.
     """
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
-    lo = math.sqrt(order * (order + 2.0)) if order > 0 else 0.5
+    a = math.sqrt(order * (order + 2.0)) if order > 0 else 0.5
     step = 0.25 * (1.0 + order ** (1.0 / 3.0))
-    a = lo
-    fa = bessel_j(order, a)
     ceiling = order + 4.0 * (1.0 + order ** (1.0 / 3.0)) + 10.0
-    b = a
-    while b < ceiling:
-        b = a + step
-        fb = bessel_j(order, b)
-        if fa == 0.0:
-            return a
-        if fa * fb < 0.0:
-            break
-        a, fa = b, fb
-    else:
-        raise ConvergenceFailure(f"failed to bracket first zero of J_{order}")
-    if fa * fb > 0.0:
-        raise ConvergenceFailure(f"failed to bracket first zero of J_{order}")
-    # bisection: robustness over speed, only the first zero is ever needed
-    for _ in range(200):
-        mid = 0.5 * (a + b)
-        fm = bessel_j(order, mid)
-        if fm == 0.0 or (b - a) < tol:
-            return mid
-        if fa * fm < 0.0:
-            b = mid
-        else:
-            a, fa = mid, fm
-    return 0.5 * (a + b)
+    while a < ceiling:
+        if not jv(order, a + step) > 0.0:
+            return float(brentq(lambda x: jv(order, x), a, a + step, xtol=1e-15))
+        a += step
+    raise ConvergenceFailure(f"failed to bracket first zero of J_{order}")

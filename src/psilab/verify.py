@@ -29,9 +29,9 @@ from .analytic import RadialFunction, radial_entropy, radial_gradient_lp, radial
 from .constants import EgnReading, IsoperimetricChoice, SpectralReading
 from .errors import CurvatureBoundViolated, NotMinimal, SpecInvalid, ZeroField
 from .measure_space import (
-    DiscreteMeasuredFunction,
     Interpolation,
     RadialProfile,
+    _radial_integral,
     gradient_energy,
     lebesgue,
     lp_norm,
@@ -161,9 +161,9 @@ def reports_to_csv(reports: Sequence[VerificationReport]) -> str:
                 r.inputs.get("p", ""),
                 r.inputs.get("q", ""),
                 r.inputs.get("K", ""),
-                repr(r.lhs),
-                repr(r.rhs),
-                repr(r.ratio),
+                repr(float(r.lhs)),
+                repr(float(r.rhs)),
+                repr(float(r.ratio)),
                 int(r.passed),
             ]
         )
@@ -174,22 +174,18 @@ def reports_to_csv(reports: Sequence[VerificationReport]) -> str:
 # shared preconditions
 
 
-def _require_admissible(mesh: TriMesh, K: float, choice: IsoperimetricChoice) -> CurvatureReport:
-    """Closed surfaces and curvature above the bound are both refused."""
-    if mesh.is_closed():
-        raise CurvatureBoundViolated(
-            "closed surface: the rearrangement inequality requires nonempty boundary"
-        )
+def _require_k_range(K: float, choice: IsoperimetricChoice):
     c = choice.value(2)
     if not 0 <= K < 1.0 / c:
         raise CurvatureBoundViolated(f"K = {K} is not in [0, 1/C) with 1/C = {1.0 / c}")
-    report = mean_curvature(mesh)
+
+
+def _require_tc_bound(tc: float, K: float, what: str):
     # absolute slack absorbs curvature noise on numerically flat meshes
-    if report.total > K * (1.0 + 1e-9) + 1e-8:
+    if tc > K * (1.0 + 1e-9) + 1e-8:
         raise CurvatureBoundViolated(
-            f"measured total mean curvature {report.total} exceeds the declared bound K = {K}"
+            f"{what} total mean curvature {tc} exceeds the declared bound K = {K}"
         )
-    return report
 
 
 def _require_field(f: VertexField | None):
@@ -201,6 +197,20 @@ def _require_boundary_vanishing(mesh: TriMesh, f: VertexField):
     bv = mesh.boundary_vertices()
     if bv.size and np.any(f.values[bv] != 0.0):
         raise ValueError("field must vanish on boundary vertices")
+
+
+def _check_inputs(mesh, f, K, choice, subdivision, tolerance) -> float:
+    """Refuse a missing field, a closed surface, K outside [0, 1/C), total curvature
+    above K and a field not vanishing on the boundary; return the report tolerance."""
+    _require_field(f)
+    if mesh.is_closed():
+        raise CurvatureBoundViolated(
+            "closed surface: the rearrangement inequality requires nonempty boundary"
+        )
+    _require_k_range(K, choice)
+    _require_tc_bound(mean_curvature(mesh).total, K, "measured")
+    _require_boundary_vanishing(mesh, f)
+    return default_tolerance(subdivision) if tolerance is None else tolerance
 
 
 def _rearranged_profile(mesh, f, subdivision, target) -> RadialProfile:
@@ -223,13 +233,10 @@ def verify_polya_szego(
 ) -> VerificationReport:
     """Gradient p-norm of the planar rearrangement vs the surface gradient p-norm
     scaled by the rearrangement constant. Both sides are p-th-root norms."""
-    _require_field(f)
-    _require_admissible(mesh, K, choice)
-    _require_boundary_vanishing(mesh, f)
+    tol = _check_inputs(mesh, f, K, choice, subdivision, tolerance)
     profile = _rearranged_profile(mesh, f, subdivision, lebesgue(2))
     lhs = gradient_energy(profile, p) ** (1.0 / p)
     rhs = const.ps_constant(2, K, choice) * p1_gradient_lp(mesh, f, p) ** (1.0 / p)
-    tol = default_tolerance(subdivision) if tolerance is None else tolerance
     return VerificationReport(
         "PolyaSzego",
         lhs,
@@ -254,14 +261,11 @@ def verify_model_space_ps(
     sequences; the piecewise-linear representative bounds it from above, so
     a pass here is conclusive while a failure would be inconclusive.
     """
-    _require_field(f)
-    _require_admissible(mesh, K, choice)
-    _require_boundary_vanishing(mesh, f)
+    tol = _check_inputs(mesh, f, K, choice, subdivision, tolerance)
     target = model_space(2, K, choice.value(2))
     profile = _rearranged_profile(mesh, f, subdivision, target)
     lhs = gradient_energy(profile, p)
     rhs = p1_gradient_lp(mesh, f, p)
-    tol = default_tolerance(subdivision) if tolerance is None else tolerance
     return VerificationReport(
         "PolyaSzegoModelSpace",
         lhs,
@@ -300,18 +304,12 @@ def verify_isoperimetric(
     tolerance: float = 0.01,
 ) -> list[VerificationReport]:
     """area^(1/2) <= I(2, K) * boundary length, one report per triangle region."""
-    c = choice.value(2)
-    if not 0 <= K < 1.0 / c:
-        raise CurvatureBoundViolated(f"K = {K} is not in [0, 1/C) with 1/C = {1.0 / c}")
+    _require_k_range(K, choice)
     curv = mean_curvature(mesh)
     out = []
     for region in regions:
         region = np.asarray(region, dtype=int)
-        tc = _region_tc(mesh, curv, region)
-        if tc > K * (1.0 + 1e-9) + 1e-8:
-            raise CurvatureBoundViolated(
-                f"region total mean curvature {tc} exceeds the declared bound K = {K}"
-            )
+        _require_tc_bound(_region_tc(mesh, curv, region), K, "region")
         area = hausdorff_measure(mesh, region)
         lhs = math.sqrt(area)
         rhs = const.iso_constant(2, K, choice) * boundary_measure(mesh, region)
@@ -341,17 +339,14 @@ def verify_p_sobolev(
     tolerance: float | None = None,
 ) -> VerificationReport:
     """L^(p*) norm of the field vs S(2, p, K) times the gradient p-norm, p in (1, 2)."""
-    _require_field(f)
     if not 1.0 < p < 2.0:
         raise ValueError(f"surface dimension 2 requires 1 < p < 2, got {p}")
-    _require_admissible(mesh, K, choice)
-    _require_boundary_vanishing(mesh, f)
+    tol = _check_inputs(mesh, f, K, choice, subdivision, tolerance)
     p_star = const.sobolev_conjugate(2, p)
     dmf = sample_field(mesh, f, subdivision)
     lhs = lp_norm(dmf, p_star)
     s_const = const.talenti_constant(2, p) * const.ps_constant(2, K, choice)
     rhs = s_const * p1_gradient_lp(mesh, f, p) ** (1.0 / p)
-    tol = default_tolerance(subdivision) if tolerance is None else tolerance
     return VerificationReport(
         "PSobolev",
         lhs,
@@ -396,15 +391,13 @@ def verify_gn(
     mesh: TriMesh = obj
     if choice is None or f is None:
         raise ValueError("mesh input needs an isoperimetric choice and a field")
-    _require_admissible(mesh, K, choice)
-    _require_boundary_vanishing(mesh, f)
+    tol = _check_inputs(mesh, f, K, choice, subdivision, tolerance)
     theta = const.gn_theta(2, p, q)
     r = const.gn_r_exponent(2, p, q)
     dmf = sample_field(mesh, f, subdivision)
     lhs = lp_norm(dmf, r)
     gn_const = const.egn_constant(2, p, q, reading) * const.ps_constant(2, K, choice)
     rhs = gn_const * p1_gradient_lp(mesh, f, p) ** (theta / p) * lp_norm(dmf, q) ** (1.0 - theta)
-    tol = default_tolerance(subdivision) if tolerance is None else tolerance
     return VerificationReport(
         "GagliardoNirenberg",
         lhs,
@@ -458,9 +451,7 @@ def verify_spectral_gap(
 ) -> VerificationReport:
     """Rayleigh quotient of the field vs the spectral-gap constant over the
     support area. This is a lower bound, so the report direction is 'ge'."""
-    _require_field(f)
-    _require_admissible(mesh, K, choice)
-    _require_boundary_vanishing(mesh, f)
+    tol = _check_inputs(mesh, f, K, choice, subdivision, tolerance)
     if not np.any(f.values > 0):
         raise ZeroField("spectral-gap check needs a nonzero field")
     support = np.nonzero(np.any(f.values[mesh.triangles] > 0, axis=1))[0]
@@ -470,7 +461,6 @@ def verify_spectral_gap(
     lhs = p1_gradient_lp(mesh, f, 2) / l2sq
     g = const.spectral_gap_constant(2, K, choice, reading)
     rhs = g / area
-    tol = default_tolerance(subdivision) if tolerance is None else tolerance
     # the bound blows up as the support shrinks: record the scaling trend
     trend = {f"rhs_at_area_fraction_{frac}": g / (frac * area) for frac in (1.0, 0.5, 0.25)}
     return VerificationReport(
@@ -664,28 +654,8 @@ def monotone_preset(name: str, n: int = 2, p: float | None = None) -> MonotoneSp
     raise ValueError(f"unknown preset {name!r}")
 
 
-def _profile_integral(profile: RadialProfile, fn: Callable) -> float:
-    """Integral of fn(profile value) against the target measure, all segments at once."""
-    from .measure_space import _GL_NODES, _GL_WEIGHTS
-
-    radii = profile.radii
-    values = profile.values
-    target = profile.target
-    total = 0.0
-    if radii[0] > 0:
-        total += fn(values[0]) * float(target.ball_volume(radii[0]))
-    a, b = radii[:-1, None], radii[1:, None]
-    slope = (values[1:, None] - values[:-1, None]) / (b - a)
-    half = 0.5 * (b - a)
-    r = 0.5 * (a + b) + half * _GL_NODES  # (segments, nodes)
-    vals = fn(values[:-1, None] + slope * (r - a))
-    return total + float(np.sum(half * _GL_WEIGHTS * vals * target.density(r)))
-
-
 def _profile_gradient_powers(profile: RadialProfile, terms) -> float:
-    vol = np.asarray(profile.target.ball_volume(profile.radii), dtype=float)
-    slope = np.abs(np.diff(profile.values) / np.diff(profile.radii))
-    return sum((coef * float(np.sum(slope**ex * np.diff(vol))) for coef, ex in terms), 0.0)
+    return sum((coef * gradient_energy(profile, ex) for coef, ex in terms), 0.0)
 
 
 def verify_monotonicity_principle(
@@ -706,17 +676,14 @@ def verify_monotonicity_principle(
     are evaluated with the gradient arguments scaled by the rearrangement
     constant.
     """
-    _require_field(f)
-    _require_admissible(mesh, K, choice)
-    _require_boundary_vanishing(mesh, f)
+    tol = _check_inputs(mesh, f, K, choice, subdivision, tolerance)
     ps = const.ps_constant(2, K, choice)
     dmf = sample_field(mesh, f, subdivision)
     profile = rearrange(dmf, lebesgue(2), Interpolation.PIECEWISE_LINEAR)
-    tol = default_tolerance(subdivision) if tolerance is None else tolerance
     # Euclidean hypothesis on v = u*
-    hyp_lhs = spec.L(_profile_integral(profile, spec.f), _profile_gradient_powers(profile, spec.g_terms))
+    hyp_lhs = spec.L(_radial_integral(profile, spec.f), _profile_gradient_powers(profile, spec.g_terms))
     hyp_rhs = spec.lam(
-        _profile_integral(profile, spec.phi), _profile_gradient_powers(profile, spec.psi_terms)
+        _radial_integral(profile, spec.phi), _profile_gradient_powers(profile, spec.psi_terms)
     )
     inputs = {"n": 2, "K": K, "iso": choice.label(), "spec": spec.name, "subdivision": subdivision}
     if hyp_lhs > hyp_rhs * (1.0 + tol):

@@ -9,8 +9,11 @@ import pytest
 
 import psilab
 from psilab import analytic
+from psilab import constants as const
+from psilab import verify as v
 from psilab.cli import dispatch
-from psilab.mesh import VertexField
+from psilab.errors import ComplexValued
+from psilab.mesh import VertexField, load_mesh
 
 from conftest import boundary_vanishing_field, mesh_to_off
 
@@ -174,6 +177,68 @@ class TestVerifyCommand:
         assert dispatch(["verify", "iso", "--mesh", mesh_path]) == 0
 
 
+B1, MS = const.brendle(1), const.michael_simon()
+LITERAL_EGN, LITERAL_SPECTRAL = const.EgnReading.LITERAL, const.SpectralReading.LITERAL
+
+# check, CLI arguments after --field, and the same verifier call from the library
+LIBRARY_CALLS = [
+    ("ps", ["--p", "1.5", "--iso", "michael-simon", "--subdivision", "1"],
+     lambda m, f: v.verify_polya_szego(m, f, 1.5, 0.0, MS, subdivision=1)),
+    ("model", ["--p", "1.5", "--tolerance", "0.03"],
+     lambda m, f: v.verify_model_space_ps(m, f, 1.5, 0.0, B1, tolerance=0.03)),
+    ("iso", ["--iso", "michael-simon"],
+     lambda m, f: v.verify_isoperimetric(m, 0.0, MS, [np.arange(len(m.triangles))])),
+    ("sobolev", ["--p", "1.5", "--subdivision", "1", "--tolerance", "0.2"],
+     lambda m, f: v.verify_p_sobolev(m, f, 1.5, 0.0, B1, subdivision=1, tolerance=0.2)),
+    ("gn", ["--p", "1.5", "--q", "2.5", "--iso", "brendle:2"],
+     lambda m, f: v.verify_gn(m, 1.5, 2.5, 0.0, const.brendle(2), f=f)),
+    ("gn", ["--p", "1.5", "--q", "2.5", "--reading", "literal"],
+     lambda m, f: v.verify_gn(m, 1.5, 2.5, 0.0, B1, LITERAL_EGN, f=f)),
+    # at q < 2 the printed EGN takes gamma on (-2, -1), where it is positive
+    ("gn", ["--p", "1.5", "--q", "1.8", "--reading", "literal"],
+     lambda m, f: v.verify_gn(m, 1.5, 1.8, 0.0, B1, LITERAL_EGN, f=f)),
+    ("spectral", ["--reading", "literal", "--subdivision", "1"],
+     lambda m, f: v.verify_spectral_gap(m, f, 0.0, B1, LITERAL_SPECTRAL, subdivision=1)),
+    ("logsob", ["--p", "1.5", "--tolerance", "0.03"],
+     lambda m, f: v.verify_log_sobolev(m, 1.5, f=f, tolerance=0.03)),
+    ("ms1", ["--iso", "michael-simon", "--subdivision", "1"],
+     lambda m, f: v.verify_michael_simon_p1(m, f, MS, subdivision=1)),
+    ("mono", ["--preset", "p-sobolev", "--p", "1.5", "--iso", "michael-simon"],
+     lambda m, f: v.verify_monotonicity_principle(m, f, v.monotone_preset("p-sobolev", p=1.5), 0.0, MS)),
+]
+
+
+class TestVerifyRunsTheLibraryVerifier:
+    @pytest.mark.parametrize(
+        "check, args, call", LIBRARY_CALLS, ids=[f"{c}-{i}" for i, (c, _, _) in enumerate(LIBRARY_CALLS)]
+    )
+    def test_same_report_as_the_library(self, disk_files, capsys, check, args, call):
+        mesh_path, field_path, _ = disk_files
+        with open(mesh_path) as fh:
+            mesh = load_mesh(fh)
+        with open(field_path) as fh:
+            field = VertexField.from_csv(fh, mesh)
+        argv = ["verify", check, "--mesh", mesh_path, "--field", field_path, *args]
+        try:
+            reports = call(mesh, field)
+        except ComplexValued as exc:  # the literal EGN reading is complex-valued at q = 2.5
+            assert dispatch(argv) == 2
+            assert capsys.readouterr().err == f"psilab: {exc}\n"
+            return
+        reports = reports if isinstance(reports, list) else [reports]
+        assert dispatch(argv) == (0 if all(r.passed for r in reports) else 1)
+        assert capsys.readouterr().out == json.dumps([r.as_dict() for r in reports], indent=2) + "\n"
+        dispatch(argv + ["--format", "csv"])
+        text = capsys.readouterr().out
+        assert text == v.reports_to_csv(reports)
+        for row in text.splitlines()[1:]:
+            lhs, rhs, ratio = map(float, row.split(",")[5:8])  # plain floats, not numpy reprs
+
+    def test_help_lists_the_nine_checks_in_order(self, capsys):
+        assert dispatch(["verify", "--help"]) == 0
+        assert "{ps,model,iso,sobolev,gn,spectral,logsob,ms1,mono}" in capsys.readouterr().out
+
+
 class TestCounterexampleCommand:
     def test_json_with_threshold(self, capsys):
         code = dispatch(["counterexample", "--p", "1.5", "--lambda", "10", "--N", "1"])
@@ -259,6 +324,13 @@ class TestExitCodes:
         path.write_text("value,weight\n" + body)
         assert dispatch(["rearrange", "--input", str(path)]) == 2
         assert capsys.readouterr().err.startswith("psilab: ")
+
+
+def test_bad_sample_csv_names_its_file_line(tmp_path, capsys):
+    path = tmp_path / "samples.csv"
+    path.write_text("value,weight\n1.0,0.5\n\nabc,1\n")
+    assert dispatch(["rearrange", "--input", str(path)]) == 2
+    assert capsys.readouterr().err == "psilab: line 4: expected value,weight numbers, got 'abc,1'\n"
 
 
 def test_module_entry_point_runs_main():

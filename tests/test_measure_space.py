@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -64,6 +65,28 @@ class TestDiscreteMeasuredFunction:
     def test_csv_header_only_has_no_samples(self):
         with pytest.raises(ValueError, match="no samples"):
             DiscreteMeasuredFunction.from_csv("value,weight\n")
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("value,weight\n1.0,0.5\nabc,1\n", 3),
+            ("value,weight\n1.0,0.5\n2.0\n", 3),
+            ("value,weight\n1.0,0.5\n\nabc,1\n", 4),
+        ],
+        ids=["bad-field", "one-field-row", "after-blank-line"],
+    )
+    def test_csv_error_names_the_file_line(self, text, line):
+        bad = text.strip().splitlines()[-1]
+        with pytest.raises(ValueError, match=f"^line {line}: expected value,weight numbers, got '{bad}'$"):
+            DiscreteMeasuredFunction.from_csv(text)
+
+    def test_csv_error_from_an_unseekable_stream(self):
+        # a pipe cannot be read again, so numpy's own message is passed through
+        r, w = os.pipe()
+        os.write(w, b"value,weight\n1.0,0.5\nabc,1\n")
+        os.close(w)
+        with open(r) as stream, pytest.raises(ValueError, match="'abc'"):
+            DiscreteMeasuredFunction.from_csv(stream)
 
     def test_csv_blank_lines_skipped(self):
         dmf = DiscreteMeasuredFunction.from_csv("value,weight\n\n1.0,0.5\n\n2.0,0.25\n\n")
@@ -133,6 +156,34 @@ class TestStepRearrangement:
         p2 = rearrange(dmf.scaled(2.0), lebesgue(2))
         assert np.array_equal(p2.values, 2.0 * p1.values)
         assert np.array_equal(p2.radii, p1.radii)
+
+
+def _unique_merge_reference(dmf):
+    """Distinct levels and cumulative weights by a second sort in np.unique, as rearrange once did."""
+    order = np.argsort(-dmf.values, kind="stable")
+    distinct, starts = np.unique(-dmf.values[order], return_index=True)
+    levels = -distinct
+    cum_w = np.cumsum(np.add.reduceat(dmf.weights[order], starts)[levels > 0])
+    return levels[levels > 0], cum_w
+
+
+@given(
+    st.lists(
+        st.tuples(st.sampled_from([0.0, 0.5, 1.0, 2.5, 7.0]), st.floats(0.01, 3.0, allow_nan=False)),
+        min_size=1,
+        max_size=60,
+    )
+)
+@settings(max_examples=60, deadline=None)
+def test_property_one_sort_merge_matches_unique(samples):
+    dmf = DiscreteMeasuredFunction.from_samples(samples)
+    levels, cum_w = _unique_merge_reference(dmf)
+    if not levels.size:
+        return
+    target = lebesgue(2)
+    prof = rearrange(dmf, target)
+    assert np.array_equal(prof.values, levels)
+    assert np.array_equal(prof.radii, target.ball_radius(cum_w))
 
 
 class TestModelSpaceTarget:
@@ -228,6 +279,40 @@ class TestProfileIntegrals:
             assert gradient_energy(prof, p) == pytest.approx(
                 1.5**p * math.pi * 4.0, rel=1e-13
             )
+
+    def test_linear_integrals_match_the_segment_loops(self):
+        # the Gauss-Legendre rule and the slopes are unchanged; only the summation order is
+        nodes, weights = np.polynomial.legendre.leggauss(24)
+
+        def loop_lp(prof, p):
+            radii, values, target = prof.radii, prof.values, prof.target
+            total = values[0] ** p * target.ball_volume(radii[0]) if radii[0] > 0 else 0.0
+            for k in range(radii.size - 1):
+                a, b, v0 = radii[k], radii[k + 1], values[k]
+                slope = (values[k + 1] - v0) / (b - a)
+                r = 0.5 * (a + b) + 0.5 * (b - a) * nodes
+                total += 0.5 * (b - a) * np.sum(weights * (v0 + slope * (r - a)) ** p * target.density(r))
+            return total ** (1.0 / p)
+
+        def loop_energy(prof, p):
+            vol = prof.target.ball_volume(prof.radii)
+            slopes = np.diff(prof.values) / np.diff(prof.radii)
+            return sum(abs(s) ** p * (vol[k + 1] - vol[k]) for k, s in enumerate(slopes))
+
+        rng = np.random.default_rng(19)
+        targets = [lebesgue(2), lebesgue(3), model_space(2, 0.1, 0.2)]
+        for trial in range(30):
+            knots = int(rng.integers(2, 40))
+            radii = np.cumsum(rng.uniform(0.01, 1.0, knots))
+            if trial % 2:  # half the profiles start at the origin
+                radii -= radii[0]
+            values = np.sort(rng.uniform(0.0, 3.0, knots))[::-1]
+            if trial % 3:
+                values[-1] = 0.0
+            prof = RadialProfile(targets[trial % 3], radii, values, LINEAR)
+            for p in (1.0, 1.5, 2.0, 3.7):
+                assert lp_norm(prof, p) == pytest.approx(loop_lp(prof, p), rel=1e-12)
+                assert gradient_energy(prof, p) == pytest.approx(loop_energy(prof, p), rel=1e-12)
 
     def test_step_profile_has_no_gradient(self):
         prof = RadialProfile(lebesgue(2), np.array([1.0]), np.array([1.0]), STEP)

@@ -108,6 +108,16 @@ class TestBesselFirstZero:
         # J_{1/2} is proportional to sin(x)/sqrt(x)
         assert bessel_first_zero(0.5) == pytest.approx(math.pi, abs=1e-9)
 
+    def test_three_halves_order_solves_tan_x_equals_x(self):
+        # J_{3/2} is proportional to sin(x)/x - cos(x), which vanishes where tan x = x
+        assert bessel_first_zero(1.5) == pytest.approx(4.493409457909064, abs=1e-12)
+
+    def test_large_orders_against_scipy(self):
+        # spectral-gap constants need order n/2 - 1 up to high dimensions
+        for order in (30, 60, 100):
+            expect = float(scipy.special.jn_zeros(order, 1)[0])
+            assert bessel_first_zero(float(order)) == pytest.approx(expect, rel=1e-13)
+
     def test_root_is_actually_a_root(self):
         for order in (0.0, 1.3, 4.0):
             z = bessel_first_zero(order)

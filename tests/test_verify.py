@@ -70,6 +70,10 @@ class TestVerificationReport:
         assert header.startswith("inequality_id,n,p,q,K")
         assert row.endswith(",1")
 
+    def test_csv_writes_numpy_scalars_as_plain_floats(self):
+        rep = VerificationReport("x", np.float64(1.0), np.float64(2.0), 0.01)
+        assert reports_to_csv([rep]).splitlines()[1] == "x,,,,,1.0,2.0,0.5,1"
+
     def test_default_tolerance(self):
         assert default_tolerance(0) == 0.05
         assert default_tolerance(2) == 0.01
