@@ -1,8 +1,9 @@
 """CSV tables of numbers: a header line of column names, then one row per item.
 
 Reading checks the header and parses the body with one ``np.loadtxt`` call
-straight from the stream; only when numpy refuses the body is it read again
-as lines, to name the first bad one. Writing formats rows from ``.tolist()``
+straight from the stream (a stream that cannot seek, such as a pipe, is read
+into memory first); only when numpy refuses the body is it read again as
+lines, to name the first bad one. Writing formats rows from ``.tolist()``
 columns, floats as the ``repr`` that reads back bit for bit.
 """
 
@@ -38,16 +39,16 @@ def read_table(source, header: str, dtypes=(float, float)) -> list[np.ndarray]:
 
     ``source`` is a string, bytes or a text or binary stream. Extra columns
     are ignored and blank lines skipped; a short row or a field that is not
-    a number raises ValueError naming its 1-based file line (numpy's own
-    message when the stream cannot seek back to the body).
+    a number raises ValueError naming its 1-based file line.
     """
-    stream = io.StringIO(read_text(source)) if isinstance(source, (str, bytes)) else source
+    seekable = hasattr(source, "seekable") and source.seekable()
+    stream = source if seekable else io.StringIO(read_text(source))
     names = header.split(",")
     first = stream.readline()
     found = (first.decode() if isinstance(first, bytes) else first).split(",")[: len(names)]
     if [h.strip().lower() for h in found] != names:
         raise ValueError(f"expected CSV header {header!r}")
-    body_start = stream.tell() if stream.seekable() else None
+    body_start = stream.tell()
     dtype = list(zip(names, dtypes))
 
     def parse(src):
@@ -58,8 +59,6 @@ def read_table(source, header: str, dtypes=(float, float)) -> list[np.ndarray]:
         try:
             rows = parse(stream)
         except ValueError:
-            if body_start is None:
-                raise
             stream.seek(body_start)
             lines = read_text(stream).splitlines()
             k = first_bad_row(lines, parse)

@@ -4,7 +4,9 @@ and the extremal radial functions of the sharp inequalities.
 Everything here has an exact formula, so these objects calibrate the
 discrete pipeline: the mesh generators feed the curvature and gradient
 kernels known answers, and the radial functions reproduce equality cases
-of the Sobolev-type inequalities under adaptive quadrature.
+of the Sobolev-type inequalities under adaptive quadrature. The structured
+meshes (disk, cap, catenoid, Clifford torus) take their triangles from one
+numpy quad-grid helper and their vertices from whole-array formulas.
 """
 
 from __future__ import annotations
@@ -97,26 +99,41 @@ def make_sphere(subdiv: int = 3, radius: float = 1.0) -> TriMesh:
     return TriMesh(radius * verts, faces)
 
 
+def _circle(segments: int):
+    """cos a and sin a at the angles a = 2 pi k / segments, k = 0 .. segments - 1."""
+    a = 2.0 * math.pi * np.arange(segments) / segments
+    return np.cos(a), np.sin(a)
+
+
+def _rings(radii: np.ndarray, heights: np.ndarray, segments: int) -> np.ndarray:
+    """Vertices (r cos a, r sin a, z), ring by ring, of the rings (r, z) at the ``_circle`` angles."""
+    cos, sin = _circle(segments)
+    return np.column_stack([np.outer(radii, cos).ravel(), np.outer(radii, sin).ravel(), np.repeat(heights, segments)])
+
+
+def _quad_grid(rows: int, cols: int, closed: bool = False) -> np.ndarray:
+    """Triangles (a, c, d), (a, d, b) of every quad a-b over c-d of a row-major grid.
+
+    Vertex i * cols + k sits in row i, column k; the columns wrap around,
+    and ``closed`` also joins the last row to the first.
+    """
+    i = np.arange(rows if closed else rows - 1)[:, None]
+    k = np.arange(cols)
+    a, b = i * cols + k, i * cols + (k + 1) % cols
+    c, d = (i + 1) % rows * cols + k, (i + 1) % rows * cols + (k + 1) % cols
+    return np.stack([a, c, d, a, d, b], axis=-1).reshape(-1, 3)
+
+
 def _polar_grid(rings: int, segments: int | None):
     """Index layout of a pole-centered structured grid: pole + rings of fixed width."""
     if rings < 2:
         raise ValueError("rings must be >= 2")
     if segments is None:
         segments = max(16, 2 * rings)
-    tris = []
-    # fan around the pole (vertex 0); ring j starts at 1 + (j-1)*segments
-    def vid(j, k):
-        return 1 + (j - 1) * segments + (k % segments)
-
-    for k in range(segments):
-        tris.append((0, vid(1, k), vid(1, k + 1)))
-    for j in range(1, rings):
-        for k in range(segments):
-            a, b = vid(j, k), vid(j, k + 1)
-            c, d = vid(j + 1, k), vid(j + 1, k + 1)
-            tris.append((a, c, d))
-            tris.append((a, d, b))
-    return segments, np.asarray(tris, dtype=int)
+    # fan around the pole (vertex 0), then the quads between rings; ring j starts at 1 + (j-1)*segments
+    k = np.arange(segments)
+    fan = np.stack([np.zeros_like(k), 1 + k, 1 + (k + 1) % segments], axis=1)
+    return segments, np.vstack([fan, 1 + _quad_grid(rings, segments)])
 
 
 def make_disk(radius: float = 1.0, rings: int = 16, segments: int | None = None) -> TriMesh:
@@ -124,13 +141,8 @@ def make_disk(radius: float = 1.0, rings: int = 16, segments: int | None = None)
     if radius <= 0:
         raise ValueError("radius must be > 0")
     segments, tris = _polar_grid(rings, segments)
-    pts = [(0.0, 0.0, 0.0)]
-    for j in range(1, rings + 1):
-        r = radius * j / rings
-        for k in range(segments):
-            a = 2.0 * math.pi * k / segments
-            pts.append((r * math.cos(a), r * math.sin(a), 0.0))
-    return TriMesh(np.asarray(pts), tris)
+    r = radius * np.arange(1, rings + 1) / rings
+    return TriMesh(np.vstack([[0.0, 0.0, 0.0], _rings(r, np.zeros(rings), segments)]), tris)
 
 
 def make_cap(aperture: float, rings: int = 16, segments: int | None = None) -> TriMesh:
@@ -138,36 +150,17 @@ def make_cap(aperture: float, rings: int = 16, segments: int | None = None) -> T
     if not 0 < aperture < math.pi:
         raise ValueError("aperture must lie in (0, pi)")
     segments, tris = _polar_grid(rings, segments)
-    pts = [(0.0, 0.0, 1.0)]
-    for j in range(1, rings + 1):
-        phi = aperture * j / rings
-        for k in range(segments):
-            a = 2.0 * math.pi * k / segments
-            pts.append((math.sin(phi) * math.cos(a), math.sin(phi) * math.sin(a), math.cos(phi)))
-    return TriMesh(np.asarray(pts), tris)
+    phi = aperture * np.arange(1, rings + 1) / rings
+    return TriMesh(np.vstack([[0.0, 0.0, 1.0], _rings(np.sin(phi), np.cos(phi), segments)]), tris)
 
 
 def make_catenoid(t_max: float = 1.0, nt: int = 24, ntheta: int = 48) -> TriMesh:
     """Catenoid band (cosh t cos a, cosh t sin a, t), |t| <= t_max: minimal, with boundary."""
     if t_max <= 0 or nt < 2 or ntheta < 3:
         raise ValueError("need t_max > 0, nt >= 2, ntheta >= 3")
-    pts = []
-    for i in range(nt + 1):
-        t = -t_max + 2.0 * t_max * i / nt
-        c = math.cosh(t)
-        for k in range(ntheta):
-            a = 2.0 * math.pi * k / ntheta
-            pts.append((c * math.cos(a), c * math.sin(a), t))
-    tris = []
-    for i in range(nt):
-        for k in range(ntheta):
-            a = i * ntheta + k
-            b = i * ntheta + (k + 1) % ntheta
-            c = (i + 1) * ntheta + k
-            d = (i + 1) * ntheta + (k + 1) % ntheta
-            tris.append((a, c, d))
-            tris.append((a, d, b))
-    return TriMesh(np.asarray(pts), np.asarray(tris, dtype=int))
+    t = -t_max + 2.0 * t_max * np.arange(nt + 1) / nt
+    cosh = np.array([math.cosh(x) for x in t.tolist()])  # np.cosh differs from libm in the last bit
+    return TriMesh(_rings(cosh, t, ntheta), _quad_grid(nt + 1, ntheta))
 
 
 def make_clifford_torus(subdiv: int = 32) -> TriMesh:
@@ -175,23 +168,9 @@ def make_clifford_torus(subdiv: int = 32) -> TriMesh:
     if subdiv < 3:
         raise ValueError("subdiv must be >= 3")
     n = subdiv
-    pts = np.empty((n * n, 4))
-    for i in range(n):
-        s = 2.0 * math.pi * i / n
-        for j in range(n):
-            t = 2.0 * math.pi * j / n
-            pts[i * n + j] = (math.cos(s), math.sin(s), math.cos(t), math.sin(t))
-    pts /= math.sqrt(2.0)
-    tris = []
-    for i in range(n):
-        for j in range(n):
-            a = i * n + j
-            b = i * n + (j + 1) % n
-            c = ((i + 1) % n) * n + j
-            d = ((i + 1) % n) * n + (j + 1) % n
-            tris.append((a, c, d))
-            tris.append((a, d, b))
-    return TriMesh(pts, np.asarray(tris, dtype=int))
+    circle = np.column_stack(_circle(n))  # vertex i * n + j is (circle[i], circle[j]) / sqrt(2)
+    pts = np.hstack([np.repeat(circle, n, axis=0), np.tile(circle, (n, 1))]) / math.sqrt(2.0)
+    return TriMesh(pts, _quad_grid(n, n, closed=True))
 
 
 def make_surface(kind: str, **kwargs) -> TriMesh:

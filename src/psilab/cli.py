@@ -212,37 +212,41 @@ def _mono_spec(args):
     return monotone_preset(args.preset, n=2, p=args.p if args.preset == "p-sobolev" else None)
 
 
-# check name -> (needs --field, adapter(args, mesh, field, iso choice, keywords) -> reports).
-# The adapters look their verifier up as a module attribute at call time, so a rebound
+# check name -> (needs --field, own(args) or None, adapter(args, mesh, field, iso choice, own, keywords)).
+# own(args) builds the check's own argument before any file is read, so a bad one is refused
+# first. The adapters look their verifier up as a module attribute at call time, so a rebound
 # attribute (a tracing wrapper, say) is what runs.
 _CHECKS = {
-    "ps": (True, lambda a, m, f, c, kw: [verify_polya_szego(m, f, a.p, a.K, c, **kw)]),
-    "model": (True, lambda a, m, f, c, kw: [verify_model_space_ps(m, f, a.p, a.K, c, **kw)]),
-    "iso": (False, lambda a, m, f, c, kw: verify_isoperimetric(m, a.K, c, [np.arange(len(m.triangles))])),
-    "sobolev": (True, lambda a, m, f, c, kw: [verify_p_sobolev(m, f, a.p, a.K, c, **kw)]),
+    "ps": (True, None, lambda a, m, f, c, x, kw: [verify_polya_szego(m, f, a.p, a.K, c, **kw)]),
+    "model": (True, None, lambda a, m, f, c, x, kw: [verify_model_space_ps(m, f, a.p, a.K, c, **kw)]),
+    "iso": (False, None, lambda a, m, f, c, x, kw: verify_isoperimetric(m, a.K, c, [np.arange(len(m.triangles))])),
+    "sobolev": (True, None, lambda a, m, f, c, x, kw: [verify_p_sobolev(m, f, a.p, a.K, c, **kw)]),
     "gn": (
         True,
-        lambda a, m, f, c, kw: [verify_gn(m, a.p, _gn_q(a), a.K, c, const.EgnReading(a.reading), f=f, **kw)],
+        _gn_q,
+        lambda a, m, f, c, q, kw: [verify_gn(m, a.p, q, a.K, c, const.EgnReading(a.reading), f=f, **kw)],
     ),
     "spectral": (
         True,
-        lambda a, m, f, c, kw: [verify_spectral_gap(m, f, a.K, c, const.SpectralReading(a.reading), **kw)],
+        None,
+        lambda a, m, f, c, x, kw: [verify_spectral_gap(m, f, a.K, c, const.SpectralReading(a.reading), **kw)],
     ),
-    "logsob": (True, lambda a, m, f, c, kw: [verify_log_sobolev(m, a.p, f=f, **kw)]),
-    "ms1": (True, lambda a, m, f, c, kw: [verify_michael_simon_p1(m, f, c, **kw)]),
-    "mono": (True, lambda a, m, f, c, kw: [verify_monotonicity_principle(m, f, _mono_spec(a), a.K, c, **kw)]),
+    "logsob": (True, None, lambda a, m, f, c, x, kw: [verify_log_sobolev(m, a.p, f=f, **kw)]),
+    "ms1": (True, None, lambda a, m, f, c, x, kw: [verify_michael_simon_p1(m, f, c, **kw)]),
+    "mono": (True, _mono_spec, lambda a, m, f, c, spec, kw: [verify_monotonicity_principle(m, f, spec, a.K, c, **kw)]),
 }
 
 
 def _cmd_verify(args) -> int:
-    needs_field, run_check = _CHECKS[args.check]
+    needs_field, own, run_check = _CHECKS[args.check]
     if needs_field and not args.field:
         raise ValueError(f"verify {args.check} requires --field")
-    mesh = _load_mesh_arg(args.mesh)
     choice = _parse_iso(args.iso)
+    own_arg = own(args) if own else None
+    mesh = _load_mesh_arg(args.mesh)
     field = _load_field_arg(args.field, mesh) if args.field else None
     kw = dict(subdivision=args.subdivision, tolerance=args.tolerance)
-    reports = run_check(args, mesh, field, choice, kw)
+    reports = run_check(args, mesh, field, choice, own_arg, kw)
     if args.format == "json":
         _emit(json.dumps([r.as_dict() for r in reports], indent=2), args.out)
     else:

@@ -4,7 +4,8 @@ Meshes are 2-dimensional but the ambient dimension d >= 3 is free, so both
 codimension-one bodies (spheres, disks, caps in R^3) and higher-codimension
 ones (the Clifford torus in R^4) run through the same kernels. All area and
 gradient formulas go through edge Gram matrices and therefore never assume
-a cross product exists.
+a cross product exists; a mesh builds its Gram entries once, at
+construction, and the areas and P1 gradient energies share them.
 
 Mean curvature is the discrete cotangent formula with mixed Voronoi
 vertex areas, applied componentwise to the coordinate functions. The
@@ -16,6 +17,7 @@ quadrature, since an open fan has no well-defined discrete curvature.
 
 from __future__ import annotations
 
+import functools
 import json
 import warnings
 from dataclasses import dataclass, field
@@ -41,17 +43,6 @@ __all__ = [
 ]
 
 
-def _triangle_areas(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
-    """Areas via the Gram determinant, valid in any ambient dimension."""
-    a = vertices[triangles[:, 1]] - vertices[triangles[:, 0]]
-    b = vertices[triangles[:, 2]] - vertices[triangles[:, 0]]
-    aa = np.einsum("ij,ij->i", a, a)
-    bb = np.einsum("ij,ij->i", b, b)
-    ab = np.einsum("ij,ij->i", a, b)
-    g = aa * bb - ab * ab
-    return 0.5 * np.sqrt(np.maximum(g, 0.0))
-
-
 @dataclass
 class TriMesh:
     """Oriented triangle mesh, manifold with boundary, embedded in R^d.
@@ -59,8 +50,9 @@ class TriMesh:
     Validation runs at construction: coordinates are finite, every edge is
     shared by at most two triangles with opposite directions (consistent
     orientation), triangles are non-degenerate, and a disconnected mesh
-    only warns. The triangle areas and the boundary found on the way are
-    kept as read-only arrays, so the mesh must not be modified afterwards.
+    only warns. The edge Gram entries and areas of the triangles and the
+    boundary found on the way are kept as read-only arrays, so the mesh
+    must not be modified afterwards.
     """
 
     vertices: np.ndarray
@@ -88,7 +80,11 @@ class TriMesh:
             raise DegenerateTriangle(f"triangle {tri[repeats.argmax()].tolist()} repeats a vertex")
         span = self.vertices.max(axis=0) - self.vertices.min(axis=0)
         scale2 = float(np.dot(span, span))
-        areas = _triangle_areas(self.vertices, tri)
+        # Gram entries of the edges a = x1 - x0, b = x2 - x0: areas here, P1 gradients later
+        a = self.vertices[tri[:, 1]] - self.vertices[tri[:, 0]]
+        b = self.vertices[tri[:, 2]] - self.vertices[tri[:, 0]]
+        gram = aa, bb, ab = tuple(np.einsum("ij,ij->i", x, y) for x, y in ((a, a), (b, b), (a, b)))
+        areas = 0.5 * np.sqrt(np.maximum(aa * bb - ab * ab, 0.0))
         bad = np.nonzero(areas <= 1e-12 * max(scale2, 1e-300))[0]
         if bad.size:
             raise DegenerateTriangle(f"triangle {tri[bad[0]].tolist()} has (near-)zero area")
@@ -114,9 +110,9 @@ class TriMesh:
         if connected_components(adjacency, directed=False)[0] > 1:
             warnings.warn("mesh is not connected", stacklevel=3)
         edges = np.stack([src[~has_twin], dst[~has_twin]], axis=1)
-        self._areas, self._across, self._boundary_edges = areas, across, edges
+        self._gram, self._areas, self._across, self._boundary_edges = gram, areas, across, edges
         self._boundary_vertices = np.unique(edges)
-        for cached in (areas, across, edges, self._boundary_vertices):
+        for cached in (*gram, areas, across, edges, self._boundary_vertices):
             cached.setflags(write=False)
 
     @property
@@ -136,12 +132,6 @@ class TriMesh:
 
     def is_closed(self) -> bool:
         return not len(self._boundary_edges)
-
-    def barycentric_vertex_areas(self) -> np.ndarray:
-        areas = self.triangle_areas()
-        out = np.zeros(len(self.vertices))
-        np.add.at(out, self.triangles.ravel(), np.repeat(areas / 3.0, 3))
-        return out
 
 
 def _loadtxt(rows: list[str], cols: int, dtype) -> np.ndarray:
@@ -223,6 +213,12 @@ def load_mesh(source) -> TriMesh:
     return TriMesh(vertices, triangles)
 
 
+def _require_boundary_vanishing(mesh: TriMesh, values: np.ndarray):
+    bv = mesh.boundary_vertices()
+    if bv.size and np.any(values[bv] != 0.0):
+        raise ValueError("field must vanish on boundary vertices")
+
+
 @dataclass
 class VertexField:
     """Nonnegative P1 scalar field given by its vertex values.
@@ -247,9 +243,7 @@ class VertexField:
         if self.mesh is not None and len(values) != len(self.mesh.vertices):
             raise ValueError("field length does not match vertex count")
         if self.compactly_supported and self.mesh is not None:
-            bv = self.mesh.boundary_vertices()
-            if bv.size and np.any(values[bv] != 0.0):
-                raise ValueError("compactly supported field must vanish on boundary vertices")
+            _require_boundary_vanishing(self.mesh, values)
 
     @classmethod
     def from_csv(cls, stream, mesh: TriMesh, **kwargs) -> "VertexField":
@@ -289,26 +283,20 @@ def p1_gradient_lp(mesh: TriMesh, field: VertexField, p: float) -> float:
     Per triangle the tangential gradient of the affine interpolant has
     squared norm delta^T G^{-1} delta, where G is the Gram matrix of two
     edge vectors and delta the corresponding value differences; this is
-    independent of the ambient dimension.
+    independent of the ambient dimension. G is the one the mesh kept at
+    construction.
     """
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
     tri = mesh.triangles
-    v = mesh.vertices
     u = field.values
-    a = v[tri[:, 1]] - v[tri[:, 0]]
-    b = v[tri[:, 2]] - v[tri[:, 0]]
-    aa = np.einsum("ij,ij->i", a, a)
-    bb = np.einsum("ij,ij->i", b, b)
-    ab = np.einsum("ij,ij->i", a, b)
-    det = aa * bb - ab * ab
+    aa, bb, ab = mesh._gram
     du1 = u[tri[:, 1]] - u[tri[:, 0]]
     du2 = u[tri[:, 2]] - u[tri[:, 0]]
     # delta^T G^{-1} delta with G = [[aa, ab], [ab, bb]]
-    grad2 = (bb * du1 * du1 - 2.0 * ab * du1 * du2 + aa * du2 * du2) / det
+    grad2 = (bb * du1 * du1 - 2.0 * ab * du1 * du2 + aa * du2 * du2) / (aa * bb - ab * ab)
     grad2 = np.maximum(grad2, 0.0)
-    areas = 0.5 * np.sqrt(np.maximum(det, 0.0))
-    return float(np.sum(areas * grad2 ** (0.5 * p)))
+    return float(np.sum(mesh.triangle_areas() * grad2 ** (0.5 * p)))
 
 
 @dataclass
@@ -422,32 +410,17 @@ def boundary_measure(mesh: TriMesh, region=None) -> float:
     return float(np.sum(np.linalg.norm(seg, axis=1)))
 
 
-# barycentric centroids of the 4^s cells of the midpoint refinement, cached per level
-_CENTROID_CACHE: dict[int, np.ndarray] = {}
-
-
+@functools.cache
 def _cell_centroids(subdivision: int) -> np.ndarray:
-    if subdivision in _CENTROID_CACHE:
-        return _CENTROID_CACHE[subdivision]
-    # start from the whole triangle in barycentric corner form
-    cells = [np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])]
+    """Read-only barycentric centroids of the 4^s cells of the midpoint refinement."""
+    cells = np.eye(3)[None]  # (cells, corner, barycentric): the whole triangle
     for _ in range(subdivision):
-        nxt = []
-        for c in cells:
-            m01 = 0.5 * (c[0] + c[1])
-            m12 = 0.5 * (c[1] + c[2])
-            m02 = 0.5 * (c[0] + c[2])
-            nxt.extend(
-                [
-                    np.array([c[0], m01, m02]),
-                    np.array([m01, c[1], m12]),
-                    np.array([m02, m12, c[2]]),
-                    np.array([m01, m12, m02]),
-                ]
-            )
-        cells = nxt
-    centroids = np.array([c.mean(axis=0) for c in cells])
-    _CENTROID_CACHE[subdivision] = centroids
+        c0, c1, c2 = cells[:, 0], cells[:, 1], cells[:, 2]
+        m01, m12, m02 = 0.5 * (c0 + c1), 0.5 * (c1 + c2), 0.5 * (c0 + c2)
+        # each cell's four children, in order: the three corner cells, then the middle one
+        cells = np.stack([c0, m01, m02, m01, c1, m12, m02, m12, c2, m01, m12, m02], axis=1).reshape(-1, 3, 3)
+    centroids = cells.mean(axis=1)
+    centroids.setflags(write=False)
     return centroids
 
 

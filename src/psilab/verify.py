@@ -42,6 +42,7 @@ from .mesh import (
     CurvatureReport,
     TriMesh,
     VertexField,
+    _require_boundary_vanishing,
     boundary_measure,
     hausdorff_measure,
     mean_curvature,
@@ -193,12 +194,6 @@ def _require_field(f: VertexField | None):
         raise ValueError("mesh input needs a field")
 
 
-def _require_boundary_vanishing(mesh: TriMesh, f: VertexField):
-    bv = mesh.boundary_vertices()
-    if bv.size and np.any(f.values[bv] != 0.0):
-        raise ValueError("field must vanish on boundary vertices")
-
-
 def _check_inputs(mesh, f, K, choice, subdivision, tolerance) -> float:
     """Refuse a missing field, a closed surface, K outside [0, 1/C), total curvature
     above K and a field not vanishing on the boundary; return the report tolerance."""
@@ -209,7 +204,7 @@ def _check_inputs(mesh, f, K, choice, subdivision, tolerance) -> float:
         )
     _require_k_range(K, choice)
     _require_tc_bound(mean_curvature(mesh).total, K, "measured")
-    _require_boundary_vanishing(mesh, f)
+    _require_boundary_vanishing(mesh, f.values)
     return default_tolerance(subdivision) if tolerance is None else tolerance
 
 
@@ -525,7 +520,7 @@ def verify_log_sobolev(
         raise NotMinimal(
             f"max interior |H| = {h_max} exceeds the minimal-surface threshold {_FLATNESS_THRESHOLD}"
         )
-    _require_boundary_vanishing(mesh, f)
+    _require_boundary_vanishing(mesh, f.values)
     dmf = sample_field(mesh, f, subdivision)
     c = lp_norm(dmf, p)
     if c <= 0:

@@ -36,6 +36,95 @@ def _loop_icosphere(subdiv):
     return v / np.linalg.norm(v, axis=1, keepdims=True), np.asarray(faces, dtype=int)
 
 
+# The generators' Python loops, vertex by vertex and quad by quad: the
+# references the numpy grids must reproduce bit for bit.
+
+
+def _loop_polar_triangles(rings, segments):
+    def vid(j, k):
+        return 1 + (j - 1) * segments + (k % segments)
+
+    tris = [(0, vid(1, k), vid(1, k + 1)) for k in range(segments)]
+    for j in range(1, rings):
+        for k in range(segments):
+            a, b = vid(j, k), vid(j, k + 1)
+            c, d = vid(j + 1, k), vid(j + 1, k + 1)
+            tris += [(a, c, d), (a, d, b)]
+    return np.asarray(tris, dtype=int)
+
+
+def _loop_disk(radius, rings, segments):
+    pts = [(0.0, 0.0, 0.0)]
+    for j in range(1, rings + 1):
+        r = radius * j / rings
+        for k in range(segments):
+            a = 2.0 * math.pi * k / segments
+            pts.append((r * math.cos(a), r * math.sin(a), 0.0))
+    return np.asarray(pts), _loop_polar_triangles(rings, segments)
+
+
+def _loop_cap(aperture, rings, segments):
+    pts = [(0.0, 0.0, 1.0)]
+    for j in range(1, rings + 1):
+        phi = aperture * j / rings
+        for k in range(segments):
+            a = 2.0 * math.pi * k / segments
+            pts.append((math.sin(phi) * math.cos(a), math.sin(phi) * math.sin(a), math.cos(phi)))
+    return np.asarray(pts), _loop_polar_triangles(rings, segments)
+
+
+def _loop_catenoid(t_max, nt, ntheta):
+    pts = []
+    for i in range(nt + 1):
+        t = -t_max + 2.0 * t_max * i / nt
+        c = math.cosh(t)
+        for k in range(ntheta):
+            a = 2.0 * math.pi * k / ntheta
+            pts.append((c * math.cos(a), c * math.sin(a), t))
+    tris = []
+    for i in range(nt):
+        for k in range(ntheta):
+            a, b = i * ntheta + k, i * ntheta + (k + 1) % ntheta
+            c, d = (i + 1) * ntheta + k, (i + 1) * ntheta + (k + 1) % ntheta
+            tris += [(a, c, d), (a, d, b)]
+    return np.asarray(pts), np.asarray(tris, dtype=int)
+
+
+def _loop_clifford_torus(n):
+    pts = np.empty((n * n, 4))
+    for i in range(n):
+        s = 2.0 * math.pi * i / n
+        for j in range(n):
+            t = 2.0 * math.pi * j / n
+            pts[i * n + j] = (math.cos(s), math.sin(s), math.cos(t), math.sin(t))
+    pts /= math.sqrt(2.0)
+    tris = []
+    for i in range(n):
+        for j in range(n):
+            a, b = i * n + j, i * n + (j + 1) % n
+            c, d = ((i + 1) % n) * n + j, ((i + 1) % n) * n + (j + 1) % n
+            tris += [(a, c, d), (a, d, b)]
+    return pts, np.asarray(tris, dtype=int)
+
+
+GRID_CASES = [
+    (lambda: analytic.make_disk(2.5, 7, 9), lambda: _loop_disk(2.5, 7, 9)),
+    *[(lambda r=r: analytic.make_disk(rings=r), lambda r=r: _loop_disk(1.0, r, max(16, 2 * r))) for r in (2, 12, 33)],
+    *[(lambda ap=ap: analytic.make_cap(ap), lambda ap=ap: _loop_cap(ap, 16, 32)) for ap in (0.3, 0.7, 2.0)],
+    *[
+        (lambda a=args: analytic.make_catenoid(*a), lambda a=args: _loop_catenoid(*a))
+        # at (2.5, 24, 16) np.cosh and math.cosh disagree on 7 of the 25 rows
+        for args in ((1.0, 24, 48), (0.5, 2, 3), (1.3, 7, 11), (2.5, 24, 16))
+    ],
+    *[(lambda n=n: analytic.make_clifford_torus(n), lambda n=n: _loop_clifford_torus(n)) for n in (3, 16, 33)],
+]
+GRID_IDS = [
+    "disk-2.5-7-9", "disk-2", "disk-12", "disk-33", "cap-0.3", "cap-0.7", "cap-2.0",
+    "catenoid-1.0-24-48", "catenoid-0.5-2-3", "catenoid-1.3-7-11", "catenoid-2.5-24-16",
+    "torus-3", "torus-16", "torus-33",
+]
+
+
 class TestSurfaceGenerators:
     @pytest.mark.parametrize("subdiv", range(6))
     def test_sphere_matches_loop_reference(self, subdiv):
@@ -81,6 +170,13 @@ class TestSurfaceGenerators:
         assert mesh.is_closed()
         with pytest.raises(ValueError):
             analytic.make_surface("moebius")
+
+    @pytest.mark.parametrize("make, loop", GRID_CASES, ids=GRID_IDS)
+    def test_grid_generators_match_loop_reference(self, make, loop):
+        mesh = make()
+        verts, tris = loop()
+        assert np.array_equal(mesh.vertices, verts)
+        assert np.array_equal(mesh.triangles, tris)
 
     def test_generator_argument_checks(self):
         with pytest.raises(ValueError):

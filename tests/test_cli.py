@@ -172,6 +172,22 @@ class TestVerifyCommand:
         assert dispatch(["verify", check, "--mesh", mesh_path, "--q", "2.5"]) == 2
         assert capsys.readouterr().err == f"psilab: verify {check} requires --field\n"
 
+    @pytest.mark.parametrize(
+        "check, args, message",
+        [
+            ("ps", ["--iso", "bad"], "--iso must be michael-simon or brendle:m, got 'bad'"),
+            ("iso", ["--iso", "bad"], "--iso must be michael-simon or brendle:m, got 'bad'"),
+            ("mono", ["--preset", "bogus"], "unknown preset 'bogus'"),
+            ("mono", ["--preset", "p-sobolev", "--p", "2.5"], "p-sobolev preset needs 1 < p < n"),
+            ("gn", ["--p", "1.5"], "gn check requires --q"),
+        ],
+        ids=["iso-ps", "iso-iso", "preset", "preset-p", "gn-q"],
+    )
+    def test_bad_arguments_refused_before_the_files_are_read(self, check, args, message, capsys):
+        argv = ["verify", check, "--mesh", "/nonexistent/m.off", "--field", "/nonexistent/f.csv", *args]
+        assert dispatch(argv) == 2
+        assert capsys.readouterr().err == f"psilab: {message}\n"
+
     def test_iso_needs_no_field(self, disk_files, capsys):
         mesh_path, _, _ = disk_files
         assert dispatch(["verify", "iso", "--mesh", mesh_path]) == 0

@@ -81,11 +81,11 @@ class TestDiscreteMeasuredFunction:
             DiscreteMeasuredFunction.from_csv(text)
 
     def test_csv_error_from_an_unseekable_stream(self):
-        # a pipe cannot be read again, so numpy's own message is passed through
+        # a pipe cannot be read again, so it is read into memory once and the error names the line
         r, w = os.pipe()
         os.write(w, b"value,weight\n1.0,0.5\nabc,1\n")
         os.close(w)
-        with open(r) as stream, pytest.raises(ValueError, match="'abc'"):
+        with open(r) as stream, pytest.raises(ValueError, match="^line 3: expected value,weight numbers, got 'abc,1'$"):
             DiscreteMeasuredFunction.from_csv(stream)
 
     def test_csv_blank_lines_skipped(self):

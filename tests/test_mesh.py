@@ -12,6 +12,7 @@ from psilab import verify
 from psilab.errors import DegenerateTriangle, MeshParseError, NonManifoldMesh
 from psilab.mesh import (
     TriMesh,
+    _cell_centroids,
     VertexField,
     boundary_measure,
     hausdorff_measure,
@@ -557,3 +558,57 @@ def test_mean_curvature_bit_identical_to_per_corner_gathers(make):
         h, areas = _per_corner_gather_curvature(m)
         assert np.array_equal(got.vertex_areas, areas)
         assert np.array_equal(got.h_norm, h)
+
+
+def _per_call_gram_gradient_lp(mesh, f, p):
+    """The P1 gradient energy with its own edge Gram, determinant and areas built per call."""
+    tri, v, u = mesh.triangles, mesh.vertices, f.values
+    a = v[tri[:, 1]] - v[tri[:, 0]]
+    b = v[tri[:, 2]] - v[tri[:, 0]]
+    aa = np.einsum("ij,ij->i", a, a)
+    bb = np.einsum("ij,ij->i", b, b)
+    ab = np.einsum("ij,ij->i", a, b)
+    det = aa * bb - ab * ab
+    du1 = u[tri[:, 1]] - u[tri[:, 0]]
+    du2 = u[tri[:, 2]] - u[tri[:, 0]]
+    grad2 = np.maximum((bb * du1 * du1 - 2.0 * ab * du1 * du2 + aa * du2 * du2) / det, 0.0)
+    areas = 0.5 * np.sqrt(np.maximum(det, 0.0))
+    return float(np.sum(areas * grad2 ** (0.5 * p)))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: analytic.make_disk(1.0, 20),
+        lambda: analytic.make_cap(0.7, rings=16),
+        lambda: analytic.make_sphere(4),
+        lambda: analytic.make_clifford_torus(16),
+    ],
+    ids=["disk", "cap", "icosphere", "clifford-r4"],
+)
+def test_gradient_lp_bit_identical_to_per_call_gram(make):
+    mesh = make()
+    rng = np.random.default_rng(11)
+    jittered = TriMesh(mesh.vertices + 1e-3 * rng.standard_normal(mesh.vertices.shape), mesh.triangles)
+    f = VertexField(rng.random(len(mesh.vertices)))
+    for m in (mesh, jittered):
+        for p in (1.0, 1.5, 2.0, 3.7):
+            assert p1_gradient_lp(m, f, p) == _per_call_gram_gradient_lp(m, f, p)
+
+
+def _recursive_cell_centroids(subdivision):
+    """Midpoint refinement one cell at a time, each split into its three corner cells then the middle one."""
+    cells = [np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])]
+    for _ in range(subdivision):
+        nxt = []
+        for c in cells:
+            m01, m12, m02 = 0.5 * (c[0] + c[1]), 0.5 * (c[1] + c[2]), 0.5 * (c[0] + c[2])
+            nxt += [np.array([c[0], m01, m02]), np.array([m01, c[1], m12]),
+                    np.array([m02, m12, c[2]]), np.array([m01, m12, m02])]
+        cells = nxt
+    return np.array([c.mean(axis=0) for c in cells])
+
+
+@pytest.mark.parametrize("s", range(5))
+def test_cell_centroids_bit_identical_to_recursive_refinement(s):
+    assert np.array_equal(_cell_centroids(s), _recursive_cell_centroids(s))
