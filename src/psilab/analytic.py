@@ -11,6 +11,7 @@ numpy quad-grid helper and their vertices from whole-array formulas.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -67,13 +68,22 @@ _ICO_FACES = np.array(
 )
 
 
+_SPHERES_KEPT = 8  # icospheres one process keeps, the most recently used (subdiv, radius) pairs
+
+
 def make_sphere(subdiv: int = 3, radius: float = 1.0) -> TriMesh:
     """Icosphere: midpoint-subdivided icosahedron projected to the sphere.
 
     Each level splits every face (a, b, c) into (a, ab, ca), (ab, b, bc),
     (ca, bc, c), (ab, bc, ca); the edge midpoints are numbered after the
-    existing vertices in the order the faces first meet their edges.
+    existing vertices in the order the faces first meet their edges. Equal
+    arguments return the same read-only mesh, built once per process.
     """
+    return _icosphere(subdiv, radius)
+
+
+@functools.lru_cache(maxsize=_SPHERES_KEPT)
+def _icosphere(subdiv: int, radius: float) -> TriMesh:
     if subdiv < 0:
         raise ValueError("subdiv must be >= 0")
     verts = _ICO_VERTS / np.linalg.norm(_ICO_VERTS[0])

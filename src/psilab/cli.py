@@ -7,6 +7,11 @@ runs one inequality check, and ``counterexample`` sweeps the sphere blowup
 family. Exit code 0 means success with every check passing, 1 means at
 least one verification failed, and 2 means a usage or domain error.
 
+``verify`` refuses bad arguments before it reads a file, and keeps what it
+built between ``dispatch`` calls of one process: up to eight
+meshes, each with up to eight fields, keyed by the BLAKE2b digest of the
+file bytes, so an edited file is a miss; an input that failed is not kept.
+
 The defaults prefer the corrected readings of the misprint-suspect
 constants and the trace convention for the sphere's total curvature; the
 literal printed variants are echoed alongside in every constants table so
@@ -17,9 +22,13 @@ from __future__ import annotations
 
 import argparse
 import functools
+import hashlib
+import io
 import json
 import math
 import sys
+import warnings
+from collections import OrderedDict
 
 import numpy as np
 
@@ -36,6 +45,7 @@ from .measure_space import (
 )
 from .mesh import TriMesh, VertexField, load_mesh, mean_curvature, sample_field
 from .verify import (
+    _require_k_range,
     monotone_preset,
     reports_to_csv,
     verify_gn,
@@ -75,9 +85,30 @@ def _load_mesh_arg(path: str) -> TriMesh:
         return load_mesh(fh)
 
 
-def _load_field_arg(path: str, mesh: TriMesh) -> VertexField:
-    with open(path) as fh:
-        return VertexField.from_csv(fh, mesh)
+_KEPT_INPUTS = 8  # the most meshes `verify` keeps between dispatch calls, and the most fields per mesh
+_kept_meshes: OrderedDict = OrderedDict()  # BLAKE2b digest of a mesh file -> (TriMesh, its kept fields)
+
+
+def _read_kept(kept: OrderedDict, path: str, build):
+    """(``build`` of the file's text stream, False), or (the value kept for the same bytes, True).
+
+    The file is read and hashed on every call; a value is kept once ``build`` returns, and
+    the least recently used one is dropped beyond ``_KEPT_INPUTS``.
+    """
+    with open(path, "rb") as raw:
+        data = raw.read()
+        key = hashlib.blake2b(data).digest()
+        if key in kept:
+            kept.move_to_end(key)
+            return kept[key], True
+        if raw.seekable():  # build reads the open file again; a pipe, from the bytes already read
+            raw.seek(0)
+        with io.TextIOWrapper(raw if raw.seekable() else io.BytesIO(data)) as text:
+            value = build(text)
+    kept[key] = value
+    if len(kept) > _KEPT_INPUTS:
+        kept.popitem(last=False)
+    return value, False
 
 
 @functools.cache  # parse_args leaves the parser unchanged, so one per process serves every dispatch
@@ -184,7 +215,8 @@ def _cmd_rearrange(args) -> int:
         if not args.field:
             raise ValueError("--mesh requires --field")
         mesh = _load_mesh_arg(args.mesh)
-        dmf = sample_field(mesh, _load_field_arg(args.field, mesh), args.subdivision)
+        with open(args.field) as fh:
+            dmf = sample_field(mesh, VertexField.from_csv(fh, mesh), args.subdivision)
     else:
         with open(args.input) as fh:
             dmf = DiscreteMeasuredFunction.from_csv(fh)
@@ -202,25 +234,33 @@ def _cmd_rearrange(args) -> int:
     return 0
 
 
-def _gn_q(args) -> float:
+def _k_range(args, choice):
+    _require_k_range(args.K, choice)
+
+
+def _gn_q(args, choice) -> float:
     if args.q is None:
         raise ValueError("gn check requires --q")
+    _require_k_range(args.K, choice)
+    const.egn_constant(2, args.p, args.q, const.EgnReading(args.reading))  # p, q domain; pole or complex literal
     return args.q
 
 
-def _mono_spec(args):
-    return monotone_preset(args.preset, n=2, p=args.p if args.preset == "p-sobolev" else None)
+def _mono_spec(args, choice):
+    spec = monotone_preset(args.preset, n=2, p=args.p if args.preset == "p-sobolev" else None)
+    _require_k_range(args.K, choice)
+    return spec
 
 
-# check name -> (needs --field, own(args) or None, adapter(args, mesh, field, iso choice, own, keywords)).
-# own(args) builds the check's own argument before any file is read, so a bad one is refused
-# first. The adapters look their verifier up as a module attribute at call time, so a rebound
-# attribute (a tracing wrapper, say) is what runs.
+# check name -> (needs --field, own(args, iso choice) or None, adapter(args, mesh, field, iso choice, own,
+# keywords)). own refuses the check's bad arguments (K outside [0, 1/C) too, where the check
+# bounds K) and builds its own argument before any file is read. The adapters look their verifier
+# up as a module attribute at call time, so a rebound attribute (a tracing wrapper, say) is what runs.
 _CHECKS = {
-    "ps": (True, None, lambda a, m, f, c, x, kw: [verify_polya_szego(m, f, a.p, a.K, c, **kw)]),
-    "model": (True, None, lambda a, m, f, c, x, kw: [verify_model_space_ps(m, f, a.p, a.K, c, **kw)]),
-    "iso": (False, None, lambda a, m, f, c, x, kw: verify_isoperimetric(m, a.K, c, [np.arange(len(m.triangles))])),
-    "sobolev": (True, None, lambda a, m, f, c, x, kw: [verify_p_sobolev(m, f, a.p, a.K, c, **kw)]),
+    "ps": (True, _k_range, lambda a, m, f, c, x, kw: [verify_polya_szego(m, f, a.p, a.K, c, **kw)]),
+    "model": (True, _k_range, lambda a, m, f, c, x, kw: [verify_model_space_ps(m, f, a.p, a.K, c, **kw)]),
+    "iso": (False, _k_range, lambda a, m, f, c, x, kw: verify_isoperimetric(m, a.K, c, [np.arange(len(m.triangles))])),
+    "sobolev": (True, _k_range, lambda a, m, f, c, x, kw: [verify_p_sobolev(m, f, a.p, a.K, c, **kw)]),
     "gn": (
         True,
         _gn_q,
@@ -228,7 +268,7 @@ _CHECKS = {
     ),
     "spectral": (
         True,
-        None,
+        _k_range,
         lambda a, m, f, c, x, kw: [verify_spectral_gap(m, f, a.K, c, const.SpectralReading(a.reading), **kw)],
     ),
     "logsob": (True, None, lambda a, m, f, c, x, kw: [verify_log_sobolev(m, a.p, f=f, **kw)]),
@@ -242,9 +282,16 @@ def _cmd_verify(args) -> int:
     if needs_field and not args.field:
         raise ValueError(f"verify {args.check} requires --field")
     choice = _parse_iso(args.iso)
-    own_arg = own(args) if own else None
-    mesh = _load_mesh_arg(args.mesh)
-    field = _load_field_arg(args.field, mesh) if args.field else None
+    own_arg = own(args, choice) if own else None
+    (mesh, fields), was_kept = _read_kept(_kept_meshes, args.mesh, lambda fh: (load_mesh(fh), OrderedDict()))
+    if was_kept:  # warn again what building it warned, from the same line
+        for site in mesh._warned:
+            warnings.warn_explicit(*site)
+    field = None
+    if args.field:
+        # reading a field forgets which warnings were shown (read_table's catch_warnings); a kept one too
+        with warnings.catch_warnings():
+            field, _ = _read_kept(fields, args.field, lambda fh: VertexField.from_csv(fh, mesh))
     kw = dict(subdivision=args.subdivision, tolerance=args.tolerance)
     reports = run_check(args, mesh, field, choice, own_arg, kw)
     if args.format == "json":

@@ -13,12 +13,18 @@ normalization follows the trace convention: the unit sphere reports
 |H| = 2, a unit cylinder 1, and the Clifford torus 2. Boundary vertices
 carry |H| = 0 by convention and are excluded from the total-curvature
 quadrature, since an open fan has no well-defined discrete curvature.
+
+A mesh is read-only, and so is a field: what is derived from them (the
+Gram entries, areas and boundary, the curvature once measured) is kept on
+them as read-only arrays, the large ones in anonymous mappings of their own.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import mmap
+import sys
 import warnings
 from dataclasses import dataclass, field
 
@@ -50,9 +56,11 @@ class TriMesh:
     Validation runs at construction: coordinates are finite, every edge is
     shared by at most two triangles with opposite directions (consistent
     orientation), triangles are non-degenerate, and a disconnected mesh
-    only warns. The edge Gram entries and areas of the triangles and the
-    boundary found on the way are kept as read-only arrays, so the mesh
-    must not be modified afterwards.
+    only warns. ``vertices`` and ``triangles`` are read-only views (the
+    caller's arrays keep their flags, but must not change either). The
+    edge Gram entries and areas of the triangles and the boundary found on
+    the way are kept as read-only arrays, and so is the curvature once
+    ``mean_curvature`` has measured it.
     """
 
     vertices: np.ndarray
@@ -69,8 +77,11 @@ class TriMesh:
             raise ValueError("triangles must be an (M, 3) index array")
         if triangles.size and (triangles.min() < 0 or triangles.max() >= len(vertices)):
             raise ValueError("triangle index out of range")
-        self.vertices = vertices
-        self.triangles = triangles
+        self.vertices, self.triangles = vertices.view(), triangles.view()
+        self.vertices.setflags(write=False)
+        self.triangles.setflags(write=False)
+        self._curvature = None  # (CurvatureReport, obtuse-dominated), from the first mean_curvature
+        self._warned = []  # warn_explicit arguments of the warnings construction issued
         self._validate()
 
     def _validate(self):
@@ -104,16 +115,15 @@ class TriMesh:
         rev = dst * nv + src
         pos = np.minimum(np.searchsorted(sorted_keys, rev), keys.size - 1)
         has_twin = sorted_keys[pos] == rev
-        across = np.where(has_twin, order[pos] // 3, -1)
+        across = np.where(has_twin, order[pos] // 3, -1).astype(np.int32)  # kept: half the bytes of int64
         inner = np.flatnonzero(has_twin)
         adjacency = coo_matrix((np.ones(inner.size), (inner // 3, across[inner])), shape=(len(tri),) * 2)
         if connected_components(adjacency, directed=False)[0] > 1:
-            warnings.warn("mesh is not connected", stacklevel=3)
+            self._warned.append(_warn("mesh is not connected", stacklevel=3))
         edges = np.stack([src[~has_twin], dst[~has_twin]], axis=1)
-        self._gram, self._areas, self._across, self._boundary_edges = gram, areas, across, edges
-        self._boundary_vertices = np.unique(edges)
-        for cached in (*gram, areas, across, edges, self._boundary_vertices):
-            cached.setflags(write=False)
+        self._gram = tuple(map(_kept, gram))
+        self._areas, self._across, self._boundary_edges = _kept(areas), _kept(across), _kept(edges)
+        self._boundary_vertices = _kept(np.unique(edges))
 
     @property
     def d(self) -> int:
@@ -132,6 +142,28 @@ class TriMesh:
 
     def is_closed(self) -> bool:
         return not len(self._boundary_edges)
+
+
+def _kept(a: np.ndarray) -> np.ndarray:
+    """``a`` made read-only for keeping, one of 64 KiB or more first copied into an anonymous mapping
+    of its own: kept inside the malloc heap, it would pin the freed sample-sized arrays below it."""
+    if a.nbytes >= 1 << 16:
+        own = np.frombuffer(mmap.mmap(-1, a.nbytes), a.dtype, a.size).reshape(a.shape)
+        own[...] = a
+        a = own
+    a.setflags(write=False)
+    return a
+
+
+def _warn(message: str, stacklevel: int) -> tuple:
+    """``warnings.warn(message, stacklevel=stacklevel)`` as issued by the caller; returns the
+    ``warnings.warn_explicit`` arguments that issue it again from the same line and registry."""
+    frame = sys._getframe(stacklevel)
+    scope = frame.f_globals
+    site = (message, UserWarning, frame.f_code.co_filename, frame.f_lineno, scope.get("__name__", "<string>"),
+            scope.setdefault("__warningregistry__", {}))
+    warnings.warn_explicit(*site)
+    return site
 
 
 def _loadtxt(rows: list[str], cols: int, dtype) -> np.ndarray:
@@ -210,7 +242,7 @@ def load_mesh(source) -> TriMesh:
     ):
         if not ok.all():
             fail(first + int(ok.argmin()), problem)
-    return TriMesh(vertices, triangles)
+    return TriMesh(_kept(vertices), _kept(triangles))
 
 
 def _require_boundary_vanishing(mesh: TriMesh, values: np.ndarray):
@@ -221,7 +253,8 @@ def _require_boundary_vanishing(mesh: TriMesh, values: np.ndarray):
 
 @dataclass
 class VertexField:
-    """Nonnegative P1 scalar field given by its vertex values.
+    """Nonnegative P1 scalar field given by its vertex values, a read-only view
+    (the caller's array keeps its flags, but must not change either).
 
     When ``compactly_supported`` is set, construction insists the field
     vanish on every boundary vertex of the attached mesh.
@@ -239,11 +272,13 @@ class VertexField:
             raise ValueError("field values must be finite")
         if np.any(values < 0):
             raise ValueError("field values must be >= 0")
-        self.values = values
         if self.mesh is not None and len(values) != len(self.mesh.vertices):
             raise ValueError("field length does not match vertex count")
         if self.compactly_supported and self.mesh is not None:
             _require_boundary_vanishing(self.mesh, values)
+        self.values = values.view()
+        self.values.setflags(write=False)
+        self._profiles = {}  # (subdivision, target) -> (mesh, rearranged profile), see verify
 
     @classmethod
     def from_csv(cls, stream, mesh: TriMesh, **kwargs) -> "VertexField":
@@ -262,7 +297,7 @@ class VertexField:
             raise ValueError(f"vertex index {repeated.argmax()} appears more than once")
         full = np.zeros(nv)
         full[index] = values
-        return cls(full, mesh=mesh, **kwargs)
+        return cls(_kept(full), mesh=mesh, **kwargs)
 
     def to_csv(self) -> str:
         return format_table("vertex_index,value", np.arange(len(self.values)), self.values)
@@ -334,7 +369,20 @@ def mean_curvature(mesh: TriMesh) -> CurvatureReport:
     accurate at irregular vertices where flat 1/3 areas plateau at a few
     percent error. The obtuse-fan warning fires when more than half of the
     corner angles are obtuse.
+
+    The report is measured on the first call and kept on the mesh, with
+    read-only arrays; every call issues the warning again.
     """
+    if mesh._curvature is None:
+        mesh._curvature = _curvature_report(mesh)
+    report, obtuse_dominated = mesh._curvature
+    if obtuse_dominated:
+        warnings.warn("mesh is obtuse-dominated; curvature quadrature weights are crude", stacklevel=2)
+    return report
+
+
+def _curvature_report(mesh: TriMesh) -> tuple[CurvatureReport, bool]:
+    """The read-only ``mean_curvature`` report and whether the mesh is obtuse-dominated."""
     v = mesh.vertices
     tri = mesh.triangles
     nvert = len(v)
@@ -346,25 +394,22 @@ def mean_curvature(mesh: TriMesh) -> CurvatureReport:
     edges = [corners[:, c] - corners[:, (c + 1) % 3] for c in range(3)]
     sq_len = [np.einsum("ij,ij->i", e, e) for e in edges]
     cots = np.empty((3, ntri))
-    # scatter-adds as (target vertex, weight) lists, summed by one bincount each
-    h_idx, h_terms = [], []
+    # the scatter-add of each pair's term to i and its negative to j, filled in place:
+    # target vertices in pair, end, triangle order and one contiguous row of terms per coordinate
+    h_idx = np.empty((3, 2, ntri), dtype=tri.dtype)
+    h_terms = np.empty((v.shape[1], 3, 2, ntri))
     for c in range(3):
-        i = tri[:, c]
-        j = tri[:, (c + 1) % 3]
         k = (c + 2) % 3
         # angle at k, opposite edge (i, j)
         dot = -np.einsum("ij,ij->i", edges[k], edges[(c + 1) % 3])
         cross2 = np.maximum(sq_len[k] * sq_len[(c + 1) % 3] - dot * dot, 1e-300)
         cot = dot / np.sqrt(cross2)
         cots[k] = cot  # indexed by the corner the angle sits at
-        term = cot[:, None] * edges[c]
-        h_idx += [i, j]
-        h_terms += [term, -term]
-    h_idx = np.concatenate(h_idx)
-    h_terms = np.concatenate(h_terms)
-    accum = np.column_stack(
-        [np.bincount(h_idx, weights=h_terms[:, d], minlength=nvert) for d in range(v.shape[1])]
-    )
+        h_idx[c, 0], h_idx[c, 1] = tri[:, c], tri[:, (c + 1) % 3]
+        np.multiply(edges[c].T, cot, out=h_terms[:, c, 0])
+        np.negative(h_terms[:, c, 0], out=h_terms[:, c, 1])
+    h_idx = h_idx.ravel()
+    accum = np.stack([np.bincount(h_idx, weights=row.ravel(), minlength=nvert) for row in h_terms], axis=1)
     obtuse_corner = cots < 0.0  # (3, M), at most one per triangle
     tri_obtuse = obtuse_corner.any(axis=0)
     area_idx, area_terms = [], []
@@ -383,10 +428,10 @@ def mean_curvature(mesh: TriMesh) -> CurvatureReport:
     h = np.zeros(nvert)
     interior = ~boundary & (areas > 0)
     h[interior] = np.linalg.norm(accum[interior], axis=1) / (2.0 * areas[interior])
-    if ntri and np.count_nonzero(obtuse_corner) > (3 * ntri) // 2:
-        warnings.warn("mesh is obtuse-dominated; curvature quadrature weights are crude", stacklevel=2)
     total = float(np.sqrt(np.sum(areas[interior] * h[interior] ** 2)))
-    return CurvatureReport(h_norm=h, vertex_areas=areas, boundary_mask=boundary, total=total)
+    h, areas, boundary = _kept(h), _kept(areas), _kept(boundary)
+    obtuse_dominated = bool(ntri) and np.count_nonzero(obtuse_corner) > (3 * ntri) // 2
+    return CurvatureReport(h_norm=h, vertex_areas=areas, boundary_mask=boundary, total=total), obtuse_dominated
 
 
 def total_mean_curvature(mesh: TriMesh) -> float:

@@ -11,6 +11,10 @@ Closed surfaces are refused by the curvature-bounded verifiers: a surface
 admissible for the rearrangement inequality must have nonempty boundary,
 and the total-curvature precondition TC <= K < 1/C is checked against the
 measured discrete curvature, not against trust in the caller.
+
+Checks on one (mesh, field) pair share its work: the mesh keeps its
+curvature and the field its rearranged profiles, while sample sets are
+drawn again for each check.
 """
 
 from __future__ import annotations
@@ -209,8 +213,14 @@ def _check_inputs(mesh, f, K, choice, subdivision, tolerance) -> float:
 
 
 def _rearranged_profile(mesh, f, subdivision, target) -> RadialProfile:
-    dmf = sample_field(mesh, f, subdivision)
-    return rearrange(dmf, target, Interpolation.PIECEWISE_LINEAR)
+    """Piecewise-linear rearrangement of f's samples, kept read-only on f per (mesh, subdivision, target)."""
+    kept = f._profiles.get((subdivision, target))
+    if kept is None or kept[0] is not mesh:
+        profile = rearrange(sample_field(mesh, f, subdivision), target, Interpolation.PIECEWISE_LINEAR)
+        profile.radii.setflags(write=False)
+        profile.values.setflags(write=False)
+        kept = f._profiles[subdivision, target] = (mesh, profile)
+    return kept[1]
 
 
 # ---------------------------------------------------------------------------
@@ -527,7 +537,13 @@ def verify_log_sobolev(
         raise ZeroField("cannot normalize a zero field")
     v = dmf.values / c
     pos = v > 0
-    lhs = float(np.sum(dmf.weights[pos] * v[pos] ** p * p * np.log(v[pos])))
+    v = v[pos]
+    # w v^p p log v over the positive samples, in place to hold one sample-sized temporary
+    terms = v**p
+    terms *= dmf.weights[pos]
+    terms *= p
+    terms *= np.log(v, out=v)
+    lhs = float(np.sum(terms))
     energy = p1_gradient_lp(mesh, f, p) / c**p
     rhs = (2.0 / p) * math.log(const.log_sobolev_constant(2, p) * energy)
     tol = default_tolerance(subdivision) if tolerance is None else tolerance
@@ -673,8 +689,7 @@ def verify_monotonicity_principle(
     """
     tol = _check_inputs(mesh, f, K, choice, subdivision, tolerance)
     ps = const.ps_constant(2, K, choice)
-    dmf = sample_field(mesh, f, subdivision)
-    profile = rearrange(dmf, lebesgue(2), Interpolation.PIECEWISE_LINEAR)
+    profile = _rearranged_profile(mesh, f, subdivision, lebesgue(2))
     # Euclidean hypothesis on v = u*
     hyp_lhs = spec.L(_radial_integral(profile, spec.f), _profile_gradient_powers(profile, spec.g_terms))
     hyp_rhs = spec.lam(
@@ -692,6 +707,7 @@ def verify_monotonicity_principle(
             notes="Euclidean hypothesis fails for the rearranged profile; claim is vacuous",
         )
     # transferred claim on the surface, gradients scaled by PS
+    dmf = sample_field(mesh, f, subdivision)
     f_int = float(np.sum(dmf.weights * spec.f(dmf.values)))
     phi_int = float(np.sum(dmf.weights * spec.phi(dmf.values)))
     g_int = sum(b * ps**e * p1_gradient_lp(mesh, f, e) for b, e in spec.g_terms)

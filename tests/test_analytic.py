@@ -133,6 +133,17 @@ class TestSurfaceGenerators:
         assert np.array_equal(mesh.triangles, faces)
         np.testing.assert_allclose(mesh.vertices, verts, rtol=0, atol=1e-15)
 
+    def test_sphere_built_once_per_arguments(self):
+        mesh = analytic.make_sphere(3)
+        assert analytic.make_sphere(3) is mesh
+        assert analytic.make_sphere(subdiv=3, radius=1.0) is mesh
+        assert analytic.make_sphere(3, radius=2.0) is not mesh
+        verts, faces = _loop_icosphere(3)
+        assert np.array_equal(mesh.triangles, faces)
+        np.testing.assert_allclose(mesh.vertices, verts, rtol=0, atol=1e-15)
+        with pytest.raises(ValueError, match="read-only"):
+            mesh.vertices[0, 0] = 0.0
+
     def test_sphere_area(self):
         mesh = analytic.make_sphere(4)
         assert hausdorff_measure(mesh) == pytest.approx(4.0 * math.pi, rel=5e-3)

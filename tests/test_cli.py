@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -10,12 +11,17 @@ import pytest
 import psilab
 from psilab import analytic
 from psilab import constants as const
+from psilab import cli
+from psilab import mesh as mesh_module
 from psilab import verify as v
 from psilab.cli import dispatch
 from psilab.errors import ComplexValued
-from psilab.mesh import VertexField, load_mesh
+from psilab.mesh import TriMesh, VertexField, load_mesh, mean_curvature
 
 from conftest import boundary_vanishing_field, mesh_to_off
+
+
+INV_C = "3.544907701811032"  # 1/C for Brendle's constant at n = 2, as the refusal prints it
 
 
 @pytest.fixture(scope="module")
@@ -180,8 +186,18 @@ class TestVerifyCommand:
             ("mono", ["--preset", "bogus"], "unknown preset 'bogus'"),
             ("mono", ["--preset", "p-sobolev", "--p", "2.5"], "p-sobolev preset needs 1 < p < n"),
             ("gn", ["--p", "1.5"], "gn check requires --q"),
+            *[
+                (check, ["--p", "1.5", "--q", "2.5", "--K", "5"], f"K = 5.0 is not in [0, 1/C) with 1/C = {INV_C}")
+                for check in ("ps", "model", "iso", "sobolev", "gn", "spectral", "mono")
+            ],
+            ("model", ["--K", "-1"], f"K = -1.0 is not in [0, 1/C) with 1/C = {INV_C}"),
+            ("gn", ["--reading", "literal", "--p", "1.5", "--q", "2.5"],
+             "EGN numerator: gamma(-2.5) < 0 under a fractional power"),
+            ("gn", ["--reading", "literal", "--p", "1.5", "--q", "2"], "EGN numerator: gamma pole at argument -2.0"),
         ],
-        ids=["iso-ps", "iso-iso", "preset", "preset-p", "gn-q"],
+        ids=["iso-ps", "iso-iso", "preset", "preset-p", "gn-q",
+             *[f"K-{c}" for c in ("ps", "model", "iso", "sobolev", "gn", "spectral", "mono")],
+             "K-negative", "egn-complex", "egn-pole"],
     )
     def test_bad_arguments_refused_before_the_files_are_read(self, check, args, message, capsys):
         argv = ["verify", check, "--mesh", "/nonexistent/m.off", "--field", "/nonexistent/f.csv", *args]
@@ -357,3 +373,186 @@ def test_module_entry_point_runs_main():
     assert ok.returncode == 0
     assert json.loads(ok.stdout)["PS"] == 1.0
     assert subprocess.run(run, env=env, capture_output=True).returncode == 2
+
+
+# the nine checks on a field that vanishes on the boundary, as (check, arguments after --field)
+NINE_CHECKS = [
+    ("ps", ["--p", "1.5"]), ("model", []), ("iso", []), ("sobolev", ["--p", "1.5"]),
+    ("gn", ["--p", "1.5", "--q", "2.5"]), ("spectral", []), ("logsob", ["--p", "1.5"]), ("ms1", []), ("mono", []),
+]
+
+# dispatches the argv lists of argv[1] in one process and prints [exit code, stdout, stderr] of each;
+# with argv[2] == "forget" every input is built again for every dispatch
+DISPATCH_SCRIPT = r"""
+import io, json, sys
+from psilab import cli
+
+records = []
+for argv in json.loads(sys.argv[1]):
+    if sys.argv[2] == "forget":
+        cli._kept_meshes.clear()
+    out, err = io.StringIO(), io.StringIO()
+    sys.stdout, sys.stderr = out, err
+    try:
+        code = cli.dispatch(argv)
+    finally:
+        sys.stdout, sys.stderr = sys.__stdout__, sys.__stderr__
+    records.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(records))
+"""
+
+
+def _counted(monkeypatch, owner, name):
+    """Replace owner.name by a wrapper that records each call; returns the list of calls."""
+    calls = []
+    real = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+@pytest.fixture
+def no_kept_inputs(monkeypatch):
+    monkeypatch.setattr(cli, "_kept_meshes", OrderedDict())
+    return cli._kept_meshes
+
+
+class TestVerifyKeepsInputs:
+    @pytest.fixture(scope="class")
+    def odd_meshes(self, tmp_path_factory):
+        """A disconnected mesh and one squashed until nearly every triangle is obtuse, each with a hat field."""
+        base = tmp_path_factory.mktemp("odd")
+        disk = analytic.make_disk(1.0, 8)
+        r = np.hypot(disk.vertices[:, 0], disk.vertices[:, 1])
+        nv = len(disk.vertices)
+        with pytest.warns(UserWarning, match="not connected"):
+            two = TriMesh(np.vstack([disk.vertices, disk.vertices + [3.0, 0.0, 0.0]]),
+                          np.vstack([disk.triangles, disk.triangles + nv]))
+        squashed = TriMesh(disk.vertices * [1.0, 0.1, 1.0], disk.triangles)
+        paths = []
+        for name, mesh, values in (("two", two, np.tile(1.0 - r, 2)), ("squashed", squashed, 1.0 - r)):
+            (base / f"{name}.off").write_text(mesh_to_off(mesh))
+            (base / f"{name}.csv").write_text(boundary_vanishing_field(mesh, values).to_csv())
+            paths.append((str(base / f"{name}.off"), str(base / f"{name}.csv")))
+        return paths
+
+    @pytest.mark.parametrize("flags", [[], ["-W", "always"]], ids=["default-filter", "always"])
+    def test_twice_in_one_process_as_if_built_each_time(self, odd_meshes, flags):
+        argvs = [
+            ["verify", check, "--mesh", mesh, "--field", field, *args, "--format", fmt]
+            for mesh, field in odd_meshes
+            for check, args in NINE_CHECKS
+            for fmt in ("json", "csv")
+            for _ in range(2)
+        ]
+        # a refusal after the files are read, then the no-field check
+        argvs += [argvs[0] + ["--subdivision", "-1"], *argvs[:4], *[["verify", "iso", "--mesh", odd_meshes[0][0]]] * 2]
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(psilab.__file__))
+
+        def run(mode):
+            cmd = [sys.executable, *flags, "-c", DISPATCH_SCRIPT, json.dumps(argvs), mode]
+            done = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=300)
+            assert done.returncode == 0, done.stderr
+            return json.loads(done.stdout)
+
+        kept, built = run("keep"), run("forget")
+        assert kept == built
+        warned = sum("mesh is not connected" in err for _, _, err in kept)
+        # -W always warns on every dispatch on the disconnected mesh; the default filter only
+        # after a field read reset the registry, so the two no-field dispatches at the end warn once
+        assert warned == (43 if flags else 42)
+        assert {code for code, _, _ in kept} >= {0, 2}
+
+    def test_each_input_built_once(self, disk_files, no_kept_inputs, monkeypatch, capsys):
+        mesh_path, field_path, _ = disk_files
+        loads = _counted(monkeypatch, cli, "load_mesh")
+        validations = _counted(monkeypatch, TriMesh, "_validate")
+        reads = _counted(monkeypatch, mesh_module, "read_table")
+        curvatures = _counted(monkeypatch, mesh_module, "_curvature_report")
+        rearranged = _counted(monkeypatch, v, "rearrange")
+        for _ in range(2):
+            for check, args in NINE_CHECKS:
+                for fmt in ("json", "csv"):
+                    assert dispatch(["verify", check, "--mesh", mesh_path, "--field", field_path, *args,
+                                     "--format", fmt]) == 0
+        assert (len(loads), len(validations), len(reads), len(curvatures)) == (1, 1, 1, 1)
+        # ps, ms1 and mono share the Lebesgue profile, model has its own target
+        assert sorted(args[1].kind.value for args in rearranged) == ["lebesgue", "model"]
+        capsys.readouterr()
+
+    def test_same_size_and_mtime_but_other_bytes_is_a_miss(self, tmp_path, no_kept_inputs, monkeypatch, capsys):
+        path = tmp_path / "tri.off"
+        path.write_text("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n")
+        stamp = path.stat().st_mtime_ns
+        loads = _counted(monkeypatch, cli, "load_mesh")
+        assert dispatch(["verify", "iso", "--mesh", str(path)]) == 0
+        area = json.loads(capsys.readouterr().out)[0]["lhs"] ** 2
+        path.write_text("OFF\n3 1 0\n0 0 0\n2 0 0\n0 1 0\n3 0 1 2\n")
+        os.utime(path, ns=(stamp, stamp))
+        assert dispatch(["verify", "iso", "--mesh", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)[0]["lhs"] ** 2 == pytest.approx(2.0 * area)
+        assert len(loads) == 2
+
+    def test_errors_are_not_kept(self, disk_files, tmp_path, no_kept_inputs, monkeypatch, capsys):
+        mesh_path, _, _ = disk_files
+        bad_mesh = tmp_path / "bad.off"
+        bad_mesh.write_text("OFF\n3 1 0\n0 0 0\nnan 0 0\n0 1 0\n3 0 1 2\n")
+        bad_field = tmp_path / "bad.csv"
+        bad_field.write_text("vertex_index,value\n-1,1.0\n")
+        loads = _counted(monkeypatch, cli, "load_mesh")
+        reads = _counted(monkeypatch, mesh_module, "read_table")
+        for _ in range(2):
+            assert dispatch(["verify", "iso", "--mesh", str(bad_mesh)]) == 2
+            assert dispatch(["verify", "ps", "--mesh", mesh_path, "--field", str(bad_field)]) == 2
+        assert capsys.readouterr().err.count("out of range") == 2
+        assert len(loads) == 3 and len(reads) == 2  # the bad mesh twice, the good one once
+        ((_, fields),) = no_kept_inputs.values()
+        assert not fields
+
+    def test_bounded(self, tmp_path, no_kept_inputs, capsys):
+        disk = analytic.make_disk(1.0, 4)
+        for k in range(cli._KEPT_INPUTS + 3):
+            mesh_path = tmp_path / f"disk{k}.off"
+            mesh_path.write_text(mesh_to_off(TriMesh(disk.vertices * (1.0 + k), disk.triangles)))
+            field_path = tmp_path / f"field{k}.csv"
+            field_path.write_text(VertexField(np.full(len(disk.vertices), 1.0 + k)).to_csv())
+            for mesh in (mesh_path, tmp_path / "disk0.off"):
+                assert dispatch(["verify", "ms1", "--mesh", str(mesh), "--field", str(field_path)]) in (0, 1)
+                assert len(no_kept_inputs) <= cli._KEPT_INPUTS
+                assert all(len(fields) <= cli._KEPT_INPUTS for _, fields in no_kept_inputs.values())
+        assert len(no_kept_inputs) == cli._KEPT_INPUTS
+        # disk0 is used every other dispatch, so it is never the least recently used
+        assert no_kept_inputs[next(reversed(no_kept_inputs))][0].vertices[1, 0] == disk.vertices[1, 0]
+        capsys.readouterr()
+
+    def test_mesh_from_a_pipe(self, disk_files):
+        mesh_path, _, _ = disk_files
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(psilab.__file__))}
+        with open(mesh_path) as fh:
+            text = fh.read()
+        cmd = [sys.executable, "-m", "psilab.cli", "verify", "iso", "--mesh", "/dev/stdin"]
+        done = subprocess.run(cmd, input=text, env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout)[0]["inequality_id"] == "Isoperimetric"
+
+    def test_kept_arrays_are_read_only(self, disk_files, no_kept_inputs, capsys):
+        mesh_path, field_path, _ = disk_files
+        for check in ("iso", "ms1", "model"):
+            assert dispatch(["verify", check, "--mesh", mesh_path, "--field", field_path]) == 0
+        ((mesh, fields),) = no_kept_inputs.values()
+        (field,) = fields.values()
+        curvature = mean_curvature(mesh)
+        arrays = [mesh.vertices, mesh.triangles, field.values, curvature.h_norm, curvature.vertex_areas,
+                  curvature.boundary_mask]
+        for _, profile in field._profiles.values():
+            arrays += [profile.radii, profile.values]
+        assert len(arrays) == 10
+        for arr in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = arr[0]
+        capsys.readouterr()

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from psilab import analytic
 from psilab import constants as const
+from psilab import mesh as mesh_module
 from psilab import verify
 from psilab.errors import DegenerateTriangle, MeshParseError, NonManifoldMesh
 from psilab.mesh import (
@@ -153,6 +154,25 @@ class TestMeshValidation:
         for arr in (disk32.triangle_areas(), disk32.boundary_edges(), disk32.boundary_vertices()):
             with pytest.raises(ValueError):
                 arr[0] = 0
+
+    def test_inputs_are_read_only_views(self):
+        vertices, triangles, values = np.eye(3), np.array([[0, 1, 2]]), np.ones(3)
+        mesh = TriMesh(vertices, triangles)
+        field = VertexField(values, mesh=mesh)
+        for kept, own in ((mesh.vertices, vertices), (mesh.triangles, triangles), (field.values, values)):
+            assert np.shares_memory(kept, own)
+            assert own.flags.writeable  # the caller's array keeps its flags
+            with pytest.raises(ValueError, match="read-only"):
+                kept[0] = kept[0]
+
+    def test_curvature_measured_once(self, disk32, monkeypatch):
+        mesh = TriMesh(disk32.vertices, disk32.triangles)
+        calls = []
+        real = mesh_module._curvature_report
+        monkeypatch.setattr(mesh_module, "_curvature_report", lambda m: calls.append(m) or real(m))
+        first = mean_curvature(mesh)
+        assert mean_curvature(mesh) is first and total_mean_curvature(mesh) == first.total
+        assert calls == [mesh]
 
 
 def _grid(n):
