@@ -90,21 +90,17 @@ _kept_meshes: OrderedDict = OrderedDict()  # BLAKE2b digest of a mesh file -> (T
 
 
 def _read_kept(kept: OrderedDict, path: str, build):
-    """(``build`` of the file's text stream, False), or (the value kept for the same bytes, True).
-
-    The file is read and hashed on every call; a value is kept once ``build`` returns, and
-    the least recently used one is dropped beyond ``_KEPT_INPUTS``.
-    """
+    """(``build`` of the file's text, False), or (the value kept for the same bytes, True). The file
+    is read once and hashed on every call; a value is kept once ``build`` returns, and the least
+    recently used one is dropped beyond ``_KEPT_INPUTS``."""
     with open(path, "rb") as raw:
         data = raw.read()
-        key = hashlib.blake2b(data).digest()
-        if key in kept:
-            kept.move_to_end(key)
-            return kept[key], True
-        if raw.seekable():  # build reads the open file again; a pipe, from the bytes already read
-            raw.seek(0)
-        with io.TextIOWrapper(raw if raw.seekable() else io.BytesIO(data)) as text:
-            value = build(text)
+    key = hashlib.blake2b(data).digest()
+    if key in kept:
+        kept.move_to_end(key)
+        return kept[key], True
+    with io.TextIOWrapper(io.BytesIO(data)) as text:
+        value = build(text)
     kept[key] = value
     if len(kept) > _KEPT_INPUTS:
         kept.popitem(last=False)

@@ -56,19 +56,18 @@ class TriMesh:
     Validation runs at construction: coordinates are finite, every edge is
     shared by at most two triangles with opposite directions (consistent
     orientation), triangles are non-degenerate, and a disconnected mesh
-    only warns. ``vertices`` and ``triangles`` are read-only views (the
-    caller's arrays keep their flags, but must not change either). The
-    edge Gram entries and areas of the triangles and the boundary found on
-    the way are kept as read-only arrays, and so is the curvature once
-    ``mean_curvature`` has measured it.
+    only warns. ``vertices`` and ``triangles`` are read-only (a writable
+    array is copied, a read-only one taken as never changing), and so are
+    the edge Gram entries, areas and boundary found on the way and the
+    curvature once ``mean_curvature`` has measured it.
     """
 
     vertices: np.ndarray
     triangles: np.ndarray
 
     def __post_init__(self):
-        vertices = np.asarray(self.vertices, dtype=float)
-        triangles = np.asarray(self.triangles, dtype=int)
+        self.vertices = vertices = _frozen(self.vertices, float)
+        self.triangles = triangles = _frozen(self.triangles, int)
         if vertices.ndim != 2 or vertices.shape[1] < 3:
             raise ValueError("vertices must be an (N, d) array with d >= 3")
         if not np.isfinite(vertices).all():
@@ -77,9 +76,6 @@ class TriMesh:
             raise ValueError("triangles must be an (M, 3) index array")
         if triangles.size and (triangles.min() < 0 or triangles.max() >= len(vertices)):
             raise ValueError("triangle index out of range")
-        self.vertices, self.triangles = vertices.view(), triangles.view()
-        self.vertices.setflags(write=False)
-        self.triangles.setflags(write=False)
         self._curvature = None  # (CurvatureReport, obtuse-dominated), from the first mean_curvature
         self._warned = []  # warn_explicit arguments of the warnings construction issued
         self._validate()
@@ -144,15 +140,23 @@ class TriMesh:
         return not len(self._boundary_edges)
 
 
-def _kept(a: np.ndarray) -> np.ndarray:
-    """``a`` made read-only for keeping, one of 64 KiB or more first copied into an anonymous mapping
-    of its own: kept inside the malloc heap, it would pin the freed sample-sized arrays below it."""
+def _kept(a: np.ndarray, copy: bool = False) -> np.ndarray:
+    """``a`` made read-only for keeping (a copy, if ``copy``), one of 64 KiB or more copied into an anonymous
+    mapping of its own: kept inside the malloc heap, it would pin the freed sample-sized arrays below it."""
     if a.nbytes >= 1 << 16:
         own = np.frombuffer(mmap.mmap(-1, a.nbytes), a.dtype, a.size).reshape(a.shape)
         own[...] = a
         a = own
+    elif copy:
+        a = a.copy()
     a.setflags(write=False)
     return a
+
+
+def _frozen(a, dtype) -> np.ndarray:
+    """``a`` as a read-only ``dtype`` array, a copy if ``a`` is writable (its owner may change it)."""
+    a = np.asarray(a, dtype=dtype)
+    return _kept(a, copy=True) if a.flags.writeable else a
 
 
 def _warn(message: str, stacklevel: int) -> tuple:
@@ -253,8 +257,8 @@ def _require_boundary_vanishing(mesh: TriMesh, values: np.ndarray):
 
 @dataclass
 class VertexField:
-    """Nonnegative P1 scalar field given by its vertex values, a read-only view
-    (the caller's array keeps its flags, but must not change either).
+    """Nonnegative P1 scalar field given by its vertex values, read-only like
+    a mesh's arrays (a writable array is copied, a read-only one kept as it is).
 
     When ``compactly_supported`` is set, construction insists the field
     vanish on every boundary vertex of the attached mesh.
@@ -265,7 +269,7 @@ class VertexField:
     mesh: TriMesh | None = None
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
+        self.values = values = _frozen(self.values, float)
         if values.ndim != 1:
             raise ValueError("field values must be a 1-d array")
         if not np.isfinite(values).all():
@@ -276,8 +280,6 @@ class VertexField:
             raise ValueError("field length does not match vertex count")
         if self.compactly_supported and self.mesh is not None:
             _require_boundary_vanishing(self.mesh, values)
-        self.values = values.view()
-        self.values.setflags(write=False)
         self._profiles = {}  # (subdivision, target) -> (mesh, rearranged profile), see verify
 
     @classmethod
@@ -368,10 +370,8 @@ def mean_curvature(mesh: TriMesh) -> CurvatureReport:
     the half / quarter split on obtuse ones), which keeps |H| pointwise
     accurate at irregular vertices where flat 1/3 areas plateau at a few
     percent error. The obtuse-fan warning fires when more than half of the
-    corner angles are obtuse.
-
-    The report is measured on the first call and kept on the mesh, with
-    read-only arrays; every call issues the warning again.
+    corner angles are obtuse, on every call; the report, with read-only
+    arrays, is measured on the first call and kept on the mesh.
     """
     if mesh._curvature is None:
         mesh._curvature = _curvature_report(mesh)

@@ -14,7 +14,7 @@ measured discrete curvature, not against trust in the caller.
 
 Checks on one (mesh, field) pair share its work: the mesh keeps its
 curvature and the field its rearranged profiles, while sample sets are
-drawn again for each check.
+drawn once per check.
 """
 
 from __future__ import annotations
@@ -212,11 +212,13 @@ def _check_inputs(mesh, f, K, choice, subdivision, tolerance) -> float:
     return default_tolerance(subdivision) if tolerance is None else tolerance
 
 
-def _rearranged_profile(mesh, f, subdivision, target) -> RadialProfile:
-    """Piecewise-linear rearrangement of f's samples, kept read-only on f per (mesh, subdivision, target)."""
+def _rearranged_profile(mesh, f, subdivision, target, samples=None) -> RadialProfile:
+    """Piecewise-linear rearrangement of f's samples (``samples`` if drawn), kept read-only on f per (mesh,
+    subdivision, target)."""
     kept = f._profiles.get((subdivision, target))
     if kept is None or kept[0] is not mesh:
-        profile = rearrange(sample_field(mesh, f, subdivision), target, Interpolation.PIECEWISE_LINEAR)
+        samples = sample_field(mesh, f, subdivision) if samples is None else samples
+        profile = rearrange(samples, target, Interpolation.PIECEWISE_LINEAR)
         profile.radii.setflags(write=False)
         profile.values.setflags(write=False)
         kept = f._profiles[subdivision, target] = (mesh, profile)
@@ -689,7 +691,8 @@ def verify_monotonicity_principle(
     """
     tol = _check_inputs(mesh, f, K, choice, subdivision, tolerance)
     ps = const.ps_constant(2, K, choice)
-    profile = _rearranged_profile(mesh, f, subdivision, lebesgue(2))
+    dmf = sample_field(mesh, f, subdivision)  # the profile's samples too, when it is not kept
+    profile = _rearranged_profile(mesh, f, subdivision, lebesgue(2), dmf)
     # Euclidean hypothesis on v = u*
     hyp_lhs = spec.L(_radial_integral(profile, spec.f), _profile_gradient_powers(profile, spec.g_terms))
     hyp_rhs = spec.lam(
@@ -707,7 +710,6 @@ def verify_monotonicity_principle(
             notes="Euclidean hypothesis fails for the rearranged profile; claim is vacuous",
         )
     # transferred claim on the surface, gradients scaled by PS
-    dmf = sample_field(mesh, f, subdivision)
     f_int = float(np.sum(dmf.weights * spec.f(dmf.values)))
     phi_int = float(np.sum(dmf.weights * spec.phi(dmf.values)))
     g_int = sum(b * ps**e * p1_gradient_lp(mesh, f, e) for b, e in spec.g_terms)

@@ -485,6 +485,14 @@ class TestVerifyKeepsInputs:
         assert sorted(args[1].kind.value for args in rearranged) == ["lebesgue", "model"]
         capsys.readouterr()
 
+    def test_mono_draws_its_samples_once(self, disk_files, no_kept_inputs, monkeypatch, capsys):
+        mesh_path, field_path, _ = disk_files
+        draws = _counted(monkeypatch, v, "sample_field")
+        for kept_before in (0, 1):  # building the profile, then with the profile kept
+            assert dispatch(["verify", "mono", "--mesh", mesh_path, "--field", field_path]) == 0
+            assert not json.loads(capsys.readouterr().out)[0]["vacuous"]
+            assert len(draws) == 1 + kept_before
+
     def test_same_size_and_mtime_but_other_bytes_is_a_miss(self, tmp_path, no_kept_inputs, monkeypatch, capsys):
         path = tmp_path / "tri.off"
         path.write_text("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n")

@@ -155,15 +155,37 @@ class TestMeshValidation:
             with pytest.raises(ValueError):
                 arr[0] = 0
 
-    def test_inputs_are_read_only_views(self):
+    @pytest.mark.parametrize("writeable", [True, False], ids=["writable", "read-only"])
+    def test_inputs_are_read_only(self, writeable):
         vertices, triangles, values = np.eye(3), np.array([[0, 1, 2]]), np.ones(3)
+        for own in (vertices, triangles, values):
+            own.setflags(write=writeable)
         mesh = TriMesh(vertices, triangles)
         field = VertexField(values, mesh=mesh)
         for kept, own in ((mesh.vertices, vertices), (mesh.triangles, triangles), (field.values, values)):
-            assert np.shares_memory(kept, own)
-            assert own.flags.writeable  # the caller's array keeps its flags
+            # a writable array is copied, so the caller cannot change it under the mesh; a read-only one is kept
+            assert (kept is own) != writeable and np.array_equal(kept, own)
+            assert own.flags.writeable == writeable  # the caller's array keeps its flags
             with pytest.raises(ValueError, match="read-only"):
                 kept[0] = kept[0]
+
+    def test_changing_the_callers_arrays_changes_no_kept_result(self, disk32, disk_hat):
+        vertices, values = disk32.vertices.copy(), disk_hat.values.copy()
+        mesh = TriMesh(vertices, disk32.triangles)
+        field = VertexField(values, mesh=mesh)
+        choice = const.brendle(1)
+        first = verify.verify_polya_szego(mesh, field, 1.5, 0.0, choice)
+        areas = mean_curvature(mesh).vertex_areas.copy()
+        vertices[:, 0] *= 2.0  # stretch the caller's copy of the disk
+        values *= values  # and square the caller's copy of the field
+        # the kept profile and curvature still describe the mesh and field as built
+        assert verify.verify_polya_szego(mesh, field, 1.5, 0.0, choice).as_dict() == first.as_dict()
+        assert np.array_equal(mean_curvature(mesh).vertex_areas, areas)
+        # built again from the changed arrays, both sides see the changes
+        stretched = TriMesh(vertices, disk32.triangles)
+        again = verify.verify_polya_szego(stretched, VertexField(values, mesh=stretched), 1.5, 0.0, choice)
+        assert again.lhs != first.lhs and again.rhs != first.rhs
+        assert mean_curvature(stretched).vertex_areas.sum() == pytest.approx(2.0 * areas.sum())
 
     def test_curvature_measured_once(self, disk32, monkeypatch):
         mesh = TriMesh(disk32.vertices, disk32.triangles)
