@@ -1,16 +1,16 @@
 """CSV tables of numbers: a header line of column names, then one row per item.
 
-Reading checks the header and parses the body with one ``np.loadtxt`` call
-straight from the stream (a stream that cannot seek, such as a pipe, is read
-into memory first); only when numpy refuses the body is it read again as
-lines, to name the first bad one. Writing formats rows from ``.tolist()``
-columns, floats as the ``repr`` that reads back bit for bit.
+Reading checks the header, steps over blank lines to the first row and
+parses the rest with one ``np.loadtxt`` call straight from the stream (a
+stream that cannot seek, such as a pipe, is read into memory first); only
+when numpy refuses the body are its non-blank lines bisected to name the
+first bad one. Writing formats rows from ``.tolist()`` columns, floats as
+the ``repr`` that reads back bit for bit.
 """
 
 from __future__ import annotations
 
 import io
-import warnings
 
 import numpy as np
 
@@ -48,21 +48,24 @@ def read_table(source, header: str, dtypes=(float, float)) -> list[np.ndarray]:
     found = (first.decode() if isinstance(first, bytes) else first).split(",")[: len(names)]
     if [h.strip().lower() for h in found] != names:
         raise ValueError(f"expected CSV header {header!r}")
-    body_start = stream.tell()
+    body_start = first_row = stream.tell()
+    while (line := stream.readline()) in ("\n", "\r\n", b"\n", b"\r\n"):  # the lines loadtxt skips
+        first_row = stream.tell()
+    if not line:  # a header-only table, or a run of blank lines, is just empty; loadtxt would warn
+        return [np.empty(0, dtype) for dtype in dtypes]
+    stream.seek(first_row)
     dtype = list(zip(names, dtypes))
 
     def parse(src):
         return np.loadtxt(src, delimiter=",", usecols=range(len(names)), dtype=dtype, comments=None, ndmin=1)
 
-    with warnings.catch_warnings():  # a header-only table, or a run of blank lines, is just empty
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-        try:
-            rows = parse(stream)
-        except ValueError:
-            stream.seek(body_start)
-            lines = read_text(stream).splitlines()
-            k = first_bad_row(lines, parse)
-            raise ValueError(f"line {k + 2}: expected {header} numbers, got {lines[k].strip()!r}") from None
+    try:
+        rows = parse(stream)
+    except ValueError:
+        stream.seek(body_start)
+        numbered = [(k, line) for k, line in enumerate(read_text(stream).splitlines(), start=2) if line]
+        k, line = numbered[first_bad_row([line for _, line in numbered], parse)]
+        raise ValueError(f"line {k}: expected {header} numbers, got {line.strip()!r}") from None
     return [np.ascontiguousarray(rows[name]) for name in names]
 
 

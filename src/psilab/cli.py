@@ -8,9 +8,10 @@ family. Exit code 0 means success with every check passing, 1 means at
 least one verification failed, and 2 means a usage or domain error.
 
 ``verify`` refuses bad arguments before it reads a file, and keeps what it
-built between ``dispatch`` calls of one process: up to eight
-meshes, each with up to eight fields, keyed by the BLAKE2b digest of the
-file bytes, so an edited file is a miss; an input that failed is not kept.
+built between ``dispatch`` calls of one process: up to eight meshes, each
+with up to eight fields, keyed by the BLAKE2b digest of the file bytes, so
+an edited file is a miss; an input that failed is not kept, and a kept
+disconnected mesh warns again on each use.
 
 The defaults prefer the corrected readings of the misprint-suspect
 constants and the trace convention for the sphere's total curvature; the
@@ -27,7 +28,6 @@ import io
 import json
 import math
 import sys
-import warnings
 from collections import OrderedDict
 
 import numpy as np
@@ -43,9 +43,10 @@ from .measure_space import (
     model_space,
     rearrange,
 )
-from .mesh import TriMesh, VertexField, load_mesh, mean_curvature, sample_field
+from .mesh import TriMesh, VertexField, _warn_if_disconnected, load_mesh, mean_curvature, sample_field
 from .verify import (
     _require_k_range,
+    _require_p_range,
     monotone_preset,
     reports_to_csv,
     verify_gn,
@@ -234,6 +235,15 @@ def _k_range(args, choice):
     _require_k_range(args.K, choice)
 
 
+def _sobolev_p(args, choice):
+    _require_p_range(args.p)
+    _require_k_range(args.K, choice)
+
+
+def _logsob_p(args, choice):
+    _require_p_range(args.p)
+
+
 def _gn_q(args, choice) -> float:
     if args.q is None:
         raise ValueError("gn check requires --q")
@@ -249,14 +259,18 @@ def _mono_spec(args, choice):
 
 
 # check name -> (needs --field, own(args, iso choice) or None, adapter(args, mesh, field, iso choice, own,
-# keywords)). own refuses the check's bad arguments (K outside [0, 1/C) too, where the check
-# bounds K) and builds its own argument before any file is read. The adapters look their verifier
+# keywords)). own refuses the check's bad arguments (p and K out of range too, where the check bounds
+# them) and builds its own argument before any file is read. The adapters look their verifier
 # up as a module attribute at call time, so a rebound attribute (a tracing wrapper, say) is what runs.
 _CHECKS = {
     "ps": (True, _k_range, lambda a, m, f, c, x, kw: [verify_polya_szego(m, f, a.p, a.K, c, **kw)]),
     "model": (True, _k_range, lambda a, m, f, c, x, kw: [verify_model_space_ps(m, f, a.p, a.K, c, **kw)]),
-    "iso": (False, _k_range, lambda a, m, f, c, x, kw: verify_isoperimetric(m, a.K, c, [np.arange(len(m.triangles))])),
-    "sobolev": (True, _k_range, lambda a, m, f, c, x, kw: [verify_p_sobolev(m, f, a.p, a.K, c, **kw)]),
+    "iso": (
+        False,
+        _k_range,
+        lambda a, m, f, c, x, kw: verify_isoperimetric(m, a.K, c, [np.arange(len(m.triangles))], a.tolerance),
+    ),
+    "sobolev": (True, _sobolev_p, lambda a, m, f, c, x, kw: [verify_p_sobolev(m, f, a.p, a.K, c, **kw)]),
     "gn": (
         True,
         _gn_q,
@@ -267,7 +281,7 @@ _CHECKS = {
         _k_range,
         lambda a, m, f, c, x, kw: [verify_spectral_gap(m, f, a.K, c, const.SpectralReading(a.reading), **kw)],
     ),
-    "logsob": (True, None, lambda a, m, f, c, x, kw: [verify_log_sobolev(m, a.p, f=f, **kw)]),
+    "logsob": (True, _logsob_p, lambda a, m, f, c, x, kw: [verify_log_sobolev(m, a.p, f=f, **kw)]),
     "ms1": (True, None, lambda a, m, f, c, x, kw: [verify_michael_simon_p1(m, f, c, **kw)]),
     "mono": (True, _mono_spec, lambda a, m, f, c, spec, kw: [verify_monotonicity_principle(m, f, spec, a.K, c, **kw)]),
 }
@@ -280,14 +294,11 @@ def _cmd_verify(args) -> int:
     choice = _parse_iso(args.iso)
     own_arg = own(args, choice) if own else None
     (mesh, fields), was_kept = _read_kept(_kept_meshes, args.mesh, lambda fh: (load_mesh(fh), OrderedDict()))
-    if was_kept:  # warn again what building it warned, from the same line
-        for site in mesh._warned:
-            warnings.warn_explicit(*site)
+    if was_kept:  # warn as building it did
+        _warn_if_disconnected(mesh)
     field = None
     if args.field:
-        # reading a field forgets which warnings were shown (read_table's catch_warnings); a kept one too
-        with warnings.catch_warnings():
-            field, _ = _read_kept(fields, args.field, lambda fh: VertexField.from_csv(fh, mesh))
+        field, _ = _read_kept(fields, args.field, lambda fh: VertexField.from_csv(fh, mesh))
     kw = dict(subdivision=args.subdivision, tolerance=args.tolerance)
     reports = run_check(args, mesh, field, choice, own_arg, kw)
     if args.format == "json":

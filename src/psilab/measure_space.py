@@ -223,7 +223,7 @@ class RadialProfile:
         """Target measure of {profile > t}."""
         if t < 0:
             raise ValueError("t must be >= 0")
-        tau = _generalized_inverse(self, t, strict=True)
+        tau = _generalized_inverse(self, t)
         return float(self.target.ball_volume(tau))
 
     def to_csv(self) -> str:
@@ -324,18 +324,13 @@ def rearrange(
     return RadialProfile(target, knot_r, knot_v, interpolation)
 
 
-def _generalized_inverse(profile: RadialProfile, t: float, *, strict: bool) -> float:
-    """Radius of the superlevel set {profile > t} (strict) or crossing radius."""
+def _generalized_inverse(profile: RadialProfile, t: float) -> float:
+    """Radius of the superlevel set {profile > t} (step) or crossing radius (linear)."""
     radii = profile.radii
     values = profile.values
     if profile.interpolation is Interpolation.RIGHT_CONTINUOUS_STEP:
-        if strict:
-            above = values > t
-        else:
-            above = values >= t
-        if not np.any(above):
-            return 0.0
-        return float(radii[np.max(np.nonzero(above)[0])])
+        above = np.flatnonzero(values > t)
+        return float(radii[above[-1]]) if above.size else 0.0
     # piecewise linear: find the last crossing of level t
     if t >= values[0]:
         return 0.0
@@ -358,7 +353,7 @@ def profile_inverse_tau(profile: RadialProfile, t: float) -> float:
     """
     if not 0 < t < profile.max_value():
         raise ValueError(f"t must lie in (0, {profile.max_value()}), got {t}")
-    return _generalized_inverse(profile, t, strict=True)
+    return _generalized_inverse(profile, t)
 
 
 # Gauss-Legendre rule reused for every linear-profile segment. Degree 47

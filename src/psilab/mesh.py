@@ -24,7 +24,6 @@ from __future__ import annotations
 import functools
 import json
 import mmap
-import sys
 import warnings
 from dataclasses import dataclass, field
 
@@ -76,9 +75,9 @@ class TriMesh:
             raise ValueError("triangles must be an (M, 3) index array")
         if triangles.size and (triangles.min() < 0 or triangles.max() >= len(vertices)):
             raise ValueError("triangle index out of range")
-        self._curvature = None  # (CurvatureReport, obtuse-dominated), from the first mean_curvature
-        self._warned = []  # warn_explicit arguments of the warnings construction issued
+        self._curvature = None  # the CurvatureReport of the first mean_curvature
         self._validate()
+        _warn_if_disconnected(self)
 
     def _validate(self):
         tri = self.triangles
@@ -114,8 +113,7 @@ class TriMesh:
         across = np.where(has_twin, order[pos] // 3, -1).astype(np.int32)  # kept: half the bytes of int64
         inner = np.flatnonzero(has_twin)
         adjacency = coo_matrix((np.ones(inner.size), (inner // 3, across[inner])), shape=(len(tri),) * 2)
-        if connected_components(adjacency, directed=False)[0] > 1:
-            self._warned.append(_warn("mesh is not connected", stacklevel=3))
+        self._disconnected = connected_components(adjacency, directed=False)[0] > 1
         edges = np.stack([src[~has_twin], dst[~has_twin]], axis=1)
         self._gram = tuple(map(_kept, gram))
         self._areas, self._across, self._boundary_edges = _kept(areas), _kept(across), _kept(edges)
@@ -159,15 +157,10 @@ def _frozen(a, dtype) -> np.ndarray:
     return _kept(a, copy=True) if a.flags.writeable else a
 
 
-def _warn(message: str, stacklevel: int) -> tuple:
-    """``warnings.warn(message, stacklevel=stacklevel)`` as issued by the caller; returns the
-    ``warnings.warn_explicit`` arguments that issue it again from the same line and registry."""
-    frame = sys._getframe(stacklevel)
-    scope = frame.f_globals
-    site = (message, UserWarning, frame.f_code.co_filename, frame.f_lineno, scope.get("__name__", "<string>"),
-            scope.setdefault("__warningregistry__", {}))
-    warnings.warn_explicit(*site)
-    return site
+def _warn_if_disconnected(mesh: TriMesh):
+    """Warn if ``mesh`` is not connected; built or kept, always from this line, so the default filter warns once."""
+    if mesh._disconnected:
+        warnings.warn("mesh is not connected")
 
 
 def _loadtxt(rows: list[str], cols: int, dtype) -> np.ndarray:
@@ -369,20 +362,16 @@ def mean_curvature(mesh: TriMesh) -> CurvatureReport:
     Voronoi vertex area (Voronoi cotangent pieces on non-obtuse triangles,
     the half / quarter split on obtuse ones), which keeps |H| pointwise
     accurate at irregular vertices where flat 1/3 areas plateau at a few
-    percent error. The obtuse-fan warning fires when more than half of the
-    corner angles are obtuse, on every call; the report, with read-only
-    arrays, is measured on the first call and kept on the mesh.
+    percent error. The report, with read-only arrays, is measured on the
+    first call and kept on the mesh.
     """
     if mesh._curvature is None:
         mesh._curvature = _curvature_report(mesh)
-    report, obtuse_dominated = mesh._curvature
-    if obtuse_dominated:
-        warnings.warn("mesh is obtuse-dominated; curvature quadrature weights are crude", stacklevel=2)
-    return report
+    return mesh._curvature
 
 
-def _curvature_report(mesh: TriMesh) -> tuple[CurvatureReport, bool]:
-    """The read-only ``mean_curvature`` report and whether the mesh is obtuse-dominated."""
+def _curvature_report(mesh: TriMesh) -> CurvatureReport:
+    """The read-only ``mean_curvature`` report."""
     v = mesh.vertices
     tri = mesh.triangles
     nvert = len(v)
@@ -429,9 +418,7 @@ def _curvature_report(mesh: TriMesh) -> tuple[CurvatureReport, bool]:
     interior = ~boundary & (areas > 0)
     h[interior] = np.linalg.norm(accum[interior], axis=1) / (2.0 * areas[interior])
     total = float(np.sqrt(np.sum(areas[interior] * h[interior] ** 2)))
-    h, areas, boundary = _kept(h), _kept(areas), _kept(boundary)
-    obtuse_dominated = bool(ntri) and np.count_nonzero(obtuse_corner) > (3 * ntri) // 2
-    return CurvatureReport(h_norm=h, vertex_areas=areas, boundary_mask=boundary, total=total), obtuse_dominated
+    return CurvatureReport(h_norm=_kept(h), vertex_areas=_kept(areas), boundary_mask=_kept(boundary), total=total)
 
 
 def total_mean_curvature(mesh: TriMesh) -> float:

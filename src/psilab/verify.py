@@ -185,6 +185,11 @@ def _require_k_range(K: float, choice: IsoperimetricChoice):
         raise CurvatureBoundViolated(f"K = {K} is not in [0, 1/C) with 1/C = {1.0 / c}")
 
 
+def _require_p_range(p: float):
+    if not 1.0 < p < 2.0:
+        raise ValueError(f"surface dimension 2 requires 1 < p < 2, got {p}")
+
+
 def _require_tc_bound(tc: float, K: float, what: str):
     # absolute slack absorbs curvature noise on numerically flat meshes
     if tc > K * (1.0 + 1e-9) + 1e-8:
@@ -308,9 +313,9 @@ def verify_isoperimetric(
     K: float,
     choice: IsoperimetricChoice,
     regions: Sequence[np.ndarray],
-    tolerance: float = 0.01,
+    tolerance: float | None = None,
 ) -> list[VerificationReport]:
-    """area^(1/2) <= I(2, K) * boundary length, one report per triangle region."""
+    """area^(1/2) <= I(2, K) * boundary length, one report per triangle region (tolerance 0.01 by default)."""
     _require_k_range(K, choice)
     curv = mean_curvature(mesh)
     out = []
@@ -325,7 +330,7 @@ def verify_isoperimetric(
                 "Isoperimetric",
                 lhs,
                 rhs,
-                tolerance,
+                0.01 if tolerance is None else tolerance,
                 inputs={"n": 2, "K": K, "iso": choice.label(), "triangles": int(region.size)},
             )
         )
@@ -346,8 +351,7 @@ def verify_p_sobolev(
     tolerance: float | None = None,
 ) -> VerificationReport:
     """L^(p*) norm of the field vs S(2, p, K) times the gradient p-norm, p in (1, 2)."""
-    if not 1.0 < p < 2.0:
-        raise ValueError(f"surface dimension 2 requires 1 < p < 2, got {p}")
+    _require_p_range(p)
     tol = _check_inputs(mesh, f, K, choice, subdivision, tolerance)
     p_star = const.sobolev_conjugate(2, p)
     dmf = sample_field(mesh, f, subdivision)
@@ -523,8 +527,7 @@ def verify_log_sobolev(
         )
     mesh: TriMesh = obj
     _require_field(f)
-    if not 1.0 < p < 2.0:
-        raise ValueError(f"surface dimension 2 requires 1 < p < 2, got {p}")
+    _require_p_range(p)
     curv = mean_curvature(mesh)
     interior = ~curv.boundary_mask
     h_max = float(curv.h_norm[interior].max()) if np.any(interior) else 0.0

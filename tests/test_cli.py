@@ -194,10 +194,13 @@ class TestVerifyCommand:
             ("gn", ["--reading", "literal", "--p", "1.5", "--q", "2.5"],
              "EGN numerator: gamma(-2.5) < 0 under a fractional power"),
             ("gn", ["--reading", "literal", "--p", "1.5", "--q", "2"], "EGN numerator: gamma pole at argument -2.0"),
+            # p is refused before K, as the library refuses it
+            ("sobolev", ["--p", "3", "--K", "5"], "surface dimension 2 requires 1 < p < 2, got 3.0"),
+            ("logsob", [], "surface dimension 2 requires 1 < p < 2, got 2.0"),
         ],
         ids=["iso-ps", "iso-iso", "preset", "preset-p", "gn-q",
              *[f"K-{c}" for c in ("ps", "model", "iso", "sobolev", "gn", "spectral", "mono")],
-             "K-negative", "egn-complex", "egn-pole"],
+             "K-negative", "egn-complex", "egn-pole", "p-sobolev", "p-logsob-default"],
     )
     def test_bad_arguments_refused_before_the_files_are_read(self, check, args, message, capsys):
         argv = ["verify", check, "--mesh", "/nonexistent/m.off", "--field", "/nonexistent/f.csv", *args]
@@ -237,6 +240,8 @@ LIBRARY_CALLS = [
      lambda m, f: v.verify_michael_simon_p1(m, f, MS, subdivision=1)),
     ("mono", ["--preset", "p-sobolev", "--p", "1.5", "--iso", "michael-simon"],
      lambda m, f: v.verify_monotonicity_principle(m, f, v.monotone_preset("p-sobolev", p=1.5), 0.0, MS)),
+    ("iso", ["--tolerance", "0.2"],
+     lambda m, f: v.verify_isoperimetric(m, 0.0, B1, [np.arange(len(m.triangles))], tolerance=0.2)),
 ]
 
 
@@ -462,10 +467,11 @@ class TestVerifyKeepsInputs:
 
         kept, built = run("keep"), run("forget")
         assert kept == built
-        warned = sum("mesh is not connected" in err for _, _, err in kept)
-        # -W always warns on every dispatch on the disconnected mesh; the default filter only
-        # after a field read reset the registry, so the two no-field dispatches at the end warn once
-        assert warned == (43 if flags else 42)
+        warned = [err for _, _, err in kept if "mesh is not connected" in err]
+        # the warning comes from one line of mesh.py, built or kept: -W always shows it on every
+        # dispatch on the disconnected mesh, the default filter once per process
+        assert len(warned) == (43 if flags else 1)
+        assert all(f"{mesh_module.__file__}:" in err for err in warned)
         assert {code for code, _, _ in kept} >= {0, 2}
 
     def test_each_input_built_once(self, disk_files, no_kept_inputs, monkeypatch, capsys):

@@ -140,8 +140,10 @@ class TestMeshValidation:
             [[0, 0, 0], [1, 0, 0], [0, 1, 0], [5, 5, 0], [6, 5, 0], [5, 6, 0]],
             dtype=float,
         )
-        with pytest.warns(UserWarning, match="not connected"):
+        with pytest.warns(UserWarning, match="not connected") as caught:
             TriMesh(v, np.array([[0, 1, 2], [3, 4, 5]]))
+        # issued from mesh.py itself, not from the __init__ the dataclass generates
+        assert [w.filename for w in caught] == [mesh_module.__file__]
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_vertices_refused(self, bad):

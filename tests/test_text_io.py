@@ -3,12 +3,14 @@
 The reference writers below are the ``csv.writer`` loops and the
 ``json.dumps(payload, indent=2)`` round trip psilab used before its text
 I/O moved onto bulk numpy and C-encoder calls; every output must match
-them byte for byte, and every CSV must read back bit for bit.
+them byte for byte, and every CSV must read back bit for bit. A CSV read
+must also leave the warning machinery as it found it.
 """
 
 import csv
 import io
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +20,7 @@ from hypothesis import strategies as st
 
 from psilab import analytic
 from psilab import constants as const
+from psilab._table import read_table
 from psilab.cli import _build_parser, _indented_json, dispatch
 from psilab.measure_space import (
     DiscreteMeasuredFunction,
@@ -27,7 +30,7 @@ from psilab.measure_space import (
     model_space,
     rearrange,
 )
-from psilab.mesh import CurvatureReport, VertexField, load_mesh, mean_curvature, sample_field
+from psilab.mesh import CurvatureReport, TriMesh, VertexField, load_mesh, mean_curvature, sample_field
 
 from conftest import boundary_vanishing_field, mesh_to_off
 
@@ -220,3 +223,51 @@ class TestParserBuiltOnce:
         capsys.readouterr()
         assert dispatch(["constants", "--n", "2"]) == 0
         assert json.loads(capsys.readouterr().out)["PS"] == 1.0
+
+
+TRIANGLE = TriMesh(np.eye(3), np.array([[0, 1, 2]]))
+
+
+class TestReadingLeavesWarningsAlone:
+    """A CSV read issues no warning and leaves the warning filters alone: changing them, even
+    inside ``catch_warnings``, makes every module forget the warnings it has shown."""
+
+    @pytest.mark.parametrize(
+        "read",
+        [
+            lambda: VertexField.from_csv("vertex_index,value\n0,1.0\n", TRIANGLE),
+            lambda: DiscreteMeasuredFunction.from_csv("value,weight\n1.0,0.5\n"),
+        ],
+        ids=["field", "samples"],
+    )
+    def test_a_warning_shown_before_a_read_is_not_shown_again(self, read):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("default")
+            for _ in range(2):
+                warnings.warn("shown once")
+                read()
+        assert [str(w.message) for w in caught] == ["shown once"]
+
+    @pytest.mark.parametrize(
+        "text, rows",
+        [("value,weight\n", 0), ("value,weight\n\n\n", 0), ("value,weight\n\n\n1.0,0.5\n\n", 1)],
+        ids=["header-only", "blank-only", "blank-lines-first"],
+    )
+    def test_empty_and_blank_bodies(self, text, rows):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for source in (text, io.StringIO(text), io.BytesIO(text.encode())):
+                values, weights = read_table(source, "value,weight")
+                assert values.dtype == weights.dtype == np.float64 and len(values) == len(weights) == rows
+
+    @pytest.mark.parametrize(
+        "text, line, bad",
+        [("value,weight\n1.0,0.5\n\n\nabc,1\n", 5, "abc,1"), ("value,weight\n  \n1.0,0.5\n", 2, "")],
+        ids=["after-blank-lines", "whitespace-is-not-blank"],
+    )
+    def test_bad_line_named_without_a_warning(self, text, line, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for source in (text, io.StringIO(text), io.BytesIO(text.encode())):
+                with pytest.raises(ValueError, match=f"^line {line}: expected value,weight numbers, got '{bad}'$"):
+                    read_table(source, "value,weight")
