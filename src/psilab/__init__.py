@@ -23,6 +23,7 @@ from .errors import (
     MeshParseError,
     NonManifoldMesh,
     NotMinimal,
+    PsilabError,
     SpecInvalid,
     ZeroField,
     is_divergent,
@@ -42,6 +43,7 @@ __all__ = [
     "MeshParseError",
     "NonManifoldMesh",
     "NotMinimal",
+    "PsilabError",
     "SpecInvalid",
     "ZeroField",
     "__version__",

@@ -1,11 +1,12 @@
 """CSV tables of numbers: a header line of column names, then one row per item.
 
-Reading checks the header, steps over blank lines to the first row and
+Reading checks the header, steps over empty lines to the first row and
 parses the rest with one ``np.loadtxt`` call straight from the stream (a
 stream that cannot seek, such as a pipe, is read into memory first); only
-when numpy refuses the body are its non-blank lines bisected to name the
-first bad one. Writing formats rows from ``.tolist()`` columns, floats as
-the ``repr`` that reads back bit for bit.
+when numpy refuses the body are its non-empty lines bisected to name the
+first bad one. A line of only whitespace is not empty: it is refused. Writing
+formats rows from ``.tolist()`` columns, floats as the ``repr`` that reads
+back bit for bit.
 """
 
 from __future__ import annotations
@@ -38,8 +39,9 @@ def read_table(source, header: str, dtypes=(float, float)) -> list[np.ndarray]:
     """One array per column of a CSV whose header starts with ``header`` (any case).
 
     ``source`` is a string, bytes or a text or binary stream. Extra columns
-    are ignored and blank lines skipped; a short row or a field that is not
-    a number raises ValueError naming its 1-based file line.
+    are ignored and empty lines skipped; a short row, a field that is not a
+    number or a line of only whitespace raises ValueError naming its 1-based
+    file line.
     """
     seekable = hasattr(source, "seekable") and source.seekable()
     stream = source if seekable else io.StringIO(read_text(source))
@@ -51,7 +53,7 @@ def read_table(source, header: str, dtypes=(float, float)) -> list[np.ndarray]:
     body_start = first_row = stream.tell()
     while (line := stream.readline()) in ("\n", "\r\n", b"\n", b"\r\n"):  # the lines loadtxt skips
         first_row = stream.tell()
-    if not line:  # a header-only table, or a run of blank lines, is just empty; loadtxt would warn
+    if not line:  # a header-only table, or a run of empty lines, is just empty; loadtxt would warn
         return [np.empty(0, dtype) for dtype in dtypes]
     stream.seek(first_row)
     dtype = list(zip(names, dtypes))

@@ -35,7 +35,7 @@ import numpy as np
 from . import constants as const
 from .analytic import make_surface
 from .counterexample import find_lambda_bar, sweep, sweep_to_csv
-from .errors import ConvergenceFailure, is_divergent
+from .errors import PsilabError, is_divergent
 from .measure_space import (
     DiscreteMeasuredFunction,
     Interpolation,
@@ -358,7 +358,7 @@ def dispatch(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ValueError, ArithmeticError, OSError, ConvergenceFailure) as exc:
+    except (PsilabError, ValueError, ArithmeticError, OSError) as exc:
         print(f"psilab: {exc}", file=sys.stderr)
         return 2
 

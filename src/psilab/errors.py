@@ -1,23 +1,28 @@
 """Exception types and the Divergent sentinel shared across the library."""
 
 
-class CurvatureBoundViolated(ValueError):
+class PsilabError(Exception):
+    """Base of every psilab error, which keeps a built-in base too (ValueError, or
+    RuntimeError for an exhausted search); the CLI maps it to exit code 2."""
+
+
+class CurvatureBoundViolated(PsilabError, ValueError):
     """Total mean curvature exceeds the admissible bound, or K >= 1/C."""
 
 
-class GammaPole(ValueError):
+class GammaPole(PsilabError, ValueError):
     """A gamma-function evaluation hit a pole (non-positive integer argument)."""
 
 
-class ComplexValued(ValueError):
+class ComplexValued(PsilabError, ValueError):
     """A real formula raises a negative base to a fractional power."""
 
 
-class InterpolationMismatch(ValueError):
+class InterpolationMismatch(PsilabError, ValueError):
     """Operation requires a different profile interpolation mode."""
 
 
-class MeshParseError(ValueError):
+class MeshParseError(PsilabError, ValueError):
     """Malformed OFF/nOFF input; carries the offending line number."""
 
     def __init__(self, message, line=None):
@@ -27,27 +32,27 @@ class MeshParseError(ValueError):
         self.line = line
 
 
-class NonManifoldMesh(ValueError):
+class NonManifoldMesh(PsilabError, ValueError):
     """Edge shared by more than two triangles, or inconsistent orientation."""
 
 
-class DegenerateTriangle(ValueError):
+class DegenerateTriangle(PsilabError, ValueError):
     """Triangle with repeated vertices or (near-)zero area."""
 
 
-class SpecInvalid(ValueError):
+class SpecInvalid(PsilabError, ValueError):
     """Monotonicity-principle specification violates a sign or exponent condition."""
 
 
-class ZeroField(ValueError):
+class ZeroField(PsilabError, ValueError):
     """Field is identically zero where a nonzero one is required."""
 
 
-class NotMinimal(ValueError):
+class NotMinimal(PsilabError, ValueError):
     """Surface exceeds the flatness threshold required for a minimal-submanifold check."""
 
 
-class ConvergenceFailure(RuntimeError):
+class ConvergenceFailure(PsilabError, RuntimeError):
     """Root bracketing or a bounded search exhausted its budget."""
 
 

@@ -66,7 +66,10 @@ class TriMesh:
 
     def __post_init__(self):
         self.vertices = vertices = _frozen(self.vertices, float)
-        self.triangles = triangles = _frozen(self.triangles, int)
+        triangles = np.asarray(self.triangles)
+        if triangles.dtype.kind == "f" and not (np.isfinite(triangles) & (triangles == np.trunc(triangles))).all():
+            raise ValueError("triangle indices must be whole numbers")  # the int cast would truncate them
+        self.triangles = triangles = _frozen(triangles, int)
         if vertices.ndim != 2 or vertices.shape[1] < 3:
             raise ValueError("vertices must be an (N, d) array with d >= 3")
         if not np.isfinite(vertices).all():
@@ -94,26 +97,27 @@ class TriMesh:
         bad = np.nonzero(areas <= 1e-12 * max(scale2, 1e-300))[0]
         if bad.size:
             raise DegenerateTriangle(f"triangle {tri[bad[0]].tolist()} has (near-)zero area")
-        # half-edge 3t+k runs tri[t, k] -> tri[t, k+1]; one sort of the packed
-        # keys checks manifoldness and orientation at once
+        # half-edge 3t+k runs tri[t, k] -> tri[t, k+1]; its key is the undirected
+        # edge with the direction in the low bit, so one sort puts twins side by side
         nv = len(self.vertices)
         src, dst = tri.ravel(), tri[:, [1, 2, 0]].ravel()
-        keys = src * nv + dst
-        order = np.argsort(keys, kind="stable")
+        keys = (np.minimum(src, dst) * nv + np.maximum(src, dst)) * 2 + (src > dst)
+        order = np.argsort(keys)
         sorted_keys = keys[order]
-        dup = np.flatnonzero(sorted_keys[1:] == sorted_keys[:-1])
-        if dup.size:
-            e = order[dup + 1].min()  # the repeat met first in triangle order
+        # an edge of three or more half-edges repeats a direction, so equal neighbours catch it too
+        if (sorted_keys[1:] == sorted_keys[:-1]).any():
+            order = np.argsort(keys, kind="stable")
+            e = order[np.flatnonzero(np.diff(keys[order]) == 0) + 1].min()  # the repeat met first in triangle order
             edge = (int(src[e]), int(dst[e]))
             raise NonManifoldMesh(f"directed edge {edge} appears twice; non-manifold or inconsistently oriented")
-        # triangle across each half-edge (its reverse's), -1 on the boundary
-        rev = dst * nv + src
-        pos = np.minimum(np.searchsorted(sorted_keys, rev), keys.size - 1)
-        has_twin = sorted_keys[pos] == rev
-        across = np.where(has_twin, order[pos] // 3, -1).astype(np.int32)  # kept: half the bytes of int64
-        inner = np.flatnonzero(has_twin)
-        adjacency = coo_matrix((np.ones(inner.size), (inner // 3, across[inner])), shape=(len(tri),) * 2)
+        # twins differ only in the low bit; triangle across each half-edge, -1 on the boundary
+        pair = np.flatnonzero((sorted_keys[:-1] | 1) == sorted_keys[1:])
+        first, second = order[pair], order[pair + 1]
+        across = np.full(keys.size, -1, dtype=np.int32)  # kept: half the bytes of int64
+        across[first], across[second] = second // 3, first // 3
+        adjacency = coo_matrix((np.ones(pair.size), (first // 3, second // 3)), shape=(len(tri),) * 2)
         self._disconnected = connected_components(adjacency, directed=False)[0] > 1
+        has_twin = across >= 0
         edges = np.stack([src[~has_twin], dst[~has_twin]], axis=1)
         self._gram = tuple(map(_kept, gram))
         self._areas, self._across, self._boundary_edges = _kept(areas), _kept(across), _kept(edges)
@@ -377,10 +381,10 @@ def _curvature_report(mesh: TriMesh) -> CurvatureReport:
     nvert = len(v)
     ntri = len(tri)
     tri_areas = mesh.triangle_areas()
-    corners = v[tri]  # (M, 3, d), the one gather both corner loops share
+    corners = v[tri.T]  # (3, M, d), corner-major: the one gather both corner loops share
     # edges[c] = x_i - x_j for the corner pair (i, j) = (c, c+1); the other two
     # sides seen from corner k = c+2 are x_i - x_k = -edges[k] and x_j - x_k = edges[c+1]
-    edges = [corners[:, c] - corners[:, (c + 1) % 3] for c in range(3)]
+    edges = [corners[c] - corners[(c + 1) % 3] for c in range(3)]
     sq_len = [np.einsum("ij,ij->i", e, e) for e in edges]
     cots = np.empty((3, ntri))
     # the scatter-add of each pair's term to i and its negative to j, filled in place:

@@ -31,7 +31,7 @@ import numpy as np
 from . import constants as const
 from .analytic import RadialFunction, radial_entropy, radial_gradient_lp, radial_lp
 from .constants import EgnReading, IsoperimetricChoice, SpectralReading
-from .errors import CurvatureBoundViolated, NotMinimal, SpecInvalid, ZeroField
+from .errors import ConvergenceFailure, CurvatureBoundViolated, NotMinimal, SpecInvalid, ZeroField
 from .measure_space import (
     Interpolation,
     RadialProfile,
@@ -447,7 +447,7 @@ def select_egn_reading(n: int, p: float, q: float) -> EgnReading:
         if best is None:
             best = reading
     if best is None:
-        raise RuntimeError("neither EGN reading is evaluable at these parameters")
+        raise ConvergenceFailure("neither EGN reading is evaluable at these parameters")
     return best
 
 

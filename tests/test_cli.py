@@ -11,6 +11,7 @@ import pytest
 import psilab
 from psilab import analytic
 from psilab import constants as const
+from psilab import errors
 from psilab import cli
 from psilab import mesh as mesh_module
 from psilab import verify as v
@@ -351,6 +352,14 @@ class TestExitCodes:
     def test_help_exits_zero(self):
         assert dispatch(["--help"]) == 0
 
+    def test_psilab_error_exits_two(self, monkeypatch, capsys):
+        def fail(args):
+            raise psilab.PsilabError("no such thing")
+
+        monkeypatch.setattr(cli, "_cmd_constants", fail)
+        assert dispatch(["constants", "--n", "2"]) == 2
+        assert capsys.readouterr().err == "psilab: no such thing\n"
+
     @pytest.mark.parametrize(
         "body",
         ["1.0,0.5\nnan,0.5\n", "1.0,0.5\n2.0,inf\n", "1.0,0.5\n2.0\n"],
@@ -361,6 +370,15 @@ class TestExitCodes:
         path.write_text("value,weight\n" + body)
         assert dispatch(["rearrange", "--input", str(path)]) == 2
         assert capsys.readouterr().err.startswith("psilab: ")
+
+
+def test_every_public_error_is_a_psilab_error():
+    public = [obj for name, obj in vars(errors).items() if isinstance(obj, type) and not name.startswith("_")]
+    assert len(public) == 12 and set(public) <= {getattr(psilab, name) for name in psilab.__all__}
+    for cls in public:
+        assert issubclass(cls, psilab.PsilabError)
+        # each keeps its built-in base, so callers that catch ValueError or RuntimeError still do
+        assert cls is psilab.PsilabError or issubclass(cls, (ValueError, RuntimeError))
 
 
 def test_bad_sample_csv_names_its_file_line(tmp_path, capsys):

@@ -145,6 +145,15 @@ class TestMeshValidation:
         # issued from mesh.py itself, not from the __init__ the dataclass generates
         assert [w.filename for w in caught] == [mesh_module.__file__]
 
+    @pytest.mark.parametrize("bad", [1.7, -0.5, math.nan, math.inf])
+    def test_non_integral_triangle_indices_refused(self, bad):
+        with pytest.raises(ValueError, match="whole numbers"):
+            TriMesh(np.eye(3), np.array([[0, bad, 2]]))
+
+    def test_whole_float_triangle_indices_accepted(self):
+        mesh = TriMesh(np.eye(3), np.array([[0.0, 1.0, 2.0]]))
+        assert mesh.triangles.dtype == int and mesh.triangles.tolist() == [[0, 1, 2]]
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_vertices_refused(self, bad):
         v = np.eye(3)
@@ -240,6 +249,31 @@ def _loop_topology(triangles):
     return boundary, len(seen) == len(triangles)
 
 
+def _loop_across(triangles):
+    """Reference: the triangle across each half-edge 3t+k from a directed-edge dict, -1 on the boundary."""
+    owner = {(int(t[k]), int(t[(k + 1) % 3])): ti for ti, t in enumerate(triangles) for k in range(3)}
+    return [owner.get((int(t[(k + 1) % 3]), int(t[k])), -1) for t in triangles for k in range(3)]
+
+
+def _matches_loop_reference(vertices, triangles) -> bool:
+    """TriMesh against the loop references: the same refusal (False), or the same boundary, twins and connectivity."""
+    try:
+        want_edges, want_connected = _loop_topology(triangles)
+    except NonManifoldMesh as exc:
+        with pytest.raises(NonManifoldMesh) as got:
+            TriMesh(vertices, triangles)
+        assert str(got.value) == str(exc)
+        return False
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        mesh = TriMesh(vertices, triangles)
+    assert [tuple(e) for e in mesh.boundary_edges().tolist()] == want_edges
+    assert mesh._across.tolist() == _loop_across(triangles)
+    assert mesh.is_closed() == (not want_edges)
+    assert any("not connected" in str(w.message) for w in caught) == (not want_connected)
+    return True
+
+
 def _loop_region_boundary(mesh, region):
     """Reference: undirected edge census over a triangle subset."""
     census = {}
@@ -270,28 +304,10 @@ class TestTopologyAgainstLoopReference:
     )
     def test_random_grid_subsets(self, picks):
         # a flipped triangle next to an unflipped one repeats their shared directed edge
-        tri = np.array([GRID_T[i][::-1] if flip else GRID_T[i] for i, flip in picks])
-        try:
-            want_edges, want_connected = _loop_topology(tri)
-        except NonManifoldMesh as exc:
-            with pytest.raises(NonManifoldMesh) as got:
-                TriMesh(GRID_V, tri)
-            assert str(got.value) == str(exc)
-            return
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            mesh = TriMesh(GRID_V, tri)
-        assert [tuple(e) for e in mesh.boundary_edges().tolist()] == want_edges
-        assert mesh.is_closed() == (not want_edges)
-        assert any("not connected" in str(w.message) for w in caught) == (not want_connected)
+        _matches_loop_reference(GRID_V, np.array([GRID_T[i][::-1] if flip else GRID_T[i] for i, flip in picks]))
 
     def test_repeated_triangle(self):
-        tri = np.array([GRID_T[0], GRID_T[1], GRID_T[0]])
-        with pytest.raises(NonManifoldMesh) as exc:
-            _loop_topology(tri)
-        with pytest.raises(NonManifoldMesh) as got:
-            TriMesh(GRID_V, tri)
-        assert str(got.value) == str(exc.value)
+        assert not _matches_loop_reference(GRID_V, np.array([GRID_T[0], GRID_T[1], GRID_T[0]]))
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.integers(0, len(SMALL_DISK.triangles) - 1), max_size=60))
@@ -299,6 +315,56 @@ class TestTopologyAgainstLoopReference:
         assert boundary_measure(SMALL_DISK, region) == pytest.approx(
             _loop_region_boundary(SMALL_DISK, region), rel=1e-12, abs=1e-14
         )
+
+
+def _shuffled(mesh, seed):
+    """``mesh`` with its vertices renumbered, its triangles reordered and each one's corners rotated, all at random."""
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(len(mesh.vertices))
+    vertices = np.empty_like(mesh.vertices)
+    vertices[perm] = mesh.vertices
+    tri = perm[mesh.triangles][rng.permutation(len(mesh.triangles))]
+    roll = rng.integers(0, 3, (len(tri), 1))
+    return vertices, np.take_along_axis(tri, (np.arange(3) + roll) % 3, axis=1)
+
+
+SPHERE3 = analytic.make_sphere(3)  # 1280 triangles
+CAP20 = analytic.make_cap(0.7, rings=20)  # 1560 triangles
+
+
+class TestTopologyAtSortSize:
+    """Thousands of half-edges, numbered at random: numpy sorts them with its vectorized kernels."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_shuffled_icosphere(self, seed):
+        assert _matches_loop_reference(*_shuffled(SPHERE3, seed))
+
+    @pytest.mark.parametrize(
+        "removed, flipped, valid",
+        [(0.1, 0, True), (0.6, 0, True), (0.1, 5, False), (0.6, 60, False)],
+    )
+    def test_cap_with_triangles_removed_and_flipped(self, removed, flipped, valid):
+        rng = np.random.default_rng(int(100 * removed) + flipped)
+        vertices, tri = _shuffled(CAP20, flipped)
+        tri = tri[rng.random(len(tri)) >= removed]
+        flips = rng.choice(len(tri), flipped, replace=False)
+        tri[flips] = tri[flips, ::-1]
+        assert _matches_loop_reference(vertices, tri) == valid
+
+    @pytest.mark.parametrize("sheets", [3, 4])
+    def test_edge_shared_by_more_than_two_triangles(self, sheets):
+        # sheets on the edge (a, b) alternate direction, so two of any three run the same way
+        vertices, tri = _shuffled(SPHERE3, sheets)
+        a, b = len(vertices), len(vertices) + 1
+        fin = [[0, 0, 5], [1, 0, 5], [0.5, 1, 5], [0.5, -1, 5], [0.5, 0, 6], [0.5, 0, 4]]
+        sheet = [[a, b, a + 2], [b, a, a + 3], [a, b, a + 4], [b, a, a + 5]][:sheets]
+        tri = np.vstack([tri, sheet])[np.random.default_rng(sheets).permutation(len(tri) + sheets)]
+        assert not _matches_loop_reference(np.vstack([vertices, fin]), tri)
+
+    def test_repeated_triangle_far_from_its_first_copy(self):
+        vertices, tri = _shuffled(SPHERE3, 9)
+        again = np.roll(tri[2], 1)  # the same triangle from another corner: the same three directed edges
+        assert not _matches_loop_reference(vertices, np.vstack([tri, again]))
 
 
 class TestBoundary:

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from psilab import analytic, constants as const
-from psilab.errors import CurvatureBoundViolated, NotMinimal, SpecInvalid
+from psilab import verify as verify_module
+from psilab.errors import ConvergenceFailure, CurvatureBoundViolated, GammaPole, NotMinimal, SpecInvalid
 from psilab.mesh import VertexField, p1_gradient_lp, sample_field
 from psilab.measure_space import lp_norm
 from psilab.special_fn import bessel_first_zero, bessel_j
@@ -163,6 +164,14 @@ class TestGagliardoNirenberg:
     def test_select_reading_prefers_corrected(self):
         for n, p, q in [(3, 2.0, 4.0), (4, 2.0, 3.0), (5, 3.0, 4.0)]:
             assert select_egn_reading(n, p, q) is const.EgnReading.GAMMA_CORRECTED
+
+    def test_select_reading_fails_as_a_psilab_error(self, monkeypatch):
+        def pole(*args, **kwargs):
+            raise GammaPole("pole")
+
+        monkeypatch.setattr(verify_module, "verify_gn", pole)
+        with pytest.raises(ConvergenceFailure, match="neither EGN reading"):
+            select_egn_reading(3, 2.0, 4.0)
 
 
 class TestSpectralGap:
