@@ -40,7 +40,7 @@ eigen = VertexField(np.maximum(ev, 0.0), mesh=disk)
 reports = [
     verify_polya_szego(disk, hat, 2.0, 0.0, B1),
     verify_model_space_ps(disk, hat, 2.0, 0.0, B1),
-    verify_isoperimetric(disk, 0.0, B1, [np.arange(len(disk.triangles))])[0],
+    verify_isoperimetric(disk, 0.0, B1)[0],
     verify_p_sobolev(disk, hat, 1.5, 0.0, B1),
     verify_spectral_gap(disk, eigen, 0.0, B1),
     verify_log_sobolev(disk, 1.5, f=hat),

@@ -253,8 +253,8 @@ def _blowup_args(lam, p):
     """lambda as an array, x = 1/lambda^2 and 1 - w0 = x / (1 + sqrt(1 - x)),
     where w0 = sqrt(1 - x) is the cap edge's height (no cancellation)."""
     lam = np.asarray(lam, dtype=float)
-    if not (np.all(lam >= 1.0) and np.all(np.isfinite(lam))) or p < 1:
-        raise ValueError("need finite lambda >= 1 and p >= 1")
+    if not (np.all(lam >= 1.0) and np.all(np.isfinite(lam)) and 1 <= p < math.inf):
+        raise ValueError("need finite lambda >= 1 and finite p >= 1")
     x = 1.0 / (lam * lam)
     return lam, x, x / (1.0 + np.sqrt(1.0 - x))
 
@@ -362,15 +362,15 @@ def _radial_quad(fn, n: int, support: float) -> float:
 
 def radial_lp(rf: RadialFunction, p: float) -> float:
     """L^p norm of a radial function on R^n."""
-    if p < 1:
-        raise ValueError("p must be >= 1")
+    if not 1 <= p < math.inf:
+        raise ValueError(f"p must be a finite number >= 1, got {p}")
     return _radial_quad(lambda r: float(rf.value(r)) ** p, rf.n, rf.support) ** (1.0 / p)
 
 
 def radial_gradient_lp(rf: RadialFunction, p: float) -> float:
     """Integral of |rho'|^p over R^n (not a norm)."""
-    if p < 1:
-        raise ValueError("p must be >= 1")
+    if not 1 <= p < math.inf:
+        raise ValueError(f"p must be a finite number >= 1, got {p}")
     return _radial_quad(lambda r: abs(float(rf.derivative(r))) ** p, rf.n, rf.support)
 
 
@@ -380,8 +380,8 @@ def radial_entropy(rf: RadialFunction, p: float) -> float:
     Where the function supplies log_value the integrand is evaluated as
     p * exp(p*L) * L, which stays finite long after u^p itself underflows.
     """
-    if p < 1:
-        raise ValueError("p must be >= 1")
+    if not 1 <= p < math.inf:
+        raise ValueError(f"p must be a finite number >= 1, got {p}")
     if rf.log_value is not None:
 
         def fn(r):

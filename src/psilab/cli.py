@@ -3,9 +3,9 @@
 Five subcommands: ``constants`` prints the closed-form constants table,
 ``curvature`` reports discrete curvature of an OFF/nOFF mesh, ``rearrange``
 converts weighted samples or a mesh field into a radial profile, ``verify``
-runs one inequality check, and ``counterexample`` sweeps the sphere blowup
-family. Exit code 0 means success with every check passing, 1 means at
-least one verification failed, and 2 means a usage or domain error.
+runs one check of ``psilab.verify.CHECKS``, and ``counterexample`` sweeps the
+sphere blowup family. Exit code 0 means success with every check passing, 1
+means at least one verification failed, and 2 means a usage or domain error.
 
 ``verify`` refuses bad arguments before it reads a file, and keeps what it
 built between ``dispatch`` calls of one process: up to eight meshes, each
@@ -30,10 +30,8 @@ import math
 import sys
 from collections import OrderedDict
 
-import numpy as np
-
 from . import constants as const
-from .analytic import make_surface
+from . import verify
 from .counterexample import find_lambda_bar, sweep, sweep_to_csv
 from .errors import PsilabError, is_divergent
 from .measure_space import (
@@ -44,21 +42,7 @@ from .measure_space import (
     rearrange,
 )
 from .mesh import TriMesh, VertexField, _warn_if_disconnected, load_mesh, mean_curvature, sample_field
-from .verify import (
-    _require_k_range,
-    _require_p_range,
-    monotone_preset,
-    reports_to_csv,
-    verify_gn,
-    verify_isoperimetric,
-    verify_log_sobolev,
-    verify_michael_simon_p1,
-    verify_model_space_ps,
-    verify_monotonicity_principle,
-    verify_p_sobolev,
-    verify_polya_szego,
-    verify_spectral_gap,
-)
+from .verify import CHECKS, reports_to_csv
 
 __all__ = ["main", "dispatch"]
 
@@ -149,7 +133,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(pr)
 
     pv = sub.add_parser("verify", help="run one inequality check")
-    pv.add_argument("check", choices=list(_CHECKS))
+    pv.add_argument("check", choices=list(CHECKS))
     pv.add_argument("--mesh", required=True)
     pv.add_argument("--field", help="CSV of vertex_index,value")
     pv.add_argument("--p", type=float, default=2.0)
@@ -231,76 +215,20 @@ def _cmd_rearrange(args) -> int:
     return 0
 
 
-def _k_range(args, choice):
-    _require_k_range(args.K, choice)
-
-
-def _sobolev_p(args, choice):
-    _require_p_range(args.p)
-    _require_k_range(args.K, choice)
-
-
-def _logsob_p(args, choice):
-    _require_p_range(args.p)
-
-
-def _gn_q(args, choice) -> float:
-    if args.q is None:
-        raise ValueError("gn check requires --q")
-    _require_k_range(args.K, choice)
-    const.egn_constant(2, args.p, args.q, const.EgnReading(args.reading))  # p, q domain; pole or complex literal
-    return args.q
-
-
-def _mono_spec(args, choice):
-    spec = monotone_preset(args.preset, n=2, p=args.p if args.preset == "p-sobolev" else None)
-    _require_k_range(args.K, choice)
-    return spec
-
-
-# check name -> (needs --field, own(args, iso choice) or None, adapter(args, mesh, field, iso choice, own,
-# keywords)). own refuses the check's bad arguments (p and K out of range too, where the check bounds
-# them) and builds its own argument before any file is read. The adapters look their verifier
-# up as a module attribute at call time, so a rebound attribute (a tracing wrapper, say) is what runs.
-_CHECKS = {
-    "ps": (True, _k_range, lambda a, m, f, c, x, kw: [verify_polya_szego(m, f, a.p, a.K, c, **kw)]),
-    "model": (True, _k_range, lambda a, m, f, c, x, kw: [verify_model_space_ps(m, f, a.p, a.K, c, **kw)]),
-    "iso": (
-        False,
-        _k_range,
-        lambda a, m, f, c, x, kw: verify_isoperimetric(m, a.K, c, [np.arange(len(m.triangles))], a.tolerance),
-    ),
-    "sobolev": (True, _sobolev_p, lambda a, m, f, c, x, kw: [verify_p_sobolev(m, f, a.p, a.K, c, **kw)]),
-    "gn": (
-        True,
-        _gn_q,
-        lambda a, m, f, c, q, kw: [verify_gn(m, a.p, q, a.K, c, const.EgnReading(a.reading), f=f, **kw)],
-    ),
-    "spectral": (
-        True,
-        _k_range,
-        lambda a, m, f, c, x, kw: [verify_spectral_gap(m, f, a.K, c, const.SpectralReading(a.reading), **kw)],
-    ),
-    "logsob": (True, _logsob_p, lambda a, m, f, c, x, kw: [verify_log_sobolev(m, a.p, f=f, **kw)]),
-    "ms1": (True, None, lambda a, m, f, c, x, kw: [verify_michael_simon_p1(m, f, c, **kw)]),
-    "mono": (True, _mono_spec, lambda a, m, f, c, spec, kw: [verify_monotonicity_principle(m, f, spec, a.K, c, **kw)]),
-}
-
-
 def _cmd_verify(args) -> int:
-    needs_field, own, run_check = _CHECKS[args.check]
-    if needs_field and not args.field:
+    check = CHECKS[args.check]
+    if "f" in check.keywords and not args.field:
         raise ValueError(f"verify {args.check} requires --field")
-    choice = _parse_iso(args.iso)
-    own_arg = own(args, choice) if own else None
+    kw = dict(p=args.p, q=args.q, K=args.K, choice=_parse_iso(args.iso), reading=args.reading, spec=args.preset,
+              subdivision=args.subdivision, tolerance=args.tolerance)
+    check.refuse(kw)
     (mesh, fields), was_kept = _read_kept(_kept_meshes, args.mesh, lambda fh: (load_mesh(fh), OrderedDict()))
     if was_kept:  # warn as building it did
         _warn_if_disconnected(mesh)
-    field = None
     if args.field:
-        field, _ = _read_kept(fields, args.field, lambda fh: VertexField.from_csv(fh, mesh))
-    kw = dict(subdivision=args.subdivision, tolerance=args.tolerance)
-    reports = run_check(args, mesh, field, choice, own_arg, kw)
+        kw["f"], _ = _read_kept(fields, args.field, lambda fh: VertexField.from_csv(fh, mesh))
+    reports = getattr(verify, check.verifier)(mesh, **{k: kw[k] for k in check.keywords})
+    reports = reports if isinstance(reports, list) else [reports]
     if args.format == "json":
         _emit(json.dumps([r.as_dict() for r in reports], indent=2), args.out)
     else:

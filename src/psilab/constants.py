@@ -136,7 +136,7 @@ def brendle_constant(n: int, m: int) -> float:
 
 
 def _check_curvature_bound(n: int, K: float, choice: IsoperimetricChoice) -> float:
-    if K < 0:
+    if not K >= 0:
         raise ValueError(f"K must be >= 0, got {K}")
     c = choice.value(n)
     if K >= 1.0 / c:

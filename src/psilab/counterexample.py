@@ -129,10 +129,10 @@ def find_lambda_bar(N: float, p: float) -> float:
     the ceiling in one call and bisects its first bracket; no crossing below
     the ceiling reports a failure instead of guessing.
     """
-    if N <= 0:
-        raise ValueError("N must be > 0")
-    if p <= 1:
-        raise ValueError("p must be > 1")
+    if not 0 < N < math.inf:
+        raise ValueError(f"N must be a finite number > 0, got {N}")
+    if not 1 < p < math.inf:
+        raise ValueError(f"p must be a finite number > 1, got {p}")
     if p >= 2:
         return 1.0
     (crossed,) = np.nonzero(_excess(_LAMBDA_GRID, N, p) > 0)

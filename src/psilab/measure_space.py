@@ -131,7 +131,7 @@ class TargetMeasure:
                 raise ValueError("model space requires n >= 2")
             if self.C is None or self.C <= 0:
                 raise ValueError("model space requires a positive constant C")
-            if self.K < 0 or self.K >= 1.0 / self.C:
+            if not 0 <= self.K < 1.0 / self.C:
                 raise ValueError(f"model space requires 0 <= K < 1/C = {1.0 / self.C}")
         elif self.K != 0.0 or self.C is not None:
             raise ValueError("Lebesgue target takes no K or C")
@@ -389,8 +389,8 @@ def lp_norm(obj, p: float) -> float:
     the identical sum by construction (rearrangement preserves L^p norms
     exactly), and a linear profile goes through ``_radial_integral``.
     """
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
+    if not 1 <= p < math.inf:
+        raise ValueError(f"p must be a finite number >= 1, got {p}")
     if isinstance(obj, DiscreteMeasuredFunction):
         return float(np.sum(obj.weights * obj.values**p)) ** (1.0 / p)
     profile: RadialProfile = obj
@@ -408,8 +408,8 @@ def gradient_energy(profile: RadialProfile, p: float) -> float:
     against the radial measure is |slope|^p times the shell volume, summed
     exactly. Step profiles have distributional gradients and are rejected.
     """
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
+    if not 1 <= p < math.inf:
+        raise ValueError(f"p must be a finite number >= 1, got {p}")
     if profile.interpolation is not Interpolation.PIECEWISE_LINEAR:
         raise InterpolationMismatch(
             "gradient energy needs a piecewise-linear profile; step profiles have no gradient"

@@ -320,8 +320,8 @@ def p1_gradient_lp(mesh: TriMesh, field: VertexField, p: float) -> float:
     independent of the ambient dimension. G is the one the mesh kept at
     construction.
     """
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
+    if not 1 <= p < np.inf:
+        raise ValueError(f"p must be a finite number >= 1, got {p}")
     tri = mesh.triangles
     u = field.values
     aa, bb, ab = mesh._gram

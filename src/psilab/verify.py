@@ -24,14 +24,14 @@ import io
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from . import constants as const
 from .analytic import RadialFunction, radial_entropy, radial_gradient_lp, radial_lp
 from .constants import EgnReading, IsoperimetricChoice, SpectralReading
-from .errors import ConvergenceFailure, CurvatureBoundViolated, NotMinimal, SpecInvalid, ZeroField
+from .errors import ConvergenceFailure, CurvatureBoundViolated, NotMinimal, PsilabError, SpecInvalid, ZeroField
 from .measure_space import (
     Interpolation,
     RadialProfile,
@@ -71,6 +71,7 @@ __all__ = [
     "monotone_preset",
     "verify_monotonicity_principle",
     "reports_to_csv",
+    "CHECKS",
 ]
 
 REPORT_SCHEMA_VERSION = 1
@@ -104,6 +105,8 @@ class VerificationReport:
     def __post_init__(self):
         if self.direction not in ("le", "ge"):
             raise ValueError("direction must be 'le' or 'ge'")
+        if not 0.0 <= self.tolerance < math.inf:
+            raise ValueError(f"tolerance must be a finite number >= 0, got {self.tolerance}")
 
     @property
     def ratio(self) -> float:
@@ -312,14 +315,15 @@ def verify_isoperimetric(
     mesh: TriMesh,
     K: float,
     choice: IsoperimetricChoice,
-    regions: Sequence[np.ndarray],
+    regions: Sequence[np.ndarray] | None = None,
     tolerance: float | None = None,
 ) -> list[VerificationReport]:
-    """area^(1/2) <= I(2, K) * boundary length, one report per triangle region (tolerance 0.01 by default)."""
+    """area^(1/2) <= I(2, K) * boundary length, one report per triangle region (by default the whole mesh;
+    tolerance 0.01 by default)."""
     _require_k_range(K, choice)
     curv = mean_curvature(mesh)
     out = []
-    for region in regions:
+    for region in [np.arange(len(mesh.triangles))] if regions is None else regions:
         region = np.asarray(region, dtype=int)
         _require_tc_bound(_region_tc(mesh, curv, region), K, "region")
         area = hausdorff_measure(mesh, region)
@@ -440,7 +444,7 @@ def select_egn_reading(n: int, p: float, q: float) -> EgnReading:
     for reading in (EgnReading.GAMMA_CORRECTED, EgnReading.LITERAL):
         try:
             rep = verify_gn(v, p, q, reading=reading)
-        except Exception:
+        except (PsilabError, ArithmeticError):
             continue
         if abs(rep.ratio - 1.0) < 1e-4:
             return reading
@@ -720,3 +724,63 @@ def verify_monotonicity_principle(
     lhs = spec.L(f_int, g_int)
     rhs = spec.lam(phi_int, psi_int)
     return VerificationReport("MonotonicityPrinciple", lhs, rhs, tol, inputs=inputs)
+
+
+# ---------------------------------------------------------------------------
+# check table
+
+
+class Check(NamedTuple):
+    """A check of ``CHECKS``: the name of its verifier in this module, looked up when the check runs (so a
+    rebound attribute, a tracing wrapper say, is what runs); the keywords the verifier takes besides the
+    mesh; and ``refuse(keywords)``, run before any file is read, which raises on bad arguments and turns
+    the ``reading`` and ``spec`` names into the values the verifier takes."""
+
+    verifier: str
+    keywords: tuple[str, ...]
+    refuse: Callable[[dict], None] = lambda kw: None
+
+
+def _refuse_k(kw):
+    _require_k_range(kw["K"], kw["choice"])
+
+
+def _refuse_p_then_k(kw):
+    _require_p_range(kw["p"])
+    _refuse_k(kw)
+
+
+def _refuse_gn(kw):
+    if kw["q"] is None:
+        raise ValueError("gn check requires --q")
+    _refuse_k(kw)
+    kw["reading"] = EgnReading(kw["reading"])
+    const.egn_constant(2, kw["p"], kw["q"], kw["reading"])  # p, q domain; pole or complex literal
+
+
+def _refuse_spectral(kw):
+    _refuse_k(kw)
+    kw["reading"] = SpectralReading(kw["reading"])
+
+
+def _refuse_mono(kw):
+    kw["spec"] = monotone_preset(kw["spec"], n=2, p=kw["p"] if kw["spec"] == "p-sobolev" else None)
+    _refuse_k(kw)
+
+
+_FIELD_P_K = ("f", "p", "K", "choice", "subdivision", "tolerance")
+CHECKS = {  # in the order the CLI lists them
+    "ps": Check("verify_polya_szego", _FIELD_P_K, _refuse_k),
+    "model": Check("verify_model_space_ps", _FIELD_P_K, _refuse_k),
+    "iso": Check("verify_isoperimetric", ("K", "choice", "tolerance"), _refuse_k),
+    "sobolev": Check("verify_p_sobolev", _FIELD_P_K, _refuse_p_then_k),
+    "gn": Check("verify_gn", ("q", "reading", *_FIELD_P_K), _refuse_gn),
+    "spectral": Check(
+        "verify_spectral_gap", ("f", "K", "choice", "reading", "subdivision", "tolerance"), _refuse_spectral
+    ),
+    "logsob": Check("verify_log_sobolev", ("f", "p", "subdivision", "tolerance"), lambda kw: _require_p_range(kw["p"])),
+    "ms1": Check("verify_michael_simon_p1", ("f", "choice", "subdivision", "tolerance")),
+    "mono": Check(
+        "verify_monotonicity_principle", ("f", "spec", "K", "choice", "subdivision", "tolerance"), _refuse_mono
+    ),
+}

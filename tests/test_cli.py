@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -134,12 +135,12 @@ class TestVerifyCommand:
         assert rep["inequality_id"] == "PolyaSzego"
 
     def test_failing_check_returns_one(self, disk_files, capsys):
-        # an absurdly tight tolerance turns the discretization margin into a failure
+        # a zero tolerance leaves no room for the discretization margin (ratio 1.003 here)
         mesh_path, field_path, _ = disk_files
         code = dispatch(
             [
                 "verify", "ps", "--mesh", mesh_path, "--field", field_path,
-                "--p", "2", "--tolerance", "-0.5",
+                "--p", "2", "--tolerance", "0",
             ]
         )
         assert code == 1
@@ -588,3 +589,54 @@ class TestVerifyKeepsInputs:
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = arr[0]
         capsys.readouterr()
+
+
+# check name -> the verifier it runs, as perfbench/layers.py names its spans
+VERIFIERS = {
+    "ps": "verify_polya_szego", "model": "verify_model_space_ps", "iso": "verify_isoperimetric",
+    "sobolev": "verify_p_sobolev", "gn": "verify_gn", "spectral": "verify_spectral_gap",
+    "logsob": "verify_log_sobolev", "ms1": "verify_michael_simon_p1", "mono": "verify_monotonicity_principle",
+}
+
+
+class TestCheckTable:
+    @pytest.mark.parametrize("check, args", NINE_CHECKS, ids=[check for check, _ in NINE_CHECKS])
+    def test_runs_the_verifier_bound_on_the_module(self, disk_files, monkeypatch, capsys, check, args):
+        # a wrapper rebound on psilab.verify, as perfbench/tracer.py rebinds it, is what the CLI runs
+        mesh_path, field_path, _ = disk_files
+        calls = _counted(monkeypatch, v, VERIFIERS[check])
+        assert dispatch(["verify", check, "--mesh", mesh_path, "--field", field_path, *args]) == 0
+        assert len(calls) == 1
+        capsys.readouterr()
+
+    def test_names_the_parser_choices_and_public_verifiers(self):
+        (commands,) = [a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        (check_arg,) = [a for a in commands.choices["verify"]._actions if a.dest == "check"]
+        assert list(v.CHECKS) == check_arg.choices == list(VERIFIERS)
+        assert {name: check.verifier for name, check in v.CHECKS.items()} == VERIFIERS
+        assert set(VERIFIERS.values()) <= set(v.__all__)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "ps", "--p", "nan"], "p must be a finite number >= 1, got nan"),
+        (["verify", "model", "--p", "nan"], "p must be a finite number >= 1, got nan"),
+        (["verify", "ps", "--p", "inf"], "p must be a finite number >= 1, got inf"),
+        (["constants", "--n", "2", "--K", "nan"], "K must be >= 0, got nan"),
+        (["counterexample", "--p", "nan"], "need finite lambda >= 1 and finite p >= 1"),
+        (["counterexample", "--p", "inf"], "need finite lambda >= 1 and finite p >= 1"),
+        (["counterexample", "--p", "1.5", "--N", "nan"], "N must be a finite number > 0, got nan"),
+        (["counterexample", "--p", "1.5", "--N", "inf"], "N must be a finite number > 0, got inf"),
+        (["rearrange", "--target", "model", "--K", "nan"], f"model space requires 0 <= K < 1/C = {INV_C}"),
+        *[(["verify", "spectral", "--tolerance", tol], f"tolerance must be a finite number >= 0, got {float(tol)}")
+          for tol in ("inf", "nan", "-0.5")],
+    ],
+    ids=["ps-p-nan", "model-p-nan", "ps-p-inf", "constants-K-nan", "counterexample-p-nan", "counterexample-p-inf",
+         "N-nan", "N-inf", "model-target-K-nan", "tolerance-inf", "tolerance-nan", "tolerance-negative"],
+)
+def test_non_finite_and_negative_arguments_exit_two(disk_files, capsys, argv, message):
+    mesh_path, field_path, _ = disk_files
+    files = ["--mesh", mesh_path, "--field", field_path] if argv[0] in ("verify", "rearrange") else []
+    assert dispatch(argv + files) == 2
+    assert capsys.readouterr().err == f"psilab: {message}\n"

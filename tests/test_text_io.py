@@ -126,7 +126,7 @@ class TestWritersMatchTheRowLoops:
     @given(st.lists(st.tuples(any_float, any_float, st.booleans()), max_size=40))
     def test_curvature_report(self, rows):
         h, a, b = (np.array([row[k] for row in rows], dtype=t) for k, t in enumerate((float, float, bool)))
-        report = CurvatureReport(h, a, b, total=float(np.sum(h)))
+        report = CurvatureReport(h, a, b, total=0.0)  # to_csv does not write the total
         assert report.to_csv() == reference_report_csv(report)
 
     @settings(max_examples=60, deadline=None)

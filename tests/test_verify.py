@@ -54,6 +54,13 @@ class TestVerificationReport:
         with pytest.raises(ValueError):
             VerificationReport("x", 1.0, 1.0, 0.01, direction="eq")
 
+    @pytest.mark.parametrize("tol", [-0.5, math.nan, math.inf, -math.inf])
+    def test_tolerance_is_a_finite_number_at_least_zero(self, tol, disk32, disk_hat):
+        with pytest.raises(ValueError, match=f"tolerance must be a finite number >= 0, got {tol}"):
+            VerificationReport("x", 1.0, 1.0, tol)
+        with pytest.raises(ValueError, match="tolerance must be"):
+            verify_module.verify_polya_szego(disk32, disk_hat, 2.0, 0.0, B1, tolerance=tol)
+
     def test_json_roundtrip(self):
         rep = VerificationReport(
             "x", 1.5, 2.0, 0.05, inputs={"n": 2, "p": 1.5}, direction="ge", notes="hi"
@@ -171,6 +178,14 @@ class TestGagliardoNirenberg:
 
         monkeypatch.setattr(verify_module, "verify_gn", pole)
         with pytest.raises(ConvergenceFailure, match="neither EGN reading"):
+            select_egn_reading(3, 2.0, 4.0)
+
+    def test_select_reading_lets_a_bug_through(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("a bug, not an unevaluable reading")
+
+        monkeypatch.setattr(verify_module, "verify_gn", broken)
+        with pytest.raises(TypeError, match="a bug"):
             select_egn_reading(3, 2.0, 4.0)
 
 
