@@ -20,7 +20,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import beta, betainc
 
-from .errors import DIVERGENT
+from .errors import DIVERGENT, require_order
 from .mesh import TriMesh, VertexField
 from .special_fn import unit_ball_volume
 
@@ -362,15 +362,13 @@ def _radial_quad(fn, n: int, support: float) -> float:
 
 def radial_lp(rf: RadialFunction, p: float) -> float:
     """L^p norm of a radial function on R^n."""
-    if not 1 <= p < math.inf:
-        raise ValueError(f"p must be a finite number >= 1, got {p}")
+    require_order(p)
     return _radial_quad(lambda r: float(rf.value(r)) ** p, rf.n, rf.support) ** (1.0 / p)
 
 
 def radial_gradient_lp(rf: RadialFunction, p: float) -> float:
     """Integral of |rho'|^p over R^n (not a norm)."""
-    if not 1 <= p < math.inf:
-        raise ValueError(f"p must be a finite number >= 1, got {p}")
+    require_order(p)
     return _radial_quad(lambda r: abs(float(rf.derivative(r))) ** p, rf.n, rf.support)
 
 
@@ -380,8 +378,7 @@ def radial_entropy(rf: RadialFunction, p: float) -> float:
     Where the function supplies log_value the integrand is evaluated as
     p * exp(p*L) * L, which stays finite long after u^p itself underflows.
     """
-    if not 1 <= p < math.inf:
-        raise ValueError(f"p must be a finite number >= 1, got {p}")
+    require_order(p)
     if rf.log_value is not None:
 
         def fn(r):

@@ -26,14 +26,13 @@ import functools
 import hashlib
 import io
 import json
-import math
 import sys
 from collections import OrderedDict
 
 from . import constants as const
 from . import verify
 from .counterexample import find_lambda_bar, sweep, sweep_to_csv
-from .errors import PsilabError, is_divergent
+from .errors import PsilabError
 from .measure_space import (
     DiscreteMeasuredFunction,
     Interpolation,
@@ -184,7 +183,7 @@ def _cmd_curvature(args) -> int:
     mesh = _load_mesh_arg(args.mesh)
     report = mean_curvature(mesh)
     if args.format == "json":
-        reference = const.tc_unit_sphere(2, const.TcConvention(args.convention))
+        reference = const.tc_unit_sphere(TriMesh.n, const.TcConvention(args.convention))
         _emit(_indented_json({**report.as_dict(), "unit_sphere_reference": reference}), args.out)
     else:
         _emit(report.to_csv(), args.out)
@@ -205,12 +204,7 @@ def _cmd_rearrange(args) -> int:
         target = lebesgue(args.n)
     else:
         target = model_space(args.n, args.K, _parse_iso(args.iso).value(args.n))
-    interp = (
-        Interpolation.RIGHT_CONTINUOUS_STEP
-        if args.interpolation == "step"
-        else Interpolation.PIECEWISE_LINEAR
-    )
-    profile = rearrange(dmf, target, interp)
+    profile = rearrange(dmf, target, Interpolation(args.interpolation))
     _emit(profile.to_json() if args.format == "json" else profile.to_csv(), args.out)
     return 0
 
@@ -243,29 +237,13 @@ def _cmd_counterexample(args) -> int:
         payload["lambda_bar"] = {"N": args.N, "p": args.p, "value": find_lambda_bar(args.N, args.p)}
     if args.format == "csv" or args.plot_data:
         text = sweep_to_csv(rows)
-        if args.plot_data:
-            # gnuplot reads whitespace-separated columns; keep the header as a comment
-            lines = text.strip().split("\n")
-            text = "# " + lines[0].replace(",", " ") + "\n"
-            text += "\n".join(line.replace(",", " ") for line in lines[1:]) + "\n"
+        if args.plot_data:  # gnuplot reads whitespace-separated columns; keep the header as a comment
+            text = "# " + text.replace(",", " ")
         if payload:
             text += f"# lambda_bar {payload['lambda_bar']['value']!r}\n"
         _emit(text, args.out)
     else:
-        payload["rows"] = [
-            {
-                "lambda": r.lam,
-                "p": r.p,
-                "surface_grad_p": r.surface_grad_p,
-                "curvature_term": r.curvature_term,
-                "plane_grad_p": "divergent" if is_divergent(r.plane_grad_p) else r.plane_grad_p,
-                "ratio": "inf" if math.isinf(r.ratio) else r.ratio,
-                "gradient_ratio": "inf" if math.isinf(r.gradient_ratio) else r.gradient_ratio,
-                "mesh_surface": r.mesh_surface,
-                "flagged": r.flagged,
-            }
-            for r in rows
-        ]
+        payload["rows"] = [r.as_dict() for r in rows]
         _emit(json.dumps(payload, indent=2), args.out)
     return 0
 

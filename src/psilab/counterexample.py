@@ -62,6 +62,17 @@ class SweepRow:
     mesh_surface: float | None = None
     flagged: bool = False
 
+    def as_dict(self) -> dict:
+        """The row as JSON writes it: Divergent spelled "divergent" and an infinite ratio "inf", as in CSV."""
+        return {
+            "lambda": self.lam, "p": self.p,
+            "surface_grad_p": self.surface_grad_p, "curvature_term": self.curvature_term,
+            "plane_grad_p": "divergent" if is_divergent(self.plane_grad_p) else self.plane_grad_p,
+            "ratio": "inf" if math.isinf(self.ratio) else self.ratio,
+            "gradient_ratio": "inf" if math.isinf(self.gradient_ratio) else self.gradient_ratio,
+            "mesh_surface": self.mesh_surface, "flagged": self.flagged,
+        }
+
 
 def sweep(p: float, lam_list, mesh_check: bool = False, subdiv: int = 5):
     """Closed-form sweep over lambda, optionally cross-checked on an icosphere.

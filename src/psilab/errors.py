@@ -1,4 +1,6 @@
-"""Exception types and the Divergent sentinel shared across the library."""
+"""Exception types, the Divergent sentinel and the L^p-order check shared across the library."""
+
+import math
 
 
 class PsilabError(Exception):
@@ -78,3 +80,9 @@ DIVERGENT = _Divergent()
 
 def is_divergent(x) -> bool:
     return x is DIVERGENT
+
+
+def require_order(p: float) -> None:
+    """Refuse a p that is not a finite number >= 1, the orders of the L^p norms and gradient p-energies."""
+    if not 1 <= p < math.inf:
+        raise ValueError(f"p must be a finite number >= 1, got {p}")

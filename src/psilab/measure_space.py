@@ -29,7 +29,7 @@ from enum import Enum
 import numpy as np
 
 from ._table import format_table, read_table
-from .errors import InterpolationMismatch
+from .errors import InterpolationMismatch, require_order
 from .special_fn import unit_ball_volume
 
 __all__ = [
@@ -389,8 +389,7 @@ def lp_norm(obj, p: float) -> float:
     the identical sum by construction (rearrangement preserves L^p norms
     exactly), and a linear profile goes through ``_radial_integral``.
     """
-    if not 1 <= p < math.inf:
-        raise ValueError(f"p must be a finite number >= 1, got {p}")
+    require_order(p)
     if isinstance(obj, DiscreteMeasuredFunction):
         return float(np.sum(obj.weights * obj.values**p)) ** (1.0 / p)
     profile: RadialProfile = obj
@@ -408,8 +407,7 @@ def gradient_energy(profile: RadialProfile, p: float) -> float:
     against the radial measure is |slope|^p times the shell volume, summed
     exactly. Step profiles have distributional gradients and are rejected.
     """
-    if not 1 <= p < math.inf:
-        raise ValueError(f"p must be a finite number >= 1, got {p}")
+    require_order(p)
     if profile.interpolation is not Interpolation.PIECEWISE_LINEAR:
         raise InterpolationMismatch(
             "gradient energy needs a piecewise-linear profile; step profiles have no gradient"

@@ -1,6 +1,6 @@
 """Triangulated surfaces embedded in R^d: measures, P1 gradients, curvature.
 
-Meshes are 2-dimensional but the ambient dimension d >= 3 is free, so both
+Meshes are 2-dimensional (``TriMesh.n``) but the ambient dimension d >= 3 is free, so both
 codimension-one bodies (spheres, disks, caps in R^3) and higher-codimension
 ones (the Clifford torus in R^4) run through the same kernels. All area and
 gradient formulas go through edge Gram matrices and therefore never assume
@@ -32,7 +32,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
 from ._table import first_bad_row, format_table, read_table, read_text
-from .errors import DegenerateTriangle, MeshParseError, NonManifoldMesh
+from .errors import DegenerateTriangle, MeshParseError, NonManifoldMesh, require_order
 
 __all__ = [
     "TriMesh",
@@ -63,6 +63,7 @@ class TriMesh:
 
     vertices: np.ndarray
     triangles: np.ndarray
+    n = 2  # the surface dimension, a class constant (not a field) beside the ambient dimension ``d``
 
     def __post_init__(self):
         self.vertices = vertices = _frozen(self.vertices, float)
@@ -320,8 +321,7 @@ def p1_gradient_lp(mesh: TriMesh, field: VertexField, p: float) -> float:
     independent of the ambient dimension. G is the one the mesh kept at
     construction.
     """
-    if not 1 <= p < np.inf:
-        raise ValueError(f"p must be a finite number >= 1, got {p}")
+    require_order(p)
     tri = mesh.triangles
     u = field.values
     aa, bb, ab = mesh._gram
@@ -421,8 +421,22 @@ def _curvature_report(mesh: TriMesh) -> CurvatureReport:
     h = np.zeros(nvert)
     interior = ~boundary & (areas > 0)
     h[interior] = np.linalg.norm(accum[interior], axis=1) / (2.0 * areas[interior])
-    total = float(np.sqrt(np.sum(areas[interior] * h[interior] ** 2)))
+    total = _total_curvature(areas, h, interior)
     return CurvatureReport(h_norm=_kept(h), vertex_areas=_kept(areas), boundary_mask=_kept(boundary), total=total)
+
+
+def _total_curvature(areas: np.ndarray, h: np.ndarray, vertices: np.ndarray) -> float:
+    """TC = (sum of A_i |H_i|^2)^(1/2) over ``vertices`` (a mask), the one quadrature of the total curvature."""
+    return float(np.sqrt(np.sum(areas[vertices] * h[vertices] ** 2)))
+
+
+def _region_tc(mesh: TriMesh, report: CurvatureReport, region: np.ndarray) -> float:
+    """Total curvature over the interior vertices whose whole star lies inside the triangle region."""
+    inside_tri = np.zeros(len(mesh.triangles), dtype=bool)
+    inside_tri[region] = True
+    full_star = np.ones(len(mesh.vertices), dtype=bool)
+    full_star[mesh.triangles[~inside_tri]] = False
+    return _total_curvature(report.vertex_areas, report.h_norm, full_star & ~report.boundary_mask)
 
 
 def total_mean_curvature(mesh: TriMesh) -> float:

@@ -43,9 +43,9 @@ from .measure_space import (
     rearrange,
 )
 from .mesh import (
-    CurvatureReport,
     TriMesh,
     VertexField,
+    _region_tc,
     _require_boundary_vanishing,
     boundary_measure,
     hausdorff_measure,
@@ -182,15 +182,15 @@ def reports_to_csv(reports: Sequence[VerificationReport]) -> str:
 # shared preconditions
 
 
-def _require_k_range(K: float, choice: IsoperimetricChoice):
-    c = choice.value(2)
+def _require_k_range(K: float, choice: IsoperimetricChoice, n: int):
+    c = choice.value(n)
     if not 0 <= K < 1.0 / c:
         raise CurvatureBoundViolated(f"K = {K} is not in [0, 1/C) with 1/C = {1.0 / c}")
 
 
-def _require_p_range(p: float):
-    if not 1.0 < p < 2.0:
-        raise ValueError(f"surface dimension 2 requires 1 < p < 2, got {p}")
+def _require_p_range(p: float, n: int):
+    if not 1.0 < p < n:
+        raise ValueError(f"surface dimension {n} requires 1 < p < {n}, got {p}")
 
 
 def _require_tc_bound(tc: float, K: float, what: str):
@@ -214,7 +214,7 @@ def _check_inputs(mesh, f, K, choice, subdivision, tolerance) -> float:
         raise CurvatureBoundViolated(
             "closed surface: the rearrangement inequality requires nonempty boundary"
         )
-    _require_k_range(K, choice)
+    _require_k_range(K, choice, mesh.n)
     _require_tc_bound(mean_curvature(mesh).total, K, "measured")
     _require_boundary_vanishing(mesh, f.values)
     return default_tolerance(subdivision) if tolerance is None else tolerance
@@ -249,15 +249,15 @@ def verify_polya_szego(
     """Gradient p-norm of the planar rearrangement vs the surface gradient p-norm
     scaled by the rearrangement constant. Both sides are p-th-root norms."""
     tol = _check_inputs(mesh, f, K, choice, subdivision, tolerance)
-    profile = _rearranged_profile(mesh, f, subdivision, lebesgue(2))
+    profile = _rearranged_profile(mesh, f, subdivision, lebesgue(mesh.n))
     lhs = gradient_energy(profile, p) ** (1.0 / p)
-    rhs = const.ps_constant(2, K, choice) * p1_gradient_lp(mesh, f, p) ** (1.0 / p)
+    rhs = const.ps_constant(mesh.n, K, choice) * p1_gradient_lp(mesh, f, p) ** (1.0 / p)
     return VerificationReport(
         "PolyaSzego",
         lhs,
         rhs,
         tol,
-        inputs={"n": 2, "p": p, "K": K, "iso": choice.label(), "subdivision": subdivision},
+        inputs={"n": mesh.n, "p": p, "K": K, "iso": choice.label(), "subdivision": subdivision},
     )
 
 
@@ -277,7 +277,7 @@ def verify_model_space_ps(
     a pass here is conclusive while a failure would be inconclusive.
     """
     tol = _check_inputs(mesh, f, K, choice, subdivision, tolerance)
-    target = model_space(2, K, choice.value(2))
+    target = model_space(mesh.n, K, choice.value(mesh.n))
     profile = _rearranged_profile(mesh, f, subdivision, target)
     lhs = gradient_energy(profile, p)
     rhs = p1_gradient_lp(mesh, f, p)
@@ -286,7 +286,7 @@ def verify_model_space_ps(
         lhs,
         rhs,
         tol,
-        inputs={"n": 2, "p": p, "K": K, "iso": choice.label(), "subdivision": subdivision},
+        inputs={"n": mesh.n, "p": p, "K": K, "iso": choice.label(), "subdivision": subdivision},
         notes="lhs is the representative's energy, an upper bound for the model-space infimum",
     )
 
@@ -301,16 +301,6 @@ def superlevel_region(mesh: TriMesh, f: VertexField, t: float) -> np.ndarray:
     return np.nonzero(np.all(vals > t, axis=1))[0]
 
 
-def _region_tc(mesh: TriMesh, report: CurvatureReport, region: np.ndarray) -> float:
-    """Total curvature over vertices whose whole star lies inside the region."""
-    inside_tri = np.zeros(len(mesh.triangles), dtype=bool)
-    inside_tri[region] = True
-    full_star = np.ones(len(mesh.vertices), dtype=bool)
-    full_star[mesh.triangles[~inside_tri]] = False
-    ok = full_star & ~report.boundary_mask
-    return float(np.sqrt(np.sum(report.vertex_areas[ok] * report.h_norm[ok] ** 2)))
-
-
 def verify_isoperimetric(
     mesh: TriMesh,
     K: float,
@@ -320,7 +310,7 @@ def verify_isoperimetric(
 ) -> list[VerificationReport]:
     """area^(1/2) <= I(2, K) * boundary length, one report per triangle region (by default the whole mesh;
     tolerance 0.01 by default)."""
-    _require_k_range(K, choice)
+    _require_k_range(K, choice, mesh.n)
     curv = mean_curvature(mesh)
     out = []
     for region in [np.arange(len(mesh.triangles))] if regions is None else regions:
@@ -328,14 +318,14 @@ def verify_isoperimetric(
         _require_tc_bound(_region_tc(mesh, curv, region), K, "region")
         area = hausdorff_measure(mesh, region)
         lhs = math.sqrt(area)
-        rhs = const.iso_constant(2, K, choice) * boundary_measure(mesh, region)
+        rhs = const.iso_constant(mesh.n, K, choice) * boundary_measure(mesh, region)
         out.append(
             VerificationReport(
                 "Isoperimetric",
                 lhs,
                 rhs,
                 0.01 if tolerance is None else tolerance,
-                inputs={"n": 2, "K": K, "iso": choice.label(), "triangles": int(region.size)},
+                inputs={"n": mesh.n, "K": K, "iso": choice.label(), "triangles": int(region.size)},
             )
         )
     return out
@@ -354,20 +344,20 @@ def verify_p_sobolev(
     subdivision: int = 2,
     tolerance: float | None = None,
 ) -> VerificationReport:
-    """L^(p*) norm of the field vs S(2, p, K) times the gradient p-norm, p in (1, 2)."""
-    _require_p_range(p)
+    """L^(p*) norm of the field vs S(n, p, K) times the gradient p-norm, p in (1, n)."""
+    _require_p_range(p, mesh.n)
     tol = _check_inputs(mesh, f, K, choice, subdivision, tolerance)
-    p_star = const.sobolev_conjugate(2, p)
+    p_star = const.sobolev_conjugate(mesh.n, p)
     dmf = sample_field(mesh, f, subdivision)
     lhs = lp_norm(dmf, p_star)
-    s_const = const.talenti_constant(2, p) * const.ps_constant(2, K, choice)
+    s_const = const.talenti_constant(mesh.n, p) * const.ps_constant(mesh.n, K, choice)
     rhs = s_const * p1_gradient_lp(mesh, f, p) ** (1.0 / p)
     return VerificationReport(
         "PSobolev",
         lhs,
         rhs,
         tol,
-        inputs={"n": 2, "p": p, "K": K, "iso": choice.label(), "subdivision": subdivision},
+        inputs={"n": mesh.n, "p": p, "K": K, "iso": choice.label(), "subdivision": subdivision},
     )
 
 
@@ -386,7 +376,7 @@ def verify_gn(
 
     A RadialFunction input checks the pure Euclidean inequality with the
     EGN constant alone; a mesh input multiplies in the rearrangement
-    constant PS(2, K).
+    constant PS(n, K).
     """
     if isinstance(obj, RadialFunction):
         n = obj.n
@@ -407,11 +397,11 @@ def verify_gn(
     if choice is None or f is None:
         raise ValueError("mesh input needs an isoperimetric choice and a field")
     tol = _check_inputs(mesh, f, K, choice, subdivision, tolerance)
-    theta = const.gn_theta(2, p, q)
-    r = const.gn_r_exponent(2, p, q)
+    theta = const.gn_theta(mesh.n, p, q)
+    r = const.gn_r_exponent(mesh.n, p, q)
     dmf = sample_field(mesh, f, subdivision)
     lhs = lp_norm(dmf, r)
-    gn_const = const.egn_constant(2, p, q, reading) * const.ps_constant(2, K, choice)
+    gn_const = const.egn_constant(mesh.n, p, q, reading) * const.ps_constant(mesh.n, K, choice)
     rhs = gn_const * p1_gradient_lp(mesh, f, p) ** (theta / p) * lp_norm(dmf, q) ** (1.0 - theta)
     return VerificationReport(
         "GagliardoNirenberg",
@@ -419,7 +409,7 @@ def verify_gn(
         rhs,
         tol,
         inputs={
-            "n": 2,
+            "n": mesh.n,
             "p": p,
             "q": q,
             "K": K,
@@ -474,7 +464,7 @@ def verify_spectral_gap(
     dmf = sample_field(mesh, f, subdivision)
     l2sq = lp_norm(dmf, 2) ** 2
     lhs = p1_gradient_lp(mesh, f, 2) / l2sq
-    g = const.spectral_gap_constant(2, K, choice, reading)
+    g = const.spectral_gap_constant(mesh.n, K, choice, reading)
     rhs = g / area
     # the bound blows up as the support shrinks: record the scaling trend
     trend = {f"rhs_at_area_fraction_{frac}": g / (frac * area) for frac in (1.0, 0.5, 0.25)}
@@ -485,7 +475,7 @@ def verify_spectral_gap(
         tol,
         direction="ge",
         inputs={
-            "n": 2,
+            "n": mesh.n,
             "K": K,
             "iso": choice.label(),
             "reading": reading.value,
@@ -531,7 +521,7 @@ def verify_log_sobolev(
         )
     mesh: TriMesh = obj
     _require_field(f)
-    _require_p_range(p)
+    _require_p_range(p, mesh.n)
     curv = mean_curvature(mesh)
     interior = ~curv.boundary_mask
     h_max = float(curv.h_norm[interior].max()) if np.any(interior) else 0.0
@@ -554,14 +544,14 @@ def verify_log_sobolev(
     terms *= np.log(v, out=v)
     lhs = float(np.sum(terms))
     energy = p1_gradient_lp(mesh, f, p) / c**p
-    rhs = (2.0 / p) * math.log(const.log_sobolev_constant(2, p) * energy)
+    rhs = (mesh.n / p) * math.log(const.log_sobolev_constant(mesh.n, p) * energy)
     tol = default_tolerance(subdivision) if tolerance is None else tolerance
     return VerificationReport(
         "LogSobolev",
         lhs,
         rhs,
         tol,
-        inputs={"n": 2, "p": p, "subdivision": subdivision, "max_interior_h": h_max},
+        inputs={"n": mesh.n, "p": p, "subdivision": subdivision, "max_interior_h": h_max},
     )
 
 
@@ -575,14 +565,14 @@ def verify_michael_simon_p1(
     """The p = 1 rearrangement bound with the curvature term on the right:
     no total-curvature assumption, so closed surfaces are allowed."""
     _require_field(f)
-    profile = _rearranged_profile(mesh, f, subdivision, lebesgue(2))
+    profile = _rearranged_profile(mesh, f, subdivision, lebesgue(mesh.n))
     lhs = gradient_energy(profile, 1.0)
     curv = mean_curvature(mesh)
     interior = ~curv.boundary_mask
     curvature_term = float(
         np.sum(curv.vertex_areas[interior] * curv.h_norm[interior] * f.values[interior])
     )
-    c = choice.euclidean_product(2)
+    c = choice.euclidean_product(mesh.n)
     rhs = c * (p1_gradient_lp(mesh, f, 1.0) + curvature_term)
     tol = default_tolerance(subdivision) if tolerance is None else tolerance
     return VerificationReport(
@@ -590,7 +580,7 @@ def verify_michael_simon_p1(
         lhs,
         rhs,
         tol,
-        inputs={"n": 2, "p": 1.0, "iso": choice.label(), "subdivision": subdivision},
+        inputs={"n": mesh.n, "p": 1.0, "iso": choice.label(), "subdivision": subdivision},
     )
 
 
@@ -697,15 +687,15 @@ def verify_monotonicity_principle(
     constant.
     """
     tol = _check_inputs(mesh, f, K, choice, subdivision, tolerance)
-    ps = const.ps_constant(2, K, choice)
+    ps = const.ps_constant(mesh.n, K, choice)
     dmf = sample_field(mesh, f, subdivision)  # the profile's samples too, when it is not kept
-    profile = _rearranged_profile(mesh, f, subdivision, lebesgue(2), dmf)
+    profile = _rearranged_profile(mesh, f, subdivision, lebesgue(mesh.n), dmf)
     # Euclidean hypothesis on v = u*
     hyp_lhs = spec.L(_radial_integral(profile, spec.f), _profile_gradient_powers(profile, spec.g_terms))
     hyp_rhs = spec.lam(
         _radial_integral(profile, spec.phi), _profile_gradient_powers(profile, spec.psi_terms)
     )
-    inputs = {"n": 2, "K": K, "iso": choice.label(), "spec": spec.name, "subdivision": subdivision}
+    inputs = {"n": mesh.n, "K": K, "iso": choice.label(), "spec": spec.name, "subdivision": subdivision}
     if hyp_lhs > hyp_rhs * (1.0 + tol):
         return VerificationReport(
             "MonotonicityPrinciple",
@@ -742,11 +732,11 @@ class Check(NamedTuple):
 
 
 def _refuse_k(kw):
-    _require_k_range(kw["K"], kw["choice"])
+    _require_k_range(kw["K"], kw["choice"], TriMesh.n)
 
 
 def _refuse_p_then_k(kw):
-    _require_p_range(kw["p"])
+    _require_p_range(kw["p"], TriMesh.n)
     _refuse_k(kw)
 
 
@@ -755,7 +745,7 @@ def _refuse_gn(kw):
         raise ValueError("gn check requires --q")
     _refuse_k(kw)
     kw["reading"] = EgnReading(kw["reading"])
-    const.egn_constant(2, kw["p"], kw["q"], kw["reading"])  # p, q domain; pole or complex literal
+    const.egn_constant(TriMesh.n, kw["p"], kw["q"], kw["reading"])  # p, q domain; pole or complex literal
 
 
 def _refuse_spectral(kw):
@@ -764,7 +754,7 @@ def _refuse_spectral(kw):
 
 
 def _refuse_mono(kw):
-    kw["spec"] = monotone_preset(kw["spec"], n=2, p=kw["p"] if kw["spec"] == "p-sobolev" else None)
+    kw["spec"] = monotone_preset(kw["spec"], n=TriMesh.n, p=kw["p"] if kw["spec"] == "p-sobolev" else None)
     _refuse_k(kw)
 
 
@@ -778,7 +768,9 @@ CHECKS = {  # in the order the CLI lists them
     "spectral": Check(
         "verify_spectral_gap", ("f", "K", "choice", "reading", "subdivision", "tolerance"), _refuse_spectral
     ),
-    "logsob": Check("verify_log_sobolev", ("f", "p", "subdivision", "tolerance"), lambda kw: _require_p_range(kw["p"])),
+    "logsob": Check(
+        "verify_log_sobolev", ("f", "p", "subdivision", "tolerance"), lambda kw: _require_p_range(kw["p"], TriMesh.n)
+    ),
     "ms1": Check("verify_michael_simon_p1", ("f", "choice", "subdivision", "tolerance")),
     "mono": Check(
         "verify_monotonicity_principle", ("f", "spec", "K", "choice", "subdivision", "tolerance"), _refuse_mono
