@@ -22,7 +22,7 @@ from scipy.special import beta, betainc
 
 from .errors import DIVERGENT, require_order
 from .mesh import TriMesh, VertexField
-from .special_fn import unit_ball_volume
+from .special_fn import log_unit_ball_volume, unit_ball_volume
 
 __all__ = [
     "RadialFunction",
@@ -430,25 +430,20 @@ def logsobolev_extremal(n: int, p: float, s: float) -> RadialFunction:
     if s <= 0:
         raise ValueError("need s > 0")
     pp = p / (p - 1.0)
-    area = _sphere_area_factor(n)
     # integral of exp(-(p/s) r^pp) * area * r^(n-1) dr, closed form via Gamma
-    # substitution t = (p/s) r^pp gives (area/pp) * (s/p)^(n/pp) * Gamma(n/pp)
-    from .special_fn import gamma as _gamma
-
-    raw = (area / pp) * (s / p) ** (n / pp) * _gamma(n / pp)
-    C = raw ** (-1.0 / p)
-    logC = math.log(C)
-
-    def value(r):
-        r = np.asarray(r, dtype=float)
-        return C * np.exp(-(r**pp) / s)
-
-    def derivative(r):
-        r = np.asarray(r, dtype=float)
-        return -C * (pp / s) * r ** (pp - 1.0) * np.exp(-(r**pp) / s)
+    # substitution t = (p/s) r^pp gives (area/pp) * (s/p)^(n/pp) * Gamma(n/pp), taken in logs for large n
+    log_raw = math.log(n / pp) + log_unit_ball_volume(n) + (n / pp) * math.log(s / p) + math.lgamma(n / pp)
+    logC = -log_raw / p  # C itself leaves the double range near n = 2000 (p = 1.5, s = 1), so it stays a log
 
     def log_value(r):
         r = np.asarray(r, dtype=float)
         return logC - r**pp / s
+
+    def value(r):
+        return np.exp(log_value(r))
+
+    def derivative(r):
+        r = np.asarray(r, dtype=float)
+        return -(pp / s) * r ** (pp - 1.0) * np.exp(log_value(r))
 
     return RadialFunction(value=value, derivative=derivative, n=n, support=math.inf, log_value=log_value)

@@ -50,7 +50,12 @@ def _parse_iso(text: str):
     if text == "michael-simon":
         return const.michael_simon()
     if text.startswith("brendle:"):
-        return const.brendle(int(text.split(":", 1)[1]))
+        try:
+            m = int(text.split(":", 1)[1])
+        except ValueError:
+            pass  # not a codimension: refused below
+        else:
+            return const.brendle(m)
     raise ValueError(f"--iso must be michael-simon or brendle:m, got {text!r}")
 
 
@@ -215,7 +220,7 @@ def _cmd_verify(args) -> int:
         raise ValueError(f"verify {args.check} requires --field")
     kw = dict(p=args.p, q=args.q, K=args.K, choice=_parse_iso(args.iso), reading=args.reading, spec=args.preset,
               subdivision=args.subdivision, tolerance=args.tolerance)
-    check.refuse(kw)
+    check.refuse_arguments(kw)
     (mesh, fields), was_kept = _read_kept(_kept_meshes, args.mesh, lambda fh: (load_mesh(fh), OrderedDict()))
     if was_kept:  # warn as building it did
         _warn_if_disconnected(mesh)

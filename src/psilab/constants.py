@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import ComplexValued, CurvatureBoundViolated, GammaPole
-from .special_fn import gamma, log_gamma, log_unit_ball_volume, unit_ball_volume, bessel_first_zero
+from .special_fn import bessel_first_zero, log_gamma, log_unit_ball_volume
 
 __all__ = [
     "IsoKind",
@@ -115,10 +115,14 @@ def brendle(m: int) -> IsoperimetricChoice:
 
 
 def ic_upper_bound(n: int) -> float:
-    """Michael-Simon's bound 5^n / omega_n^(1/n) on the isoperimetric constant."""
+    """Michael-Simon's bound 5^n / omega_n^(1/n) on the isoperimetric constant, +inf past the double range
+    (from n = 440), so that Brendle's minimum picks its general form there."""
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    return 5.0**n * math.exp(-log_unit_ball_volume(n) / n)
+    try:
+        return 5.0**n * math.exp(-log_unit_ball_volume(n) / n)
+    except OverflowError:  # 5^n itself, from n = 441
+        return math.inf
 
 
 def brendle_constant(n: int, m: int) -> float:
@@ -129,9 +133,8 @@ def brendle_constant(n: int, m: int) -> float:
         raise ValueError(f"m must be >= 1, got {m}")
     if m in (1, 2):
         return 1.0 / _n_omega_root(n)
-    general = (1.0 / n) * (
-        m * unit_ball_volume(m) / ((n + m) * unit_ball_volume(n + m))
-    ) ** (1.0 / n)
+    # (1/n) (m omega_m / ((n+m) omega_(n+m)))^(1/n), through logs: omega_(n+m) underflows from n ~ 440
+    general = math.exp((math.log(m / (n + m)) + log_unit_ball_volume(m) - log_unit_ball_volume(n + m)) / n) / n
     return min(general, ic_upper_bound(n))
 
 
@@ -258,7 +261,7 @@ def log_sobolev_constant(n: int, p: float) -> float:
         p
         / (n * math.pi ** (0.5 * p))
         * ((p - 1.0) / math.e) ** (p - 1.0)
-        * (gamma(0.5 * n + 1.0) / gamma(n * (p - 1.0) / p + 1.0)) ** (p / n)
+        * math.exp((log_gamma(0.5 * n + 1.0) - log_gamma(n * (p - 1.0) / p + 1.0)) * p / n)
     )
 
 
@@ -277,7 +280,7 @@ def spectral_gap_constant(
     """
     ps = ps_constant(n, K, choice)
     j = bessel_first_zero(0.5 * n - 1.0)
-    w = unit_ball_volume(n) ** (2.0 / n)
+    w = math.exp(2.0 * log_unit_ball_volume(n) / n)  # omega_n^(2/n); omega_n itself underflows from n ~ 450
     if reading is SpectralReading.LITERAL:
         return j * w / ps
     return j * j * w / (ps * ps)
@@ -303,9 +306,8 @@ def tc_unit_sphere(n: int, convention: TcConvention = TcConvention.TRACE_DERIVED
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    if convention is TcConvention.PAPER_FORMULA:
-        return n * (n * unit_ball_volume(n)) ** (1.0 / n)
-    return n * ((n + 1) * unit_ball_volume(n + 1)) ** (1.0 / n)
+    k = n if convention is TcConvention.PAPER_FORMULA else n + 1
+    return n * math.exp((math.log(k) + log_unit_ball_volume(k)) / n)  # n (k omega_k)^(1/n), finite for large n
 
 
 @dataclass
@@ -340,8 +342,12 @@ def build_constants_table(
 ) -> ConstantsTable:
     """Assemble the constants table; optional (p, q) unlock the p-dependent rows.
 
-    Construction fails with CurvatureBoundViolated when K >= 1/C.
+    Construction fails with CurvatureBoundViolated when K >= 1/C, and with ValueError on a non-finite p or q;
+    a finite p outside (1, n) only leaves out the rows that need it.
     """
+    for name, value in (("p", p), ("q", q)):
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{name} must be a finite number, got {value}")
     entries: dict = {
         "C": choice.value(n),
         "I": iso_constant(n, K, choice),

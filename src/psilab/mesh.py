@@ -460,6 +460,11 @@ def boundary_measure(mesh: TriMesh, region=None) -> float:
     return float(np.sum(np.linalg.norm(seg, axis=1)))
 
 
+def _require_subdivision(subdivision: int):
+    if subdivision < 0:
+        raise ValueError("subdivision must be >= 0")
+
+
 @functools.cache
 def _cell_centroids(subdivision: int) -> np.ndarray:
     """Read-only barycentric centroids of the 4^s cells of the midpoint refinement."""
@@ -485,8 +490,7 @@ def sample_field(mesh: TriMesh, field: VertexField, subdivision: int = 0):
     """
     from .measure_space import DiscreteMeasuredFunction
 
-    if subdivision < 0:
-        raise ValueError("subdivision must be >= 0")
+    _require_subdivision(subdivision)
     centroids = _cell_centroids(subdivision)  # (4^s, 3) barycentric
     tri = mesh.triangles
     u = field.values

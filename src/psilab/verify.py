@@ -31,7 +31,15 @@ import numpy as np
 from . import constants as const
 from .analytic import RadialFunction, radial_entropy, radial_gradient_lp, radial_lp
 from .constants import EgnReading, IsoperimetricChoice, SpectralReading
-from .errors import ConvergenceFailure, CurvatureBoundViolated, NotMinimal, PsilabError, SpecInvalid, ZeroField
+from .errors import (
+    ConvergenceFailure,
+    CurvatureBoundViolated,
+    NotMinimal,
+    PsilabError,
+    SpecInvalid,
+    ZeroField,
+    require_order,
+)
 from .measure_space import (
     Interpolation,
     RadialProfile,
@@ -47,6 +55,7 @@ from .mesh import (
     VertexField,
     _region_tc,
     _require_boundary_vanishing,
+    _require_subdivision,
     boundary_measure,
     hausdorff_measure,
     mean_curvature,
@@ -105,8 +114,7 @@ class VerificationReport:
     def __post_init__(self):
         if self.direction not in ("le", "ge"):
             raise ValueError("direction must be 'le' or 'ge'")
-        if not 0.0 <= self.tolerance < math.inf:
-            raise ValueError(f"tolerance must be a finite number >= 0, got {self.tolerance}")
+        _require_tolerance(self.tolerance)
 
     @property
     def ratio(self) -> float:
@@ -180,6 +188,11 @@ def reports_to_csv(reports: Sequence[VerificationReport]) -> str:
 
 # ---------------------------------------------------------------------------
 # shared preconditions
+
+
+def _require_tolerance(tolerance: float):
+    if not 0.0 <= tolerance < math.inf:
+        raise ValueError(f"tolerance must be a finite number >= 0, got {tolerance}")
 
 
 def _require_k_range(K: float, choice: IsoperimetricChoice, n: int):
@@ -723,12 +736,23 @@ def verify_monotonicity_principle(
 class Check(NamedTuple):
     """A check of ``CHECKS``: the name of its verifier in this module, looked up when the check runs (so a
     rebound attribute, a tracing wrapper say, is what runs); the keywords the verifier takes besides the
-    mesh; and ``refuse(keywords)``, run before any file is read, which raises on bad arguments and turns
-    the ``reading`` and ``spec`` names into the values the verifier takes."""
+    mesh; and ``refuse(keywords)``, the check's own argument refusals, which raises on bad arguments and
+    turns the ``reading`` and ``spec`` names into the values the verifier takes."""
 
     verifier: str
     keywords: tuple[str, ...]
     refuse: Callable[[dict], None] = lambda kw: None
+
+    def refuse_arguments(self, kw: dict):
+        """Raise on bad arguments before any file is read, with the checks the verifier runs later and in
+        the order it meets them: ``refuse``, then the subdivision, the order p and the tolerance."""
+        self.refuse(kw)
+        if "subdivision" in self.keywords:
+            _require_subdivision(kw["subdivision"])
+        if "p" in self.keywords:
+            require_order(kw["p"])
+        if kw["tolerance"] is not None:
+            _require_tolerance(kw["tolerance"])
 
 
 def _refuse_k(kw):

@@ -375,6 +375,24 @@ class TestRadialFunctions:
             rf = analytic.logsobolev_extremal(n, p, s)
             assert analytic.radial_lp(rf, p) == pytest.approx(1.0, rel=1e-10)
 
+    @pytest.mark.parametrize("n", [400, 1000, 5000])
+    def test_logsobolev_extremal_is_normalized_at_large_n(self, n):
+        p, s = 1.5, 1.0
+        rf = analytic.logsobolev_extremal(n, p, s)
+        pp = p / (p - 1.0)
+        log_sphere = math.log(n) + 0.5 * n * math.log(math.pi) - math.lgamma(0.5 * n + 1.0)
+
+        def log_density(r):  # log of u^p |S^(n-1)| r^(n-1), whose integral over r > 0 is 1
+            return p * float(rf.log_value(r)) + log_sphere + (n - 1) * math.log(r)
+
+        peak = ((n - 1) * s / (p * pp)) ** (1.0 / pp)
+        mass, _ = scipy.integrate.quad(lambda r: math.exp(log_density(r) - log_density(peak)), 0.0, 3.0 * peak, points=[peak])
+        assert math.log(mass) + log_density(peak) == pytest.approx(0.0, abs=1e-9)
+        # u itself where it fits a double: C = exp(log_value(0)) exceeds the double range at n = 5000
+        r = 0.7 if n < 5000 else 15.0
+        assert 0 < float(rf.value(r)) < math.inf
+        assert float(rf.value(r)) == pytest.approx(math.exp(float(rf.log_value(r))), rel=1e-15)
+
     def test_logsobolev_equality_invariant_in_s(self):
         for s in (0.5, 1.0, 2.0):
             rep = verify_log_sobolev(analytic.logsobolev_extremal(3, 2.0, s), 2.0)

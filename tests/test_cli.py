@@ -473,8 +473,9 @@ class TestVerifyKeepsInputs:
             for fmt in ("json", "csv")
             for _ in range(2)
         ]
-        # a refusal after the files are read, then the no-field check
-        argvs += [argvs[0] + ["--subdivision", "-1"], *argvs[:4], *[["verify", "iso", "--mesh", odd_meshes[0][0]]] * 2]
+        # a refusal after the mesh is read (the mesh file given as the field), then the no-field check
+        two_mesh = odd_meshes[0][0]
+        argvs += [argvs[0] + ["--field", two_mesh], *argvs[:4], *[["verify", "iso", "--mesh", two_mesh]] * 2]
         env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
         env["PYTHONPATH"] = os.path.dirname(os.path.dirname(psilab.__file__))
 
@@ -640,3 +641,102 @@ def test_non_finite_and_negative_arguments_exit_two(disk_files, capsys, argv, me
     files = ["--mesh", mesh_path, "--field", field_path] if argv[0] in ("verify", "rearrange") else []
     assert dispatch(argv + files) == 2
     assert capsys.readouterr().err == f"psilab: {message}\n"
+
+
+CHECK_NAMES = [check for check, _ in NINE_CHECKS]
+
+
+@pytest.mark.parametrize(
+    "check, args, message",
+    [
+        *[(check, ["--tolerance", tol], f"tolerance must be a finite number >= 0, got {float(tol)}")
+          for check in CHECK_NAMES for tol in ("nan", "inf", "-0.5")],
+        *[(check, ["--subdivision", "-1"], "subdivision must be >= 0") for check in CHECK_NAMES if check != "iso"],
+        *[(check, ["--p", p], f"p must be a finite number >= 1, got {float(p)}")
+          for check in ("ps", "model") for p in ("nan", "0.5")],
+        # in the order the verifier meets them: K, then the subdivision, then p, then the tolerance
+        ("ps", ["--p", "0.5", "--subdivision", "-1", "--tolerance", "nan"], "subdivision must be >= 0"),
+        ("ps", ["--p", "0.5", "--tolerance", "nan"], "p must be a finite number >= 1, got 0.5"),
+        ("model", ["--p", "nan", "--K", "5"], f"K = 5.0 is not in [0, 1/C) with 1/C = {INV_C}"),
+    ],
+    ids=[*[f"tolerance-{tol}-{check}" for check in CHECK_NAMES for tol in ("nan", "inf", "negative")],
+         *[f"subdivision-{check}" for check in CHECK_NAMES if check != "iso"],
+         *[f"p-{p}-{check}" for check in ("ps", "model") for p in ("nan", "0.5")],
+         "subdivision-before-p", "p-before-tolerance", "K-before-p"],
+)
+def test_verify_arguments_refused_before_the_files_are_read(check, args, message, capsys):
+    # --p 1.5 --q 2.5 pass the checks' own refusals, so the case's arguments (given last, so they win) are met
+    argv = ["verify", check, "--mesh", "/nonexistent/m.off", "--field", "/nonexistent/f.csv",
+            "--p", "1.5", "--q", "2.5", *args]
+    assert dispatch(argv) == 2
+    assert capsys.readouterr().err == f"psilab: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--p", "nan"], "p must be a finite number, got nan"),
+        (["--p", "inf"], "p must be a finite number, got inf"),
+        (["--q", "nan"], "q must be a finite number, got nan"),
+        (["--p", "1.5", "--q", "inf"], "q must be a finite number, got inf"),
+        (["--iso", "brendle:x"], "--iso must be michael-simon or brendle:m, got 'brendle:x'"),
+        (["--iso", "brendle:"], "--iso must be michael-simon or brendle:m, got 'brendle:'"),
+        (["--iso", "brendle:0"], "Brendle choice requires codimension m >= 1"),
+    ],
+    ids=["p-nan", "p-inf", "q-nan-without-p", "q-inf", "brendle-x", "brendle-empty", "brendle-0"],
+)
+def test_constants_arguments_refused(args, message, capsys):
+    assert dispatch(["constants", "--n", "2", *args]) == 2
+    assert capsys.readouterr().err == f"psilab: {message}\n"
+
+
+def _strict_json(text):
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("args", [["--n", "400", "--p", "1.5"], ["--n", "1000", "--iso", "brendle:3"]])
+def test_constants_at_large_n_are_finite(args, capsys):
+    assert dispatch(["constants", *args]) == 0
+    table = _strict_json(capsys.readouterr().out)
+    assert all(value > 0 for key, value in table.items() if key not in ("n", "K", "iso_choice", "p", "q"))
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "line 1: empty input"),
+        ("# only a comment\n\n", "line 1: empty input"),
+        ("nOFF\n3 1 0\n", "line 1: nOFF header missing the dimension"),
+        ("nOFF x\n3 1 0\n", "line 1: bad nOFF dimension 'x'"),
+        ("\nnOFF 2\n3 1 0\n", "line 2: ambient dimension must be >= 3, got 2"),
+        ("OFF\n", "line 1: unexpected end of file"),
+        ("OFF\n3\n", "line 2: expected 'nv nf [ne]' counts"),
+        ("OFF 3\n", "line 1: expected 'nv nf [ne]' counts"),
+        ("OFF\n3 x 0\n", "line 2: counts must be non-negative integers"),
+        ("OFF\n3.5 1 0\n", "line 2: counts must be non-negative integers"),
+        ("OFF\n-1 0 0\n", "line 2: counts must be non-negative integers"),
+        ("OFF 3 -2 0\n", "line 1: counts must be non-negative integers"),
+    ],
+    ids=["empty", "comments-only", "nOFF-no-dimension", "nOFF-bad-dimension", "nOFF-dimension-2", "no-counts-line",
+         "one-count", "one-count-on-header", "count-not-a-number", "count-not-an-integer", "count-negative",
+         "count-negative-on-header"],
+)
+def test_mesh_header_refusals(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.off"
+    path.write_text(text)
+    assert dispatch(["curvature", "--mesh", str(path)]) == 2
+    assert capsys.readouterr().err == f"psilab: {message}\n"
+
+
+@pytest.mark.parametrize("fmt", [["--format", "csv"], ["--plot-data"]], ids=["csv", "plot-data"])
+def test_counterexample_text_output_ends_with_the_threshold(fmt, capsys):
+    from psilab.counterexample import find_lambda_bar, sweep, sweep_to_csv
+
+    assert dispatch(["counterexample", "--p", "1.5", "--lambda", "5", "10", "--N", "3", *fmt]) == 0
+    table = sweep_to_csv(sweep(1.5, [5.0, 10.0]))
+    if fmt == ["--plot-data"]:
+        table = "# " + table.replace(",", " ")
+    assert capsys.readouterr().out == table + f"# lambda_bar {find_lambda_bar(3.0, 1.5)!r}\n"

@@ -220,3 +220,61 @@ class TestConstantsTable:
         assert d["TA"] == pytest.approx(0.4272605428625268, rel=1e-12)
         assert d["EGN_literal"] == "gamma-pole"
         assert d["GN"] == pytest.approx(d["EGN"] * d["PS"], rel=1e-13)
+
+    @pytest.mark.parametrize("p, q", [(math.nan, None), (math.inf, None), (1.5, math.nan), (None, math.inf)])
+    def test_non_finite_p_or_q_refused(self, p, q):
+        with pytest.raises(ValueError, match="must be a finite number, got"):
+            const.build_constants_table(2, 0.0, const.brendle(1), p, q)
+
+    def test_p_outside_the_range_only_skips_its_rows(self):
+        d = const.build_constants_table(2, 0.0, const.brendle(1), p=3.0).as_dict()
+        assert d["p"] == 3.0 and "TA" not in d and "LS" not in d
+
+
+class TestLargeDimensions:
+    """The paper's sharpness claims are about n -> infinity; the constants must stay finite there."""
+
+    @pytest.mark.parametrize("n", [400, 1000, 5000])
+    def test_finite_and_positive(self, n):
+        values = [
+            const.log_sobolev_constant(n, 1.5),
+            const.brendle_constant(n, 3),
+            const.tc_unit_sphere(n),
+            const.tc_unit_sphere(n, const.TcConvention.PAPER_FORMULA),
+        ]
+        for m in (1, 3):
+            for reading in const.SpectralReading:
+                values.append(const.spectral_gap_constant(n, 0.0, const.brendle(m), reading))
+        assert all(math.isfinite(x) and x > 0 for x in values), values
+
+    def test_michael_simon_bound_is_inf_past_the_double_range(self):
+        assert math.isfinite(const.ic_upper_bound(400))
+        for n in (440, 1000, 5000):
+            assert const.ic_upper_bound(n) == math.inf
+            # so Brendle's minimum takes its general form
+            assert 0 < const.brendle_constant(n, 3) < math.inf
+
+    def test_sphere_tc_times_brendle_tends_to_one(self):
+        products = [const.tc_unit_sphere(n) * const.brendle_constant(n, 1) for n in (10, 100, 1000, 5000)]
+        assert all(b < a for a, b in zip(products, products[1:]))
+        assert 1.0 < products[-1] < 1.002
+
+    def test_small_n_matches_the_gamma_forms(self):
+        def omega(k):
+            return math.pi ** (0.5 * k) / math.gamma(0.5 * k + 1.0)
+
+        for n in range(2, 201):
+            for p in (1.1, 1.5, 1.9):
+                want = (
+                    p / (n * math.pi ** (0.5 * p)) * ((p - 1.0) / math.e) ** (p - 1.0)
+                    * (math.gamma(0.5 * n + 1.0) / math.gamma(n * (p - 1.0) / p + 1.0)) ** (p / n)
+                )
+                assert const.log_sobolev_constant(n, p) == pytest.approx(want, rel=1e-13)
+            want = (1.0 / n) * (3 * omega(3) / ((n + 3) * omega(n + 3))) ** (1.0 / n)
+            assert const.brendle_constant(n, 3) == pytest.approx(min(want, const.ic_upper_bound(n)), rel=1e-13)
+            assert const.tc_unit_sphere(n) == pytest.approx(n * ((n + 1) * omega(n + 1)) ** (1.0 / n), rel=1e-13)
+            paper = const.tc_unit_sphere(n, const.TcConvention.PAPER_FORMULA)
+            assert paper == pytest.approx(n * (n * omega(n)) ** (1.0 / n), rel=1e-13)
+            j = bessel_first_zero(0.5 * n - 1.0)
+            gap = const.spectral_gap_constant(n, 0.0, const.brendle(1), const.SpectralReading.LITERAL)
+            assert gap == pytest.approx(j * omega(n) ** (2.0 / n), rel=1e-13)
