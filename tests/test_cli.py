@@ -17,6 +17,7 @@ from psilab import cli
 from psilab import mesh as mesh_module
 from psilab import verify as v
 from psilab.cli import dispatch
+from psilab.counterexample import find_lambda_bar, sweep, sweep_to_csv
 from psilab.errors import ComplexValued
 from psilab.mesh import TriMesh, VertexField, load_mesh, mean_curvature
 
@@ -733,8 +734,6 @@ def test_mesh_header_refusals(tmp_path, capsys, text, message):
 
 @pytest.mark.parametrize("fmt", [["--format", "csv"], ["--plot-data"]], ids=["csv", "plot-data"])
 def test_counterexample_text_output_ends_with_the_threshold(fmt, capsys):
-    from psilab.counterexample import find_lambda_bar, sweep, sweep_to_csv
-
     assert dispatch(["counterexample", "--p", "1.5", "--lambda", "5", "10", "--N", "3", *fmt]) == 0
     table = sweep_to_csv(sweep(1.5, [5.0, 10.0]))
     if fmt == ["--plot-data"]:
