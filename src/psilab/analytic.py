@@ -20,6 +20,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import beta, betainc
 
+from .constants import _check_gn_domain, _check_p_range
 from .errors import DIVERGENT, require_order
 from .mesh import TriMesh, VertexField
 from .special_fn import log_unit_ball_volume, unit_ball_volume
@@ -201,11 +202,19 @@ def make_surface(kind: str, **kwargs) -> TriMesh:
 # the gradient-blowup family on the unit sphere
 
 
+def _check_lambda(lam) -> np.ndarray:
+    """Refuse a blowup parameter lambda (a number or an array) that is not a finite number >= 1; return the array."""
+    lam = np.asarray(lam, dtype=float)
+    admissible = (1.0 <= lam) & (lam < math.inf)
+    if not admissible.all():
+        raise ValueError(f"lambda must be a finite number >= 1, got {lam[~admissible].flat[0]}")
+    return lam
+
+
 def example51_field(lam: float, points) -> np.ndarray:
     """Field on the unit sphere: lambda*r on the polar cap r <= 1/lambda
     (upper hemisphere), 1 everywhere else; r is the cylindrical radius."""
-    if lam < 1:
-        raise ValueError("lambda must be >= 1")
+    _check_lambda(lam)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     r = np.hypot(pts[:, 0], pts[:, 1])
     on_cap = (pts[:, 2] > 0) & (r <= 1.0 / lam)
@@ -229,8 +238,7 @@ def example51_profile(lam: float) -> "RadialFunction":
     w = s^2/2 - 1 the derivative magnitude on the outer band is
     lambda*w*s/sqrt(1 - w^2).
     """
-    if lam < 1:
-        raise ValueError("lambda must be >= 1")
+    _check_lambda(lam)
     s0 = _example51_s0(lam)
 
     def value(s):
@@ -252,9 +260,8 @@ def example51_profile(lam: float) -> "RadialFunction":
 def _blowup_args(lam, p):
     """lambda as an array, x = 1/lambda^2 and 1 - w0 = x / (1 + sqrt(1 - x)),
     where w0 = sqrt(1 - x) is the cap edge's height (no cancellation)."""
-    lam = np.asarray(lam, dtype=float)
-    if not (np.all(lam >= 1.0) and np.all(np.isfinite(lam)) and 1 <= p < math.inf):
-        raise ValueError("need finite lambda >= 1 and finite p >= 1")
+    lam = _check_lambda(lam)
+    require_order(p)
     x = 1.0 / (lam * lam)
     return lam, x, x / (1.0 + np.sqrt(1.0 - x))
 
@@ -400,8 +407,7 @@ def radial_entropy(rf: RadialFunction, p: float) -> float:
 def gn_extremal(n: int, p: float, q: float, a: float = 1.0, b: float = 1.0) -> RadialFunction:
     """Extremal of the sharp Gagliardo-Nirenberg inequality on R^n:
     a * (1 + b r^(p/(p-1)))^(-(p-1)/(q-p))."""
-    if not (1.0 < p < n and p < q):
-        raise ValueError("need 1 < p < n and q > p")
+    _check_gn_domain(n, p, q)
     if a <= 0 or b <= 0:
         raise ValueError("need a > 0 and b > 0")
     pp = p / (p - 1.0)
@@ -425,8 +431,7 @@ def logsobolev_extremal(n: int, p: float, s: float) -> RadialFunction:
     The decaying (negative) exponent is used; the growing variant is not
     integrable and admits no normalizing constant.
     """
-    if not 1.0 < p < n:
-        raise ValueError("need 1 < p < n")
+    _check_p_range(n, p)
     if s <= 0:
         raise ValueError("need s > 0")
     pp = p / (p - 1.0)

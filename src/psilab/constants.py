@@ -13,6 +13,7 @@ readings are the ones validated by the extremal-equality oracles in
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -114,11 +115,37 @@ def brendle(m: int) -> IsoperimetricChoice:
     return IsoperimetricChoice(IsoKind.BRENDLE, m)
 
 
+def _check_dimension(n: int) -> None:
+    """Refuse a submanifold dimension n below 2, the least the constants and the model space are stated for."""
+    if n < 2:
+        raise ValueError(f"n must be >= 2, got {n}")
+
+
+def _check_curvature_bound(K: float, C: float) -> float:
+    """Refuse a total-curvature bound K outside [0, 1/C), the paper's hypothesis on K; return C."""
+    if not 0 <= K < 1.0 / C:
+        raise CurvatureBoundViolated(f"K = {K} is not in [0, 1/C) with 1/C = {1.0 / C}")
+    return C
+
+
+def _check_p_range(n: int, p: float) -> None:
+    """Refuse a p outside (1, n), the range of the Sobolev, Gagliardo-Nirenberg and log-Sobolev inequalities."""
+    if not 1.0 < p < n:
+        raise ValueError(f"requires 1 < p < n, got p = {p}, n = {n}")
+
+
+def _check_gn_domain(n: int, p: float, q: float) -> None:
+    """Refuse a (p, q) outside 1 < p < n, p < q <= p(n-1)/(n-p), the Gagliardo-Nirenberg range."""
+    _check_p_range(n, p)
+    q_max = p * (n - 1.0) / (n - p)
+    if not p < q <= q_max + 1e-12:
+        raise ValueError(f"requires p < q <= p(n-1)/(n-p) = {q_max}, got q = {q}")
+
+
 def ic_upper_bound(n: int) -> float:
     """Michael-Simon's bound 5^n / omega_n^(1/n) on the isoperimetric constant, +inf past the double range
     (from n = 440), so that Brendle's minimum picks its general form there."""
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
+    _check_dimension(n)
     try:
         return 5.0**n * math.exp(-log_unit_ball_volume(n) / n)
     except OverflowError:  # 5^n itself, from n = 441
@@ -127,8 +154,7 @@ def ic_upper_bound(n: int) -> float:
 
 def brendle_constant(n: int, m: int) -> float:
     """Brendle's explicit isoperimetric constant B(n, m)."""
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
+    _check_dimension(n)
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     if m in (1, 2):
@@ -138,20 +164,9 @@ def brendle_constant(n: int, m: int) -> float:
     return min(general, ic_upper_bound(n))
 
 
-def _check_curvature_bound(n: int, K: float, choice: IsoperimetricChoice) -> float:
-    if not K >= 0:
-        raise ValueError(f"K must be >= 0, got {K}")
-    c = choice.value(n)
-    if K >= 1.0 / c:
-        raise CurvatureBoundViolated(
-            f"K = {K} is not below 1/C = {1.0 / c} for {choice.label()} at n = {n}"
-        )
-    return c
-
-
 def iso_constant(n: int, K: float, choice: IsoperimetricChoice) -> float:
     """C / (1 - C*K): the curvature-penalized isoperimetric constant."""
-    c = _check_curvature_bound(n, K, choice)
+    c = _check_curvature_bound(K, choice.value(n))
     return c / (1.0 - c * K)
 
 
@@ -161,14 +176,13 @@ def ps_constant(n: int, K: float, choice: IsoperimetricChoice) -> float:
     Equals C*n*omega_n^(1/n) / (1 - C*K); exactly 1 at K = 0 for Brendle
     in codimension 1 or 2.
     """
-    c = _check_curvature_bound(n, K, choice)
+    c = _check_curvature_bound(K, choice.value(n))
     return choice.euclidean_product(n) / (1.0 - c * K)
 
 
 def talenti_constant(n: int, p: float) -> float:
     """Talenti's sharp constant for the Euclidean p-Sobolev inequality."""
-    if not 1.0 < p < n:
-        raise ValueError(f"requires 1 < p < n, got p = {p}, n = {n}")
+    _check_p_range(n, p)
     return (
         1.0
         / (math.sqrt(math.pi) * n ** (1.0 / p))
@@ -184,14 +198,6 @@ def sobolev_conjugate(n: int, p: float) -> float:
     if not 1.0 <= p < n:
         raise ValueError(f"requires 1 <= p < n, got p = {p}, n = {n}")
     return n * p / (n - p)
-
-
-def _check_gn_domain(n: int, p: float, q: float) -> None:
-    if not 1.0 < p < n:
-        raise ValueError(f"requires 1 < p < n, got p = {p}, n = {n}")
-    q_max = p * (n - 1.0) / (n - p)
-    if not p < q <= q_max + 1e-12:
-        raise ValueError(f"requires p < q <= p(n-1)/(n-p) = {q_max}, got q = {q}")
 
 
 def gn_beta(n: int, p: float, q: float) -> float:
@@ -255,8 +261,7 @@ def egn_constant(n: int, p: float, q: float, reading: EgnReading = EgnReading.GA
 
 def log_sobolev_constant(n: int, p: float) -> float:
     """Sharp constant of the p-log-Sobolev inequality for minimal submanifolds."""
-    if not 1.0 < p < n:
-        raise ValueError(f"requires 1 < p < n, got p = {p}, n = {n}")
+    _check_p_range(n, p)
     return (
         p
         / (n * math.pi ** (0.5 * p))
@@ -287,12 +292,9 @@ def spectral_gap_constant(
 
 
 def asymptotic_ratio(n: int, K: float) -> float:
-    """n*omega_n^(1/n) / (n*omega_n^(1/n) - K), through log-gamma for large n."""
-    if K < 0:
-        raise ValueError(f"K must be >= 0, got {K}")
+    """n*omega_n^(1/n) / (n*omega_n^(1/n) - K), through log-gamma for large n; K in [0, n*omega_n^(1/n))."""
     x = _n_omega_root(n)
-    if x <= K:
-        raise ValueError(f"requires n*omega_n^(1/n) > K, got {x} <= {K}")
+    _check_curvature_bound(K, 1.0 / x)
     return x / (x - K)
 
 
@@ -304,8 +306,7 @@ def tc_unit_sphere(n: int, convention: TcConvention = TcConvention.TRACE_DERIVED
     closing remark prints n*(n*omega_n)^(1/n) instead. Both tend to the
     reciprocal of the codimension-one Brendle constant as n grows.
     """
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
+    _check_dimension(n)
     k = n if convention is TcConvention.PAPER_FORMULA else n + 1
     return n * math.exp((math.log(k) + log_unit_ball_volume(k)) / n)  # n (k omega_k)^(1/n), finite for large n
 
@@ -358,12 +359,10 @@ def build_constants_table(
         "spectral_gap": spectral_gap_constant(n, K, choice),
         "spectral_gap_literal": spectral_gap_constant(n, K, choice, SpectralReading.LITERAL),
     }
-    try:
+    with suppress(ValueError):  # K at or past n*omega_n^(1/n) leaves the ratio out
         entries["asymptotic_ratio"] = asymptotic_ratio(n, K)
-    except ValueError:
-        pass
     if p is not None:
-        if 1.0 < p < n:
+        with suppress(ValueError):  # a p outside (1, n) leaves out the rows that need it
             entries["TA"] = talenti_constant(n, p)
             entries["S"] = entries["TA"] * entries["PS"]
             entries["LS"] = log_sobolev_constant(n, p)

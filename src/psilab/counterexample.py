@@ -176,9 +176,7 @@ def asymptotic_check(p: float, lam: float):
     """
     if not 1.0 <= p < 2.0:
         raise ValueError("requires 1 <= p < 2")
-    if lam < 1:
-        raise ValueError("lambda must be >= 1")
-    surface, plane = example51_gradient_integrals(lam, p)
+    surface, plane = example51_gradient_integrals(lam, p)  # refuses a lambda that is not a finite number >= 1
     surface_ratio = surface / (math.pi * lam ** (p - 2.0))
     scale = math.pi * lam ** (2.0 * p - 2.0) / (2.0 - p)
     plane_ratio = plane / (scale * 2.0 ** (2.0 * p - 0.5 * p))

@@ -30,7 +30,8 @@ import numpy as np
 
 from ._table import format_table, read_table
 from .errors import InterpolationMismatch, require_order
-from .special_fn import unit_ball_volume
+from .constants import _check_curvature_bound, _check_dimension
+from .special_fn import _check_ball_dimension, unit_ball_volume
 
 __all__ = [
     "DiscreteMeasuredFunction",
@@ -124,15 +125,12 @@ class TargetMeasure:
     C: float | None = None
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.n}")
+        _check_ball_dimension(self.n)
         if self.kind is TargetKind.MODEL_SPACE:
-            if self.n < 2:
-                raise ValueError("model space requires n >= 2")
+            _check_dimension(self.n)
             if self.C is None or self.C <= 0:
                 raise ValueError("model space requires a positive constant C")
-            if not 0 <= self.K < 1.0 / self.C:
-                raise ValueError(f"model space requires 0 <= K < 1/C = {1.0 / self.C}")
+            _check_curvature_bound(self.K, self.C)
         elif self.K != 0.0 or self.C is not None:
             raise ValueError("Lebesgue target takes no K or C")
 
@@ -269,7 +267,6 @@ def rearrange(
     dmf: DiscreteMeasuredFunction,
     target: TargetMeasure,
     interpolation: Interpolation = Interpolation.RIGHT_CONTINUOUS_STEP,
-    max_knots: int | None = None,
 ) -> RadialProfile:
     """Schwartz rearrangement of weighted samples onto the target measure.
 
@@ -280,14 +277,13 @@ def rearrange(
     is exactly equimeasurable with the input.
 
     The piecewise-linear profile is a quantile sketch of the same data: it
-    interpolates the step profile at ``max_knots`` equal-measure radii
-    (value v_1 at radius 0, 0 at the support radius). Connecting every raw
-    knot instead would pair sampling noise in the values with single-sample
-    weight gaps in the radii and blow the slopes up; coarsening the radius
-    grid to about sqrt(sample count)/8 knots keeps the slope field
-    convergent under refinement while staying equimeasurable within one
-    knot cell. Pass ``max_knots`` explicitly to override the default
-    budget (values above the level count reproduce every raw knot).
+    interpolates the step profile at max(16, round(sqrt(sample count)/8))
+    equal-measure radii (value v_1 at radius 0, 0 at the support radius),
+    and connects the raw knots when there are no more levels than that.
+    Connecting every raw knot of many samples instead would pair sampling
+    noise in the values with single-sample weight gaps in the radii and blow
+    the slopes up; the coarse radius grid keeps the slope field convergent
+    under refinement while staying equimeasurable within one knot cell.
     """
     order = np.argsort(-dmf.values, kind="stable")
     v_sorted = dmf.values[order]
@@ -309,7 +305,7 @@ def rearrange(
     radii = np.asarray(target.ball_radius(cum_w), dtype=float)
     if interpolation is Interpolation.RIGHT_CONTINUOUS_STEP:
         return RadialProfile(target, radii, levels, interpolation)
-    budget = max_knots if max_knots is not None else max(16, round(math.sqrt(dmf.values.size) / 8.0))
+    budget = max(16, round(math.sqrt(dmf.values.size) / 8.0))
     if levels.size <= budget:
         knot_r = np.concatenate([[0.0], radii])
         knot_v = np.concatenate([levels, [0.0]])

@@ -46,17 +46,21 @@ def gamma(x: float) -> float:
         return math.inf
 
 
-def log_unit_ball_volume(n: int) -> float:
-    """log of the Lebesgue volume of the unit ball in R^n."""
+def _check_ball_dimension(n: int) -> None:
+    """Refuse a dimension n below 1, where no unit ball and no Lebesgue measure on R^n exist."""
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
+
+
+def log_unit_ball_volume(n: int) -> float:
+    """log of the Lebesgue volume of the unit ball in R^n."""
+    _check_ball_dimension(n)
     return 0.5 * n * math.log(math.pi) - log_gamma(0.5 * n + 1.0)
 
 
 def unit_ball_volume(n: int) -> float:
     """Lebesgue volume omega_n = pi^(n/2) / Gamma(n/2 + 1) of the unit n-ball."""
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
+    _check_ball_dimension(n)
     if n <= 200:
         return math.pi ** (0.5 * n) / gamma(0.5 * n + 1.0)
     return math.exp(log_unit_ball_volume(n))

@@ -195,17 +195,6 @@ def _require_tolerance(tolerance: float):
         raise ValueError(f"tolerance must be a finite number >= 0, got {tolerance}")
 
 
-def _require_k_range(K: float, choice: IsoperimetricChoice, n: int):
-    c = choice.value(n)
-    if not 0 <= K < 1.0 / c:
-        raise CurvatureBoundViolated(f"K = {K} is not in [0, 1/C) with 1/C = {1.0 / c}")
-
-
-def _require_p_range(p: float, n: int):
-    if not 1.0 < p < n:
-        raise ValueError(f"surface dimension {n} requires 1 < p < {n}, got {p}")
-
-
 def _require_tc_bound(tc: float, K: float, what: str):
     # absolute slack absorbs curvature noise on numerically flat meshes
     if tc > K * (1.0 + 1e-9) + 1e-8:
@@ -227,7 +216,7 @@ def _check_inputs(mesh, f, K, choice, subdivision, tolerance) -> float:
         raise CurvatureBoundViolated(
             "closed surface: the rearrangement inequality requires nonempty boundary"
         )
-    _require_k_range(K, choice, mesh.n)
+    const._check_curvature_bound(K, choice.value(mesh.n))
     _require_tc_bound(mean_curvature(mesh).total, K, "measured")
     _require_boundary_vanishing(mesh, f.values)
     return default_tolerance(subdivision) if tolerance is None else tolerance
@@ -323,7 +312,7 @@ def verify_isoperimetric(
 ) -> list[VerificationReport]:
     """area^(1/2) <= I(2, K) * boundary length, one report per triangle region (by default the whole mesh;
     tolerance 0.01 by default)."""
-    _require_k_range(K, choice, mesh.n)
+    const._check_curvature_bound(K, choice.value(mesh.n))
     curv = mean_curvature(mesh)
     out = []
     for region in [np.arange(len(mesh.triangles))] if regions is None else regions:
@@ -358,7 +347,7 @@ def verify_p_sobolev(
     tolerance: float | None = None,
 ) -> VerificationReport:
     """L^(p*) norm of the field vs S(n, p, K) times the gradient p-norm, p in (1, n)."""
-    _require_p_range(p, mesh.n)
+    const._check_p_range(mesh.n, p)
     tol = _check_inputs(mesh, f, K, choice, subdivision, tolerance)
     p_star = const.sobolev_conjugate(mesh.n, p)
     dmf = sample_field(mesh, f, subdivision)
@@ -534,7 +523,7 @@ def verify_log_sobolev(
         )
     mesh: TriMesh = obj
     _require_field(f)
-    _require_p_range(p, mesh.n)
+    const._check_p_range(mesh.n, p)
     curv = mean_curvature(mesh)
     interior = ~curv.boundary_mask
     h_max = float(curv.h_norm[interior].max()) if np.any(interior) else 0.0
@@ -661,10 +650,10 @@ def monotone_preset(name: str, n: int = 2, p: float | None = None) -> MonotoneSp
             name=name,
         )
     if name == "p-sobolev":
-        if p is None or not 1.0 < p < n:
-            raise ValueError("p-sobolev preset needs 1 < p < n")
+        if p is None:
+            raise ValueError("p-sobolev preset needs a p")
+        ta = const.talenti_constant(n, p)  # refuses a p outside (1, n)
         p_star = const.sobolev_conjugate(n, p)
-        ta = const.talenti_constant(n, p)
         return MonotoneSpec(
             f=lambda v: v**p_star,
             phi=lambda v: v,
@@ -756,11 +745,11 @@ class Check(NamedTuple):
 
 
 def _refuse_k(kw):
-    _require_k_range(kw["K"], kw["choice"], TriMesh.n)
+    const._check_curvature_bound(kw["K"], kw["choice"].value(TriMesh.n))
 
 
 def _refuse_p_then_k(kw):
-    _require_p_range(kw["p"], TriMesh.n)
+    const._check_p_range(TriMesh.n, kw["p"])
     _refuse_k(kw)
 
 
@@ -793,7 +782,7 @@ CHECKS = {  # in the order the CLI lists them
         "verify_spectral_gap", ("f", "K", "choice", "reading", "subdivision", "tolerance"), _refuse_spectral
     ),
     "logsob": Check(
-        "verify_log_sobolev", ("f", "p", "subdivision", "tolerance"), lambda kw: _require_p_range(kw["p"], TriMesh.n)
+        "verify_log_sobolev", ("f", "p", "subdivision", "tolerance"), lambda kw: const._check_p_range(TriMesh.n, kw["p"])
     ),
     "ms1": Check("verify_michael_simon_p1", ("f", "choice", "subdivision", "tolerance")),
     "mono": Check(

@@ -187,7 +187,7 @@ class TestVerifyCommand:
             ("ps", ["--iso", "bad"], "--iso must be michael-simon or brendle:m, got 'bad'"),
             ("iso", ["--iso", "bad"], "--iso must be michael-simon or brendle:m, got 'bad'"),
             ("mono", ["--preset", "bogus"], "unknown preset 'bogus'"),
-            ("mono", ["--preset", "p-sobolev", "--p", "2.5"], "p-sobolev preset needs 1 < p < n"),
+            ("mono", ["--preset", "p-sobolev", "--p", "2.5"], "requires 1 < p < n, got p = 2.5, n = 2"),
             ("gn", ["--p", "1.5"], "gn check requires --q"),
             *[
                 (check, ["--p", "1.5", "--q", "2.5", "--K", "5"], f"K = 5.0 is not in [0, 1/C) with 1/C = {INV_C}")
@@ -198,8 +198,8 @@ class TestVerifyCommand:
              "EGN numerator: gamma(-2.5) < 0 under a fractional power"),
             ("gn", ["--reading", "literal", "--p", "1.5", "--q", "2"], "EGN numerator: gamma pole at argument -2.0"),
             # p is refused before K, as the library refuses it
-            ("sobolev", ["--p", "3", "--K", "5"], "surface dimension 2 requires 1 < p < 2, got 3.0"),
-            ("logsob", [], "surface dimension 2 requires 1 < p < 2, got 2.0"),
+            ("sobolev", ["--p", "3", "--K", "5"], "requires 1 < p < n, got p = 3.0, n = 2"),
+            ("logsob", [], "requires 1 < p < n, got p = 2.0, n = 2"),
         ],
         ids=["iso-ps", "iso-iso", "preset", "preset-p", "gn-q",
              *[f"K-{c}" for c in ("ps", "model", "iso", "sobolev", "gn", "spectral", "mono")],
@@ -625,12 +625,12 @@ class TestCheckTable:
         (["verify", "ps", "--p", "nan"], "p must be a finite number >= 1, got nan"),
         (["verify", "model", "--p", "nan"], "p must be a finite number >= 1, got nan"),
         (["verify", "ps", "--p", "inf"], "p must be a finite number >= 1, got inf"),
-        (["constants", "--n", "2", "--K", "nan"], "K must be >= 0, got nan"),
-        (["counterexample", "--p", "nan"], "need finite lambda >= 1 and finite p >= 1"),
-        (["counterexample", "--p", "inf"], "need finite lambda >= 1 and finite p >= 1"),
+        (["constants", "--n", "2", "--K", "nan"], f"K = nan is not in [0, 1/C) with 1/C = {INV_C}"),
+        (["counterexample", "--p", "nan"], "p must be a finite number >= 1, got nan"),
+        (["counterexample", "--p", "inf"], "p must be a finite number >= 1, got inf"),
         (["counterexample", "--p", "1.5", "--N", "nan"], "N must be a finite number > 0, got nan"),
         (["counterexample", "--p", "1.5", "--N", "inf"], "N must be a finite number > 0, got inf"),
-        (["rearrange", "--target", "model", "--K", "nan"], f"model space requires 0 <= K < 1/C = {INV_C}"),
+        (["rearrange", "--target", "model", "--K", "nan"], f"K = nan is not in [0, 1/C) with 1/C = {INV_C}"),
         *[(["verify", "spectral", "--tolerance", tol], f"tolerance must be a finite number >= 0, got {float(tol)}")
           for tol in ("inf", "nan", "-0.5")],
     ],

@@ -338,12 +338,6 @@ class TestLinearRearrangement:
         for p in (1.0, 2.0):
             assert lp_norm(lin, p) == pytest.approx(lp_norm(step, p), rel=0.05)
 
-    def test_max_knots_override(self):
-        rng = np.random.default_rng(13)
-        dmf = random_dmf(rng, size=500)
-        prof = rearrange(dmf, lebesgue(2), LINEAR, max_knots=8)
-        assert prof.radii.size <= 9
-
     def test_hat_energy_matches_continuum(self):
         # samples of 1 - r on the disk: gradient 2-energy of the profile is pi
         rng = np.random.default_rng(21)
