@@ -247,6 +247,24 @@ def load_mesh(source) -> TriMesh:
     return TriMesh(_kept(vertices), _kept(triangles))
 
 
+def _indices(index, count: int, what: str) -> np.ndarray:
+    """``index`` as a flat int array, refusing an index (of a vertex or a triangle) outside [0, count) or one
+    that appears more than once."""
+    index = np.asarray(index, dtype=int).ravel()
+    out_of_range = (index < 0) | (index >= count)
+    if out_of_range.any():
+        raise ValueError(f"{what} index {index[out_of_range.argmax()]} out of range [0, {count})")
+    repeated = np.bincount(index, minlength=count) > 1
+    if repeated.any():
+        raise ValueError(f"{what} index {repeated.argmax()} appears more than once")
+    return index
+
+
+def _require_field_length(mesh: TriMesh, values: np.ndarray):
+    if len(values) != len(mesh.vertices):
+        raise ValueError("field length does not match vertex count")
+
+
 def _require_boundary_vanishing(mesh: TriMesh, values: np.ndarray):
     bv = mesh.boundary_vertices()
     if bv.size and np.any(values[bv] != 0.0):
@@ -274,10 +292,10 @@ class VertexField:
             raise ValueError("field values must be finite")
         if np.any(values < 0):
             raise ValueError("field values must be >= 0")
-        if self.mesh is not None and len(values) != len(self.mesh.vertices):
-            raise ValueError("field length does not match vertex count")
-        if self.compactly_supported and self.mesh is not None:
-            _require_boundary_vanishing(self.mesh, values)
+        if self.mesh is not None:
+            _require_field_length(self.mesh, values)
+            if self.compactly_supported:
+                _require_boundary_vanishing(self.mesh, values)
         self._profiles = {}  # (subdivision, target) -> (mesh, rearranged profile), see verify
 
     @classmethod
@@ -288,14 +306,8 @@ class VertexField:
         without a row get 0.
         """
         index, values = read_table(stream, "vertex_index,value", (np.int64, float))
-        nv = len(mesh.vertices)
-        out_of_range = (index < 0) | (index >= nv)
-        if out_of_range.any():
-            raise ValueError(f"vertex index {index[out_of_range.argmax()]} out of range [0, {nv})")
-        repeated = np.bincount(index, minlength=nv) > 1
-        if repeated.any():
-            raise ValueError(f"vertex index {repeated.argmax()} appears more than once")
-        full = np.zeros(nv)
+        index = _indices(index, len(mesh.vertices), "vertex")
+        full = np.zeros(len(mesh.vertices))
         full[index] = values
         return cls(_kept(full), mesh=mesh, **kwargs)
 
@@ -304,11 +316,11 @@ class VertexField:
 
 
 def hausdorff_measure(mesh: TriMesh, region=None) -> float:
-    """Total area of the mesh, or of a subset of triangle indices."""
+    """Total area of the mesh, or of a region of distinct triangle indices."""
     areas = mesh.triangle_areas()
     if region is None:
         return float(areas.sum())
-    region = np.asarray(region, dtype=int)
+    region = _indices(region, len(mesh.triangles), "triangle")
     return float(areas[region].sum()) if region.size else 0.0
 
 
@@ -433,7 +445,7 @@ def _total_curvature(areas: np.ndarray, h: np.ndarray, vertices: np.ndarray) -> 
 def _region_tc(mesh: TriMesh, report: CurvatureReport, region: np.ndarray) -> float:
     """Total curvature over the interior vertices whose whole star lies inside the triangle region."""
     inside_tri = np.zeros(len(mesh.triangles), dtype=bool)
-    inside_tri[region] = True
+    inside_tri[_indices(region, len(mesh.triangles), "triangle")] = True
     full_star = np.ones(len(mesh.vertices), dtype=bool)
     full_star[mesh.triangles[~inside_tri]] = False
     return _total_curvature(report.vertex_areas, report.h_norm, full_star & ~report.boundary_mask)
@@ -445,12 +457,12 @@ def total_mean_curvature(mesh: TriMesh) -> float:
 
 
 def boundary_measure(mesh: TriMesh, region=None) -> float:
-    """Total length of boundary edges of the mesh or a triangle subset."""
+    """Total length of boundary edges of the mesh or of a region of distinct triangle indices."""
     if region is None:
         edges = mesh.boundary_edges()
     else:
         inside = np.zeros(len(mesh.triangles), dtype=bool)
-        inside[np.asarray(region, dtype=int).ravel()] = True
+        inside[_indices(region, len(mesh.triangles), "triangle")] = True
         across = mesh._across
         # a half-edge of the region bounds it when no region triangle lies across
         cut = np.repeat(inside, 3) & ((across < 0) | ~inside[across])

@@ -55,6 +55,7 @@ from .mesh import (
     VertexField,
     _region_tc,
     _require_boundary_vanishing,
+    _require_field_length,
     _require_subdivision,
     boundary_measure,
     hausdorff_measure,
@@ -203,15 +204,16 @@ def _require_tc_bound(tc: float, K: float, what: str):
         )
 
 
-def _require_field(f: VertexField | None):
+def _require_field(mesh: TriMesh, f: VertexField | None):
     if f is None:
         raise ValueError("mesh input needs a field")
+    _require_field_length(mesh, f.values)
 
 
 def _check_inputs(mesh, f, K, choice, subdivision, tolerance) -> float:
-    """Refuse a missing field, a closed surface, K outside [0, 1/C), total curvature
-    above K and a field not vanishing on the boundary; return the report tolerance."""
-    _require_field(f)
+    """Refuse a missing field or one of another length, a closed surface, K outside [0, 1/C), total
+    curvature above K and a field not vanishing on the boundary; return the report tolerance."""
+    _require_field(mesh, f)
     if mesh.is_closed():
         raise CurvatureBoundViolated(
             "closed surface: the rearrangement inequality requires nonempty boundary"
@@ -522,7 +524,7 @@ def verify_log_sobolev(
             "LogSobolev", lhs, rhs, tol, inputs={"n": n, "p": p, "input": "radial"}
         )
     mesh: TriMesh = obj
-    _require_field(f)
+    _require_field(mesh, f)
     const._check_p_range(mesh.n, p)
     curv = mean_curvature(mesh)
     interior = ~curv.boundary_mask
@@ -566,7 +568,7 @@ def verify_michael_simon_p1(
 ) -> VerificationReport:
     """The p = 1 rearrangement bound with the curvature term on the right:
     no total-curvature assumption, so closed surfaces are allowed."""
-    _require_field(f)
+    _require_field(mesh, f)
     profile = _rearranged_profile(mesh, f, subdivision, lebesgue(mesh.n))
     lhs = gradient_energy(profile, 1.0)
     curv = mean_curvature(mesh)

@@ -312,6 +312,10 @@ class TestTopologyAgainstLoopReference:
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.integers(0, len(SMALL_DISK.triangles) - 1), max_size=60))
     def test_region_boundary(self, region):
+        if len(set(region)) < len(region):  # a region names each triangle once
+            with pytest.raises(ValueError, match="appears more than once"):
+                boundary_measure(SMALL_DISK, region)
+            return
         assert boundary_measure(SMALL_DISK, region) == pytest.approx(
             _loop_region_boundary(SMALL_DISK, region), rel=1e-12, abs=1e-14
         )
@@ -383,6 +387,35 @@ class TestBoundary:
         # only the first triangle: its boundary is the full triangle perimeter
         length = boundary_measure(mesh, [0])
         assert length == pytest.approx(2.0 + math.sqrt(2.0), rel=1e-13)
+
+
+M8 = len(analytic.make_disk(1.0, 8).triangles)
+
+
+@pytest.mark.parametrize(
+    "measure",
+    [
+        hausdorff_measure,
+        boundary_measure,
+        lambda mesh, region: mesh_module._region_tc(mesh, mean_curvature(mesh), region),
+        lambda mesh, region: verify.verify_isoperimetric(mesh, 0.0, const.brendle(1), regions=[region]),
+    ],
+    ids=["hausdorff_measure", "boundary_measure", "region_tc", "verify_isoperimetric"],
+)
+@pytest.mark.parametrize(
+    "region, message",
+    [
+        ([-1], f"triangle index -1 out of range [0, {M8})"),
+        ([3, M8], f"triangle index {M8} out of range [0, {M8})"),
+        ([0, 0, 1], "triangle index 0 appears more than once"),
+        ([[5, 2], [7, 2]], "triangle index 2 appears more than once"),
+    ],
+    ids=["minus-one", "M", "repeated", "repeated-2d"],
+)
+def test_region_indices_are_distinct_and_in_range(measure, region, message):
+    with pytest.raises(ValueError) as caught:
+        measure(analytic.make_disk(1.0, 8), region)
+    assert str(caught.value) == message
 
 
 class TestAreasAndGradient:

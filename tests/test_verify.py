@@ -318,3 +318,30 @@ class TestMonotonicityPrinciple:
 def test_mesh_checks_require_a_field(disk32, check):
     with pytest.raises(ValueError, match="mesh input needs a field"):
         check(disk32)
+
+
+DISK8 = analytic.make_disk(1.0, 8)
+HAT8 = boundary_vanishing_field(DISK8, 1.0 - np.linalg.norm(DISK8.vertices[:, :2], axis=1)).values
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda f: verify_polya_szego(DISK8, f, 2.0, 0.0, B1),
+        lambda f: verify_model_space_ps(DISK8, f, 2.0, 0.0, B1),
+        lambda f: verify_p_sobolev(DISK8, f, 1.5, 0.0, B1),
+        lambda f: verify_gn(DISK8, 1.5, 2.5, 0.0, B1, f=f),
+        lambda f: verify_spectral_gap(DISK8, f, 0.0, B1),
+        lambda f: verify_log_sobolev(DISK8, 1.5, f=f),
+        lambda f: verify_michael_simon_p1(DISK8, f, B1),
+        lambda f: verify_monotonicity_principle(DISK8, f, monotone_preset("sobolev-l1"), 0.0, B1),
+    ],
+    ids=["ps", "model", "sobolev", "gn", "spectral", "logsob", "ms1", "mono"],
+)
+@pytest.mark.parametrize(
+    "values", [np.concatenate([HAT8, np.zeros(10)]), HAT8[:-10]], ids=["ten-values-more", "ten-values-fewer"]
+)
+def test_mesh_checks_refuse_a_field_of_another_length(check, values):
+    # a field built without its mesh is checked against the mesh it is verified on
+    with pytest.raises(ValueError, match="field length does not match vertex count"):
+        check(VertexField(values))
