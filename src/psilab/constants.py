@@ -97,6 +97,7 @@ class IsoperimetricChoice:
         return brendle_constant(n, self.m)
 
     def euclidean_product(self, n: int) -> float:
+        _check_dimension(n)
         if self.kind is IsoKind.BRENDLE and self.m in (1, 2):
             return 1.0
         return self.value(n) * _n_omega_root(n)
@@ -293,6 +294,7 @@ def spectral_gap_constant(
 
 def asymptotic_ratio(n: int, K: float) -> float:
     """n*omega_n^(1/n) / (n*omega_n^(1/n) - K), through log-gamma for large n; K in [0, n*omega_n^(1/n))."""
+    _check_dimension(n)
     x = _n_omega_root(n)
     _check_curvature_bound(K, 1.0 / x)
     return x / (x - K)

@@ -640,6 +640,7 @@ class MonotoneSpec:
 def monotone_preset(name: str, n: int = 2, p: float | None = None) -> MonotoneSpec:
     """Named instantiations: 'sobolev-l1' recovers the isoperimetric /
     L^1-Sobolev functional form, 'p-sobolev' the p-Sobolev inequality."""
+    const._check_dimension(n)
     if name == "sobolev-l1":
         ex = n / (n - 1.0)
         return MonotoneSpec(

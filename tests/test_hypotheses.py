@@ -121,11 +121,14 @@ N_ENTRIES = [
     ("brendle_constant", lambda n: const.brendle_constant(n, 1)),
     ("brendle_constant-m3", lambda n: const.brendle_constant(n, 3)),
     ("michael_simon-value", lambda n: const.michael_simon().value(n)),
+    ("brendle-euclidean_product", lambda n: B1.euclidean_product(n)),
+    ("asymptotic_ratio", lambda n: const.asymptotic_ratio(n, 0.0)),
     ("tc_unit_sphere-trace", lambda n: const.tc_unit_sphere(n)),
     ("tc_unit_sphere-paper", lambda n: const.tc_unit_sphere(n, const.TcConvention.PAPER_FORMULA)),
     ("iso_constant", lambda n: const.iso_constant(n, 0.0, B1)),
     ("spectral_gap_constant", lambda n: const.spectral_gap_constant(n, 0.0, B1)),
     ("build_constants_table", lambda n: const.build_constants_table(n, 0.0, B1)),
+    ("monotone_preset", lambda n: v.monotone_preset("sobolev-l1", n)),
 ]
 
 
