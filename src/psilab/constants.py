@@ -345,8 +345,8 @@ def build_constants_table(
 ) -> ConstantsTable:
     """Assemble the constants table; optional (p, q) unlock the p-dependent rows.
 
-    Construction fails with CurvatureBoundViolated when K >= 1/C, and with ValueError on a non-finite p or q;
-    a finite p outside (1, n) only leaves out the rows that need it.
+    Construction fails with CurvatureBoundViolated when K is outside [0, 1/C), and with ValueError on a
+    non-finite p or q; a finite p outside (1, n) only leaves out the rows that need it.
     """
     for name, value in (("p", p), ("q", q)):
         if value is not None and not math.isfinite(value):

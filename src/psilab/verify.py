@@ -507,6 +507,7 @@ def verify_log_sobolev(
     """
     if isinstance(obj, RadialFunction):
         n = obj.n
+        const._check_p_range(n, p)
         c = radial_lp(obj, p)
         if not math.isfinite(c) or c <= 0:
             raise ZeroField("cannot normalize: L^p norm is zero or infinite")

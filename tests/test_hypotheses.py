@@ -77,6 +77,7 @@ P_ENTRIES = [
     ("verify_p_sobolev", lambda p: v.verify_p_sobolev(DISK, HAT, p, 0.0, B1)),
     ("verify_gn", lambda p: v.verify_gn(DISK, p, 2.5, 0.0, B1, f=HAT)),
     ("verify_log_sobolev", lambda p: v.verify_log_sobolev(DISK, p, f=HAT)),
+    ("verify_log_sobolev-radial", lambda p: v.verify_log_sobolev(analytic.logsobolev_extremal(2, 1.5, 1.0), p)),
     *[(f"CHECKS[{c}]", lambda p, c=c: _refuse(c, p=p)) for c in ("sobolev", "gn", "logsob")],
     ("CHECKS[mono]", lambda p: _refuse("mono", p=p, spec="p-sobolev")),
 ]
