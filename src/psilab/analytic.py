@@ -346,25 +346,17 @@ class RadialFunction:
         return self.value(r)
 
 
-def _sphere_area_factor(n: int) -> float:
-    return n * unit_ball_volume(n)
-
-
 _QUAD_OPTS = dict(epsabs=0.0, epsrel=1e-10, limit=400)
 
 
 def _radial_quad(fn, n: int, support: float) -> float:
-    """Adaptive quadrature of fn(r) * n omega_n r^(n-1) dr over the support."""
-    area = _sphere_area_factor(n)
+    """Adaptive quadrature of fn(r) * n omega_n r^(n-1) dr over the support, finite or inf."""
+    area = n * unit_ball_volume(n)
 
     def g(r):
         return fn(r) * area * r ** (n - 1)
 
-    if math.isinf(support):
-        total, _ = quad(g, 0.0, math.inf, **_QUAD_OPTS)
-    else:
-        total, _ = quad(g, 0.0, support, **_QUAD_OPTS)
-    return total
+    return quad(g, 0.0, support, **_QUAD_OPTS)[0]
 
 
 def radial_lp(rf: RadialFunction, p: float) -> float:

@@ -226,7 +226,7 @@ def _cmd_verify(args) -> int:
         _warn_if_disconnected(mesh)
     if args.field:
         kw["f"], _ = _read_kept(fields, args.field, lambda fh: VertexField.from_csv(fh, mesh))
-    reports = getattr(verify, check.verifier)(mesh, **{k: kw[k] for k in check.keywords})
+    reports = getattr(verify, check.verifier)(mesh, **{k: kw[k] for k in check.keywords if k in kw})
     reports = reports if isinstance(reports, list) else [reports]
     if args.format == "json":
         _emit(json.dumps([r.as_dict() for r in reports], indent=2), args.out)

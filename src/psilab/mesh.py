@@ -442,13 +442,15 @@ def _total_curvature(areas: np.ndarray, h: np.ndarray, vertices: np.ndarray) -> 
     return float(np.sqrt(np.sum(areas[vertices] * h[vertices] ** 2)))
 
 
-def _region_tc(mesh: TriMesh, report: CurvatureReport, region: np.ndarray) -> float:
-    """Total curvature over the interior vertices whose whole star lies inside the triangle region."""
-    inside_tri = np.zeros(len(mesh.triangles), dtype=bool)
-    inside_tri[_indices(region, len(mesh.triangles), "triangle")] = True
-    full_star = np.ones(len(mesh.vertices), dtype=bool)
-    full_star[mesh.triangles[~inside_tri]] = False
-    return _total_curvature(report.vertex_areas, report.h_norm, full_star & ~report.boundary_mask)
+def _region_tc(mesh: TriMesh, report: CurvatureReport, region=None) -> float:
+    """Total curvature over the interior vertices whose whole star lies inside the triangle region, or over every
+    interior vertex (vertices in no triangle too)."""
+    interior = ~report.boundary_mask
+    if region is not None:
+        inside_tri = np.zeros(len(mesh.triangles), dtype=bool)
+        inside_tri[_indices(region, len(mesh.triangles), "triangle")] = True
+        interior[mesh.triangles[~inside_tri]] = False
+    return _total_curvature(report.vertex_areas, report.h_norm, interior)
 
 
 def total_mean_curvature(mesh: TriMesh) -> float:

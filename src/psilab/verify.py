@@ -20,6 +20,7 @@ drawn once per check.
 from __future__ import annotations
 
 import csv
+import inspect
 import io
 import json
 import math
@@ -312,13 +313,13 @@ def verify_isoperimetric(
     regions: Sequence[np.ndarray] | None = None,
     tolerance: float | None = None,
 ) -> list[VerificationReport]:
-    """area^(1/2) <= I(2, K) * boundary length, one report per triangle region (by default the whole mesh;
-    tolerance 0.01 by default)."""
+    """area^(1/2) <= I(2, K) * boundary length, one report per triangle region (by default the whole mesh, from
+    its kept areas, boundary and curvature; tolerance 0.01 by default)."""
     const._check_curvature_bound(K, choice.value(mesh.n))
     curv = mean_curvature(mesh)
     out = []
-    for region in [np.arange(len(mesh.triangles))] if regions is None else regions:
-        region = np.asarray(region, dtype=int)
+    for region in [None] if regions is None else regions:
+        size = len(mesh.triangles) if region is None else np.asarray(region, dtype=int).size
         _require_tc_bound(_region_tc(mesh, curv, region), K, "region")
         area = hausdorff_measure(mesh, region)
         lhs = math.sqrt(area)
@@ -329,7 +330,7 @@ def verify_isoperimetric(
                 lhs,
                 rhs,
                 0.01 if tolerance is None else tolerance,
-                inputs={"n": mesh.n, "K": K, "iso": choice.label(), "triangles": int(region.size)},
+                inputs={"n": mesh.n, "K": K, "iso": choice.label(), "triangles": size},
             )
         )
     return out
@@ -728,13 +729,13 @@ def verify_monotonicity_principle(
 
 class Check(NamedTuple):
     """A check of ``CHECKS``: the name of its verifier in this module, looked up when the check runs (so a
-    rebound attribute, a tracing wrapper say, is what runs); the keywords the verifier takes besides the
-    mesh; and ``refuse(keywords)``, the check's own argument refusals, which raises on bad arguments and
-    turns the ``reading`` and ``spec`` names into the values the verifier takes."""
+    rebound attribute, a tracing wrapper say, is what runs); the keywords the verifier takes besides the mesh,
+    read from its signature at import; and ``refuse(keywords)``, the check's own argument refusals, which raises
+    on bad arguments and turns the ``reading`` and ``spec`` names into the values the verifier takes."""
 
     verifier: str
     keywords: tuple[str, ...]
-    refuse: Callable[[dict], None] = lambda kw: None
+    refuse: Callable[[dict], None]
 
     def refuse_arguments(self, kw: dict):
         """Raise on bad arguments before any file is read, with the checks the verifier runs later and in
@@ -746,6 +747,10 @@ class Check(NamedTuple):
             require_order(kw["p"])
         if kw["tolerance"] is not None:
             _require_tolerance(kw["tolerance"])
+
+
+def _check(verifier: str, refuse: Callable[[dict], None] = lambda kw: None) -> Check:
+    return Check(verifier, tuple(inspect.signature(globals()[verifier]).parameters)[1:], refuse)
 
 
 def _refuse_k(kw):
@@ -775,21 +780,14 @@ def _refuse_mono(kw):
     _refuse_k(kw)
 
 
-_FIELD_P_K = ("f", "p", "K", "choice", "subdivision", "tolerance")
 CHECKS = {  # in the order the CLI lists them
-    "ps": Check("verify_polya_szego", _FIELD_P_K, _refuse_k),
-    "model": Check("verify_model_space_ps", _FIELD_P_K, _refuse_k),
-    "iso": Check("verify_isoperimetric", ("K", "choice", "tolerance"), _refuse_k),
-    "sobolev": Check("verify_p_sobolev", _FIELD_P_K, _refuse_p_then_k),
-    "gn": Check("verify_gn", ("q", "reading", *_FIELD_P_K), _refuse_gn),
-    "spectral": Check(
-        "verify_spectral_gap", ("f", "K", "choice", "reading", "subdivision", "tolerance"), _refuse_spectral
-    ),
-    "logsob": Check(
-        "verify_log_sobolev", ("f", "p", "subdivision", "tolerance"), lambda kw: const._check_p_range(TriMesh.n, kw["p"])
-    ),
-    "ms1": Check("verify_michael_simon_p1", ("f", "choice", "subdivision", "tolerance")),
-    "mono": Check(
-        "verify_monotonicity_principle", ("f", "spec", "K", "choice", "subdivision", "tolerance"), _refuse_mono
-    ),
+    "ps": _check("verify_polya_szego", _refuse_k),
+    "model": _check("verify_model_space_ps", _refuse_k),
+    "iso": _check("verify_isoperimetric", _refuse_k),
+    "sobolev": _check("verify_p_sobolev", _refuse_p_then_k),
+    "gn": _check("verify_gn", _refuse_gn),
+    "spectral": _check("verify_spectral_gap", _refuse_spectral),
+    "logsob": _check("verify_log_sobolev", lambda kw: const._check_p_range(TriMesh.n, kw["p"])),
+    "ms1": _check("verify_michael_simon_p1"),
+    "mono": _check("verify_monotonicity_principle", _refuse_mono),
 }
