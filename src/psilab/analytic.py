@@ -350,11 +350,13 @@ _QUAD_OPTS = dict(epsabs=0.0, epsrel=1e-10, limit=400)
 
 
 def _radial_quad(fn, n: int, support: float) -> float:
-    """Adaptive quadrature of fn(r) * n omega_n r^(n-1) dr over the support, finite or inf."""
+    """Adaptive quadrature of fn(r) * n omega_n r^(n-1) dr over the support, finite or inf. Where fn(r) is 0
+    the integrand is 0 without r^(n-1), which leaves the double range far out from n of about 100."""
     area = n * unit_ball_volume(n)
 
     def g(r):
-        return fn(r) * area * r ** (n - 1)
+        v = fn(r)
+        return v * area * r ** (n - 1) if v else 0.0
 
     return quad(g, 0.0, support, **_QUAD_OPTS)[0]
 

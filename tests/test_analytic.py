@@ -393,6 +393,12 @@ class TestRadialFunctions:
         assert 0 < float(rf.value(r)) < math.inf
         assert float(rf.value(r)) == pytest.approx(math.exp(float(rf.log_value(r))), rel=1e-15)
 
+    @pytest.mark.parametrize("n", [100, 150, 200, 250, 300])
+    def test_logsobolev_equality_past_n_100(self, n):
+        # far out the extremal is 0 while r^(n-1) would leave the double range
+        rep = verify_log_sobolev(analytic.logsobolev_extremal(n, 1.5, 1.0), 1.5)
+        assert abs(rep.ratio - 1.0) < 1e-12
+
     def test_logsobolev_equality_invariant_in_s(self):
         for s in (0.5, 1.0, 2.0):
             rep = verify_log_sobolev(analytic.logsobolev_extremal(3, 2.0, s), 2.0)
