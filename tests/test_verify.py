@@ -6,7 +6,7 @@ import pytest
 from psilab import analytic, constants as const
 from psilab import verify as verify_module
 from psilab.errors import ConvergenceFailure, CurvatureBoundViolated, GammaPole, NotMinimal, SpecInvalid
-from psilab.mesh import VertexField, p1_gradient_lp, sample_field
+from psilab.mesh import TriMesh, VertexField, p1_gradient_lp, sample_field
 from psilab.measure_space import lp_norm
 from psilab.special_fn import bessel_first_zero, bessel_j
 from psilab.verify import (
@@ -132,7 +132,45 @@ class TestModelSpace:
         assert rep.lhs == pytest.approx(euclid.lhs**2, rel=1e-10)
 
 
+def _with_unused_vertices(mesh: TriMesh, count: int, seed: int) -> TriMesh:
+    """``mesh`` with ``count`` vertices in no triangle put at random places among its own."""
+    rng = np.random.default_rng(seed)
+    nv = len(mesh.vertices) + count
+    unused = rng.choice(nv, count, replace=False)
+    used = np.setdiff1d(np.arange(nv), unused)  # ascending, so the mesh's vertices keep their order
+    vertices = np.empty((nv, mesh.d))
+    vertices[used], vertices[unused] = mesh.vertices, rng.uniform(-1.0, 1.0, (count, mesh.d))
+    return TriMesh(vertices, used[mesh.triangles])
+
+
+WHOLE_MESHES = {
+    "disk": analytic.make_disk(1.0, 16),
+    "cap-0.6": analytic.make_cap(0.6, 16),
+    "catenoid": analytic.make_catenoid(1.0, 12, 24),
+    **{f"cap-{a}-unused-{seed}": _with_unused_vertices(analytic.make_cap(a, 12), 7, seed)
+       for a, seed in ((0.3, 1), (0.6, 2), (0.6, 3), (1.0, 4), (1.0, 5))},
+}
+
+
 class TestIsoperimetric:
+    @pytest.mark.parametrize("mesh", WHOLE_MESHES.values(), ids=WHOLE_MESHES.keys())
+    def test_whole_mesh_is_the_region_of_every_triangle(self, mesh):
+        (whole,) = verify_isoperimetric(mesh, 3.5, B1)
+        (every,) = verify_isoperimetric(mesh, 3.5, B1, [np.arange(len(mesh.triangles))])
+        assert whole.to_json() == every.to_json()
+
+    @pytest.mark.parametrize("seed", [None, 1, 2, 3, 4])
+    def test_whole_closed_mesh_is_refused_as_the_region_of_every_triangle(self, seed):
+        # the message holds the measured TC, so it shows the last digit of the sum; seeds add unused vertices
+        sphere = analytic.make_sphere(2)
+        sphere = sphere if seed is None else _with_unused_vertices(sphere, 7, seed)
+        messages = []
+        for regions in (None, [np.arange(len(sphere.triangles))]):
+            with pytest.raises(CurvatureBoundViolated, match="region total mean curvature .* exceeds") as caught:
+                verify_isoperimetric(sphere, 3.5, B1, regions)
+            messages.append(str(caught.value))
+        assert messages[0] == messages[1]
+
     def test_full_disk_is_near_equality(self, disk32, disk_hat):
         reports = verify_isoperimetric(
             disk32, 0.0, B1, [np.arange(len(disk32.triangles))], tolerance=0.01
