@@ -1,0 +1,37 @@
+"""Source checks that need no linter: every name a ``psilab`` module imports is read there or listed in
+its ``__all__``."""
+
+import ast
+import pathlib
+
+import pytest
+
+import psilab
+
+SOURCES = sorted(pathlib.Path(psilab.__file__).parent.glob("*.py"))
+
+
+def _unused_imports(source: str) -> list[str]:
+    """'line L: name' for each name an import binds (at any depth) that no expression reads and ``__all__``
+    does not list."""
+    imported, read = {}, set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom) and node.module != "__future__"):
+            for alias in node.names:
+                imported.setdefault(alias.asname or alias.name.split(".")[0], node.lineno)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            read.update(ast.literal_eval(node.value))
+    return [f"line {line}: {name}" for name, line in imported.items() if name not in read]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[path.name for path in SOURCES])
+def test_every_import_is_used(path):
+    assert _unused_imports(path.read_text()) == []
+
+
+def test_the_guard_finds_an_unused_import():
+    source = "from __future__ import annotations\nimport os, sys\nimport numpy.linalg\nfrom math import pi as PI\n" \
+             "__all__ = ['PI']\n\ndef f():\n    from json import dumps\n    return sys.argv\n"
+    assert _unused_imports(source) == ["line 2: os", "line 3: numpy", "line 8: dumps"]
