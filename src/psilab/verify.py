@@ -735,7 +735,7 @@ class Check(NamedTuple):
 
     verifier: str
     keywords: tuple[str, ...]
-    refuse: Callable[[dict], None]
+    refuse: Callable[[dict], None] = lambda kw: None
 
     def refuse_arguments(self, kw: dict):
         """Raise on bad arguments before any file is read, with the checks the verifier runs later and in
@@ -749,8 +749,8 @@ class Check(NamedTuple):
             _require_tolerance(kw["tolerance"])
 
 
-def _check(verifier: str, refuse: Callable[[dict], None] = lambda kw: None) -> Check:
-    return Check(verifier, tuple(inspect.signature(globals()[verifier]).parameters)[1:], refuse)
+def _check(verifier: str, *refuse: Callable[[dict], None]) -> Check:
+    return Check(verifier, tuple(inspect.signature(globals()[verifier]).parameters)[1:], *refuse)
 
 
 def _refuse_k(kw):

@@ -55,12 +55,12 @@ def _assert_measures(got: dict, want: dict):
 @settings(max_examples=40, deadline=None)
 @given(mesh_and_field(), st.integers(0, 2**32 - 1), st.sampled_from([3, 4]))
 def test_isometries_keep_the_measures(mesh_field, seed, d):
-    # a rotation and translation of R^3, or the embedding R^3 -> R^4 (a zero coordinate appended) followed by one
+    # an orthogonal map plus a translation of R^3, or the embedding R^3 -> R^4 (a zero coordinate appended)
+    # followed by one of R^4
     mesh, f = mesh_field
     x = np.hstack([mesh.vertices, np.zeros((len(mesh.vertices), d - 3))])
     shift = np.random.default_rng(seed + 1).uniform(-5.0, 5.0, d)
     moved = TriMesh(x @ _orthogonal(seed, d).T + shift, mesh.triangles)
-    assert moved.d == d
     _assert_measures(_measures(moved, f), _measures(mesh, f))
 
 
