@@ -68,11 +68,13 @@ class DiscreteMeasuredFunction:
             raise ValueError("values and weights must be 1-d arrays of equal length")
         if values.size == 0:
             raise ValueError("at least one sample is required")
-        if not (np.isfinite(values).all() and np.isfinite(weights).all()):
+        # NaN and +-inf carry through min and max, so four reductions serve every check below
+        lo, hi, w_lo, w_hi = values.min(), values.max(), weights.min(), weights.max()
+        if not np.isfinite([lo, hi, w_lo, w_hi]).all():
             raise ValueError("sample values and weights must be finite")
-        if np.any(values < 0):
+        if lo < 0:
             raise ValueError("sample values must be >= 0")
-        if np.any(weights <= 0):
+        if w_lo <= 0:
             raise ValueError("sample weights must be > 0")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "weights", weights)
@@ -387,7 +389,9 @@ def lp_norm(obj, p: float) -> float:
     """
     require_order(p)
     if isinstance(obj, DiscreteMeasuredFunction):
-        return float(np.sum(obj.weights * obj.values**p)) ** (1.0 / p)
+        terms = obj.values**p  # the one sample-sized temporary, weighted in place
+        terms *= obj.weights
+        return float(np.sum(terms)) ** (1.0 / p)
     profile: RadialProfile = obj
     if profile.interpolation is Interpolation.RIGHT_CONTINUOUS_STEP:
         vol = np.asarray(profile.target.ball_volume(profile.radii), dtype=float)

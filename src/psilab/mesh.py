@@ -443,13 +443,14 @@ def _total_curvature(areas: np.ndarray, h: np.ndarray, vertices: np.ndarray) -> 
 
 
 def _region_tc(mesh: TriMesh, report: CurvatureReport, region=None) -> float:
-    """Total curvature over the interior vertices whose whole star lies inside the triangle region, or over every
-    interior vertex (vertices in no triangle too)."""
-    interior = ~report.boundary_mask
-    if region is not None:
-        inside_tri = np.zeros(len(mesh.triangles), dtype=bool)
-        inside_tri[_indices(region, len(mesh.triangles), "triangle")] = True
-        interior[mesh.triangles[~inside_tri]] = False
+    """Total curvature over the report's vertices (interior, positive area) whose whole star lies inside the
+    triangle region, or the report's kept total for the whole mesh."""
+    if region is None:
+        return report.total
+    interior = ~report.boundary_mask & (report.vertex_areas > 0)
+    inside_tri = np.zeros(len(mesh.triangles), dtype=bool)
+    inside_tri[_indices(region, len(mesh.triangles), "triangle")] = True
+    interior[mesh.triangles[~inside_tri]] = False
     return _total_curvature(report.vertex_areas, report.h_norm, interior)
 
 

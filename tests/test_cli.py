@@ -2,6 +2,7 @@ import argparse
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 from collections import OrderedDict
@@ -532,6 +533,24 @@ class TestVerifyKeepsInputs:
         assert dispatch(["verify", "iso", "--mesh", str(path)]) == 0
         assert json.loads(capsys.readouterr().out)[0]["lhs"] ** 2 == pytest.approx(2.0 * area)
         assert len(loads) == 2
+
+    def test_same_bytes_at_another_path_is_a_hit(self, disk_files, tmp_path, no_kept_inputs, monkeypatch, capsys):
+        # the key is the content: a copy with its own path, inode and mtime finds the kept mesh and field
+        mesh_path, field_path, _ = disk_files
+        copies = []
+        for path in (mesh_path, field_path):
+            copy = tmp_path / ("copy-" + os.path.basename(path))
+            shutil.copyfile(path, copy)
+            os.utime(copy, ns=(1, 1))
+            copies.append(str(copy))
+        loads = _counted(monkeypatch, cli, "load_mesh")
+        reads = _counted(monkeypatch, mesh_module, "read_table")
+        outputs = []
+        for mesh, field in ((mesh_path, field_path), tuple(copies)):
+            assert dispatch(["verify", "ms1", "--mesh", mesh, "--field", field]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert (len(loads), len(reads)) == (1, 1)
 
     def test_errors_are_not_kept(self, disk_files, tmp_path, no_kept_inputs, monkeypatch, capsys):
         mesh_path, _, _ = disk_files

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -33,12 +34,28 @@ def random_dmf(rng, size=None):
 
 class TestDiscreteMeasuredFunction:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            DiscreteMeasuredFunction(np.array([1.0, -0.5]), np.array([1.0, 1.0]))
-        with pytest.raises(ValueError):
-            DiscreteMeasuredFunction(np.array([1.0]), np.array([0.0]))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="equal length"):
+            DiscreteMeasuredFunction(np.array([1.0, 2.0]), np.array([1.0]))
+        with pytest.raises(ValueError, match="at least one sample"):
             DiscreteMeasuredFunction(np.array([]), np.array([]))
+
+    # (values, weights, the refusal): a non-finite entry anywhere is named first, then a negative value,
+    # then a weight that is not positive
+    REFUSALS = {
+        "nan-value": ([1.0, math.nan], [1.0, 1.0], "sample values and weights must be finite"),
+        "-inf-value": ([1.0, -math.inf], [1.0, 1.0], "sample values and weights must be finite"),
+        "inf-value": ([math.inf, 1.0], [1.0, 1.0], "sample values and weights must be finite"),
+        "inf-weight": ([1.0, 2.0], [1.0, math.inf], "sample values and weights must be finite"),
+        "nan-weight-beside-negative-value": ([-1.0, 2.0], [1.0, math.nan], "sample values and weights must be finite"),
+        "negative-value-zero-weight": ([1.0, -0.5], [0.0, 1.0], "sample values must be >= 0"),
+        "zero-weight": ([1.0], [0.0], "sample weights must be > 0"),
+        "negative-weight": ([1.0, 2.0], [1.0, -2.0], "sample weights must be > 0"),
+    }
+
+    @pytest.mark.parametrize("values, weights, message", REFUSALS.values(), ids=REFUSALS.keys())
+    def test_refusal_precedence(self, values, weights, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            DiscreteMeasuredFunction(np.array(values), np.array(weights))
 
     def test_csv_roundtrip(self):
         dmf = DiscreteMeasuredFunction.from_samples([(1.5, 0.25), (0.75, 1.0)])
@@ -49,14 +66,6 @@ class TestDiscreteMeasuredFunction:
     def test_csv_header_enforced(self):
         with pytest.raises(ValueError):
             DiscreteMeasuredFunction.from_csv("radius,value\n1,1\n")
-
-    def test_nan_value_refused(self):
-        with pytest.raises(ValueError, match="finite"):
-            DiscreteMeasuredFunction(np.array([1.0, math.nan]), np.array([1.0, 1.0]))
-
-    def test_infinite_weight_refused(self):
-        with pytest.raises(ValueError, match="finite"):
-            DiscreteMeasuredFunction(np.array([1.0, 2.0]), np.array([1.0, math.inf]))
 
     def test_csv_one_column_row_refused(self):
         with pytest.raises(ValueError):
@@ -98,6 +107,16 @@ class TestDiscreteMeasuredFunction:
         assert dmf.scaled(3.0).values[0] == 6.0
         with pytest.raises(ValueError):
             dmf.scaled(0.0)
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 6.0, 2.37])
+    def test_lp_norm_leaves_read_only_samples_unchanged(self, p):
+        rng = np.random.default_rng(7)
+        values, weights = rng.uniform(0.0, 5.0, 1000), rng.uniform(0.1, 2.0, 1000)
+        before = values.copy(), weights.copy()
+        for arr in (values, weights):
+            arr.setflags(write=False)
+        assert lp_norm(DiscreteMeasuredFunction(values, weights), p) == float(np.sum(weights * values**p)) ** (1 / p)
+        assert np.array_equal(values, before[0]) and np.array_equal(weights, before[1])
 
     def test_distribution_function(self):
         dmf = DiscreteMeasuredFunction.from_samples([(1.0, 2.0), (3.0, 0.5)])

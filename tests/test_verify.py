@@ -6,7 +6,7 @@ import pytest
 from psilab import analytic, constants as const
 from psilab import verify as verify_module
 from psilab.errors import ConvergenceFailure, CurvatureBoundViolated, GammaPole, NotMinimal, SpecInvalid
-from psilab.mesh import TriMesh, VertexField, p1_gradient_lp, sample_field
+from psilab.mesh import TriMesh, VertexField, mean_curvature, p1_gradient_lp, sample_field
 from psilab.measure_space import lp_norm
 from psilab.special_fn import bessel_first_zero, bessel_j
 from psilab.verify import (
@@ -169,7 +169,20 @@ class TestIsoperimetric:
             with pytest.raises(CurvatureBoundViolated, match="region total mean curvature .* exceeds") as caught:
                 verify_isoperimetric(sphere, 3.5, B1, regions)
             messages.append(str(caught.value))
-        assert messages[0] == messages[1]
+        # both read the one TC of the mesh's curvature report
+        tc = mean_curvature(sphere).total
+        assert messages == [f"region total mean curvature {tc} exceeds the declared bound K = 3.5"] * 2
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    def test_iso_and_the_other_checks_refuse_with_one_tc(self, seed):
+        cap = _with_unused_vertices(analytic.make_cap(1.0, 12), 7, seed)
+        tc = mean_curvature(cap).total
+        with pytest.raises(CurvatureBoundViolated) as iso:
+            verify_isoperimetric(cap, 0.5, B1)
+        with pytest.raises(CurvatureBoundViolated) as sobolev:
+            verify_p_sobolev(cap, VertexField(np.zeros(len(cap.vertices))), 1.5, 0.5, B1)
+        assert str(iso.value) == f"region total mean curvature {tc} exceeds the declared bound K = 0.5"
+        assert str(sobolev.value) == f"measured total mean curvature {tc} exceeds the declared bound K = 0.5"
 
     def test_full_disk_is_near_equality(self, disk32, disk_hat):
         reports = verify_isoperimetric(
