@@ -13,7 +13,7 @@ with up to eight fields, keyed by the SHA-256 digest of the file bytes, so
 an edited file is a miss; an input that failed is not kept, and a kept
 disconnected mesh warns again on each use. Every call hashes both files,
 and on a CPU with SHA extensions SHA-256 takes under half of BLAKE2b's time
-(1.7 against 4.0 ms on a 2 MB mesh, 2-vCPU Xeon); on one without them
+(1.5 against 4.0 ms on a 2 MB mesh, 2-vCPU Xeon); on one without them
 SHA-256 is the slower of the two.
 
 The defaults prefer the corrected readings of the misprint-suspect
