@@ -297,6 +297,7 @@ class VertexField:
             if self.compactly_supported:
                 _require_boundary_vanishing(self.mesh, values)
         self._profiles = {}  # (subdivision, target) -> (mesh, rearranged profile), see verify
+        self._grad2 = None  # (mesh, read-only per-triangle |grad u|^2), see p1_gradient_lp
 
     @classmethod
     def from_csv(cls, stream, mesh: TriMesh, **kwargs) -> "VertexField":
@@ -331,18 +332,21 @@ def p1_gradient_lp(mesh: TriMesh, field: VertexField, p: float) -> float:
     squared norm delta^T G^{-1} delta, where G is the Gram matrix of two
     edge vectors and delta the corresponding value differences; this is
     independent of the ambient dimension. G is the one the mesh kept at
-    construction.
+    construction, and the per-triangle squared norms are kept read-only on
+    the field for the mesh they were measured on.
     """
     require_order(p)
-    tri = mesh.triangles
-    u = field.values
-    aa, bb, ab = mesh._gram
-    du1 = u[tri[:, 1]] - u[tri[:, 0]]
-    du2 = u[tri[:, 2]] - u[tri[:, 0]]
-    # delta^T G^{-1} delta with G = [[aa, ab], [ab, bb]]
-    grad2 = (bb * du1 * du1 - 2.0 * ab * du1 * du2 + aa * du2 * du2) / (aa * bb - ab * ab)
-    grad2 = np.maximum(grad2, 0.0)
-    return float(np.sum(mesh.triangle_areas() * grad2 ** (0.5 * p)))
+    kept = field._grad2
+    if kept is None or kept[0] is not mesh:
+        tri = mesh.triangles
+        u = field.values
+        aa, bb, ab = mesh._gram
+        du1 = u[tri[:, 1]] - u[tri[:, 0]]
+        du2 = u[tri[:, 2]] - u[tri[:, 0]]
+        # delta^T G^{-1} delta with G = [[aa, ab], [ab, bb]]
+        grad2 = (bb * du1 * du1 - 2.0 * ab * du1 * du2 + aa * du2 * du2) / (aa * bb - ab * ab)
+        kept = field._grad2 = (mesh, _kept(np.maximum(grad2, 0.0)))
+    return float(np.sum(mesh.triangle_areas() * kept[1] ** (0.5 * p)))
 
 
 @dataclass
@@ -501,7 +505,8 @@ def sample_field(mesh: TriMesh, field: VertexField, subdivision: int = 0):
     each cell contributes one sample whose value is the interpolant at the
     cell centroid and whose weight is the cell area. The weights sum to the
     mesh area exactly (up to rounding), so the sampled measure is a genuine
-    partition of the surface.
+    partition of the surface. The verifiers that need only integrals over
+    these cells compute them in place with ``_cell_sum``, drawing no samples.
     """
     from .measure_space import DiscreteMeasuredFunction
 
@@ -514,3 +519,12 @@ def sample_field(mesh: TriMesh, field: VertexField, subdivision: int = 0):
     areas = mesh.triangle_areas() / 4.0**subdivision
     weights = np.repeat(areas, centroids.shape[0])
     return DiscreteMeasuredFunction(vals.ravel(), weights)
+
+
+def _cell_sum(mesh: TriMesh, field: VertexField, subdivision: int, g) -> float:
+    """Sum of g(sample value) * sample weight over the samples of ``sample_field``, without drawing them:
+    (1/4^s) sum_T A_T sum_c g(u(centroid_c)). ``g`` takes the (M, 4^s) array of cell values, its own to
+    change in place, and returns an array of the same shape."""
+    _require_subdivision(subdivision)
+    values = field.values[mesh.triangles] @ _cell_centroids(subdivision).T
+    return float((mesh.triangle_areas() @ g(values)).sum()) / 4.0**subdivision

@@ -13,8 +13,9 @@ and the total-curvature precondition TC <= K < 1/C is checked against the
 measured discrete curvature, not against trust in the caller.
 
 Checks on one (mesh, field) pair share its work: the mesh keeps its
-curvature and the field its rearranged profiles, while sample sets are
-drawn once per check.
+curvature and the field its rearranged profiles and gradient norms. A
+sample set is drawn only to build a profile; the L^p norms, the entropy
+and the monotonicity integrals sum the same sampling cells in place.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
+from scipy.special import xlogy
 
 from . import constants as const
 from .analytic import RadialFunction, radial_entropy, radial_gradient_lp, radial_lp
@@ -47,13 +49,13 @@ from .measure_space import (
     _radial_integral,
     gradient_energy,
     lebesgue,
-    lp_norm,
     model_space,
     rearrange,
 )
 from .mesh import (
     TriMesh,
     VertexField,
+    _cell_sum,
     _region_tc,
     _require_boundary_vanishing,
     _require_field_length,
@@ -225,13 +227,16 @@ def _check_inputs(mesh, f, K, choice, subdivision, tolerance) -> float:
     return default_tolerance(subdivision) if tolerance is None else tolerance
 
 
-def _rearranged_profile(mesh, f, subdivision, target, samples=None) -> RadialProfile:
-    """Piecewise-linear rearrangement of f's samples (``samples`` if drawn), kept read-only on f per (mesh,
-    subdivision, target)."""
+def _lp_norm(mesh, f, subdivision, p) -> float:
+    """L^p norm of f over the cells of ``sample_field``."""
+    return _cell_sum(mesh, f, subdivision, lambda v: np.power(v, p, out=v)) ** (1.0 / p)
+
+
+def _rearranged_profile(mesh, f, subdivision, target) -> RadialProfile:
+    """Piecewise-linear rearrangement of f's samples, kept read-only on f per (mesh, subdivision, target)."""
     kept = f._profiles.get((subdivision, target))
     if kept is None or kept[0] is not mesh:
-        samples = sample_field(mesh, f, subdivision) if samples is None else samples
-        profile = rearrange(samples, target, Interpolation.PIECEWISE_LINEAR)
+        profile = rearrange(sample_field(mesh, f, subdivision), target, Interpolation.PIECEWISE_LINEAR)
         profile.radii.setflags(write=False)
         profile.values.setflags(write=False)
         kept = f._profiles[subdivision, target] = (mesh, profile)
@@ -353,8 +358,7 @@ def verify_p_sobolev(
     const._check_p_range(mesh.n, p)
     tol = _check_inputs(mesh, f, K, choice, subdivision, tolerance)
     p_star = const.sobolev_conjugate(mesh.n, p)
-    dmf = sample_field(mesh, f, subdivision)
-    lhs = lp_norm(dmf, p_star)
+    lhs = _lp_norm(mesh, f, subdivision, p_star)
     s_const = const.talenti_constant(mesh.n, p) * const.ps_constant(mesh.n, K, choice)
     rhs = s_const * p1_gradient_lp(mesh, f, p) ** (1.0 / p)
     return VerificationReport(
@@ -404,10 +408,9 @@ def verify_gn(
     tol = _check_inputs(mesh, f, K, choice, subdivision, tolerance)
     theta = const.gn_theta(mesh.n, p, q)
     r = const.gn_r_exponent(mesh.n, p, q)
-    dmf = sample_field(mesh, f, subdivision)
-    lhs = lp_norm(dmf, r)
+    lhs = _lp_norm(mesh, f, subdivision, r)
     gn_const = const.egn_constant(mesh.n, p, q, reading) * const.ps_constant(mesh.n, K, choice)
-    rhs = gn_const * p1_gradient_lp(mesh, f, p) ** (theta / p) * lp_norm(dmf, q) ** (1.0 - theta)
+    rhs = gn_const * p1_gradient_lp(mesh, f, p) ** (theta / p) * _lp_norm(mesh, f, subdivision, q) ** (1.0 - theta)
     return VerificationReport(
         "GagliardoNirenberg",
         lhs,
@@ -464,10 +467,9 @@ def verify_spectral_gap(
     tol = _check_inputs(mesh, f, K, choice, subdivision, tolerance)
     if not np.any(f.values > 0):
         raise ZeroField("spectral-gap check needs a nonzero field")
-    support = np.nonzero(np.any(f.values[mesh.triangles] > 0, axis=1))[0]
-    area = hausdorff_measure(mesh, support)
-    dmf = sample_field(mesh, f, subdivision)
-    l2sq = lp_norm(dmf, 2) ** 2
+    support = np.any(f.values[mesh.triangles] > 0, axis=1)
+    area = float(mesh.triangle_areas()[support].sum())
+    l2sq = _cell_sum(mesh, f, subdivision, lambda v: np.square(v, out=v))
     lhs = p1_gradient_lp(mesh, f, 2) / l2sq
     g = const.spectral_gap_constant(mesh.n, K, choice, reading)
     rhs = g / area
@@ -536,19 +538,15 @@ def verify_log_sobolev(
             f"max interior |H| = {h_max} exceeds the minimal-surface threshold {_FLATNESS_THRESHOLD}"
         )
     _require_boundary_vanishing(mesh, f.values)
-    dmf = sample_field(mesh, f, subdivision)
-    c = lp_norm(dmf, p)
+    c = _lp_norm(mesh, f, subdivision, p)
     if c <= 0:
         raise ZeroField("cannot normalize a zero field")
-    v = dmf.values / c
-    pos = v > 0
-    v = v[pos]
-    # w v^p p log v over the positive samples, in place to hold one sample-sized temporary
-    terms = v**p
-    terms *= dmf.weights[pos]
-    terms *= p
-    terms *= np.log(v, out=v)
-    lhs = float(np.sum(terms))
+
+    def entropy(v):  # w^p log w of w = v / c, 0 where v = 0
+        v /= c
+        return xlogy(v**p, v, out=v)
+
+    lhs = p * _cell_sum(mesh, f, subdivision, entropy)
     energy = p1_gradient_lp(mesh, f, p) / c**p
     rhs = (mesh.n / p) * math.log(const.log_sobolev_constant(mesh.n, p) * energy)
     tol = default_tolerance(subdivision) if tolerance is None else tolerance
@@ -600,7 +598,7 @@ class MonotoneSpec:
 
     ``f`` and ``phi`` are continuous strictly increasing maps vanishing at
     zero; they must accept numpy arrays, since the verifier applies them
-    elementwise to all samples in one call. ``g_terms`` and ``psi_terms``
+    elementwise to all sampling cells in one call. ``g_terms`` and ``psi_terms``
     are (coefficient, exponent) lists with coefficients respectively <= 0
     and >= 0 and exponents >= 1 in strictly increasing order; ``L(s, t)``
     must be non-increasing and ``lam(s, t)`` non-decreasing in t. Sign and
@@ -695,8 +693,7 @@ def verify_monotonicity_principle(
     """
     tol = _check_inputs(mesh, f, K, choice, subdivision, tolerance)
     ps = const.ps_constant(mesh.n, K, choice)
-    dmf = sample_field(mesh, f, subdivision)  # the profile's samples too, when it is not kept
-    profile = _rearranged_profile(mesh, f, subdivision, lebesgue(mesh.n), dmf)
+    profile = _rearranged_profile(mesh, f, subdivision, lebesgue(mesh.n))
     # Euclidean hypothesis on v = u*
     hyp_lhs = spec.L(_radial_integral(profile, spec.f), _profile_gradient_powers(profile, spec.g_terms))
     hyp_rhs = spec.lam(
@@ -714,8 +711,8 @@ def verify_monotonicity_principle(
             notes="Euclidean hypothesis fails for the rearranged profile; claim is vacuous",
         )
     # transferred claim on the surface, gradients scaled by PS
-    f_int = float(np.sum(dmf.weights * spec.f(dmf.values)))
-    phi_int = float(np.sum(dmf.weights * spec.phi(dmf.values)))
+    f_int = _cell_sum(mesh, f, subdivision, spec.f)
+    phi_int = _cell_sum(mesh, f, subdivision, spec.phi)
     g_int = sum(b * ps**e * p1_gradient_lp(mesh, f, e) for b, e in spec.g_terms)
     psi_int = sum(c * ps**e * p1_gradient_lp(mesh, f, e) for c, e in spec.psi_terms)
     lhs = spec.L(f_int, g_int)

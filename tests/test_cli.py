@@ -516,10 +516,10 @@ class TestVerifyKeepsInputs:
     def test_mono_draws_its_samples_once(self, disk_files, no_kept_inputs, monkeypatch, capsys):
         mesh_path, field_path, _ = disk_files
         draws = _counted(monkeypatch, v, "sample_field")
-        for kept_before in (0, 1):  # building the profile, then with the profile kept
+        for _ in range(2):  # the profile built from the one draw, then kept: its integrals draw nothing
             assert dispatch(["verify", "mono", "--mesh", mesh_path, "--field", field_path]) == 0
             assert not json.loads(capsys.readouterr().out)[0]["vacuous"]
-            assert len(draws) == 1 + kept_before
+            assert len(draws) == 1
 
     def test_same_size_and_mtime_but_other_bytes_is_a_miss(self, tmp_path, no_kept_inputs, monkeypatch, capsys):
         path = tmp_path / "tri.off"
@@ -690,6 +690,24 @@ def test_verify_arguments_refused_before_the_files_are_read(check, args, message
             "--p", "1.5", "--q", "2.5", *args]
     assert dispatch(argv) == 2
     assert capsys.readouterr().err == f"psilab: {message}\n"
+
+
+ZERO_FIELD_REFUSALS = {"spectral": "spectral-gap check needs a nonzero field", "logsob": "cannot normalize a zero field"}
+
+
+@pytest.mark.parametrize("check, args", NINE_CHECKS, ids=CHECK_NAMES)
+def test_zero_field_on_every_check(disk_files, tmp_path, check, args, capsys):
+    mesh_path, _, _ = disk_files
+    zero = tmp_path / "zero.csv"
+    zero.write_text("vertex_index,value\n")
+    code = dispatch(["verify", check, "--mesh", mesh_path, "--field", str(zero), *args])
+    out, err = capsys.readouterr()
+    if check in ZERO_FIELD_REFUSALS:
+        assert (code, out, err) == (2, "", f"psilab: {ZERO_FIELD_REFUSALS[check]}\n")
+    else:
+        (report,) = json.loads(out)
+        assert (code, err, report["pass"]) == (0, "", True)
+        assert check == "iso" or report["lhs"] == report["rhs"] == 0.0
 
 
 @pytest.mark.parametrize(

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import xlogy
 
 from psilab import analytic
 from psilab import constants as const
@@ -14,6 +15,7 @@ from psilab.errors import DegenerateTriangle, MeshParseError, NonManifoldMesh
 from psilab.mesh import (
     TriMesh,
     _cell_centroids,
+    _cell_sum,
     VertexField,
     boundary_measure,
     hausdorff_measure,
@@ -551,6 +553,38 @@ class TestSampleField:
         )
 
 
+def _cell_sum_integrands():
+    """name -> g: the powers of the L^p norms, the log-Sobolev entropy and the f and phi of both presets."""
+    integrands = {f"power-{p}": (lambda p: lambda v: v**p)(p) for p in (1.0, 1.5, 2.0, 2.37, 6.0)}
+    integrands["entropy"] = lambda v: xlogy(v**1.5, v)
+    for name, kwargs in (("sobolev-l1", {}), ("p-sobolev", {"p": 1.5})):
+        spec = verify.monotone_preset(name, n=2, **kwargs)
+        integrands[f"{name}-f"], integrands[f"{name}-phi"] = spec.f, spec.phi
+    return integrands
+
+
+@pytest.mark.parametrize("s", range(4))
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: analytic.make_disk(1.0, 12),
+        lambda: analytic.make_cap(0.7, rings=10),
+        lambda: analytic.make_catenoid(1.0, 8, 16),
+        lambda: analytic.make_clifford_torus(10),
+    ],
+    ids=["disk", "cap", "catenoid", "clifford-r4"],
+)
+def test_cell_sum_is_the_weighted_sum_over_the_samples(make, s):
+    mesh = make()
+    x = mesh.vertices
+    # values above and below 1, so the entropy terms take both signs
+    f = boundary_vanishing_field(mesh, 1.0 + np.sin(3.0 * x[:, 0]) * np.cos(2.0 * x[:, 1]) + 0.5 * x[:, 2] ** 2)
+    dmf = sample_field(mesh, f, s)
+    for name, g in _cell_sum_integrands().items():
+        expected = float(np.sum(dmf.weights * g(dmf.values)))
+        assert _cell_sum(mesh, f, s, g) == pytest.approx(expected, rel=1e-13, abs=0.0), name
+
+
 def parity_values(kind):
     """Curvature, boundary lengths and the nine verify reports on a small disk or cap."""
     b1 = const.brendle(1)
@@ -734,9 +768,10 @@ def test_gradient_lp_bit_identical_to_per_call_gram(make):
     rng = np.random.default_rng(11)
     jittered = TriMesh(mesh.vertices + 1e-3 * rng.standard_normal(mesh.vertices.shape), mesh.triangles)
     f = VertexField(rng.random(len(mesh.vertices)))
-    for m in (mesh, jittered):
+    for m in (mesh, jittered, mesh):  # the norms kept on f are those of the mesh they were measured on
         for p in (1.0, 1.5, 2.0, 3.7):
             assert p1_gradient_lp(m, f, p) == _per_call_gram_gradient_lp(m, f, p)
+        assert f._grad2[0] is m and not f._grad2[1].flags.writeable
 
 
 def _recursive_cell_centroids(subdivision):

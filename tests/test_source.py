@@ -1,5 +1,5 @@
-"""Source checks that need no linter: every name a ``psilab`` module imports is read there or listed in
-its ``__all__``."""
+"""Source checks that need no linter: every name a ``psilab`` module, a test or a demo imports is read there
+or listed in its ``__all__``."""
 
 import ast
 import pathlib
@@ -8,7 +8,12 @@ import pytest
 
 import psilab
 
-SOURCES = sorted(pathlib.Path(psilab.__file__).parent.glob("*.py"))
+PACKAGE = pathlib.Path(psilab.__file__).parent
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+# package modules by file name, tests and demos by their directory and file name
+SOURCES = {path.name: path for path in sorted(PACKAGE.glob("*.py"))}
+SOURCES.update({f"{path.parent.name}/{path.name}": path for d in ("tests", "demos")
+                for path in sorted((ROOT / d).glob("*.py"))})
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -26,7 +31,7 @@ def _unused_imports(source: str) -> list[str]:
     return [f"line {line}: {name}" for name, line in imported.items() if name not in read]
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=[path.name for path in SOURCES])
+@pytest.mark.parametrize("path", SOURCES.values(), ids=list(SOURCES))
 def test_every_import_is_used(path):
     assert _unused_imports(path.read_text()) == []
 

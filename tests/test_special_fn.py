@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 import scipy.special
 
-from psilab.errors import ConvergenceFailure
 from psilab.special_fn import (
     bessel_first_zero,
     bessel_j,

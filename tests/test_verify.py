@@ -6,8 +6,7 @@ import pytest
 from psilab import analytic, constants as const
 from psilab import verify as verify_module
 from psilab.errors import ConvergenceFailure, CurvatureBoundViolated, GammaPole, NotMinimal, SpecInvalid
-from psilab.mesh import TriMesh, VertexField, mean_curvature, p1_gradient_lp, sample_field
-from psilab.measure_space import lp_norm
+from psilab.mesh import TriMesh, VertexField, mean_curvature
 from psilab.special_fn import bessel_first_zero, bessel_j
 from psilab.verify import (
     MonotoneSpec,
@@ -396,3 +395,31 @@ def test_mesh_checks_refuse_a_field_of_another_length(check, values):
     # a field built without its mesh is checked against the mesh it is verified on
     with pytest.raises(ValueError, match="field length does not match vertex count"):
         check(VertexField(values))
+
+
+CELL_SUM_CHECKS = {
+    "sobolev": lambda f, s: verify_p_sobolev(DISK8, f, 1.5, 0.0, B1, subdivision=s),
+    "gn": lambda f, s: verify_gn(DISK8, 1.5, 2.5, 0.0, B1, f=f, subdivision=s),
+    "spectral": lambda f, s: verify_spectral_gap(DISK8, f, 0.0, B1, subdivision=s),
+    "logsob": lambda f, s: verify_log_sobolev(DISK8, 1.5, f=f, subdivision=s),
+    "mono": lambda f, s: verify_monotonicity_principle(DISK8, f, monotone_preset("sobolev-l1"), 0.0, B1,
+                                                       subdivision=s),
+}
+
+
+@pytest.mark.parametrize("check", CELL_SUM_CHECKS)
+def test_integrals_draw_no_samples(check, monkeypatch):
+    # mono draws once per subdivision, for the profile it keeps; its integrals and the other checks sum in place
+    f = VertexField(HAT8, mesh=DISK8)
+    draws = []
+    real = verify_module.sample_field
+    monkeypatch.setattr(verify_module, "sample_field", lambda *args: draws.append(args) or real(*args))
+    for s in (1, 1, 2):
+        assert not CELL_SUM_CHECKS[check](f, s).vacuous
+    assert len(draws) == (2 if check == "mono" else 0)
+
+
+@pytest.mark.parametrize("check", CELL_SUM_CHECKS)
+def test_negative_subdivision_refused(check):
+    with pytest.raises(ValueError, match="^subdivision must be >= 0$"):
+        CELL_SUM_CHECKS[check](VertexField(HAT8, mesh=DISK8), -1)
