@@ -23,6 +23,7 @@ from .errors import (
     MeshParseError,
     NonManifoldMesh,
     NotMinimal,
+    OutOfRange,
     PsilabError,
     SpecInvalid,
     ZeroField,
@@ -43,6 +44,7 @@ __all__ = [
     "MeshParseError",
     "NonManifoldMesh",
     "NotMinimal",
+    "OutOfRange",
     "PsilabError",
     "SpecInvalid",
     "ZeroField",

@@ -3,10 +3,10 @@ and the extremal radial functions of the sharp inequalities.
 
 Everything here has an exact formula, so these objects calibrate the
 discrete pipeline: the mesh generators feed the curvature and gradient
-kernels known answers, and the radial functions reproduce equality cases
-of the Sobolev-type inequalities under adaptive quadrature. The structured
-meshes (disk, cap, catenoid, Clifford torus) take their triangles from one
-numpy quad-grid helper and their vertices from whole-array formulas.
+kernels known answers, and the radial functions, held by the logarithms of
+their values and slopes, reproduce the equality cases of the Sobolev-type
+inequalities under one log-space quadrature at every n. The structured
+meshes take their triangles from one numpy quad-grid helper.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from scipy.special import beta, betainc
 from .constants import _check_gn_domain, _check_p_range
 from .errors import DIVERGENT, require_order
 from .mesh import TriMesh, VertexField
-from .special_fn import log_unit_ball_volume, unit_ball_volume
+from .special_fn import log_unit_ball_volume
 
 __all__ = [
     "RadialFunction",
@@ -226,35 +226,29 @@ def example51_vertex_field(lam: float, mesh: TriMesh) -> VertexField:
     return VertexField(example51_field(lam, mesh.vertices), mesh=mesh)
 
 
-def _example51_s0(lam: float) -> float:
-    return math.sqrt(2.0 * (1.0 + math.sqrt(max(1.0 - 1.0 / lam**2, 0.0))))
-
-
 def example51_profile(lam: float) -> "RadialFunction":
     """Exact planar rearrangement profile of the sphere field.
 
-    rho(s) = 1 up to s0 = sqrt(2(1 + sqrt(1 - 1/lambda^2))), then
-    lambda*sqrt(1 - (s^2/2 - 1)^2) out to the support radius 2. With
-    w = s^2/2 - 1 the derivative magnitude on the outer band is
-    lambda*w*s/sqrt(1 - w^2).
+    rho(s) = 1 up to s0 = sqrt(2(1 + sqrt(1 - 1/lambda^2))), then lambda*sqrt(1 - w^2), w = s^2/2 - 1,
+    out to the support radius 2. As 1 - w^2 = s^2 (2 - s)(2 + s) / 4, the outer band has
+    rho = (lambda/2) s sqrt((2 - s)(2 + s)) and |rho'| = 2 lambda w / sqrt((2 - s)(2 + s)).
     """
     _check_lambda(lam)
-    s0 = _example51_s0(lam)
+    s0 = math.sqrt(2.0 * (1.0 + math.sqrt(max(1.0 - 1.0 / lam**2, 0.0))))
 
-    def value(s):
+    @_quiet
+    def log_value(s):
         s = np.asarray(s, dtype=float)
-        w = 0.5 * s * s - 1.0
-        outer = lam * np.sqrt(np.maximum(1.0 - w * w, 0.0))
-        return np.where(s <= s0, 1.0, np.where(s < 2.0, outer, 0.0))
+        band = math.log(0.5 * lam) + np.log(s) + 0.5 * np.log((2.0 - s) * (2.0 + s))
+        return np.where(s <= s0, 0.0, np.where(s < 2.0, band, -np.inf))
 
-    def derivative(s):
+    @_quiet
+    def log_slope(s):
         s = np.asarray(s, dtype=float)
-        w = 0.5 * s * s - 1.0
-        denom = np.sqrt(np.maximum(1.0 - w * w, 1e-300))
-        d = -lam * w * s / denom
-        return np.where((s > s0) & (s < 2.0), d, 0.0)
+        band = math.log(2.0 * lam) + np.log(0.5 * s * s - 1.0) - 0.5 * np.log((2.0 - s) * (2.0 + s))
+        return np.where((s > s0) & (s < 2.0), band, -np.inf)
 
-    return RadialFunction(value=value, derivative=derivative, n=2, support=2.0)
+    return RadialFunction(log_value, log_slope, n=2, support=2.0)
 
 
 def _blowup_args(lam, p):
@@ -330,72 +324,73 @@ def example51_gradient_integrals(lam, p: float):
 
 @dataclass
 class RadialFunction:
-    """Radial function r -> value with a closed-form derivative.
+    """Non-increasing radial function u on R^n by its logarithms, which stay finite where u and u' leave
+    the double range: ``log_value(r)`` = log u(r) and ``log_slope(r)`` = log|u'(r)| of a radius or an
+    array of radii, each -inf where the quantity is 0. u > 0 below ``support``, which may be math.inf."""
 
-    ``support`` may be math.inf; ``log_value``, when supplied, evaluates
-    log(value) stably for entropy integrands whose plain value underflows.
-    """
-
-    value: Callable
-    derivative: Callable
+    log_value: Callable
+    log_slope: Callable
     n: int
     support: float = math.inf
-    log_value: Callable | None = None
 
-    def __call__(self, r):
-        return self.value(r)
+    def value(self, r):
+        return np.exp(self.log_value(r))
+
+    def derivative(self, r):  # u' = -|u'|, as u does not increase
+        return -np.exp(self.log_slope(r))
+
+    __call__ = value
 
 
+_quiet = np.errstate(divide="ignore", over="ignore", invalid="ignore")  # for logarithms, -inf where functions vanish
 _QUAD_OPTS = dict(epsabs=0.0, epsrel=1e-10, limit=400)
 
 
-def _radial_quad(fn, n: int, support: float) -> float:
-    """Adaptive quadrature of fn(r) * n omega_n r^(n-1) dr over the support, finite or inf. Where fn(r) is 0
-    the integrand is 0 without r^(n-1), which leaves the double range far out from n of about 100."""
-    area = n * unit_ball_volume(n)
+def _radial_quad(log_f, n: int, support: float, times_log: bool = False) -> tuple[float, float]:
+    """(peak, mass): exp(peak) * mass is the integral of exp(w(r)), times log_f(r) if ``times_log``, over
+    0 < r < support, where w = log_f + log|S^(n-1)| + (n-1) log r. Three log-spaced grids of r, each between
+    the neighbours of the last one's maximum, find the peak of w (a shift of 0 where they see only zeros),
+    and ``quad`` integrates exp(w - peak) on either side of it, in the double range at every n. ``times_log``
+    takes log_f less its value at the peak, which keeps one sign on each side, plus that value times the mass.
+    """
+    r = np.geomspace(1e-16, 1.0, 65) * min(support, 1e8)
+    for _ in range(3):  # each next grid spans the two steps around the maximum, 32 times narrower
+        w = log_f(r) + (n - 1) * np.log(r)
+        k = int(np.argmax(w))
+        split, top = float(r[k]), (float(w[k]) if w[k] > -np.inf else 0.0)
+        r = np.geomspace(r[max(k - 1, 0)], r[min(k + 1, 64)], 65)
+    centre = float(log_f(split)) if times_log else 0.0
 
-    def g(r):
-        v = fn(r)
-        return v * area * r ** (n - 1) if v else 0.0
+    def g(r, times):
+        lf = float(log_f(r))
+        return math.exp(lf + (n - 1) * math.log(r) - top) * (lf - centre if times else 1.0)
 
-    return quad(g, 0.0, support, **_QUAD_OPTS)[0]
+    def integral(times):
+        return quad(g, 0.0, split, (times,), **_QUAD_OPTS)[0] + quad(g, split, support, (times,), **_QUAD_OPTS)[0]
+
+    mass = integral(False)
+    return top + math.log(n) + log_unit_ball_volume(n), centre * mass + integral(True) if times_log else mass
 
 
 def radial_lp(rf: RadialFunction, p: float) -> float:
     """L^p norm of a radial function on R^n."""
     require_order(p)
-    return _radial_quad(lambda r: float(rf.value(r)) ** p, rf.n, rf.support) ** (1.0 / p)
+    peak, mass = _radial_quad(lambda r: p * rf.log_value(r), rf.n, rf.support)
+    return math.exp(peak / p) * mass ** (1.0 / p)
 
 
 def radial_gradient_lp(rf: RadialFunction, p: float) -> float:
-    """Integral of |rho'|^p over R^n (not a norm)."""
+    """Integral of |u'|^p over R^n (not a norm)."""
     require_order(p)
-    return _radial_quad(lambda r: abs(float(rf.derivative(r))) ** p, rf.n, rf.support)
+    peak, mass = _radial_quad(lambda r: p * rf.log_slope(r), rf.n, rf.support)
+    return math.exp(peak) * mass
 
 
 def radial_entropy(rf: RadialFunction, p: float) -> float:
-    """Integral of u^p ln(u^p) over R^n.
-
-    Where the function supplies log_value the integrand is evaluated as
-    p * exp(p*L) * L, which stays finite long after u^p itself underflows.
-    """
+    """Integral of u^p ln(u^p) over R^n: the weight of the L^p norm times p log u."""
     require_order(p)
-    if rf.log_value is not None:
-
-        def fn(r):
-            L = float(rf.log_value(r))
-            ep = p * L
-            return p * math.exp(ep) * L if ep > -700.0 else 0.0
-
-    else:
-
-        def fn(r):
-            v = float(rf.value(r))
-            if v <= 0.0:
-                return 0.0
-            return p * v**p * math.log(v)
-
-    return _radial_quad(fn, rf.n, rf.support)
+    peak, mass = _radial_quad(lambda r: p * rf.log_value(r), rf.n, rf.support, times_log=True)
+    return math.exp(peak) * mass
 
 
 def gn_extremal(n: int, p: float, q: float, a: float = 1.0, b: float = 1.0) -> RadialFunction:
@@ -407,15 +402,15 @@ def gn_extremal(n: int, p: float, q: float, a: float = 1.0, b: float = 1.0) -> R
     pp = p / (p - 1.0)
     ex = (p - 1.0) / (q - p)
 
-    def value(r):
-        r = np.asarray(r, dtype=float)
-        return a * (1.0 + b * r**pp) ** (-ex)
+    @_quiet
+    def log_value(r):
+        return math.log(a) - ex * np.logaddexp(0.0, math.log(b) + pp * np.log(r))
 
-    def derivative(r):
-        r = np.asarray(r, dtype=float)
-        return -a * ex * b * pp * r ** (pp - 1.0) * (1.0 + b * r**pp) ** (-ex - 1.0)
+    @_quiet
+    def log_slope(r):  # |u'| = ex b pp r^(pp-1) u^(1+1/ex) / a^(1/ex)
+        return math.log(ex * b * pp) + (pp - 1.0) * np.log(r) + (1.0 + 1.0 / ex) * log_value(r) - math.log(a) / ex
 
-    return RadialFunction(value=value, derivative=derivative, n=n, support=math.inf)
+    return RadialFunction(log_value, log_slope, n)
 
 
 def logsobolev_extremal(n: int, p: float, s: float) -> RadialFunction:
@@ -434,15 +429,12 @@ def logsobolev_extremal(n: int, p: float, s: float) -> RadialFunction:
     log_raw = math.log(n / pp) + log_unit_ball_volume(n) + (n / pp) * math.log(s / p) + math.lgamma(n / pp)
     logC = -log_raw / p  # C itself leaves the double range near n = 2000 (p = 1.5, s = 1), so it stays a log
 
+    @_quiet
     def log_value(r):
-        r = np.asarray(r, dtype=float)
-        return logC - r**pp / s
+        return logC - np.asarray(r, dtype=float) ** pp / s
 
-    def value(r):
-        return np.exp(log_value(r))
+    @_quiet
+    def log_slope(r):  # log((pp/s) r^(pp-1) u(r))
+        return math.log(pp / s) + (pp - 1.0) * np.log(r) + log_value(r)
 
-    def derivative(r):
-        r = np.asarray(r, dtype=float)
-        return -(pp / s) * r ** (pp - 1.0) * np.exp(log_value(r))
-
-    return RadialFunction(value=value, derivative=derivative, n=n, support=math.inf, log_value=log_value)
+    return RadialFunction(log_value, log_slope, n)

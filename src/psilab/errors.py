@@ -58,6 +58,10 @@ class ConvergenceFailure(PsilabError, RuntimeError):
     """Root bracketing or a bounded search exhausted its budget."""
 
 
+class OutOfRange(PsilabError, ValueError):
+    """A side of a verdict underflowed to 0 or overflowed to inf in double precision."""
+
+
 class _Divergent:
     """Singleton marker for integrals classified as divergent (not an error)."""
 

@@ -31,7 +31,7 @@ import numpy as np
 from ._table import format_table, read_table
 from .errors import InterpolationMismatch, require_order
 from .constants import _check_curvature_bound, _check_dimension
-from .special_fn import _check_ball_dimension, unit_ball_volume
+from .special_fn import _check_ball_dimension, log_unit_ball_volume, unit_ball_volume
 
 __all__ = [
     "DiscreteMeasuredFunction",
@@ -148,9 +148,10 @@ class TargetMeasure:
         return self.volume_coefficient * r**self.n
 
     def ball_radius(self, v):
-        """Inverse of ball_volume."""
-        v = np.asarray(v, dtype=float)
-        return (v / self.volume_coefficient) ** (1.0 / self.n)
+        """Inverse of ball_volume: v^(1/n) exp(-log(a) / n), as a itself leaves the double range at large n."""
+        lebesgue = self.kind is TargetKind.LEBESGUE_RN
+        log_a = log_unit_ball_volume(self.n) if lebesgue else self.n * math.log((1.0 / self.C - self.K) / self.n)
+        return np.asarray(v, dtype=float) ** (1.0 / self.n) * math.exp(-log_a / self.n)
 
     def density(self, r):
         """Radial density: d/dr of ball_volume."""

@@ -32,12 +32,13 @@ import numpy as np
 from scipy.special import xlogy
 
 from . import constants as const
-from .analytic import RadialFunction, radial_entropy, radial_gradient_lp, radial_lp
+from .analytic import RadialFunction, gn_extremal, radial_entropy, radial_gradient_lp, radial_lp
 from .constants import EgnReading, IsoperimetricChoice, SpectralReading
 from .errors import (
     ConvergenceFailure,
     CurvatureBoundViolated,
     NotMinimal,
+    OutOfRange,
     PsilabError,
     SpecInvalid,
     ZeroField,
@@ -389,19 +390,11 @@ def verify_gn(
     """
     if isinstance(obj, RadialFunction):
         n = obj.n
-        theta = const.gn_theta(n, p, q)
-        r = const.gn_r_exponent(n, p, q)
-        lhs = radial_lp(obj, r)
-        grad_norm = radial_gradient_lp(obj, p) ** (1.0 / p)
-        rhs = const.egn_constant(n, p, q, reading) * grad_norm**theta * radial_lp(obj, q) ** (1.0 - theta)
-        tol = 1e-6 if tolerance is None else tolerance
-        return VerificationReport(
-            "GagliardoNirenberg",
-            lhs,
-            rhs,
-            tol,
-            inputs={"n": n, "p": p, "q": q, "K": 0.0, "reading": reading.value, "input": "radial"},
-        )
+        theta, r = const.gn_theta(n, p, q), const.gn_r_exponent(n, p, q)
+        lhs, energy, norm_q = radial_lp(obj, r), radial_gradient_lp(obj, p), radial_lp(obj, q)
+        _require_double_range("GagliardoNirenberg", n, lhs=(lhs,), rhs=(energy, norm_q))
+        rhs = const.egn_constant(n, p, q, reading) * (energy ** (1.0 / p)) ** theta * norm_q ** (1.0 - theta)
+        return _radial_report("GagliardoNirenberg", lhs, rhs, tolerance, n=n, p=p, q=q, K=0.0, reading=reading.value)
     mesh: TriMesh = obj
     if choice is None or f is None:
         raise ValueError("mesh input needs an isoperimetric choice and a field")
@@ -428,6 +421,20 @@ def verify_gn(
     )
 
 
+def _require_double_range(check: str, n: int, **sides) -> None:
+    """Refuse a radial side with a factor that underflowed to 0 or overflowed to inf, which would pass on rounding."""
+    for side, values in sides.items():
+        if not all(0.0 < abs(v) < math.inf for v in values):
+            raise OutOfRange(f"{check} at n = {n}: the radial {side} leaves the double range")
+
+
+def _radial_report(check: str, lhs: float, rhs: float, tolerance: float | None, **inputs) -> VerificationReport:
+    """The report of a radial check, at tolerance 1e-6 unless given one; a side out of the double range is refused."""
+    _require_double_range(check, inputs["n"], lhs=(lhs,), rhs=(rhs,))
+    tol = 1e-6 if tolerance is None else tolerance
+    return VerificationReport(check, lhs, rhs, tol, inputs={**inputs, "input": "radial"})
+
+
 def select_egn_reading(n: int, p: float, q: float) -> EgnReading:
     """Pick the EGN reading under which the explicit extremal attains equality.
 
@@ -435,8 +442,6 @@ def select_egn_reading(n: int, p: float, q: float) -> EgnReading:
     extremal equality by a wide margin; whichever reading brings the
     extremal's two sides within 1e-4 relative is returned.
     """
-    from .analytic import gn_extremal
-
     v = gn_extremal(n, p, q)
     best = None
     for reading in (EgnReading.GAMMA_CORRECTED, EgnReading.LITERAL):
@@ -469,6 +474,8 @@ def verify_spectral_gap(
         raise ZeroField("spectral-gap check needs a nonzero field")
     support = np.any(f.values[mesh.triangles] > 0, axis=1)
     area = float(mesh.triangle_areas()[support].sum())
+    if area == 0.0:
+        raise ZeroField("spectral-gap check needs a field positive on some triangle; its support area is 0")
     l2sq = _cell_sum(mesh, f, subdivision, lambda v: np.square(v, out=v))
     lhs = p1_gradient_lp(mesh, f, 2) / l2sq
     g = const.spectral_gap_constant(mesh.n, K, choice, reading)
@@ -514,19 +521,11 @@ def verify_log_sobolev(
         c = radial_lp(obj, p)
         if not math.isfinite(c) or c <= 0:
             raise ZeroField("cannot normalize: L^p norm is zero or infinite")
-        scaled = RadialFunction(
-            value=lambda r: obj.value(r) / c,
-            derivative=lambda r: obj.derivative(r) / c,
-            n=n,
-            support=obj.support,
-            log_value=(lambda r: obj.log_value(r) - math.log(c)) if obj.log_value else None,
-        )
-        lhs = radial_entropy(scaled, p)
-        rhs = (n / p) * math.log(const.log_sobolev_constant(n, p) * radial_gradient_lp(scaled, p))
-        tol = 1e-6 if tolerance is None else tolerance
-        return VerificationReport(
-            "LogSobolev", lhs, rhs, tol, inputs={"n": n, "p": p, "input": "radial"}
-        )
+        log_c = math.log(c)
+        unit = RadialFunction(lambda r: obj.log_value(r) - log_c, lambda r: obj.log_slope(r) - log_c, n, obj.support)
+        energy = const.log_sobolev_constant(n, p) * radial_gradient_lp(unit, p)
+        _require_double_range("LogSobolev", n, rhs=(energy,))
+        return _radial_report("LogSobolev", radial_entropy(unit, p), (n / p) * math.log(energy), tolerance, n=n, p=p)
     mesh: TriMesh = obj
     _require_field(mesh, f)
     const._check_p_range(mesh.n, p)

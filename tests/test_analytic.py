@@ -342,23 +342,15 @@ class TestBlowupClosedForms:
 
 class TestRadialFunctions:
     def test_gaussian_lp(self):
-        # u = exp(-r^2) on R^2: integral of u^p is pi / p
+        # u = exp(-r^2) on R^2: integral of u^p is pi / p, and of |u'|^2 = 4 r^2 exp(-2 r^2) it is pi
         rf = analytic.RadialFunction(
-            value=lambda r: np.exp(-np.asarray(r) ** 2),
-            derivative=lambda r: -2.0 * np.asarray(r) * np.exp(-np.asarray(r) ** 2),
+            log_value=lambda r: -np.asarray(r) ** 2,
+            log_slope=lambda r: np.log(2.0 * np.asarray(r)) - np.asarray(r) ** 2,
             n=2,
         )
         for p in (1.0, 2.0, 3.0):
             assert analytic.radial_lp(rf, p) ** p == pytest.approx(math.pi / p, rel=1e-9)
-
-    def test_entropy_log_path_matches_plain_path(self):
-        rf = analytic.logsobolev_extremal(3, 2.0, 1.0)
-        plain = analytic.RadialFunction(
-            value=rf.value, derivative=rf.derivative, n=3, support=rf.support
-        )
-        assert analytic.radial_entropy(rf, 2.0) == pytest.approx(
-            analytic.radial_entropy(plain, 2.0), rel=1e-8
-        )
+        assert analytic.radial_gradient_lp(rf, 2.0) == pytest.approx(math.pi, rel=1e-12)
 
     def test_gn_extremal_equality_is_dilation_invariant(self):
         for a, b in [(1.0, 1.0), (2.5, 0.3), (0.1, 4.0)]:
@@ -398,6 +390,25 @@ class TestRadialFunctions:
         # far out the extremal is 0 while r^(n-1) would leave the double range
         rep = verify_log_sobolev(analytic.logsobolev_extremal(n, 1.5, 1.0), 1.5)
         assert abs(rep.ratio - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("n", [2, 3, 10, 100, 300, 400, 1000, 2000, 5000, 10_000])
+    def test_sharp_as_n_grows(self, n):
+        # equality for the extremals by one log-space quadrature at every n, far past the double range of u
+        p = 1.5
+        rf = analytic.logsobolev_extremal(n, p, 1.0)
+        assert abs(verify_log_sobolev(rf, p).ratio - 1.0) < 1e-12
+        assert abs(analytic.radial_lp(rf, p) - 1.0) < 1e-11
+        if n in (3, 10, 100, 300):
+            q_max = p * (n - 1.0) / (n - p)
+            for q in (0.5 * (p + q_max), q_max):
+                assert abs(verify_gn(analytic.gn_extremal(n, p, q), p, q).ratio - 1.0) < 1e-12
+
+    def test_example51_profile_lp_matches_the_sphere(self):
+        # the rearrangement keeps the L^p norm, also where the outer band (s0, 2) is narrower than 1e-3
+        for lam in (1.0, 2.0, 10.0, 100.0):
+            prof = analytic.example51_profile(lam)
+            sphere = analytic.example51_surface_lp(lam, 1.5)
+            assert analytic.radial_lp(prof, 1.5) ** 1.5 == pytest.approx(sphere, rel=1e-12)
 
     def test_logsobolev_equality_invariant_in_s(self):
         for s in (0.5, 1.0, 2.0):

@@ -377,7 +377,7 @@ class TestExitCodes:
 
 def test_every_public_error_is_a_psilab_error():
     public = [obj for name, obj in vars(errors).items() if isinstance(obj, type) and not name.startswith("_")]
-    assert len(public) == 12 and set(public) <= {getattr(psilab, name) for name in psilab.__all__}
+    assert len(public) == 13 and set(public) <= {getattr(psilab, name) for name in psilab.__all__}
     for cls in public:
         assert issubclass(cls, psilab.PsilabError)
         # each keeps its built-in base, so callers that catch ValueError or RuntimeError still do
@@ -708,6 +708,28 @@ def test_zero_field_on_every_check(disk_files, tmp_path, check, args, capsys):
         (report,) = json.loads(out)
         assert (code, err, report["pass"]) == (0, "", True)
         assert check == "iso" or report["lhs"] == report["rhs"] == 0.0
+
+
+def test_spectral_refuses_a_support_of_area_zero(tmp_path, capsys):
+    # the field is positive only on a vertex that no triangle uses
+    disk = analytic.make_disk(1.0, 6)
+    mesh_path, field_path = tmp_path / "disk.off", tmp_path / "f.csv"
+    mesh_path.write_text(mesh_to_off(TriMesh(np.vstack([disk.vertices, [[2.0, 0.0, 0.0]]]), disk.triangles)))
+    field_path.write_text(f"vertex_index,value\n{len(disk.vertices)},1.0\n")
+    assert dispatch(["verify", "spectral", "--mesh", str(mesh_path), "--field", str(field_path)]) == 2
+    assert capsys.readouterr().err == (
+        "psilab: spectral-gap check needs a field positive on some triangle; its support area is 0\n"
+    )
+
+
+def test_rearrange_at_n_500(tmp_path, capsys):
+    # omega_500 underflows to 0; the radii come from its logarithm
+    path = tmp_path / "s.csv"
+    path.write_text("value,weight\n1.0,0.5\n0.5,1.5\n")
+    assert dispatch(["rearrange", "--input", str(path), "--n", "500"]) == 0
+    radii = json.loads(capsys.readouterr().out)["radii"]
+    log_omega = 250.0 * math.log(math.pi) - math.lgamma(251.0)
+    assert radii == pytest.approx([math.exp((math.log(w) - log_omega) / 500.0) for w in (0.5, 2.0)], rel=1e-14)
 
 
 @pytest.mark.parametrize(

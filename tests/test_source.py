@@ -1,5 +1,5 @@
 """Source checks that need no linter: every name a ``psilab`` module, a test or a demo imports is read there
-or listed in its ``__all__``."""
+or listed in its ``__all__``, and the package integrates with scipy's ``quad`` in one function only."""
 
 import ast
 import pathlib
@@ -40,3 +40,34 @@ def test_the_guard_finds_an_unused_import():
     source = "from __future__ import annotations\nimport os, sys\nimport numpy.linalg\nfrom math import pi as PI\n" \
              "__all__ = ['PI']\n\ndef f():\n    from json import dumps\n    return sys.argv\n"
     assert _unused_imports(source) == ["line 2: os", "line 3: numpy", "line 8: dumps"]
+
+
+def _quad_callers(source: str) -> list[str]:
+    """The outermost function or class around each call of ``quad`` (by that name, an alias or an attribute),
+    '<module>' outside any."""
+    tree = ast.parse(source)
+    names = {"quad"} | {a.asname for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                        for a in node.names if a.name == "quad" and a.asname}
+    callers = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and getattr(child.func, "id", getattr(child.func, "attr", None)) in names:
+                callers.append(scope)
+            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            visit(child, child.name if named and scope == "<module>" else scope)
+
+    visit(tree, "<module>")
+    return callers
+
+
+def test_one_quadrature_helper():
+    callers = {name: set(_quad_callers(path.read_text())) for name, path in SOURCES.items() if path.parent == PACKAGE}
+    assert {name: found for name, found in callers.items() if found} == {"analytic.py": {"_radial_quad"}}
+
+
+def test_the_guard_finds_a_second_quadrature():
+    source = "from scipy import integrate\nfrom scipy.integrate import quad as q\n\ndef f():\n    def g(x):\n" \
+             "        return q(abs, 0, x)[0]\n    return g\n\nclass A:\n    def m(self):\n" \
+             "        return integrate.quad(abs, 0, 1)\n\nx = quad(abs, 0, 1)\ny = quadrature(abs, 0, 1)\n"
+    assert _quad_callers(source) == ["f", "A", "<module>"]

@@ -5,7 +5,7 @@ import pytest
 
 from psilab import analytic, constants as const
 from psilab import verify as verify_module
-from psilab.errors import ConvergenceFailure, CurvatureBoundViolated, GammaPole, NotMinimal, SpecInvalid
+from psilab.errors import ConvergenceFailure, CurvatureBoundViolated, GammaPole, NotMinimal, OutOfRange, SpecInvalid
 from psilab.mesh import TriMesh, VertexField, mean_curvature
 from psilab.special_fn import bessel_first_zero, bessel_j
 from psilab.verify import (
@@ -268,6 +268,22 @@ class TestSpectralGap:
         assert rep.inputs["rhs_at_area_fraction_0.5"] == pytest.approx(
             2.0 * rep.rhs, rel=1e-12
         )
+
+
+@pytest.mark.parametrize("n, side", [(400, "rhs"), (1000, "lhs")])
+def test_radial_gn_refuses_sides_outside_the_double_range(n, side):
+    # the extremal's gradient integral underflows from n = 400, and its L^r norm by n = 1000
+    p = 1.5
+    q = 0.5 * (p + p * (n - 1.0) / (n - p))
+    with pytest.raises(OutOfRange, match=f"^GagliardoNirenberg at n = {n}: the radial {side} leaves the double range$"):
+        verify_gn(analytic.gn_extremal(n, p, q), p, q)
+
+
+def test_radial_log_sobolev_refuses_a_gradient_integral_of_zero():
+    # the indicator of the unit ball has u' = 0 wherever it is differentiable
+    ball = analytic.RadialFunction(lambda r: np.zeros(np.shape(r)), lambda r: np.full(np.shape(r), -np.inf), 3, 1.0)
+    with pytest.raises(OutOfRange, match="^LogSobolev at n = 3: the radial rhs leaves the double range$"):
+        verify_log_sobolev(ball, 1.5)
 
 
 class TestLogSobolev:
