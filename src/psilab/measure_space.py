@@ -6,6 +6,13 @@ non-increasing profile on the target measure whose superlevel sets carry the
 same mass: sort the distinct values downward, accumulate weights, and place
 each level at the radius whose ball has exactly that accumulated volume.
 
+Only that last step depends on the target, so ``rearrange`` runs in two
+stages: a target-free sketch (the sort, the merged levels, their cumulative
+measures and, for a linear profile, the equal-measure cuts) and its
+placement on a target. The sort is numpy's default, unstable one, with each
+run of equal values then put back in input order, which gives the stable
+permutation and so the same weight sums to the last bit.
+
 Two targets are supported: Lebesgue measure on R^n, and the half-line model
 measure with density (1/C - K)^n r^(n-1) / n^(n-1). With K = 0 and
 C = 1/(n omega_n^(1/n)) the two ball-volume functions coincide, so the model
@@ -266,6 +273,69 @@ def distribution_function(dmf: DiscreteMeasuredFunction, t: float) -> float:
     return float(np.sum(dmf.weights[dmf.values > t]))
 
 
+@dataclass(frozen=True)
+class _Sketch:
+    """Target-free first stage of a rearrangement: knot values and the cumulative measures they sit at.
+
+    ``measures`` are the ball volumes of the knots; a linear sketch has one
+    more value than measures, for the leading knot at radius 0.
+    """
+
+    interpolation: Interpolation
+    measures: np.ndarray
+    values: np.ndarray
+
+    def place(self, target: TargetMeasure) -> RadialProfile:
+        """Second stage: the profile on ``target``, each knot at the radius whose ball has its measure."""
+        radii = target.ball_radius(self.measures)
+        if self.interpolation is Interpolation.PIECEWISE_LINEAR:
+            radii = np.concatenate([[0.0], radii])
+        return RadialProfile(target, radii, self.values, self.interpolation)
+
+
+def _sketch(dmf: DiscreteMeasuredFunction, interpolation: Interpolation) -> _Sketch:
+    """First stage of ``rearrange``: sort, merge equal levels, accumulate measure and, for a linear
+    profile, take the equal-measure cuts."""
+    size = dmf.values.size
+    order = np.argsort(dmf.values)[::-1]  # descending; equal values in no particular order yet
+    v_sorted = dmf.values[order]
+    # merge equal values: one knot per distinct level, each run starting where the value changes
+    starts = np.flatnonzero(np.concatenate(([True], v_sorted[1:] != v_sorted[:-1])))
+    levels = v_sorted[starts]  # descending
+    del v_sorted
+    if starts.size < size:
+        # the stable order: each run back in input order, by sorting run * size + position
+        # (distinct keys below size^2 < 2^63), so the weight sums below add in the same order;
+        # run * size is repeated twice rather than kept, so at most two index arrays are alive
+        bases, lengths = np.arange(0, starts.size * size, size, dtype=np.int64), np.diff(starts, append=size)
+        key = np.repeat(bases, lengths)
+        key += order
+        del order
+        key.sort()
+        key -= np.repeat(bases, lengths)
+        order = key
+    merged_w = np.add.reduceat(dmf.weights[order], starts)
+    # drop a zero level: it contributes no mass to any superlevel set
+    keep = levels > 0
+    levels = levels[keep]
+    merged_w = merged_w[keep]
+    step = interpolation is Interpolation.RIGHT_CONTINUOUS_STEP
+    if levels.size == 0:
+        return _Sketch(interpolation, np.array([dmf.total_weight()]), np.zeros(1 if step else 2))
+    cum_w = np.cumsum(merged_w)
+    if step:
+        return _Sketch(interpolation, cum_w, levels)
+    budget = max(16, round(math.sqrt(size) / 8.0))
+    if levels.size <= budget:
+        return _Sketch(interpolation, cum_w, np.concatenate([levels, [0.0]]))
+    cuts = cum_w[-1] * np.arange(1, budget + 1) / budget
+    # level still active at each cumulative-measure cut
+    idx = np.searchsorted(cum_w, cuts * (1.0 - 1e-15), side="left")
+    knot_v = np.concatenate([[levels[0]], np.minimum.accumulate(levels[np.minimum(idx, levels.size - 1)])])
+    knot_v[-1] = 0.0
+    return _Sketch(interpolation, cuts, knot_v)
+
+
 def rearrange(
     dmf: DiscreteMeasuredFunction,
     target: TargetMeasure,
@@ -273,11 +343,10 @@ def rearrange(
 ) -> RadialProfile:
     """Schwartz rearrangement of weighted samples onto the target measure.
 
-    Samples are sorted by value downward, ties merged into one level (the
-    profile does not depend on tie order), cumulative weights W_1 < ... < W_N
-    formed, and each level v_k placed out to radius r_k with
-    ball_volume(r_k) = W_k. The step profile uses these knots directly and
-    is exactly equimeasurable with the input.
+    Samples are sorted by value downward, ties merged into one level,
+    cumulative weights W_1 < ... < W_N formed, and each level v_k placed out
+    to radius r_k with ball_volume(r_k) = W_k. The step profile uses these
+    knots directly and is exactly equimeasurable with the input.
 
     The piecewise-linear profile is a quantile sketch of the same data: it
     interpolates the step profile at max(16, round(sqrt(sample count)/8))
@@ -287,40 +356,16 @@ def rearrange(
     noise in the values with single-sample weight gaps in the radii and blow
     the slopes up; the coarse radius grid keeps the slope field convergent
     under refinement while staying equimeasurable within one knot cell.
+
+    Two stages build it. The first does not depend on the target: one
+    unstable sort, after which each run of equal values is put back in input
+    order by sorting the key run * size + position, so the merged weights are
+    summed in the order of a stable sort; then the merge, the cumulative
+    weights and, for a linear profile, the cuts and knot values. The second
+    places the knots with ``target.ball_radius``, from radius 0 for a linear
+    profile. A caller that needs several targets keeps the first stage.
     """
-    order = np.argsort(-dmf.values, kind="stable")
-    v_sorted = dmf.values[order]
-    w_sorted = dmf.weights[order]
-    # merge equal values: one knot per distinct level, each run starting where the value changes
-    starts = np.flatnonzero(np.concatenate(([True], v_sorted[1:] != v_sorted[:-1])))
-    levels = v_sorted[starts]  # descending
-    merged_w = np.add.reduceat(w_sorted, starts)
-    # drop a zero level: it contributes no mass to any superlevel set
-    keep = levels > 0
-    levels = levels[keep]
-    merged_w = merged_w[keep]
-    if levels.size == 0:
-        zero_r = target.ball_radius(dmf.total_weight())
-        if interpolation is Interpolation.RIGHT_CONTINUOUS_STEP:
-            return RadialProfile(target, np.array([zero_r]), np.array([0.0]), interpolation)
-        return RadialProfile(target, np.array([0.0, zero_r]), np.array([0.0, 0.0]), interpolation)
-    cum_w = np.cumsum(merged_w)
-    radii = np.asarray(target.ball_radius(cum_w), dtype=float)
-    if interpolation is Interpolation.RIGHT_CONTINUOUS_STEP:
-        return RadialProfile(target, radii, levels, interpolation)
-    budget = max(16, round(math.sqrt(dmf.values.size) / 8.0))
-    if levels.size <= budget:
-        knot_r = np.concatenate([[0.0], radii])
-        knot_v = np.concatenate([levels, [0.0]])
-        return RadialProfile(target, knot_r, knot_v, interpolation)
-    support = cum_w[-1]
-    cuts = support * np.arange(1, budget + 1) / budget
-    # level still active at each cumulative-measure cut
-    idx = np.searchsorted(cum_w, cuts * (1.0 - 1e-15), side="left")
-    knot_v = np.concatenate([[levels[0]], np.minimum.accumulate(levels[np.minimum(idx, levels.size - 1)])])
-    knot_v[-1] = 0.0
-    knot_r = np.concatenate([[0.0], np.asarray(target.ball_radius(cuts), dtype=float)])
-    return RadialProfile(target, knot_r, knot_v, interpolation)
+    return _sketch(dmf, interpolation).place(target)
 
 
 def _generalized_inverse(profile: RadialProfile, t: float) -> float:

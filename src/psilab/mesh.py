@@ -296,7 +296,7 @@ class VertexField:
             _require_field_length(self.mesh, values)
             if self.compactly_supported:
                 _require_boundary_vanishing(self.mesh, values)
-        self._profiles = {}  # (subdivision, target) -> (mesh, rearranged profile), see verify
+        self._sketches = {}  # subdivision -> (mesh, target-free rearrangement sketch), see verify
         self._grad2 = None  # (mesh, read-only per-triangle |grad u|^2), see p1_gradient_lp
 
     @classmethod

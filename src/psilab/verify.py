@@ -13,9 +13,11 @@ and the total-curvature precondition TC <= K < 1/C is checked against the
 measured discrete curvature, not against trust in the caller.
 
 Checks on one (mesh, field) pair share its work: the mesh keeps its
-curvature and the field its rearranged profiles and gradient norms. A
-sample set is drawn only to build a profile; the L^p norms, the entropy
-and the monotonicity integrals sum the same sampling cells in place.
+curvature and the field the target-free sketch of its rearrangement
+(one draw and one sort, placed on each target a check asks for) and its
+gradient norms. A sample set is drawn only to build that sketch; the L^p
+norms, the entropy and the monotonicity integrals sum the same sampling
+cells in place.
 """
 
 from __future__ import annotations
@@ -48,10 +50,10 @@ from .measure_space import (
     Interpolation,
     RadialProfile,
     _radial_integral,
+    _sketch,
     gradient_energy,
     lebesgue,
     model_space,
-    rearrange,
 )
 from .mesh import (
     TriMesh,
@@ -234,14 +236,15 @@ def _lp_norm(mesh, f, subdivision, p) -> float:
 
 
 def _rearranged_profile(mesh, f, subdivision, target) -> RadialProfile:
-    """Piecewise-linear rearrangement of f's samples, kept read-only on f per (mesh, subdivision, target)."""
-    kept = f._profiles.get((subdivision, target))
+    """Piecewise-linear rearrangement of f's samples on ``target``, placed from the target-free sketch
+    that f keeps read-only per (mesh, subdivision): one draw and one sort serve every target."""
+    kept = f._sketches.get(subdivision)
     if kept is None or kept[0] is not mesh:
-        profile = rearrange(sample_field(mesh, f, subdivision), target, Interpolation.PIECEWISE_LINEAR)
-        profile.radii.setflags(write=False)
-        profile.values.setflags(write=False)
-        kept = f._profiles[subdivision, target] = (mesh, profile)
-    return kept[1]
+        sketch = _sketch(sample_field(mesh, f, subdivision), Interpolation.PIECEWISE_LINEAR)
+        sketch.measures.setflags(write=False)
+        sketch.values.setflags(write=False)
+        kept = f._sketches[subdivision] = (mesh, sketch)
+    return kept[1].place(target)
 
 
 # ---------------------------------------------------------------------------

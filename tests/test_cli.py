@@ -502,15 +502,16 @@ class TestVerifyKeepsInputs:
         validations = _counted(monkeypatch, TriMesh, "_validate")
         reads = _counted(monkeypatch, mesh_module, "read_table")
         curvatures = _counted(monkeypatch, mesh_module, "_curvature_report")
-        rearranged = _counted(monkeypatch, v, "rearrange")
+        draws = _counted(monkeypatch, v, "sample_field")
+        sorts = _counted(monkeypatch, v, "_sketch")
         for _ in range(2):
             for check, args in NINE_CHECKS:
                 for fmt in ("json", "csv"):
                     assert dispatch(["verify", check, "--mesh", mesh_path, "--field", field_path, *args,
                                      "--format", fmt]) == 0
         assert (len(loads), len(validations), len(reads), len(curvatures)) == (1, 1, 1, 1)
-        # ps, ms1 and mono share the Lebesgue profile, model has its own target
-        assert sorted(args[1].kind.value for args in rearranged) == ["lebesgue", "model"]
+        # ps, model, ms1 and mono place one target-free sketch: one draw and one sort per field
+        assert (len(draws), len(sorts)) == (1, 1)
         capsys.readouterr()
 
     def test_mono_draws_its_samples_once(self, disk_files, no_kept_inputs, monkeypatch, capsys):
@@ -603,9 +604,9 @@ class TestVerifyKeepsInputs:
         curvature = mean_curvature(mesh)
         arrays = [mesh.vertices, mesh.triangles, field.values, curvature.h_norm, curvature.vertex_areas,
                   curvature.boundary_mask]
-        for _, profile in field._profiles.values():
-            arrays += [profile.radii, profile.values]
-        assert len(arrays) == 10
+        ((_, sketch),) = field._sketches.values()  # ms1 and model share it
+        arrays += [sketch.measures, sketch.values]
+        assert len(arrays) == 8
         for arr in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = arr[0]

@@ -6,7 +6,8 @@ import pytest
 from psilab import analytic, constants as const
 from psilab import verify as verify_module
 from psilab.errors import ConvergenceFailure, CurvatureBoundViolated, GammaPole, NotMinimal, OutOfRange, SpecInvalid
-from psilab.mesh import TriMesh, VertexField, mean_curvature
+from psilab.measure_space import Interpolation, lebesgue, model_space, rearrange
+from psilab.mesh import TriMesh, VertexField, mean_curvature, sample_field
 from psilab.special_fn import bessel_first_zero, bessel_j
 from psilab.verify import (
     MonotoneSpec,
@@ -439,3 +440,31 @@ def test_integrals_draw_no_samples(check, monkeypatch):
 def test_negative_subdivision_refused(check):
     with pytest.raises(ValueError, match="^subdivision must be >= 0$"):
         CELL_SUM_CHECKS[check](VertexField(HAT8, mesh=DISK8), -1)
+
+
+def test_profile_checks_share_one_draw_and_one_sort(monkeypatch):
+    # ps, model, ms1 and mono place the one target-free sketch the field keeps, whatever their targets
+    f = VertexField(HAT8, mesh=DISK8)
+    calls = {"sample_field": [], "_sketch": []}
+    for name, made in calls.items():
+        real = getattr(verify_module, name)
+        monkeypatch.setattr(verify_module, name, lambda *args, real=real, made=made: made.append(args) or real(*args))
+    for K in (0.0, 0.5):
+        verify_polya_szego(DISK8, f, 2.0, K, B1)
+        verify_model_space_ps(DISK8, f, 1.5, K, B1)
+        verify_michael_simon_p1(DISK8, f, B1)
+        verify_monotonicity_principle(DISK8, f, monotone_preset("sobolev-l1"), K, B1)
+    assert [len(made) for made in calls.values()] == [1, 1]
+
+
+@pytest.mark.parametrize("subdivision", [0, 2])
+def test_placed_profiles_equal_a_fresh_rearrangement(subdivision):
+    f = VertexField(HAT8, mesh=DISK8)
+    samples = sample_field(DISK8, f, subdivision)
+    targets = [lebesgue(2), model_space(2, 0.0, B1.value(2)), model_space(2, 0.5, B1.value(2)), lebesgue(2)]
+    for target in targets:
+        placed = verify_module._rearranged_profile(DISK8, f, subdivision, target)
+        fresh = rearrange(samples, target, Interpolation.PIECEWISE_LINEAR)
+        assert placed.target == target and placed.interpolation is fresh.interpolation
+        assert placed.radii.tobytes() == fresh.radii.tobytes()
+        assert placed.values.tobytes() == fresh.values.tobytes()
