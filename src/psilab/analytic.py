@@ -211,15 +211,20 @@ def _check_lambda(lam) -> np.ndarray:
     return lam
 
 
-def example51_field(lam: float, points) -> np.ndarray:
+def example51_field(lam, points):
     """Field on the unit sphere: lambda*r on the polar cap r <= 1/lambda
-    (upper hemisphere), 1 everywhere else; r is the cylindrical radius."""
-    _check_lambda(lam)
+    (upper hemisphere), 1 everywhere else; r is the cylindrical radius.
+
+    A scalar lambda gives one value per point (a float for a single point);
+    an array of L lambdas gives an (L, N) array whose row k is the field of
+    lambda k, bit for bit.
+    """
+    lam = _check_lambda(lam)[..., None]
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     r = np.hypot(pts[:, 0], pts[:, 1])
     on_cap = (pts[:, 2] > 0) & (r <= 1.0 / lam)
     out = np.where(on_cap, lam * r, 1.0)
-    return out if np.asarray(points).ndim > 1 else float(out[0])
+    return out if np.ndim(points) > 1 else _shaped(out[..., 0])
 
 
 def example51_vertex_field(lam: float, mesh: TriMesh) -> VertexField:

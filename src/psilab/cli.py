@@ -176,15 +176,23 @@ def _cmd_constants(args) -> int:
     return 0
 
 
+_ITEM_LINES = json.JSONEncoder(separators=(",\n", ": "))  # an item per line; an encoded string holds no raw line break
+
+
 def _indented_json(payload: dict) -> str:
-    """``json.dumps(payload, indent=2)`` of a dict of numbers and flat number lists, a list per C-encoder call."""
+    """``json.dumps(payload, indent=2)`` of a dict of scalars, flat lists, flat dicts and lists of
+    non-empty flat dicts, one C-encoder call per value: each item on a line of its own, the indentation put in
+    by ``str.replace``. A flat dict ends in a scalar, so "},\n{" falls only between the dicts of a list."""
     items = []
     for key, value in payload.items():
-        text = json.dumps(value)
-        if isinstance(value, list) and value:
-            text = "[\n    " + text[1:-1].replace(", ", ",\n    ") + "\n  ]"
+        text = _ITEM_LINES.encode(value)
+        if isinstance(value, list) and value and isinstance(value[0], dict):
+            text = text[2:-2].replace(",\n", ",\n      ").replace("},\n      {", "\n    },\n    {\n      ")
+            text = "[\n    {\n      " + text + "\n    }\n  ]"
+        elif isinstance(value, (list, dict)) and value:
+            text = text[0] + "\n    " + text[1:-1].replace(",\n", ",\n    ") + "\n  " + text[-1]
         items.append(f"  {json.dumps(key)}: {text}")
-    return "{\n" + ",\n".join(items) + "\n}"
+    return "{\n" + ",\n".join(items) + "\n}" if items else "{}"
 
 
 def _cmd_curvature(args) -> int:
@@ -252,7 +260,7 @@ def _cmd_counterexample(args) -> int:
         _emit(text, args.out)
     else:
         payload["rows"] = [r.as_dict() for r in rows]
-        _emit(json.dumps(payload, indent=2), args.out)
+        _emit(_indented_json(payload), args.out)
     return 0
 
 

@@ -23,13 +23,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import (
+    example51_field,
     example51_gradient_integrals,
     example51_surface_lp,
-    example51_vertex_field,
     make_sphere,
 )
 from .errors import DIVERGENT, ConvergenceFailure, is_divergent
-from .mesh import p1_gradient_lp
+from .mesh import _stacked_gradient_lp
 
 __all__ = [
     "SweepRow",
@@ -77,8 +77,11 @@ class SweepRow:
 def sweep(p: float, lam_list, mesh_check: bool = False, subdiv: int = 5):
     """Closed-form sweep over lambda, optionally cross-checked on an icosphere.
 
-    The closed-form columns come from one array call each; only the mesh
-    cross-check visits the lambdas one at a time.
+    The closed-form columns come from one array call each. The mesh
+    cross-check evaluates the field of every lambda on the icosphere's
+    vertices as one stacked (lambda, vertex) array, in blocks, and takes
+    each row's P1 energy in one pass; every ``mesh_surface`` is bit-identical
+    to ``p1_gradient_lp(mesh, example51_vertex_field(lam, mesh), p)``.
     """
     lams = np.array(lam_list, dtype=float, ndmin=1)
     surface, plane = example51_gradient_integrals(lams, p)
@@ -98,8 +101,9 @@ def sweep(p: float, lam_list, mesh_check: bool = False, subdiv: int = 5):
     ]
     if mesh_check:
         mesh = make_sphere(subdiv)
-        for row in rows:
-            row.mesh_surface = p1_gradient_lp(mesh, example51_vertex_field(row.lam, mesh), p)
+        surfaces = _stacked_gradient_lp(mesh, len(lams), lambda lo, hi: example51_field(lams[lo:hi], mesh.vertices), p)
+        for row, surface in zip(rows, surfaces):
+            row.mesh_surface = surface
             deviation = abs(row.mesh_surface - row.surface_grad_p) / row.surface_grad_p
             # beyond lambda ~ 20 the cap holds too few triangles to trust
             row.flagged = row.lam > 20.0 or deviation > 0.05

@@ -261,8 +261,16 @@ def _indices(index, count: int, what: str) -> np.ndarray:
 
 
 def _require_field_length(mesh: TriMesh, values: np.ndarray):
-    if len(values) != len(mesh.vertices):
+    if values.shape[-1] != len(mesh.vertices):
         raise ValueError("field length does not match vertex count")
+
+
+def _require_field_values(values: np.ndarray):
+    """Refuse vertex values (one field or a stack of them) that are not finite numbers >= 0."""
+    if not np.isfinite(values).all():
+        raise ValueError("field values must be finite")
+    if np.any(values < 0):
+        raise ValueError("field values must be >= 0")
 
 
 def _require_boundary_vanishing(mesh: TriMesh, values: np.ndarray):
@@ -288,10 +296,7 @@ class VertexField:
         self.values = values = _frozen(self.values, float)
         if values.ndim != 1:
             raise ValueError("field values must be a 1-d array")
-        if not np.isfinite(values).all():
-            raise ValueError("field values must be finite")
-        if np.any(values < 0):
-            raise ValueError("field values must be >= 0")
+        _require_field_values(values)
         if self.mesh is not None:
             _require_field_length(self.mesh, values)
             if self.compactly_supported:
@@ -340,13 +345,50 @@ def p1_gradient_lp(mesh: TriMesh, field: VertexField, p: float) -> float:
     if kept is None or kept[0] is not mesh:
         tri = mesh.triangles
         u = field.values
-        aa, bb, ab = mesh._gram
-        du1 = u[tri[:, 1]] - u[tri[:, 0]]
-        du2 = u[tri[:, 2]] - u[tri[:, 0]]
-        # delta^T G^{-1} delta with G = [[aa, ab], [ab, bb]]
-        grad2 = (bb * du1 * du1 - 2.0 * ab * du1 * du2 + aa * du2 * du2) / (aa * bb - ab * ab)
-        kept = field._grad2 = (mesh, _kept(np.maximum(grad2, 0.0)))
+        grad2 = _gradient_sq(*mesh._gram, u[tri[:, 1]] - u[tri[:, 0]], u[tri[:, 2]] - u[tri[:, 0]])
+        kept = field._grad2 = (mesh, _kept(grad2))
     return float(np.sum(mesh.triangle_areas() * kept[1] ** (0.5 * p)))
+
+
+def _gradient_sq(aa, bb, ab, du1, du2) -> np.ndarray:
+    """|grad u|^2 >= 0 of an affine function with value differences du1, du2 along two edges with Gram
+    entries aa, bb, ab: delta^T G^{-1} delta with G = [[aa, ab], [ab, bb]]."""
+    return np.maximum((bb * du1 * du1 - 2.0 * ab * du1 * du2 + aa * du2 * du2) / (aa * bb - ab * ab), 0.0)
+
+
+_STACK_ENTRIES = 1 << 16  # the most (field, triangle) entries one block of _stacked_gradient_lp holds
+
+
+def _stacked_gradient_lp(mesh: TriMesh, count: int, rows, p: float) -> list[float]:
+    """``p1_gradient_lp`` of ``count`` fields in one pass, each bit-identical to it. ``rows(lo, hi)`` gives the
+    vertex values of fields lo, ..., hi - 1 as an (hi - lo, nv) array, refused as ``VertexField`` refuses one.
+
+    The pass runs in blocks of at most ``_STACK_ENTRIES`` (field, triangle) entries. |grad u|^2 is formed,
+    and raised to p/2, only on the triangles where the field moves: elsewhere it is exactly 0, and so is its
+    p/2-th power for p >= 1. Each field's row of area-weighted powers is contiguous and summed by its own
+    ``np.sum``, as ``p1_gradient_lp`` sums it; a sum over a (triangle, field) layout rounds differently.
+    """
+    require_order(p)
+    areas, half_p = mesh.triangle_areas(), 0.5 * p
+    aa, bb, ab = mesh._gram
+    t0, t1, t2 = mesh.triangles.T
+    nt = len(t0)
+    step = max(1, _STACK_ENTRIES // nt)
+    out = []
+    for lo in range(0, count, step):
+        u = np.asarray(rows(lo, min(lo + step, count)), dtype=float)
+        if u.ndim != 2:
+            raise ValueError("stacked field values must be a 2-d array")
+        _require_field_length(mesh, u)
+        _require_field_values(u)
+        u0 = np.take(u, t0, axis=1)
+        du1, du2 = np.take(u, t1, axis=1) - u0, np.take(u, t2, axis=1) - u0
+        moving = np.flatnonzero((du1 != 0.0) | (du2 != 0.0))
+        du1, du2, tri = du1.ravel()[moving], du2.ravel()[moving], moving % nt
+        energy = np.zeros((len(u), nt))
+        energy.ravel()[moving] = areas[tri] * _gradient_sq(aa[tri], bb[tri], ab[tri], du1, du2) ** half_p
+        out += [float(np.sum(row)) for row in energy]
+    return out
 
 
 @dataclass

@@ -209,6 +209,19 @@ class TestBlowupFamily:
         z = math.sqrt(1.0 - 1.0 / lam**2)
         assert analytic.example51_field(lam, [1.0 / lam, 0.0, z]) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("subdiv", [0, 3])
+    def test_field_of_an_array_of_lambdas(self, subdiv):
+        # row k is the scalar call's field of lambda k, bit for bit; one point gives one value per lambda
+        points = analytic.make_sphere(subdiv).vertices
+        lams = [1.0, 1.5, 7.3, 20.0, 1e8]
+        stacked = analytic.example51_field(np.array(lams), points)
+        assert stacked.shape == (len(lams), len(points))
+        for lam, row in zip(lams, stacked):
+            assert row.tobytes() == analytic.example51_field(lam, points).tobytes()
+        at_pole = analytic.example51_field(lams, [0.0, 0.6, 0.8])
+        assert at_pole.tolist() == [analytic.example51_field(lam, [0.0, 0.6, 0.8]) for lam in lams]
+        assert analytic.example51_field([], points).shape == (0, len(points))
+
     def test_profile_shape(self):
         lam = 5.0
         prof = analytic.example51_profile(lam)

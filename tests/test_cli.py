@@ -20,7 +20,7 @@ from psilab import verify as v
 from psilab.cli import dispatch
 from psilab.counterexample import find_lambda_bar, sweep, sweep_to_csv
 from psilab.errors import ComplexValued
-from psilab.mesh import TriMesh, VertexField, load_mesh, mean_curvature
+from psilab.mesh import TriMesh, VertexField, load_mesh, mean_curvature, p1_gradient_lp
 
 from conftest import boundary_vanishing_field, mesh_to_off
 
@@ -312,6 +312,32 @@ class TestCounterexampleCommand:
         err = capsys.readouterr().err
         assert "division by zero" not in err
         assert "no threshold below" in err
+
+    @pytest.mark.parametrize("subdiv", [0, 3])
+    @pytest.mark.parametrize("p", [1.5, 2.5])
+    @pytest.mark.parametrize("fmt", [[], ["--format", "csv"], ["--plot-data"]], ids=["json", "csv", "plot-data"])
+    @pytest.mark.parametrize("threshold", [[], ["--N", "30"]], ids=["sweep", "with-N"])
+    def test_mesh_check_matches_per_lambda_rows(self, subdiv, p, fmt, threshold, capsys):
+        lams = [1.0, 2.0, 7.5, 20.0, 300.0, 1e8]
+        argv = ["counterexample", "--p", str(p), "--lambda", *map(repr, lams), "--mesh-check", "--subdiv", str(subdiv)]
+        assert dispatch([*argv, *fmt, *threshold]) == 0
+        # the reference: the closed-form rows, cross-checked one lambda at a time
+        mesh, rows = analytic.make_sphere(subdiv), sweep(p, lams)
+        for row in rows:
+            row.mesh_surface = p1_gradient_lp(mesh, analytic.example51_vertex_field(row.lam, mesh), p)
+            row.flagged = row.lam > 20.0 or abs(row.mesh_surface - row.surface_grad_p) / row.surface_grad_p > 0.05
+        bar = find_lambda_bar(30.0, p) if threshold else None
+        if fmt:
+            expected = sweep_to_csv(rows)
+            if fmt == ["--plot-data"]:
+                expected = "# " + expected.replace(",", " ")
+            if threshold:
+                expected += f"# lambda_bar {bar!r}\n"
+        else:
+            payload = {"lambda_bar": {"N": 30.0, "p": p, "value": bar}} if threshold else {}
+            payload["rows"] = [r.as_dict() for r in rows]
+            expected = json.dumps(payload, indent=2) + "\n"
+        assert capsys.readouterr().out == expected
 
     def test_plot_data(self, capsys):
         code = dispatch(["counterexample", "--p", "1.5", "--lambda", "5", "--plot-data"])

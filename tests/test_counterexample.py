@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,9 +11,16 @@ from psilab.counterexample import (
     sweep,
     sweep_to_csv,
 )
+from psilab import mesh as mesh_module
 from psilab.errors import ConvergenceFailure, is_divergent
-from psilab.mesh import total_mean_curvature
-from psilab.analytic import example51_gradient_integrals, example51_surface_lp, make_sphere
+from psilab.mesh import _stacked_gradient_lp, p1_gradient_lp, total_mean_curvature
+from psilab.analytic import (
+    example51_field,
+    example51_gradient_integrals,
+    example51_surface_lp,
+    example51_vertex_field,
+    make_sphere,
+)
 
 
 class TestSweep:
@@ -77,6 +85,78 @@ class TestSweep:
         assert header.startswith("lambda,p,")
         assert "divergent" in row
         assert "inf" in row
+
+
+# 65 lambdas from 1 to 1e8 with 20 among them, in no order; the cap of 1e8 holds no vertex at subdivision 0
+# and only the north pole from subdivision 1 on
+LAMBDAS_65 = np.random.default_rng(65).permutation(np.append(np.geomspace(1.0, 1e8, 64), 20.0)).tolist()
+DRAWN_P = float(np.random.default_rng(20).uniform(1.0, 4.0))
+
+
+def _per_lambda(mesh, lams, p):
+    """The mesh cross-check one lambda at a time, as ``float.hex`` strings."""
+    return [p1_gradient_lp(mesh, example51_vertex_field(lam, mesh), p).hex() for lam in lams]
+
+
+class TestStackedMeshCheck:
+    @pytest.mark.parametrize("subdiv", range(6))
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 4.0, DRAWN_P])
+    def test_bit_identical_to_the_per_lambda_energy(self, subdiv, p):
+        mesh = make_sphere(subdiv)
+        for lams in ([1.0], [20.0], [1e8], LAMBDAS_65):
+            rows = sweep(p, lams, mesh_check=True, subdiv=subdiv)
+            assert [r.mesh_surface.hex() for r in rows] == _per_lambda(mesh, lams, p)
+
+    @pytest.mark.parametrize("entries", [1, 700, 1000, 1 << 16])
+    def test_across_block_boundaries(self, monkeypatch, entries):
+        # subdivision 2 has 320 triangles: one field per block, two, three with a last block of two, all 65
+        monkeypatch.setattr(mesh_module, "_STACK_ENTRIES", entries)
+        mesh = make_sphere(2)
+        for p in (1.0, 1.5, DRAWN_P):
+            rows = sweep(p, LAMBDAS_65, mesh_check=True, subdiv=2)
+            assert [r.mesh_surface.hex() for r in rows] == _per_lambda(mesh, LAMBDAS_65, p)
+
+    def test_a_block_holds_at_most_the_block_constant(self, monkeypatch):
+        monkeypatch.setattr(mesh_module, "_STACK_ENTRIES", 1000)
+        mesh, asked = make_sphere(2), []
+
+        def rows(lo, hi):
+            asked.append((lo, hi))
+            return example51_field(np.array(LAMBDAS_65[lo:hi]), mesh.vertices)
+
+        assert len(_stacked_gradient_lp(mesh, 65, rows, 1.5)) == 65
+        assert asked == [(lo, min(lo + 3, 65)) for lo in range(0, 65, 3)]
+
+    def test_peak_memory(self):
+        # blocks of at most 2^16 (lambda, triangle) entries: subdivision 6 has 81,920 triangles, so one lambda
+        # per block; a loop of p1_gradient_lp over the lambdas peaks at 3.3 MB here
+        make_sphere(6)  # built and kept outside the measurement
+        tracemalloc.start()
+        try:
+            sweep(1.5, LAMBDAS_65, mesh_check=True, subdiv=6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8e6
+
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            (lambda u: u[:, :-1], "field length does not match vertex count"),
+            (lambda u: u[0], "stacked field values must be a 2-d array"),
+            (lambda u: np.where(np.arange(u.size).reshape(u.shape) == 7, np.nan, u), "field values must be finite"),
+            (lambda u: np.where(np.arange(u.size).reshape(u.shape) == 7, np.inf, u), "field values must be finite"),
+            (lambda u: np.where(np.arange(u.size).reshape(u.shape) == 7, -1e-300, u), "field values must be >= 0"),
+        ],
+        ids=["length", "1-d", "nan", "inf", "negative"],
+    )
+    def test_refuses_what_a_vertex_field_refuses(self, values, message):
+        mesh = make_sphere(1)
+        stacked = example51_field(np.array([2.0, 5.0]), mesh.vertices)
+        with pytest.raises(ValueError, match=message):
+            _stacked_gradient_lp(mesh, 2, lambda lo, hi: values(stacked[lo:hi]), 1.5)
+        with pytest.raises(ValueError, match="p must be"):
+            _stacked_gradient_lp(mesh, 2, lambda lo, hi: stacked[lo:hi], 0.5)
 
 
 class TestLambdaBar:

@@ -164,6 +164,8 @@ def test_ball_dimension(entry, n):
 LAMBDA_ENTRIES = [
     ("example51_field", lambda lam: analytic.example51_field(lam, [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])),
     ("example51_field-point", lambda lam: analytic.example51_field(lam, [0.0, 0.0, 1.0])),
+    ("example51_field-array", lambda lam: analytic.example51_field([10.0, lam], [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])),
+    ("example51_field-array-point", lambda lam: analytic.example51_field([lam, 2.0], [0.0, 0.0, 1.0])),
     ("example51_vertex_field", lambda lam: analytic.example51_vertex_field(lam, SPHERE)),
     ("example51_profile", analytic.example51_profile),
     ("example51_surface_lp", lambda lam: analytic.example51_surface_lp(lam, 1.5)),
@@ -171,6 +173,7 @@ LAMBDA_ENTRIES = [
     ("example51_gradient_integrals-array", lambda lam: analytic.example51_gradient_integrals([10.0, lam], 1.5)),
     ("asymptotic_check", lambda lam: counterexample.asymptotic_check(1.5, lam)),
     ("sweep", lambda lam: counterexample.sweep(1.5, [2.0, lam, 3.0])),
+    ("sweep-mesh-check", lambda lam: counterexample.sweep(1.5, [2.0, lam], mesh_check=True, subdiv=0)),
 ]
 
 

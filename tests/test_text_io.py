@@ -48,6 +48,9 @@ positive = st.one_of(
     st.sampled_from(SPECIAL[1:]), st.floats(min_value=5e-324, allow_nan=False, allow_infinity=False)
 )
 any_float = st.one_of(st.sampled_from(SPECIAL + [float("nan"), float("inf"), -1.5]), st.floats())
+# what a flat JSON container holds, with strings that spell the separators and braces the indenting replaces
+SCALARS = st.one_of(any_float, st.integers(), st.booleans(), st.none(), st.text(max_size=8),
+                    st.sampled_from(["}", "},\n{", ", ", ",\n", "\u00e9{"]))
 
 
 def reference_rows_csv(header, rows):
@@ -139,6 +142,22 @@ class TestWritersMatchTheRowLoops:
         )
     )
     def test_indented_json(self, payload):
+        assert _indented_json(payload) == json.dumps(payload, indent=2)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.dictionaries(
+            st.text(max_size=8),
+            st.one_of(
+                SCALARS,
+                st.lists(SCALARS, max_size=6),
+                st.dictionaries(st.text(max_size=8), SCALARS, max_size=6),
+                st.lists(st.dictionaries(st.text(max_size=8), SCALARS, min_size=1, max_size=6), max_size=4),
+            ),
+            max_size=5,
+        )
+    )
+    def test_indented_json_of_dicts_and_lists_of_dicts(self, payload):
         assert _indented_json(payload) == json.dumps(payload, indent=2)
 
 
