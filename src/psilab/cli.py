@@ -149,7 +149,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--iso", default="brendle:1")
     pv.add_argument("--reading", choices=["literal", "corrected"], default="corrected")
     pv.add_argument("--preset", default="sobolev-l1", help="monotone-spec preset for the mono check")
-    pv.add_argument("--subdivision", type=int, default=2)
     pv.add_argument("--tolerance", type=float)
     common(pv)
 
@@ -230,7 +229,7 @@ def _cmd_verify(args) -> int:
     if "f" in check.keywords and not args.field:
         raise ValueError(f"verify {args.check} requires --field")
     kw = dict(p=args.p, q=args.q, K=args.K, choice=_parse_iso(args.iso), reading=args.reading, spec=args.preset,
-              subdivision=args.subdivision, tolerance=args.tolerance)
+              tolerance=args.tolerance)
     check.refuse_arguments(kw)
     (mesh, fields), was_kept = _read_kept(_kept_meshes, args.mesh, lambda fh: (load_mesh(fh), OrderedDict()))
     if was_kept:  # warn as building it did

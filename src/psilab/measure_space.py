@@ -16,12 +16,14 @@ permutation and so the same weight sums to the last bit.
 Two targets are supported: Lebesgue measure on R^n, and the half-line model
 measure with density (1/C - K)^n r^(n-1) / n^(n-1). With K = 0 and
 C = 1/(n omega_n^(1/n)) the two ball-volume functions coincide, so the model
-rearrangement reproduces the Euclidean one knot for knot.
+rearrangement reproduces the Euclidean one knot for knot. A target's
+volumes, densities and isoperimetric profile (the perimeter of its ball of
+measure v, which the mesh verifiers' rearrangement energies read) go through
+the logarithm of its volume coefficient, so they stay finite at large n.
 
 Profile integrals are exact sums where the integrand is piecewise constant:
 L^p norms of step profiles and gradient p-energies, whose slope is constant
-on each segment. Every other integral over a linear profile (L^p norms, the
-monotonicity principle's f and phi terms) goes through one helper,
+on each segment. The L^p norm of a linear profile goes through
 ``_radial_integral``, which applies a 24-node Gauss-Legendre rule to all
 segments at once.
 """
@@ -34,11 +36,12 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from scipy.special import xlogy
 
 from ._table import format_table, read_table
 from .errors import InterpolationMismatch, require_order
 from .constants import _check_curvature_bound, _check_dimension
-from .special_fn import _check_ball_dimension, log_unit_ball_volume, unit_ball_volume
+from .special_fn import _check_ball_dimension, log_unit_ball_volume
 
 __all__ = [
     "DiscreteMeasuredFunction",
@@ -123,9 +126,11 @@ class TargetKind(Enum):
 class TargetMeasure:
     """Radial target measure: Lebesgue on R^n or the half-line model measure.
 
-    ``volume_coefficient`` is a in V(r) = a * r^n; the model-space density is
-    n * a * r^(n-1), which for Lebesgue is the sphere-area factor
-    n * omega_n * r^(n-1).
+    Balls have volume V(r) = a * r^n, with a = omega_n for Lebesgue and
+    (1/C - K)^n / n^n for the model space; the density is n * a * r^(n-1),
+    which for Lebesgue is the sphere-area factor n * omega_n * r^(n-1). Each
+    is computed through ``log_volume_coefficient``, log a, since a leaves the
+    double range at large n.
     """
 
     kind: TargetKind
@@ -144,26 +149,29 @@ class TargetMeasure:
             raise ValueError("Lebesgue target takes no K or C")
 
     @property
-    def volume_coefficient(self) -> float:
+    def log_volume_coefficient(self) -> float:
+        """log a, which stays in range where a itself leaves the double range at large n."""
         if self.kind is TargetKind.LEBESGUE_RN:
-            return unit_ball_volume(self.n)
-        return (1.0 / self.C - self.K) ** self.n / float(self.n) ** self.n
+            return log_unit_ball_volume(self.n)
+        return self.n * math.log((1.0 / self.C - self.K) / self.n)
 
     def ball_volume(self, r):
-        """Measure of the ball (interval) of radius r."""
-        r = np.asarray(r, dtype=float)
-        return self.volume_coefficient * r**self.n
+        """Measure of the ball (interval) of radius r: exp(log a + n log r)."""
+        return np.exp(self.log_volume_coefficient + xlogy(self.n, np.asarray(r, dtype=float)))
 
     def ball_radius(self, v):
-        """Inverse of ball_volume: v^(1/n) exp(-log(a) / n), as a itself leaves the double range at large n."""
-        lebesgue = self.kind is TargetKind.LEBESGUE_RN
-        log_a = log_unit_ball_volume(self.n) if lebesgue else self.n * math.log((1.0 / self.C - self.K) / self.n)
-        return np.asarray(v, dtype=float) ** (1.0 / self.n) * math.exp(-log_a / self.n)
+        """Inverse of ball_volume: v^(1/n) exp(-log(a) / n)."""
+        return np.asarray(v, dtype=float) ** (1.0 / self.n) * math.exp(-self.log_volume_coefficient / self.n)
 
     def density(self, r):
-        """Radial density: d/dr of ball_volume."""
-        r = np.asarray(r, dtype=float)
-        return self.n * self.volume_coefficient * r ** (self.n - 1)
+        """Radial density, d/dr of ball_volume: exp(log n + log a + (n - 1) log r)."""
+        log_na = math.log(self.n) + self.log_volume_coefficient
+        return np.exp(log_na + xlogy(self.n - 1, np.asarray(r, dtype=float)))
+
+    def log_perimeter(self, log_v):
+        """log I(v) from log v, where I(v) = density(ball_radius(v)) = n a^(1/n) v^((n-1)/n) is the perimeter of
+        the ball of measure v, the target's isoperimetric profile."""
+        return math.log(self.n) + self.log_volume_coefficient / self.n + (1.0 - 1.0 / self.n) * log_v
 
 
 def lebesgue(n: int) -> TargetMeasure:

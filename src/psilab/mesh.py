@@ -14,9 +14,16 @@ normalization follows the trace convention: the unit sphere reports
 carry |H| = 0 by convention and are excluded from the total-curvature
 quadrature, since an open fan has no well-defined discrete curvature.
 
+A P1 field's distribution function mu(t) = |{u > t}| is known exactly: it
+is quadratic in t between consecutive distinct vertex values. ``_distribution``
+builds it once per (mesh, field), and the verifiers take every integral of
+the field from it; only ``sample_field`` still turns a field into samples,
+for ``psilab rearrange --mesh``.
+
 A mesh is read-only, and so is a field: what is derived from them (the
-Gram entries, areas and boundary, the curvature once measured) is kept on
-them as read-only arrays, the large ones in anonymous mappings of their own.
+Gram entries, areas and boundary, the curvature once measured, the
+distribution function) is kept on them as read-only arrays, the large ones
+in anonymous mappings of their own.
 """
 
 from __future__ import annotations
@@ -301,7 +308,7 @@ class VertexField:
             _require_field_length(self.mesh, values)
             if self.compactly_supported:
                 _require_boundary_vanishing(self.mesh, values)
-        self._sketches = {}  # subdivision -> (mesh, target-free rearrangement sketch), see verify
+        self._levels = None  # (mesh, read-only _Levels), see _distribution
         self._grad2 = None  # (mesh, read-only per-triangle |grad u|^2), see p1_gradient_lp
 
     @classmethod
@@ -389,6 +396,143 @@ def _stacked_gradient_lp(mesh: TriMesh, count: int, rows, p: float) -> list[floa
         energy.ravel()[moving] = areas[tri] * _gradient_sq(aa[tri], bb[tri], ab[tri], du1, du2) ** half_p
         out += [float(np.sum(row)) for row in energy]
     return out
+
+
+# ---------------------------------------------------------------------------
+# the distribution function of a P1 field
+
+_LEVEL_TIE = 1e-13  # vertex values closer than this times the field's maximum are one level
+
+
+def _unit_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """The Gauss-Legendre nodes and weights of ``nodes`` points, moved to [0, 1]."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    return 0.5 * (x + 1.0), 0.5 * w
+
+
+_LEVEL_X, _LEVEL_W = _unit_rule(8)  # the rule of every level interval
+
+
+@dataclass(frozen=True)
+class _Levels:
+    """The distribution function mu(t) = |{u > t}| of a P1 field, exactly, at the nodes of one Gauss-Legendre
+    rule per level interval (the span between two consecutive levels).
+
+    On a triangle with sorted values a <= b <= c and area A, -mu' is a hat in t: 2A(t - a)/((b - a)(c - a)) on
+    (a, b) and 2A(c - t)/((c - a)(c - b)) on (b, c), which jumps at a where a = b and at c where b = c; a
+    flat triangle is an atom of mass A at its value. So -mu' is linear on each level interval, mu quadratic,
+    and every integral a verdict needs is a sum over the nodes, smooth inside each interval.
+
+    ``levels`` are 0 and the field's distinct vertex values, ascending, after ``merged`` merges of values
+    within ``_LEVEL_TIE`` of the maximum of each other (rounding ties, which would leave intervals a few ulps
+    wide); ``atoms`` is the flat area at each level. The (intervals, nodes) arrays give each node's level
+    ``t``, its quadrature weight ``dt``, the area ``mass`` = -mu'(t) dt it carries, and log mu(t) and
+    log(-mu'(t)).
+    """
+
+    levels: np.ndarray
+    merged: int
+    atoms: np.ndarray
+    t: np.ndarray
+    dt: np.ndarray
+    mass: np.ndarray
+    log_mu: np.ndarray
+    log_rho: np.ndarray
+
+    def integral(self, g) -> float:
+        """The integral of g(u) dA, as the integral of g(t) d(-mu): ``g`` maps a read-only array elementwise."""
+        return float(np.sum(g(self.t) * self.mass)) + float(self.atoms @ g(self.levels))
+
+    def rearranged_energy(self, p: float, target) -> float:
+        """The gradient p-energy of the field's rearrangement u* on ``target``, by coarea: the integral of
+        I(mu)^p |mu'|^(1 - p) dt, where I is the target's isoperimetric profile (``target.log_perimeter``),
+        so that I(mu) / |mu'| is |grad u*| on the level set. A level interval no triangle spans (below a
+        positive minimum of the field, or between the values of two components) is a jump of u*: it costs
+        I(mu) dt at p = 1 and makes the energy infinite above."""
+        require_order(p)
+        exponent = p * target.log_perimeter(self.log_mu)
+        if p != 1.0:
+            exponent += (1.0 - p) * self.log_rho
+        return float(np.sum(self.dt * np.exp(exponent)))
+
+
+def _running_sum(x: np.ndarray) -> np.ndarray:
+    """``np.cumsum(x)`` with the rounding error of each addition carried along (TwoSum, then a second
+    cumulative sum of the errors), so that a term added and later taken away leaves no residue."""
+    s = np.cumsum(x)
+    before = np.concatenate(([0.0], s[:-1]))
+    added = s - before
+    return s + np.cumsum((before - (s - added)) + (x - added))
+
+
+def _distribution(mesh: TriMesh, field: VertexField) -> _Levels:
+    """The exact level structure of a P1 field, kept read-only on the field for the mesh it was built on.
+
+    It costs O(M log M) time and O(M + L) memory for M triangles and L levels: -mu' is the sum of one hat per
+    triangle, each given by its slope changes at a, b and c and its jumps, and is walked from the lowest
+    level up, slope times width on each interval, with ``_running_sum`` so that the steep slope of a
+    triangle with a narrow value range leaves no residue in the walk. mu is then summed from the top level
+    down, a closed form within each interval.
+    """
+    kept = field._levels
+    if kept is None or kept[0] is not mesh:
+        kept = field._levels = (mesh, _build_levels(mesh, field.values))
+    return kept[1]
+
+
+def _build_levels(mesh: TriMesh, u: np.ndarray) -> _Levels:
+    tri = mesh.triangles
+    seen = np.zeros(u.size, dtype=bool)
+    seen[tri] = True
+    if not seen.all():  # a vertex in no triangle adds no level: give it the value of one that is in one
+        u = np.where(seen, u, u[tri[0, 0]])
+    # the levels start at 0: below a positive minimum mu is the whole area, and u* drops to 0 at the edge
+    distinct, inverse = np.unique(np.append(u, 0.0), return_inverse=True)
+    inverse = inverse[:-1]
+    starts = np.concatenate(([True], np.diff(distinct) > _LEVEL_TIE * distinct[-1]))
+    levels = _kept(distinct[starts])  # each merged run at its lowest value, so a zero level stays 0
+    nl = levels.size
+    i0, i1, i2 = (np.cumsum(starts) - 1)[inverse][tri].T
+    ia, ic = np.minimum(np.minimum(i0, i1), i2), np.maximum(np.maximum(i0, i1), i2)
+    ib = i0 + i1 + i2 - ia - ic
+    area = mesh.triangle_areas()
+    flat = ia == ic
+    atoms = _kept(np.bincount(ia[flat], area[flat], minlength=nl).astype(float))
+    if flat.any():
+        ia, ib, ic, area = ia[~flat], ib[~flat], ic[~flat], area[~flat]
+    a, b, c = levels[ia], levels[ib], levels[ic]
+    peak = 2.0 * area / (c - a)  # -mu' at t = b; each triangle's hat rises on (a, b) and falls on (b, c)
+    # a rise or fall within one interval sets its ends directly
+    lo = np.bincount(ib[ic == ib + 1], peak[ic == ib + 1], minlength=nl - 1)
+    hi = np.bincount(ia[ib == ia + 1], peak[ib == ia + 1], minlength=nl - 1)
+    # a longer one is walked up the levels, slope times width on each interval: its slope enters where it
+    # starts and leaves where it ends, in level order, and a fall starts at its peak as a rise ends there
+    rise, fall = ib > ia + 1, ic > ib + 1
+    up, down = peak[rise] / (b - a)[rise], peak[fall] / (c - b)[fall]
+    at = np.concatenate([ia[rise], ib[rise], ib[fall], ic[fall]])
+    order = np.argsort(at)
+    slopes = np.append(0.0, _running_sum(np.concatenate([up, -up, -down, down])[order]))
+    slope = slopes[np.searchsorted(at[order], np.arange(nl - 1), side="right")]  # after the changes at or below
+    jump = np.bincount(ib[fall], peak[fall], minlength=nl) - np.bincount(ib[rise], peak[rise], minlength=nl)
+    width = np.diff(levels)
+    walked = _running_sum(np.column_stack([jump[:-1], slope * width]).ravel())
+    lo = np.maximum(lo + walked[0::2], 0.0)  # -mu' at the low and the high end of each interval
+    hi = np.maximum(hi + walked[1::2], 0.0)
+    # |{u >= levels[k + 1]}|: the atoms and interval masses above interval k, summed from the top down
+    above = np.cumsum((atoms + np.append(0.5 * width * (lo + hi), 0.0))[::-1])[::-1][1:]
+    x, w = np.tile(_LEVEL_X, (nl - 1, 1)), np.tile(_LEVEL_W, (nl - 1, 1))
+    # the lowest interval takes its rule in s, t = levels[0] + width s^2, in which the integrands' t^p and
+    # t^p log t at a zero level are smooth
+    if nl > 1:
+        x[0], w[0] = _LEVEL_X**2, 2.0 * _LEVEL_X * _LEVEL_W
+    lo, hi, above, width = lo[:, None], hi[:, None], above[:, None], width[:, None]
+    rho = lo * (1.0 - x) + hi * x
+    mu = above + width * (lo * (0.5 * (1.0 - x) ** 2) + hi * (0.5 * (1.0 - x * x)))
+    dt = width * w
+    with np.errstate(divide="ignore"):  # -mu' is 0 only on an interval no triangle spans
+        log_rho = np.log(rho)
+    nodes = levels[:-1, None] + width * x
+    return _Levels(levels, distinct.size - nl, atoms, *map(_kept, (nodes, dt, dt * rho, np.log(mu), log_rho)))
 
 
 @dataclass
@@ -547,8 +691,8 @@ def sample_field(mesh: TriMesh, field: VertexField, subdivision: int = 0):
     each cell contributes one sample whose value is the interpolant at the
     cell centroid and whose weight is the cell area. The weights sum to the
     mesh area exactly (up to rounding), so the sampled measure is a genuine
-    partition of the surface. The verifiers that need only integrals over
-    these cells compute them in place with ``_cell_sum``, drawing no samples.
+    partition of the surface. Only ``psilab rearrange --mesh`` draws them:
+    the verifiers integrate the field exactly, from ``_distribution``.
     """
     from .measure_space import DiscreteMeasuredFunction
 
@@ -561,12 +705,3 @@ def sample_field(mesh: TriMesh, field: VertexField, subdivision: int = 0):
     areas = mesh.triangle_areas() / 4.0**subdivision
     weights = np.repeat(areas, centroids.shape[0])
     return DiscreteMeasuredFunction(vals.ravel(), weights)
-
-
-def _cell_sum(mesh: TriMesh, field: VertexField, subdivision: int, g) -> float:
-    """Sum of g(sample value) * sample weight over the samples of ``sample_field``, without drawing them:
-    (1/4^s) sum_T A_T sum_c g(u(centroid_c)). ``g`` takes the (M, 4^s) array of cell values, its own to
-    change in place, and returns an array of the same shape."""
-    _require_subdivision(subdivision)
-    values = field.values[mesh.triangles] @ _cell_centroids(subdivision).T
-    return float((mesh.triangle_areas() @ g(values)).sum()) / 4.0**subdivision

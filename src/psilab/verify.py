@@ -3,9 +3,9 @@
 Each verifier assembles the two sides of one functional inequality from the
 mesh / rearrangement / constants machinery and returns a VerificationReport.
 The inequalities themselves are exact; the tolerance in a report is purely
-a discretization allowance (5% at coarse sampling, 1% once the sampling
-subdivision reaches 2), and the raw ratio is always recorded so a reader
-can judge the margin independently of the verdict.
+a discretization allowance (1% for a mesh check unless given one), and the
+raw ratio is always recorded so a reader can judge the margin independently
+of the verdict.
 
 Closed surfaces are refused by the curvature-bounded verifiers: a surface
 admissible for the rearrangement inequality must have nonempty boundary,
@@ -13,11 +13,13 @@ and the total-curvature precondition TC <= K < 1/C is checked against the
 measured discrete curvature, not against trust in the caller.
 
 Checks on one (mesh, field) pair share its work: the mesh keeps its
-curvature and the field the target-free sketch of its rearrangement
-(one draw and one sort, placed on each target a check asks for) and its
-gradient norms. A sample set is drawn only to build that sketch; the L^p
-norms, the entropy and the monotonicity integrals sum the same sampling
-cells in place.
+curvature and the field its gradient norms and the exact distribution
+function mu(t) = |{u > t}| of the P1 interpolant (``mesh._distribution``),
+built once. Every integral a field check needs comes from mu: the L^p
+norms, the entropy and the monotonicity integrals as the integral of g(t)
+d(-mu), and the gradient energy of the rearrangement on any target, by
+coarea, as the integral of I(mu)^p |mu'|^(1 - p) dt with I the target's
+isoperimetric profile. No check samples the field.
 """
 
 from __future__ import annotations
@@ -46,33 +48,23 @@ from .errors import (
     ZeroField,
     require_order,
 )
-from .measure_space import (
-    Interpolation,
-    RadialProfile,
-    _radial_integral,
-    _sketch,
-    gradient_energy,
-    lebesgue,
-    model_space,
-)
+from .measure_space import lebesgue, model_space
 from .mesh import (
     TriMesh,
     VertexField,
-    _cell_sum,
+    _distribution,
+    _Levels,
     _region_tc,
     _require_boundary_vanishing,
     _require_field_length,
-    _require_subdivision,
     boundary_measure,
     hausdorff_measure,
     mean_curvature,
     p1_gradient_lp,
-    sample_field,
 )
 
 __all__ = [
     "VerificationReport",
-    "default_tolerance",
     "verify_polya_szego",
     "verify_model_space_ps",
     "verify_isoperimetric",
@@ -91,11 +83,7 @@ __all__ = [
 ]
 
 REPORT_SCHEMA_VERSION = 1
-
-
-def default_tolerance(subdivision: int) -> float:
-    """Discretization allowance: 5% below sampling level 2, 1% from level 2 on."""
-    return 0.01 if subdivision >= 2 else 0.05
+_MESH_TOLERANCE = 0.01  # the discretization allowance of a mesh check that is given no tolerance
 
 
 @dataclass
@@ -172,10 +160,10 @@ class VerificationReport:
 
 
 def reports_to_csv(reports: Sequence[VerificationReport]) -> str:
-    """Summary CSV: one row per report with the key parameters inlined."""
+    """Summary CSV: one row per report with the key parameters inlined, and a field check's level counts."""
     out = io.StringIO()
     w = csv.writer(out, lineterminator="\n")
-    w.writerow(["inequality_id", "n", "p", "q", "K", "lhs", "rhs", "ratio", "pass"])
+    w.writerow(["inequality_id", "n", "p", "q", "K", "lhs", "rhs", "ratio", "pass", "levels", "merged_levels"])
     for r in reports:
         w.writerow(
             [
@@ -188,6 +176,8 @@ def reports_to_csv(reports: Sequence[VerificationReport]) -> str:
                 repr(float(r.rhs)),
                 repr(float(r.ratio)),
                 int(r.passed),
+                r.inputs.get("levels", ""),
+                r.inputs.get("merged_levels", ""),
             ]
         )
     return out.getvalue()
@@ -216,7 +206,7 @@ def _require_field(mesh: TriMesh, f: VertexField | None):
     _require_field_length(mesh, f.values)
 
 
-def _check_inputs(mesh, f, K, choice, subdivision, tolerance) -> float:
+def _check_inputs(mesh, f, K, choice, tolerance) -> float:
     """Refuse a missing field or one of another length, a closed surface, K outside [0, 1/C), total
     curvature above K and a field not vanishing on the boundary; return the report tolerance."""
     _require_field(mesh, f)
@@ -227,24 +217,20 @@ def _check_inputs(mesh, f, K, choice, subdivision, tolerance) -> float:
     const._check_curvature_bound(K, choice.value(mesh.n))
     _require_tc_bound(mean_curvature(mesh).total, K, "measured")
     _require_boundary_vanishing(mesh, f.values)
-    return default_tolerance(subdivision) if tolerance is None else tolerance
+    return _tolerance(tolerance)
 
 
-def _lp_norm(mesh, f, subdivision, p) -> float:
-    """L^p norm of f over the cells of ``sample_field``."""
-    return _cell_sum(mesh, f, subdivision, lambda v: np.power(v, p, out=v)) ** (1.0 / p)
+def _tolerance(tolerance: float | None) -> float:
+    return _MESH_TOLERANCE if tolerance is None else tolerance
 
 
-def _rearranged_profile(mesh, f, subdivision, target) -> RadialProfile:
-    """Piecewise-linear rearrangement of f's samples on ``target``, placed from the target-free sketch
-    that f keeps read-only per (mesh, subdivision): one draw and one sort serve every target."""
-    kept = f._sketches.get(subdivision)
-    if kept is None or kept[0] is not mesh:
-        sketch = _sketch(sample_field(mesh, f, subdivision), Interpolation.PIECEWISE_LINEAR)
-        sketch.measures.setflags(write=False)
-        sketch.values.setflags(write=False)
-        kept = f._sketches[subdivision] = (mesh, sketch)
-    return kept[1].place(target)
+def _lp_norm(mu: _Levels, p: float) -> float:
+    return mu.integral(lambda v: v**p) ** (1.0 / p)
+
+
+def _field_inputs(mu: _Levels, **inputs) -> dict:
+    """A field check's report inputs, ending in the level count after merging and the merges made."""
+    return {**inputs, "levels": int(mu.levels.size), "merged_levels": mu.merged}
 
 
 # ---------------------------------------------------------------------------
@@ -257,21 +243,20 @@ def verify_polya_szego(
     p: float,
     K: float,
     choice: IsoperimetricChoice,
-    subdivision: int = 2,
     tolerance: float | None = None,
 ) -> VerificationReport:
     """Gradient p-norm of the planar rearrangement vs the surface gradient p-norm
     scaled by the rearrangement constant. Both sides are p-th-root norms."""
-    tol = _check_inputs(mesh, f, K, choice, subdivision, tolerance)
-    profile = _rearranged_profile(mesh, f, subdivision, lebesgue(mesh.n))
-    lhs = gradient_energy(profile, p) ** (1.0 / p)
+    tol = _check_inputs(mesh, f, K, choice, tolerance)
+    mu = _distribution(mesh, f)
+    lhs = mu.rearranged_energy(p, lebesgue(mesh.n)) ** (1.0 / p)
     rhs = const.ps_constant(mesh.n, K, choice) * p1_gradient_lp(mesh, f, p) ** (1.0 / p)
     return VerificationReport(
         "PolyaSzego",
         lhs,
         rhs,
         tol,
-        inputs={"n": mesh.n, "p": p, "K": K, "iso": choice.label(), "subdivision": subdivision},
+        inputs=_field_inputs(mu, n=mesh.n, p=p, K=K, iso=choice.label()),
     )
 
 
@@ -281,27 +266,26 @@ def verify_model_space_ps(
     p: float,
     K: float,
     choice: IsoperimetricChoice,
-    subdivision: int = 2,
     tolerance: float | None = None,
 ) -> VerificationReport:
     """Model-space rearrangement energy vs the raw surface gradient p-integral.
 
     The model-space energy is in truth an infimum over approximating
-    sequences; the piecewise-linear representative bounds it from above, so
-    a pass here is conclusive while a failure would be inconclusive.
+    sequences; the energy of the field's own rearrangement bounds it from
+    above, so a pass here is conclusive while a failure would be
+    inconclusive.
     """
-    tol = _check_inputs(mesh, f, K, choice, subdivision, tolerance)
-    target = model_space(mesh.n, K, choice.value(mesh.n))
-    profile = _rearranged_profile(mesh, f, subdivision, target)
-    lhs = gradient_energy(profile, p)
+    tol = _check_inputs(mesh, f, K, choice, tolerance)
+    mu = _distribution(mesh, f)
+    lhs = mu.rearranged_energy(p, model_space(mesh.n, K, choice.value(mesh.n)))
     rhs = p1_gradient_lp(mesh, f, p)
     return VerificationReport(
         "PolyaSzegoModelSpace",
         lhs,
         rhs,
         tol,
-        inputs={"n": mesh.n, "p": p, "K": K, "iso": choice.label(), "subdivision": subdivision},
-        notes="lhs is the representative's energy, an upper bound for the model-space infimum",
+        inputs=_field_inputs(mu, n=mesh.n, p=p, K=K, iso=choice.label()),
+        notes="lhs is the rearrangement's energy, an upper bound for the model-space infimum",
     )
 
 
@@ -323,7 +307,7 @@ def verify_isoperimetric(
     tolerance: float | None = None,
 ) -> list[VerificationReport]:
     """area^(1/2) <= I(2, K) * boundary length, one report per triangle region (by default the whole mesh, from
-    its kept areas, boundary and curvature; tolerance 0.01 by default)."""
+    its kept areas, boundary and curvature)."""
     const._check_curvature_bound(K, choice.value(mesh.n))
     curv = mean_curvature(mesh)
     out = []
@@ -338,7 +322,7 @@ def verify_isoperimetric(
                 "Isoperimetric",
                 lhs,
                 rhs,
-                0.01 if tolerance is None else tolerance,
+                _tolerance(tolerance),
                 inputs={"n": mesh.n, "K": K, "iso": choice.label(), "triangles": size},
             )
         )
@@ -355,14 +339,13 @@ def verify_p_sobolev(
     p: float,
     K: float,
     choice: IsoperimetricChoice,
-    subdivision: int = 2,
     tolerance: float | None = None,
 ) -> VerificationReport:
     """L^(p*) norm of the field vs S(n, p, K) times the gradient p-norm, p in (1, n)."""
     const._check_p_range(mesh.n, p)
-    tol = _check_inputs(mesh, f, K, choice, subdivision, tolerance)
-    p_star = const.sobolev_conjugate(mesh.n, p)
-    lhs = _lp_norm(mesh, f, subdivision, p_star)
+    tol = _check_inputs(mesh, f, K, choice, tolerance)
+    mu = _distribution(mesh, f)
+    lhs = _lp_norm(mu, const.sobolev_conjugate(mesh.n, p))
     s_const = const.talenti_constant(mesh.n, p) * const.ps_constant(mesh.n, K, choice)
     rhs = s_const * p1_gradient_lp(mesh, f, p) ** (1.0 / p)
     return VerificationReport(
@@ -370,7 +353,7 @@ def verify_p_sobolev(
         lhs,
         rhs,
         tol,
-        inputs={"n": mesh.n, "p": p, "K": K, "iso": choice.label(), "subdivision": subdivision},
+        inputs=_field_inputs(mu, n=mesh.n, p=p, K=K, iso=choice.label()),
     )
 
 
@@ -382,7 +365,6 @@ def verify_gn(
     choice: IsoperimetricChoice | None = None,
     reading: EgnReading = EgnReading.GAMMA_CORRECTED,
     f: VertexField | None = None,
-    subdivision: int = 2,
     tolerance: float | None = None,
 ) -> VerificationReport:
     """Gagliardo-Nirenberg: ||u||_r <= GN * ||grad u||_p^theta * ||u||_q^(1-theta).
@@ -401,26 +383,18 @@ def verify_gn(
     mesh: TriMesh = obj
     if choice is None or f is None:
         raise ValueError("mesh input needs an isoperimetric choice and a field")
-    tol = _check_inputs(mesh, f, K, choice, subdivision, tolerance)
+    tol = _check_inputs(mesh, f, K, choice, tolerance)
+    mu = _distribution(mesh, f)
     theta = const.gn_theta(mesh.n, p, q)
-    r = const.gn_r_exponent(mesh.n, p, q)
-    lhs = _lp_norm(mesh, f, subdivision, r)
+    lhs = _lp_norm(mu, const.gn_r_exponent(mesh.n, p, q))
     gn_const = const.egn_constant(mesh.n, p, q, reading) * const.ps_constant(mesh.n, K, choice)
-    rhs = gn_const * p1_gradient_lp(mesh, f, p) ** (theta / p) * _lp_norm(mesh, f, subdivision, q) ** (1.0 - theta)
+    rhs = gn_const * p1_gradient_lp(mesh, f, p) ** (theta / p) * _lp_norm(mu, q) ** (1.0 - theta)
     return VerificationReport(
         "GagliardoNirenberg",
         lhs,
         rhs,
         tol,
-        inputs={
-            "n": mesh.n,
-            "p": p,
-            "q": q,
-            "K": K,
-            "iso": choice.label(),
-            "reading": reading.value,
-            "subdivision": subdivision,
-        },
+        inputs=_field_inputs(mu, n=mesh.n, p=p, q=q, K=K, iso=choice.label(), reading=reading.value),
     )
 
 
@@ -467,20 +441,19 @@ def verify_spectral_gap(
     K: float,
     choice: IsoperimetricChoice,
     reading: SpectralReading = SpectralReading.FABER_KRAHN_CONSISTENT,
-    subdivision: int = 2,
     tolerance: float | None = None,
 ) -> VerificationReport:
     """Rayleigh quotient of the field vs the spectral-gap constant over the
     support area. This is a lower bound, so the report direction is 'ge'."""
-    tol = _check_inputs(mesh, f, K, choice, subdivision, tolerance)
+    tol = _check_inputs(mesh, f, K, choice, tolerance)
     if not np.any(f.values > 0):
         raise ZeroField("spectral-gap check needs a nonzero field")
     support = np.any(f.values[mesh.triangles] > 0, axis=1)
     area = float(mesh.triangle_areas()[support].sum())
     if area == 0.0:
         raise ZeroField("spectral-gap check needs a field positive on some triangle; its support area is 0")
-    l2sq = _cell_sum(mesh, f, subdivision, lambda v: np.square(v, out=v))
-    lhs = p1_gradient_lp(mesh, f, 2) / l2sq
+    mu = _distribution(mesh, f)
+    lhs = p1_gradient_lp(mesh, f, 2) / mu.integral(np.square)
     g = const.spectral_gap_constant(mesh.n, K, choice, reading)
     rhs = g / area
     # the bound blows up as the support shrinks: record the scaling trend
@@ -491,15 +464,9 @@ def verify_spectral_gap(
         rhs,
         tol,
         direction="ge",
-        inputs={
-            "n": mesh.n,
-            "K": K,
-            "iso": choice.label(),
-            "reading": reading.value,
-            "support_area": area,
-            "subdivision": subdivision,
-            **trend,
-        },
+        inputs=_field_inputs(
+            mu, n=mesh.n, K=K, iso=choice.label(), reading=reading.value, support_area=area, **trend
+        ),
     )
 
 
@@ -510,7 +477,6 @@ def verify_log_sobolev(
     obj,
     p: float,
     f: VertexField | None = None,
-    subdivision: int = 2,
     tolerance: float | None = None,
 ) -> VerificationReport:
     """Entropy of a unit-L^p function vs (n/p) ln(LS(n, p) * gradient p-integral).
@@ -540,24 +506,24 @@ def verify_log_sobolev(
             f"max interior |H| = {h_max} exceeds the minimal-surface threshold {_FLATNESS_THRESHOLD}"
         )
     _require_boundary_vanishing(mesh, f.values)
-    c = _lp_norm(mesh, f, subdivision, p)
+    mu = _distribution(mesh, f)
+    c = _lp_norm(mu, p)
     if c <= 0:
         raise ZeroField("cannot normalize a zero field")
 
     def entropy(v):  # w^p log w of w = v / c, 0 where v = 0
-        v /= c
-        return xlogy(v**p, v, out=v)
+        w = v / c
+        return xlogy(w**p, w, out=w)
 
-    lhs = p * _cell_sum(mesh, f, subdivision, entropy)
+    lhs = p * mu.integral(entropy)
     energy = p1_gradient_lp(mesh, f, p) / c**p
     rhs = (mesh.n / p) * math.log(const.log_sobolev_constant(mesh.n, p) * energy)
-    tol = default_tolerance(subdivision) if tolerance is None else tolerance
     return VerificationReport(
         "LogSobolev",
         lhs,
         rhs,
-        tol,
-        inputs={"n": mesh.n, "p": p, "subdivision": subdivision, "max_interior_h": h_max},
+        _tolerance(tolerance),
+        inputs=_field_inputs(mu, n=mesh.n, p=p, max_interior_h=h_max),
     )
 
 
@@ -565,14 +531,13 @@ def verify_michael_simon_p1(
     mesh: TriMesh,
     f: VertexField,
     choice: IsoperimetricChoice,
-    subdivision: int = 2,
     tolerance: float | None = None,
 ) -> VerificationReport:
     """The p = 1 rearrangement bound with the curvature term on the right:
     no total-curvature assumption, so closed surfaces are allowed."""
     _require_field(mesh, f)
-    profile = _rearranged_profile(mesh, f, subdivision, lebesgue(mesh.n))
-    lhs = gradient_energy(profile, 1.0)
+    mu = _distribution(mesh, f)
+    lhs = mu.rearranged_energy(1.0, lebesgue(mesh.n))
     curv = mean_curvature(mesh)
     interior = ~curv.boundary_mask
     curvature_term = float(
@@ -580,13 +545,12 @@ def verify_michael_simon_p1(
     )
     c = choice.euclidean_product(mesh.n)
     rhs = c * (p1_gradient_lp(mesh, f, 1.0) + curvature_term)
-    tol = default_tolerance(subdivision) if tolerance is None else tolerance
     return VerificationReport(
         "MichaelSimonP1",
         lhs,
         rhs,
-        tol,
-        inputs={"n": mesh.n, "p": 1.0, "iso": choice.label(), "subdivision": subdivision},
+        _tolerance(tolerance),
+        inputs=_field_inputs(mu, n=mesh.n, p=1.0, iso=choice.label()),
     )
 
 
@@ -600,7 +564,7 @@ class MonotoneSpec:
 
     ``f`` and ``phi`` are continuous strictly increasing maps vanishing at
     zero; they must accept numpy arrays, since the verifier applies them
-    elementwise to all sampling cells in one call. ``g_terms`` and ``psi_terms``
+    elementwise to the field's levels in one call. ``g_terms`` and ``psi_terms``
     are (coefficient, exponent) lists with coefficients respectively <= 0
     and >= 0 and exponents >= 1 in strictly increasing order; ``L(s, t)``
     must be non-increasing and ``lam(s, t)`` non-decreasing in t. Sign and
@@ -671,37 +635,37 @@ def monotone_preset(name: str, n: int = 2, p: float | None = None) -> MonotoneSp
     raise ValueError(f"unknown preset {name!r}")
 
 
-def _profile_gradient_powers(profile: RadialProfile, terms) -> float:
-    return sum((coef * gradient_energy(profile, ex) for coef, ex in terms), 0.0)
-
-
 def verify_monotonicity_principle(
     mesh: TriMesh,
     f: VertexField,
     spec: MonotoneSpec,
     K: float,
     choice: IsoperimetricChoice,
-    subdivision: int = 2,
     tolerance: float | None = None,
 ) -> VerificationReport:
     """Transfer of a first-order integral inequality from the rearrangement
     to the surface.
 
-    The Euclidean hypothesis is first checked on the rearranged profile v;
+    The Euclidean hypothesis is first checked on the rearrangement v = u*;
     if v does not satisfy it the claim is vacuous and the report says so
     instead of failing. Otherwise both sides of the transferred inequality
     are evaluated with the gradient arguments scaled by the rearrangement
     constant.
     """
-    tol = _check_inputs(mesh, f, K, choice, subdivision, tolerance)
+    tol = _check_inputs(mesh, f, K, choice, tolerance)
     ps = const.ps_constant(mesh.n, K, choice)
-    profile = _rearranged_profile(mesh, f, subdivision, lebesgue(mesh.n))
+    mu = _distribution(mesh, f)
+    # equimeasurable, v = u* and u have the same integrals of f and phi
+    f_int, phi_int = mu.integral(spec.f), mu.integral(spec.phi)
+    euclid = lebesgue(mesh.n)
+
+    def rearranged_powers(terms):
+        return sum((coef * mu.rearranged_energy(ex, euclid) for coef, ex in terms), 0.0)
+
     # Euclidean hypothesis on v = u*
-    hyp_lhs = spec.L(_radial_integral(profile, spec.f), _profile_gradient_powers(profile, spec.g_terms))
-    hyp_rhs = spec.lam(
-        _radial_integral(profile, spec.phi), _profile_gradient_powers(profile, spec.psi_terms)
-    )
-    inputs = {"n": mesh.n, "K": K, "iso": choice.label(), "spec": spec.name, "subdivision": subdivision}
+    hyp_lhs = spec.L(f_int, rearranged_powers(spec.g_terms))
+    hyp_rhs = spec.lam(phi_int, rearranged_powers(spec.psi_terms))
+    inputs = _field_inputs(mu, n=mesh.n, K=K, iso=choice.label(), spec=spec.name)
     if hyp_lhs > hyp_rhs * (1.0 + tol):
         return VerificationReport(
             "MonotonicityPrinciple",
@@ -710,11 +674,9 @@ def verify_monotonicity_principle(
             tol,
             inputs=inputs,
             vacuous=True,
-            notes="Euclidean hypothesis fails for the rearranged profile; claim is vacuous",
+            notes="Euclidean hypothesis fails for the rearrangement; claim is vacuous",
         )
     # transferred claim on the surface, gradients scaled by PS
-    f_int = _cell_sum(mesh, f, subdivision, spec.f)
-    phi_int = _cell_sum(mesh, f, subdivision, spec.phi)
     g_int = sum(b * ps**e * p1_gradient_lp(mesh, f, e) for b, e in spec.g_terms)
     psi_int = sum(c * ps**e * p1_gradient_lp(mesh, f, e) for c, e in spec.psi_terms)
     lhs = spec.L(f_int, g_int)
@@ -738,10 +700,8 @@ class Check(NamedTuple):
 
     def refuse_arguments(self, kw: dict):
         """Raise on bad arguments before any file is read, with the checks the verifier runs later and in
-        the order it meets them: ``refuse``, then the subdivision, the order p and the tolerance."""
+        the order it meets them: ``refuse``, then the order p and the tolerance."""
         self.refuse(kw)
-        if "subdivision" in self.keywords:
-            _require_subdivision(kw["subdivision"])
         if "p" in self.keywords:
             require_order(kw["p"])
         if kw["tolerance"] is not None:

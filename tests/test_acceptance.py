@@ -148,12 +148,12 @@ def field_corpus(disk32):
 def test_criterion_5_polya_szego_verdicts(disk32, disk_hat, field_corpus):
     with Stopwatch(60.0):
         # equality case: radial decreasing hat
-        rep = verify_polya_szego(disk32, disk_hat, 2.0, 0.0, B1, subdivision=2)
+        rep = verify_polya_szego(disk32, disk_hat, 2.0, 0.0, B1)
         assert rep.passed and 0.97 < rep.ratio < 1.03
-        # randomized corpus at refinement level 3
+        # randomized corpus
         for f in field_corpus:
             for p in (1.0, 2.0):
-                rep = verify_polya_szego(disk32, f, p, 0.0, B1, subdivision=3)
+                rep = verify_polya_szego(disk32, f, p, 0.0, B1)
                 assert rep.passed
                 assert rep.ratio <= 1.01
         # small-aperture cap with an honest curvature bound
@@ -175,10 +175,10 @@ def test_criterion_6_model_space(disk32, field_corpus):
     with Stopwatch(60.0):
         for f in field_corpus:
             for p in (1.0, 2.0):
-                model = verify_model_space_ps(disk32, f, p, 0.0, B1, subdivision=3, tolerance=0.01)
+                model = verify_model_space_ps(disk32, f, p, 0.0, B1, tolerance=0.01)
                 assert model.passed
-                euclid = verify_polya_szego(disk32, f, p, 0.0, B1, subdivision=3)
-                # at K = 0 the model profile energy equals the euclidean one
+                euclid = verify_polya_szego(disk32, f, p, 0.0, B1)
+                # at K = 0 the model rearrangement energy equals the euclidean one
                 assert abs(model.lhs - euclid.lhs**p) <= 1e-10 * max(1.0, euclid.lhs**p)
 
 

@@ -136,8 +136,10 @@ class TestVerifyCommand:
         assert rep["pass"] is True
         assert rep["inequality_id"] == "PolyaSzego"
 
-    def test_failing_check_returns_one(self, disk_files, capsys):
-        # a zero tolerance leaves no room for the discretization margin (ratio 1.003 here)
+    def test_failing_check_returns_one(self, disk_files, monkeypatch, capsys):
+        # Polya-Szego holds on the flat disk (ratio 0.998 here), so the claim is broken by hand: a PS constant
+        # of 0.99 with no tolerance
+        monkeypatch.setattr(const, "ps_constant", lambda n, K, choice: 0.99)
         mesh_path, field_path, _ = disk_files
         code = dispatch(
             [
@@ -221,14 +223,14 @@ LITERAL_EGN, LITERAL_SPECTRAL = const.EgnReading.LITERAL, const.SpectralReading.
 
 # check, CLI arguments after --field, and the same verifier call from the library
 LIBRARY_CALLS = [
-    ("ps", ["--p", "1.5", "--iso", "michael-simon", "--subdivision", "1"],
-     lambda m, f: v.verify_polya_szego(m, f, 1.5, 0.0, MS, subdivision=1)),
+    ("ps", ["--p", "1.5", "--iso", "michael-simon"],
+     lambda m, f: v.verify_polya_szego(m, f, 1.5, 0.0, MS)),
     ("model", ["--p", "1.5", "--tolerance", "0.03"],
      lambda m, f: v.verify_model_space_ps(m, f, 1.5, 0.0, B1, tolerance=0.03)),
     ("iso", ["--iso", "michael-simon"],
      lambda m, f: v.verify_isoperimetric(m, 0.0, MS, [np.arange(len(m.triangles))])),
-    ("sobolev", ["--p", "1.5", "--subdivision", "1", "--tolerance", "0.2"],
-     lambda m, f: v.verify_p_sobolev(m, f, 1.5, 0.0, B1, subdivision=1, tolerance=0.2)),
+    ("sobolev", ["--p", "1.5", "--tolerance", "0.2"],
+     lambda m, f: v.verify_p_sobolev(m, f, 1.5, 0.0, B1, tolerance=0.2)),
     ("gn", ["--p", "1.5", "--q", "2.5", "--iso", "brendle:2"],
      lambda m, f: v.verify_gn(m, 1.5, 2.5, 0.0, const.brendle(2), f=f)),
     ("gn", ["--p", "1.5", "--q", "2.5", "--reading", "literal"],
@@ -236,12 +238,12 @@ LIBRARY_CALLS = [
     # at q < 2 the printed EGN takes gamma on (-2, -1), where it is positive
     ("gn", ["--p", "1.5", "--q", "1.8", "--reading", "literal"],
      lambda m, f: v.verify_gn(m, 1.5, 1.8, 0.0, B1, LITERAL_EGN, f=f)),
-    ("spectral", ["--reading", "literal", "--subdivision", "1"],
-     lambda m, f: v.verify_spectral_gap(m, f, 0.0, B1, LITERAL_SPECTRAL, subdivision=1)),
+    ("spectral", ["--reading", "literal"],
+     lambda m, f: v.verify_spectral_gap(m, f, 0.0, B1, LITERAL_SPECTRAL)),
     ("logsob", ["--p", "1.5", "--tolerance", "0.03"],
      lambda m, f: v.verify_log_sobolev(m, 1.5, f=f, tolerance=0.03)),
-    ("ms1", ["--iso", "michael-simon", "--subdivision", "1"],
-     lambda m, f: v.verify_michael_simon_p1(m, f, MS, subdivision=1)),
+    ("ms1", ["--iso", "michael-simon"],
+     lambda m, f: v.verify_michael_simon_p1(m, f, MS)),
     ("mono", ["--preset", "p-sobolev", "--p", "1.5", "--iso", "michael-simon"],
      lambda m, f: v.verify_monotonicity_principle(m, f, v.monotone_preset("p-sobolev", p=1.5), 0.0, MS)),
     ("iso", ["--tolerance", "0.2"],
@@ -528,25 +530,26 @@ class TestVerifyKeepsInputs:
         validations = _counted(monkeypatch, TriMesh, "_validate")
         reads = _counted(monkeypatch, mesh_module, "read_table")
         curvatures = _counted(monkeypatch, mesh_module, "_curvature_report")
-        draws = _counted(monkeypatch, v, "sample_field")
-        sorts = _counted(monkeypatch, v, "_sketch")
+        draws = _counted(monkeypatch, mesh_module, "sample_field")
+        builds = _counted(monkeypatch, mesh_module, "_build_levels")
         for _ in range(2):
             for check, args in NINE_CHECKS:
                 for fmt in ("json", "csv"):
                     assert dispatch(["verify", check, "--mesh", mesh_path, "--field", field_path, *args,
                                      "--format", fmt]) == 0
         assert (len(loads), len(validations), len(reads), len(curvatures)) == (1, 1, 1, 1)
-        # ps, model, ms1 and mono place one target-free sketch: one draw and one sort per field
-        assert (len(draws), len(sorts)) == (1, 1)
+        # every field check reads the one distribution function the field keeps, and none draws a sample
+        assert (len(draws), len(builds)) == (0, 1)
         capsys.readouterr()
 
-    def test_mono_draws_its_samples_once(self, disk_files, no_kept_inputs, monkeypatch, capsys):
+    def test_mono_builds_its_levels_once(self, disk_files, no_kept_inputs, monkeypatch, capsys):
         mesh_path, field_path, _ = disk_files
-        draws = _counted(monkeypatch, v, "sample_field")
-        for _ in range(2):  # the profile built from the one draw, then kept: its integrals draw nothing
+        draws = _counted(monkeypatch, mesh_module, "sample_field")
+        builds = _counted(monkeypatch, mesh_module, "_build_levels")
+        for _ in range(2):  # the levels built once, then kept: the hypothesis and the claim read them
             assert dispatch(["verify", "mono", "--mesh", mesh_path, "--field", field_path]) == 0
             assert not json.loads(capsys.readouterr().out)[0]["vacuous"]
-            assert len(draws) == 1
+            assert (len(draws), len(builds)) == (0, 1)
 
     def test_same_size_and_mtime_but_other_bytes_is_a_miss(self, tmp_path, no_kept_inputs, monkeypatch, capsys):
         path = tmp_path / "tri.off"
@@ -630,9 +633,10 @@ class TestVerifyKeepsInputs:
         curvature = mean_curvature(mesh)
         arrays = [mesh.vertices, mesh.triangles, field.values, curvature.h_norm, curvature.vertex_areas,
                   curvature.boundary_mask]
-        ((_, sketch),) = field._sketches.values()  # ms1 and model share it
-        arrays += [sketch.measures, sketch.values]
-        assert len(arrays) == 8
+        kept_mesh, mu = field._levels  # ms1 and model share it
+        assert kept_mesh is mesh
+        arrays += [mu.levels, mu.atoms, mu.t, mu.dt, mu.mass, mu.log_mu, mu.log_rho]
+        assert len(arrays) == 13
         for arr in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = arr[0]
@@ -698,11 +702,14 @@ CHECK_NAMES = [check for check, _ in NINE_CHECKS]
     [
         *[(check, ["--tolerance", tol], f"tolerance must be a finite number >= 0, got {float(tol)}")
           for check in CHECK_NAMES for tol in ("nan", "inf", "-0.5")],
-        *[(check, ["--subdivision", "-1"], "subdivision must be >= 0") for check in CHECK_NAMES if check != "iso"],
+        # verify takes no subdivision: argparse refuses the option as it refuses any other it does not know
+        *[(check, ["--subdivision", "-1"], "error: unrecognized arguments: --subdivision -1")
+          for check in CHECK_NAMES if check != "iso"],
         *[(check, ["--p", p], f"p must be a finite number >= 1, got {float(p)}")
           for check in ("ps", "model") for p in ("nan", "0.5")],
-        # in the order the verifier meets them: K, then the subdivision, then p, then the tolerance
-        ("ps", ["--p", "0.5", "--subdivision", "-1", "--tolerance", "nan"], "subdivision must be >= 0"),
+        # in the order they are met: the usage, then K, then p, then the tolerance
+        ("ps", ["--p", "0.5", "--subdivision", "-1", "--tolerance", "nan"],
+         "error: unrecognized arguments: --subdivision -1"),
         ("ps", ["--p", "0.5", "--tolerance", "nan"], "p must be a finite number >= 1, got 0.5"),
         ("model", ["--p", "nan", "--K", "5"], f"K = 5.0 is not in [0, 1/C) with 1/C = {INV_C}"),
     ],
@@ -716,7 +723,10 @@ def test_verify_arguments_refused_before_the_files_are_read(check, args, message
     argv = ["verify", check, "--mesh", "/nonexistent/m.off", "--field", "/nonexistent/f.csv",
             "--p", "1.5", "--q", "2.5", *args]
     assert dispatch(argv) == 2
-    assert capsys.readouterr().err == f"psilab: {message}\n"
+    expected = f"psilab: {message}\n"
+    if message.startswith("error: "):  # argparse's own refusal comes after its usage line
+        expected = cli._build_parser().format_usage() + expected
+    assert capsys.readouterr().err == expected
 
 
 ZERO_FIELD_REFUSALS = {"spectral": "spectral-gap check needs a nonzero field", "logsob": "cannot normalize a zero field"}

@@ -29,7 +29,7 @@ SPHERE = analytic.make_sphere(1)
 
 def _refuse(check, **given):
     """``CHECKS[check].refuse_arguments`` on the CLI's default arguments with ``given`` in their place."""
-    kw = dict(p=1.5, q=2.5, K=0.0, choice=B1, reading="corrected", spec="sobolev-l1", subdivision=2, tolerance=None)
+    kw = dict(p=1.5, q=2.5, K=0.0, choice=B1, reading="corrected", spec="sobolev-l1", tolerance=None)
     kw.update(given)
     v.CHECKS[check].refuse_arguments(kw)
 

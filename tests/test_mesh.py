@@ -15,7 +15,7 @@ from psilab.errors import DegenerateTriangle, MeshParseError, NonManifoldMesh
 from psilab.mesh import (
     TriMesh,
     _cell_centroids,
-    _cell_sum,
+    _distribution,
     VertexField,
     boundary_measure,
     hausdorff_measure,
@@ -563,6 +563,9 @@ def _cell_sum_integrands():
     return integrands
 
 
+LINEAR, QUADRATIC = {"power-1.0", "sobolev-l1-phi", "p-sobolev-phi"}, {"power-2.0", "sobolev-l1-f"}
+
+
 @pytest.mark.parametrize("s", range(4))
 @pytest.mark.parametrize(
     "make",
@@ -575,14 +578,25 @@ def _cell_sum_integrands():
     ids=["disk", "cap", "catenoid", "clifford-r4"],
 )
 def test_cell_sum_is_the_weighted_sum_over_the_samples(make, s):
+    # the weighted sum over the samples of ``sample_field`` is the centroid rule on 4^s cells per triangle, and
+    # it converges to the exact integral of the distribution function at order 2 in the cell size: it is exact
+    # for a linear integrand, its error falls by exactly 4 per level for a quadratic one, so that Richardson's
+    # (4 S_(s+1) - S_s) / 3 is exact, and by about 4 for the others
     mesh = make()
     x = mesh.vertices
     # values above and below 1, so the entropy terms take both signs
     f = boundary_vanishing_field(mesh, 1.0 + np.sin(3.0 * x[:, 0]) * np.cos(2.0 * x[:, 1]) + 0.5 * x[:, 2] ** 2)
-    dmf = sample_field(mesh, f, s)
+    coarse, fine = sample_field(mesh, f, s), sample_field(mesh, f, s + 1)
+    mu = _distribution(mesh, f)
     for name, g in _cell_sum_integrands().items():
-        expected = float(np.sum(dmf.weights * g(dmf.values)))
-        assert _cell_sum(mesh, f, s, g) == pytest.approx(expected, rel=1e-13, abs=0.0), name
+        exact = mu.integral(g)
+        err_coarse, err_fine = (float(np.sum(d.weights * g(d.values))) - exact for d in (coarse, fine))
+        if name in LINEAR:
+            assert abs(err_coarse) <= 1e-13 * abs(exact), name
+        elif name in QUADRATIC:
+            assert abs(4.0 * err_fine - err_coarse) <= 3e-13 * abs(exact), name
+        else:
+            assert 0.2 < err_fine / err_coarse < 0.36, name
 
 
 def parity_values(kind):
@@ -664,14 +678,41 @@ LOOP_ERA_VALUES = {
 }
 
 
+# the reports whose integrals of the field have come from its exact distribution function since the verifiers
+# stopped sampling it; each side moved from its loop-era value by less than 1%, the sampling error
+EXACT_LEVEL_VALUES = {
+    "disk": {
+        "ps": (1.7724538509055159, 1.7775432321317814),
+        "model": (3.132613200541191, 3.146115246276457),
+        "sobolev": (0.6931649177393776, 0.8499331880516071),
+        "gn": (0.6777911165594109, 0.7697730759860915),
+        "spectral": (6.103994280725996, 5.849780274200373),
+        "ms1": (3.123659413002393, 3.132628613281245),
+        "mono": (0.577105032283633, 0.7835688843262877),
+        "logsob": (-0.6859454292617913, -0.5696966890028272),
+    },
+    "cap": {
+        "ps": (0.11174850916892892, 0.17079414383786928),
+        "model": (0.013693660241367821, 0.02588740846526577),
+        "sobolev": (0.026044142422766713, 0.053197321770038865),
+        "gn": (0.022965448315374684, 0.04224761960628145),
+        "spectral": (67.2759199097257, 27.760948302584307),
+        "ms1": (0.055504809266370386, 0.06783860185008128),
+        "mono": (0.004203055187189052, 0.012269720006751682),
+    },
+}
+
+
 @pytest.mark.parametrize("kind", ["disk", "cap"])
 def test_values_match_the_loop_implementation(kind):
     got = parity_values(kind)
-    want = LOOP_ERA_VALUES[kind]
+    want = {**LOOP_ERA_VALUES[kind], **EXACT_LEVEL_VALUES[kind]}
     assert got.keys() == want.keys()
     for key, value in want.items():
         # the flat disk's curvature is rounding noise, hence the absolute floor
         assert got[key] == pytest.approx(value, rel=1e-12, abs=1e-11), key
+    for key, value in EXACT_LEVEL_VALUES[kind].items():
+        assert value == pytest.approx(LOOP_ERA_VALUES[kind][key], rel=1e-2), key
 
 
 def _per_corner_gather_curvature(mesh):

@@ -71,3 +71,30 @@ def test_the_guard_finds_a_second_quadrature():
              "        return q(abs, 0, x)[0]\n    return g\n\nclass A:\n    def m(self):\n" \
              "        return integrate.quad(abs, 0, 1)\n\nx = quad(abs, 0, 1)\ny = quadrature(abs, 0, 1)\n"
     assert _quad_callers(source) == ["f", "A", "<module>"]
+
+
+SAMPLING = {"sample_field", "_sketch", "_cell_centroids"}
+
+
+def _sampling_uses(source: str) -> list[str]:
+    """'line L: name' for each import, name or attribute of the sampling layer (``SAMPLING``) in ``source``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.name for alias in node.names]
+        else:
+            names = [getattr(node, "id", None) if isinstance(node, ast.Name) else getattr(node, "attr", None)]
+        found += [(node.lineno, name) for name in names if name in SAMPLING]
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+def test_verdicts_draw_no_samples():
+    # every mesh verdict integrates the field exactly, from its distribution function
+    assert _sampling_uses((PACKAGE / "verify.py").read_text()) == []
+
+
+def test_the_guard_finds_a_sample_draw():
+    source = "from .mesh import sample_field as draw, p1_gradient_lp\nfrom . import measure_space\n\n" \
+             "def f(mesh, u):\n    cells = mesh_module._cell_centroids(2)\n" \
+             "    return measure_space._sketch(draw(mesh, u, 2), None)\n"
+    assert _sampling_uses(source) == ["line 1: sample_field", "line 5: _cell_centroids", "line 6: _sketch"]

@@ -6,13 +6,13 @@ import pytest
 from psilab import analytic, constants as const
 from psilab import verify as verify_module
 from psilab.errors import ConvergenceFailure, CurvatureBoundViolated, GammaPole, NotMinimal, OutOfRange, SpecInvalid
-from psilab.measure_space import Interpolation, lebesgue, model_space, rearrange
+from psilab import mesh as mesh_module
+from psilab.measure_space import Interpolation, _sketch, lebesgue, model_space, rearrange
 from psilab.mesh import TriMesh, VertexField, mean_curvature, sample_field
 from psilab.special_fn import bessel_first_zero, bessel_j
 from psilab.verify import (
     MonotoneSpec,
     VerificationReport,
-    default_tolerance,
     monotone_preset,
     reports_to_csv,
     select_egn_reading,
@@ -75,16 +75,43 @@ class TestVerificationReport:
         rep = VerificationReport("x", 1.0, 2.0, 0.01, inputs={"n": 2, "K": 0.0})
         text = reports_to_csv([rep])
         header, row = text.strip().split("\n")
-        assert header.startswith("inequality_id,n,p,q,K")
-        assert row.endswith(",1")
+        assert header == "inequality_id,n,p,q,K,lhs,rhs,ratio,pass,levels,merged_levels"
+        assert row.endswith(",1,,")
 
     def test_csv_writes_numpy_scalars_as_plain_floats(self):
         rep = VerificationReport("x", np.float64(1.0), np.float64(2.0), 0.01)
-        assert reports_to_csv([rep]).splitlines()[1] == "x,,,,,1.0,2.0,0.5,1"
+        assert reports_to_csv([rep]).splitlines()[1] == "x,,,,,1.0,2.0,0.5,1,,"
+
+    def test_field_checks_report_their_levels(self):
+        # the hat's rings tie up to rounding: 9 levels at rings 8, each ring's radii merged into one
+        f = VertexField(HAT8, mesh=DISK8)
+        rep = verify_polya_szego(DISK8, f, 2.0, 0.0, B1)
+        merged = np.unique(HAT8).size - 9
+        assert (rep.inputs["levels"], rep.inputs["merged_levels"]) == (9, merged) and "subdivision" not in rep.inputs
+        assert reports_to_csv([rep]).splitlines()[1].endswith(f",1,9,{merged}")
+        assert VerificationReport.from_json(rep.to_json()).inputs == rep.inputs
+
+    def test_reads_a_report_of_the_sampling_verifiers(self):
+        # written before the verifiers integrated exactly, with the subdivision they sampled at
+        text = (
+            '{"schema_version": 1, "inequality_id": "PolyaSzego", "lhs": 1.780464461837742, '
+            '"rhs": 1.7753098060421049, "ratio": 1.0029035246569888, "pass": true, "tolerance": 0.01, '
+            '"direction": "le", "vacuous": false, "notes": "", '
+            '"inputs": {"n": 2, "p": 2.0, "K": 0.0, "iso": "brendle:1", "subdivision": 2}}'
+        )
+        rep = VerificationReport.from_json(text)
+        assert (rep.lhs, rep.passed, rep.inputs["subdivision"]) == (1.780464461837742, True, 2)
+        assert reports_to_csv([rep]).splitlines()[1] == "PolyaSzego,2,2.0,,0.0,1.780464461837742,1.7753098060421049," \
+                                                         "1.0029035246569888,1,,"
 
     def test_default_tolerance(self):
-        assert default_tolerance(0) == 0.05
-        assert default_tolerance(2) == 0.01
+        # a mesh check given no tolerance allows 1%, as a sampled check did from subdivision 2 on
+        f = VertexField(HAT8, mesh=DISK8)
+        reports = [verify_polya_szego(DISK8, f, 2.0, 0.0, B1), verify_log_sobolev(DISK8, 1.5, f=f),
+                   verify_michael_simon_p1(DISK8, f, B1), *verify_isoperimetric(DISK8, 0.0, B1)]
+        assert verify_module._MESH_TOLERANCE == 0.01
+        assert [r.tolerance for r in reports] == [0.01] * 4
+        assert verify_p_sobolev(DISK8, f, 1.5, 0.0, B1, tolerance=0.05).tolerance == 0.05
 
 
 class TestPolyaSzego:
@@ -414,56 +441,61 @@ def test_mesh_checks_refuse_a_field_of_another_length(check, values):
         check(VertexField(values))
 
 
-CELL_SUM_CHECKS = {
-    "sobolev": lambda f, s: verify_p_sobolev(DISK8, f, 1.5, 0.0, B1, subdivision=s),
-    "gn": lambda f, s: verify_gn(DISK8, 1.5, 2.5, 0.0, B1, f=f, subdivision=s),
-    "spectral": lambda f, s: verify_spectral_gap(DISK8, f, 0.0, B1, subdivision=s),
-    "logsob": lambda f, s: verify_log_sobolev(DISK8, 1.5, f=f, subdivision=s),
-    "mono": lambda f, s: verify_monotonicity_principle(DISK8, f, monotone_preset("sobolev-l1"), 0.0, B1,
-                                                       subdivision=s),
+INTEGRAL_CHECKS = {
+    "sobolev": lambda f, **kw: verify_p_sobolev(DISK8, f, 1.5, 0.0, B1, **kw),
+    "gn": lambda f, **kw: verify_gn(DISK8, 1.5, 2.5, 0.0, B1, f=f, **kw),
+    "spectral": lambda f, **kw: verify_spectral_gap(DISK8, f, 0.0, B1, **kw),
+    "logsob": lambda f, **kw: verify_log_sobolev(DISK8, 1.5, f=f, **kw),
+    "mono": lambda f, **kw: verify_monotonicity_principle(DISK8, f, monotone_preset("sobolev-l1"), 0.0, B1, **kw),
 }
 
 
-@pytest.mark.parametrize("check", CELL_SUM_CHECKS)
+def _count_calls(monkeypatch, module, name) -> list:
+    calls, real = [], getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+@pytest.mark.parametrize("check", INTEGRAL_CHECKS)
 def test_integrals_draw_no_samples(check, monkeypatch):
-    # mono draws once per subdivision, for the profile it keeps; its integrals and the other checks sum in place
+    # every integral comes from the field's distribution function, built once and kept
     f = VertexField(HAT8, mesh=DISK8)
-    draws = []
-    real = verify_module.sample_field
-    monkeypatch.setattr(verify_module, "sample_field", lambda *args: draws.append(args) or real(*args))
-    for s in (1, 1, 2):
-        assert not CELL_SUM_CHECKS[check](f, s).vacuous
-    assert len(draws) == (2 if check == "mono" else 0)
+    draws = _count_calls(monkeypatch, mesh_module, "sample_field")
+    builds = _count_calls(monkeypatch, mesh_module, "_build_levels")
+    for _ in range(3):
+        assert not INTEGRAL_CHECKS[check](f).vacuous
+    assert (len(draws), len(builds)) == (0, 1)
 
 
-@pytest.mark.parametrize("check", CELL_SUM_CHECKS)
+@pytest.mark.parametrize("check", INTEGRAL_CHECKS)
 def test_negative_subdivision_refused(check):
-    with pytest.raises(ValueError, match="^subdivision must be >= 0$"):
-        CELL_SUM_CHECKS[check](VertexField(HAT8, mesh=DISK8), -1)
+    # the checks integrate exactly, so they take no subdivision at all
+    with pytest.raises(TypeError, match="unexpected keyword argument 'subdivision'"):
+        INTEGRAL_CHECKS[check](VertexField(HAT8, mesh=DISK8), subdivision=-1)
 
 
 def test_profile_checks_share_one_draw_and_one_sort(monkeypatch):
-    # ps, model, ms1 and mono place the one target-free sketch the field keeps, whatever their targets
+    # ps, model, ms1 and mono read the one distribution function the field keeps, whatever their targets:
+    # one build, whose one sort is of the vertex values, and no sample drawn
     f = VertexField(HAT8, mesh=DISK8)
-    calls = {"sample_field": [], "_sketch": []}
-    for name, made in calls.items():
-        real = getattr(verify_module, name)
-        monkeypatch.setattr(verify_module, name, lambda *args, real=real, made=made: made.append(args) or real(*args))
+    draws = _count_calls(monkeypatch, mesh_module, "sample_field")
+    builds = _count_calls(monkeypatch, mesh_module, "_build_levels")
     for K in (0.0, 0.5):
         verify_polya_szego(DISK8, f, 2.0, K, B1)
         verify_model_space_ps(DISK8, f, 1.5, K, B1)
         verify_michael_simon_p1(DISK8, f, B1)
         verify_monotonicity_principle(DISK8, f, monotone_preset("sobolev-l1"), K, B1)
-    assert [len(made) for made in calls.values()] == [1, 1]
+    assert (len(draws), len(builds)) == (0, 1)
 
 
 @pytest.mark.parametrize("subdivision", [0, 2])
 def test_placed_profiles_equal_a_fresh_rearrangement(subdivision):
-    f = VertexField(HAT8, mesh=DISK8)
-    samples = sample_field(DISK8, f, subdivision)
+    # one target-free sketch of a field's samples, placed on target after target, as ``rearrange`` places it
+    samples = sample_field(DISK8, VertexField(HAT8, mesh=DISK8), subdivision)
+    sketch = _sketch(samples, Interpolation.PIECEWISE_LINEAR)
     targets = [lebesgue(2), model_space(2, 0.0, B1.value(2)), model_space(2, 0.5, B1.value(2)), lebesgue(2)]
     for target in targets:
-        placed = verify_module._rearranged_profile(DISK8, f, subdivision, target)
+        placed = sketch.place(target)
         fresh = rearrange(samples, target, Interpolation.PIECEWISE_LINEAR)
         assert placed.target == target and placed.interpolation is fresh.interpolation
         assert placed.radii.tobytes() == fresh.radii.tobytes()
