@@ -253,7 +253,7 @@ def example51_profile(lam: float) -> "RadialFunction":
         band = math.log(2.0 * lam) + np.log(0.5 * s * s - 1.0) - 0.5 * np.log((2.0 - s) * (2.0 + s))
         return np.where((s > s0) & (s < 2.0), band, -np.inf)
 
-    return RadialFunction(log_value, log_slope, n=2, support=2.0)
+    return RadialFunction(log_value, log_slope, n=2, support=2.0, slope_start=s0, slope_pole=0.5)
 
 
 def _blowup_args(lam, p):
@@ -331,12 +331,16 @@ def example51_gradient_integrals(lam, p: float):
 class RadialFunction:
     """Non-increasing radial function u on R^n by its logarithms, which stay finite where u and u' leave
     the double range: ``log_value(r)`` = log u(r) and ``log_slope(r)`` = log|u'(r)| of a radius or an
-    array of radii, each -inf where the quantity is 0. u > 0 below ``support``, which may be math.inf."""
+    array of radii, each -inf where the quantity is 0. u > 0 below ``support``, which may be math.inf.
+    u' = 0 below ``slope_start``, where u' may jump, and |u'| grows like (support - r)^(-slope_pole)
+    at a finite support."""
 
     log_value: Callable
     log_slope: Callable
     n: int
     support: float = math.inf
+    slope_start: float = 0.0
+    slope_pole: float = 0.0
 
     def value(self, r):
         return np.exp(self.log_value(r))
@@ -351,12 +355,16 @@ _quiet = np.errstate(divide="ignore", over="ignore", invalid="ignore")  # for lo
 _QUAD_OPTS = dict(epsabs=0.0, epsrel=1e-10, limit=400)
 
 
-def _radial_quad(log_f, n: int, support: float, times_log: bool = False) -> tuple[float, float]:
+def _radial_quad(log_f, n: int, support: float, times_log: bool = False, cut: float = 0.0,
+                 pole: float = 0.0) -> tuple[float, float]:
     """(peak, mass): exp(peak) * mass is the integral of exp(w(r)), times log_f(r) if ``times_log``, over
     0 < r < support, where w = log_f + log|S^(n-1)| + (n-1) log r. Three log-spaced grids of r, each between
     the neighbours of the last one's maximum, find the peak of w (a shift of 0 where they see only zeros),
-    and ``quad`` integrates exp(w - peak) on either side of it, in the double range at every n. ``times_log``
-    takes log_f less its value at the peak, which keeps one sign on each side, plus that value times the mass.
+    and ``quad`` integrates exp(w - peak) on either side of it and of ``cut``, a radius where log_f may
+    jump, in the double range at every n. ``times_log`` takes log_f less its value at the peak, which keeps
+    one sign on each side, plus that value times the mass. A ``pole`` in (0, 1) says exp(log_f) grows like
+    (support - r)^(-pole) at a finite support: ``quad`` takes that factor as its algebraic weight on the
+    last piece, where the rest is smooth and is read at the last double below the support.
     """
     r = np.geomspace(1e-16, 1.0, 65) * min(support, 1e8)
     for _ in range(3):  # each next grid spans the two steps around the maximum, 32 times narrower
@@ -365,13 +373,25 @@ def _radial_quad(log_f, n: int, support: float, times_log: bool = False) -> tupl
         split, top = float(r[k]), (float(w[k]) if w[k] > -np.inf else 0.0)
         r = np.geomspace(r[max(k - 1, 0)], r[min(k + 1, 64)], 65)
     centre = float(log_f(split)) if times_log else 0.0
+    edges = sorted({0.0, split, cut, support})
+    below = math.nextafter(support, 0.0)
 
-    def g(r, times):
+    def g(r, times, weighted):
+        if weighted:
+            r = min(r, below)
         lf = float(log_f(r))
-        return math.exp(lf + (n - 1) * math.log(r) - top) * (lf - centre if times else 1.0)
+        w = lf + (n - 1) * math.log(r) - top
+        if weighted:
+            w += pole * math.log(support - r)
+        return math.exp(w) * (lf - centre if times else 1.0)
+
+    def piece(a, b, times):
+        if pole and b == support:
+            return quad(g, a, b, (times, True), weight="alg", wvar=(0.0, -pole), **_QUAD_OPTS)[0]
+        return quad(g, a, b, (times, False), **_QUAD_OPTS)[0]
 
     def integral(times):
-        return quad(g, 0.0, split, (times,), **_QUAD_OPTS)[0] + quad(g, split, support, (times,), **_QUAD_OPTS)[0]
+        return sum(piece(a, b, times) for a, b in zip(edges, edges[1:]))
 
     mass = integral(False)
     return top + math.log(n) + log_unit_ball_volume(n), centre * mass + integral(True) if times_log else mass
@@ -384,10 +404,14 @@ def radial_lp(rf: RadialFunction, p: float) -> float:
     return math.exp(peak / p) * mass ** (1.0 / p)
 
 
-def radial_gradient_lp(rf: RadialFunction, p: float) -> float:
-    """Integral of |u'|^p over R^n (not a norm)."""
+def radial_gradient_lp(rf: RadialFunction, p: float):
+    """Integral of |u'|^p over R^n (not a norm), or the DIVERGENT marker where the pole of |u'|^p at the
+    support is not integrable (p * slope_pole >= 1, the exponent test)."""
     require_order(p)
-    peak, mass = _radial_quad(lambda r: p * rf.log_slope(r), rf.n, rf.support)
+    pole = p * rf.slope_pole
+    if pole >= 1.0:
+        return DIVERGENT
+    peak, mass = _radial_quad(lambda r: p * rf.log_slope(r), rf.n, rf.support, cut=rf.slope_start, pole=pole)
     return math.exp(peak) * mass
 
 

@@ -9,12 +9,11 @@ means at least one verification failed, and 2 means a usage or domain error.
 
 ``verify`` refuses bad arguments before it reads a file, and keeps what it
 built between ``dispatch`` calls of one process: up to eight meshes, each
-with up to eight fields, keyed by the SHA-256 digest of the file bytes, so
-an edited file is a miss; an input that failed is not kept, and a kept
-disconnected mesh warns again on each use. Every call hashes both files,
-and on a CPU with SHA extensions SHA-256 takes under half of BLAKE2b's time
-(1.5 against 4.0 ms on a 2 MB mesh, 2-vCPU Xeon); on one without them
-SHA-256 is the slower of the two.
+with up to eight fields, each found by comparing the file's bytes with the
+bytes it was built from, so an edited file is a miss and a copy at another
+path a hit. Each kept input holds its file bytes, bounded by the same
+eight-mesh, eight-field LRU. An input that failed is not kept, and a kept
+disconnected mesh warns again on each use.
 
 The defaults prefer the corrected readings of the misprint-suspect
 constants and the trace convention for the sphere's total curvature; the
@@ -26,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import io
 import json
 import sys
@@ -78,22 +76,23 @@ def _load_mesh_arg(path: str) -> TriMesh:
 
 
 _KEPT_INPUTS = 8  # the most meshes `verify` keeps between dispatch calls, and the most fields per mesh
-_kept_meshes: OrderedDict = OrderedDict()  # SHA-256 digest of a mesh file -> (TriMesh, its kept fields)
+_kept_meshes: OrderedDict = OrderedDict()  # bytes of a mesh file -> (TriMesh, its kept fields)
 
 
 def _read_kept(kept: OrderedDict, path: str, build):
     """(``build`` of the file's text, False), or (the value kept for the same bytes, True). The file
-    is read once and hashed on every call; a value is kept once ``build`` returns, and the least
-    recently used one is dropped beyond ``_KEPT_INPUTS``."""
+    is read once and compared with each kept file's bytes (length, then memcmp), never hashed: the
+    kept key's hash, computed once when it was kept, serves the lookups. A value is kept once
+    ``build`` returns, and the least recently used one is dropped beyond ``_KEPT_INPUTS``."""
     with open(path, "rb") as raw:
         data = raw.read()
-    key = hashlib.sha256(data).digest()
-    if key in kept:
-        kept.move_to_end(key)
-        return kept[key], True
+    for key in kept:
+        if key == data:
+            kept.move_to_end(key)
+            return kept[key], True
     with io.TextIOWrapper(io.BytesIO(data)) as text:
         value = build(text)
-    kept[key] = value
+    kept[data] = value
     if len(kept) > _KEPT_INPUTS:
         kept.popitem(last=False)
     return value, False

@@ -189,6 +189,11 @@ def load_mesh(source) -> TriMesh:
     coordinates. Errors carry the 1-based line number of the offending
     token.
     """
+    return TriMesh(*_parse_off(source))  # built once the text, its lines and the face table are freed
+
+
+def _parse_off(source) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only vertex and triangle arrays of ``load_mesh``'s input, checked line by line."""
     text = read_text(source)
     lines = text.splitlines()
     if "#" in text:
@@ -251,7 +256,7 @@ def load_mesh(source) -> TriMesh:
     ):
         if not ok.all():
             fail(first + int(ok.argmin()), problem)
-    return TriMesh(_kept(vertices), _kept(triangles))
+    return _kept(vertices), _kept(triangles)
 
 
 def _indices(index, count: int, what: str) -> np.ndarray:
@@ -605,6 +610,7 @@ def _curvature_report(mesh: TriMesh) -> CurvatureReport:
         np.negative(h_terms[:, c, 0], out=h_terms[:, c, 1])
     h_idx = h_idx.ravel()
     accum = np.stack([np.bincount(h_idx, weights=row.ravel(), minlength=nvert) for row in h_terms], axis=1)
+    del corners, edges, h_idx, h_terms  # freed before the area stage, which lowers the peak
     obtuse_corner = cots < 0.0  # (3, M), at most one per triangle
     tri_obtuse = obtuse_corner.any(axis=0)
     area_idx, area_terms = [], []

@@ -29,7 +29,7 @@ import inspect
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -491,7 +491,7 @@ def verify_log_sobolev(
         if not math.isfinite(c) or c <= 0:
             raise ZeroField("cannot normalize: L^p norm is zero or infinite")
         log_c = math.log(c)
-        unit = RadialFunction(lambda r: obj.log_value(r) - log_c, lambda r: obj.log_slope(r) - log_c, n, obj.support)
+        unit = replace(obj, log_value=lambda r: obj.log_value(r) - log_c, log_slope=lambda r: obj.log_slope(r) - log_c)
         energy = const.log_sobolev_constant(n, p) * radial_gradient_lp(unit, p)
         _require_double_range("LogSobolev", n, rhs=(energy,))
         return _radial_report("LogSobolev", radial_entropy(unit, p), (n / p) * math.log(energy), tolerance, n=n, p=p)

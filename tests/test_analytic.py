@@ -423,6 +423,18 @@ class TestRadialFunctions:
             sphere = analytic.example51_surface_lp(lam, 1.5)
             assert analytic.radial_lp(prof, 1.5) ** 1.5 == pytest.approx(sphere, rel=1e-12)
 
+    @pytest.mark.parametrize("lam", [2.0, 7.5, 10.0, 100.0, 1e4])
+    def test_example51_profile_gradient_matches_the_closed_form(self, lam):
+        # the band (s0, 2) is about 1/(4 lambda^2) wide: split at s0, with the (2 - s)^(-p/2) end in quad's weight
+        prof = analytic.example51_profile(lam)
+        for p in (1.0, 1.25, 1.5, 1.9):
+            plane = analytic.example51_gradient_integrals(lam, p)[1]
+            assert analytic.radial_gradient_lp(prof, p) == pytest.approx(plane, rel=1e-6)
+        assert math.isfinite(verify_log_sobolev(prof, 1.5).rhs)  # its unit-norm copy keeps the band
+        for p in (2.0, 3.0):  # divergent by the same exponent test as the closed form
+            assert is_divergent(analytic.radial_gradient_lp(prof, p))
+            assert is_divergent(analytic.example51_gradient_integrals(lam, p)[1])
+
     def test_logsobolev_equality_invariant_in_s(self):
         for s in (0.5, 1.0, 2.0):
             rep = verify_log_sobolev(analytic.logsobolev_extremal(3, 2.0, s), 2.0)

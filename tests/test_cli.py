@@ -2,6 +2,7 @@ import argparse
 import json
 import math
 import os
+import pathlib
 import shutil
 import subprocess
 import sys
@@ -581,6 +582,35 @@ class TestVerifyKeepsInputs:
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
         assert (len(loads), len(reads)) == (1, 1)
+
+    def test_same_length_other_last_byte_is_a_miss(self, tmp_path, no_kept_inputs, monkeypatch, capsys):
+        # two files that differ only in their last byte, the last index of the one face: each its own mesh
+        paths = []
+        for last in "23":
+            paths.append(tmp_path / f"tri{last}.off")
+            paths[-1].write_text(f"OFF\n4 1 0\n0 0 0\n1 0 0\n0 1 0\n0 2 0\n3 0 1 {last}")
+        loads = _counted(monkeypatch, cli, "load_mesh")
+        areas = []
+        for path in paths * 2:
+            assert dispatch(["verify", "iso", "--mesh", str(path)]) == 0
+            areas.append(json.loads(capsys.readouterr().out)[0]["lhs"] ** 2)
+        assert areas == pytest.approx([0.5, 1.0, 0.5, 1.0])
+        assert len(loads) == 2  # the first two dispatches miss, the next two hit
+
+    def test_field_rewritten_with_same_length_is_a_miss(self, disk_files, tmp_path, no_kept_inputs, monkeypatch,
+                                                        capsys):
+        mesh_path, _, _ = disk_files
+        nv = len(load_mesh(pathlib.Path(mesh_path).read_text()).vertices)
+        field_path = tmp_path / "flat.csv"
+        loads = _counted(monkeypatch, cli, "load_mesh")
+        reads = _counted(monkeypatch, mesh_module, "read_table")
+        sides = []
+        for value in (1.0, 2.0):  # "1.0" and "2.0": the same length, other bytes, in place
+            field_path.write_text(VertexField(np.full(nv, value)).to_csv())
+            assert dispatch(["verify", "ms1", "--mesh", mesh_path, "--field", str(field_path)]) in (0, 1)
+            sides.append(json.loads(capsys.readouterr().out)[0]["lhs"])
+        assert sides[1] == pytest.approx(2.0 * sides[0])
+        assert (len(loads), len(reads)) == (1, 2)  # the mesh is kept, the field built again
 
     def test_errors_are_not_kept(self, disk_files, tmp_path, no_kept_inputs, monkeypatch, capsys):
         mesh_path, _, _ = disk_files

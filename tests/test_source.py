@@ -1,5 +1,6 @@
 """Source checks that need no linter: every name a ``psilab`` module, a test or a demo imports is read there
-or listed in its ``__all__``, and the package integrates with scipy's ``quad`` in one function only."""
+or listed in its ``__all__``, the package integrates with scipy's ``quad`` in one function only, the verdicts
+draw no samples and no package module imports ``hashlib``."""
 
 import ast
 import pathlib
@@ -29,6 +30,20 @@ def _unused_imports(source: str) -> list[str]:
         elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
             read.update(ast.literal_eval(node.value))
     return [f"line {line}: {name}" for name, line in imported.items() if name not in read]
+
+
+def _imports_of(source: str, module: str) -> list[str]:
+    """'line L' for each import statement, at any depth, of ``module`` or one of its submodules."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        found += [f"line {node.lineno}" for name in names if name.split(".")[0] == module]
+    return found
 
 
 @pytest.mark.parametrize("path", SOURCES.values(), ids=list(SOURCES))
@@ -98,3 +113,15 @@ def test_the_guard_finds_a_sample_draw():
              "def f(mesh, u):\n    cells = mesh_module._cell_centroids(2)\n" \
              "    return measure_space._sketch(draw(mesh, u, 2), None)\n"
     assert _sampling_uses(source) == ["line 1: sample_field", "line 5: _cell_centroids", "line 6: _sketch"]
+
+
+def test_no_digest_keys():
+    # a kept verify input is found by its bytes, an exact key: no two files can collide, as digests can
+    found = {name: _imports_of(path.read_text(), "hashlib") for name, path in SOURCES.items() if path.parent == PACKAGE}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_the_guard_finds_a_digest():
+    source = "import os, hashlib as h\nfrom . import hashlib\n\ndef key(data):\n    from hashlib import sha256\n" \
+             "    return sha256(data)\n\nimport hashlibx\n"
+    assert _imports_of(source, "hashlib") == ["line 1", "line 5"]
