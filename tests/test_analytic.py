@@ -6,7 +6,7 @@ import pytest
 import scipy.integrate
 
 from psilab import analytic
-from psilab.errors import is_divergent
+from psilab.errors import OutOfRange, is_divergent
 from psilab.mesh import hausdorff_measure
 from psilab.verify import verify_gn, verify_log_sobolev
 
@@ -434,6 +434,19 @@ class TestRadialFunctions:
         for p in (2.0, 3.0):  # divergent by the same exponent test as the closed form
             assert is_divergent(analytic.radial_gradient_lp(prof, p))
             assert is_divergent(analytic.example51_gradient_integrals(lam, p)[1])
+
+    @pytest.mark.parametrize("lam", [3e4, 1e5, 1e7, 1e8])
+    @pytest.mark.parametrize("p", [1.0, 1.5])
+    def test_example51_profile_gradient_is_right_or_refused(self, lam, p):
+        # the band (s0, 2) spans about 1.3e6 doubles at lambda = 3e4, 1.1e5 at 1e5, 11 at 1e7 and none at 1e8;
+        # where it is too narrow to resolve, the integral is refused rather than read off a rounded band
+        plane = analytic.example51_gradient_integrals(lam, p)[1]
+        try:
+            got = analytic.radial_gradient_lp(analytic.example51_profile(lam), p)
+        except OutOfRange as exc:
+            assert lam > 3e4 and "fewer than 524288 doubles wide" in str(exc)
+        else:
+            assert lam == 3e4 and got == pytest.approx(plane, rel=1e-6)
 
     def test_logsobolev_equality_invariant_in_s(self):
         for s in (0.5, 1.0, 2.0):

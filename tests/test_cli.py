@@ -663,7 +663,8 @@ class TestVerifyKeepsInputs:
         curvature = mean_curvature(mesh)
         arrays = [mesh.vertices, mesh.triangles, field.values, curvature.h_norm, curvature.vertex_areas,
                   curvature.boundary_mask]
-        kept_mesh, mu = field._levels  # ms1 and model share it
+        kept_mesh, derived = field._derived
+        mu = derived["levels"]  # ms1 and model share it
         assert kept_mesh is mesh
         arrays += [mu.levels, mu.atoms, mu.t, mu.dt, mu.mass, mu.log_mu, mu.log_rho]
         assert len(arrays) == 13

@@ -759,6 +759,15 @@ def _per_corner_gather_curvature(mesh):
     return h, areas
 
 
+def _fancy_index_gram(mesh):
+    """The edge Gram entries and triangle areas from v[idx] row gathers."""
+    v, tri = mesh.vertices, mesh.triangles
+    a = v[tri[:, 1]] - v[tri[:, 0]]
+    b = v[tri[:, 2]] - v[tri[:, 0]]
+    aa, bb, ab = (np.einsum("ij,ij->i", x, y) for x, y in ((a, a), (b, b), (a, b)))
+    return (aa, bb, ab), 0.5 * np.sqrt(np.maximum(aa * bb - ab * ab, 0.0))
+
+
 @pytest.mark.parametrize(
     "make",
     [
@@ -766,14 +775,19 @@ def _per_corner_gather_curvature(mesh):
         lambda: analytic.make_cap(0.7, rings=16),
         lambda: analytic.make_sphere(4),
         lambda: analytic.make_clifford_torus(16),
+        lambda: load_mesh(mesh_to_off(analytic.make_clifford_torus(12))),
     ],
-    ids=["disk", "cap", "icosphere", "clifford-r4"],
+    ids=["disk", "cap", "icosphere", "clifford-r4", "noff4"],
 )
 def test_mean_curvature_bit_identical_to_per_corner_gathers(make):
+    # np.take row gathers copy the rows v[idx] copies, so everything built from them is bit-identical
     mesh = make()
     rng = np.random.default_rng(7)
     jittered = TriMesh(mesh.vertices + 1e-3 * rng.standard_normal(mesh.vertices.shape), mesh.triangles)
     for m in (mesh, jittered):
+        gram, tri_areas = _fancy_index_gram(m)
+        assert all(np.array_equal(got, want) for got, want in zip(m._gram, gram))
+        assert np.array_equal(m.triangle_areas(), tri_areas)
         got = mean_curvature(m)
         h, areas = _per_corner_gather_curvature(m)
         assert np.array_equal(got.vertex_areas, areas)
@@ -846,7 +860,7 @@ def test_gradient_lp_bit_identical_to_per_call_gram(make):
     for m in (mesh, jittered, mesh):  # the norms kept on f are those of the mesh they were measured on
         for p in (1.0, 1.5, 2.0, 3.7):
             assert p1_gradient_lp(m, f, p) == _per_call_gram_gradient_lp(m, f, p)
-        assert f._grad2[0] is m and not f._grad2[1].flags.writeable
+        assert f._derived[0] is m and not f._derived[1]["grad2"].flags.writeable
 
 
 def _recursive_cell_centroids(subdivision):

@@ -10,6 +10,8 @@ must also leave the warning machinery as it found it.
 import csv
 import io
 import json
+import os
+import threading
 import warnings
 from pathlib import Path
 
@@ -290,3 +292,97 @@ class TestReadingLeavesWarningsAlone:
             for source in (text, io.StringIO(text), io.BytesIO(text.encode())):
                 with pytest.raises(ValueError, match=f"^line {line}: expected value,weight numbers, got '{bad}'$"):
                     read_table(source, "value,weight")
+
+
+ROWS = "".join(f"{k * 0.001!r},{1.0 + k}\n" for k in range(20000))  # well past numpy's and io's read chunks
+TABLES = {
+    "wrong-header": b"val,weight\n1.0,0.5\n",
+    "header-only": b"value,weight\n",
+    "blank-lines": b"value,weight\n\n\n1.0,0.5\n\n2.0,0.25\n\n",
+    "whitespace-line": b"value,weight\n1.0,0.5\n  \n2.0,0.25\n",
+    "short-row": b"value,weight\n1.0,0.5\n2.0\n",
+    "non-number": b"value,weight\n1.0,0.5\nabc,1\n",
+    "nan": b"value,weight\nnan,0.5\n1.0,0.5\n",
+    "non-utf8": b"value,weight\n1.0,0.5\n\xff,1\n",
+    "crlf": b"Value,Weight,extra\r\n\r\n1.0,0.5,x\r\n2.0,0.25,y\r\n",
+    "long": ("value,weight\n\n" + ROWS).encode(),
+    "long-bad-row": ("value,weight\n" + ROWS + "1.0,x\n" + ROWS).encode(),
+    "long-non-utf8": ("value,weight\n" + ROWS).encode() + b"1.0,\xe9\n" + ROWS.encode(),
+}
+
+
+def _outcome(call):
+    """(the arrays' dtypes and bytes) of what ``call`` returns, or (the type and message) of what it raises."""
+    try:
+        return [(a.dtype, a.tobytes()) for a in call()]
+    except (ValueError, OSError) as exc:
+        return type(exc), str(exc)
+
+
+class TestPathReadsMatchStreams:
+    """numpy reads a table given by path with its chunked reader; the header check, the empty-table rule and
+    the line-numbered errors must be those of the stream of the same file."""
+
+    @pytest.mark.parametrize("name", list(TABLES) + ["missing"])
+    @pytest.mark.parametrize("header, dtypes", [("value,weight", (float, float)), ("value,weight", (np.int64, float))],
+                             ids=["floats", "ints"])
+    def test_read_table(self, tmp_path, name, header, dtypes):
+        path = tmp_path / f"{name}.csv"
+        if name != "missing":
+            path.write_bytes(TABLES[name])
+
+        def by_stream():
+            with open(path) as fh:
+                return read_table(fh, header, dtypes)
+
+        want = _outcome(by_stream)
+        assert _outcome(lambda: read_table(path, header, dtypes)) == want
+        if name in ("long", "crlf") and dtypes[0] is float:
+            assert len(want) == 2 and len(want[0][1]) == 8 * (20000 if name == "long" else 2)
+
+    def test_a_pipe_is_read_once(self, tmp_path):
+        fifo = tmp_path / "pipe.csv"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(TABLES["long"],))
+        writer.start()
+        try:
+            values, weights = read_table(fifo, "value,weight")
+        finally:
+            writer.join()
+        assert same_bits(values, [k * 0.001 for k in range(20000)]) and same_bits(weights, np.arange(1.0, 20001.0))
+
+    @pytest.mark.parametrize("name", list(TABLES) + ["missing"])
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_rearrange_cli(self, tmp_path, capsys, name, fmt):
+        samples, out = tmp_path / "s.csv", tmp_path / "out"
+        if name != "missing":
+            samples.write_bytes(TABLES[name])
+        code = dispatch(["rearrange", "--input", str(samples), "--format", fmt, "--out", str(out)])
+        err = capsys.readouterr().err
+        try:
+            with open(samples) as fh:
+                profile = rearrange(DiscreteMeasuredFunction.from_csv(fh), lebesgue(2), STEP)
+        except (ValueError, OSError) as exc:
+            assert (code, err, out.exists()) == (2, f"psilab: {exc}\n", False)
+        else:
+            assert (code, err) == (0, "")
+            assert out.read_text() == (profile.to_json() if fmt == "json" else profile.to_csv())
+
+    @pytest.mark.parametrize("name", list(TABLES) + ["missing"])
+    def test_rearrange_mesh_field_cli(self, tmp_path, capsys, name):
+        mesh = analytic.make_disk(1.0, 6)
+        mesh_path, field_path, out = tmp_path / "m.off", tmp_path / "f.csv", tmp_path / "out"
+        mesh_path.write_text(mesh_to_off(mesh))
+        if name != "missing":  # the field table: the same bytes under its own header, indices where they fit
+            text = TABLES[name].replace(b"value,weight", b"vertex_index,value").replace(b"Value,Weight", b"vertex_index,value")
+            field_path.write_bytes(text.replace(b"1.0,", b"1,").replace(b"2.0,", b"2,"))
+        code = dispatch(["rearrange", "--mesh", str(mesh_path), "--field", str(field_path), "--out", str(out)])
+        err = capsys.readouterr().err
+        try:
+            with open(field_path) as fh:
+                profile = rearrange(sample_field(mesh, VertexField.from_csv(fh, mesh), 2), lebesgue(2), STEP)
+        except (ValueError, OSError) as exc:
+            assert (code, err, out.exists()) == (2, f"psilab: {exc}\n", False)
+        else:
+            assert (code, err) == (0, "")
+            assert out.read_text() == profile.to_json()

@@ -467,6 +467,34 @@ def test_integrals_draw_no_samples(check, monkeypatch):
     assert (len(draws), len(builds)) == (0, 1)
 
 
+WARM_MEASURES = {  # a check, what it keeps on the field in order, and where the number it keeps shows in its report
+    "spectral": (lambda f: verify_spectral_gap(DISK8, f, 0.0, B1), "support_area",
+                 ["support_area", "levels", "grad2", ("gradient_lp", 2)], lambda rep: rep.inputs["support_area"]),
+    "logsob": (lambda f: verify_log_sobolev(DISK8, 1.5, f=f), "max_interior_h",
+               ["max_interior_h", "levels", "grad2", ("gradient_lp", 1.5)], lambda rep: rep.inputs["max_interior_h"]),
+    "ms1": (lambda f: verify_michael_simon_p1(DISK8, f, B1), "curvature_term",
+            ["levels", "curvature_term", "grad2", ("gradient_lp", 1.0)], lambda rep: rep.rhs / B1.euclidean_product(2)),
+}
+
+
+@pytest.mark.parametrize("check", WARM_MEASURES)
+def test_warm_checks_reuse_their_numbers(check):
+    # a second check of the same (mesh, field) reads what the first measured over the triangles: the same report,
+    # and a kept number changed behind its back shows in the next one
+    run, name, names, shown = WARM_MEASURES[check]
+    f = VertexField(HAT8, mesh=DISK8)
+    first = run(f)
+    kept_mesh, kept = f._derived
+    assert kept_mesh is DISK8 and list(kept) == names
+    assert run(f) == first and f._derived[1] is kept
+    kept[name] += 1e-3
+    assert shown(run(f)) == pytest.approx(shown(first) + 1e-3, rel=0.0, abs=1e-12)
+    # on another mesh the field measures afresh
+    other = TriMesh(DISK8.vertices.copy(), DISK8.triangles)
+    assert mesh_module.p1_gradient_lp(other, f, 2.0) == mesh_module.p1_gradient_lp(DISK8, VertexField(HAT8), 2.0)
+    assert f._derived[0] is other and list(f._derived[1]) == ["grad2", ("gradient_lp", 2.0)]
+
+
 @pytest.mark.parametrize("check", INTEGRAL_CHECKS)
 def test_negative_subdivision_refused(check):
     # the checks integrate exactly, so they take no subdivision at all
