@@ -7,8 +7,9 @@ line at a time, about 1.4 times slower), else from the stream (one that
 cannot seek, such as a pipe, is read into memory first). Only when numpy
 refuses the body are its non-empty lines, read from the stream, bisected to
 name the first bad one. A line of only whitespace is not empty: it is
-refused. Writing formats rows from ``.tolist()`` columns, floats as the
-``repr`` that reads back bit for bit.
+refused. A byte that does not decode is named by its line too, found in the
+bytes read again from the start. Writing formats rows from ``.tolist()``
+columns, floats as the ``repr`` that reads back bit for bit.
 """
 
 from __future__ import annotations
@@ -23,6 +24,27 @@ def read_text(source) -> str:
     """Text of a string, bytes or a readable stream."""
     text = source.read() if hasattr(source, "read") else source
     return text.decode() if isinstance(text, bytes) else text
+
+
+def undecodable(source, exc: UnicodeDecodeError) -> tuple[int, str]:
+    """(1-based line, problem) of the first byte of ``source`` that does not decode, where reading it raised
+    ``exc``. ``source`` is bytes or a stream, whose bytes are read again from the first one: the decoder's
+    position counts from wherever its piece began. A stream that cannot seek (a pipe) is decoded in one
+    piece from its first byte, so ``exc`` holds the position."""
+    try:
+        if isinstance(source, bytes):
+            data = source
+        else:
+            raw = getattr(source, "buffer", source)  # the bytes under a text stream
+            raw.seek(0)
+            data = raw.read()
+        data.decode(exc.encoding)
+    except UnicodeDecodeError as whole:
+        exc = whole
+    except OSError:
+        pass  # a stream that cannot seek
+    lines = (exc.object[: exc.start].decode(exc.encoding) + "x").splitlines()
+    return len(lines), f"{exc.encoding!r} codec can't decode byte {exc.object[exc.start]:#04x}: {exc.reason}"
 
 
 def first_bad_row(rows: list[str], parse) -> int:
@@ -44,7 +66,8 @@ def read_table(source, header: str, dtypes=(float, float)) -> list[np.ndarray]:
     ``source`` is a path (``os.PathLike``, opened as ``open`` opens it), a
     string, bytes or a text or binary stream. Extra columns are ignored and
     empty lines skipped; a short row, a field that is not a number or a line
-    of only whitespace raises ValueError naming its 1-based file line.
+    of only whitespace raises ValueError naming its 1-based file line, and so
+    does a byte that does not decode.
     """
     if isinstance(source, os.PathLike):
         with open(source) as stream:
@@ -57,6 +80,13 @@ def read_table(source, header: str, dtypes=(float, float)) -> list[np.ndarray]:
 def _read_table(source, header: str, dtypes, path: str | None) -> list[np.ndarray]:
     """``read_table`` of a string, bytes or stream, whose body numpy parses from ``path``, if given: the file
     ``source`` was opened from."""
+    try:
+        return _parse_table(source, header, dtypes, path)
+    except UnicodeDecodeError as exc:
+        raise ValueError("line {}: {}".format(*undecodable(source, exc))) from None
+
+
+def _parse_table(source, header: str, dtypes, path: str | None) -> list[np.ndarray]:
     seekable = hasattr(source, "seekable") and source.seekable()
     stream = source if seekable else io.StringIO(read_text(source))
     names = header.split(",")

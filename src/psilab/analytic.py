@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -202,12 +203,19 @@ def make_surface(kind: str, **kwargs) -> TriMesh:
 # the gradient-blowup family on the unit sphere
 
 
-def _check_lambda(lam) -> np.ndarray:
-    """Refuse a blowup parameter lambda (a number or an array) that is not a finite number >= 1; return the array."""
+_LAMBDA_MAX = math.sqrt(sys.float_info.max)  # the largest lambda whose square is a double
+
+
+def _check_lambda(lam, limit: float = sys.float_info.max) -> np.ndarray:
+    """Refuse a blowup parameter lambda (a number or an array) that is not a finite number >= 1, or is one
+    above ``limit`` (OutOfRange); return the array."""
     lam = np.asarray(lam, dtype=float)
-    admissible = (1.0 <= lam) & (lam < math.inf)
+    admissible = (1.0 <= lam) & (lam <= limit)
     if not admissible.all():
-        raise ValueError(f"lambda must be a finite number >= 1, got {lam[~admissible].flat[0]}")
+        bad = lam[~admissible].flat[0]
+        if limit < bad < math.inf:
+            raise OutOfRange(f"lambda must be at most {limit!r}, where lambda^2 leaves the double range, got {bad}")
+        raise ValueError(f"lambda must be a finite number >= 1, got {bad}")
     return lam
 
 
@@ -258,8 +266,9 @@ def example51_profile(lam: float) -> "RadialFunction":
 
 def _blowup_args(lam, p):
     """lambda as an array, x = 1/lambda^2 and 1 - w0 = x / (1 + sqrt(1 - x)),
-    where w0 = sqrt(1 - x) is the cap edge's height (no cancellation)."""
-    lam = _check_lambda(lam)
+    where w0 = sqrt(1 - x) is the cap edge's height (no cancellation). A lambda
+    whose square overflows is refused: x would round to 0 and every term with it."""
+    lam = _check_lambda(lam, _LAMBDA_MAX)
     require_order(p)
     x = 1.0 / (lam * lam)
     return lam, x, x / (1.0 + np.sqrt(1.0 - x))
@@ -270,6 +279,27 @@ def _shaped(a):
     return float(a) if a.ndim == 0 else a
 
 
+def _blowup_terms(lam, p: float):
+    """(surface gradient p-energy, planar gradient p-energy or DIVERGENT, surface L^p integral) of the
+    blowup field, the closed forms of ``example51_gradient_integrals`` and ``example51_surface_lp`` from one
+    set-up of lambda; each is a numpy scalar for a scalar lambda, an array for an array. 2 pi lambda^p beyond
+    the double range raises FloatingPointError, an ArithmeticError, for all three."""
+    lam, x, one_minus_w0 = _blowup_args(lam, p)
+    # log(w0^2); lambda = 1 puts w0 on 0, whose logarithm is -inf
+    log_w0_sq = np.log1p(-x, out=np.full_like(x, -np.inf), where=x < 1.0)
+    a = 0.5 * p + 1.0
+    with np.errstate(over="raise"):
+        lam_p = lam**p
+        cap = math.pi * lam_p * beta(a, 0.5) * betainc(a, 0.5, x)
+        scale = 2.0 * math.pi * lam_p
+    surface = scale * -np.expm1(0.5 * (p + 1.0) * log_w0_sq) / (p + 1.0)
+    surface_lp = 4.0 * math.pi - 2.0 * math.pi * one_minus_w0 + cap
+    if p >= 2.0:
+        return surface, DIVERGENT, surface_lp
+    a, b = 1.0 - 0.5 * p, p + 1.0
+    return surface, scale * 2.0 ** (0.5 * p) * beta(a, b) * betainc(a, b, one_minus_w0), surface_lp
+
+
 def example51_surface_lp(lam, p: float):
     """Integral of u_lambda^p over the unit sphere, in closed form.
 
@@ -278,13 +308,10 @@ def example51_surface_lp(lam, p: float):
     t = r^2 turns 2 pi * integral of lambda^p r^(p+1) / sqrt(1 - r^2) over
     (0, 1/lambda) into pi lambda^p B(p/2 + 1, 1/2) I_x(p/2 + 1, 1/2) with
     x = 1/lambda^2 (DLMF 8.17). A scalar lambda gives a float, an array of
-    lambda an array.
+    lambda an array. lambda runs from 1 to ``_LAMBDA_MAX`` ~ 1.34e154, where
+    its square leaves the double range.
     """
-    lam, x, one_minus_w0 = _blowup_args(lam, p)
-    a = 0.5 * p + 1.0
-    with np.errstate(over="raise"):
-        cap = math.pi * lam**p * beta(a, 0.5) * betainc(a, 0.5, x)
-    return _shaped(4.0 * math.pi - 2.0 * math.pi * one_minus_w0 + cap)
+    return _shaped(_blowup_terms(lam, p)[2])
 
 
 def example51_gradient_integrals(lam, p: float):
@@ -308,19 +335,11 @@ def example51_gradient_integrals(lam, p: float):
     = 2^(p+1) / (2 - p) * pi lambda^(2p-2).
 
     A scalar lambda gives floats, an array of lambda arrays; the planar
-    energy is the DIVERGENT marker for p >= 2 either way.
+    energy is the DIVERGENT marker for p >= 2 either way. lambda runs from
+    1 to ``_LAMBDA_MAX`` ~ 1.34e154, where its square leaves the double range.
     """
-    lam, x, one_minus_w0 = _blowup_args(lam, p)
-    # log(w0^2); lambda = 1 puts w0 on 0, whose logarithm is -inf
-    log_w0_sq = np.log1p(-x, out=np.full_like(x, -np.inf), where=x < 1.0)
-    with np.errstate(over="raise"):
-        scale = 2.0 * math.pi * lam**p
-    surface = _shaped(scale * -np.expm1(0.5 * (p + 1.0) * log_w0_sq) / (p + 1.0))
-    if p >= 2.0:
-        return surface, DIVERGENT
-    a, b = 1.0 - 0.5 * p, p + 1.0
-    plane = scale * 2.0 ** (0.5 * p) * beta(a, b) * betainc(a, b, one_minus_w0)
-    return surface, _shaped(plane)
+    surface, plane, _ = _blowup_terms(lam, p)
+    return _shaped(surface), plane if plane is DIVERGENT else _shaped(plane)
 
 
 # ---------------------------------------------------------------------------

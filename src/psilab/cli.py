@@ -99,8 +99,14 @@ def _read_kept(kept: OrderedDict, path: str, build):
     return value, False
 
 
-@functools.cache  # parse_args leaves the parser unchanged, so one per process serves every dispatch
 def _build_parser() -> argparse.ArgumentParser:
+    """The top-level parser, whose subparsers are the five commands' own parsers."""
+    return _parsers()[0]
+
+
+@functools.cache  # parsing leaves a parser unchanged, so one set per process serves every dispatch
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each command's own parser by name, as ``add_parser`` returned it."""
     ap = argparse.ArgumentParser(prog="psilab", description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -160,7 +166,7 @@ def _build_parser() -> argparse.ArgumentParser:
     px.add_argument("--subdiv", type=int, default=5)
     px.add_argument("--plot-data", action="store_true", help="emit gnuplot-friendly columns")
     common(px)
-    return ap
+    return ap, {"constants": pc, "curvature": pm, "rearrange": pr, "verify": pv, "counterexample": px}
 
 
 def _cmd_constants(args) -> int:
@@ -261,10 +267,22 @@ def _cmd_counterexample(args) -> int:
     return 0
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """``_build_parser().parse_args(argv)``, in one argparse pass where argv starts with a command: that
+    command's own parser, as the top-level parser would hand it the rest. Argv it cannot route, and extras
+    the command's parser leaves, go to the top-level parser, which refuses them as it always did."""
+    ap, commands = _parsers()
+    if argv and argv[0] in commands:
+        args, extras = commands[argv[0]].parse_known_args(argv[1:])
+        if not extras:
+            args.command = argv[0]
+            return args
+    return ap.parse_args(argv)
+
+
 def dispatch(argv=None) -> int:
-    ap = _build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help
         return int(exc.code or 0)

@@ -22,12 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import (
-    example51_field,
-    example51_gradient_integrals,
-    example51_surface_lp,
-    make_sphere,
-)
+from .analytic import _blowup_terms, example51_field, example51_gradient_integrals, make_sphere
 from .errors import DIVERGENT, ConvergenceFailure, is_divergent
 from .mesh import _stacked_gradient_lp
 
@@ -77,15 +72,15 @@ class SweepRow:
 def sweep(p: float, lam_list, mesh_check: bool = False, subdiv: int = 5):
     """Closed-form sweep over lambda, optionally cross-checked on an icosphere.
 
-    The closed-form columns come from one array call each. The mesh
-    cross-check evaluates the field of every lambda on the icosphere's
-    vertices as one stacked (lambda, vertex) array, in blocks, and takes
-    each row's P1 energy in one pass; every ``mesh_surface`` is bit-identical
-    to ``p1_gradient_lp(mesh, example51_vertex_field(lam, mesh), p)``.
+    The closed-form columns come from one pass of the closed forms over the
+    lambda array. The mesh cross-check evaluates the field of every lambda on
+    the icosphere's vertices as one stacked (lambda, vertex) array, in blocks,
+    and takes each row's P1 energy in one pass; every ``mesh_surface`` is
+    bit-identical to ``p1_gradient_lp(mesh, example51_vertex_field(lam, mesh), p)``.
     """
     lams = np.array(lam_list, dtype=float, ndmin=1)
-    surface, plane = example51_gradient_integrals(lams, p)
-    curvature = 2.0**p * example51_surface_lp(lams, p)
+    surface, plane, surface_lp = _blowup_terms(lams, p)
+    curvature = 2.0**p * surface_lp
     if is_divergent(plane):
         planes = [DIVERGENT] * len(lams)
         ratio = gradient_ratio = np.full(len(lams), math.inf)
@@ -131,8 +126,8 @@ _LAMBDA_GRID = np.append(1.1 ** np.arange(math.ceil(math.log(_LAMBDA_CEILING, 1.
 
 def _excess(lam, N: float, p: float):
     """Planar energy minus N times the full right-hand side, for p < 2."""
-    surface, plane = example51_gradient_integrals(lam, p)
-    return plane - N * (surface + 2.0**p * example51_surface_lp(lam, p))
+    surface, plane, surface_lp = _blowup_terms(lam, p)
+    return plane - N * (surface + 2.0**p * surface_lp)
 
 
 def find_lambda_bar(N: float, p: float) -> float:

@@ -38,7 +38,7 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
-from ._table import first_bad_row, format_table, read_table, read_text
+from ._table import first_bad_row, format_table, read_table, read_text, undecodable
 from .errors import DegenerateTriangle, MeshParseError, NonManifoldMesh, require_order
 
 __all__ = [
@@ -194,14 +194,18 @@ def load_mesh(source) -> TriMesh:
     lines (#) and blank lines are skipped. Faces with more than three
     vertices are rejected (triangles only), and so are NaN and infinite
     coordinates. Errors carry the 1-based line number of the offending
-    token.
+    token, or of a byte that does not decode.
     """
     return TriMesh(*_parse_off(source))  # built once the text, its lines and the face table are freed
 
 
 def _parse_off(source) -> tuple[np.ndarray, np.ndarray]:
     """The read-only vertex and triangle arrays of ``load_mesh``'s input, checked line by line."""
-    text = read_text(source)
+    try:
+        text = read_text(source)
+    except UnicodeDecodeError as exc:
+        line, problem = undecodable(source, exc)
+        raise MeshParseError(problem, line=line) from None
     lines = text.splitlines()
     if "#" in text:
         lines = [line.split("#", 1)[0] for line in lines]

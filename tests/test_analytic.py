@@ -352,6 +352,27 @@ class TestBlowupClosedForms:
         with pytest.raises(ArithmeticError):
             analytic.example51_surface_lp(1e12, 40.0)
 
+    def test_lambda_limit_is_the_last_finite_square(self):
+        limit = analytic._LAMBDA_MAX
+        above = math.nextafter(limit, math.inf)
+        assert math.isfinite(limit * limit) and math.isinf(above * above)
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 1.9])
+    def test_huge_lambda_ladder(self, p):
+        # up to the last lambda whose square is a double, both energies sit on their leading terms, quietly;
+        # beyond it x = 1/lambda^2 would round to 0, and every term with it, so lambda is refused
+        limit = analytic._LAMBDA_MAX
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for lam in [10.0**k for k in range(8, 155)] + [limit]:
+                surface, plane = analytic.example51_gradient_integrals(lam, p)
+                assert surface == pytest.approx(math.pi * lam ** (p - 2.0), rel=1e-14)
+                assert plane == pytest.approx(2.0 ** (p + 1.0) / (2.0 - p) * math.pi * lam ** (2.0 * p - 2.0), rel=1e-14)
+            for lam in (math.nextafter(limit, math.inf), 1e155, np.array([10.0, 1e160])):
+                for closed_form in (analytic.example51_gradient_integrals, analytic.example51_surface_lp):
+                    with pytest.raises(OutOfRange, match=r"^lambda must be at most 1\.3407807929942596e\+154, where"):
+                        closed_form(lam, p)
+
 
 class TestRadialFunctions:
     def test_gaussian_lp(self):

@@ -430,6 +430,112 @@ def test_module_entry_point_runs_main():
     assert subprocess.run(run, env=env, capture_output=True).returncode == 2
 
 
+# each command's valid arguments, then the options that make argparse refuse a float, and an abbreviation
+VALID_ARGS = {
+    "constants": ["--n", "2"],
+    "curvature": ["--mesh", "{mesh}"],
+    "rearrange": ["--input", "{samples}"],
+    "verify": ["ps", "--mesh", "{mesh}", "--field", "{field}"],
+    "counterexample": ["--p", "1.5", "--lambda", "10", "100"],
+}
+BAD_FLOAT = {"constants": ["--K", "x"], "curvature": None, "rearrange": ["--K", "x"], "verify": ["--p", "x"],
+             "counterexample": ["--p", "x"]}  # curvature takes no number: no such case
+ABBREVIATED = {"constants": ["--form", "csv"], "curvature": ["--conv", "paper"], "rearrange": ["--interp", "linear"],
+               "verify": ["--tol", "0.1"], "counterexample": ["--lam", "5"]}
+ROUTED_CASES = {
+    "valid": lambda cmd: [cmd] + VALID_ARGS[cmd],
+    "help": lambda cmd: [cmd, "-h"],
+    "missing-required": lambda cmd: [cmd] + (["ps"] if cmd == "verify" else []),
+    "bad-float": lambda cmd: BAD_FLOAT[cmd] and [cmd] + VALID_ARGS[cmd] + BAD_FLOAT[cmd],
+    "bad-choice": lambda cmd: [cmd] + VALID_ARGS[cmd] + ["--format", "xml"],
+    "unrecognized-extra": lambda cmd: [cmd] + VALID_ARGS[cmd] + ["--bogus", "1"],
+    "abbreviated": lambda cmd: [cmd] + VALID_ARGS[cmd] + ABBREVIATED[cmd],
+    # only rearrange and verify have two options that "--f" abbreviates
+    "ambiguous-abbreviation": lambda cmd: cmd in ("rearrange", "verify") and [cmd] + VALID_ARGS[cmd] + ["--f", "x"],
+    # only verify has a positional to put after "--"; for the other commands it leaves a stray word
+    "double-dash": lambda cmd: ([cmd] + VALID_ARGS[cmd][1:] + ["--", "ps"]) if cmd == "verify"
+    else [cmd] + VALID_ARGS[cmd] + ["--", "stray"],
+}
+UNROUTED = {"empty": [], "help": ["-h"], "long-help": ["--help"], "unknown-command": ["bogus", "--n", "2"],
+            "option-first": ["--n", "2", "constants"], "help-first": ["-h", "constants"],
+            "abbreviated-command": ["const", "--n", "2"]}
+
+
+def _top_level_parse(argv):
+    return cli._build_parser().parse_args(argv)
+
+
+class TestDispatchParsesOnce:
+    """``dispatch`` parses argv that starts with a command with that command's parser alone; whatever it
+    cannot route goes to the top-level parser. Exit code, stdout and stderr must be those of the top-level
+    parse every argv went through before."""
+
+    @pytest.fixture
+    def argv_files(self, disk_files, tmp_path, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # help text wraps at the same width on both routes
+        mesh, field, _ = disk_files
+        samples = tmp_path / "samples.csv"
+        samples.write_text("value,weight\n1.0,0.5\n2.0,0.25\n")
+        return dict(mesh=mesh, field=field, samples=str(samples))
+
+    def _both_routes(self, argv, monkeypatch, capsys):
+        routed = (dispatch(argv), *capsys.readouterr())
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_parse", _top_level_parse)
+            top_level = (dispatch(argv), *capsys.readouterr())
+        return routed, top_level
+
+    @pytest.mark.parametrize("command, case", [(command, case) for case, argv in ROUTED_CASES.items()
+                                               for command in VALID_ARGS if argv(command)])
+    def test_routed(self, argv_files, monkeypatch, capsys, command, case):
+        argv = [word.format(**argv_files) for word in ROUTED_CASES[case](command)]
+        routed, top_level = self._both_routes(argv, monkeypatch, capsys)
+        assert routed == top_level
+        runs = case in ("valid", "help", "abbreviated") or (case, command) == ("double-dash", "verify")
+        assert routed[0] == (0 if runs else 2)
+
+    @pytest.mark.parametrize("argv", list(UNROUTED.values()), ids=list(UNROUTED))
+    def test_unrouted(self, argv_files, monkeypatch, capsys, argv):
+        routed, top_level = self._both_routes(argv, monkeypatch, capsys)
+        assert routed == top_level and routed[0] == (0 if argv[:1] in (["-h"], ["--help"]) else 2)
+
+    def test_a_routed_call_runs_one_pass(self, monkeypatch, capsys):
+        progs = []
+        real = argparse.ArgumentParser.parse_known_args
+
+        def counted(parser, *args, **kwargs):
+            progs.append(parser.prog)
+            return real(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+        assert dispatch(["counterexample", "--p", "1.5", "--lambda", "10"]) == 0
+        assert progs == ["psilab counterexample"]
+        progs.clear()
+        assert dispatch(["constants", "--n", "2", "--bogus"]) == 2  # the extra is refused by the top-level parse
+        assert progs == ["psilab constants", "psilab", "psilab constants"]
+        progs.clear()
+        assert dispatch(["--n", "2", "constants"]) == 2
+        assert progs == ["psilab"]
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("argv", [["counterexample", "--p", "1.5", "--lambda", "10"], ["-h"]],
+                             ids=["counterexample", "help"])
+    def test_argv_none_reads_the_command_line(self, monkeypatch, capsys, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        src = os.path.dirname(os.path.dirname(psilab.__file__))
+        done = subprocess.run([sys.executable, "-m", "psilab.cli", *argv], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src, "COLUMNS": "80"}, timeout=120)
+        assert (done.returncode, done.stdout, done.stderr) == (dispatch(argv), *capsys.readouterr())
+        monkeypatch.setattr(sys, "argv", ["psilab", *argv])
+        assert (dispatch(), *capsys.readouterr()) == (done.returncode, done.stdout, done.stderr)
+
+
+def test_lambda_whose_square_overflows_is_refused(capsys):
+    assert dispatch(["counterexample", "--p", "1.5", "--lambda", "10", "1e160", "--format", "csv"]) == 2
+    assert capsys.readouterr() == ("", "psilab: lambda must be at most 1.3407807929942596e+154, where lambda^2 "
+                                       "leaves the double range, got 1e+160\n")
+
+
 # the nine checks on a field that vanishes on the boundary, as (check, arguments after --field)
 NINE_CHECKS = [
     ("ps", ["--p", "1.5"]), ("model", []), ("iso", []), ("sobolev", ["--p", "1.5"]),

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -6,6 +7,8 @@ import pytest
 
 from psilab import constants as const
 from psilab.counterexample import (
+    _LAMBDA_CEILING,
+    _LAMBDA_GRID,
     asymptotic_check,
     find_lambda_bar,
     sweep,
@@ -199,6 +202,90 @@ class TestLambdaBar:
         (below,) = sweep(p, [bar * 0.99])
         assert above.ratio > N
         assert below.ratio < N
+
+
+# 1 to 1e12: lambda = 1, the cancellation point 2^27 and the threshold walk's ceiling among them
+BLOWUP_LAMBDAS = [1.0, 1.5, 2.0, 10.0, 123.456, 1e3, 2.0**27, 1e5, 1e8, 1e9, 1e12]
+
+
+def _hex(x):
+    return "divergent" if is_divergent(x) else float(x).hex()
+
+
+def _bisected_lambda_bar(N, p):
+    """``find_lambda_bar`` walked one scalar call of the public closed forms at a time."""
+    if p >= 2.0:
+        return 1.0
+
+    def excess(lam):
+        surface, plane = example51_gradient_integrals(lam, p)
+        return plane - N * (surface + 2.0**p * example51_surface_lp(lam, p))
+
+    grid = _LAMBDA_GRID.tolist()
+    k = next((k for k, lam in enumerate(grid) if excess(lam) > 0), None)
+    if k is None:
+        raise ConvergenceFailure(f"no threshold below lambda = {_LAMBDA_CEILING} for N = {N}, p = {p}")
+    if k == 0:
+        return 1.0
+    lo, hi = grid[k - 1], grid[k]
+    while hi - lo > 5e-4 * hi:
+        mid = 0.5 * (lo + hi)
+        if excess(mid) > 0:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+_rng = np.random.default_rng(25)
+# 40 pairs over the whole range, then 10 with p so close to 1 that most find no threshold below the ceiling
+LAMBDA_BAR_CASES = [(float(10.0 ** _rng.uniform(-1.0, 6.0)), float(_rng.uniform(1.001, 2.2))) for _ in range(40)] + [
+    (float(10.0 ** _rng.uniform(3.0, 6.0)), float(1.0 + 10.0 ** _rng.uniform(-4.0, -1.5))) for _ in range(10)
+]
+
+
+class TestOneClosedFormPass:
+    """``sweep`` and ``find_lambda_bar`` take the closed forms from one private pass per lambda array: their
+    numbers must be those of the public functions, bit for bit."""
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 1.99, 2.0, 2.5])
+    def test_sweep_columns_are_the_public_closed_forms(self, p):
+        rows = sweep(p, BLOWUP_LAMBDAS)
+        surfaces, planes = example51_gradient_integrals(BLOWUP_LAMBDAS, p)
+        curvatures = 2.0**p * example51_surface_lp(BLOWUP_LAMBDAS, p)
+        for k, (row, lam) in enumerate(zip(rows, BLOWUP_LAMBDAS)):
+            surface, plane = example51_gradient_integrals(lam, p)
+            curvature = 2.0**p * example51_surface_lp(lam, p)
+            if is_divergent(plane):
+                ratio = gradient_ratio = math.inf
+                assert is_divergent(planes)
+            else:
+                ratio, gradient_ratio = plane / (surface + curvature), plane / surface
+                assert _hex(planes[k]) == _hex(plane)
+            got = [row.lam, row.surface_grad_p, row.curvature_term, row.plane_grad_p, row.ratio, row.gradient_ratio]
+            assert list(map(_hex, got)) == list(map(_hex, [lam, surface, curvature, plane, ratio, gradient_ratio]))
+            assert [_hex(surfaces[k]), _hex(curvatures[k])] == [_hex(surface), _hex(curvature)]
+
+    @pytest.mark.parametrize("N, p", LAMBDA_BAR_CASES)
+    def test_lambda_bar_is_the_scalar_bisection(self, N, p):
+        try:
+            want = _bisected_lambda_bar(N, p).hex()
+        except ConvergenceFailure as exc:
+            with pytest.raises(ConvergenceFailure, match=f"^{re.escape(str(exc))}$"):
+                find_lambda_bar(N, p)
+        else:
+            assert find_lambda_bar(N, p).hex() == want
+
+    def test_the_cases_reach_every_outcome(self):
+        outcomes = set()
+        for N, p in LAMBDA_BAR_CASES:
+            try:
+                bar = _bisected_lambda_bar(N, p)
+            except ConvergenceFailure:
+                outcomes.add("no threshold")
+            else:
+                outcomes.add("one" if bar == 1.0 else "bisected")
+        assert outcomes == {"no threshold", "one", "bisected"}
 
 
 class TestAsymptoticCheck:

@@ -1,6 +1,7 @@
 """Source checks that need no linter: every name a ``psilab`` module, a test or a demo imports is read there
-or listed in its ``__all__``, the package integrates with scipy's ``quad`` in one function only, the verdicts
-draw no samples and no package module imports ``hashlib``."""
+or listed in its ``__all__``, the package integrates with scipy's ``quad`` in one function only and sets up the
+blowup closed forms in one, the verdicts draw no samples, no package module imports ``hashlib`` and only the
+CLI imports ``argparse``."""
 
 import ast
 import pathlib
@@ -57,12 +58,12 @@ def test_the_guard_finds_an_unused_import():
     assert _unused_imports(source) == ["line 2: os", "line 3: numpy", "line 8: dumps"]
 
 
-def _quad_callers(source: str) -> list[str]:
-    """The outermost function or class around each call of ``quad`` (by that name, an alias or an attribute),
-    '<module>' outside any."""
+def _callers(source: str, function: str) -> list[str]:
+    """The outermost function or class around each call of ``function`` (by that name, an alias or an
+    attribute), '<module>' outside any."""
     tree = ast.parse(source)
-    names = {"quad"} | {a.asname for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
-                        for a in node.names if a.name == "quad" and a.asname}
+    names = {function} | {a.asname for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                          for a in node.names if a.name == function and a.asname}
     callers = []
 
     def visit(node, scope):
@@ -77,7 +78,7 @@ def _quad_callers(source: str) -> list[str]:
 
 
 def test_one_quadrature_helper():
-    callers = {name: set(_quad_callers(path.read_text())) for name, path in SOURCES.items() if path.parent == PACKAGE}
+    callers = {name: set(_callers(path.read_text(), "quad")) for name, path in SOURCES.items() if path.parent == PACKAGE}
     assert {name: found for name, found in callers.items() if found} == {"analytic.py": {"_radial_quad"}}
 
 
@@ -85,7 +86,7 @@ def test_the_guard_finds_a_second_quadrature():
     source = "from scipy import integrate\nfrom scipy.integrate import quad as q\n\ndef f():\n    def g(x):\n" \
              "        return q(abs, 0, x)[0]\n    return g\n\nclass A:\n    def m(self):\n" \
              "        return integrate.quad(abs, 0, 1)\n\nx = quad(abs, 0, 1)\ny = quadrature(abs, 0, 1)\n"
-    assert _quad_callers(source) == ["f", "A", "<module>"]
+    assert _callers(source, "quad") == ["f", "A", "<module>"]
 
 
 SAMPLING = {"sample_field", "_sketch", "_cell_centroids"}
@@ -125,3 +126,15 @@ def test_the_guard_finds_a_digest():
     source = "import os, hashlib as h\nfrom . import hashlib\n\ndef key(data):\n    from hashlib import sha256\n" \
              "    return sha256(data)\n\nimport hashlibx\n"
     assert _imports_of(source, "hashlib") == ["line 1", "line 5"]
+
+
+def test_one_blowup_set_up():
+    # the public closed forms, sweep and find_lambda_bar all take lambda through the one evaluator, so their
+    # numbers cannot drift apart
+    callers = {name: _callers(path.read_text(), "_blowup_args") for name, path in SOURCES.items()}
+    assert {name: found for name, found in callers.items() if found} == {"analytic.py": ["_blowup_terms"]}
+
+
+def test_only_the_cli_parses_arguments():
+    found = {name: _imports_of(path.read_text(), "argparse") for name, path in SOURCES.items() if path.parent == PACKAGE}
+    assert [name for name, lines in found.items() if lines] == ["cli.py"]

@@ -13,6 +13,7 @@ import json
 import os
 import threading
 import warnings
+from collections import OrderedDict
 from pathlib import Path
 
 import numpy as np
@@ -21,8 +22,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from psilab import analytic
+from psilab import cli as cli_module
 from psilab import constants as const
 from psilab._table import read_table
+from psilab.errors import MeshParseError
 from psilab.cli import _build_parser, _indented_json, dispatch
 from psilab.measure_space import (
     DiscreteMeasuredFunction,
@@ -386,3 +389,89 @@ class TestPathReadsMatchStreams:
         else:
             assert (code, err) == (0, "")
             assert out.read_text() == profile.to_json()
+
+
+DECODE_PROBLEM = "'utf-8' codec can't decode byte 0xe9: invalid continuation byte"
+
+
+def _bad_byte_on(text: str, line: int) -> bytes:
+    """``text`` as UTF-8 with byte 0xe9 put at the start of its 1-based ``line``, before an ASCII byte."""
+    lines = text.encode().split(b"\n")
+    lines[line - 1] = b"\xe9" + lines[line - 1]
+    return b"\n".join(lines)
+
+
+class TestUndecodableBytesNameTheirLine:
+    """A byte that does not decode is refused (exit 2) naming its 1-based file line, as every other CSV and OFF
+    refusal does, on each route: a path, a stream, a pipe and the kept bytes of ``verify``. Lines past the
+    first read chunks of io and numpy count from the file's start, not from the chunk's."""
+
+    SAMPLES = "value,weight\n" + ROWS[: ROWS.index("\n", 60000) + 1]  # about 3,000 rows, 60 kB
+
+    @pytest.fixture(scope="class")
+    def disk(self):
+        mesh = analytic.make_disk(1.0, 12)
+        return mesh, mesh_to_off(mesh), VertexField(np.linspace(0.0, 1.0, len(mesh.vertices)), mesh=mesh).to_csv()
+
+    @pytest.mark.parametrize("line", [1, 2, 1501, 2999])
+    def test_input(self, tmp_path, capsys, line):
+        samples = tmp_path / "s.csv"
+        samples.write_bytes(_bad_byte_on(self.SAMPLES, line))
+        assert dispatch(["rearrange", "--input", str(samples), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr() == ("", f"psilab: line {line}: {DECODE_PROBLEM}\n")
+
+    @pytest.mark.parametrize("line", [1, 3, -1])
+    @pytest.mark.parametrize("command", [["rearrange"], ["verify", "ps"]])
+    def test_field(self, tmp_path, capsys, monkeypatch, disk, command, line):
+        monkeypatch.setattr(cli_module, "_kept_meshes", OrderedDict())
+        _, off, field = disk
+        line = line if line > 0 else field.count("\n")  # -1: the last row
+        mesh_path, field_path = tmp_path / "m.off", tmp_path / "f.csv"
+        mesh_path.write_text(off)
+        field_path.write_bytes(_bad_byte_on(field, line))
+        assert dispatch(command + ["--mesh", str(mesh_path), "--field", str(field_path)]) == 2
+        assert capsys.readouterr() == ("", f"psilab: line {line}: {DECODE_PROBLEM}\n")
+
+    @pytest.mark.parametrize("line", [1, 5, -1])
+    @pytest.mark.parametrize("command", [["curvature"], ["verify", "iso"], ["rearrange", "--field", "f.csv"]])
+    def test_mesh(self, tmp_path, capsys, monkeypatch, disk, command, line):
+        monkeypatch.setattr(cli_module, "_kept_meshes", OrderedDict())
+        monkeypatch.chdir(tmp_path)
+        _, off, field = disk
+        line = line if line > 0 else off.count("\n")  # -1: the last face
+        Path("m.off").write_bytes(_bad_byte_on(off, line))
+        Path("f.csv").write_text(field)
+        assert dispatch(command + ["--mesh", "m.off"]) == 2
+        assert capsys.readouterr() == ("", f"psilab: line {line}: {DECODE_PROBLEM}\n")
+
+    @pytest.mark.parametrize("line", [1, 1501, 2999])
+    def test_every_table_source(self, tmp_path, line):
+        data = _bad_byte_on(self.SAMPLES, line)
+        path = tmp_path / "s.csv"
+        path.write_bytes(data)
+        fifo = tmp_path / "pipe.csv"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(data,))
+        writer.start()
+        try:
+            with pytest.raises(ValueError, match=f"^line {line}: {DECODE_PROBLEM}$"):
+                read_table(fifo, "value,weight")
+        finally:
+            writer.join()
+        with open(path) as text, open(path, "rb") as raw:
+            for source in (path, data, io.BytesIO(data), text, raw, io.TextIOWrapper(io.BytesIO(data))):
+                with pytest.raises(ValueError, match=f"^line {line}: {DECODE_PROBLEM}$"):
+                    read_table(source, "value,weight")
+
+    @pytest.mark.parametrize("line", [1, 5, -1])
+    def test_every_mesh_source(self, tmp_path, disk, line):
+        _, off, _ = disk
+        line = line if line > 0 else off.count("\n")
+        data = _bad_byte_on(off, line)
+        path = tmp_path / "m.off"
+        path.write_bytes(data)
+        with open(path) as text, open(path, "rb") as raw:
+            for source in (data, io.BytesIO(data), text, raw, io.TextIOWrapper(io.BytesIO(data))):
+                with pytest.raises(MeshParseError, match=f"^line {line}: {DECODE_PROBLEM}$") as refused:
+                    load_mesh(source)
+                assert refused.value.line == line
