@@ -244,9 +244,10 @@ def example51_profile(lam: float) -> "RadialFunction":
 
     rho(s) = 1 up to s0 = sqrt(2(1 + sqrt(1 - 1/lambda^2))), then lambda*sqrt(1 - w^2), w = s^2/2 - 1,
     out to the support radius 2. As 1 - w^2 = s^2 (2 - s)(2 + s) / 4, the outer band has
-    rho = (lambda/2) s sqrt((2 - s)(2 + s)) and |rho'| = 2 lambda w / sqrt((2 - s)(2 + s)).
+    rho = (lambda/2) s sqrt((2 - s)(2 + s)) and |rho'| = 2 lambda w / sqrt((2 - s)(2 + s)). lambda runs
+    from 1 to ``_LAMBDA_MAX`` ~ 1.34e154, where its square leaves the double range.
     """
-    _check_lambda(lam)
+    _check_lambda(lam, _LAMBDA_MAX)
     s0 = math.sqrt(2.0 * (1.0 + math.sqrt(max(1.0 - 1.0 / lam**2, 0.0))))
 
     @_quiet

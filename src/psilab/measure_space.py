@@ -6,12 +6,9 @@ non-increasing profile on the target measure whose superlevel sets carry the
 same mass: sort the distinct values downward, accumulate weights, and place
 each level at the radius whose ball has exactly that accumulated volume.
 
-Only that last step depends on the target, so ``rearrange`` runs in two
-stages: a target-free sketch (the sort, the merged levels, their cumulative
-measures and, for a linear profile, the equal-measure cuts) and its
-placement on a target. The sort is numpy's default, unstable one, with each
-run of equal values then put back in input order, which gives the stable
-permutation and so the same weight sums to the last bit.
+``rearrange`` does this in one pass. The sort is numpy's default, unstable
+one, with each run of equal values then put back in input order, which
+gives the stable permutation and so the same weight sums to the last bit.
 
 Two targets are supported: Lebesgue measure on R^n, and the half-line model
 measure with density (1/C - K)^n r^(n-1) / n^(n-1). With K = 0 and
@@ -281,29 +278,42 @@ def distribution_function(dmf: DiscreteMeasuredFunction, t: float) -> float:
     return float(np.sum(dmf.weights[dmf.values > t]))
 
 
-@dataclass(frozen=True)
-class _Sketch:
-    """Target-free first stage of a rearrangement: knot values and the cumulative measures they sit at.
+def rearrange(
+    dmf: DiscreteMeasuredFunction,
+    target: TargetMeasure,
+    interpolation: Interpolation = Interpolation.RIGHT_CONTINUOUS_STEP,
+) -> RadialProfile:
+    """Schwartz rearrangement of weighted samples onto the target measure.
 
-    ``measures`` are the ball volumes of the knots; a linear sketch has one
-    more value than measures, for the leading knot at radius 0.
+    Samples are sorted by value downward, ties merged into one level,
+    cumulative weights W_1 < ... < W_N formed, and each level v_k placed out
+    to radius r_k with ball_volume(r_k) = W_k. The step profile uses these
+    knots directly and is exactly equimeasurable with the input.
+
+    The piecewise-linear profile is a quantile sketch of the same data: it
+    interpolates the step profile at max(16, round(sqrt(sample count)/8))
+    equal-measure radii (value v_1 at radius 0, 0 at the support radius),
+    and connects the raw knots when there are no more levels than that.
+    Connecting every raw knot of many samples instead would pair sampling
+    noise in the values with single-sample weight gaps in the radii and blow
+    the slopes up; the coarse radius grid keeps the slope field convergent
+    under refinement while staying equimeasurable within one knot cell.
+
+    One pass builds it: one unstable sort, after which each run of equal
+    values is put back in input order by sorting the key run * size +
+    position, so the merged weights are summed in the order of a stable
+    sort; then the merge, the cumulative weights and, for a linear profile,
+    the cuts and knot values; last, ``target.ball_radius`` places the knots,
+    from radius 0 for a linear profile.
     """
+    step = interpolation is Interpolation.RIGHT_CONTINUOUS_STEP
 
-    interpolation: Interpolation
-    measures: np.ndarray
-    values: np.ndarray
-
-    def place(self, target: TargetMeasure) -> RadialProfile:
-        """Second stage: the profile on ``target``, each knot at the radius whose ball has its measure."""
-        radii = target.ball_radius(self.measures)
-        if self.interpolation is Interpolation.PIECEWISE_LINEAR:
+    def place(measures, values):  # each knot at the radius whose ball has its measure
+        radii = target.ball_radius(measures)
+        if not step:
             radii = np.concatenate([[0.0], radii])
-        return RadialProfile(target, radii, self.values, self.interpolation)
+        return RadialProfile(target, radii, values, interpolation)
 
-
-def _sketch(dmf: DiscreteMeasuredFunction, interpolation: Interpolation) -> _Sketch:
-    """First stage of ``rearrange``: sort, merge equal levels, accumulate measure and, for a linear
-    profile, take the equal-measure cuts."""
     size = dmf.values.size
     order = np.argsort(dmf.values)[::-1]  # descending; equal values in no particular order yet
     v_sorted = dmf.values[order]
@@ -327,53 +337,20 @@ def _sketch(dmf: DiscreteMeasuredFunction, interpolation: Interpolation) -> _Ske
     keep = levels > 0
     levels = levels[keep]
     merged_w = merged_w[keep]
-    step = interpolation is Interpolation.RIGHT_CONTINUOUS_STEP
     if levels.size == 0:
-        return _Sketch(interpolation, np.array([dmf.total_weight()]), np.zeros(1 if step else 2))
+        return place(np.array([dmf.total_weight()]), np.zeros(1 if step else 2))
     cum_w = np.cumsum(merged_w)
     if step:
-        return _Sketch(interpolation, cum_w, levels)
+        return place(cum_w, levels)
     budget = max(16, round(math.sqrt(size) / 8.0))
     if levels.size <= budget:
-        return _Sketch(interpolation, cum_w, np.concatenate([levels, [0.0]]))
+        return place(cum_w, np.concatenate([levels, [0.0]]))
     cuts = cum_w[-1] * np.arange(1, budget + 1) / budget
     # level still active at each cumulative-measure cut
     idx = np.searchsorted(cum_w, cuts * (1.0 - 1e-15), side="left")
     knot_v = np.concatenate([[levels[0]], np.minimum.accumulate(levels[np.minimum(idx, levels.size - 1)])])
     knot_v[-1] = 0.0
-    return _Sketch(interpolation, cuts, knot_v)
-
-
-def rearrange(
-    dmf: DiscreteMeasuredFunction,
-    target: TargetMeasure,
-    interpolation: Interpolation = Interpolation.RIGHT_CONTINUOUS_STEP,
-) -> RadialProfile:
-    """Schwartz rearrangement of weighted samples onto the target measure.
-
-    Samples are sorted by value downward, ties merged into one level,
-    cumulative weights W_1 < ... < W_N formed, and each level v_k placed out
-    to radius r_k with ball_volume(r_k) = W_k. The step profile uses these
-    knots directly and is exactly equimeasurable with the input.
-
-    The piecewise-linear profile is a quantile sketch of the same data: it
-    interpolates the step profile at max(16, round(sqrt(sample count)/8))
-    equal-measure radii (value v_1 at radius 0, 0 at the support radius),
-    and connects the raw knots when there are no more levels than that.
-    Connecting every raw knot of many samples instead would pair sampling
-    noise in the values with single-sample weight gaps in the radii and blow
-    the slopes up; the coarse radius grid keeps the slope field convergent
-    under refinement while staying equimeasurable within one knot cell.
-
-    Two stages build it. The first does not depend on the target: one
-    unstable sort, after which each run of equal values is put back in input
-    order by sorting the key run * size + position, so the merged weights are
-    summed in the order of a stable sort; then the merge, the cumulative
-    weights and, for a linear profile, the cuts and knot values. The second
-    places the knots with ``target.ball_radius``, from radius 0 for a linear
-    profile. A caller that needs several targets keeps the first stage.
-    """
-    return _sketch(dmf, interpolation).place(target)
+    return place(cuts, knot_v)
 
 
 def _generalized_inverse(profile: RadialProfile, t: float) -> float:

@@ -22,15 +22,12 @@ for ``psilab rearrange --mesh``.
 
 A mesh is read-only, and so is a field: what is derived from them (the
 Gram entries, areas and boundary, the curvature once measured, the
-distribution function) is kept on them as read-only arrays, the large ones
-in anonymous mappings of their own.
+distribution function) is kept on them as read-only arrays.
 """
 
 from __future__ import annotations
 
-import functools
 import json
-import mmap
 import warnings
 from dataclasses import dataclass, field
 
@@ -153,18 +150,9 @@ class TriMesh:
         return not len(self._boundary_edges)
 
 
-# private, so not shared memory, and faulted in by the one mmap call where the system offers that (Linux)
-_MAP_FLAGS = mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS | getattr(mmap, "MAP_POPULATE", 0)
-
-
 def _kept(a: np.ndarray, copy: bool = False) -> np.ndarray:
-    """``a`` made read-only for keeping (a copy, if ``copy``), one of 64 KiB or more copied into an anonymous
-    mapping of its own: kept inside the malloc heap, it would pin the freed sample-sized arrays below it."""
-    if a.nbytes >= 1 << 16:
-        own = np.frombuffer(mmap.mmap(-1, a.nbytes, flags=_MAP_FLAGS), a.dtype, a.size).reshape(a.shape)
-        own[...] = a
-        a = own
-    elif copy:
+    """``a`` made read-only for keeping (a copy, if ``copy``)."""
+    if copy:
         a = a.copy()
     a.setflags(write=False)
     return a
@@ -271,12 +259,17 @@ def _parse_off(source) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _indices(index, count: int, what: str) -> np.ndarray:
-    """``index`` as a flat int array, refusing an index (of a vertex or a triangle) outside [0, count) or one
-    that appears more than once."""
-    index = np.asarray(index, dtype=int).ravel()
+    """``index`` as a flat int array, refusing an index (of a vertex or a triangle) that is not a whole number,
+    lies outside [0, count) or appears more than once."""
+    index = np.asarray(index).ravel()
+    if index.dtype.kind == "f":  # the int cast would truncate a fraction and fail on NaN or inf
+        whole = np.isfinite(index) & (index == np.trunc(index))
+        if not whole.all():
+            raise ValueError(f"{what} index {index[whole.argmin()]} is not a whole number")
     out_of_range = (index < 0) | (index >= count)
     if out_of_range.any():
-        raise ValueError(f"{what} index {index[out_of_range.argmax()]} out of range [0, {count})")
+        raise ValueError(f"{what} index {int(index[out_of_range.argmax()])} out of range [0, {count})")
+    index = index.astype(int, copy=False)
     repeated = np.bincount(index, minlength=count) > 1
     if repeated.any():
         raise ValueError(f"{what} index {repeated.argmax()} appears more than once")
@@ -697,18 +690,15 @@ def _require_subdivision(subdivision: int):
         raise ValueError("subdivision must be >= 0")
 
 
-@functools.cache
 def _cell_centroids(subdivision: int) -> np.ndarray:
-    """Read-only barycentric centroids of the 4^s cells of the midpoint refinement."""
+    """Barycentric centroids of the 4^s cells of the midpoint refinement."""
     cells = np.eye(3)[None]  # (cells, corner, barycentric): the whole triangle
     for _ in range(subdivision):
         c0, c1, c2 = cells[:, 0], cells[:, 1], cells[:, 2]
         m01, m12, m02 = 0.5 * (c0 + c1), 0.5 * (c1 + c2), 0.5 * (c0 + c2)
         # each cell's four children, in order: the three corner cells, then the middle one
         cells = np.stack([c0, m01, m02, m01, c1, m12, m02, m12, c2, m01, m12, m02], axis=1).reshape(-1, 3, 3)
-    centroids = cells.mean(axis=1)
-    centroids.setflags(write=False)
-    return centroids
+    return cells.mean(axis=1)
 
 
 def sample_field(mesh: TriMesh, field: VertexField, subdivision: int = 0):

@@ -316,7 +316,7 @@ def verify_isoperimetric(
     curv = mean_curvature(mesh)
     out = []
     for region in [None] if regions is None else regions:
-        size = len(mesh.triangles) if region is None else np.asarray(region, dtype=int).size
+        size = len(mesh.triangles) if region is None else np.size(region)
         _require_tc_bound(_region_tc(mesh, curv, region), K, "region")
         area = hausdorff_measure(mesh, region)
         lhs = math.sqrt(area)

@@ -232,6 +232,13 @@ class TestBlowupFamily:
         assert prof.derivative(0.5 * s0) == 0.0
         assert prof.derivative(0.5 * (s0 + 2.0)) < 0.0
 
+    def test_profile_refuses_lambda_whose_square_overflows(self):
+        # 1/lambda^2 is taken on a Python float, which raised a bare OverflowError naming no argument
+        assert analytic.example51_profile(1.3e154).slope_start == 2.0
+        for lam in (1e155, 1e160):
+            with pytest.raises(OutOfRange, match=r"^lambda must be at most 1\.3407807929942596e\+154, where"):
+                analytic.example51_profile(lam)
+
     def test_profile_equimeasurable_with_sphere_field(self):
         # area{u > t} on the sphere equals pi * tau(t)^2 in the plane
         lam = 3.0

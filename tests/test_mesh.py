@@ -413,8 +413,12 @@ M8 = len(analytic.make_disk(1.0, 8).triangles)
         ([3, M8], f"triangle index {M8} out of range [0, {M8})"),
         ([0, 0, 1], "triangle index 0 appears more than once"),
         ([[5, 2], [7, 2]], "triangle index 2 appears more than once"),
+        ([0.5], "triangle index 0.5 is not a whole number"),
+        ([3.0, 1.7], "triangle index 1.7 is not a whole number"),
+        ([float("nan")], "triangle index nan is not a whole number"),
+        ([2, float("inf")], "triangle index inf is not a whole number"),
     ],
-    ids=["minus-one", "M", "repeated", "repeated-2d"],
+    ids=["minus-one", "M", "repeated", "repeated-2d", "half", "fraction", "nan", "inf"],
 )
 def test_region_indices_are_distinct_and_in_range(measure, region, message):
     with pytest.raises(ValueError) as caught:

@@ -1,7 +1,7 @@
 """Source checks that need no linter: every name a ``psilab`` module, a test or a demo imports is read there
 or listed in its ``__all__``, the package integrates with scipy's ``quad`` in one function only and sets up the
-blowup closed forms in one, the verdicts draw no samples, no package module imports ``hashlib`` and only the
-CLI imports ``argparse``."""
+blowup closed forms in one, only the CLI draws samples, no package module imports ``hashlib`` or ``mmap`` and
+only the CLI imports ``argparse``."""
 
 import ast
 import pathlib
@@ -89,7 +89,7 @@ def test_the_guard_finds_a_second_quadrature():
     assert _callers(source, "quad") == ["f", "A", "<module>"]
 
 
-SAMPLING = {"sample_field", "_sketch", "_cell_centroids"}
+SAMPLING = {"sample_field", "rearrange", "_cell_centroids"}
 
 
 def _sampling_uses(source: str) -> list[str]:
@@ -105,15 +105,18 @@ def _sampling_uses(source: str) -> list[str]:
 
 
 def test_verdicts_draw_no_samples():
-    # every mesh verdict integrates the field exactly, from its distribution function
-    assert _sampling_uses((PACKAGE / "verify.py").read_text()) == []
+    # every mesh verdict integrates the field exactly, from its distribution function; outside the two modules
+    # that define the sampling layer, only ``psilab rearrange`` uses it
+    found = {name: _sampling_uses(path.read_text()) for name, path in SOURCES.items()
+             if path.parent == PACKAGE and name not in ("mesh.py", "measure_space.py")}
+    assert [name for name, uses in found.items() if uses] == ["cli.py"]
 
 
 def test_the_guard_finds_a_sample_draw():
     source = "from .mesh import sample_field as draw, p1_gradient_lp\nfrom . import measure_space\n\n" \
              "def f(mesh, u):\n    cells = mesh_module._cell_centroids(2)\n" \
-             "    return measure_space._sketch(draw(mesh, u, 2), None)\n"
-    assert _sampling_uses(source) == ["line 1: sample_field", "line 5: _cell_centroids", "line 6: _sketch"]
+             "    return measure_space.rearrange(draw(mesh, u, 2), None), rearranged(u)\n"
+    assert _sampling_uses(source) == ["line 1: sample_field", "line 5: _cell_centroids", "line 6: rearrange"]
 
 
 def test_no_digest_keys():
@@ -126,6 +129,19 @@ def test_the_guard_finds_a_digest():
     source = "import os, hashlib as h\nfrom . import hashlib\n\ndef key(data):\n    from hashlib import sha256\n" \
              "    return sha256(data)\n\nimport hashlibx\n"
     assert _imports_of(source, "hashlib") == ["line 1", "line 5"]
+
+
+def test_no_private_mappings():
+    # kept arrays are plain read-only numpy arrays: no verdict draws samples whose freed memory a kept array
+    # in the malloc heap could pin, so none needs a mapping of its own
+    found = {name: _imports_of(path.read_text(), "mmap") for name, path in SOURCES.items() if path.parent == PACKAGE}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_the_guard_finds_a_mapping():
+    source = "import os, mmap as m\nfrom . import mmap\n\ndef keep(n):\n    from mmap import MAP_PRIVATE\n" \
+             "    return m.mmap(-1, n, flags=MAP_PRIVATE)\n\nimport mmapx\n"
+    assert _imports_of(source, "mmap") == ["line 1", "line 5"]
 
 
 def test_one_blowup_set_up():

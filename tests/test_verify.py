@@ -7,8 +7,7 @@ from psilab import analytic, constants as const
 from psilab import verify as verify_module
 from psilab.errors import ConvergenceFailure, CurvatureBoundViolated, GammaPole, NotMinimal, OutOfRange, SpecInvalid
 from psilab import mesh as mesh_module
-from psilab.measure_space import Interpolation, _sketch, lebesgue, model_space, rearrange
-from psilab.mesh import TriMesh, VertexField, mean_curvature, sample_field
+from psilab.mesh import TriMesh, VertexField, mean_curvature
 from psilab.special_fn import bessel_first_zero, bessel_j
 from psilab.verify import (
     MonotoneSpec,
@@ -514,17 +513,3 @@ def test_profile_checks_share_one_draw_and_one_sort(monkeypatch):
         verify_michael_simon_p1(DISK8, f, B1)
         verify_monotonicity_principle(DISK8, f, monotone_preset("sobolev-l1"), K, B1)
     assert (len(draws), len(builds)) == (0, 1)
-
-
-@pytest.mark.parametrize("subdivision", [0, 2])
-def test_placed_profiles_equal_a_fresh_rearrangement(subdivision):
-    # one target-free sketch of a field's samples, placed on target after target, as ``rearrange`` places it
-    samples = sample_field(DISK8, VertexField(HAT8, mesh=DISK8), subdivision)
-    sketch = _sketch(samples, Interpolation.PIECEWISE_LINEAR)
-    targets = [lebesgue(2), model_space(2, 0.0, B1.value(2)), model_space(2, 0.5, B1.value(2)), lebesgue(2)]
-    for target in targets:
-        placed = sketch.place(target)
-        fresh = rearrange(samples, target, Interpolation.PIECEWISE_LINEAR)
-        assert placed.target == target and placed.interpolation is fresh.interpolation
-        assert placed.radii.tobytes() == fresh.radii.tobytes()
-        assert placed.values.tobytes() == fresh.values.tobytes()
