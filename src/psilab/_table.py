@@ -88,7 +88,7 @@ def _read_table(source, header: str, dtypes, path: str | None) -> list[np.ndarra
 
 def _parse_table(source, header: str, dtypes, path: str | None) -> list[np.ndarray]:
     seekable = hasattr(source, "seekable") and source.seekable()
-    stream = source if seekable else io.StringIO(read_text(source))
+    stream = source if seekable else io.StringIO(read_text(source), newline=None)  # CR, LF or CRLF, as open reads
     names = header.split(",")
     first = stream.readline()
     found = (first.decode() if isinstance(first, bytes) else first).split(",")[: len(names)]

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import io
 import json
 import sys
 from collections import OrderedDict
@@ -38,6 +37,7 @@ from .errors import PsilabError
 from .measure_space import (
     DiscreteMeasuredFunction,
     Interpolation,
+    TargetKind,
     lebesgue,
     model_space,
     rearrange,
@@ -81,7 +81,7 @@ _kept_meshes: OrderedDict = OrderedDict()  # bytes of a mesh file -> (TriMesh, i
 
 
 def _read_kept(kept: OrderedDict, path: str, build):
-    """(``build`` of the file's text, False), or (the value kept for the same bytes, True). The file
+    """(``build`` of the file's bytes, False), or (the value kept for the same bytes, True). The file
     is read once and compared with each kept file's bytes (length, then memcmp), never hashed: the
     kept key's hash, computed once when it was kept, serves the lookups. A value is kept once
     ``build`` returns, and the least recently used one is dropped beyond ``_KEPT_INPUTS``."""
@@ -91,22 +91,16 @@ def _read_kept(kept: OrderedDict, path: str, build):
         if key == data:
             kept.move_to_end(key)
             return kept[key], True
-    with io.TextIOWrapper(io.BytesIO(data)) as text:
-        value = build(text)
+    value = build(data)
     kept[data] = value
     if len(kept) > _KEPT_INPUTS:
         kept.popitem(last=False)
     return value, False
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    """The top-level parser, whose subparsers are the five commands' own parsers."""
-    return _parsers()[0]
-
-
 @functools.cache  # parsing leaves a parser unchanged, so one set per process serves every dispatch
 def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser and each command's own parser by name, as ``add_parser`` returned it."""
+    """The top-level parser and argparse's own map of each command's name to its parser."""
     ap = argparse.ArgumentParser(prog="psilab", description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -126,7 +120,7 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     pm.add_argument("--mesh", required=True)
     pm.add_argument(
         "--convention",
-        choices=["paper", "trace"],
+        choices=[c.value for c in const.TcConvention],
         default="trace",
         help="reference convention echoed for the unit sphere's total curvature",
     )
@@ -137,11 +131,11 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     src.add_argument("--input", help="CSV of value,weight samples")
     src.add_argument("--mesh", help="OFF/nOFF mesh; requires --field")
     pr.add_argument("--field", help="CSV of vertex_index,value")
-    pr.add_argument("--target", choices=["lebesgue", "model"], default="lebesgue")
+    pr.add_argument("--target", choices=[t.value for t in TargetKind], default="lebesgue")
     pr.add_argument("--n", type=int, default=2)
     pr.add_argument("--K", type=float, default=0.0)
     pr.add_argument("--iso", default="brendle:1")
-    pr.add_argument("--interpolation", choices=["step", "linear"], default="step")
+    pr.add_argument("--interpolation", choices=[i.value for i in Interpolation], default="step")
     pr.add_argument("--subdivision", type=int, default=2)
     common(pr)
 
@@ -153,7 +147,7 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     pv.add_argument("--q", type=float)
     pv.add_argument("--K", type=float, default=0.0)
     pv.add_argument("--iso", default="brendle:1")
-    pv.add_argument("--reading", choices=["literal", "corrected"], default="corrected")
+    pv.add_argument("--reading", choices=[r.value for r in const.EgnReading], default="corrected")
     pv.add_argument("--preset", default="sobolev-l1", help="monotone-spec preset for the mono check")
     pv.add_argument("--tolerance", type=float)
     common(pv)
@@ -166,7 +160,7 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     px.add_argument("--subdiv", type=int, default=5)
     px.add_argument("--plot-data", action="store_true", help="emit gnuplot-friendly columns")
     common(px)
-    return ap, {"constants": pc, "curvature": pm, "rearrange": pr, "verify": pv, "counterexample": px}
+    return ap, sub.choices
 
 
 def _cmd_constants(args) -> int:
@@ -219,7 +213,7 @@ def _cmd_rearrange(args) -> int:
         dmf = sample_field(mesh, VertexField.from_csv(Path(args.field), mesh), args.subdivision)
     else:
         dmf = DiscreteMeasuredFunction.from_csv(Path(args.input))  # numpy reads a path faster than a stream
-    if args.target == "lebesgue":
+    if args.target == TargetKind.LEBESGUE_RN.value:
         target = lebesgue(args.n)
     else:
         target = model_space(args.n, args.K, _parse_iso(args.iso).value(args.n))
@@ -235,11 +229,11 @@ def _cmd_verify(args) -> int:
     kw = dict(p=args.p, q=args.q, K=args.K, choice=_parse_iso(args.iso), reading=args.reading, spec=args.preset,
               tolerance=args.tolerance)
     check.refuse_arguments(kw)
-    (mesh, fields), was_kept = _read_kept(_kept_meshes, args.mesh, lambda fh: (load_mesh(fh), OrderedDict()))
+    (mesh, fields), was_kept = _read_kept(_kept_meshes, args.mesh, lambda data: (load_mesh(data), OrderedDict()))
     if was_kept:  # warn as building it did
         _warn_if_disconnected(mesh)
     if args.field:
-        kw["f"], _ = _read_kept(fields, args.field, lambda fh: VertexField.from_csv(fh, mesh))
+        kw["f"], _ = _read_kept(fields, args.field, lambda data: VertexField.from_csv(data, mesh))
     reports = getattr(verify, check.verifier)(mesh, **{k: kw[k] for k in check.keywords if k in kw})
     reports = reports if isinstance(reports, list) else [reports]
     if args.format == "json":
@@ -268,7 +262,7 @@ def _cmd_counterexample(args) -> int:
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
-    """``_build_parser().parse_args(argv)``, in one argparse pass where argv starts with a command: that
+    """``_parsers()[0].parse_args(argv)``, in one argparse pass where argv starts with a command: that
     command's own parser, as the top-level parser would hand it the rest. Argv it cannot route, and extras
     the command's parser leaves, go to the top-level parser, which refuses them as it always did."""
     ap, commands = _parsers()
@@ -286,15 +280,8 @@ def dispatch(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help
         return int(exc.code or 0)
-    handlers = {
-        "constants": _cmd_constants,
-        "curvature": _cmd_curvature,
-        "rearrange": _cmd_rearrange,
-        "verify": _cmd_verify,
-        "counterexample": _cmd_counterexample,
-    }
     try:
-        return handlers[args.command](args)
+        return globals()[f"_cmd_{args.command}"](args)  # looked up on each call, so a rebound handler runs
     except (PsilabError, ValueError, ArithmeticError, OSError) as exc:
         print(f"psilab: {exc}", file=sys.stderr)
         return 2

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import _blowup_terms, example51_field, example51_gradient_integrals, make_sphere
-from .errors import DIVERGENT, ConvergenceFailure, is_divergent
+from .errors import DIVERGENT, ConvergenceFailure, is_divergent, require_order
 from .mesh import _stacked_gradient_lp
 
 __all__ = [
@@ -135,14 +135,14 @@ def find_lambda_bar(N: float, p: float) -> float:
     N times the full right-hand side.
 
     For p >= 2 the planar energy is divergent for every lambda, so the
-    threshold is 1. The search evaluates a geometric grid (factor 1.1) up to
+    threshold is 1; at p = 1 the quotient rises toward 1/2 and never reaches
+    a larger N. The search evaluates a geometric grid (factor 1.1) up to
     the ceiling in one call and bisects its first bracket; no crossing below
     the ceiling reports a failure instead of guessing.
     """
     if not 0 < N < math.inf:
         raise ValueError(f"N must be a finite number > 0, got {N}")
-    if not 1 < p < math.inf:
-        raise ValueError(f"p must be a finite number > 1, got {p}")
+    require_order(p)
     if p >= 2:
         return 1.0
     (crossed,) = np.nonzero(_excess(_LAMBDA_GRID, N, p) > 0)

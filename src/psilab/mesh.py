@@ -37,6 +37,7 @@ from scipy.sparse.csgraph import connected_components
 
 from ._table import first_bad_row, format_table, read_table, read_text, undecodable
 from .errors import DegenerateTriangle, MeshParseError, NonManifoldMesh, require_order
+from .measure_space import DiscreteMeasuredFunction, _unit_rule
 
 __all__ = [
     "TriMesh",
@@ -259,9 +260,11 @@ def _parse_off(source) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _indices(index, count: int, what: str) -> np.ndarray:
-    """``index`` as a flat int array, refusing an index (of a vertex or a triangle) that is not a whole number,
-    lies outside [0, count) or appears more than once."""
+    """``index`` as a flat int array, refusing a boolean mask and an index (of a vertex or a triangle) that is
+    not a whole number, lies outside [0, count) or appears more than once."""
     index = np.asarray(index).ravel()
+    if index.dtype.kind == "b":  # read as indices, a mask's True and False would be 1 and 0
+        raise ValueError(f"{what} indices are a boolean mask; pass np.flatnonzero(mask)")
     if index.dtype.kind == "f":  # the int cast would truncate a fraction and fail on NaN or inf
         whole = np.isfinite(index) & (index == np.trunc(index))
         if not whole.all():
@@ -424,12 +427,6 @@ def _stacked_gradient_lp(mesh: TriMesh, count: int, rows, p: float) -> list[floa
 # the distribution function of a P1 field
 
 _LEVEL_TIE = 1e-13  # vertex values closer than this times the field's maximum are one level
-
-
-def _unit_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """The Gauss-Legendre nodes and weights of ``nodes`` points, moved to [0, 1]."""
-    x, w = np.polynomial.legendre.leggauss(nodes)
-    return 0.5 * (x + 1.0), 0.5 * w
 
 
 _LEVEL_X, _LEVEL_W = _unit_rule(8)  # the rule of every level interval
@@ -711,8 +708,6 @@ def sample_field(mesh: TriMesh, field: VertexField, subdivision: int = 0):
     partition of the surface. Only ``psilab rearrange --mesh`` draws them:
     the verifiers integrate the field exactly, from ``_distribution``.
     """
-    from .measure_space import DiscreteMeasuredFunction
-
     _require_subdivision(subdivision)
     centroids = _cell_centroids(subdivision)  # (4^s, 3) barycentric
     tri = mesh.triangles

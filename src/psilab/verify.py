@@ -617,7 +617,7 @@ def monotone_preset(name: str, n: int = 2, p: float | None = None) -> MonotoneSp
     L^1-Sobolev functional form, 'p-sobolev' the p-Sobolev inequality."""
     const._check_dimension(n)
     if name == "sobolev-l1":
-        ex = n / (n - 1.0)
+        ex = const.sobolev_conjugate(n, 1.0)
         return MonotoneSpec(
             f=lambda v: v**ex,
             phi=lambda v: v,

@@ -462,7 +462,7 @@ UNROUTED = {"empty": [], "help": ["-h"], "long-help": ["--help"], "unknown-comma
 
 
 def _top_level_parse(argv):
-    return cli._build_parser().parse_args(argv)
+    return cli._parsers()[0].parse_args(argv)
 
 
 class TestDispatchParsesOnce:
@@ -799,11 +799,15 @@ class TestCheckTable:
         capsys.readouterr()
 
     def test_names_the_parser_choices_and_public_verifiers(self):
-        (commands,) = [a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
-        (check_arg,) = [a for a in commands.choices["verify"]._actions if a.dest == "check"]
+        (check_arg,) = [a for a in cli._parsers()[1]["verify"]._actions if a.dest == "check"]
         assert list(v.CHECKS) == check_arg.choices == list(VERIFIERS)
         assert {name: check.verifier for name, check in v.CHECKS.items()} == VERIFIERS
         assert set(VERIFIERS.values()) <= set(v.__all__)
+
+    def test_one_reading_option_serves_gn_and_spectral(self):
+        # --reading takes its choices from EgnReading, and the spectral check reads the same value as a
+        # SpectralReading
+        assert [r.value for r in const.SpectralReading] == [r.value for r in const.EgnReading]
 
 
 @pytest.mark.parametrize(
@@ -862,7 +866,7 @@ def test_verify_arguments_refused_before_the_files_are_read(check, args, message
     assert dispatch(argv) == 2
     expected = f"psilab: {message}\n"
     if message.startswith("error: "):  # argparse's own refusal comes after its usage line
-        expected = cli._build_parser().format_usage() + expected
+        expected = cli._parsers()[0].format_usage() + expected
     assert capsys.readouterr().err == expected
 
 

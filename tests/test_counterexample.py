@@ -164,10 +164,19 @@ class TestStackedMeshCheck:
 
 class TestLambdaBar:
     def test_argument_checks(self):
-        with pytest.raises(ValueError):
-            find_lambda_bar(1.0, 1.0)
+        with pytest.raises(ValueError, match="p must be a finite number >= 1, got 0.5"):
+            find_lambda_bar(1.0, 0.5)
         with pytest.raises(ValueError):
             find_lambda_bar(0.0, 1.5)
+
+    def test_p_one_is_searched(self):
+        # at p = 1 the quotient rises from 0.463 at lambda = 1 toward 1/2, so only N < 1/2 is crossed
+        bar = find_lambda_bar(0.49, 1.0)
+        (above,) = sweep(1.0, [bar])
+        (below,) = sweep(1.0, [bar * (1.0 - 5e-4)])
+        assert below.ratio < 0.49 < above.ratio
+        with pytest.raises(ConvergenceFailure, match="no threshold below"):
+            find_lambda_bar(0.5, 1.0)
 
     def test_supercritical_threshold_is_one(self):
         assert find_lambda_bar(10.0, 2.0) == 1.0

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 
 from psilab.errors import InterpolationMismatch
 from psilab.measure_space import (
@@ -20,6 +21,7 @@ from psilab.measure_space import (
     profile_inverse_tau,
     rearrange,
 )
+from psilab.special_fn import unit_ball_volume
 
 STEP = Interpolation.RIGHT_CONTINUOUS_STEP
 LINEAR = Interpolation.PIECEWISE_LINEAR
@@ -306,11 +308,13 @@ class TestRadialProfile:
 
 class TestProfileIntegrals:
     def test_cone_lp_closed_form(self):
-        # u(r) = 1 - r on the unit disk: integral of u^p is 2 pi / ((p+1)(p+2))
-        prof = RadialProfile(lebesgue(2), np.array([0.0, 1.0]), np.array([1.0, 0.0]), LINEAR)
-        for p in (1.0, 2.0, 3.0):
-            expect = 2.0 * math.pi / ((p + 1.0) * (p + 2.0))
-            assert lp_norm(prof, p) ** p == pytest.approx(expect, rel=1e-12)
+        # u(r) = 1 - r on the unit ball: the integral of u^p is n omega_n B(n, p + 1), 2 pi / ((p+1)(p+2)) at
+        # n = 2; at fractional p, (1 - r)^p is not smooth at r = 1, where the segment's rule is graded
+        for n in (2, 3, 10):
+            prof = RadialProfile(lebesgue(n), np.array([0.0, 1.0]), np.array([1.0, 0.0]), LINEAR)
+            for p in (1.0, 1.5, 2.0, 2.5, 3.0, 3.7):
+                expect = n * unit_ball_volume(n) * special.beta(n, p + 1.0)
+                assert lp_norm(prof, p) ** p == pytest.approx(expect, rel=1e-13)
 
     def test_cone_gradient_energy(self):
         prof = RadialProfile(lebesgue(2), np.array([0.0, 2.0]), np.array([3.0, 0.0]), LINEAR)
@@ -320,8 +324,10 @@ class TestProfileIntegrals:
             )
 
     def test_linear_integrals_match_the_segment_loops(self):
-        # the Gauss-Legendre rule and the slopes are unchanged; only the summation order is
+        # one 24-node Gauss-Legendre rule per segment, in the variable s, r = b - (b - a) s^2, on a segment
+        # that ends at 0; only the summation order differs
         nodes, weights = np.polynomial.legendre.leggauss(24)
+        s, ds = 0.5 * (nodes + 1.0), 0.5 * weights
 
         def loop_lp(prof, p):
             radii, values, target = prof.radii, prof.values, prof.target
@@ -329,8 +335,11 @@ class TestProfileIntegrals:
             for k in range(radii.size - 1):
                 a, b, v0 = radii[k], radii[k + 1], values[k]
                 slope = (values[k + 1] - v0) / (b - a)
-                r = 0.5 * (a + b) + 0.5 * (b - a) * nodes
-                total += 0.5 * (b - a) * np.sum(weights * (v0 + slope * (r - a)) ** p * target.density(r))
+                if values[k + 1] == 0.0:
+                    r, dr = b - (b - a) * s**2, 2.0 * (b - a) * s * ds
+                else:
+                    r, dr = a + (b - a) * s, (b - a) * ds
+                total += np.sum(dr * (v0 + slope * (r - a)) ** p * target.density(r))
             return total ** (1.0 / p)
 
         def loop_energy(prof, p):

@@ -417,8 +417,10 @@ M8 = len(analytic.make_disk(1.0, 8).triangles)
         ([3.0, 1.7], "triangle index 1.7 is not a whole number"),
         ([float("nan")], "triangle index nan is not a whole number"),
         ([2, float("inf")], "triangle index inf is not a whole number"),
+        ([True, False], "triangle indices are a boolean mask; pass np.flatnonzero(mask)"),
+        ([True] + [False] * (M8 - 1), "triangle indices are a boolean mask; pass np.flatnonzero(mask)"),
     ],
-    ids=["minus-one", "M", "repeated", "repeated-2d", "half", "fraction", "nan", "inf"],
+    ids=["minus-one", "M", "repeated", "repeated-2d", "half", "fraction", "nan", "inf", "mask", "full-mask"],
 )
 def test_region_indices_are_distinct_and_in_range(measure, region, message):
     with pytest.raises(ValueError) as caught:

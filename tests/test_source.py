@@ -1,7 +1,8 @@
 """Source checks that need no linter: every name a ``psilab`` module, a test or a demo imports is read there
-or listed in its ``__all__``, the package integrates with scipy's ``quad`` in one function only and sets up the
-blowup closed forms in one, only the CLI draws samples, no package module imports ``hashlib`` or ``mmap`` and
-only the CLI imports ``argparse``."""
+or listed in its ``__all__``, the package integrates with scipy's ``quad`` in one function only, takes its
+Gauss-Legendre rules from one and sets up the blowup closed forms in one, only the CLI draws samples, no
+package module imports ``hashlib`` or ``mmap``, only the CLI imports ``argparse`` and its handlers are named
+after its commands."""
 
 import ast
 import pathlib
@@ -9,6 +10,7 @@ import pathlib
 import pytest
 
 import psilab
+from psilab import cli
 
 PACKAGE = pathlib.Path(psilab.__file__).parent
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -144,6 +146,18 @@ def test_the_guard_finds_a_mapping():
     assert _imports_of(source, "mmap") == ["line 1", "line 5"]
 
 
+def test_one_gauss_legendre_rule():
+    # the profile segments' rule and the level intervals' rule are both ``_unit_rule``'s, moved to [0, 1] once
+    callers = {name: _callers(path.read_text(), "leggauss") for name, path in SOURCES.items() if path.parent == PACKAGE}
+    assert {name: found for name, found in callers.items() if found} == {"measure_space.py": ["_unit_rule"]}
+
+
+def test_the_guard_finds_a_second_rule():
+    source = "import numpy as np\nfrom numpy.polynomial.legendre import leggauss as gl\n\nX = gl(8)\n\n" \
+             "def rule(n):\n    return np.polynomial.legendre.leggauss(n)\n"
+    assert _callers(source, "leggauss") == ["<module>", "rule"]
+
+
 def test_one_blowup_set_up():
     # the public closed forms, sweep and find_lambda_bar all take lambda through the one evaluator, so their
     # numbers cannot drift apart
@@ -154,3 +168,18 @@ def test_one_blowup_set_up():
 def test_only_the_cli_parses_arguments():
     found = {name: _imports_of(path.read_text(), "argparse") for name, path in SOURCES.items() if path.parent == PACKAGE}
     assert [name for name, lines in found.items() if lines] == ["cli.py"]
+
+
+def _unpaired_commands(namespace: dict, commands) -> list[str]:
+    """The commands of ``commands`` with no ``_cmd_<command>`` handler in ``namespace``, and the handlers'
+    commands that no parser has: ``dispatch`` finds a command's handler by this name."""
+    return sorted({name[5:] for name in namespace if name.startswith("_cmd_")} ^ set(commands))
+
+
+def test_each_command_has_its_handler():
+    assert _unpaired_commands(vars(cli), cli._parsers()[1]) == []
+
+
+def test_the_guard_finds_an_unpaired_command():
+    namespace = {"_cmd_constants": None, "_cmd_old": None, "cmd_verify": None, "_parse": None}
+    assert _unpaired_commands(namespace, {"constants": None, "verify": None}) == ["old", "verify"]

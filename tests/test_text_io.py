@@ -26,7 +26,7 @@ from psilab import cli as cli_module
 from psilab import constants as const
 from psilab._table import read_table
 from psilab.errors import MeshParseError
-from psilab.cli import _build_parser, _indented_json, dispatch
+from psilab.cli import _indented_json, _parsers, dispatch
 from psilab.measure_space import (
     DiscreteMeasuredFunction,
     Interpolation,
@@ -232,7 +232,7 @@ class TestCliOutputsMatchTheRowLoops:
 
 class TestParserBuiltOnce:
     def test_options_do_not_leak_between_calls(self, capsys):
-        assert _build_parser() is _build_parser()
+        assert _parsers() is _parsers()
         assert dispatch(["counterexample", "--p", "1.5", "--lambda", "5", "20", "--format", "csv"]) == 0
         assert capsys.readouterr().out.startswith("lambda,p,")
         assert dispatch(["counterexample", "--p", "1.5"]) == 0
@@ -389,6 +389,24 @@ class TestPathReadsMatchStreams:
         else:
             assert (code, err) == (0, "")
             assert out.read_text() == profile.to_json()
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "lone-cr"])
+    def test_verify_reads_every_line_end(self, tmp_path, capsys, monkeypatch, newline):
+        # verify parses the bytes it read and kept; a CRLF or lone-CR mesh and field give the report of their
+        # LF twins, as a path or a text stream of the same files would
+        monkeypatch.setattr(cli_module, "_kept_meshes", OrderedDict())
+        mesh = analytic.make_disk(1.0, 8)
+        field = boundary_vanishing_field(mesh, 1.0 - np.hypot(mesh.vertices[:, 0], mesh.vertices[:, 1]))
+        reports = []
+        for name, end in (("lf", "\n"), ("other", newline)):
+            (tmp_path / name).mkdir()
+            mesh_path, field_path = tmp_path / name / "m.off", tmp_path / name / "f.csv"
+            mesh_path.write_text(mesh_to_off(mesh), newline=end)
+            field_path.write_text(field.to_csv(), newline=end)
+            assert dispatch(["verify", "ps", "--mesh", str(mesh_path), "--field", str(field_path)]) == 0
+            reports.append(capsys.readouterr())
+        assert reports[1] == reports[0] and reports[0].err == ""
+        assert len(cli_module._kept_meshes) == 2  # two files of different bytes, each parsed
 
 
 DECODE_PROBLEM = "'utf-8' codec can't decode byte 0xe9: invalid continuation byte"
