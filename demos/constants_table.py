@@ -10,8 +10,7 @@ from psilab import constants as const
 def main():
     print("=== flat, codimension 1 (the sharp regime) ===")
     for n in (2, 3, 5):
-        table = const.build_constants_table(n, 0.0, const.brendle(1), p=None, q=None)
-        d = table.as_dict()
+        d = const.build_constants_table(n, 0.0, const.brendle(1), p=None, q=None)
         print(f"n={n}: C={d['C']:.6g}  I={d['I']:.6g}  PS={d['PS']}  "
               f"G={d['spectral_gap']:.6g}")
     # PS = 1 exactly is the whole point of the Brendle constant here
@@ -30,14 +29,14 @@ def main():
     print("=== the two readings of the suspect constants ===")
     g_fk = const.spectral_gap_constant(2, 0.0, const.brendle(1))
     g_lit = const.spectral_gap_constant(
-        2, 0.0, const.brendle(1), const.SpectralReading.LITERAL
+        2, 0.0, const.brendle(1), const.Reading.LITERAL
     )
     print(f"spectral gap, Faber-Krahn consistent: {g_fk:.6f}  (j0^2 * pi = "
           f"{2.404825557695773**2 * math.pi:.6f})")
     print(f"spectral gap, literal printed form:   {g_lit:.6f}")
 
     egn = const.egn_constant(3, 2.0, 3.5)
-    egn_lit = const.egn_constant(3, 2.0, 3.5, const.EgnReading.LITERAL)
+    egn_lit = const.egn_constant(3, 2.0, 3.5, const.Reading.LITERAL)
     print(f"EGN(3,2,3.5) corrected: {egn:.6f}   literal: {egn_lit:.6f}")
     print("(at integer q the literal gamma argument is a pole; try q=4)")
 

@@ -3,12 +3,12 @@
 Reading checks the header, steps over empty lines to the first row and
 parses the rest with one ``np.loadtxt`` call: by path if given one, which
 numpy reads in chunks with its C reader (an open stream it reads a Python
-line at a time, about 1.4 times slower), else from the stream (one that
-cannot seek, such as a pipe, is read into memory first). Only when numpy
-refuses the body are its non-empty lines, read from the stream, bisected to
-name the first bad one. A line of only whitespace is not empty: it is
-refused. A byte that does not decode is named by its line too, found in the
-bytes read again from the start. Writing formats rows from ``.tolist()``
+line at a time, about 1.4 times slower), else from the source's text, read
+once with CR, LF and CRLF line ends alike, as ``open`` reads a file. Only
+when numpy refuses the body are its non-empty lines bisected to name the
+first bad one. A line of only whitespace is not empty: it is refused. A
+byte that does not decode is named by its line too, found in the bytes
+read again from the start. Writing formats rows from ``.tolist()``
 columns, floats as the ``repr`` that reads back bit for bit.
 """
 
@@ -87,16 +87,14 @@ def _read_table(source, header: str, dtypes, path: str | None) -> list[np.ndarra
 
 
 def _parse_table(source, header: str, dtypes, path: str | None) -> list[np.ndarray]:
-    seekable = hasattr(source, "seekable") and source.seekable()
-    stream = source if seekable else io.StringIO(read_text(source), newline=None)  # CR, LF or CRLF, as open reads
+    stream = source if path else io.StringIO(read_text(source), newline=None)  # CR, LF or CRLF, as open reads
     names = header.split(",")
-    first = stream.readline()
-    found = (first.decode() if isinstance(first, bytes) else first).split(",")[: len(names)]
+    found = stream.readline().split(",")[: len(names)]
     if [h.strip().lower() for h in found] != names:
         raise ValueError(f"expected CSV header {header!r}")
     body_start = first_row = stream.tell()
     skipped = 1  # the lines before the first row
-    while (line := stream.readline()) in ("\n", "\r\n", b"\n", b"\r\n"):  # the lines loadtxt skips
+    while (line := stream.readline()) == "\n":  # the lines loadtxt skips
         first_row = stream.tell()
         skipped += 1
     if not line:  # a header-only table, or a run of empty lines, is just empty; loadtxt would warn

@@ -147,7 +147,7 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     pv.add_argument("--q", type=float)
     pv.add_argument("--K", type=float, default=0.0)
     pv.add_argument("--iso", default="brendle:1")
-    pv.add_argument("--reading", choices=[r.value for r in const.EgnReading], default="corrected")
+    pv.add_argument("--reading", choices=[r.value for r in const.Reading], default="corrected")
     pv.add_argument("--preset", default="sobolev-l1", help="monotone-spec preset for the mono check")
     pv.add_argument("--tolerance", type=float)
     common(pv)
@@ -167,10 +167,9 @@ def _cmd_constants(args) -> int:
     choice = _parse_iso(args.iso)
     table = const.build_constants_table(args.n, args.K, choice, args.p, args.q)
     if args.format == "json":
-        _emit(json.dumps(table.as_dict(), indent=2), args.out)
+        _emit(json.dumps(table, indent=2), args.out)
     else:
-        rows = table.as_dict()
-        lines = ["key,value"] + [f"{k},{v}" for k, v in rows.items()]
+        lines = ["key,value"] + [f"{k},{v}" for k, v in table.items()]
         _emit("\n".join(lines) + "\n", args.out)
     return 0
 

@@ -14,19 +14,17 @@ from __future__ import annotations
 
 import math
 from contextlib import suppress
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .errors import ComplexValued, CurvatureBoundViolated, GammaPole
 from .special_fn import bessel_first_zero, log_gamma, log_unit_ball_volume
 
 __all__ = [
-    "IsoKind",
     "IsoperimetricChoice",
     "michael_simon",
     "brendle",
-    "EgnReading",
-    "SpectralReading",
+    "Reading",
     "TcConvention",
     "ic_upper_bound",
     "brendle_constant",
@@ -42,24 +40,16 @@ __all__ = [
     "asymptotic_ratio",
     "tc_unit_sphere",
     "sobolev_conjugate",
-    "ConstantsTable",
     "build_constants_table",
 ]
 
 
-class IsoKind(Enum):
-    MICHAEL_SIMON = "michael-simon"
-    BRENDLE = "brendle"
+class Reading(Enum):
+    """The printed (literal) or the repaired (corrected) form of a misprint-suspect constant: the
+    Gagliardo-Nirenberg constant and the spectral-gap constant."""
 
-
-class EgnReading(Enum):
     LITERAL = "literal"
-    GAMMA_CORRECTED = "corrected"
-
-
-class SpectralReading(Enum):
-    LITERAL = "literal"
-    FABER_KRAHN_CONSISTENT = "corrected"
+    CORRECTED = "corrected"
 
 
 class TcConvention(Enum):
@@ -74,46 +64,46 @@ def _n_omega_root(n: int) -> float:
 
 @dataclass(frozen=True)
 class IsoperimetricChoice:
-    """Which upper bound stands in for the (uncomputable) isoperimetric constant.
+    """Which upper bound stands in for the (uncomputable) isoperimetric constant: Brendle's in codimension
+    ``m``, or Michael-Simon's where ``m`` is None.
 
     ``value(n)`` returns the constant C; ``euclidean_product(n)`` returns
     C * n * omega_n^(1/n), which is exactly 1 for Brendle in codimension 1
     and 2 (the cancellation is done algebraically, not in floating point).
     """
 
-    kind: IsoKind
     m: int | None = None
 
     def __post_init__(self):
-        if self.kind is IsoKind.BRENDLE:
-            if self.m is None or self.m < 1:
-                raise ValueError("Brendle choice requires codimension m >= 1")
-        elif self.m is not None:
-            raise ValueError("Michael-Simon bound takes no codimension")
+        if self.m is not None:
+            _check_codimension(self.m)
 
     def value(self, n: int) -> float:
-        if self.kind is IsoKind.MICHAEL_SIMON:
-            return ic_upper_bound(n)
-        return brendle_constant(n, self.m)
+        return ic_upper_bound(n) if self.m is None else brendle_constant(n, self.m)
 
     def euclidean_product(self, n: int) -> float:
         _check_dimension(n)
-        if self.kind is IsoKind.BRENDLE and self.m in (1, 2):
+        if self.m in (1, 2):
             return 1.0
         return self.value(n) * _n_omega_root(n)
 
     def label(self) -> str:
-        if self.kind is IsoKind.MICHAEL_SIMON:
-            return "michael-simon"
-        return f"brendle:{self.m}"
+        return "michael-simon" if self.m is None else f"brendle:{self.m}"
 
 
 def michael_simon() -> IsoperimetricChoice:
-    return IsoperimetricChoice(IsoKind.MICHAEL_SIMON)
+    return IsoperimetricChoice()
 
 
 def brendle(m: int) -> IsoperimetricChoice:
-    return IsoperimetricChoice(IsoKind.BRENDLE, m)
+    _check_codimension(m)  # None here would be Michael-Simon's choice
+    return IsoperimetricChoice(m)
+
+
+def _check_codimension(m: int | None) -> None:
+    """Refuse a Brendle codimension m that is missing or below 1."""
+    if m is None or m < 1:
+        raise ValueError("Brendle choice requires codimension m >= 1")
 
 
 def _check_dimension(n: int) -> None:
@@ -156,8 +146,7 @@ def ic_upper_bound(n: int) -> float:
 def brendle_constant(n: int, m: int) -> float:
     """Brendle's explicit isoperimetric constant B(n, m)."""
     _check_dimension(n)
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
+    _check_codimension(m)
     if m in (1, 2):
         return 1.0 / _n_omega_root(n)
     # (1/n) (m omega_m / ((n+m) omega_(n+m)))^(1/n), through logs: omega_(n+m) underflows from n ~ 440
@@ -217,7 +206,7 @@ def gn_r_exponent(n: int, p: float, q: float) -> float:
     return p * (q - 1.0) / (p - 1.0)
 
 
-def egn_constant(n: int, p: float, q: float, reading: EgnReading = EgnReading.GAMMA_CORRECTED) -> float:
+def egn_constant(n: int, p: float, q: float, reading: Reading = Reading.CORRECTED) -> float:
     """Sharp Euclidean Gagliardo-Nirenberg constant, in two readings.
 
     ``LITERAL`` evaluates the printed formula exactly as it stands: gamma
@@ -226,7 +215,7 @@ def egn_constant(n: int, p: float, q: float, reading: EgnReading = EgnReading.GA
     printed fractional power of the gamma quotient is complex and
     ``ComplexValued`` is raised.
 
-    ``GAMMA_CORRECTED`` is the repaired form validated by the extremal
+    ``CORRECTED`` is the gamma-corrected form validated by the extremal
     oracle: gamma argument q(p-1)/(q-p) and middle-factor exponent theta/p.
     It reproduces equality for the explicit extremal family to quadrature
     precision and degenerates to the Talenti constant at the endpoint
@@ -235,7 +224,7 @@ def egn_constant(n: int, p: float, q: float, reading: EgnReading = EgnReading.GA
     beta = gn_beta(n, p, q)
     theta = gn_theta(n, p, q)
     r = gn_r_exponent(n, p, q)
-    if reading is EgnReading.LITERAL:
+    if reading is Reading.LITERAL:
         num_arg = q * (p - 1.0) / (1.0 - p)
         mid_exp = 1.0 - theta
     else:
@@ -275,19 +264,19 @@ def spectral_gap_constant(
     n: int,
     K: float,
     choice: IsoperimetricChoice,
-    reading: SpectralReading = SpectralReading.FABER_KRAHN_CONSISTENT,
+    reading: Reading = Reading.CORRECTED,
 ) -> float:
     """Constant of the spectral-gap (Faber-Krahn style) lower bound.
 
-    ``LITERAL`` is the printed j * omega_n^(2/n) / PS; the Faber-Krahn
-    consistent reading squares both the Bessel zero and the rearrangement
-    constant, which is the variant reproducing equality on the Euclidean
-    ball for the first Dirichlet eigenfunction.
+    ``LITERAL`` is the printed j * omega_n^(2/n) / PS; ``CORRECTED``, the
+    Faber-Krahn consistent reading, squares both the Bessel zero and the
+    rearrangement constant, which is the variant reproducing equality on the
+    Euclidean ball for the first Dirichlet eigenfunction.
     """
     ps = ps_constant(n, K, choice)
     j = bessel_first_zero(0.5 * n - 1.0)
     w = math.exp(2.0 * log_unit_ball_volume(n) / n)  # omega_n^(2/n); omega_n itself underflows from n ~ 450
-    if reading is SpectralReading.LITERAL:
+    if reading is Reading.LITERAL:
         return j * w / ps
     return j * j * w / (ps * ps)
 
@@ -313,37 +302,15 @@ def tc_unit_sphere(n: int, convention: TcConvention = TcConvention.TRACE_DERIVED
     return n * math.exp((math.log(k) + log_unit_ball_volume(k)) / n)  # n (k omega_k)^(1/n), finite for large n
 
 
-@dataclass
-class ConstantsTable:
-    """Every named constant for one (n, K, choice) configuration."""
-
-    n: int
-    K: float
-    choice: IsoperimetricChoice
-    p: float | None = None
-    q: float | None = None
-    entries: dict = field(default_factory=dict)
-
-    def as_dict(self) -> dict:
-        out = {
-            "n": self.n,
-            "K": self.K,
-            "iso_choice": self.choice.label(),
-            "p": self.p,
-            "q": self.q,
-        }
-        out.update(self.entries)
-        return out
-
-
 def build_constants_table(
     n: int,
     K: float,
     choice: IsoperimetricChoice,
     p: float | None = None,
     q: float | None = None,
-) -> ConstantsTable:
-    """Assemble the constants table; optional (p, q) unlock the p-dependent rows.
+) -> dict:
+    """The constants table, a row per named constant after the configuration (n, K, the choice's label, p,
+    q); optional (p, q) unlock the p-dependent rows.
 
     Construction fails with CurvatureBoundViolated when K is outside [0, 1/C), and with ValueError on a
     non-finite p or q; a finite p outside (1, n) only leaves out the rows that need it.
@@ -351,7 +318,12 @@ def build_constants_table(
     for name, value in (("p", p), ("q", q)):
         if value is not None and not math.isfinite(value):
             raise ValueError(f"{name} must be a finite number, got {value}")
-    entries: dict = {
+    table: dict = {
+        "n": n,
+        "K": K,
+        "iso_choice": choice.label(),
+        "p": p,
+        "q": q,
         "C": choice.value(n),
         "I": iso_constant(n, K, choice),
         "PS": ps_constant(n, K, choice),
@@ -359,24 +331,24 @@ def build_constants_table(
         "tc_sphere_trace": tc_unit_sphere(n, TcConvention.TRACE_DERIVED),
         "tc_sphere_paper": tc_unit_sphere(n, TcConvention.PAPER_FORMULA),
         "spectral_gap": spectral_gap_constant(n, K, choice),
-        "spectral_gap_literal": spectral_gap_constant(n, K, choice, SpectralReading.LITERAL),
+        "spectral_gap_literal": spectral_gap_constant(n, K, choice, Reading.LITERAL),
     }
     with suppress(ValueError):  # K at or past n*omega_n^(1/n) leaves the ratio out
-        entries["asymptotic_ratio"] = asymptotic_ratio(n, K)
+        table["asymptotic_ratio"] = asymptotic_ratio(n, K)
     if p is not None:
         with suppress(ValueError):  # a p outside (1, n) leaves out the rows that need it
-            entries["TA"] = talenti_constant(n, p)
-            entries["S"] = entries["TA"] * entries["PS"]
-            entries["LS"] = log_sobolev_constant(n, p)
+            table["TA"] = talenti_constant(n, p)
+            table["S"] = table["TA"] * table["PS"]
+            table["LS"] = log_sobolev_constant(n, p)
         if q is not None:
-            entries["theta"] = gn_theta(n, p, q)
-            entries["r"] = gn_r_exponent(n, p, q)
-            entries["EGN"] = egn_constant(n, p, q, EgnReading.GAMMA_CORRECTED)
+            table["theta"] = gn_theta(n, p, q)
+            table["r"] = gn_r_exponent(n, p, q)
+            table["EGN"] = egn_constant(n, p, q, Reading.CORRECTED)
             try:
-                entries["EGN_literal"] = egn_constant(n, p, q, EgnReading.LITERAL)
+                table["EGN_literal"] = egn_constant(n, p, q, Reading.LITERAL)
             except GammaPole:
-                entries["EGN_literal"] = "gamma-pole"
+                table["EGN_literal"] = "gamma-pole"
             except ComplexValued:
-                entries["EGN_literal"] = "complex"
-            entries["GN"] = entries["EGN"] * entries["PS"]
-    return ConstantsTable(n=n, K=K, choice=choice, p=p, q=q, entries=entries)
+                table["EGN_literal"] = "complex"
+            table["GN"] = table["EGN"] * table["PS"]
+    return table

@@ -57,13 +57,13 @@ __all__ = [
 class TriMesh:
     """Oriented triangle mesh, manifold with boundary, embedded in R^d.
 
-    Validation runs at construction: coordinates are finite, every edge is
-    shared by at most two triangles with opposite directions (consistent
-    orientation), triangles are non-degenerate, and a disconnected mesh
-    only warns. ``vertices`` and ``triangles`` are read-only (a writable
-    array is copied, a read-only one taken as never changing), and so are
-    the edge Gram entries, areas and boundary found on the way and the
-    curvature once ``mean_curvature`` has measured it.
+    Validation runs at construction: there is a triangle, coordinates are
+    finite, every edge is shared by at most two triangles with opposite
+    directions (consistent orientation), triangles are non-degenerate, and
+    a disconnected mesh only warns. ``vertices`` and ``triangles`` are
+    read-only (a writable array is copied, a read-only one taken as never
+    changing), and so are the edge Gram entries, areas and boundary found
+    on the way and the curvature once ``mean_curvature`` has measured it.
     """
 
     vertices: np.ndarray
@@ -80,9 +80,11 @@ class TriMesh:
             raise ValueError("vertices must be an (N, d) array with d >= 3")
         if not np.isfinite(vertices).all():
             raise ValueError("vertex coordinates must be finite")
+        if not triangles.size:
+            raise ValueError("mesh has no triangles")
         if triangles.ndim != 2 or triangles.shape[1] != 3:
             raise ValueError("triangles must be an (M, 3) index array")
-        if triangles.size and (triangles.min() < 0 or triangles.max() >= len(vertices)):
+        if triangles.min() < 0 or triangles.max() >= len(vertices):
             raise ValueError("triangle index out of range")
         self._curvature = None  # the CurvatureReport of the first mean_curvature
         self._validate()

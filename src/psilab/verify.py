@@ -40,7 +40,7 @@ from scipy.special import xlogy
 
 from . import constants as const
 from .analytic import RadialFunction, gn_extremal, radial_entropy, radial_gradient_lp, radial_lp
-from .constants import EgnReading, IsoperimetricChoice, SpectralReading
+from .constants import IsoperimetricChoice, Reading
 from .errors import (
     ConvergenceFailure,
     CurvatureBoundViolated,
@@ -367,7 +367,7 @@ def verify_gn(
     q: float,
     K: float = 0.0,
     choice: IsoperimetricChoice | None = None,
-    reading: EgnReading = EgnReading.GAMMA_CORRECTED,
+    reading: Reading = Reading.CORRECTED,
     f: VertexField | None = None,
     tolerance: float | None = None,
 ) -> VerificationReport:
@@ -416,7 +416,7 @@ def _radial_report(check: str, lhs: float, rhs: float, tolerance: float | None, 
     return VerificationReport(check, lhs, rhs, tol, inputs={**inputs, "input": "radial"})
 
 
-def select_egn_reading(n: int, p: float, q: float) -> EgnReading:
+def select_egn_reading(n: int, p: float, q: float) -> Reading:
     """Pick the EGN reading under which the explicit extremal attains equality.
 
     The literal printed constant either hits a gamma pole or misses the
@@ -425,7 +425,7 @@ def select_egn_reading(n: int, p: float, q: float) -> EgnReading:
     """
     v = gn_extremal(n, p, q)
     best = None
-    for reading in (EgnReading.GAMMA_CORRECTED, EgnReading.LITERAL):
+    for reading in (Reading.CORRECTED, Reading.LITERAL):
         try:
             rep = verify_gn(v, p, q, reading=reading)
         except (PsilabError, ArithmeticError):
@@ -444,7 +444,7 @@ def verify_spectral_gap(
     f: VertexField,
     K: float,
     choice: IsoperimetricChoice,
-    reading: SpectralReading = SpectralReading.FABER_KRAHN_CONSISTENT,
+    reading: Reading = Reading.CORRECTED,
     tolerance: float | None = None,
 ) -> VerificationReport:
     """Rayleigh quotient of the field vs the spectral-gap constant over the
@@ -701,7 +701,7 @@ class Check(NamedTuple):
     """A check of ``CHECKS``: the name of its verifier in this module, looked up when the check runs (so a
     rebound attribute, a tracing wrapper say, is what runs); the keywords the verifier takes besides the mesh,
     read from its signature at import; and ``refuse(keywords)``, the check's own argument refusals, which raises
-    on bad arguments and turns the ``reading`` and ``spec`` names into the values the verifier takes."""
+    on bad arguments and turns the ``spec`` name into the value the verifier takes."""
 
     verifier: str
     keywords: tuple[str, ...]
@@ -709,7 +709,10 @@ class Check(NamedTuple):
 
     def refuse_arguments(self, kw: dict):
         """Raise on bad arguments before any file is read, with the checks the verifier runs later and in
-        the order it meets them: ``refuse``, then the order p and the tolerance."""
+        the order it meets them: ``refuse``, then the order p and the tolerance. A ``reading`` name is first
+        turned into its ``Reading``."""
+        if "reading" in self.keywords:
+            kw["reading"] = Reading(kw["reading"])
         self.refuse(kw)
         if "p" in self.keywords:
             require_order(kw["p"])
@@ -734,13 +737,7 @@ def _refuse_gn(kw):
     if kw["q"] is None:
         raise ValueError("gn check requires --q")
     _refuse_k(kw)
-    kw["reading"] = EgnReading(kw["reading"])
     const.egn_constant(TriMesh.n, kw["p"], kw["q"], kw["reading"])  # p, q domain; pole or complex literal
-
-
-def _refuse_spectral(kw):
-    _refuse_k(kw)
-    kw["reading"] = SpectralReading(kw["reading"])
 
 
 def _refuse_mono(kw):
@@ -754,7 +751,7 @@ CHECKS = {  # in the order the CLI lists them
     "iso": _check("verify_isoperimetric", _refuse_k),
     "sobolev": _check("verify_p_sobolev", _refuse_p_then_k),
     "gn": _check("verify_gn", _refuse_gn),
-    "spectral": _check("verify_spectral_gap", _refuse_spectral),
+    "spectral": _check("verify_spectral_gap", _refuse_k),
     "logsob": _check("verify_log_sobolev", lambda kw: const._check_p_range(TriMesh.n, kw["p"])),
     "ms1": _check("verify_michael_simon_p1"),
     "mono": _check("verify_monotonicity_principle", _refuse_mono),

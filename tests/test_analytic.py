@@ -196,6 +196,12 @@ class TestSurfaceGenerators:
             analytic.make_disk(-1.0)
         with pytest.raises(ValueError):
             analytic.make_clifford_torus(2)
+        with pytest.raises(ValueError, match="subdiv must be >= 0"):
+            analytic.make_sphere(-1)
+        with pytest.raises(ValueError, match="rings must be >= 2"):
+            analytic.make_disk(rings=1)
+        with pytest.raises(ValueError, match="nt >= 2"):
+            analytic.make_catenoid(nt=1)
 
 
 class TestBlowupFamily:

@@ -6,10 +6,13 @@ import pathlib
 import shutil
 import subprocess
 import sys
+import warnings
 from collections import OrderedDict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import psilab
 from psilab import analytic
@@ -220,7 +223,7 @@ class TestVerifyCommand:
 
 
 B1, MS = const.brendle(1), const.michael_simon()
-LITERAL_EGN, LITERAL_SPECTRAL = const.EgnReading.LITERAL, const.SpectralReading.LITERAL
+LITERAL = const.Reading.LITERAL
 
 # check, CLI arguments after --field, and the same verifier call from the library
 LIBRARY_CALLS = [
@@ -235,12 +238,12 @@ LIBRARY_CALLS = [
     ("gn", ["--p", "1.5", "--q", "2.5", "--iso", "brendle:2"],
      lambda m, f: v.verify_gn(m, 1.5, 2.5, 0.0, const.brendle(2), f=f)),
     ("gn", ["--p", "1.5", "--q", "2.5", "--reading", "literal"],
-     lambda m, f: v.verify_gn(m, 1.5, 2.5, 0.0, B1, LITERAL_EGN, f=f)),
+     lambda m, f: v.verify_gn(m, 1.5, 2.5, 0.0, B1, LITERAL, f=f)),
     # at q < 2 the printed EGN takes gamma on (-2, -1), where it is positive
     ("gn", ["--p", "1.5", "--q", "1.8", "--reading", "literal"],
-     lambda m, f: v.verify_gn(m, 1.5, 1.8, 0.0, B1, LITERAL_EGN, f=f)),
+     lambda m, f: v.verify_gn(m, 1.5, 1.8, 0.0, B1, LITERAL, f=f)),
     ("spectral", ["--reading", "literal"],
-     lambda m, f: v.verify_spectral_gap(m, f, 0.0, B1, LITERAL_SPECTRAL)),
+     lambda m, f: v.verify_spectral_gap(m, f, 0.0, B1, LITERAL)),
     ("logsob", ["--p", "1.5", "--tolerance", "0.03"],
      lambda m, f: v.verify_log_sobolev(m, 1.5, f=f, tolerance=0.03)),
     ("ms1", ["--iso", "michael-simon"],
@@ -805,9 +808,13 @@ class TestCheckTable:
         assert set(VERIFIERS.values()) <= set(v.__all__)
 
     def test_one_reading_option_serves_gn_and_spectral(self):
-        # --reading takes its choices from EgnReading, and the spectral check reads the same value as a
-        # SpectralReading
-        assert [r.value for r in const.SpectralReading] == [r.value for r in const.EgnReading]
+        # --reading takes its choices from Reading, and both checks that take a reading are given one
+        (reading_arg,) = [a for a in cli._parsers()[1]["verify"]._actions if a.dest == "reading"]
+        assert reading_arg.choices == [r.value for r in const.Reading]
+        for check in ("gn", "spectral"):
+            kw = dict(p=1.5, q=1.8, K=0.0, choice=B1, reading="literal", spec="sobolev-l1", tolerance=None)
+            v.CHECKS[check].refuse_arguments(kw)
+            assert kw["reading"] is const.Reading.LITERAL
 
 
 @pytest.mark.parametrize(
@@ -967,6 +974,48 @@ def test_mesh_header_refusals(tmp_path, capsys, text, message):
     path.write_text(text)
     assert dispatch(["curvature", "--mesh", str(path)]) == 2
     assert capsys.readouterr().err == f"psilab: {message}\n"
+
+
+MESH_COMMANDS = [["curvature"], ["rearrange", "--field", "FIELD"],
+                 *[["verify", check, "--field", "FIELD", *args] for check, args in NINE_CHECKS]]
+
+
+@pytest.mark.parametrize("text", ["OFF\n3 0 0\n0 0 0\n1 0 0\n0 1 0\n", "OFF\n0 0 0\n"], ids=["3-vertices", "none"])
+@pytest.mark.parametrize("command", MESH_COMMANDS, ids=["curvature", "rearrange", *CHECK_NAMES])
+def test_a_mesh_without_triangles_is_refused(tmp_path, capsys, text, command):
+    mesh_path, field_path = tmp_path / "empty.off", tmp_path / "f.csv"
+    mesh_path.write_text(text)
+    field_path.write_text("vertex_index,value\n")
+    argv = [str(field_path) if a == "FIELD" else a for a in command] + ["--mesh", str(mesh_path)]
+    assert dispatch(argv) == 2
+    assert capsys.readouterr() == ("", "psilab: mesh has no triangles\n")
+
+
+@st.composite
+def small_off_and_field(draw):
+    """OFF text of up to 5 vertices and 4 faces, and a field CSV on it, with NaN, inf, negative values and
+    indices out of range among their numbers."""
+    nv = draw(st.integers(0, 5))
+    number = st.one_of(st.integers(-2, 2).map(str), st.sampled_from(["0.5", "nan", "inf", "-1e-300"]))
+    vertices = [" ".join(draw(st.lists(number, min_size=3, max_size=3))) for _ in range(nv)]
+    faces = draw(st.lists(st.lists(st.integers(-1, nv), min_size=3, max_size=3), max_size=4))
+    off = [f"OFF\n{nv} {len(faces)} 0\n", *[v + "\n" for v in vertices], *[f"3 {a} {b} {c}\n" for a, b, c in faces]]
+    rows = draw(st.lists(st.tuples(st.integers(-1, nv), number), max_size=4))
+    return "".join(off), "vertex_index,value\n" + "".join(f"{i},{value}\n" for i, value in rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_off_and_field())
+def test_dispatch_never_raises_on_small_inputs(tmp_path_factory, off_and_field):
+    base = tmp_path_factory.getbasetemp()
+    mesh_path, field_path, out = base / "random.off", base / "random.csv", str(base / "random.out")
+    mesh_path.write_text(off_and_field[0])
+    field_path.write_text(off_and_field[1])
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "mesh is not connected")
+        for command in MESH_COMMANDS:
+            argv = [str(field_path) if a == "FIELD" else a for a in command]
+            assert dispatch(argv + ["--mesh", str(mesh_path), "--out", out]) in (0, 1, 2), argv
 
 
 @pytest.mark.parametrize("fmt", [["--format", "csv"], ["--plot-data"]], ids=["csv", "plot-data"])

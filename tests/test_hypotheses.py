@@ -2,8 +2,8 @@
 with the same message.
 
 The hypotheses are the curvature bound 0 <= K < 1/C, the range 1 < p < n, the Gagliardo-Nirenberg range
-p < q <= p(n-1)/(n-p), the dimension n >= 2, the ball dimension n >= 1 and the blowup parameter
-lambda >= 1 (finite).
+p < q <= p(n-1)/(n-p), the dimension n >= 2, the ball dimension n >= 1, Brendle's codimension m >= 1 and
+the blowup parameter lambda >= 1 (finite).
 """
 
 import math
@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from psilab import analytic, counterexample
+from psilab import analytic, cli, counterexample
 from psilab import constants as const
 from psilab import verify as v
 from psilab.errors import CurvatureBoundViolated
@@ -142,6 +142,22 @@ def test_dimension_at_least_two(entry, n):
     with pytest.raises(ValueError) as caught:
         entry(n)
     assert str(caught.value) == f"n must be >= 2, got {n}"
+
+
+M_ENTRIES = [
+    ("brendle", const.brendle),
+    ("IsoperimetricChoice", const.IsoperimetricChoice),
+    ("brendle_constant", lambda m: const.brendle_constant(2, m)),
+    ("cli-iso", lambda m: cli._parse_iso(f"brendle:{m}")),
+]
+
+
+@pytest.mark.parametrize("m", [0, -1])
+@pytest.mark.parametrize("entry", [e for _, e in M_ENTRIES], ids=_ids(M_ENTRIES))
+def test_codimension_at_least_one(entry, m):
+    with pytest.raises(ValueError) as caught:
+        entry(m)
+    assert str(caught.value) == "Brendle choice requires codimension m >= 1"
 
 
 BALL_ENTRIES = [

@@ -13,6 +13,8 @@ from psilab.measure_space import (
     DiscreteMeasuredFunction,
     Interpolation,
     RadialProfile,
+    TargetKind,
+    TargetMeasure,
     distribution_function,
     gradient_energy,
     lebesgue,
@@ -125,6 +127,8 @@ class TestDiscreteMeasuredFunction:
         assert distribution_function(dmf, 0.5) == 2.5
         assert distribution_function(dmf, 1.0) == 0.5
         assert distribution_function(dmf, 5.0) == 0.0
+        with pytest.raises(ValueError, match="t must be >= 0"):
+            distribution_function(dmf, -0.1)
 
 
 class TestStepRearrangement:
@@ -255,6 +259,21 @@ class TestModelSpaceTarget:
         with pytest.raises(ValueError):
             lebesgue(0)
 
+    @pytest.mark.parametrize(
+        "kind, K, C, message",
+        [
+            (TargetKind.MODEL_SPACE, 0.0, None, "model space requires a positive constant C"),
+            (TargetKind.MODEL_SPACE, 0.0, -1.0, "model space requires a positive constant C"),
+            (TargetKind.LEBESGUE_RN, 0.5, None, "Lebesgue target takes no K or C"),
+            (TargetKind.LEBESGUE_RN, 0.0, 1.0, "Lebesgue target takes no K or C"),
+        ],
+        ids=["model-no-C", "model-negative-C", "lebesgue-K", "lebesgue-C"],
+    )
+    def test_target_refusals(self, kind, K, C, message):
+        with pytest.raises(ValueError) as caught:
+            TargetMeasure(kind, 2, K, C)
+        assert str(caught.value) == message
+
 
 class TestRadialProfile:
     def test_monotonicity_enforced(self):
@@ -289,6 +308,41 @@ class TestRadialProfile:
         assert np.array_equal(back.radii, prof.radii)
         assert back.interpolation is LINEAR
 
+    def test_json_roundtrip_on_lebesgue(self):
+        prof = RadialProfile(lebesgue(3), np.array([1.0, 2.0]), np.array([1.0, 0.5]), STEP)
+        back = RadialProfile.from_json(prof.to_json())
+        assert back.target == lebesgue(3) and back.interpolation is STEP
+        assert np.array_equal(back.radii, prof.radii) and np.array_equal(back.values, prof.values)
+
+    @pytest.mark.parametrize(
+        "radii, values, message",
+        [
+            ([0.0, 1.0], [1.0], "radii and values must be 1-d arrays of equal length"),
+            ([[0.0, 1.0]], [[1.0, 0.0]], "radii and values must be 1-d arrays of equal length"),
+            ([], [], "profile needs at least one knot"),
+            ([-1.0, 1.0], [1.0, 0.0], "radii must be nonnegative and strictly increasing"),
+            ([0.0, 1.0, 1.0], [1.0, 0.5, 0.0], "radii must be nonnegative and strictly increasing"),
+            ([0.0, 1.0], [1.0, -0.5], "values must be nonnegative and non-increasing"),
+        ],
+        ids=["lengths", "2-d", "no-knots", "negative-radius", "repeated-radius", "negative-value"],
+    )
+    def test_knot_refusals(self, radii, values, message):
+        with pytest.raises(ValueError) as caught:
+            RadialProfile(lebesgue(2), np.array(radii), np.array(values), LINEAR)
+        assert str(caught.value) == message
+
+    def test_superlevel_measure_of_a_linear_profile(self):
+        # above the top value the set is empty, at or below the last value it is the whole support, and in
+        # between the crossing radius is interpolated on its segment
+        prof = RadialProfile(lebesgue(2), np.array([0.0, 1.0, 2.0]), np.array([4.0, 2.0, 1.0]), LINEAR)
+        assert prof.superlevel_measure(4.0) == prof.superlevel_measure(5.0) == 0.0
+        assert prof.superlevel_measure(1.0) == prof.superlevel_measure(0.5) == pytest.approx(4.0 * math.pi)
+        assert prof.superlevel_measure(3.0) == pytest.approx(0.25 * math.pi)
+        assert prof.superlevel_measure(1.5) == pytest.approx(2.25 * math.pi)
+        assert prof.support_radius() == 2.0
+        with pytest.raises(ValueError, match="t must be >= 0"):
+            prof.superlevel_measure(-0.1)
+
     def test_csv_roundtrip(self):
         prof = RadialProfile(lebesgue(3), np.array([1.0, 2.0]), np.array([1.0, 0.5]), STEP)
         back = RadialProfile.from_csv(prof.to_csv(), lebesgue(3), STEP)
@@ -315,6 +369,15 @@ class TestProfileIntegrals:
             for p in (1.0, 1.5, 2.0, 2.5, 3.0, 3.7):
                 expect = n * unit_ball_volume(n) * special.beta(n, p + 1.0)
                 assert lp_norm(prof, p) ** p == pytest.approx(expect, rel=1e-13)
+
+    @pytest.mark.parametrize("n", [100, 300])
+    def test_cone_lp_at_large_n(self, n):
+        # the density r^(n-1) takes a rule of n//2 + 8 nodes: 24 were 3.7e-6 (p = 1) to 2.1e-4 (p = 3.7) off
+        # at n = 300
+        prof = RadialProfile(lebesgue(n), np.array([0.0, 1.0]), np.array([1.0, 0.0]), LINEAR)
+        for p in (1.0, 1.5, 3.7):
+            expect = n * unit_ball_volume(n) * special.beta(n, p + 1.0)
+            assert lp_norm(prof, p) ** p == pytest.approx(expect, rel=1e-12, abs=0.0)  # expect is ~1e-40 at n = 100
 
     def test_cone_gradient_energy(self):
         prof = RadialProfile(lebesgue(2), np.array([0.0, 2.0]), np.array([3.0, 0.0]), LINEAR)

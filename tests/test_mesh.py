@@ -149,6 +149,27 @@ class TestMeshValidation:
         # issued from mesh.py itself, not from the __init__ the dataclass generates
         assert [w.filename for w in caught] == [mesh_module.__file__]
 
+    @pytest.mark.parametrize(
+        "vertices, triangles, message",
+        [
+            (np.eye(3), np.zeros((0, 3), dtype=int), "mesh has no triangles"),
+            (np.zeros((0, 3)), np.zeros((0, 3), dtype=int), "mesh has no triangles"),
+            (np.eye(3), [], "mesh has no triangles"),
+            (np.eye(3)[:, :2], [[0, 1, 2]], "vertices must be an (N, d) array with d >= 3"),
+            (np.zeros(3), [[0, 1, 2]], "vertices must be an (N, d) array with d >= 3"),
+            (np.eye(3), [0, 1, 2], "triangles must be an (M, 3) index array"),
+            (np.eye(4), [[0, 1, 2, 3]], "triangles must be an (M, 3) index array"),
+            (np.eye(3), [[0, 1, 3]], "triangle index out of range"),
+            (np.eye(3), [[-1, 1, 2]], "triangle index out of range"),
+        ],
+        ids=["no-triangles", "empty", "empty-list", "d-2", "vertices-1d", "triangles-1d", "quad", "index-3",
+             "index-negative"],
+    )
+    def test_shape_and_index_refusals(self, vertices, triangles, message):
+        with pytest.raises(ValueError) as caught:
+            TriMesh(vertices, np.asarray(triangles))
+        assert str(caught.value) == message
+
     @pytest.mark.parametrize("bad", [1.7, -0.5, math.nan, math.inf])
     def test_non_integral_triangle_indices_refused(self, bad):
         with pytest.raises(ValueError, match="whole numbers"):
@@ -501,6 +522,10 @@ class TestVertexField:
         with pytest.raises(ValueError):
             VertexField(np.ones(3), mesh=disk32)
 
+    def test_values_must_be_one_dimensional(self):
+        with pytest.raises(ValueError, match="field values must be a 1-d array"):
+            VertexField(np.ones((2, 3)))
+
     def test_compact_support_enforced(self, disk32):
         with pytest.raises(ValueError):
             VertexField(
@@ -545,6 +570,10 @@ class TestSampleField:
                 hausdorff_measure(disk32), rel=1e-12
             )
             assert len(dmf.values) == len(disk32.triangles) * 4**s
+
+    def test_negative_subdivision_refused(self, disk32, disk_hat):
+        with pytest.raises(ValueError, match="subdivision must be >= 0"):
+            sample_field(disk32, disk_hat, -1)
 
     def test_values_within_field_range(self, disk32, disk_hat):
         dmf = sample_field(disk32, disk_hat, 2)

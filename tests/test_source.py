@@ -2,10 +2,13 @@
 or listed in its ``__all__``, the package integrates with scipy's ``quad`` in one function only, takes its
 Gauss-Legendre rules from one and sets up the blowup closed forms in one, only the CLI draws samples, no
 package module imports ``hashlib`` or ``mmap``, only the CLI imports ``argparse`` and its handlers are named
-after its commands."""
+after its commands, and no two package enums encode one choice with the same values."""
 
 import ast
+import enum
+import importlib
 import pathlib
+import types
 
 import pytest
 
@@ -183,3 +186,29 @@ def test_each_command_has_its_handler():
 def test_the_guard_finds_an_unpaired_command():
     namespace = {"_cmd_constants": None, "_cmd_old": None, "cmd_verify": None, "_parse": None}
     assert _unpaired_commands(namespace, {"constants": None, "verify": None}) == ["old", "verify"]
+
+
+def _twin_enums(modules) -> list[list[str]]:
+    """The 'module.Enum' names of each set of ``Enum`` classes defined in ``modules`` with the same set of
+    values: two encodings of one choice."""
+    by_values = {}
+    for module in modules:
+        for name, obj in vars(module).items():
+            if isinstance(obj, enum.EnumMeta) and obj.__module__ == module.__name__:
+                by_values.setdefault(frozenset(m.value for m in obj), []).append(f"{module.__name__}.{name}")
+    return [names for names in by_values.values() if len(names) > 1]
+
+
+def test_one_enum_per_choice():
+    modules = [importlib.import_module(f"psilab.{path.stem}") for path in SOURCES.values()
+               if path.parent == PACKAGE and path.stem != "__init__"]
+    assert _twin_enums(modules) == []
+
+
+def test_the_guard_finds_twin_enums():
+    first, second = types.ModuleType("first"), types.ModuleType("second")
+    first.A = enum.Enum("A", {"X": "x", "Y": "y"}, module="first")
+    first.B = enum.Enum("B", {"P": "x", "Q": "z"}, module="first")
+    second.C = enum.Enum("C", {"Q": "y", "P": "x"}, module="second")
+    second.A = first.A  # imported, not defined here
+    assert _twin_enums([first, second]) == [["first.A", "second.C"]]

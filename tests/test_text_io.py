@@ -343,6 +343,18 @@ class TestPathReadsMatchStreams:
         if name in ("long", "crlf") and dtypes[0] is float:
             assert len(want) == 2 and len(want[0][1]) == 8 * (20000 if name == "long" else 2)
 
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "lone-cr"])
+    def test_every_source_reads_every_line_end(self, tmp_path, newline):
+        text = newline.join(["value,weight", "", "1.0,0.5", "", "2.0,0.25", ""])
+        path = tmp_path / "s.csv"
+        path.write_bytes(text.encode())
+        with open(path) as opened, open(path, "rb") as raw:
+            sources = [path, text, text.encode(), io.BytesIO(text.encode()), io.StringIO(text),
+                       io.StringIO(text, newline=""), opened, raw]
+            for source in sources:
+                values, weights = read_table(source, "value,weight")
+                assert same_bits(values, [1.0, 2.0]) and same_bits(weights, [0.5, 0.25]), source
+
     def test_a_pipe_is_read_once(self, tmp_path):
         fifo = tmp_path / "pipe.csv"
         os.mkfifo(fifo)

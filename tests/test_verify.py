@@ -247,7 +247,7 @@ class TestGagliardoNirenberg:
 
     def test_select_reading_prefers_corrected(self):
         for n, p, q in [(3, 2.0, 4.0), (4, 2.0, 3.0), (5, 3.0, 4.0)]:
-            assert select_egn_reading(n, p, q) is const.EgnReading.GAMMA_CORRECTED
+            assert select_egn_reading(n, p, q) is const.Reading.CORRECTED
 
     def test_select_reading_fails_as_a_psilab_error(self, monkeypatch):
         def pole(*args, **kwargs):
@@ -256,6 +256,18 @@ class TestGagliardoNirenberg:
         monkeypatch.setattr(verify_module, "verify_gn", pole)
         with pytest.raises(ConvergenceFailure, match="neither EGN reading"):
             select_egn_reading(3, 2.0, 4.0)
+
+    @pytest.mark.parametrize("pole_at", [(), (const.Reading.CORRECTED,)], ids=["both", "literal-only"])
+    def test_select_reading_falls_back_to_the_first_evaluable(self, monkeypatch, pole_at):
+        # no reading meets the extremal's equality: the first that evaluates is returned
+        def off_by_two(obj, p, q, reading, **kwargs):
+            if reading in pole_at:
+                raise GammaPole("pole")
+            return VerificationReport("GagliardoNirenberg", 2.0, 1.0, 1e-6)
+
+        monkeypatch.setattr(verify_module, "verify_gn", off_by_two)
+        expect = const.Reading.LITERAL if pole_at else const.Reading.CORRECTED
+        assert select_egn_reading(3, 2.0, 4.0) is expect
 
     def test_select_reading_lets_a_bug_through(self, monkeypatch):
         def broken(*args, **kwargs):
@@ -284,7 +296,7 @@ class TestSpectralGap:
     def test_literal_reading_is_weaker_but_passes(self, disk32):
         f = self.eigen_field(disk32)
         rep = verify_spectral_gap(
-            disk32, f, 0.0, B1, reading=const.SpectralReading.LITERAL
+            disk32, f, 0.0, B1, reading=const.Reading.LITERAL
         )
         assert rep.passed
         assert rep.rhs < bessel_first_zero(0.0) ** 2
@@ -369,6 +381,28 @@ class TestMonotonicityPrinciple:
             MonotoneSpec(**{**good, "psi_terms": [(1.0, 2.0), (1.0, 2.0)]})
         with pytest.raises(SpecInvalid):
             MonotoneSpec(**{**good, "f": lambda v: v + 1.0})  # f(0) != 0
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"g_terms": [(-1.0, 0.5)]}, "g exponent 0.5 must be >= 1"),
+            ({"psi_terms": [(1.0, 0.5)]}, "psi exponent 0.5 must be >= 1"),
+            ({"g_terms": [(-1.0, 2.0), (-1.0, 1.5)]}, "g exponents must be strictly increasing"),
+            ({"phi": lambda v: np.minimum(v, 0.5)}, "phi must be strictly increasing"),
+            ({"f": lambda v: -v}, "f must be strictly increasing"),
+        ],
+        ids=["g-exponent", "psi-exponent", "g-order", "phi-flat", "f-decreasing"],
+    )
+    def test_spec_exponent_and_monotonicity_refusals(self, change, message):
+        good = dict(f=lambda v: v, phi=lambda v: v, g_terms=[], psi_terms=[(1.0, 1.0)], L=lambda s, t: s,
+                    lam=lambda s, t: t)
+        with pytest.raises(SpecInvalid) as caught:
+            MonotoneSpec(**{**good, **change})
+        assert str(caught.value) == message
+
+    def test_p_sobolev_preset_needs_p(self):
+        with pytest.raises(ValueError, match="p-sobolev preset needs a p"):
+            monotone_preset("p-sobolev", n=2)
 
     def test_presets_pass(self, disk32, disk_hat):
         for name, p in [("sobolev-l1", None), ("p-sobolev", 1.5)]:
