@@ -1,4 +1,4 @@
-"""CSV tables of numbers: a header line of column names, then one row per item.
+"""CSV tables of numbers (a header line of column names, then one row per item), and indented JSON.
 
 Reading checks the header, steps over empty lines to the first row and
 parses the rest with one ``np.loadtxt`` call: by path if given one, which
@@ -8,13 +8,19 @@ once with CR, LF and CRLF line ends alike, as ``open`` reads a file. Only
 when numpy refuses the body are its non-empty lines bisected to name the
 first bad one. A line of only whitespace is not empty: it is refused. A
 byte that does not decode is named by its line too, found in the bytes
-read again from the start. Writing formats rows from ``.tolist()``
-columns, floats as the ``repr`` that reads back bit for bit.
+read again from the start.
+
+Writing is one rule for every table psilab writes but the blowup sweep (whose
+rows ``counterexample.sweep_to_csv`` spells itself, a little faster): each cell
+is its ``str``, so a float is the ``repr`` that reads back bit for bit, and a
+``None`` is an empty cell. The JSON writer puts each item on a line of its own
+from one C-encoder call per value.
 """
 
 from __future__ import annotations
 
 import io
+import json
 import os
 
 import numpy as np
@@ -116,7 +122,29 @@ def _parse_table(source, header: str, dtypes, path: str | None) -> list[np.ndarr
     return [np.ascontiguousarray(rows[name]) for name in names]
 
 
-def format_table(header: str, *columns: np.ndarray) -> str:
-    """CSV text of equal-length columns under ``header``; floats as their ``repr``."""
-    line = ",".join(["%r"] * len(columns)) + "\n"
-    return header + "\n" + "".join([line % row for row in zip(*(c.tolist() for c in columns))])
+def format_table(header: str, *columns) -> str:
+    """CSV text of equal-length columns, arrays or lists, under ``header``: each cell is its ``str`` (an array's
+    from ``.tolist()``), and a ``None`` in a list is an empty cell."""
+    line = ",".join(["%s"] * len(columns)) + "\n"
+    # a generator, not a list: only zip's iterators then hold the cells, and each column is freed once read through
+    cells = (c.tolist() if isinstance(c, np.ndarray) else ["" if x is None else x for x in c] for c in columns)
+    return header + "\n" + "".join([line % row for row in zip(*cells)])
+
+
+_ITEM_LINES = json.JSONEncoder(separators=(",\n", ": "))  # an item per line; an encoded string holds no raw line break
+
+
+def indented_json(payload: dict) -> str:
+    """``json.dumps(payload, indent=2)`` of a dict of scalars, flat lists, flat dicts and lists of
+    non-empty flat dicts, one C-encoder call per value: each item on a line of its own, the indentation put in
+    by ``str.replace``. A flat dict ends in a scalar, so "},\n{" falls only between the dicts of a list."""
+    items = []
+    for key, value in payload.items():
+        text = _ITEM_LINES.encode(value)
+        if isinstance(value, list) and value and isinstance(value[0], dict):
+            text = text[2:-2].replace(",\n", ",\n      ").replace("},\n      {", "\n    },\n    {\n      ")
+            text = "[\n    {\n      " + text + "\n    }\n  ]"
+        elif isinstance(value, (list, dict)) and value:
+            text = text[0] + "\n    " + text[1:-1].replace(",\n", ",\n    ") + "\n  " + text[-1]
+        items.append(f"  {json.dumps(key)}: {text}")
+    return "{\n" + ",\n".join(items) + "\n}" if items else "{}"

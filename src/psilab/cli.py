@@ -32,6 +32,7 @@ from pathlib import Path
 
 from . import constants as const
 from . import verify
+from ._table import format_table, indented_json
 from .counterexample import find_lambda_bar, sweep, sweep_to_csv
 from .errors import PsilabError
 from .measure_space import (
@@ -169,28 +170,8 @@ def _cmd_constants(args) -> int:
     if args.format == "json":
         _emit(json.dumps(table, indent=2), args.out)
     else:
-        lines = ["key,value"] + [f"{k},{v}" for k, v in table.items()]
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit(format_table("key,value", list(table), list(table.values())), args.out)
     return 0
-
-
-_ITEM_LINES = json.JSONEncoder(separators=(",\n", ": "))  # an item per line; an encoded string holds no raw line break
-
-
-def _indented_json(payload: dict) -> str:
-    """``json.dumps(payload, indent=2)`` of a dict of scalars, flat lists, flat dicts and lists of
-    non-empty flat dicts, one C-encoder call per value: each item on a line of its own, the indentation put in
-    by ``str.replace``. A flat dict ends in a scalar, so "},\n{" falls only between the dicts of a list."""
-    items = []
-    for key, value in payload.items():
-        text = _ITEM_LINES.encode(value)
-        if isinstance(value, list) and value and isinstance(value[0], dict):
-            text = text[2:-2].replace(",\n", ",\n      ").replace("},\n      {", "\n    },\n    {\n      ")
-            text = "[\n    {\n      " + text + "\n    }\n  ]"
-        elif isinstance(value, (list, dict)) and value:
-            text = text[0] + "\n    " + text[1:-1].replace(",\n", ",\n    ") + "\n  " + text[-1]
-        items.append(f"  {json.dumps(key)}: {text}")
-    return "{\n" + ",\n".join(items) + "\n}" if items else "{}"
 
 
 def _cmd_curvature(args) -> int:
@@ -198,7 +179,7 @@ def _cmd_curvature(args) -> int:
     report = mean_curvature(mesh)
     if args.format == "json":
         reference = const.tc_unit_sphere(TriMesh.n, const.TcConvention(args.convention))
-        _emit(_indented_json({**report.as_dict(), "unit_sphere_reference": reference}), args.out)
+        _emit(indented_json({**report.as_dict(), "unit_sphere_reference": reference}), args.out)
     else:
         _emit(report.to_csv(), args.out)
     return 0
@@ -256,7 +237,7 @@ def _cmd_counterexample(args) -> int:
         _emit(text, args.out)
     else:
         payload["rows"] = [r.as_dict() for r in rows]
-        _emit(_indented_json(payload), args.out)
+        _emit(indented_json(payload), args.out)
     return 0
 
 

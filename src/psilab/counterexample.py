@@ -78,6 +78,7 @@ def sweep(p: float, lam_list, mesh_check: bool = False, subdiv: int = 5):
     and takes each row's P1 energy in one pass; every ``mesh_surface`` is
     bit-identical to ``p1_gradient_lp(mesh, example51_vertex_field(lam, mesh), p)``.
     """
+    p = float(p)  # a numpy scalar would be kept in each row and, as float32, round 2^p
     lams = np.array(lam_list, dtype=float, ndmin=1)
     surface, plane, surface_lp = _blowup_terms(lams, p)
     curvature = 2.0**p * surface_lp

@@ -294,23 +294,13 @@ def _require_field_values(values: np.ndarray):
         raise ValueError("field values must be >= 0")
 
 
-def _require_boundary_vanishing(mesh: TriMesh, values: np.ndarray):
-    bv = mesh.boundary_vertices()
-    if bv.size and np.any(values[bv] != 0.0):
-        raise ValueError("field must vanish on boundary vertices")
-
-
 @dataclass
 class VertexField:
     """Nonnegative P1 scalar field given by its vertex values, read-only like
     a mesh's arrays (a writable array is copied, a read-only one kept as it is).
-
-    When ``compactly_supported`` is set, construction insists the field
-    vanish on every boundary vertex of the attached mesh.
     """
 
     values: np.ndarray
-    compactly_supported: bool = False
     mesh: TriMesh | None = None
 
     def __post_init__(self):
@@ -320,12 +310,10 @@ class VertexField:
         _require_field_values(values)
         if self.mesh is not None:
             _require_field_length(self.mesh, values)
-            if self.compactly_supported:
-                _require_boundary_vanishing(self.mesh, values)
         self._derived = (None, {})  # (mesh, what _derive built on it by name)
 
     @classmethod
-    def from_csv(cls, stream, mesh: TriMesh, **kwargs) -> "VertexField":
+    def from_csv(cls, stream, mesh: TriMesh) -> "VertexField":
         """Read per-vertex values from CSV with a ``vertex_index,value`` header.
 
         Each index must lie in [0, nv) and appear at most once; vertices
@@ -335,7 +323,7 @@ class VertexField:
         index = _indices(index, len(mesh.vertices), "vertex")
         full = np.zeros(len(mesh.vertices))
         full[index] = values
-        return cls(_kept(full), mesh=mesh, **kwargs)
+        return cls(_kept(full), mesh=mesh)
 
     def to_csv(self) -> str:
         return format_table("vertex_index,value", np.arange(len(self.values)), self.values)

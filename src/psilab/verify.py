@@ -27,9 +27,7 @@ isoperimetric profile. No check samples the field.
 
 from __future__ import annotations
 
-import csv
 import inspect
-import io
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -39,6 +37,7 @@ import numpy as np
 from scipy.special import xlogy
 
 from . import constants as const
+from ._table import format_table
 from .analytic import RadialFunction, gn_extremal, radial_entropy, radial_gradient_lp, radial_lp
 from .constants import IsoperimetricChoice, Reading
 from .errors import (
@@ -59,7 +58,6 @@ from .mesh import (
     _derive,
     _Levels,
     _region_tc,
-    _require_boundary_vanishing,
     _require_field_length,
     boundary_measure,
     hausdorff_measure,
@@ -165,26 +163,12 @@ class VerificationReport:
 
 def reports_to_csv(reports: Sequence[VerificationReport]) -> str:
     """Summary CSV: one row per report with the key parameters inlined, and a field check's level counts."""
-    out = io.StringIO()
-    w = csv.writer(out, lineterminator="\n")
-    w.writerow(["inequality_id", "n", "p", "q", "K", "lhs", "rhs", "ratio", "pass", "levels", "merged_levels"])
-    for r in reports:
-        w.writerow(
-            [
-                r.inequality_id,
-                r.inputs.get("n", ""),
-                r.inputs.get("p", ""),
-                r.inputs.get("q", ""),
-                r.inputs.get("K", ""),
-                repr(float(r.lhs)),
-                repr(float(r.rhs)),
-                repr(float(r.ratio)),
-                int(r.passed),
-                r.inputs.get("levels", ""),
-                r.inputs.get("merged_levels", ""),
-            ]
-        )
-    return out.getvalue()
+    keys = ("n", "p", "q", "K", "levels", "merged_levels")
+    n, p, q, K, levels, merged = ([r.inputs.get(key) for r in reports] for key in keys)
+    lhs, rhs, ratio = ([float(getattr(r, name)) for r in reports] for name in ("lhs", "rhs", "ratio"))
+    return format_table("inequality_id,n,p,q,K,lhs,rhs,ratio,pass,levels,merged_levels",
+                        [r.inequality_id for r in reports], n, p, q, K, lhs, rhs, ratio,
+                        [int(r.passed) for r in reports], levels, merged)
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +192,12 @@ def _require_field(mesh: TriMesh, f: VertexField | None):
     if f is None:
         raise ValueError("mesh input needs a field")
     _require_field_length(mesh, f.values)
+
+
+def _require_boundary_vanishing(mesh: TriMesh, values: np.ndarray):
+    bv = mesh.boundary_vertices()
+    if bv.size and np.any(values[bv] != 0.0):
+        raise ValueError("field must vanish on boundary vertices")
 
 
 def _check_inputs(mesh, f, K, choice, tolerance) -> float:

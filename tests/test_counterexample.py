@@ -89,6 +89,15 @@ class TestSweep:
         assert "divergent" in row
         assert "inf" in row
 
+    @pytest.mark.parametrize("scalar", [np.float64, np.float32])
+    def test_csv_of_a_numpy_scalar_p_reads_back_as_its_json(self, scalar):
+        rows = sweep(scalar(1.5), [2.0, 30.0], mesh_check=True, subdiv=2)
+        assert rows == sweep(1.5, [2.0, 30.0], mesh_check=True, subdiv=2)
+        header, *lines = sweep_to_csv(rows).splitlines()
+        for line, row in zip(lines, rows, strict=True):
+            cells = dict(zip(header.split(","), map(float, line.split(","))))
+            assert cells == {**row.as_dict(), "flagged": float(row.flagged)}
+
 
 # 65 lambdas from 1 to 1e8 with 20 among them, in no order; the cap of 1e8 holds no vertex at subdivision 0
 # and only the north pole from subdivision 1 on

@@ -526,12 +526,6 @@ class TestVertexField:
         with pytest.raises(ValueError, match="field values must be a 1-d array"):
             VertexField(np.ones((2, 3)))
 
-    def test_compact_support_enforced(self, disk32):
-        with pytest.raises(ValueError):
-            VertexField(
-                np.ones(len(disk32.vertices)), compactly_supported=True, mesh=disk32
-            )
-
     def test_csv_roundtrip(self, disk32, disk_hat):
         back = VertexField.from_csv(disk_hat.to_csv(), disk32)
         assert np.array_equal(back.values, disk_hat.values)

@@ -1,13 +1,16 @@
 """Source checks that need no linter: every name a ``psilab`` module, a test or a demo imports is read there
 or listed in its ``__all__``, the package integrates with scipy's ``quad`` in one function only, takes its
 Gauss-Legendre rules from one and sets up the blowup closed forms in one, only the CLI draws samples, no
-package module imports ``hashlib`` or ``mmap``, only the CLI imports ``argparse`` and its handlers are named
-after its commands, and no two package enums encode one choice with the same values."""
+package module imports ``hashlib``, ``mmap`` or ``csv``, only ``_table`` builds a JSON encoder, only the CLI
+imports ``argparse`` and its handlers are named after its commands, no two package enums encode one choice
+with the same values, and a failing hypothesis test prints its example under the repo's warning filters."""
 
 import ast
 import enum
 import importlib
 import pathlib
+import subprocess
+import sys
 import types
 
 import pytest
@@ -149,6 +152,31 @@ def test_the_guard_finds_a_mapping():
     assert _imports_of(source, "mmap") == ["line 1", "line 5"]
 
 
+def test_no_csv_module():
+    # every table is written by ``_table.format_table``, whose one cell rule no ``csv.writer`` shares
+    found = {name: _imports_of(path.read_text(), "csv") for name, path in SOURCES.items() if path.parent == PACKAGE}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_the_guard_finds_the_csv_module():
+    source = "import io, csv as c\nfrom . import csv\n\ndef rows(out):\n    from csv import writer\n" \
+             "    return writer(out)\n\nimport csvx\n"
+    assert _imports_of(source, "csv") == ["line 1", "line 5"]
+
+
+def test_one_json_encoder():
+    # the indented JSON writer is ``_table.indented_json``; the rest of the package calls ``json.dumps``
+    callers = {name: _callers(path.read_text(), "JSONEncoder") for name, path in SOURCES.items()
+               if path.parent == PACKAGE}
+    assert {name: found for name, found in callers.items() if found} == {"_table.py": ["<module>"]}
+
+
+def test_the_guard_finds_a_second_encoder():
+    source = "import json\nfrom json import JSONEncoder as E\n\nLINES = json.JSONEncoder(indent=1)\n\n" \
+             "def dump(x):\n    return E().encode(x)\n\nJSONEncoderish = dict\n"
+    assert _callers(source, "JSONEncoder") == ["<module>", "dump"]
+
+
 def test_one_gauss_legendre_rule():
     # the profile segments' rule and the level intervals' rule are both ``_unit_rule``'s, moved to [0, 1] once
     callers = {name: _callers(path.read_text(), "leggauss") for name, path in SOURCES.items() if path.parent == PACKAGE}
@@ -212,3 +240,15 @@ def test_the_guard_finds_twin_enums():
     second.C = enum.Enum("C", {"Q": "y", "P": "x"}, module="second")
     second.A = first.A  # imported, not defined here
     assert _twin_enums([first, second]) == [["first.A", "second.C"]]
+
+
+def test_a_failing_hypothesis_test_prints_its_example(tmp_path):
+    # hypothesis meets a DeprecationWarning while it reports a failing example: under the repo's warning
+    # filters it must print the example, not end the run in an internal error
+    (tmp_path / "test_fails.py").write_text("from hypothesis import given, strategies as st\n\n\n"
+                                            "@given(st.integers())\ndef test_fails(x):\n    assert x < 5\n")
+    argv = [sys.executable, "-m", "pytest", "-p", "no:cacheprovider", "-c", str(ROOT / "pyproject.toml"),
+            "--rootdir", str(tmp_path), str(tmp_path / "test_fails.py")]
+    run = subprocess.run(argv, cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 1
+    assert "Falsifying example" in run.stdout and "INTERNALERROR" not in run.stdout + run.stderr

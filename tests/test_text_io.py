@@ -10,6 +10,7 @@ must also leave the warning machinery as it found it.
 import csv
 import io
 import json
+import math
 import os
 import threading
 import warnings
@@ -24,9 +25,10 @@ from hypothesis import strategies as st
 from psilab import analytic
 from psilab import cli as cli_module
 from psilab import constants as const
-from psilab._table import read_table
+from psilab import verify
+from psilab._table import format_table, indented_json, read_table
 from psilab.errors import MeshParseError
-from psilab.cli import _indented_json, _parsers, dispatch
+from psilab.cli import _parsers, dispatch
 from psilab.measure_space import (
     DiscreteMeasuredFunction,
     Interpolation,
@@ -89,6 +91,17 @@ def reference_report_csv(report):
     return reference_rows_csv(["vertex_index", "h_norm", "vertex_area", "is_boundary"], rows)
 
 
+def reference_summary_csv(reports):
+    rows = (
+        [r.inequality_id, r.inputs.get("n", ""), r.inputs.get("p", ""), r.inputs.get("q", ""), r.inputs.get("K", ""),
+         repr(float(r.lhs)), repr(float(r.rhs)), repr(float(r.ratio)), int(r.passed), r.inputs.get("levels", ""),
+         r.inputs.get("merged_levels", "")]
+        for r in reports
+    )
+    header = ["inequality_id", "n", "p", "q", "K", "lhs", "rhs", "ratio", "pass", "levels", "merged_levels"]
+    return reference_rows_csv(header, rows)
+
+
 def reference_curvature_json(report, convention):
     payload = json.loads(report.to_json())
     payload["unit_sphere_reference"] = const.tc_unit_sphere(2, convention)
@@ -147,7 +160,7 @@ class TestWritersMatchTheRowLoops:
         )
     )
     def test_indented_json(self, payload):
-        assert _indented_json(payload) == json.dumps(payload, indent=2)
+        assert indented_json(payload) == json.dumps(payload, indent=2)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -163,7 +176,68 @@ class TestWritersMatchTheRowLoops:
         )
     )
     def test_indented_json_of_dicts_and_lists_of_dicts(self, payload):
-        assert _indented_json(payload) == json.dumps(payload, indent=2)
+        assert indented_json(payload) == json.dumps(payload, indent=2)
+
+
+B1, MS = const.brendle(1), const.michael_simon()
+# (mesh, the curvature bound K its checks take): a flat disk, and a cap whose total mean curvature is 2.007
+SUMMARY_MESHES = {"disk": (analytic.make_disk(1.0, 8), 0.0), "cap": (analytic.make_cap(0.6, rings=10), 2.1)}
+
+
+def _nine_checks(mesh, K):
+    """The reports of the nine checks; ``logsob`` only on a minimal surface, as it refuses any other."""
+    f = boundary_vanishing_field(mesh, 1.0 - np.hypot(mesh.vertices[:, 0], mesh.vertices[:, 1]))
+    reports = [
+        verify.verify_polya_szego(mesh, f, 2.0, K, B1),
+        verify.verify_model_space_ps(mesh, f, 1.5, K, B1),
+        *verify.verify_isoperimetric(mesh, K, B1),
+        verify.verify_p_sobolev(mesh, f, 1.5, K, B1),
+        verify.verify_gn(mesh, 1.5, 2.5, K, B1, f=f),
+        verify.verify_spectral_gap(mesh, f, K, B1, const.Reading.LITERAL),
+        verify.verify_michael_simon_p1(mesh, f, MS),
+        verify.verify_monotonicity_principle(mesh, f, verify.monotone_preset("p-sobolev", p=1.5), K, B1),
+    ]
+    return reports + ([verify.verify_log_sobolev(mesh, 1.5, f=f)] if K == 0.0 else [])
+
+
+class TestSummaryMatchesTheRowLoop:
+    @pytest.mark.parametrize("name", list(SUMMARY_MESHES))
+    def test_nine_checks(self, name):
+        reports = _nine_checks(*SUMMARY_MESHES[name])
+        assert len(reports) == 9 - (name == "cap")
+        assert verify.reports_to_csv(reports) == reference_summary_csv(reports)
+
+    def test_radial_reports(self):
+        reports = [verify.verify_gn(analytic.gn_extremal(2, 1.5, 2.5), 1.5, 2.5),
+                   verify.verify_log_sobolev(analytic.logsobolev_extremal(2, 1.5, 1.0), 1.5)]
+        assert verify.reports_to_csv(reports) == reference_summary_csv(reports)
+
+    def test_regions(self):
+        mesh, _ = SUMMARY_MESHES["disk"]
+        half = len(mesh.triangles) // 2
+        regions = [np.arange(half), np.arange(half, len(mesh.triangles)), np.arange(len(mesh.triangles))]
+        reports = verify.verify_isoperimetric(mesh, 0.0, B1, regions)
+        assert len(reports) == 3
+        assert verify.reports_to_csv(reports) == reference_summary_csv(reports)
+
+    def test_no_reports(self):
+        assert verify.reports_to_csv([]) == reference_summary_csv([]) == \
+               "inequality_id,n,p,q,K,lhs,rhs,ratio,pass,levels,merged_levels\n"
+
+
+class TestFormatTable:
+    def test_none_in_a_list_is_an_empty_cell(self):
+        assert format_table("a,b,c", ["x", None], [None, 1.5], [0, None]) == "a,b,c\nx,,0\n,1.5,\n"
+
+    def test_numpy_scalars_in_a_list_are_their_str(self):
+        cells = [np.float64(0.1), np.float32(1.5), np.int64(-3), np.bool_(True)]
+        assert format_table("a,b", cells, np.array([1e16, -0.0, 5e-324, 2.5])) == \
+               "a,b\n0.1,1e+16\n1.5,-0.0\n-3,5e-324\nTrue,2.5\n"
+
+    def test_lists_and_arrays_write_alike(self):
+        values = np.array(SPECIAL + [math.nan, math.inf, 0.1])
+        assert format_table("v,i", values, np.arange(len(values))) == \
+               format_table("v,i", values.tolist(), list(range(len(values))))
 
 
 @pytest.fixture(scope="module")

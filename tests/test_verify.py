@@ -149,6 +149,20 @@ class TestPolyaSzego:
             verify_polya_szego(disk32, f, 2.0, 0.0, B1)
 
 
+@pytest.mark.parametrize("call", [
+    lambda mesh, f: verify_model_space_ps(mesh, f, 2.0, 0.0, B1),
+    lambda mesh, f: verify_p_sobolev(mesh, f, 1.5, 0.0, B1),
+    lambda mesh, f: verify_gn(mesh, 1.5, 2.5, 0.0, B1, f=f),
+    lambda mesh, f: verify_spectral_gap(mesh, f, 0.0, B1),
+    lambda mesh, f: verify_log_sobolev(mesh, 1.5, f=f),
+    lambda mesh, f: verify_monotonicity_principle(mesh, f, monotone_preset("sobolev-l1", n=2), 0.0, B1),
+], ids=["model", "sobolev", "gn", "spectral", "logsob", "mono"])
+def test_field_checks_refuse_a_field_not_vanishing_on_the_boundary(disk32, call):
+    # the Polya-Szego case is TestPolyaSzego's; ms1 takes any field
+    with pytest.raises(ValueError, match="field must vanish on boundary vertices"):
+        call(disk32, VertexField(np.ones(len(disk32.vertices)), mesh=disk32))
+
+
 class TestModelSpace:
     def test_flat_model_agrees_with_euclidean(self, disk32, disk_hat):
         rep = verify_model_space_ps(disk32, disk_hat, 2.0, 0.0, B1)
