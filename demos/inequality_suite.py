@@ -30,12 +30,12 @@ disk = make_disk(1.0, 32)
 r = np.hypot(disk.vertices[:, 0], disk.vertices[:, 1])
 vals = np.maximum(1.0 - r, 0.0)
 vals[disk.boundary_vertices()] = 0.0
-hat = VertexField(vals, mesh=disk)
+hat = VertexField(vals)
 
 j0 = bessel_first_zero(0.0)
 ev = np.array([bessel_j(0.0, j0 * x) for x in r])
 ev[disk.boundary_vertices()] = 0.0
-eigen = VertexField(np.maximum(ev, 0.0), mesh=disk)
+eigen = VertexField(np.maximum(ev, 0.0))
 
 reports = [
     verify_polya_szego(disk, hat, 2.0, 0.0, B1),
@@ -60,7 +60,7 @@ for rep in reports:
 
 print()
 sphere = make_sphere(3)
-ones = VertexField(np.ones(len(sphere.vertices)), mesh=sphere)
+ones = VertexField(np.ones(len(sphere.vertices)))
 try:
     verify_polya_szego(sphere, ones, 2.0, 0.0, B1)
     print("closed sphere accepted: FAIL (should have been refused)")

@@ -45,7 +45,7 @@ disk = make_disk(1.0, 24)
 r = np.hypot(disk.vertices[:, 0], disk.vertices[:, 1])
 vals = np.maximum(1.0 - r, 0.0)
 vals[disk.boundary_vertices()] = 0.0
-hat = VertexField(vals, mesh=disk)
+hat = VertexField(vals)
 
 samples = sample_field(disk, hat, 3)
 lin = rearrange(samples, lebesgue(2), Interpolation.PIECEWISE_LINEAR)

@@ -7,8 +7,9 @@ line at a time, about 1.4 times slower), else from the source's text, read
 once with CR, LF and CRLF line ends alike, as ``open`` reads a file. Only
 when numpy refuses the body are its non-empty lines bisected to name the
 first bad one. A line of only whitespace is not empty: it is refused. A
-byte that does not decode is named by its line too, found in the bytes
-read again from the start.
+byte that does not decode is named by its line too, counted in the bytes
+decoded in one piece with it (a file numpy reads by path is decoded again
+whole).
 
 Writing is one rule for every table psilab writes but the blowup sweep (whose
 rows ``counterexample.sweep_to_csv`` spells itself, a little faster): each cell
@@ -32,23 +33,9 @@ def read_text(source) -> str:
     return text.decode() if isinstance(text, bytes) else text
 
 
-def undecodable(source, exc: UnicodeDecodeError) -> tuple[int, str]:
-    """(1-based line, problem) of the first byte of ``source`` that does not decode, where reading it raised
-    ``exc``. ``source`` is bytes or a stream, whose bytes are read again from the first one: the decoder's
-    position counts from wherever its piece began. A stream that cannot seek (a pipe) is decoded in one
-    piece from its first byte, so ``exc`` holds the position."""
-    try:
-        if isinstance(source, bytes):
-            data = source
-        else:
-            raw = getattr(source, "buffer", source)  # the bytes under a text stream
-            raw.seek(0)
-            data = raw.read()
-        data.decode(exc.encoding)
-    except UnicodeDecodeError as whole:
-        exc = whole
-    except OSError:
-        pass  # a stream that cannot seek
+def undecodable(exc: UnicodeDecodeError) -> tuple[int, str]:
+    """(1-based line, problem) of the byte ``exc`` could not decode, raised by decoding a source in one piece
+    from its first byte."""
     lines = (exc.object[: exc.start].decode(exc.encoding) + "x").splitlines()
     return len(lines), f"{exc.encoding!r} codec can't decode byte {exc.object[exc.start]:#04x}: {exc.reason}"
 
@@ -75,21 +62,22 @@ def read_table(source, header: str, dtypes=(float, float)) -> list[np.ndarray]:
     of only whitespace raises ValueError naming its 1-based file line, and so
     does a byte that does not decode.
     """
-    if isinstance(source, os.PathLike):
+    path = None
+    try:
+        if not isinstance(source, os.PathLike):
+            return _parse_table(source, header, dtypes, None)
         with open(source) as stream:
             # numpy reads a str path through its DataSource, which would fetch a "scheme://" name: make it absolute
             path = os.path.join(os.getcwd(), source) if stream.seekable() else None  # a pipe is read once
-            return _read_table(stream, header, dtypes, path)
-    return _read_table(source, header, dtypes, None)
-
-
-def _read_table(source, header: str, dtypes, path: str | None) -> list[np.ndarray]:
-    """``read_table`` of a string, bytes or stream, whose body numpy parses from ``path``, if given: the file
-    ``source`` was opened from."""
-    try:
-        return _parse_table(source, header, dtypes, path)
+            return _parse_table(stream, header, dtypes, path)
     except UnicodeDecodeError as exc:
-        raise ValueError("line {}: {}".format(*undecodable(source, exc))) from None
+        if path:  # io and numpy decoded the file in pieces: decode it whole, so the position counts from its start
+            with open(path, "rb") as raw:
+                try:
+                    raw.read().decode(exc.encoding)
+                except UnicodeDecodeError as whole:
+                    exc = whole
+        raise ValueError("line {}: {}".format(*undecodable(exc))) from None
 
 
 def _parse_table(source, header: str, dtypes, path: str | None) -> list[np.ndarray]:

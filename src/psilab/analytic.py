@@ -236,7 +236,7 @@ def example51_field(lam, points):
 
 
 def example51_vertex_field(lam: float, mesh: TriMesh) -> VertexField:
-    return VertexField(example51_field(lam, mesh.vertices), mesh=mesh)
+    return VertexField(example51_field(lam, mesh.vertices))
 
 
 def example51_profile(lam: float) -> "RadialFunction":
@@ -266,13 +266,12 @@ def example51_profile(lam: float) -> "RadialFunction":
 
 
 def _blowup_args(lam, p):
-    """lambda as an array, x = 1/lambda^2 and 1 - w0 = x / (1 + sqrt(1 - x)),
-    where w0 = sqrt(1 - x) is the cap edge's height (no cancellation). A lambda
-    whose square overflows is refused: x would round to 0 and every term with it."""
+    """lambda as an array, p as a Python float, x = 1/lambda^2 and 1 - w0 = x / (1 + sqrt(1 - x)), where
+    w0 = sqrt(1 - x) is the cap edge's height (no cancellation). A lambda whose square overflows is refused:
+    x would round to 0 and every term with it."""
     lam = _check_lambda(lam, _LAMBDA_MAX)
-    require_order(p)
     x = 1.0 / (lam * lam)
-    return lam, x, x / (1.0 + np.sqrt(1.0 - x))
+    return lam, require_order(p), x, x / (1.0 + np.sqrt(1.0 - x))
 
 
 def _shaped(a):
@@ -285,7 +284,7 @@ def _blowup_terms(lam, p: float):
     blowup field, the closed forms of ``example51_gradient_integrals`` and ``example51_surface_lp`` from one
     set-up of lambda; each is a numpy scalar for a scalar lambda, an array for an array. 2 pi lambda^p beyond
     the double range raises FloatingPointError, an ArithmeticError, for all three."""
-    lam, x, one_minus_w0 = _blowup_args(lam, p)
+    lam, p, x, one_minus_w0 = _blowup_args(lam, p)
     # log(w0^2); lambda = 1 puts w0 on 0, whose logarithm is -inf
     log_w0_sq = np.log1p(-x, out=np.full_like(x, -np.inf), where=x < 1.0)
     a = 0.5 * p + 1.0
@@ -419,7 +418,7 @@ def _radial_quad(log_f, n: int, support: float, times_log: bool = False, cut: fl
 
 def radial_lp(rf: RadialFunction, p: float) -> float:
     """L^p norm of a radial function on R^n."""
-    require_order(p)
+    p = require_order(p)
     peak, mass = _radial_quad(lambda r: p * rf.log_value(r), rf.n, rf.support)
     return math.exp(peak / p) * mass ** (1.0 / p)
 
@@ -436,7 +435,7 @@ def radial_gradient_lp(rf: RadialFunction, p: float):
     sphere blowup profile's band, 1/(4 lambda^2) wide, at lambda above about 5e4; it is empty from 1e8):
     OutOfRange is raised instead of a value.
     """
-    require_order(p)
+    p = require_order(p)
     pole = p * rf.slope_pole
     if pole >= 1.0:
         return DIVERGENT
@@ -450,7 +449,7 @@ def radial_gradient_lp(rf: RadialFunction, p: float):
 
 def radial_entropy(rf: RadialFunction, p: float) -> float:
     """Integral of u^p ln(u^p) over R^n: the weight of the L^p norm times p log u."""
-    require_order(p)
+    p = require_order(p)
     peak, mass = _radial_quad(lambda r: p * rf.log_value(r), rf.n, rf.support, times_log=True)
     return math.exp(peak) * mass
 
@@ -458,7 +457,7 @@ def radial_entropy(rf: RadialFunction, p: float) -> float:
 def gn_extremal(n: int, p: float, q: float, a: float = 1.0, b: float = 1.0) -> RadialFunction:
     """Extremal of the sharp Gagliardo-Nirenberg inequality on R^n:
     a * (1 + b r^(p/(p-1)))^(-(p-1)/(q-p))."""
-    _check_gn_domain(n, p, q)
+    p, q = _check_gn_domain(n, p, q)
     if a <= 0 or b <= 0:
         raise ValueError("need a > 0 and b > 0")
     pp = p / (p - 1.0)
@@ -482,7 +481,7 @@ def logsobolev_extremal(n: int, p: float, s: float) -> RadialFunction:
     The decaying (negative) exponent is used; the growing variant is not
     integrable and admits no normalizing constant.
     """
-    _check_p_range(n, p)
+    p = _check_p_range(n, p)
     if s <= 0:
         raise ValueError("need s > 0")
     pp = p / (p - 1.0)

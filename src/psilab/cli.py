@@ -49,19 +49,6 @@ from .verify import CHECKS, reports_to_csv
 __all__ = ["main", "dispatch"]
 
 
-def _parse_iso(text: str):
-    if text == "michael-simon":
-        return const.michael_simon()
-    if text.startswith("brendle:"):
-        try:
-            m = int(text.split(":", 1)[1])
-        except ValueError:
-            pass  # not a codimension: refused below
-        else:
-            return const.brendle(m)
-    raise ValueError(f"--iso must be michael-simon or brendle:m, got {text!r}")
-
-
 def _emit(text: str, out_path: str | None):
     if out_path:
         with open(out_path, "w") as fh:
@@ -165,7 +152,7 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
 
 
 def _cmd_constants(args) -> int:
-    choice = _parse_iso(args.iso)
+    choice = const.IsoperimetricChoice.from_label(args.iso)
     table = const.build_constants_table(args.n, args.K, choice, args.p, args.q)
     if args.format == "json":
         _emit(json.dumps(table, indent=2), args.out)
@@ -196,7 +183,7 @@ def _cmd_rearrange(args) -> int:
     if args.target == TargetKind.LEBESGUE_RN.value:
         target = lebesgue(args.n)
     else:
-        target = model_space(args.n, args.K, _parse_iso(args.iso).value(args.n))
+        target = model_space(args.n, args.K, const.IsoperimetricChoice.from_label(args.iso).value(args.n))
     profile = rearrange(dmf, target, Interpolation(args.interpolation))
     _emit(profile.to_json() if args.format == "json" else profile.to_csv(), args.out)
     return 0
@@ -206,8 +193,8 @@ def _cmd_verify(args) -> int:
     check = CHECKS[args.check]
     if "f" in check.keywords and not args.field:
         raise ValueError(f"verify {args.check} requires --field")
-    kw = dict(p=args.p, q=args.q, K=args.K, choice=_parse_iso(args.iso), reading=args.reading, spec=args.preset,
-              tolerance=args.tolerance)
+    kw = dict(p=args.p, q=args.q, K=args.K, choice=const.IsoperimetricChoice.from_label(args.iso),
+              reading=args.reading, spec=args.preset, tolerance=args.tolerance)
     check.refuse_arguments(kw)
     (mesh, fields), was_kept = _read_kept(_kept_meshes, args.mesh, lambda data: (load_mesh(data), OrderedDict()))
     if was_kept:  # warn as building it did

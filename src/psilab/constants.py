@@ -90,6 +90,20 @@ class IsoperimetricChoice:
     def label(self) -> str:
         return "michael-simon" if self.m is None else f"brendle:{self.m}"
 
+    @classmethod
+    def from_label(cls, text: str) -> IsoperimetricChoice:
+        """The choice whose ``label()`` is ``text``, the value of ``--iso``."""
+        if text == "michael-simon":
+            return cls()
+        if text.startswith("brendle:"):
+            try:
+                m = int(text.split(":", 1)[1])
+            except ValueError:
+                pass  # not a codimension: refused below
+            else:
+                return cls(m)
+        raise ValueError(f"--iso must be michael-simon or brendle:m, got {text!r}")
+
 
 def michael_simon() -> IsoperimetricChoice:
     return IsoperimetricChoice()
@@ -119,18 +133,20 @@ def _check_curvature_bound(K: float, C: float) -> float:
     return C
 
 
-def _check_p_range(n: int, p: float) -> None:
-    """Refuse a p outside (1, n), the range of the Sobolev, Gagliardo-Nirenberg and log-Sobolev inequalities."""
+def _check_p_range(n: int, p: float) -> float:
+    """p as a Python float, refused outside (1, n), the range of the Sobolev, GN and log-Sobolev inequalities."""
     if not 1.0 < p < n:
         raise ValueError(f"requires 1 < p < n, got p = {p}, n = {n}")
+    return float(p)
 
 
-def _check_gn_domain(n: int, p: float, q: float) -> None:
-    """Refuse a (p, q) outside 1 < p < n, p < q <= p(n-1)/(n-p), the Gagliardo-Nirenberg range."""
-    _check_p_range(n, p)
+def _check_gn_domain(n: int, p: float, q: float) -> tuple[float, float]:
+    """(p, q) as Python floats, refused outside 1 < p < n, p < q <= p(n-1)/(n-p), the Gagliardo-Nirenberg range."""
+    p = _check_p_range(n, p)
     q_max = p * (n - 1.0) / (n - p)
     if not p < q <= q_max + 1e-12:
         raise ValueError(f"requires p < q <= p(n-1)/(n-p) = {q_max}, got q = {q}")
+    return p, float(q)
 
 
 def ic_upper_bound(n: int) -> float:
@@ -172,7 +188,7 @@ def ps_constant(n: int, K: float, choice: IsoperimetricChoice) -> float:
 
 def talenti_constant(n: int, p: float) -> float:
     """Talenti's sharp constant for the Euclidean p-Sobolev inequality."""
-    _check_p_range(n, p)
+    p = _check_p_range(n, p)
     return (
         1.0
         / (math.sqrt(math.pi) * n ** (1.0 / p))
@@ -191,18 +207,18 @@ def sobolev_conjugate(n: int, p: float) -> float:
 
 
 def gn_beta(n: int, p: float, q: float) -> float:
-    _check_gn_domain(n, p, q)
+    p, q = _check_gn_domain(n, p, q)
     return n * p - q * (n - p)
 
 
 def gn_theta(n: int, p: float, q: float) -> float:
     """Interpolation exponent of the Gagliardo-Nirenberg inequality, in (0, 1]."""
-    beta = gn_beta(n, p, q)
-    return n * (q - p) / ((q - 1.0) * beta)
+    p, q = _check_gn_domain(n, p, q)
+    return n * (q - p) / ((q - 1.0) * gn_beta(n, p, q))
 
 
 def gn_r_exponent(n: int, p: float, q: float) -> float:
-    _check_gn_domain(n, p, q)
+    p, q = _check_gn_domain(n, p, q)
     return p * (q - 1.0) / (p - 1.0)
 
 
@@ -221,6 +237,7 @@ def egn_constant(n: int, p: float, q: float, reading: Reading = Reading.CORRECTE
     precision and degenerates to the Talenti constant at the endpoint
     q = p(n-1)/(n-p).
     """
+    p, q = _check_gn_domain(n, p, q)
     beta = gn_beta(n, p, q)
     theta = gn_theta(n, p, q)
     r = gn_r_exponent(n, p, q)
@@ -251,7 +268,7 @@ def egn_constant(n: int, p: float, q: float, reading: Reading = Reading.CORRECTE
 
 def log_sobolev_constant(n: int, p: float) -> float:
     """Sharp constant of the p-log-Sobolev inequality for minimal submanifolds."""
-    _check_p_range(n, p)
+    p = _check_p_range(n, p)
     return (
         p
         / (n * math.pi ** (0.5 * p))

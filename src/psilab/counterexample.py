@@ -143,7 +143,7 @@ def find_lambda_bar(N: float, p: float) -> float:
     """
     if not 0 < N < math.inf:
         raise ValueError(f"N must be a finite number > 0, got {N}")
-    require_order(p)
+    p = require_order(p)
     if p >= 2:
         return 1.0
     (crossed,) = np.nonzero(_excess(_LAMBDA_GRID, N, p) > 0)
@@ -176,6 +176,7 @@ def asymptotic_check(p: float, lam: float):
     """
     if not 1.0 <= p < 2.0:
         raise ValueError("requires 1 <= p < 2")
+    p = require_order(p)  # as a Python float: a float32 p would round the asymptotes to float32
     surface, plane = example51_gradient_integrals(lam, p)  # refuses a lambda that is not a finite number >= 1
     surface_ratio = surface / (math.pi * lam ** (p - 2.0))
     scale = math.pi * lam ** (2.0 * p - 2.0) / (2.0 - p)

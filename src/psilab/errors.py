@@ -87,7 +87,8 @@ def is_divergent(x) -> bool:
     return x is DIVERGENT
 
 
-def require_order(p: float) -> None:
-    """Refuse a p that is not a finite number >= 1, the orders of the L^p norms and gradient p-energies."""
+def require_order(p: float) -> float:
+    """p as a Python float, refused unless a finite number >= 1, the orders of the L^p norms and p-energies."""
     if not 1 <= p < math.inf:
         raise ValueError(f"p must be a finite number >= 1, got {p}")
+    return float(p)

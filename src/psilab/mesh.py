@@ -20,9 +20,9 @@ builds it once per (mesh, field), and the verifiers take every integral of
 the field from it; only ``sample_field`` still turns a field into samples,
 for ``psilab rearrange --mesh``.
 
-A mesh is read-only, and so is a field: what is derived from them (the
-Gram entries, areas and boundary, the curvature once measured, the
-distribution function) is kept on them as read-only arrays.
+A mesh is read-only, and so is a field. ``_derive`` keeps what is derived
+later: on the mesh what depends on it alone, on the field what depends on
+the pair. A field is paired with a mesh, its length checked, on first use.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ class TriMesh:
     a disconnected mesh only warns. ``vertices`` and ``triangles`` are
     read-only (a writable array is copied, a read-only one taken as never
     changing), and so are the edge Gram entries, areas and boundary found
-    on the way and the curvature once ``mean_curvature`` has measured it.
+    on the way and what ``_derive`` keeps on it.
     """
 
     vertices: np.ndarray
@@ -86,7 +86,7 @@ class TriMesh:
             raise ValueError("triangles must be an (M, 3) index array")
         if triangles.min() < 0 or triangles.max() >= len(vertices):
             raise ValueError("triangle index out of range")
-        self._curvature = None  # the CurvatureReport of the first mean_curvature
+        self._derived = {}  # what _derive built from the mesh alone, by name
         self._validate()
         _warn_if_disconnected(self)
 
@@ -195,7 +195,7 @@ def _parse_off(source) -> tuple[np.ndarray, np.ndarray]:
     try:
         text = read_text(source)
     except UnicodeDecodeError as exc:
-        line, problem = undecodable(source, exc)
+        line, problem = undecodable(exc)
         raise MeshParseError(problem, line=line) from None
     lines = text.splitlines()
     if "#" in text:
@@ -301,16 +301,13 @@ class VertexField:
     """
 
     values: np.ndarray
-    mesh: TriMesh | None = None
 
     def __post_init__(self):
         self.values = values = _frozen(self.values, float)
         if values.ndim != 1:
             raise ValueError("field values must be a 1-d array")
         _require_field_values(values)
-        if self.mesh is not None:
-            _require_field_length(self.mesh, values)
-        self._derived = (None, {})  # (mesh, what _derive built on it by name)
+        self._derived = (None, {})  # (the mesh it is paired with, what _derive built on the pair by name)
 
     @classmethod
     def from_csv(cls, stream, mesh: TriMesh) -> "VertexField":
@@ -323,7 +320,7 @@ class VertexField:
         index = _indices(index, len(mesh.vertices), "vertex")
         full = np.zeros(len(mesh.vertices))
         full[index] = values
-        return cls(_kept(full), mesh=mesh)
+        return cls(_kept(full))
 
     def to_csv(self) -> str:
         return format_table("vertex_index,value", np.arange(len(self.values)), self.values)
@@ -348,7 +345,7 @@ def p1_gradient_lp(mesh: TriMesh, field: VertexField, p: float) -> float:
     construction, and the per-triangle squared norms, and the integral for
     each p, are kept on the field for the mesh they were measured on.
     """
-    require_order(p)
+    p = require_order(p)
 
     def grad2():
         tri, u = mesh.triangles, field.values
@@ -360,16 +357,17 @@ def p1_gradient_lp(mesh: TriMesh, field: VertexField, p: float) -> float:
     return _derive(mesh, field, ("gradient_lp", p), integral)
 
 
-def _derive(mesh: TriMesh, field: VertexField, name, build):
-    """``build()``, which depends only on the mesh and the field, kept on the field under ``name`` for the mesh
-    it was built on (a new mesh drops what the field kept for the last one): a warm check repeats no pass over
-    the triangles."""
-    if field._derived[0] is not mesh:
+def _derive(mesh: TriMesh, field: VertexField | None, name=None, build=None):
+    """``build()`` kept under ``name``, on the mesh if ``field`` is None, else on the field: a warm check repeats
+    no pass over the triangles. A field's first use on a mesh, with or without a name, pairs it with the mesh:
+    its length is checked and what it kept for the last mesh dropped."""
+    if field is not None and field._derived[0] is not mesh:
+        _require_field_length(mesh, field.values)
         field._derived = (mesh, {})
-    kept = field._derived[1]
-    if name not in kept:
+    kept = mesh._derived if field is None else field._derived[1]
+    if name is not None and name not in kept:
         kept[name] = build()
-    return kept[name]
+    return kept.get(name)
 
 
 def _gradient_sq(aa, bb, ab, du1, du2) -> np.ndarray:
@@ -383,15 +381,14 @@ _STACK_ENTRIES = 1 << 16  # the most (field, triangle) entries one block of _sta
 
 def _stacked_gradient_lp(mesh: TriMesh, count: int, rows, p: float) -> list[float]:
     """``p1_gradient_lp`` of ``count`` fields in one pass, each bit-identical to it. ``rows(lo, hi)`` gives the
-    vertex values of fields lo, ..., hi - 1 as an (hi - lo, nv) array, refused as ``VertexField`` refuses one.
+    vertex values of fields lo, ..., hi - 1 as an (hi - lo, nv) array, refused as a field used on the mesh is.
 
     The pass runs in blocks of at most ``_STACK_ENTRIES`` (field, triangle) entries. |grad u|^2 is formed,
     and raised to p/2, only on the triangles where the field moves: elsewhere it is exactly 0, and so is its
     p/2-th power for p >= 1. Each field's row of area-weighted powers is contiguous and summed by its own
     ``np.sum``, as ``p1_gradient_lp`` sums it; a sum over a (triangle, field) layout rounds differently.
     """
-    require_order(p)
-    areas, half_p = mesh.triangle_areas(), 0.5 * p
+    areas, half_p = mesh.triangle_areas(), 0.5 * require_order(p)
     aa, bb, ab = mesh._gram
     t0, t1, t2 = mesh.triangles.T
     nt = len(t0)
@@ -458,7 +455,7 @@ class _Levels:
         so that I(mu) / |mu'| is |grad u*| on the level set. A level interval no triangle spans (below a
         positive minimum of the field, or between the values of two components) is a jump of u*: it costs
         I(mu) dt at p = 1 and makes the energy infinite above."""
-        require_order(p)
+        p = require_order(p)
         exponent = p * target.log_perimeter(self.log_mu)
         if p != 1.0:
             exponent += (1.0 - p) * self.log_rho
@@ -577,9 +574,7 @@ def mean_curvature(mesh: TriMesh) -> CurvatureReport:
     percent error. The report, with read-only arrays, is measured on the
     first call and kept on the mesh.
     """
-    if mesh._curvature is None:
-        mesh._curvature = _curvature_report(mesh)
-    return mesh._curvature
+    return _derive(mesh, None, "curvature", lambda: _curvature_report(mesh))
 
 
 def _curvature_report(mesh: TriMesh) -> CurvatureReport:
@@ -699,6 +694,7 @@ def sample_field(mesh: TriMesh, field: VertexField, subdivision: int = 0):
     the verifiers integrate the field exactly, from ``_distribution``.
     """
     _require_subdivision(subdivision)
+    _derive(mesh, field)
     centroids = _cell_centroids(subdivision)  # (4^s, 3) barycentric
     tri = mesh.triangles
     u = field.values

@@ -12,17 +12,18 @@ admissible for the rearrangement inequality must have nonempty boundary,
 and the total-curvature precondition TC <= K < 1/C is checked against the
 measured discrete curvature, not against trust in the caller.
 
-Checks on one (mesh, field) pair share its work: the mesh keeps its
-curvature, and the field (``mesh._derive``) its gradient norms, the exact
-distribution function mu(t) = |{u > t}| of the P1 interpolant
-(``mesh._distribution``), built once, and each number a check measures
-from the pair alone (a gradient energy, the support area, the curvature
-term, the largest interior |H|), so a repeated check makes no pass over
-the triangles. Every integral a field check needs comes from mu: the L^p
-norms, the entropy and the monotonicity integrals as the integral of g(t)
-d(-mu), and the gradient energy of the rearrangement on any target, by
-coarea, as the integral of I(mu)^p |mu'|^(1 - p) dt with I the target's
-isoperimetric profile. No check samples the field.
+Checks on one (mesh, field) pair share its work through ``mesh._derive``:
+the mesh keeps its curvature and its largest interior |H|, and the field,
+paired with the mesh (its length checked) on its first use there, its
+gradient norms, the exact distribution function mu(t) = |{u > t}| of the
+P1 interpolant (``mesh._distribution``), built once, and each number a
+check measures from the pair (a gradient energy, the support area, the
+curvature term), so a repeated check makes no pass over the triangles.
+Every integral a field check needs comes from mu: the L^p norms, the
+entropy and the monotonicity integrals as the integral of g(t) d(-mu), and
+the gradient energy of the rearrangement on any target, by coarea, as the
+integral of I(mu)^p |mu'|^(1 - p) dt with I the target's isoperimetric
+profile. No check samples the field.
 """
 
 from __future__ import annotations
@@ -58,7 +59,6 @@ from .mesh import (
     _derive,
     _Levels,
     _region_tc,
-    _require_field_length,
     boundary_measure,
     hausdorff_measure,
     mean_curvature,
@@ -191,7 +191,7 @@ def _require_tc_bound(tc: float, K: float, what: str):
 def _require_field(mesh: TriMesh, f: VertexField | None):
     if f is None:
         raise ValueError("mesh input needs a field")
-    _require_field_length(mesh, f.values)
+    _derive(mesh, f)  # the pairing, which checks the field's length
 
 
 def _require_boundary_vanishing(mesh: TriMesh, values: np.ndarray):
@@ -242,6 +242,7 @@ def verify_polya_szego(
     """Gradient p-norm of the planar rearrangement vs the surface gradient p-norm
     scaled by the rearrangement constant. Both sides are p-th-root norms."""
     tol = _check_inputs(mesh, f, K, choice, tolerance)
+    p = require_order(p)
     mu = _distribution(mesh, f)
     lhs = mu.rearranged_energy(p, lebesgue(mesh.n)) ** (1.0 / p)
     rhs = const.ps_constant(mesh.n, K, choice) * p1_gradient_lp(mesh, f, p) ** (1.0 / p)
@@ -270,6 +271,7 @@ def verify_model_space_ps(
     inconclusive.
     """
     tol = _check_inputs(mesh, f, K, choice, tolerance)
+    p = require_order(p)
     mu = _distribution(mesh, f)
     lhs = mu.rearranged_energy(p, model_space(mesh.n, K, choice.value(mesh.n)))
     rhs = p1_gradient_lp(mesh, f, p)
@@ -289,6 +291,7 @@ def verify_model_space_ps(
 
 def superlevel_region(mesh: TriMesh, f: VertexField, t: float) -> np.ndarray:
     """Triangle indices where the P1 field exceeds t at all three corners."""
+    _derive(mesh, f)
     vals = f.values[mesh.triangles]
     return np.nonzero(np.all(vals > t, axis=1))[0]
 
@@ -336,7 +339,7 @@ def verify_p_sobolev(
     tolerance: float | None = None,
 ) -> VerificationReport:
     """L^(p*) norm of the field vs S(n, p, K) times the gradient p-norm, p in (1, n)."""
-    const._check_p_range(mesh.n, p)
+    p = const._check_p_range(mesh.n, p)
     tol = _check_inputs(mesh, f, K, choice, tolerance)
     mu = _distribution(mesh, f)
     lhs = _lp_norm(mu, const.sobolev_conjugate(mesh.n, p))
@@ -369,6 +372,7 @@ def verify_gn(
     """
     if isinstance(obj, RadialFunction):
         n = obj.n
+        p, q = const._check_gn_domain(n, p, q)
         theta, r = const.gn_theta(n, p, q), const.gn_r_exponent(n, p, q)
         lhs, energy, norm_q = radial_lp(obj, r), radial_gradient_lp(obj, p), radial_lp(obj, q)
         _require_double_range("GagliardoNirenberg", n, lhs=(lhs,), rhs=(energy, norm_q))
@@ -378,6 +382,7 @@ def verify_gn(
     if choice is None or f is None:
         raise ValueError("mesh input needs an isoperimetric choice and a field")
     tol = _check_inputs(mesh, f, K, choice, tolerance)
+    p, q = const._check_gn_domain(mesh.n, p, q)
     mu = _distribution(mesh, f)
     theta = const.gn_theta(mesh.n, p, q)
     lhs = _lp_norm(mu, const.gn_r_exponent(mesh.n, p, q))
@@ -485,7 +490,7 @@ def verify_log_sobolev(
     """
     if isinstance(obj, RadialFunction):
         n = obj.n
-        const._check_p_range(n, p)
+        p = const._check_p_range(n, p)
         c = radial_lp(obj, p)
         if not math.isfinite(c) or c <= 0:
             raise ZeroField("cannot normalize: L^p norm is zero or infinite")
@@ -496,8 +501,8 @@ def verify_log_sobolev(
         return _radial_report("LogSobolev", radial_entropy(unit, p), (n / p) * math.log(energy), tolerance, n=n, p=p)
     mesh: TriMesh = obj
     _require_field(mesh, f)
-    const._check_p_range(mesh.n, p)
-    h_max = _derive(mesh, f, "max_interior_h", lambda: _max_interior_h(mean_curvature(mesh)))
+    p = const._check_p_range(mesh.n, p)
+    h_max = _derive(mesh, None, "max_interior_h", lambda: _max_interior_h(mean_curvature(mesh)))
     if h_max > _FLATNESS_THRESHOLD:
         raise NotMinimal(
             f"max interior |H| = {h_max} exceeds the minimal-surface threshold {_FLATNESS_THRESHOLD}"

@@ -11,7 +11,7 @@ def boundary_vanishing_field(mesh: TriMesh, values) -> VertexField:
     bv = mesh.boundary_vertices()
     if bv.size:
         v[bv] = 0.0
-    return VertexField(v, mesh=mesh)
+    return VertexField(v)
 
 
 def mesh_to_off(mesh: TriMesh) -> str:

@@ -164,7 +164,7 @@ def test_criterion_5_polya_szego_verdicts(disk32, disk_hat, field_corpus):
         assert verify_polya_szego(cap, f, 2.0, tc * 1.2 + 0.01, B1).passed
         # the full sphere is refused for every admissible K
         sphere = analytic.make_sphere(3)
-        ones = VertexField(np.ones(len(sphere.vertices)), mesh=sphere)
+        ones = VertexField(np.ones(len(sphere.vertices)))
         limit = 1.0 / B1.value(2)
         for K in np.linspace(0.0, limit * 0.999, 5):
             with pytest.raises(CurvatureBoundViolated):

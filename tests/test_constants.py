@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from scipy.special import gammaln
 
@@ -34,6 +35,15 @@ class TestIsoperimetricChoice:
     def test_labels(self):
         assert const.michael_simon().label() == "michael-simon"
         assert const.brendle(2).label() == "brendle:2"
+
+    def test_labels_read_back(self):
+        for choice in (const.michael_simon(), *map(const.brendle, range(1, 6))):
+            assert const.IsoperimetricChoice.from_label(choice.label()) == choice
+
+    @pytest.mark.parametrize("text", ["bad", "brendle", "brendle:", "brendle:x", "michael_simon", "Brendle:1"])
+    def test_a_label_of_no_choice_is_refused(self, text):
+        with pytest.raises(ValueError, match=f"^--iso must be michael-simon or brendle:m, got '{text}'$"):
+            const.IsoperimetricChoice.from_label(text)
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -274,3 +284,13 @@ class TestLargeDimensions:
             j = bessel_first_zero(0.5 * n - 1.0)
             gap = const.spectral_gap_constant(n, 0.0, const.brendle(1), const.Reading.LITERAL)
             assert gap == pytest.approx(j * omega(n) ** (2.0 / n), rel=1e-13)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_a_numpy_exponent_computes_in_double(dtype):
+    # the exponent checks hand back a Python float, so a float32 p or q rounds no constant to float32
+    p, q = dtype(1.5), dtype(2.5)
+    for constant in (const.talenti_constant, const.log_sobolev_constant):
+        assert constant(2, p).hex() == constant(2, 1.5).hex()
+    for constant in (const.gn_beta, const.gn_theta, const.gn_r_exponent, const.egn_constant):
+        assert constant(2, p, q).hex() == constant(2, 1.5, 2.5).hex()

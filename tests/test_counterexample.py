@@ -328,3 +328,12 @@ class TestSphereExclusion:
         assert limit == pytest.approx(2.0 * math.sqrt(math.pi), rel=1e-12)
         assert tc == pytest.approx(4.0 * math.sqrt(math.pi), rel=0.02)
         assert tc > limit
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_a_numpy_exponent_computes_in_double(dtype):
+    # the exponent check hands back a Python float, so a float32 p rounds no closed form to float32
+    for got, want in ((example51_gradient_integrals(10.0, dtype(1.5)), example51_gradient_integrals(10.0, 1.5)),
+                      (asymptotic_check(dtype(1.5), 100.0), asymptotic_check(1.5, 100.0))):
+        assert [type(x) for x in got] == [float] * len(want)
+        assert [x.hex() for x in got] == [x.hex() for x in want]

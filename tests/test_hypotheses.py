@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from psilab import analytic, cli, counterexample
+from psilab import analytic, counterexample
 from psilab import constants as const
 from psilab import verify as v
 from psilab.errors import CurvatureBoundViolated
@@ -148,7 +148,7 @@ M_ENTRIES = [
     ("brendle", const.brendle),
     ("IsoperimetricChoice", const.IsoperimetricChoice),
     ("brendle_constant", lambda m: const.brendle_constant(2, m)),
-    ("cli-iso", lambda m: cli._parse_iso(f"brendle:{m}")),
+    ("cli-iso", lambda m: const.IsoperimetricChoice.from_label(f"brendle:{m}")),
 ]
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 import tracemalloc
@@ -197,7 +198,7 @@ class TestMeshValidation:
         for own in (vertices, triangles, values):
             own.setflags(write=writeable)
         mesh = TriMesh(vertices, triangles)
-        field = VertexField(values, mesh=mesh)
+        field = VertexField(values)
         for kept, own in ((mesh.vertices, vertices), (mesh.triangles, triangles), (field.values, values)):
             # a writable array is copied, so the caller cannot change it under the mesh; a read-only one is kept
             assert (kept is own) != writeable and np.array_equal(kept, own)
@@ -208,7 +209,7 @@ class TestMeshValidation:
     def test_changing_the_callers_arrays_changes_no_kept_result(self, disk32, disk_hat):
         vertices, values = disk32.vertices.copy(), disk_hat.values.copy()
         mesh = TriMesh(vertices, disk32.triangles)
-        field = VertexField(values, mesh=mesh)
+        field = VertexField(values)
         choice = const.brendle(1)
         first = verify.verify_polya_szego(mesh, field, 1.5, 0.0, choice)
         areas = mean_curvature(mesh).vertex_areas.copy()
@@ -219,7 +220,7 @@ class TestMeshValidation:
         assert np.array_equal(mean_curvature(mesh).vertex_areas, areas)
         # built again from the changed arrays, both sides see the changes
         stretched = TriMesh(vertices, disk32.triangles)
-        again = verify.verify_polya_szego(stretched, VertexField(values, mesh=stretched), 1.5, 0.0, choice)
+        again = verify.verify_polya_szego(stretched, VertexField(values), 1.5, 0.0, choice)
         assert again.lhs != first.lhs and again.rhs != first.rhs
         assert mean_curvature(stretched).vertex_areas.sum() == pytest.approx(2.0 * areas.sum())
 
@@ -461,7 +462,7 @@ class TestAreasAndGradient:
     def test_affine_field_gradient_exact(self, disk32):
         # u = x + 2y + 5 has |grad u|^2 = 5 on a flat mesh
         x, y = disk32.vertices[:, 0], disk32.vertices[:, 1]
-        f = VertexField(x + 2.0 * y + 5.0, mesh=disk32)
+        f = VertexField(x + 2.0 * y + 5.0)
         area = hausdorff_measure(disk32)
         for p in (1.0, 2.0, 3.0):
             assert p1_gradient_lp(disk32, f, p) == pytest.approx(
@@ -470,7 +471,7 @@ class TestAreasAndGradient:
 
     def test_gradient_in_r4(self):
         torus = analytic.make_clifford_torus(12)
-        f = VertexField(torus.vertices[:, 0] + 1.0, mesh=torus)
+        f = VertexField(torus.vertices[:, 0] + 1.0)
         assert p1_gradient_lp(torus, f, 2.0) > 0.0
 
 
@@ -516,11 +517,17 @@ class TestMeanCurvature:
 class TestVertexField:
     def test_nonnegativity(self, disk32):
         with pytest.raises(ValueError):
-            VertexField(-np.ones(len(disk32.vertices)), mesh=disk32)
+            VertexField(-np.ones(len(disk32.vertices)))
 
     def test_length_check(self, disk32):
-        with pytest.raises(ValueError):
-            VertexField(np.ones(3), mesh=disk32)
+        # a field holds no mesh: its length is checked on its first use on one
+        field = VertexField(np.ones(3))
+        with pytest.raises(ValueError, match="field length does not match vertex count"):
+            p1_gradient_lp(disk32, field, 2.0)
+
+    def test_a_field_stores_only_its_values(self, disk32):
+        assert [f.name for f in dataclasses.fields(VertexField)] == ["values"]
+        assert not hasattr(TriMesh(disk32.vertices, disk32.triangles), "_curvature")
 
     def test_values_must_be_one_dimensional(self):
         with pytest.raises(ValueError, match="field values must be a 1-d array"):
@@ -535,7 +542,7 @@ class TestVertexField:
         values = np.zeros(len(disk32.vertices))
         values[3] = bad
         with pytest.raises(ValueError, match="finite"):
-            VertexField(values, mesh=disk32)
+            VertexField(values)
         with pytest.raises(ValueError, match="finite"):
             VertexField.from_csv(f"vertex_index,value\n3,{bad}\n", disk32)
 

@@ -3,7 +3,8 @@ or listed in its ``__all__``, the package integrates with scipy's ``quad`` in on
 Gauss-Legendre rules from one and sets up the blowup closed forms in one, only the CLI draws samples, no
 package module imports ``hashlib``, ``mmap`` or ``csv``, only ``_table`` builds a JSON encoder, only the CLI
 imports ``argparse`` and its handlers are named after its commands, no two package enums encode one choice
-with the same values, and a failing hypothesis test prints its example under the repo's warning filters."""
+with the same values, only ``mesh`` names the ``_derived`` stores (every derived value is kept through
+``mesh._derive``), and a failing hypothesis test prints its example under the repo's warning filters."""
 
 import ast
 import enum
@@ -175,6 +176,25 @@ def test_the_guard_finds_a_second_encoder():
     source = "import json\nfrom json import JSONEncoder as E\n\nLINES = json.JSONEncoder(indent=1)\n\n" \
              "def dump(x):\n    return E().encode(x)\n\nJSONEncoderish = dict\n"
     assert _callers(source, "JSONEncoder") == ["<module>", "dump"]
+
+
+def _uses_of(source: str, name: str) -> list[str]:
+    """'line L' for each name, attribute or string constant ``name`` in ``source``."""
+    nodes = ast.walk(ast.parse(source))
+    return [f"line {node.lineno}" for node in nodes
+            if name in (getattr(node, "id", None), getattr(node, "attr", None)) or getattr(node, "value", None) == name]
+
+
+def test_one_derived_store():
+    # every lazily derived value is kept by ``mesh._derive``, on the mesh or on a field paired with it there
+    found = {name: _uses_of(path.read_text(), "_derived") for name, path in SOURCES.items() if path.parent == PACKAGE}
+    assert [name for name, lines in found.items() if lines] == ["mesh.py"]
+
+
+def test_the_guard_finds_a_derived_store():
+    source = "def keep(mesh, f):\n    mesh._derived = {}\n    return getattr(f, '_derived'), _derived\n\n" \
+             "_derivedx = mesh._derive\n"
+    assert _uses_of(source, "_derived") == ["line 2", "line 3", "line 3"]
 
 
 def test_one_gauss_legendre_rule():

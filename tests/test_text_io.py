@@ -138,7 +138,7 @@ class TestWritersMatchTheRowLoops:
     def test_vertex_field(self, data):
         mesh = analytic.make_disk(1.0, 3)
         values = data.draw(st.lists(nonnegative, min_size=len(mesh.vertices), max_size=len(mesh.vertices)))
-        field = VertexField(values, mesh=mesh)
+        field = VertexField(values)
         text = field.to_csv()
         assert text == reference_field_csv(field)
         assert same_bits(VertexField.from_csv(text, mesh).values, field.values)
@@ -515,7 +515,7 @@ class TestUndecodableBytesNameTheirLine:
     @pytest.fixture(scope="class")
     def disk(self):
         mesh = analytic.make_disk(1.0, 12)
-        return mesh, mesh_to_off(mesh), VertexField(np.linspace(0.0, 1.0, len(mesh.vertices)), mesh=mesh).to_csv()
+        return mesh, mesh_to_off(mesh), VertexField(np.linspace(0.0, 1.0, len(mesh.vertices))).to_csv()
 
     @pytest.mark.parametrize("line", [1, 2, 1501, 2999])
     def test_input(self, tmp_path, capsys, line):

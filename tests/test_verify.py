@@ -83,7 +83,7 @@ class TestVerificationReport:
 
     def test_field_checks_report_their_levels(self):
         # the hat's rings tie up to rounding: 9 levels at rings 8, each ring's radii merged into one
-        f = VertexField(HAT8, mesh=DISK8)
+        f = VertexField(HAT8)
         rep = verify_polya_szego(DISK8, f, 2.0, 0.0, B1)
         merged = np.unique(HAT8).size - 9
         assert (rep.inputs["levels"], rep.inputs["merged_levels"]) == (9, merged) and "subdivision" not in rep.inputs
@@ -105,7 +105,7 @@ class TestVerificationReport:
 
     def test_default_tolerance(self):
         # a mesh check given no tolerance allows 1%, as a sampled check did from subdivision 2 on
-        f = VertexField(HAT8, mesh=DISK8)
+        f = VertexField(HAT8)
         reports = [verify_polya_szego(DISK8, f, 2.0, 0.0, B1), verify_log_sobolev(DISK8, 1.5, f=f),
                    verify_michael_simon_p1(DISK8, f, B1), *verify_isoperimetric(DISK8, 0.0, B1)]
         assert verify_module._MESH_TOLERANCE == 0.01
@@ -120,7 +120,7 @@ class TestPolyaSzego:
         assert 0.97 < rep.ratio < 1.03
 
     def test_closed_surface_refused(self, sphere4):
-        f = VertexField(np.ones(len(sphere4.vertices)), mesh=sphere4)
+        f = VertexField(np.ones(len(sphere4.vertices)))
         for K in (0.0, 1.0, 3.0):
             with pytest.raises(CurvatureBoundViolated, match="closed"):
                 verify_polya_szego(sphere4, f, 2.0, K, B1)
@@ -144,9 +144,29 @@ class TestPolyaSzego:
         assert rep.passed
 
     def test_boundary_vanishing_enforced(self, disk32):
-        f = VertexField(np.ones(len(disk32.vertices)), mesh=disk32)
+        f = VertexField(np.ones(len(disk32.vertices)))
         with pytest.raises(ValueError, match="vanish"):
             verify_polya_szego(disk32, f, 2.0, 0.0, B1)
+
+
+NUMPY_EXPONENTS = {
+    "ps": lambda p, q: verify_polya_szego(DISK8, VertexField(HAT8), p, 0.0, B1),
+    "model": lambda p, q: verify_model_space_ps(DISK8, VertexField(HAT8), p, 0.0, B1),
+    "sobolev": lambda p, q: verify_p_sobolev(DISK8, VertexField(HAT8), p, 0.0, B1),
+    "gn": lambda p, q: verify_gn(DISK8, p, q, 0.0, B1, f=VertexField(HAT8)),
+    "logsob": lambda p, q: verify_log_sobolev(DISK8, p, f=VertexField(HAT8)),
+    "gn-radial": lambda p, q: verify_gn(analytic.gn_extremal(2, 1.5, 2.5), p, q),
+    "logsob-radial": lambda p, q: verify_log_sobolev(analytic.logsobolev_extremal(2, 1.5, 1.0), p),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("check", NUMPY_EXPONENTS)
+def test_a_numpy_exponent_gives_the_report_of_a_python_float(check, dtype):
+    # the verifiers compute with the Python float the exponent checks hand back: the same bits, and JSON
+    got, want = NUMPY_EXPONENTS[check](dtype(1.5), dtype(2.5)), NUMPY_EXPONENTS[check](1.5, 2.5)
+    assert type(got.inputs["p"]) is float and got.to_json() == want.to_json()
+    assert (got.lhs.hex(), got.rhs.hex()) == (want.lhs.hex(), want.rhs.hex())
 
 
 @pytest.mark.parametrize("call", [
@@ -160,7 +180,7 @@ class TestPolyaSzego:
 def test_field_checks_refuse_a_field_not_vanishing_on_the_boundary(disk32, call):
     # the Polya-Szego case is TestPolyaSzego's; ms1 takes any field
     with pytest.raises(ValueError, match="field must vanish on boundary vertices"):
-        call(disk32, VertexField(np.ones(len(disk32.vertices)), mesh=disk32))
+        call(disk32, VertexField(np.ones(len(disk32.vertices))))
 
 
 class TestModelSpace:
@@ -350,7 +370,7 @@ class TestLogSobolev:
         assert rep.passed
 
     def test_curved_mesh_rejected(self, sphere4):
-        f = VertexField(np.ones(len(sphere4.vertices)), mesh=sphere4)
+        f = VertexField(np.ones(len(sphere4.vertices)))
         with pytest.raises(NotMinimal):
             verify_log_sobolev(sphere4, 1.5, f=f)
 
@@ -476,16 +496,40 @@ HAT8 = boundary_vanishing_field(DISK8, 1.0 - np.linalg.norm(DISK8.vertices[:, :2
         lambda f: verify_log_sobolev(DISK8, 1.5, f=f),
         lambda f: verify_michael_simon_p1(DISK8, f, B1),
         lambda f: verify_monotonicity_principle(DISK8, f, monotone_preset("sobolev-l1"), 0.0, B1),
+        lambda f: mesh_module.p1_gradient_lp(DISK8, f, 2.0),
+        lambda f: superlevel_region(DISK8, f, 0.5),
+        lambda f: mesh_module.sample_field(DISK8, f),
     ],
-    ids=["ps", "model", "sobolev", "gn", "spectral", "logsob", "ms1", "mono"],
+    ids=["ps", "model", "sobolev", "gn", "spectral", "logsob", "ms1", "mono", "p1_gradient_lp", "superlevel_region",
+         "sample_field"],
 )
 @pytest.mark.parametrize(
     "values", [np.concatenate([HAT8, np.zeros(10)]), HAT8[:-10]], ids=["ten-values-more", "ten-values-fewer"]
 )
 def test_mesh_checks_refuse_a_field_of_another_length(check, values):
-    # a field built without its mesh is checked against the mesh it is verified on
+    # a field is checked against the mesh it is used on, by every function that reads it there
     with pytest.raises(ValueError, match="field length does not match vertex count"):
         check(VertexField(values))
+
+
+def test_a_field_is_paired_again_on_another_mesh():
+    f = VertexField(HAT8)
+    verify_polya_szego(DISK8, f, 2.0, 0.0, B1)
+    with pytest.raises(ValueError, match="field length does not match vertex count"):
+        mesh_module.p1_gradient_lp(analytic.make_disk(1.0, 9), f, 2.0)
+    assert f._derived[0] is DISK8 and "levels" in f._derived[1]  # a refused pairing leaves the last one
+    # a mesh of the same vertex count takes the field, which drops what it kept for the last mesh
+    same = TriMesh(DISK8.vertices.copy(), DISK8.triangles)
+    assert np.array_equal(superlevel_region(same, f, 0.5), superlevel_region(DISK8, VertexField(HAT8), 0.5))
+    assert f._derived == (same, {})
+
+
+def test_the_largest_interior_h_is_measured_once_per_mesh(monkeypatch):
+    mesh = TriMesh(DISK8.vertices, DISK8.triangles)
+    calls = _count_calls(monkeypatch, verify_module, "_max_interior_h")
+    reports = [verify_log_sobolev(mesh, 1.5, f=VertexField(values)) for values in (HAT8, 2.0 * HAT8, HAT8)]
+    assert len(calls) == 1 and reports[0] == reports[2]
+    assert {rep.inputs["max_interior_h"] for rep in reports} == {mesh._derived["max_interior_h"]}
 
 
 INTEGRAL_CHECKS = {
@@ -506,7 +550,7 @@ def _count_calls(monkeypatch, module, name) -> list:
 @pytest.mark.parametrize("check", INTEGRAL_CHECKS)
 def test_integrals_draw_no_samples(check, monkeypatch):
     # every integral comes from the field's distribution function, built once and kept
-    f = VertexField(HAT8, mesh=DISK8)
+    f = VertexField(HAT8)
     draws = _count_calls(monkeypatch, mesh_module, "sample_field")
     builds = _count_calls(monkeypatch, mesh_module, "_build_levels")
     for _ in range(3):
@@ -514,27 +558,29 @@ def test_integrals_draw_no_samples(check, monkeypatch):
     assert (len(draws), len(builds)) == (0, 1)
 
 
-WARM_MEASURES = {  # a check, what it keeps on the field in order, and where the number it keeps shows in its report
-    "spectral": (lambda f: verify_spectral_gap(DISK8, f, 0.0, B1), "support_area",
+WARM_MEASURES = {  # a check, the number it keeps and whether the mesh (else the field) keeps it, what it keeps on
+    # the field in order, and where the number shows in its report
+    "spectral": (lambda f: verify_spectral_gap(DISK8, f, 0.0, B1), "support_area", False,
                  ["support_area", "levels", "grad2", ("gradient_lp", 2)], lambda rep: rep.inputs["support_area"]),
-    "logsob": (lambda f: verify_log_sobolev(DISK8, 1.5, f=f), "max_interior_h",
-               ["max_interior_h", "levels", "grad2", ("gradient_lp", 1.5)], lambda rep: rep.inputs["max_interior_h"]),
-    "ms1": (lambda f: verify_michael_simon_p1(DISK8, f, B1), "curvature_term",
+    "logsob": (lambda f: verify_log_sobolev(DISK8, 1.5, f=f), "max_interior_h", True,
+               ["levels", "grad2", ("gradient_lp", 1.5)], lambda rep: rep.inputs["max_interior_h"]),
+    "ms1": (lambda f: verify_michael_simon_p1(DISK8, f, B1), "curvature_term", False,
             ["levels", "curvature_term", "grad2", ("gradient_lp", 1.0)], lambda rep: rep.rhs / B1.euclidean_product(2)),
 }
 
 
 @pytest.mark.parametrize("check", WARM_MEASURES)
-def test_warm_checks_reuse_their_numbers(check):
+def test_warm_checks_reuse_their_numbers(check, monkeypatch):
     # a second check of the same (mesh, field) reads what the first measured over the triangles: the same report,
     # and a kept number changed behind its back shows in the next one
-    run, name, names, shown = WARM_MEASURES[check]
-    f = VertexField(HAT8, mesh=DISK8)
+    run, name, on_mesh, names, shown = WARM_MEASURES[check]
+    f = VertexField(HAT8)
     first = run(f)
     kept_mesh, kept = f._derived
     assert kept_mesh is DISK8 and list(kept) == names
     assert run(f) == first and f._derived[1] is kept
-    kept[name] += 1e-3
+    store = DISK8._derived if on_mesh else kept
+    monkeypatch.setitem(store, name, store[name] + 1e-3)  # undone after the test: other tests share DISK8
     assert shown(run(f)) == pytest.approx(shown(first) + 1e-3, rel=0.0, abs=1e-12)
     # on another mesh the field measures afresh
     other = TriMesh(DISK8.vertices.copy(), DISK8.triangles)
@@ -546,13 +592,13 @@ def test_warm_checks_reuse_their_numbers(check):
 def test_negative_subdivision_refused(check):
     # the checks integrate exactly, so they take no subdivision at all
     with pytest.raises(TypeError, match="unexpected keyword argument 'subdivision'"):
-        INTEGRAL_CHECKS[check](VertexField(HAT8, mesh=DISK8), subdivision=-1)
+        INTEGRAL_CHECKS[check](VertexField(HAT8), subdivision=-1)
 
 
 def test_profile_checks_share_one_draw_and_one_sort(monkeypatch):
     # ps, model, ms1 and mono read the one distribution function the field keeps, whatever their targets:
     # one build, whose one sort is of the vertex values, and no sample drawn
-    f = VertexField(HAT8, mesh=DISK8)
+    f = VertexField(HAT8)
     draws = _count_calls(monkeypatch, mesh_module, "sample_field")
     builds = _count_calls(monkeypatch, mesh_module, "_build_levels")
     for K in (0.0, 0.5):
