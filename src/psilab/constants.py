@@ -203,6 +203,7 @@ def talenti_constant(n: int, p: float) -> float:
 def sobolev_conjugate(n: int, p: float) -> float:
     if not 1.0 <= p < n:
         raise ValueError(f"requires 1 <= p < n, got p = {p}, n = {n}")
+    p = float(p)
     return n * p / (n - p)
 
 
@@ -335,6 +336,7 @@ def build_constants_table(
     for name, value in (("p", p), ("q", q)):
         if value is not None and not math.isfinite(value):
             raise ValueError(f"{name} must be a finite number, got {value}")
+    p, q = (None if value is None else float(value) for value in (p, q))
     table: dict = {
         "n": n,
         "K": K,

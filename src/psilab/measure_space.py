@@ -14,9 +14,8 @@ Two targets are supported: Lebesgue measure on R^n, and the half-line model
 measure with density (1/C - K)^n r^(n-1) / n^(n-1). With K = 0 and
 C = 1/(n omega_n^(1/n)) the two ball-volume functions coincide, so the model
 rearrangement reproduces the Euclidean one knot for knot. A target's
-volumes, densities and isoperimetric profile (the perimeter of its ball of
-measure v, which the mesh verifiers' rearrangement energies read) go through
-the logarithm of its volume coefficient, so they stay finite at large n.
+volumes and densities go through the logarithm of its volume coefficient,
+so they stay finite at large n. The mesh verifiers read no target.
 
 Profile integrals are exact sums where the integrand is piecewise constant:
 L^p norms of step profiles and gradient p-energies, whose slope is constant
@@ -166,11 +165,6 @@ class TargetMeasure:
         """Radial density, d/dr of ball_volume: exp(log n + log a + (n - 1) log r)."""
         log_na = math.log(self.n) + self.log_volume_coefficient
         return np.exp(log_na + xlogy(self.n - 1, np.asarray(r, dtype=float)))
-
-    def log_perimeter(self, log_v):
-        """log I(v) from log v, where I(v) = density(ball_radius(v)) = n a^(1/n) v^((n-1)/n) is the perimeter of
-        the ball of measure v, the target's isoperimetric profile."""
-        return math.log(self.n) + self.log_volume_coefficient / self.n + (1.0 - 1.0 / self.n) * log_v
 
 
 def lebesgue(n: int) -> TargetMeasure:

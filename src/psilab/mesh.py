@@ -28,6 +28,7 @@ the pair. A field is paired with a mesh, its length checked, on first use.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -38,6 +39,7 @@ from scipy.sparse.csgraph import connected_components
 from ._table import first_bad_row, format_table, read_table, read_text, undecodable
 from .errors import DegenerateTriangle, MeshParseError, NonManifoldMesh, require_order
 from .measure_space import DiscreteMeasuredFunction, _unit_rule
+from .special_fn import log_unit_ball_volume
 
 __all__ = [
     "TriMesh",
@@ -427,7 +429,8 @@ class _Levels:
     On a triangle with sorted values a <= b <= c and area A, -mu' is a hat in t: 2A(t - a)/((b - a)(c - a)) on
     (a, b) and 2A(c - t)/((c - a)(c - b)) on (b, c), which jumps at a where a = b and at c where b = c; a
     flat triangle is an atom of mass A at its value. So -mu' is linear on each level interval, mu quadratic,
-    and every integral a verdict needs is a sum over the nodes, smooth inside each interval.
+    and every integral a verdict needs (the rearrangement's energy on R^n too) is a sum over the nodes, smooth
+    inside each interval.
 
     ``levels`` are 0 and the field's distinct vertex values, ascending, after ``merged`` merges of values
     within ``_LEVEL_TIE`` of the maximum of each other (rounding ties, which would leave intervals a few ulps
@@ -449,14 +452,15 @@ class _Levels:
         """The integral of g(u) dA, as the integral of g(t) d(-mu): ``g`` maps a read-only array elementwise."""
         return float(np.sum(g(self.t) * self.mass)) + float(self.atoms @ g(self.levels))
 
-    def rearranged_energy(self, p: float, target) -> float:
-        """The gradient p-energy of the field's rearrangement u* on ``target``, by coarea: the integral of
-        I(mu)^p |mu'|^(1 - p) dt, where I is the target's isoperimetric profile (``target.log_perimeter``),
-        so that I(mu) / |mu'| is |grad u*| on the level set. A level interval no triangle spans (below a
-        positive minimum of the field, or between the values of two components) is a jump of u*: it costs
-        I(mu) dt at p = 1 and makes the energy infinite above."""
+    def rearranged_energy(self, p: float) -> float:
+        """The gradient p-energy of the field's rearrangement u* on R^n, n = ``TriMesh.n``, by coarea: the
+        integral of I(mu)^p |mu'|^(1 - p) dt, where I(v) = n omega_n^(1/n) v^(1 - 1/n) is the perimeter of the
+        ball of volume v, so that I(mu) / |mu'| is |grad u*| on the level set. A level interval no triangle
+        spans (below a positive minimum of the field, or between the values of two components) is a jump of
+        u*: it costs I(mu) dt at p = 1 and makes the energy infinite above."""
         p = require_order(p)
-        exponent = p * target.log_perimeter(self.log_mu)
+        n = TriMesh.n
+        exponent = p * (math.log(n) + log_unit_ball_volume(n) / n + (1.0 - 1.0 / n) * self.log_mu)
         if p != 1.0:
             exponent += (1.0 - p) * self.log_rho
         return float(np.sum(self.dt * np.exp(exponent)))

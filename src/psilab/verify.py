@@ -21,9 +21,9 @@ check measures from the pair (a gradient energy, the support area, the
 curvature term), so a repeated check makes no pass over the triangles.
 Every integral a field check needs comes from mu: the L^p norms, the
 entropy and the monotonicity integrals as the integral of g(t) d(-mu), and
-the gradient energy of the rearrangement on any target, by coarea, as the
-integral of I(mu)^p |mu'|^(1 - p) dt with I the target's isoperimetric
-profile. No check samples the field.
+the gradient energy of the rearrangement on R^n, by coarea, as the integral
+of I(mu)^p |mu'|^(1 - p) dt with I the Euclidean ball's perimeter (``model``
+divides it by PS(n, K)^p). No check samples the field.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ from .errors import (
     ZeroField,
     require_order,
 )
-from .measure_space import lebesgue, model_space
 from .mesh import (
     TriMesh,
     VertexField,
@@ -244,7 +243,7 @@ def verify_polya_szego(
     tol = _check_inputs(mesh, f, K, choice, tolerance)
     p = require_order(p)
     mu = _distribution(mesh, f)
-    lhs = mu.rearranged_energy(p, lebesgue(mesh.n)) ** (1.0 / p)
+    lhs = mu.rearranged_energy(p) ** (1.0 / p)
     rhs = const.ps_constant(mesh.n, K, choice) * p1_gradient_lp(mesh, f, p) ** (1.0 / p)
     return VerificationReport(
         "PolyaSzego",
@@ -263,26 +262,23 @@ def verify_model_space_ps(
     choice: IsoperimetricChoice,
     tolerance: float | None = None,
 ) -> VerificationReport:
-    """Model-space rearrangement energy vs the raw surface gradient p-integral.
+    """Model-space rearrangement energy vs the raw surface gradient p-integral: ``verify_polya_szego`` to the
+    power p, with its refusals and inputs.
 
-    The model-space energy is in truth an infimum over approximating
-    sequences; the energy of the field's own rearrangement bounds it from
-    above, so a pass here is conclusive while a failure would be
-    inconclusive.
+    Both targets are power measures V(r) = a r^n, and the model space's n a^(1/n) is 1/C - K, so its
+    perimeters are the Euclidean ones over PS(n, K) and the rearrangement's model energy is the Euclidean
+    energy over PS(n, K)^p. The tolerance is the Polya-Szego allowance t in energy terms, (1 + t)^p - 1 (t
+    itself at p = 1), so this check passes exactly when ``verify_polya_szego`` does.
     """
-    tol = _check_inputs(mesh, f, K, choice, tolerance)
-    p = require_order(p)
-    mu = _distribution(mesh, f)
-    lhs = mu.rearranged_energy(p, model_space(mesh.n, K, choice.value(mesh.n)))
-    rhs = p1_gradient_lp(mesh, f, p)
-    return VerificationReport(
-        "PolyaSzegoModelSpace",
-        lhs,
-        rhs,
-        tol,
-        inputs=_field_inputs(mu, n=mesh.n, p=p, K=K, iso=choice.label()),
-        notes="lhs is the rearrangement's energy, an upper bound for the model-space infimum",
-    )
+    ps = verify_polya_szego(mesh, f, p, K, choice, tolerance)
+    p, t = require_order(p), ps.tolerance
+    try:
+        tol = t if p == 1.0 else (1.0 + t) ** p - 1.0
+    except OverflowError:
+        raise OutOfRange(f"tolerance {t} at p = {p} leaves the double range as (1 + t)^p - 1") from None
+    lhs = _distribution(mesh, f).rearranged_energy(p) / const.ps_constant(mesh.n, K, choice) ** p
+    return replace(ps, inequality_id="PolyaSzegoModelSpace", lhs=lhs, rhs=p1_gradient_lp(mesh, f, p), tolerance=tol,
+                   notes="lhs is the Euclidean rearrangement energy over PS^p: this check is ps to the power p")
 
 
 # ---------------------------------------------------------------------------
@@ -545,7 +541,7 @@ def verify_michael_simon_p1(
     no total-curvature assumption, so closed surfaces are allowed."""
     _require_field(mesh, f)
     mu = _distribution(mesh, f)
-    lhs = mu.rearranged_energy(1.0, lebesgue(mesh.n))
+    lhs = mu.rearranged_energy(1.0)
     curvature_term = _derive(mesh, f, "curvature_term", lambda: _curvature_term(mean_curvature(mesh), f))
     c = choice.euclidean_product(mesh.n)
     rhs = c * (p1_gradient_lp(mesh, f, 1.0) + curvature_term)
@@ -625,8 +621,8 @@ def monotone_preset(name: str, n: int = 2, p: float | None = None) -> MonotoneSp
     if name == "p-sobolev":
         if p is None:
             raise ValueError("p-sobolev preset needs a p")
-        ta = const.talenti_constant(n, p)  # refuses a p outside (1, n)
-        p_star = const.sobolev_conjugate(n, p)
+        p = const._check_p_range(n, p)  # a Python float, refused outside (1, n)
+        ta, p_star = const.talenti_constant(n, p), const.sobolev_conjugate(n, p)
         return MonotoneSpec(
             f=lambda v: v**p_star,
             phi=lambda v: v,
@@ -661,10 +657,9 @@ def verify_monotonicity_principle(
     mu = _distribution(mesh, f)
     # equimeasurable, v = u* and u have the same integrals of f and phi
     f_int, phi_int = mu.integral(spec.f), mu.integral(spec.phi)
-    euclid = lebesgue(mesh.n)
 
     def rearranged_powers(terms):
-        return sum((coef * mu.rearranged_energy(ex, euclid) for coef, ex in terms), 0.0)
+        return sum((coef * mu.rearranged_energy(ex) for coef, ex in terms), 0.0)
 
     # Euclidean hypothesis on v = u*
     hyp_lhs = spec.L(f_int, rearranged_powers(spec.g_terms))

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -294,3 +295,7 @@ def test_a_numpy_exponent_computes_in_double(dtype):
         assert constant(2, p).hex() == constant(2, 1.5).hex()
     for constant in (const.gn_beta, const.gn_theta, const.gn_r_exponent, const.egn_constant):
         assert constant(2, p, q).hex() == constant(2, 1.5, 2.5).hex()
+    assert const.sobolev_conjugate(2, p).hex() == const.sobolev_conjugate(2, 1.5).hex()
+    # the table keeps p and q as Python floats, so it serializes, row for row as from Python floats
+    table = const.build_constants_table(3, 0.0, const.brendle(1), dtype(1.5), dtype(2.0))
+    assert json.dumps(table) == json.dumps(const.build_constants_table(3, 0.0, const.brendle(1), 1.5, 2.0))

@@ -1,7 +1,6 @@
 """The exact distribution function of a P1 field (``mesh._distribution``): its gates against closed forms and
 the invariants the paper's inequalities rest on, equimeasurability, isometry invariance and the scaling laws."""
 
-import itertools
 import math
 
 import numpy as np
@@ -11,16 +10,12 @@ from hypothesis import strategies as st
 from scipy.special import xlogy
 
 from psilab import analytic
-from psilab import constants as const
 from psilab import mesh as mesh_module
-from psilab.measure_space import lebesgue, model_space
 from psilab.mesh import TriMesh, VertexField, _distribution, p1_gradient_lp
 
 from conftest import boundary_vanishing_field
 
-B1 = const.brendle(1)
 DISKS = {rings: analytic.make_disk(1.0, rings) for rings in range(3, 9)}
-TARGETS = [lebesgue(2), model_space(2, 0.0, B1.value(2)), model_space(2, 0.4, B1.value(2))]
 POWERS = (1.0, 1.5, 2.0, 3.0)
 
 
@@ -61,7 +56,7 @@ def _sides(mesh: TriMesh, f: VertexField) -> list[float]:
     """Every exact side the level structure gives, and the P1 energies they are set against."""
     mu = _distribution(mesh, f)
     sides = [mu.integral(lambda v, q=q: v**q) for q in (1.0, 1.5, 2.0, 6.0)]
-    sides += [mu.rearranged_energy(p, target) for p in POWERS for target in TARGETS]
+    sides += [mu.rearranged_energy(p) for p in POWERS]
     return sides + [p1_gradient_lp(mesh, f, p) for p in POWERS]
 
 
@@ -77,7 +72,7 @@ def test_hat_ladder_converges_from_below_at_order_two():
     for rings, ratio in want.items():
         mesh = DISKS.get(rings) or analytic.make_disk(1.0, rings)
         f = _ring_hat(mesh, rings, snapped=False)
-        energy = _distribution(mesh, f).rearranged_energy(2.0, lebesgue(2))
+        energy = _distribution(mesh, f).rearranged_energy(2.0)
         assert energy == pytest.approx(math.pi, rel=1e-12)
         got = energy / p1_gradient_lp(mesh, f, 2.0)
         assert got <= 1.0 and f"{got:.{len(ratio) - 2}f}" == ratio, rings
@@ -126,7 +121,7 @@ def test_polya_szego_holds_on_flat_meshes(case, p):
     mesh, f = case
     if not f.values.any():
         return
-    energy = _distribution(mesh, f).rearranged_energy(p, lebesgue(2))
+    energy = _distribution(mesh, f).rearranged_energy(p)
     assert energy <= (1.0 + 1e-10) * p1_gradient_lp(mesh, f, p)
 
 
@@ -144,7 +139,7 @@ def test_eight_nodes_meet_a_fine_rule(monkeypatch, rings):
         out = []
         for f in fields:
             mu = mesh_module._build_levels(mesh, f.values)
-            out += [mu.integral(g) for g in integrands] + [mu.rearranged_energy(p, TARGETS[2]) for p in POWERS]
+            out += [mu.integral(g) for g in integrands] + [mu.rearranged_energy(p) for p in POWERS]
         return out
 
     eight = sides()
@@ -205,9 +200,9 @@ def test_scaling_laws(case, s):
     nu = _distribution(scaled, g)
     for q in (1.0, 2.5):
         assert nu.integral(lambda v: v**q) == pytest.approx(s**2 * mu.integral(lambda v: v**q), rel=1e-12)
-    for p, target in itertools.product(POWERS, TARGETS):
+    for p in POWERS:
         factor = s ** (2.0 - p)
-        assert nu.rearranged_energy(p, target) == pytest.approx(factor * mu.rearranged_energy(p, target), rel=1e-12)
+        assert nu.rearranged_energy(p) == pytest.approx(factor * mu.rearranged_energy(p), rel=1e-12)
         assert p1_gradient_lp(scaled, g, p) == pytest.approx(factor * p1_gradient_lp(mesh, f, p), rel=1e-12)
 
 
@@ -262,10 +257,10 @@ def test_a_positive_minimum_is_a_jump_at_the_edge():
     constant = _distribution(sphere, VertexField(np.full(len(z), 0.7)))
     above_half = _distribution(sphere, VertexField(1.5 + z))
     assert constant.levels.tolist() == [0.0, 0.7]
-    assert constant.rearranged_energy(1.0, lebesgue(2)) == pytest.approx(0.7 * perimeter, rel=1e-12)
-    assert above_half.rearranged_energy(1.5, lebesgue(2)) == math.inf
-    ramp = _distribution(sphere, VertexField(1.0 + z)).rearranged_energy(1.0, lebesgue(2))
-    assert above_half.rearranged_energy(1.0, lebesgue(2)) == pytest.approx(ramp + 0.5 * perimeter, rel=1e-12)
+    assert constant.rearranged_energy(1.0) == pytest.approx(0.7 * perimeter, rel=1e-12)
+    assert above_half.rearranged_energy(1.5) == math.inf
+    ramp = _distribution(sphere, VertexField(1.0 + z)).rearranged_energy(1.0)
+    assert above_half.rearranged_energy(1.0) == pytest.approx(ramp + 0.5 * perimeter, rel=1e-12)
 
 
 def test_a_gap_between_components_is_a_jump_of_the_rearrangement():
@@ -275,5 +270,5 @@ def test_a_gap_between_components_is_a_jump_of_the_rearrangement():
     with pytest.warns(UserWarning, match="not connected"):
         mesh = TriMesh(vertices, np.array([[0, 1, 2], [3, 4, 5]]))
     mu = _distribution(mesh, VertexField(np.array([0.0, 1.0, 1.0, 2.0, 3.0, 3.0])))
-    assert math.isfinite(mu.rearranged_energy(1.0, lebesgue(2)))
-    assert mu.rearranged_energy(1.5, lebesgue(2)) == math.inf
+    assert math.isfinite(mu.rearranged_energy(1.0))
+    assert mu.rearranged_energy(1.5) == math.inf

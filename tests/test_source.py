@@ -4,7 +4,9 @@ Gauss-Legendre rules from one and sets up the blowup closed forms in one, only t
 package module imports ``hashlib``, ``mmap`` or ``csv``, only ``_table`` builds a JSON encoder, only the CLI
 imports ``argparse`` and its handlers are named after its commands, no two package enums encode one choice
 with the same values, only ``mesh`` names the ``_derived`` stores (every derived value is kept through
-``mesh._derive``), and a failing hypothesis test prints its example under the repo's warning filters."""
+``mesh._derive``), only the CLI takes a rearrangement target from ``measure_space`` and no rearrangement
+energy is asked for on one, and a failing hypothesis test prints its example under the repo's warning
+filters."""
 
 import ast
 import enum
@@ -214,6 +216,45 @@ def test_one_blowup_set_up():
     # numbers cannot drift apart
     callers = {name: _callers(path.read_text(), "_blowup_args") for name, path in SOURCES.items()}
     assert {name: found for name, found in callers.items() if found} == {"analytic.py": ["_blowup_terms"]}
+
+
+TARGETS = {"lebesgue", "model_space", "TargetMeasure"}
+
+
+def _target_uses(source: str) -> list[str]:
+    """'line L: name' for each target of ``TARGETS`` imported from ``measure_space`` or read off it."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "measure_space":
+            found += [(node.lineno, alias.name) for alias in node.names if alias.name in TARGETS]
+        elif isinstance(node, ast.Attribute) and node.attr in TARGETS:
+            found += [(node.lineno, node.attr)] if getattr(node.value, "id", None) == "measure_space" else []
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+def _targeted_energies(source: str) -> list[str]:
+    """'line L' for each ``rearranged_energy`` call given more than its order p."""
+    return [f"line {node.lineno}" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None))
+            == "rearranged_energy" and len(node.args) + len(node.keywords) > 1]
+
+
+def test_verdicts_rearrange_onto_euclidean_space():
+    # every verdict's rearrangement energy is on R^n; the model space's is the Euclidean one over PS^p, so
+    # outside the module that defines them only ``psilab rearrange --target`` takes a target
+    found = {name: _target_uses(path.read_text()) for name, path in SOURCES.items()
+             if path.parent == PACKAGE and name != "measure_space.py"}
+    assert [name for name, uses in found.items() if uses] == ["cli.py"]
+    assert {name: lines for name, path in SOURCES.items() if (lines := _targeted_energies(path.read_text()))} == {}
+
+
+def test_the_guard_finds_a_target():
+    source = "from .measure_space import lebesgue as euclid, rearrange\nfrom . import measure_space\n\n" \
+             "def f(mu, p):\n    t = measure_space.model_space(2, 0.0, 1.0)\n" \
+             "    return mu.rearranged_energy(p, t) + mu.rearranged_energy(p) + rearranged_energy(p, target=t)\n" \
+             "\nfrom psilab.measure_space import TargetMeasure\nx = other.lebesgue\n"
+    assert _target_uses(source) == ["line 1: lebesgue", "line 5: model_space", "line 8: TargetMeasure"]
+    assert _targeted_energies(source) == ["line 6", "line 6"]
 
 
 def test_only_the_cli_parses_arguments():

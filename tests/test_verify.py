@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from psilab import analytic, constants as const
 from psilab import verify as verify_module
@@ -169,6 +171,15 @@ def test_a_numpy_exponent_gives_the_report_of_a_python_float(check, dtype):
     assert (got.lhs.hex(), got.rhs.hex()) == (want.lhs.hex(), want.rhs.hex())
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_a_numpy_exponent_gives_the_preset_of_a_python_float(dtype):
+    # the p-sobolev preset keeps p as a Python float, in its maps and its psi exponent
+    got, want = monotone_preset("p-sobolev", 2, dtype(1.5)), monotone_preset("p-sobolev", 2, 1.5)
+    assert got.f(2.0).hex() == want.f(2.0).hex() and type(got.psi_terms[0][1]) is float
+    reports = [verify_monotonicity_principle(DISK8, VertexField(HAT8), spec, 0.0, B1) for spec in (got, want)]
+    assert reports[0].to_json() == reports[1].to_json() and reports[0].lhs.hex() == reports[1].lhs.hex()
+
+
 @pytest.mark.parametrize("call", [
     lambda mesh, f: verify_model_space_ps(mesh, f, 2.0, 0.0, B1),
     lambda mesh, f: verify_p_sobolev(mesh, f, 1.5, 0.0, B1),
@@ -183,6 +194,9 @@ def test_field_checks_refuse_a_field_not_vanishing_on_the_boundary(disk32, call)
         call(disk32, VertexField(np.ones(len(disk32.vertices))))
 
 
+MODEL_MESHES = {"disk": analytic.make_disk(1.0, 16), **{f"cap-{a}": analytic.make_cap(a, 16) for a in (0.3, 0.6, 0.9)}}
+
+
 class TestModelSpace:
     def test_flat_model_agrees_with_euclidean(self, disk32, disk_hat):
         rep = verify_model_space_ps(disk32, disk_hat, 2.0, 0.0, B1)
@@ -190,6 +204,36 @@ class TestModelSpace:
         # at K = 0 the model lhs is the euclidean profile energy
         euclid = verify_polya_szego(disk32, disk_hat, 2.0, 0.0, B1)
         assert rep.lhs == pytest.approx(euclid.lhs**2, rel=1e-10)
+
+    @pytest.mark.parametrize("t", [0.0, 0.01, 0.03, 0.2])
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+    def test_tolerance_is_the_ps_allowance_in_energy_terms(self, p, t):
+        # lhs^(1/p) <= (1 + t) rhs_ps is lhs <= (1 + t)^p rhs; at p = 1 the allowance is t itself, not 1 + t - 1
+        rep = verify_model_space_ps(DISK8, VertexField(HAT8), p, 0.0, B1, tolerance=t)
+        assert rep.tolerance == ((1.0 + t) ** p - 1.0 if p != 1.0 else t)
+
+    def test_a_tolerance_whose_energy_allowance_overflows_is_refused(self):
+        with pytest.raises(OutOfRange, match=r"tolerance 1e\+200 at p = 2.0 leaves the double range"):
+            verify_model_space_ps(DISK8, VertexField(HAT8), 2.0, 0.0, B1, tolerance=1e200)
+        assert verify_model_space_ps(DISK8, VertexField(HAT8), 1.0, 0.0, B1, tolerance=1e200).tolerance == 1e200
+
+    @seed(21)
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(list(MODEL_MESHES)), st.integers(0, 2**32 - 1), st.floats(0.0, 1.0), st.floats(1.0, 4.0),
+           st.floats(0.0, 0.999))
+    def test_model_is_ps_to_the_power_p(self, name, field_seed, noise, p, k):
+        # boundary-vanishing fields from the hat about the pole (ratios near 1 on the disk) to noise, with K in
+        # [1.01 TC, 1/C): one ratio, one verdict, and PS holds
+        mesh = MODEL_MESHES[name]
+        low = 1.01 * mean_curvature(mesh).total
+        K = low + k * (1.0 / B1.value(mesh.n) - low)
+        r = np.linalg.norm(mesh.vertices - mesh.vertices[0], axis=1)
+        noisy = 1.0 - r / r.max() + noise * np.random.default_rng(field_seed).random(len(mesh.vertices))
+        f = boundary_vanishing_field(mesh, noisy)
+        ps, model = verify_polya_szego(mesh, f, p, K, B1), verify_model_space_ps(mesh, f, p, K, B1)
+        assert model.ratio == pytest.approx(ps.ratio**p, rel=1e-13, abs=0.0)
+        assert model.passed is ps.passed
+        assert ps.passed
 
 
 def _with_unused_vertices(mesh: TriMesh, count: int, seed: int) -> TriMesh:
