@@ -180,10 +180,13 @@ def _cmd_rearrange(args) -> int:
         dmf = sample_field(mesh, VertexField.from_csv(Path(args.field), mesh), args.subdivision)
     else:
         dmf = DiscreteMeasuredFunction.from_csv(Path(args.input))  # numpy reads a path faster than a stream
-    if args.target == TargetKind.LEBESGUE_RN.value:
-        target = lebesgue(args.n)
+    choice = const.IsoperimetricChoice.from_label(args.iso)
+    if args.target == TargetKind.MODEL_SPACE.value:
+        target = model_space(args.n, args.K, choice.value(args.n))
+    elif args.K:
+        raise ValueError(f"--target lebesgue takes no --K, got {args.K}")
     else:
-        target = model_space(args.n, args.K, const.IsoperimetricChoice.from_label(args.iso).value(args.n))
+        target = lebesgue(args.n)
     profile = rearrange(dmf, target, Interpolation(args.interpolation))
     _emit(profile.to_json() if args.format == "json" else profile.to_csv(), args.out)
     return 0

@@ -10,12 +10,12 @@ each level at the radius whose ball has exactly that accumulated volume.
 one, with each run of equal values then put back in input order, which
 gives the stable permutation and so the same weight sums to the last bit.
 
-Two targets are supported: Lebesgue measure on R^n, and the half-line model
-measure with density (1/C - K)^n r^(n-1) / n^(n-1). With K = 0 and
-C = 1/(n omega_n^(1/n)) the two ball-volume functions coincide, so the model
-rearrangement reproduces the Euclidean one knot for knot. A target's
-volumes and densities go through the logarithm of its volume coefficient,
-so they stay finite at large n. The mesh verifiers read no target.
+A target is a power measure, balls of volume V(r) = a r^n, held by n and
+log a so that its volumes stay finite at large n. Only its two constructors
+know a kind: ``lebesgue(n)`` (a = omega_n) and ``model_space(n, K, C)``, the
+half-line measure with density (1/C - K)^n r^(n-1) / n^(n-1). With K = 0 and
+C = 1/(n omega_n^(1/n)) the two coincide, so the model rearrangement
+reproduces the Euclidean one knot for knot. The mesh verifiers read no target.
 
 Profile integrals are exact sums where the integrand is piecewise constant:
 L^p norms of step profiles and gradient p-energies, whose slope is constant
@@ -90,6 +90,8 @@ class DiscreteMeasuredFunction:
     @classmethod
     def from_samples(cls, samples) -> "DiscreteMeasuredFunction":
         arr = np.asarray(list(samples), dtype=float)
+        if arr.ndim != 2 or arr.shape[1] != 2:
+            raise ValueError("samples must be rows of two numbers, value and weight")
         return cls(arr[:, 0], arr[:, 1])
 
     @classmethod
@@ -122,57 +124,42 @@ class TargetKind(Enum):
 
 @dataclass(frozen=True)
 class TargetMeasure:
-    """Radial target measure: Lebesgue on R^n or the half-line model measure.
+    """Radial power measure: balls have volume V(r) = a * r^n, with density n * a * r^(n-1).
 
-    Balls have volume V(r) = a * r^n, with a = omega_n for Lebesgue and
-    (1/C - K)^n / n^n for the model space; the density is n * a * r^(n-1),
-    which for Lebesgue is the sphere-area factor n * omega_n * r^(n-1). Each
-    is computed through ``log_volume_coefficient``, log a, since a leaves the
-    double range at large n.
+    Held by n, log a (a leaves the double range at large n) and ``label``, the (key, value) pairs of its
+    JSON description, which ``lebesgue`` and ``model_space`` write after their refusals.
     """
 
-    kind: TargetKind
     n: int
-    K: float = 0.0
-    C: float | None = None
-
-    def __post_init__(self):
-        _check_ball_dimension(self.n)
-        if self.kind is TargetKind.MODEL_SPACE:
-            _check_dimension(self.n)
-            if self.C is None or self.C <= 0:
-                raise ValueError("model space requires a positive constant C")
-            _check_curvature_bound(self.K, self.C)
-        elif self.K != 0.0 or self.C is not None:
-            raise ValueError("Lebesgue target takes no K or C")
-
-    @property
-    def log_volume_coefficient(self) -> float:
-        """log a, which stays in range where a itself leaves the double range at large n."""
-        if self.kind is TargetKind.LEBESGUE_RN:
-            return log_unit_ball_volume(self.n)
-        return self.n * math.log((1.0 / self.C - self.K) / self.n)
+    log_a: float
+    label: tuple[tuple[str, object], ...]
 
     def ball_volume(self, r):
         """Measure of the ball (interval) of radius r: exp(log a + n log r)."""
-        return np.exp(self.log_volume_coefficient + xlogy(self.n, np.asarray(r, dtype=float)))
+        return np.exp(self.log_a + xlogy(self.n, np.asarray(r, dtype=float)))
 
     def ball_radius(self, v):
         """Inverse of ball_volume: v^(1/n) exp(-log(a) / n)."""
-        return np.asarray(v, dtype=float) ** (1.0 / self.n) * math.exp(-self.log_volume_coefficient / self.n)
+        return np.asarray(v, dtype=float) ** (1.0 / self.n) * math.exp(-self.log_a / self.n)
 
     def density(self, r):
         """Radial density, d/dr of ball_volume: exp(log n + log a + (n - 1) log r)."""
-        log_na = math.log(self.n) + self.log_volume_coefficient
+        log_na = math.log(self.n) + self.log_a
         return np.exp(log_na + xlogy(self.n - 1, np.asarray(r, dtype=float)))
 
 
 def lebesgue(n: int) -> TargetMeasure:
-    return TargetMeasure(TargetKind.LEBESGUE_RN, n)
+    return TargetMeasure(n, log_unit_ball_volume(n), (("kind", TargetKind.LEBESGUE_RN.value), ("n", n)))
 
 
 def model_space(n: int, K: float, C: float) -> TargetMeasure:
-    return TargetMeasure(TargetKind.MODEL_SPACE, n, K, C)
+    _check_ball_dimension(n)
+    _check_dimension(n)
+    if C is None or C <= 0:
+        raise ValueError("model space requires a positive constant C")
+    _check_curvature_bound(K, C)
+    label = (("kind", TargetKind.MODEL_SPACE.value), ("n", n), ("K", K), ("C", C))
+    return TargetMeasure(n, n * math.log((1.0 / C - K) / n), label)
 
 
 class Interpolation(Enum):
@@ -230,7 +217,7 @@ class RadialProfile:
 
     def superlevel_measure(self, t: float) -> float:
         """Target measure of {profile > t}."""
-        if t < 0:
+        if not t >= 0:  # NaN too
             raise ValueError("t must be >= 0")
         tau = _generalized_inverse(self, t)
         return float(self.target.ball_volume(tau))
@@ -244,12 +231,9 @@ class RadialProfile:
         return cls(target, radii, values, interpolation)
 
     def to_json(self) -> str:
-        target = {"kind": self.target.kind.value, "n": self.target.n}
-        if self.target.kind is TargetKind.MODEL_SPACE:
-            target.update({"K": self.target.K, "C": self.target.C})
         return json.dumps(
             {
-                "target": target,
+                "target": dict(self.target.label),
                 "interpolation": self.interpolation.value,
                 "radii": self.radii.tolist(),
                 "values": self.values.tolist(),
@@ -269,7 +253,7 @@ class RadialProfile:
 
 def distribution_function(dmf: DiscreteMeasuredFunction, t: float) -> float:
     """Total weight of samples with value strictly greater than t."""
-    if t < 0:
+    if not t >= 0:  # NaN too
         raise ValueError("t must be >= 0")
     return float(np.sum(dmf.weights[dmf.values > t]))
 

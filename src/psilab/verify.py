@@ -595,6 +595,9 @@ class MonotoneSpec:
             exps = [e for _, e in terms]
             if any(e2 <= e1 for e1, e2 in zip(exps, exps[1:])):
                 raise SpecInvalid(f"{label} exponents must be strictly increasing")
+        # Python floats, so a numpy exponent cannot carry its precision into the report
+        self.g_terms = [(float(b), float(e)) for b, e in self.g_terms]
+        self.psi_terms = [(float(c), float(e)) for c, e in self.psi_terms]
         for fn, label in ((self.f, "f"), (self.phi, "phi")):
             if fn(0.0) != 0.0:
                 raise SpecInvalid(f"{label}(0) must be 0")

@@ -130,6 +130,24 @@ class TestRearrangeCommand:
         mesh_path, _, _ = disk_files
         assert dispatch(["rearrange", "--mesh", mesh_path]) == 2
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--K", "0.7"], "--target lebesgue takes no --K, got 0.7"),
+            (["--K", "nan"], "--target lebesgue takes no --K, got nan"),
+            (["--iso", "garbage"], "--iso must be michael-simon or brendle:m, got 'garbage'"),
+            (["--target", "model", "--iso", "garbage"], "--iso must be michael-simon or brendle:m, got 'garbage'"),
+        ],
+        ids=["lebesgue-K", "lebesgue-K-nan", "lebesgue-iso", "model-iso"],
+    )
+    def test_target_arguments_refused(self, tmp_path, capsys, args, message):
+        # the Lebesgue target has no curvature, and --iso is read for every target, as verify reads it
+        src = tmp_path / "samples.csv"
+        src.write_text("value,weight\n2.0,1.0\n")
+        assert dispatch(["rearrange", "--input", str(src), *args]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"psilab: {message}\n")
+
 
 class TestVerifyCommand:
     def test_ps_passes(self, disk_files, capsys):

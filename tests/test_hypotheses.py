@@ -6,6 +6,7 @@ p < q <= p(n-1)/(n-p), the dimension n >= 2, the ball dimension n >= 1, Brendle'
 the blowup parameter lambda >= 1 (finite).
 """
 
+import json
 import math
 
 import numpy as np
@@ -15,7 +16,7 @@ from psilab import analytic, counterexample
 from psilab import constants as const
 from psilab import verify as v
 from psilab.errors import CurvatureBoundViolated
-from psilab.measure_space import TargetKind, TargetMeasure, lebesgue, model_space
+from psilab.measure_space import RadialProfile, lebesgue, model_space
 from psilab.special_fn import log_unit_ball_volume, unit_ball_volume
 
 from conftest import boundary_vanishing_field
@@ -165,7 +166,9 @@ BALL_ENTRIES = [
     ("log_unit_ball_volume", log_unit_ball_volume),
     ("lebesgue", lebesgue),
     ("model_space", lambda n: model_space(n, 0.0, 1.0)),
-    ("TargetMeasure", lambda n: TargetMeasure(TargetKind.LEBESGUE_RN, n)),
+    ("from_json", lambda n: RadialProfile.from_json(json.dumps(
+        {"target": {"kind": "model", "n": n, "K": 0.0, "C": 1.0}, "interpolation": "step", "radii": [1.0],
+         "values": [1.0]}))),
 ]
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import tracemalloc
@@ -13,7 +14,6 @@ from psilab.measure_space import (
     DiscreteMeasuredFunction,
     Interpolation,
     RadialProfile,
-    TargetKind,
     TargetMeasure,
     distribution_function,
     gradient_energy,
@@ -23,7 +23,7 @@ from psilab.measure_space import (
     profile_inverse_tau,
     rearrange,
 )
-from psilab.special_fn import unit_ball_volume
+from psilab.special_fn import log_unit_ball_volume, unit_ball_volume
 
 STEP = Interpolation.RIGHT_CONTINUOUS_STEP
 LINEAR = Interpolation.PIECEWISE_LINEAR
@@ -129,6 +129,13 @@ class TestDiscreteMeasuredFunction:
         assert distribution_function(dmf, 5.0) == 0.0
         with pytest.raises(ValueError, match="t must be >= 0"):
             distribution_function(dmf, -0.1)
+        with pytest.raises(ValueError, match="^t must be >= 0$"):
+            distribution_function(dmf, math.nan)
+
+    @pytest.mark.parametrize("samples", [[], [(1.0,)], [(1.0, 2.0, 3.0)]], ids=["empty", "one-column", "three-columns"])
+    def test_samples_must_be_rows_of_two_numbers(self, samples):
+        with pytest.raises(ValueError, match="^samples must be rows of two numbers, value and weight$"):
+            DiscreteMeasuredFunction.from_samples(samples)
 
 
 class TestStepRearrangement:
@@ -224,6 +231,14 @@ class TestModelSpaceTarget:
             assert np.allclose(pm.radii, pe.radii, rtol=1e-12)
             assert np.array_equal(pm.values, pe.values)
 
+    def test_a_target_is_n_and_log_a(self):
+        # both targets are power measures V(r) = a r^n, held by n, log a and their JSON description
+        assert [field.name for field in dataclasses.fields(TargetMeasure)] == ["n", "log_a", "label"]
+        assert lebesgue(3).log_a == log_unit_ball_volume(3)
+        assert model_space(2, 0.5, 0.1).log_a == 2.0 * math.log((1.0 / 0.1 - 0.5) / 2.0)
+        assert lebesgue(2).label == (("kind", "lebesgue"), ("n", 2)) and hash(lebesgue(2)) == hash(lebesgue(2))
+        assert model_space(2, 0.0, 0.5).label == (("kind", "model"), ("n", 2), ("K", 0.0), ("C", 0.5))
+
     def test_positive_curvature_shrinks_volume(self):
         c = 1.0 / (2.0 * math.sqrt(math.pi))
         t0 = model_space(2, 0.0, c)
@@ -257,20 +272,11 @@ class TestModelSpaceTarget:
         with pytest.raises(ValueError):
             lebesgue(0)
 
-    @pytest.mark.parametrize(
-        "kind, K, C, message",
-        [
-            (TargetKind.MODEL_SPACE, 0.0, None, "model space requires a positive constant C"),
-            (TargetKind.MODEL_SPACE, 0.0, -1.0, "model space requires a positive constant C"),
-            (TargetKind.LEBESGUE_RN, 0.5, None, "Lebesgue target takes no K or C"),
-            (TargetKind.LEBESGUE_RN, 0.0, 1.0, "Lebesgue target takes no K or C"),
-        ],
-        ids=["model-no-C", "model-negative-C", "lebesgue-K", "lebesgue-C"],
-    )
-    def test_target_refusals(self, kind, K, C, message):
+    @pytest.mark.parametrize("C", [None, -1.0], ids=["model-no-C", "model-negative-C"])
+    def test_target_refusals(self, C):
         with pytest.raises(ValueError) as caught:
-            TargetMeasure(kind, 2, K, C)
-        assert str(caught.value) == message
+            model_space(2, 0.0, C)
+        assert str(caught.value) == "model space requires a positive constant C"
 
 
 class TestRadialProfile:
@@ -302,7 +308,7 @@ class TestRadialProfile:
             model_space(2, 0.5, 0.1), np.array([0.0, 1.5]), np.array([2.0, 0.0]), LINEAR
         )
         back = RadialProfile.from_json(prof.to_json())
-        assert back.target.K == 0.5
+        assert dict(back.target.label)["K"] == 0.5 and back.target == prof.target
         assert np.array_equal(back.radii, prof.radii)
         assert back.interpolation is LINEAR
 
@@ -340,6 +346,8 @@ class TestRadialProfile:
         assert prof.support_radius() == 2.0
         with pytest.raises(ValueError, match="t must be >= 0"):
             prof.superlevel_measure(-0.1)
+        with pytest.raises(ValueError, match="^t must be >= 0$"):
+            prof.superlevel_measure(math.nan)
 
     def test_csv_roundtrip(self):
         prof = RadialProfile(lebesgue(3), np.array([1.0, 2.0]), np.array([1.0, 0.5]), STEP)

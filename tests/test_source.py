@@ -5,7 +5,8 @@ package module imports ``hashlib``, ``mmap`` or ``csv``, only ``_table`` builds 
 imports ``argparse`` and its handlers are named after its commands, no two package enums encode one choice
 with the same values, only ``mesh`` names the ``_derived`` stores (every derived value is kept through
 ``mesh._derive``), only the CLI takes a rearrangement target from ``measure_space`` and no rearrangement
-energy is asked for on one, and a failing hypothesis test prints its example under the repo's warning
+energy is asked for on one, only the two target constructors (with the JSON reader and the CLI) read a
+``TargetKind`` member, and a failing hypothesis test prints its example under the repo's warning
 filters."""
 
 import ast
@@ -20,6 +21,7 @@ import pytest
 
 import psilab
 from psilab import cli
+from psilab.measure_space import TargetKind
 
 PACKAGE = pathlib.Path(psilab.__file__).parent
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -255,6 +257,45 @@ def test_the_guard_finds_a_target():
              "\nfrom psilab.measure_space import TargetMeasure\nx = other.lebesgue\n"
     assert _target_uses(source) == ["line 1: lebesgue", "line 5: model_space", "line 8: TargetMeasure"]
     assert _targeted_energies(source) == ["line 6", "line 6"]
+
+
+KIND_MEMBERS = {member.name for member in TargetKind}
+
+
+def _kind_readers(source: str) -> list[str]:
+    """The qualified name of the function or class around each read of a ``TargetKind`` member (an attribute
+    of a member's name, or ``TargetKind(...)`` or ``TargetKind[...]``), '<module>' outside any."""
+    readers = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            looked_up = child.func if isinstance(child, ast.Call) else getattr(child, "value", None)
+            if (isinstance(child, ast.Attribute) and child.attr in KIND_MEMBERS) or (
+                    isinstance(child, (ast.Call, ast.Subscript)) and getattr(looked_up, "id", None) == "TargetKind"):
+                readers.append(scope)
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, child.name if scope == "<module>" else f"{scope}.{child.name}")
+            else:
+                visit(child, scope)
+
+    visit(ast.parse(source), "<module>")
+    return readers
+
+
+def test_only_the_target_constructors_know_a_kind():
+    # a target is a power measure, n and log a: its kind is read where it is built, where a JSON description
+    # is mapped to its constructor, and by the CLI's --target
+    found = {name: set(_kind_readers(path.read_text())) for name, path in SOURCES.items()
+             if path.parent == PACKAGE and name != "cli.py"}
+    assert {name: readers for name, readers in found.items() if readers} == {
+        "measure_space.py": {"lebesgue", "model_space", "RadialProfile.from_json"}}
+
+
+def test_the_guard_finds_a_kind_read():
+    source = "class T:\n    def volume(self):\n        if self.kind is TargetKind.MODEL_SPACE:\n" \
+             "            return 1.0\n        def inner():\n            return kinds.LEBESGUE_RN\n\n" \
+             "KIND = TargetKind('model')\nBY_NAME = TargetKind['LEBESGUE_RN']\nx = TargetKind.value\n"
+    assert _kind_readers(source) == ["T.volume", "T.volume.inner", "<module>", "<module>"]
 
 
 def test_only_the_cli_parses_arguments():

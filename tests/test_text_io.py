@@ -296,7 +296,8 @@ class TestCliOutputsMatchTheRowLoops:
         argv += ["--interpolation", interp]
         assert run_cli(base, argv + ["--format", "csv"]) == reference_profile_csv(profile)
         want = {
-            "target": {"kind": target.kind.value, "n": 2, **({"K": 0.5, "C": target.C} if target.C else {})},
+            "target": {"kind": "lebesgue", "n": 2} if name == "samples"
+            else {"kind": "model", "n": 2, "K": 0.5, "C": 0.28209479177387814},
             "interpolation": interp,
             "radii": profile.radii.tolist(),
             "values": profile.values.tolist(),

@@ -180,6 +180,20 @@ def test_a_numpy_exponent_gives_the_preset_of_a_python_float(dtype):
     assert reports[0].to_json() == reports[1].to_json() and reports[0].lhs.hex() == reports[1].lhs.hex()
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_a_custom_spec_keeps_python_floats(dtype):
+    # a custom spec's coefficients and exponents become Python floats, so the PS constant raised to a float32
+    # exponent cannot turn the report's side into float32
+    def spec(number):
+        return MonotoneSpec(f=lambda v: v, phi=lambda v: v, g_terms=[(number(-0.5), number(2.0))],
+                            psi_terms=[(number(1.0), number(1.5))], L=lambda s, t: s, lam=lambda s, t: t)
+
+    got, want = spec(dtype), spec(float)
+    assert all(type(x) is float for terms in (got.g_terms, got.psi_terms) for term in terms for x in term)
+    reports = [verify_monotonicity_principle(DISK8, VertexField(HAT8), s, 0.5, B1) for s in (got, want)]
+    assert reports[0].rhs.hex() == reports[1].rhs.hex() and reports[0].to_json() == reports[1].to_json()
+
+
 @pytest.mark.parametrize("call", [
     lambda mesh, f: verify_model_space_ps(mesh, f, 2.0, 0.0, B1),
     lambda mesh, f: verify_p_sobolev(mesh, f, 1.5, 0.0, B1),
