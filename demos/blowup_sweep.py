@@ -10,7 +10,7 @@ thresholds, and cross-checks one row against a discrete sphere.
 import math
 
 from psilab.counterexample import asymptotic_check, find_lambda_bar, sweep
-from psilab.errors import is_divergent
+from psilab.errors import DIVERGENT
 
 p = 1.5
 lams = [10.0 ** k for k in range(5)]
@@ -19,7 +19,7 @@ rows = sweep(p, lams)
 print(f"p = {p}")
 print(f"{'lambda':>10}{'surface':>12}{'curv term':>12}{'plane':>14}{'plane/surface':>16}")
 for row in rows:
-    plane = "divergent" if is_divergent(row.plane_grad_p) else f"{row.plane_grad_p:.4g}"
+    plane = "divergent" if row.plane_grad_p is DIVERGENT else f"{row.plane_grad_p:.4g}"
     print(f"{row.lam:>10.4g}{row.surface_grad_p:>12.4g}{row.curvature_term:>12.4g}"
           f"{plane:>14}{row.gradient_ratio:>16.4g}")
 

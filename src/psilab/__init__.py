@@ -27,14 +27,12 @@ from .errors import (
     PsilabError,
     SpecInvalid,
     ZeroField,
-    is_divergent,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
     "DIVERGENT",
-    "is_divergent",
     "ComplexValued",
     "ConvergenceFailure",
     "CurvatureBoundViolated",

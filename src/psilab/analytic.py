@@ -23,7 +23,7 @@ from scipy.special import beta, betainc
 
 from .constants import _check_gn_domain, _check_p_range
 from .errors import DIVERGENT, OutOfRange, require_order
-from .mesh import TriMesh, VertexField
+from .mesh import TriMesh
 from .special_fn import log_unit_ball_volume
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "make_cap",
     "make_catenoid",
     "make_clifford_torus",
-    "make_surface",
     "example51_field",
     "example51_profile",
     "example51_surface_lp",
@@ -185,20 +184,6 @@ def make_clifford_torus(subdiv: int = 32) -> TriMesh:
     return TriMesh(pts, _quad_grid(n, n, closed=True))
 
 
-def make_surface(kind: str, **kwargs) -> TriMesh:
-    """Dispatch by name: sphere, disk, cap, catenoid, clifford-torus."""
-    table = {
-        "sphere": make_sphere,
-        "disk": make_disk,
-        "cap": make_cap,
-        "catenoid": make_catenoid,
-        "clifford-torus": make_clifford_torus,
-    }
-    if kind not in table:
-        raise ValueError(f"unknown surface kind {kind!r}; choose from {sorted(table)}")
-    return table[kind](**kwargs)
-
-
 # ---------------------------------------------------------------------------
 # the gradient-blowup family on the unit sphere
 
@@ -233,10 +218,6 @@ def example51_field(lam, points):
     on_cap = (pts[:, 2] > 0) & (r <= 1.0 / lam)
     out = np.where(on_cap, lam * r, 1.0)
     return out if np.ndim(points) > 1 else _shaped(out[..., 0])
-
-
-def example51_vertex_field(lam: float, mesh: TriMesh) -> VertexField:
-    return VertexField(example51_field(lam, mesh.vertices))
 
 
 def example51_profile(lam: float) -> "RadialFunction":

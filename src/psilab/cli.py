@@ -173,13 +173,8 @@ def _cmd_curvature(args) -> int:
 
 
 def _cmd_rearrange(args) -> int:
-    if args.mesh:
-        if not args.field:
-            raise ValueError("--mesh requires --field")
-        mesh = _load_mesh_arg(args.mesh)
-        dmf = sample_field(mesh, VertexField.from_csv(Path(args.field), mesh), args.subdivision)
-    else:
-        dmf = DiscreteMeasuredFunction.from_csv(Path(args.input))  # numpy reads a path faster than a stream
+    if args.mesh and not args.field:
+        raise ValueError("--mesh requires --field")
     choice = const.IsoperimetricChoice.from_label(args.iso)
     if args.target == TargetKind.MODEL_SPACE.value:
         target = model_space(args.n, args.K, choice.value(args.n))
@@ -187,6 +182,11 @@ def _cmd_rearrange(args) -> int:
         raise ValueError(f"--target lebesgue takes no --K, got {args.K}")
     else:
         target = lebesgue(args.n)
+    if args.mesh:
+        mesh = _load_mesh_arg(args.mesh)
+        dmf = sample_field(mesh, VertexField.from_csv(Path(args.field), mesh), args.subdivision)
+    else:
+        dmf = DiscreteMeasuredFunction.from_csv(Path(args.input))  # numpy reads a path faster than a stream
     profile = rearrange(dmf, target, Interpolation(args.interpolation))
     _emit(profile.to_json() if args.format == "json" else profile.to_csv(), args.out)
     return 0

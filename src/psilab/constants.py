@@ -22,7 +22,6 @@ from .special_fn import bessel_first_zero, log_gamma, log_unit_ball_volume
 
 __all__ = [
     "IsoperimetricChoice",
-    "michael_simon",
     "brendle",
     "Reading",
     "TcConvention",
@@ -103,10 +102,6 @@ class IsoperimetricChoice:
             else:
                 return cls(m)
         raise ValueError(f"--iso must be michael-simon or brendle:m, got {text!r}")
-
-
-def michael_simon() -> IsoperimetricChoice:
-    return IsoperimetricChoice()
 
 
 def brendle(m: int) -> IsoperimetricChoice:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import _blowup_terms, example51_field, example51_gradient_integrals, make_sphere
-from .errors import DIVERGENT, ConvergenceFailure, is_divergent, require_order
+from .errors import DIVERGENT, ConvergenceFailure, require_order
 from .mesh import _stacked_gradient_lp
 
 __all__ = [
@@ -62,7 +62,7 @@ class SweepRow:
         return {
             "lambda": self.lam, "p": self.p,
             "surface_grad_p": self.surface_grad_p, "curvature_term": self.curvature_term,
-            "plane_grad_p": "divergent" if is_divergent(self.plane_grad_p) else self.plane_grad_p,
+            "plane_grad_p": "divergent" if self.plane_grad_p is DIVERGENT else self.plane_grad_p,
             "ratio": "inf" if math.isinf(self.ratio) else self.ratio,
             "gradient_ratio": "inf" if math.isinf(self.gradient_ratio) else self.gradient_ratio,
             "mesh_surface": self.mesh_surface, "flagged": self.flagged,
@@ -76,13 +76,13 @@ def sweep(p: float, lam_list, mesh_check: bool = False, subdiv: int = 5):
     lambda array. The mesh cross-check evaluates the field of every lambda on
     the icosphere's vertices as one stacked (lambda, vertex) array, in blocks,
     and takes each row's P1 energy in one pass; every ``mesh_surface`` is
-    bit-identical to ``p1_gradient_lp(mesh, example51_vertex_field(lam, mesh), p)``.
+    bit-identical to ``p1_gradient_lp(mesh, VertexField(example51_field(lam, mesh.vertices)), p)``.
     """
     p = float(p)  # a numpy scalar would be kept in each row and, as float32, round 2^p
     lams = np.array(lam_list, dtype=float, ndmin=1)
     surface, plane, surface_lp = _blowup_terms(lams, p)
     curvature = 2.0**p * surface_lp
-    if is_divergent(plane):
+    if plane is DIVERGENT:
         planes = [DIVERGENT] * len(lams)
         ratio = gradient_ratio = np.full(len(lams), math.inf)
     else:
@@ -110,7 +110,7 @@ def sweep_to_csv(rows) -> str:
     """Plot-friendly CSV: one row per lambda, Divergent spelled out."""
     lines = ["lambda,p,surface_grad_p,curvature_term,plane_grad_p,ratio,gradient_ratio,mesh_surface,flagged"]
     for r in rows:
-        plane = "divergent" if is_divergent(r.plane_grad_p) else repr(r.plane_grad_p)
+        plane = "divergent" if r.plane_grad_p is DIVERGENT else repr(r.plane_grad_p)
         ratio = "inf" if math.isinf(r.ratio) else repr(r.ratio)
         gratio = "inf" if math.isinf(r.gradient_ratio) else repr(r.gradient_ratio)
         ms = "" if r.mesh_surface is None else repr(r.mesh_surface)

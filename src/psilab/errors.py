@@ -83,10 +83,6 @@ class _Divergent:
 DIVERGENT = _Divergent()
 
 
-def is_divergent(x) -> bool:
-    return x is DIVERGENT
-
-
 def require_order(p: float) -> float:
     """p as a Python float, refused unless a finite number >= 1, the orders of the L^p norms and p-energies."""
     if not 1 <= p < math.inf:

@@ -28,6 +28,7 @@ a segment that ends at 0.
 from __future__ import annotations
 
 import functools
+import inspect
 import json
 import math
 from dataclasses import dataclass
@@ -243,11 +244,19 @@ class RadialProfile:
     @classmethod
     def from_json(cls, text: str) -> "RadialProfile":
         obj = json.loads(text)
-        t = obj["target"]
-        if t["kind"] == TargetKind.MODEL_SPACE.value:
-            target = model_space(t["n"], t["K"], t["C"])
-        else:
-            target = lebesgue(t["n"])
+        args = dict(obj["target"])
+        kind = args.pop("kind", None)
+        build = {TargetKind.LEBESGUE_RN.value: lebesgue, TargetKind.MODEL_SPACE.value: model_space}.get(kind)
+        if build is None:
+            raise ValueError(f"target kind must be one of {[t.value for t in TargetKind]}, got {kind!r}")
+        keys = inspect.signature(build).parameters  # the label's keys are the constructor's parameters
+        for key in args:
+            if key not in keys:
+                raise ValueError(f"a {kind} target has no key {key!r}")
+        for key in keys:
+            if key not in args:
+                raise ValueError(f"a {kind} target needs the key {key!r}")
+        target = build(**args)
         return cls(target, np.asarray(obj["radii"]), np.asarray(obj["values"]), Interpolation(obj["interpolation"]))
 
 

@@ -49,13 +49,12 @@ __all__ = [
     "hausdorff_measure",
     "p1_gradient_lp",
     "mean_curvature",
-    "total_mean_curvature",
     "boundary_measure",
     "sample_field",
 ]
 
 
-@dataclass
+@dataclass(eq=False)
 class TriMesh:
     """Oriented triangle mesh, manifold with boundary, embedded in R^d.
 
@@ -98,8 +97,6 @@ class TriMesh:
         if repeats.any():
             raise DegenerateTriangle(f"triangle {tri[repeats.argmax()].tolist()} repeats a vertex")
         v = self.vertices
-        span = np.array([x.max() - x.min() for x in v.T])  # a column at a time: an axis-0 reduction is 8x slower
-        scale2 = float(np.dot(span, span))
         # Gram entries of the edges a = x1 - x0, b = x2 - x0: areas here, P1 gradients later;
         # np.take copies the same rows as v[idx] at a quarter of the cost
         x0 = np.take(v, tri[:, 0], axis=0)
@@ -107,7 +104,8 @@ class TriMesh:
         del x0
         gram = aa, bb, ab = tuple(np.einsum("ij,ij->i", x, y) for x, y in ((a, a), (b, b), (a, b)))
         areas = 0.5 * np.sqrt(np.maximum(aa * bb - ab * ab, 0.0))
-        bad = np.nonzero(areas <= 1e-12 * max(scale2, 1e-300))[0]
+        longest2 = np.maximum(np.maximum(aa, bb), aa + bb - 2.0 * ab)  # the longest edge, squared
+        bad = np.nonzero(areas <= 1e-12 * longest2)[0]
         if bad.size:
             raise DegenerateTriangle(f"triangle {tri[bad[0]].tolist()} has (near-)zero area")
         # half-edge 3t+k runs tri[t, k] -> tri[t, k+1]; its key is the undirected
@@ -296,7 +294,7 @@ def _require_field_values(values: np.ndarray):
         raise ValueError("field values must be >= 0")
 
 
-@dataclass
+@dataclass(eq=False)
 class VertexField:
     """Nonnegative P1 scalar field given by its vertex values, read-only like
     a mesh's arrays (a writable array is copied, a read-only one kept as it is).
@@ -648,11 +646,6 @@ def _region_tc(mesh: TriMesh, report: CurvatureReport, region=None) -> float:
     inside_tri[_indices(region, len(mesh.triangles), "triangle")] = True
     interior[mesh.triangles[~inside_tri]] = False
     return _total_curvature(report.vertex_areas, report.h_norm, interior)
-
-
-def total_mean_curvature(mesh: TriMesh) -> float:
-    """L^2 norm of |H| over the surface (n = 2), boundary vertices excluded."""
-    return mean_curvature(mesh).total
 
 
 def boundary_measure(mesh: TriMesh, region=None) -> float:

@@ -12,7 +12,7 @@ import pytest
 
 from psilab import analytic, constants as const
 from psilab.counterexample import find_lambda_bar, sweep
-from psilab.errors import CurvatureBoundViolated, is_divergent
+from psilab.errors import DIVERGENT, CurvatureBoundViolated
 from psilab.measure_space import (
     DiscreteMeasuredFunction,
     distribution_function,
@@ -21,7 +21,7 @@ from psilab.measure_space import (
     model_space,
     rearrange,
 )
-from psilab.mesh import VertexField, hausdorff_measure, mean_curvature, total_mean_curvature
+from psilab.mesh import VertexField, hausdorff_measure, mean_curvature
 from psilab.special_fn import bessel_first_zero, bessel_j
 from psilab.verify import (
     verify_gn,
@@ -124,7 +124,7 @@ def test_criterion_3_blowup_slope_and_divergence():
         slope = np.polyfit(x, y, 1)[0]
         assert abs(slope - p) / p < 0.1
         _, plane = analytic.example51_gradient_integrals(50.0, 2.0)
-        assert is_divergent(plane)
+        assert plane is DIVERGENT
 
 
 def test_criterion_4_counterexample_threshold():
@@ -132,7 +132,7 @@ def test_criterion_4_counterexample_threshold():
         bars = [find_lambda_bar(N, 1.5) for N in (1.0, 10.0, 100.0)]
         assert all(math.isfinite(b) for b in bars)
         assert bars[0] < bars[1] < bars[2]
-        tc = total_mean_curvature(analytic.make_sphere(4))
+        tc = mean_curvature(analytic.make_sphere(4)).total
         limit = 1.0 / const.brendle_constant(2, 1)
         assert abs(tc - 4.0 * math.sqrt(math.pi)) / tc < 0.02
         assert tc > limit
@@ -158,7 +158,7 @@ def test_criterion_5_polya_szego_verdicts(disk32, disk_hat, field_corpus):
                 assert rep.ratio <= 1.01
         # small-aperture cap with an honest curvature bound
         cap = analytic.make_cap(0.3, rings=12)
-        tc = total_mean_curvature(cap)
+        tc = mean_curvature(cap).total
         z = cap.vertices[:, 2]
         f = boundary_vanishing_field(cap, z - float(z[cap.boundary_vertices()].min()))
         assert verify_polya_szego(cap, f, 2.0, tc * 1.2 + 0.01, B1).passed
@@ -208,8 +208,8 @@ def test_criterion_8_mesh_geometry_oracles(sphere5):
         rep = mean_curvature(sphere5)
         assert np.max(np.abs(rep.h_norm - 2.0)) / 2.0 < 0.02
         assert abs(rep.total - 4.0 * math.sqrt(math.pi)) / rep.total < 0.02
-        a = total_mean_curvature(analytic.make_sphere(3, radius=1.0))
-        b = total_mean_curvature(analytic.make_sphere(3, radius=4.0))
+        a = mean_curvature(analytic.make_sphere(3, radius=1.0)).total
+        b = mean_curvature(analytic.make_sphere(3, radius=4.0)).total
         assert abs(a - b) / a < 1e-6
         torus = mean_curvature(analytic.make_clifford_torus(48))
         assert np.max(np.abs(torus.h_norm - 2.0)) / 2.0 < 0.03
@@ -218,6 +218,6 @@ def test_criterion_8_mesh_geometry_oracles(sphere5):
 def test_criterion_9_michael_simon_on_the_full_sphere(sphere5):
     with Stopwatch(30.0):
         for lam in (1.0, 5.0, 10.0):
-            f = analytic.example51_vertex_field(lam, sphere5)
+            f = VertexField(analytic.example51_field(lam, sphere5.vertices))
             rep = verify_michael_simon_p1(sphere5, f, B1)
             assert rep.passed

@@ -6,7 +6,7 @@ import pytest
 import scipy.integrate
 
 from psilab import analytic
-from psilab.errors import OutOfRange, is_divergent
+from psilab.errors import DIVERGENT, OutOfRange
 from psilab.mesh import hausdorff_measure
 from psilab.verify import verify_gn, verify_log_sobolev
 
@@ -176,12 +176,6 @@ class TestSurfaceGenerators:
         # all points lie on the unit 3-sphere
         assert np.allclose(np.linalg.norm(mesh.vertices, axis=1), 1.0)
 
-    def test_dispatch(self):
-        mesh = analytic.make_surface("sphere", subdiv=1)
-        assert mesh.is_closed()
-        with pytest.raises(ValueError):
-            analytic.make_surface("moebius")
-
     @pytest.mark.parametrize("make, loop", GRID_CASES, ids=GRID_IDS)
     def test_grid_generators_match_loop_reference(self, make, loop):
         mesh = make()
@@ -289,11 +283,11 @@ class TestBlowupFamily:
 
     def test_plane_divergent_iff_p_at_least_two(self):
         _, plane = analytic.example51_gradient_integrals(10.0, 2.0)
-        assert is_divergent(plane)
+        assert plane is DIVERGENT
         _, plane = analytic.example51_gradient_integrals(10.0, 3.0)
-        assert is_divergent(plane)
+        assert plane is DIVERGENT
         _, plane = analytic.example51_gradient_integrals(10.0, 1.9)
-        assert not is_divergent(plane) and plane > 0.0
+        assert plane is not DIVERGENT and plane > 0.0
 
     def test_plane_p1_large_lambda_limit(self):
         # p = 1: the planar energy tends to 4 pi as lambda grows
@@ -316,7 +310,7 @@ class TestBlowupClosedForms:
             if p < 2.0:
                 assert type(pl) is float and pl == plane[k]
             else:
-                assert is_divergent(pl) and is_divergent(plane)
+                assert pl is DIVERGENT and plane is DIVERGENT
 
     def test_p1_surface_is_pi_over_lambda(self):
         surface, _ = analytic.example51_gradient_integrals(self.LAMS, 1.0)
@@ -466,8 +460,8 @@ class TestRadialFunctions:
             assert analytic.radial_gradient_lp(prof, p) == pytest.approx(plane, rel=1e-6)
         assert math.isfinite(verify_log_sobolev(prof, 1.5).rhs)  # its unit-norm copy keeps the band
         for p in (2.0, 3.0):  # divergent by the same exponent test as the closed form
-            assert is_divergent(analytic.radial_gradient_lp(prof, p))
-            assert is_divergent(analytic.example51_gradient_integrals(lam, p)[1])
+            assert analytic.radial_gradient_lp(prof, p) is DIVERGENT
+            assert analytic.example51_gradient_integrals(lam, p)[1] is DIVERGENT
 
     @pytest.mark.parametrize("lam", [3e4, 1e5, 1e7, 1e8])
     @pytest.mark.parametrize("p", [1.0, 1.5])

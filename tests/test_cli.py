@@ -148,6 +148,15 @@ class TestRearrangeCommand:
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", f"psilab: {message}\n")
 
+    @pytest.mark.parametrize("source", [["--input", "missing.csv"], ["--mesh", "missing.off", "--field", "missing.csv"]],
+                             ids=["input", "mesh"])
+    def test_arguments_refused_before_the_input_is_read(self, tmp_path, capsys, source):
+        # as verify does: a bad argument is named, not the missing file
+        source = [str(tmp_path / arg) if arg.startswith("missing") else arg for arg in source]
+        assert dispatch(["rearrange", *source, "--target", "model", "--K", "9"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("psilab: K = 9.0 is not in [0, 1/C)")
+
 
 class TestVerifyCommand:
     def test_ps_passes(self, disk_files, capsys):
@@ -240,7 +249,7 @@ class TestVerifyCommand:
         assert dispatch(["verify", "iso", "--mesh", mesh_path]) == 0
 
 
-B1, MS = const.brendle(1), const.michael_simon()
+B1, MS = const.brendle(1), const.IsoperimetricChoice()
 LITERAL = const.Reading.LITERAL
 
 # check, CLI arguments after --field, and the same verifier call from the library
@@ -348,7 +357,7 @@ class TestCounterexampleCommand:
         # the reference: the closed-form rows, cross-checked one lambda at a time
         mesh, rows = analytic.make_sphere(subdiv), sweep(p, lams)
         for row in rows:
-            row.mesh_surface = p1_gradient_lp(mesh, analytic.example51_vertex_field(row.lam, mesh), p)
+            row.mesh_surface = p1_gradient_lp(mesh, VertexField(analytic.example51_field(row.lam, mesh.vertices)), p)
             row.flagged = row.lam > 20.0 or abs(row.mesh_surface - row.surface_grad_p) / row.surface_grad_p > 0.05
         bar = find_lambda_bar(30.0, p) if threshold else None
         if fmt:

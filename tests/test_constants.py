@@ -26,7 +26,7 @@ class TestIsoperimetricChoice:
         n = 3
         expect = 5.0**3 / unit_ball_volume(3) ** (1.0 / 3.0)
         assert const.ic_upper_bound(n) == pytest.approx(expect, rel=1e-13)
-        assert const.michael_simon().value(n) == const.ic_upper_bound(n)
+        assert const.IsoperimetricChoice().value(n) == const.ic_upper_bound(n)
 
     def test_brendle_high_codimension_never_exceeds_michael_simon(self):
         for n in (2, 3, 5):
@@ -34,11 +34,11 @@ class TestIsoperimetricChoice:
                 assert const.brendle_constant(n, m) <= const.ic_upper_bound(n) + 1e-15
 
     def test_labels(self):
-        assert const.michael_simon().label() == "michael-simon"
+        assert const.IsoperimetricChoice().label() == "michael-simon"
         assert const.brendle(2).label() == "brendle:2"
 
     def test_labels_read_back(self):
-        for choice in (const.michael_simon(), *map(const.brendle, range(1, 6))):
+        for choice in (const.IsoperimetricChoice(), *map(const.brendle, range(1, 6))):
             assert const.IsoperimetricChoice.from_label(choice.label()) == choice
 
     @pytest.mark.parametrize("text", ["bad", "brendle", "brendle:", "brendle:x", "michael_simon", "Brendle:1"])

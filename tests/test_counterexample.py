@@ -15,13 +15,12 @@ from psilab.counterexample import (
     sweep_to_csv,
 )
 from psilab import mesh as mesh_module
-from psilab.errors import ConvergenceFailure, is_divergent
-from psilab.mesh import _stacked_gradient_lp, p1_gradient_lp, total_mean_curvature
+from psilab.errors import DIVERGENT, ConvergenceFailure
+from psilab.mesh import VertexField, _stacked_gradient_lp, mean_curvature, p1_gradient_lp
 from psilab.analytic import (
     example51_field,
     example51_gradient_integrals,
     example51_surface_lp,
-    example51_vertex_field,
     make_sphere,
 )
 
@@ -36,7 +35,7 @@ class TestSweep:
     def test_divergent_rows_for_p2(self):
         rows = sweep(2.0, [5.0, 50.0])
         for row in rows:
-            assert is_divergent(row.plane_grad_p)
+            assert row.plane_grad_p is DIVERGENT
             assert math.isinf(row.ratio)
 
     def test_subcritical_ratio_grows(self):
@@ -107,7 +106,7 @@ DRAWN_P = float(np.random.default_rng(20).uniform(1.0, 4.0))
 
 def _per_lambda(mesh, lams, p):
     """The mesh cross-check one lambda at a time, as ``float.hex`` strings."""
-    return [p1_gradient_lp(mesh, example51_vertex_field(lam, mesh), p).hex() for lam in lams]
+    return [p1_gradient_lp(mesh, VertexField(example51_field(lam, mesh.vertices)), p).hex() for lam in lams]
 
 
 class TestStackedMeshCheck:
@@ -227,7 +226,7 @@ BLOWUP_LAMBDAS = [1.0, 1.5, 2.0, 10.0, 123.456, 1e3, 2.0**27, 1e5, 1e8, 1e9, 1e1
 
 
 def _hex(x):
-    return "divergent" if is_divergent(x) else float(x).hex()
+    return "divergent" if x is DIVERGENT else float(x).hex()
 
 
 def _bisected_lambda_bar(N, p):
@@ -274,9 +273,9 @@ class TestOneClosedFormPass:
         for k, (row, lam) in enumerate(zip(rows, BLOWUP_LAMBDAS)):
             surface, plane = example51_gradient_integrals(lam, p)
             curvature = 2.0**p * example51_surface_lp(lam, p)
-            if is_divergent(plane):
+            if plane is DIVERGENT:
                 ratio = gradient_ratio = math.inf
-                assert is_divergent(planes)
+                assert planes is DIVERGENT
             else:
                 ratio, gradient_ratio = plane / (surface + curvature), plane / surface
                 assert _hex(planes[k]) == _hex(plane)
@@ -323,7 +322,7 @@ class TestAsymptoticCheck:
 
 class TestSphereExclusion:
     def test_sphere_curvature_exceeds_admissible_bound(self):
-        tc = total_mean_curvature(make_sphere(4))
+        tc = mean_curvature(make_sphere(4)).total
         limit = 1.0 / const.brendle_constant(2, 1)
         assert limit == pytest.approx(2.0 * math.sqrt(math.pi), rel=1e-12)
         assert tc == pytest.approx(4.0 * math.sqrt(math.pi), rel=0.02)

@@ -17,6 +17,7 @@ from psilab import constants as const
 from psilab import verify as v
 from psilab.errors import CurvatureBoundViolated
 from psilab.measure_space import RadialProfile, lebesgue, model_space
+from psilab.mesh import VertexField
 from psilab.special_fn import log_unit_ball_volume, unit_ball_volume
 
 from conftest import boundary_vanishing_field
@@ -122,7 +123,7 @@ N_ENTRIES = [
     ("ic_upper_bound", lambda n: const.ic_upper_bound(n)),
     ("brendle_constant", lambda n: const.brendle_constant(n, 1)),
     ("brendle_constant-m3", lambda n: const.brendle_constant(n, 3)),
-    ("michael_simon-value", lambda n: const.michael_simon().value(n)),
+    ("michael_simon-value", lambda n: const.IsoperimetricChoice().value(n)),
     ("brendle-euclidean_product", lambda n: B1.euclidean_product(n)),
     ("asymptotic_ratio", lambda n: const.asymptotic_ratio(n, 0.0)),
     ("tc_unit_sphere-trace", lambda n: const.tc_unit_sphere(n)),
@@ -185,7 +186,7 @@ LAMBDA_ENTRIES = [
     ("example51_field-point", lambda lam: analytic.example51_field(lam, [0.0, 0.0, 1.0])),
     ("example51_field-array", lambda lam: analytic.example51_field([10.0, lam], [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])),
     ("example51_field-array-point", lambda lam: analytic.example51_field([lam, 2.0], [0.0, 0.0, 1.0])),
-    ("example51_vertex_field", lambda lam: analytic.example51_vertex_field(lam, SPHERE)),
+    ("example51_vertex_field", lambda lam: VertexField(analytic.example51_field(lam, SPHERE.vertices))),
     ("example51_profile", analytic.example51_profile),
     ("example51_surface_lp", lambda lam: analytic.example51_surface_lp(lam, 1.5)),
     ("example51_gradient_integrals", lambda lam: analytic.example51_gradient_integrals(lam, 1.5)),

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import os
 import tracemalloc
@@ -311,6 +312,25 @@ class TestRadialProfile:
         assert dict(back.target.label)["K"] == 0.5 and back.target == prof.target
         assert np.array_equal(back.radii, prof.radii)
         assert back.interpolation is LINEAR
+
+    @pytest.mark.parametrize(
+        "target, message",
+        [
+            ({"kind": "sphere", "n": 2, "K": 0.5}, "target kind must be one of ['lebesgue', 'model'], got 'sphere'"),
+            ({"n": 2}, "target kind must be one of ['lebesgue', 'model'], got None"),
+            ({"kind": "model", "n": 2, "C": 0.1}, "a model target needs the key 'K'"),
+            ({"kind": "model", "n": 2, "K": 0.5}, "a model target needs the key 'C'"),
+            ({"kind": "lebesgue"}, "a lebesgue target needs the key 'n'"),
+            ({"kind": "lebesgue", "n": 2, "K": 0.5}, "a lebesgue target has no key 'K'"),
+            ({"kind": "model", "n": 2, "K": 0.5, "C": 0.1, "m": 1}, "a model target has no key 'm'"),
+        ],
+        ids=["unknown-kind", "no-kind", "model-no-K", "model-no-C", "lebesgue-no-n", "lebesgue-K", "model-extra"],
+    )
+    def test_a_bad_target_description_is_refused(self, target, message):
+        text = json.dumps({"target": target, "interpolation": "step", "radii": [1.0], "values": [1.0]})
+        with pytest.raises(ValueError) as caught:
+            RadialProfile.from_json(text)
+        assert str(caught.value) == message
 
     def test_json_roundtrip_on_lebesgue(self):
         prof = RadialProfile(lebesgue(3), np.array([1.0, 2.0]), np.array([1.0, 0.5]), STEP)

@@ -26,7 +26,6 @@ from psilab.mesh import (
     mean_curvature,
     p1_gradient_lp,
     sample_field,
-    total_mean_curvature,
 )
 
 from conftest import boundary_vanishing_field, mesh_to_off
@@ -134,6 +133,27 @@ class TestMeshValidation:
         with pytest.raises(DegenerateTriangle):
             TriMesh(v, np.array([[0, 1, 2]]))
 
+    def test_a_triangle_is_judged_by_its_own_edges(self):
+        # a disk graded toward its center: its smallest triangles have area ~2e-17, far below 1e-12 of the
+        # squared bounding-box diagonal, but are as well shaped as its largest
+        segments, tris = analytic._polar_grid(56, 16)
+        radii = np.geomspace(1e-8, 1.0, 56)
+        graded = TriMesh(np.vstack([[0.0, 0.0, 0.0], analytic._rings(radii, np.zeros(56), segments)]), tris)
+        assert graded.triangle_areas().min() < 1e-16
+        assert graded.triangle_areas().sum() == pytest.approx(8.0 * math.sin(math.pi / 8.0), rel=1e-14)
+        # a needle of unit edges and area 5e-14 is still refused
+        needle = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.5, 1e-13, 0.0]])
+        with pytest.raises(DegenerateTriangle, match=r"triangle \[0, 1, 2\] has \(near-\)zero area"):
+            TriMesh(needle, np.array([[0, 1, 2]]))
+
+    def test_meshes_and_fields_compare_by_identity(self):
+        first, second = analytic.make_disk(1, 4), analytic.make_disk(1, 4)
+        f, g = VertexField(np.ones(len(first.vertices))), VertexField(np.ones(len(first.vertices)))
+        for a, b in ((first, second), (f, g)):
+            assert a == a and not a != a
+            assert a != b and not a == b
+            assert hash(a) == hash(a) and len({a, b, a}) == 2
+
     def test_inconsistent_orientation(self):
         v = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]], dtype=float)
         # both triangles traverse edge (0, 1) in the same direction
@@ -230,7 +250,7 @@ class TestMeshValidation:
         real = mesh_module._curvature_report
         monkeypatch.setattr(mesh_module, "_curvature_report", lambda m: calls.append(m) or real(m))
         first = mean_curvature(mesh)
-        assert mean_curvature(mesh) is first and total_mean_curvature(mesh) == first.total
+        assert mean_curvature(mesh) is first and mean_curvature(mesh).total == first.total
         assert calls == [mesh]
 
 
@@ -483,8 +503,8 @@ class TestMeanCurvature:
         assert rep.total == pytest.approx(4.0 * math.sqrt(math.pi), rel=0.01)
 
     def test_tc_scale_invariance(self):
-        a = total_mean_curvature(analytic.make_sphere(3, radius=1.0))
-        b = total_mean_curvature(analytic.make_sphere(3, radius=7.5))
+        a = mean_curvature(analytic.make_sphere(3, radius=1.0)).total
+        b = mean_curvature(analytic.make_sphere(3, radius=7.5)).total
         assert a == pytest.approx(b, rel=1e-6)
 
     def test_refinement_convergence(self):

@@ -6,8 +6,8 @@ imports ``argparse`` and its handlers are named after its commands, no two packa
 with the same values, only ``mesh`` names the ``_derived`` stores (every derived value is kept through
 ``mesh._derive``), only the CLI takes a rearrangement target from ``measure_space`` and no rearrangement
 energy is asked for on one, only the two target constructors (with the JSON reader and the CLI) read a
-``TargetKind`` member, and a failing hypothesis test prints its example under the repo's warning
-filters."""
+``TargetKind`` member, every name in the ``__all__`` of ``psilab`` and of its modules exists, and a failing
+hypothesis test prints its example under the repo's warning filters."""
 
 import ast
 import enum
@@ -329,10 +329,13 @@ def _twin_enums(modules) -> list[list[str]]:
     return [names for names in by_values.values() if len(names) > 1]
 
 
+def _package_modules() -> list[types.ModuleType]:
+    return [importlib.import_module(f"psilab.{path.stem}") for path in SOURCES.values()
+            if path.parent == PACKAGE and path.stem != "__init__"]
+
+
 def test_one_enum_per_choice():
-    modules = [importlib.import_module(f"psilab.{path.stem}") for path in SOURCES.values()
-               if path.parent == PACKAGE and path.stem != "__init__"]
-    assert _twin_enums(modules) == []
+    assert _twin_enums(_package_modules()) == []
 
 
 def test_the_guard_finds_twin_enums():
@@ -342,6 +345,24 @@ def test_the_guard_finds_twin_enums():
     second.C = enum.Enum("C", {"Q": "y", "P": "x"}, module="second")
     second.A = first.A  # imported, not defined here
     assert _twin_enums([first, second]) == [["first.A", "second.C"]]
+
+
+def _missing_exports(module: types.ModuleType) -> list[str]:
+    """The names ``module.__all__`` lists that the module does not have: ``from module import *`` fails on
+    each."""
+    return [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+
+
+def test_every_export_exists():
+    missing = {module.__name__: _missing_exports(module) for module in [psilab, *_package_modules()]}
+    assert {name: names for name, names in missing.items() if names} == {}
+
+
+def test_the_guard_finds_a_missing_export():
+    module = types.ModuleType("stale")
+    module.__all__ = ["kept", "removed", "renamed"]
+    module.kept = module.renamed_to = None
+    assert _missing_exports(module) == ["removed", "renamed"]
 
 
 def test_a_failing_hypothesis_test_prints_its_example(tmp_path):

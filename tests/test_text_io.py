@@ -179,7 +179,7 @@ class TestWritersMatchTheRowLoops:
         assert indented_json(payload) == json.dumps(payload, indent=2)
 
 
-B1, MS = const.brendle(1), const.michael_simon()
+B1, MS = const.brendle(1), const.IsoperimetricChoice()
 # (mesh, the curvature bound K its checks take): a flat disk, and a cap whose total mean curvature is 2.007
 SUMMARY_MESHES = {"disk": (analytic.make_disk(1.0, 8), 0.0), "cap": (analytic.make_cap(0.6, rings=10), 2.1)}
 
