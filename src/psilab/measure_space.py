@@ -244,6 +244,13 @@ class RadialProfile:
     @classmethod
     def from_json(cls, text: str) -> "RadialProfile":
         obj = json.loads(text)
+        if not isinstance(obj, dict):
+            raise ValueError(f"a profile must be a JSON object, got {type(obj).__name__}")
+        for key in ("target", "interpolation", "radii", "values"):
+            if key not in obj:
+                raise ValueError(f"a profile needs the key {key!r}")
+        if not isinstance(obj["target"], dict):
+            raise ValueError(f"a profile's 'target' must be a JSON object, got {type(obj['target']).__name__}")
         args = dict(obj["target"])
         kind = args.pop("kind", None)
         build = {TargetKind.LEBESGUE_RN.value: lebesgue, TargetKind.MODEL_SPACE.value: model_space}.get(kind)
@@ -256,6 +263,9 @@ class RadialProfile:
         for key in keys:
             if key not in args:
                 raise ValueError(f"a {kind} target needs the key {key!r}")
+        for key, value in args.items():
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"a {kind} target's {key!r} must be a number, got {value!r}")
         target = build(**args)
         return cls(target, np.asarray(obj["radii"]), np.asarray(obj["values"]), Interpolation(obj["interpolation"]))
 

@@ -103,9 +103,11 @@ class TriMesh:
         a, b = np.take(v, tri[:, 1], axis=0) - x0, np.take(v, tri[:, 2], axis=0) - x0
         del x0
         gram = aa, bb, ab = tuple(np.einsum("ij,ij->i", x, y) for x, y in ((a, a), (b, b), (a, b)))
+        del a, b  # each temporary is freed once dead, which halves the peak of a build
         areas = 0.5 * np.sqrt(np.maximum(aa * bb - ab * ab, 0.0))
         longest2 = np.maximum(np.maximum(aa, bb), aa + bb - 2.0 * ab)  # the longest edge, squared
         bad = np.nonzero(areas <= 1e-12 * longest2)[0]
+        del longest2
         if bad.size:
             raise DegenerateTriangle(f"triangle {tri[bad[0]].tolist()} has (near-)zero area")
         # half-edge 3t+k runs tri[t, k] -> tri[t, k+1]; its key is the undirected
@@ -121,12 +123,16 @@ class TriMesh:
             e = order[np.flatnonzero(np.diff(keys[order]) == 0) + 1].min()  # the repeat met first in triangle order
             edge = (int(src[e]), int(dst[e]))
             raise NonManifoldMesh(f"directed edge {edge} appears twice; non-manifold or inconsistently oriented")
+        del keys
         # twins differ only in the low bit; triangle across each half-edge, -1 on the boundary
         pair = np.flatnonzero((sorted_keys[:-1] | 1) == sorted_keys[1:])
+        del sorted_keys
         first, second = order[pair], order[pair + 1]
-        across = np.full(keys.size, -1, dtype=np.int32)  # kept: half the bytes of int64
+        del order, pair
+        across = np.full(src.size, -1, dtype=np.int32)  # kept: half the bytes of int64
         across[first], across[second] = second // 3, first // 3
-        adjacency = coo_matrix((np.ones(pair.size), (first // 3, second // 3)), shape=(len(tri),) * 2)
+        adjacency = coo_matrix((np.ones(first.size), (first // 3, second // 3)), shape=(len(tri),) * 2)
+        del first, second
         self._disconnected = connected_components(adjacency, directed=False)[0] > 1
         has_twin = across >= 0
         edges = np.stack([src[~has_twin], dst[~has_twin]], axis=1)
@@ -580,22 +586,27 @@ def mean_curvature(mesh: TriMesh) -> CurvatureReport:
 
 
 def _curvature_report(mesh: TriMesh) -> CurvatureReport:
-    """The read-only ``mean_curvature`` report."""
+    """The read-only ``mean_curvature`` report.
+
+    Every sum is scattered in place with ``np.add.at`` into a zeroed array, and its bits depend on the order
+    of the additions into each vertex: pair (i, j) = (c, c+1) for c = 0, 1, 2, end i before end j, triangles
+    in order (the order of one ``np.bincount`` over all the pairs' ends), each coordinate of the curvature
+    vector on its own; the vertex areas take, per c, the i piece, the j piece, then the i fallback.
+    """
     v = mesh.vertices
     tri = mesh.triangles
-    nvert = len(v)
-    ntri = len(tri)
+    nvert, d = v.shape
     tri_areas = mesh.triangle_areas()
-    corners = np.take(v, tri.T, axis=0)  # (3, M, d), corner-major: the one gather both corner loops share
     # edges[c] = x_i - x_j for the corner pair (i, j) = (c, c+1); the other two
     # sides seen from corner k = c+2 are x_i - x_k = -edges[k] and x_j - x_k = edges[c+1]
-    edges = [corners[c] - corners[(c + 1) % 3] for c in range(3)]
+    edges = []
+    for c in range(3):
+        e = np.take(v, tri[:, c], axis=0)
+        e -= np.take(v, tri[:, (c + 1) % 3], axis=0)
+        edges.append(e)
     sq_len = [np.einsum("ij,ij->i", e, e) for e in edges]
-    cots = np.empty((3, ntri))
-    # the scatter-add of each pair's term to i and its negative to j, filled in place:
-    # target vertices in pair, end, triangle order and one contiguous row of terms per coordinate
-    h_idx = np.empty((3, 2, ntri), dtype=tri.dtype)
-    h_terms = np.empty((v.shape[1], 3, 2, ntri))
+    cots = np.empty((3, len(tri)))
+    accum = np.zeros((nvert, d))  # the cot-weighted edge sums, each coordinate a column scattered on its own
     for c in range(3):
         k = (c + 2) % 3
         # angle at k, opposite edge (i, j)
@@ -603,25 +614,23 @@ def _curvature_report(mesh: TriMesh) -> CurvatureReport:
         cross2 = np.maximum(sq_len[k] * sq_len[(c + 1) % 3] - dot * dot, 1e-300)
         cot = dot / np.sqrt(cross2)
         cots[k] = cot  # indexed by the corner the angle sits at
-        h_idx[c, 0], h_idx[c, 1] = tri[:, c], tri[:, (c + 1) % 3]
-        np.multiply(edges[c].T, cot, out=h_terms[:, c, 0])
-        np.negative(h_terms[:, c, 0], out=h_terms[:, c, 1])
-    h_idx = h_idx.ravel()
-    accum = np.stack([np.bincount(h_idx, weights=row.ravel(), minlength=nvert) for row in h_terms], axis=1)
-    del corners, edges, h_idx, h_terms  # freed before the area stage, which lowers the peak
+        del dot, cross2
+        for x in range(d):  # each pair's term to i and its negative to j
+            term = edges[c][:, x] * cot
+            np.add.at(accum[:, x], tri[:, c], term)
+            np.add.at(accum[:, x], tri[:, (c + 1) % 3], np.negative(term, out=term))
+    del edges, cot, term  # freed before the area stage, which lowers the peak
     obtuse_corner = cots < 0.0  # (3, M), at most one per triangle
     tri_obtuse = obtuse_corner.any(axis=0)
-    area_idx, area_terms = [], []
+    areas = np.zeros(nvert)
     for c in range(3):
-        i = tri[:, c]
-        j = tri[:, (c + 1) % 3]
         # Voronoi piece from the angle at corner (c+2): cot * |ij|^2 / 8 to each end
         piece = np.where(tri_obtuse, 0.0, cots[(c + 2) % 3] * sq_len[c] / 8.0)
+        np.add.at(areas, tri[:, c], piece)
+        np.add.at(areas, tri[:, (c + 1) % 3], piece)
         # obtuse fallback: half the area at the obtuse corner, quarter elsewhere
         fallback = np.where(obtuse_corner[c], 0.5 * tri_areas, 0.25 * tri_areas)
-        area_idx += [i, j, i]
-        area_terms += [piece, piece, np.where(tri_obtuse, fallback, 0.0)]
-    areas = np.bincount(np.concatenate(area_idx), weights=np.concatenate(area_terms), minlength=nvert)
+        np.add.at(areas, tri[:, c], np.where(tri_obtuse, fallback, 0.0))
     boundary = np.zeros(nvert, dtype=bool)
     boundary[mesh.boundary_vertices()] = True
     h = np.zeros(nvert)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 from scipy.optimize import brentq
 from scipy.special import jv
 
@@ -47,7 +48,10 @@ def gamma(x: float) -> float:
 
 
 def _check_ball_dimension(n: int) -> None:
-    """Refuse a dimension n below 1, where no unit ball and no Lebesgue measure on R^n exist."""
+    """Refuse a dimension n that is not a whole number (a bool is not one) or lies below 1, where no unit ball
+    and no Lebesgue measure on R^n exist."""
+    if isinstance(n, (bool, np.bool_)) or not n % 1 == 0:  # NaN and inf too
+        raise ValueError(f"dimension must be a whole number, got {n}")
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
 

@@ -181,6 +181,28 @@ def test_ball_dimension(entry, n):
     assert str(caught.value) == f"dimension must be >= 1, got {n}"
 
 
+@pytest.mark.parametrize("n", [2.5, math.nan, math.inf])
+@pytest.mark.parametrize("entry", [e for _, e in BALL_ENTRIES], ids=_ids(BALL_ENTRIES))
+def test_ball_dimension_is_a_whole_number(entry, n):
+    with pytest.raises(ValueError) as caught:
+        entry(n)
+    assert str(caught.value) == f"dimension must be a whole number, got {n}"
+
+
+@pytest.mark.parametrize("n", [True, np.True_])
+@pytest.mark.parametrize("entry", [e for _, e in BALL_ENTRIES[:-1]], ids=_ids(BALL_ENTRIES[:-1]))
+def test_ball_dimension_is_not_a_bool(entry, n):
+    # True == 1 and True % 1 == 0, so a bool passes both other rules; JSON's true is refused by from_json
+    with pytest.raises(ValueError) as caught:
+        entry(n)
+    assert str(caught.value) == "dimension must be a whole number, got True"
+
+
+@pytest.mark.parametrize("entry", [e for _, e in BALL_ENTRIES[:-1]], ids=_ids(BALL_ENTRIES[:-1]))
+def test_ball_dimension_takes_a_numpy_integer(entry):
+    assert entry(np.int64(2)) == entry(2)
+
+
 LAMBDA_ENTRIES = [
     ("example51_field", lambda lam: analytic.example51_field(lam, [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])),
     ("example51_field-point", lambda lam: analytic.example51_field(lam, [0.0, 0.0, 1.0])),

@@ -332,6 +332,33 @@ class TestRadialProfile:
             RadialProfile.from_json(text)
         assert str(caught.value) == message
 
+    @pytest.mark.parametrize(
+        "obj, message",
+        [
+            ([1.0], "a profile must be a JSON object, got list"),
+            ("profile", "a profile must be a JSON object, got str"),
+            ({"interpolation": "step", "radii": [1.0], "values": [1.0]}, "a profile needs the key 'target'"),
+            ({"target": {"kind": "lebesgue", "n": 2}, "radii": [1.0], "values": [1.0]},
+             "a profile needs the key 'interpolation'"),
+            ({"target": {"kind": "lebesgue", "n": 2}, "interpolation": "step", "values": [1.0]},
+             "a profile needs the key 'radii'"),
+            ({"target": {"kind": "lebesgue", "n": 2}, "interpolation": "step", "radii": [1.0]},
+             "a profile needs the key 'values'"),
+            ({"target": ["lebesgue", 2], "interpolation": "step", "radii": [1.0], "values": [1.0]},
+             "a profile's 'target' must be a JSON object, got list"),
+            ({"target": {"kind": "model", "n": 2, "K": "0.5", "C": 0.1}, "interpolation": "step", "radii": [1.0],
+              "values": [1.0]}, "a model target's 'K' must be a number, got '0.5'"),
+            ({"target": {"kind": "lebesgue", "n": True}, "interpolation": "step", "radii": [1.0], "values": [1.0]},
+             "a lebesgue target's 'n' must be a number, got True"),
+        ],
+        ids=["list", "string", "no-target", "no-interpolation", "no-radii", "no-values", "target-list",
+             "string-K", "bool-n"],
+    )
+    def test_a_malformed_profile_is_refused(self, obj, message):
+        with pytest.raises(ValueError) as caught:
+            RadialProfile.from_json(json.dumps(obj))
+        assert str(caught.value) == message
+
     def test_json_roundtrip_on_lebesgue(self):
         prof = RadialProfile(lebesgue(3), np.array([1.0, 2.0]), np.array([1.0, 0.5]), STEP)
         back = RadialProfile.from_json(prof.to_json())

@@ -832,11 +832,15 @@ def _fancy_index_gram(mesh):
         lambda: analytic.make_sphere(4),
         lambda: analytic.make_clifford_torus(16),
         lambda: load_mesh(mesh_to_off(analytic.make_clifford_torus(12))),
+        # 222 of its 240 triangles are obtuse, so the areas run the fallback branch
+        lambda: _squashed(analytic.make_disk(1.0, 8)),
+        lambda: _with_loose_vertex(analytic.make_disk(1.0, 8)),
     ],
-    ids=["disk", "cap", "icosphere", "clifford-r4", "noff4"],
+    ids=["disk", "cap", "icosphere", "clifford-r4", "noff4", "squashed-disk", "loose-vertex"],
 )
 def test_mean_curvature_bit_identical_to_per_corner_gathers(make):
-    # np.take row gathers copy the rows v[idx] copies, so everything built from them is bit-identical
+    # np.take row gathers copy the rows v[idx] copies, so everything built from them is bit-identical; the
+    # in-place scatters add each vertex's terms in the order of the reference's bincount over all pairs
     mesh = make()
     rng = np.random.default_rng(7)
     jittered = TriMesh(mesh.vertices + 1e-3 * rng.standard_normal(mesh.vertices.shape), mesh.triangles)
@@ -848,6 +852,16 @@ def test_mean_curvature_bit_identical_to_per_corner_gathers(make):
         h, areas = _per_corner_gather_curvature(m)
         assert np.array_equal(got.vertex_areas, areas)
         assert np.array_equal(got.h_norm, h)
+        loose = np.setdiff1d(np.arange(len(m.vertices)), m.triangles)  # in no triangle: its sums stay 0
+        assert not got.vertex_areas[loose].any() and not got.h_norm[loose].any()
+
+
+def _squashed(mesh):
+    return TriMesh(mesh.vertices * [1.0, 0.1, 1.0], mesh.triangles)
+
+
+def _with_loose_vertex(mesh):
+    return TriMesh(np.vstack([mesh.vertices, [[2.0, 0.0, 0.0]]]), mesh.triangles)
 
 
 @pytest.fixture(scope="module")
@@ -874,12 +888,22 @@ def test_load_mesh_peak_memory(disk100_off):
 
 
 def test_mean_curvature_peak_memory(disk100_off):
-    # the corner coordinates, edges and the scatter's indices and terms are freed before the vertex areas are
-    # summed: 54 triangle-length float64 arrays, where keeping them through that stage took 79
+    # the three edge arrays are gathered row by row and every sum is scattered in place, one coordinate at a
+    # time, so no corner gather, index block or term block is built: 22.5 triangle-length float64 arrays,
+    # where those blocks took 54
     mesh = load_mesh(disk100_off)
     triangles = len(mesh.triangles)
     peak = _traced_peak(lambda: mean_curvature(mesh))
-    assert peak <= 66 * 8 * triangles
+    assert peak <= 30 * 8 * triangles
+
+
+def test_trimesh_peak_memory(disk100_off):
+    # validation frees each temporary (edge vectors, half-edge keys, sort order, twin pairs) once it is dead:
+    # 17.6 triangle-length float64 arrays, the kept Gram entries, areas and twins among them, where keeping
+    # every temporary to the end took 38.1
+    vertices, triangles = mesh_module._parse_off(disk100_off)
+    peak = _traced_peak(lambda: TriMesh(vertices, triangles))
+    assert peak <= 24 * 8 * len(triangles)
 
 
 def _per_call_gram_gradient_lp(mesh, f, p):
