@@ -5,7 +5,8 @@ Five subcommands: ``constants`` prints the closed-form constants table,
 converts weighted samples or a mesh field into a radial profile, ``verify``
 runs one check of ``psilab.verify.CHECKS``, and ``counterexample`` sweeps the
 sphere blowup family. Exit code 0 means success with every check passing, 1
-means at least one verification failed, and 2 means a usage or domain error.
+means at least one verification failed, and 2 means a usage or domain error
+(an input too large to hold in memory among them).
 
 ``verify`` refuses bad arguments before it reads a file, and keeps what it
 built between ``dispatch`` calls of one process: up to eight meshes, each
@@ -252,7 +253,7 @@ def dispatch(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return globals()[f"_cmd_{args.command}"](args)  # looked up on each call, so a rebound handler runs
-    except (PsilabError, ValueError, ArithmeticError, OSError) as exc:
+    except (PsilabError, ValueError, ArithmeticError, OSError, MemoryError) as exc:
         print(f"psilab: {exc}", file=sys.stderr)
         return 2
 

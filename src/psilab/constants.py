@@ -17,8 +17,8 @@ from contextlib import suppress
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import ComplexValued, CurvatureBoundViolated, GammaPole
-from .special_fn import bessel_first_zero, log_gamma, log_unit_ball_volume
+from .errors import ComplexValued, CurvatureBoundViolated, GammaPole, OutOfRange
+from .special_fn import _check_dimension, bessel_first_zero, log_gamma, log_unit_ball_volume
 
 __all__ = [
     "IsoperimetricChoice",
@@ -81,7 +81,7 @@ class IsoperimetricChoice:
         return ic_upper_bound(n) if self.m is None else brendle_constant(n, self.m)
 
     def euclidean_product(self, n: int) -> float:
-        _check_dimension(n)
+        _check_dimension(n, 2)
         if self.m in (1, 2):
             return 1.0
         return self.value(n) * _n_omega_root(n)
@@ -115,12 +115,6 @@ def _check_codimension(m: int | None) -> None:
         raise ValueError("Brendle choice requires codimension m >= 1")
 
 
-def _check_dimension(n: int) -> None:
-    """Refuse a submanifold dimension n below 2, the least the constants and the model space are stated for."""
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
-
-
 def _check_curvature_bound(K: float, C: float) -> float:
     """Refuse a total-curvature bound K outside [0, 1/C), the paper's hypothesis on K; return C."""
     if not 0 <= K < 1.0 / C:
@@ -129,7 +123,8 @@ def _check_curvature_bound(K: float, C: float) -> float:
 
 
 def _check_p_range(n: int, p: float) -> float:
-    """p as a Python float, refused outside (1, n), the range of the Sobolev, GN and log-Sobolev inequalities."""
+    """p as a Python float, refused (after n) outside (1, n), the Sobolev, GN and log-Sobolev inequalities' range."""
+    _check_dimension(n, 2)
     if not 1.0 < p < n:
         raise ValueError(f"requires 1 < p < n, got p = {p}, n = {n}")
     return float(p)
@@ -147,7 +142,7 @@ def _check_gn_domain(n: int, p: float, q: float) -> tuple[float, float]:
 def ic_upper_bound(n: int) -> float:
     """Michael-Simon's bound 5^n / omega_n^(1/n) on the isoperimetric constant, +inf past the double range
     (from n = 440), so that Brendle's minimum picks its general form there."""
-    _check_dimension(n)
+    _check_dimension(n, 2)
     try:
         return 5.0**n * math.exp(-log_unit_ball_volume(n) / n)
     except OverflowError:  # 5^n itself, from n = 441
@@ -156,7 +151,7 @@ def ic_upper_bound(n: int) -> float:
 
 def brendle_constant(n: int, m: int) -> float:
     """Brendle's explicit isoperimetric constant B(n, m)."""
-    _check_dimension(n)
+    _check_dimension(n, 2)
     _check_codimension(m)
     if m in (1, 2):
         return 1.0 / _n_omega_root(n)
@@ -196,6 +191,7 @@ def talenti_constant(n: int, p: float) -> float:
 
 
 def sobolev_conjugate(n: int, p: float) -> float:
+    _check_dimension(n, 2)
     if not 1.0 <= p < n:
         raise ValueError(f"requires 1 <= p < n, got p = {p}, n = {n}")
     p = float(p)
@@ -265,12 +261,17 @@ def egn_constant(n: int, p: float, q: float, reading: Reading = Reading.CORRECTE
 def log_sobolev_constant(n: int, p: float) -> float:
     """Sharp constant of the p-log-Sobolev inequality for minimal submanifolds."""
     p = _check_p_range(n, p)
-    return (
-        p
-        / (n * math.pi ** (0.5 * p))
-        * ((p - 1.0) / math.e) ** (p - 1.0)
-        * math.exp((log_gamma(0.5 * n + 1.0) - log_gamma(n * (p - 1.0) / p + 1.0)) * p / n)
+    # through logs: ((p - 1)/e)^(p - 1) alone overflows from p ~ 172.3 while LS stays finite
+    log_ls = (
+        math.log(p / n)
+        - 0.5 * p * math.log(math.pi)
+        + (p - 1.0) * (math.log(p - 1.0) - 1.0)
+        + (log_gamma(0.5 * n + 1.0) - log_gamma(n * (p - 1.0) / p + 1.0)) * p / n
     )
+    try:
+        return math.exp(log_ls)
+    except OverflowError:
+        raise OutOfRange(f"log-Sobolev constant LS(n, p) at n = {n}, p = {p} leaves the double range") from None
 
 
 def spectral_gap_constant(
@@ -296,7 +297,7 @@ def spectral_gap_constant(
 
 def asymptotic_ratio(n: int, K: float) -> float:
     """n*omega_n^(1/n) / (n*omega_n^(1/n) - K), through log-gamma for large n; K in [0, n*omega_n^(1/n))."""
-    _check_dimension(n)
+    _check_dimension(n, 2)
     x = _n_omega_root(n)
     _check_curvature_bound(K, 1.0 / x)
     return x / (x - K)
@@ -310,7 +311,7 @@ def tc_unit_sphere(n: int, convention: TcConvention = TcConvention.TRACE_DERIVED
     closing remark prints n*(n*omega_n)^(1/n) instead. Both tend to the
     reciprocal of the codimension-one Brendle constant as n grows.
     """
-    _check_dimension(n)
+    _check_dimension(n, 2)
     k = n if convention is TcConvention.PAPER_FORMULA else n + 1
     return n * math.exp((math.log(k) + log_unit_ball_volume(k)) / n)  # n (k omega_k)^(1/n), finite for large n
 

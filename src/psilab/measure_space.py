@@ -39,8 +39,8 @@ from scipy.special import xlogy
 
 from ._table import format_table, read_table
 from .errors import InterpolationMismatch, require_order
-from .constants import _check_curvature_bound, _check_dimension
-from .special_fn import _check_ball_dimension, log_unit_ball_volume
+from .constants import _check_curvature_bound
+from .special_fn import _check_dimension, log_unit_ball_volume
 
 __all__ = [
     "DiscreteMeasuredFunction",
@@ -154,8 +154,7 @@ def lebesgue(n: int) -> TargetMeasure:
 
 
 def model_space(n: int, K: float, C: float) -> TargetMeasure:
-    _check_ball_dimension(n)
-    _check_dimension(n)
+    _check_dimension(n, 2)
     if C is None or C <= 0:
         raise ValueError("model space requires a positive constant C")
     _check_curvature_bound(K, C)

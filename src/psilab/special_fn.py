@@ -47,24 +47,24 @@ def gamma(x: float) -> float:
         return math.inf
 
 
-def _check_ball_dimension(n: int) -> None:
-    """Refuse a dimension n that is not a whole number (a bool is not one) or lies below 1, where no unit ball
-    and no Lebesgue measure on R^n exist."""
+def _check_dimension(n: int, least: int = 1) -> None:
+    """Refuse a dimension n that is not a whole number (a bool is not one) or lies below ``least``: 1 where a
+    unit ball or the Lebesgue measure on R^n is taken, 2 for the submanifolds the paper's constants are for."""
     if isinstance(n, (bool, np.bool_)) or not n % 1 == 0:  # NaN and inf too
         raise ValueError(f"dimension must be a whole number, got {n}")
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
+    if n < least:
+        raise ValueError(f"dimension must be >= {least}, got {n}")
 
 
 def log_unit_ball_volume(n: int) -> float:
     """log of the Lebesgue volume of the unit ball in R^n."""
-    _check_ball_dimension(n)
+    _check_dimension(n)
     return 0.5 * n * math.log(math.pi) - log_gamma(0.5 * n + 1.0)
 
 
 def unit_ball_volume(n: int) -> float:
     """Lebesgue volume omega_n = pi^(n/2) / Gamma(n/2 + 1) of the unit n-ball."""
-    _check_ball_dimension(n)
+    _check_dimension(n)
     if n <= 200:
         return math.pi ** (0.5 * n) / gamma(0.5 * n + 1.0)
     return math.exp(log_unit_ball_volume(n))

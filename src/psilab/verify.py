@@ -63,6 +63,7 @@ from .mesh import (
     mean_curvature,
     p1_gradient_lp,
 )
+from .special_fn import _check_dimension
 
 __all__ = [
     "VerificationReport",
@@ -217,6 +218,23 @@ def _tolerance(tolerance: float | None) -> float:
     return _MESH_TOLERANCE if tolerance is None else tolerance
 
 
+_quiet = np.errstate(over="ignore", invalid="ignore")  # a value past the double range is refused, not warned of
+
+
+def _power(x: float, e: float) -> float:
+    """x ** e of Python floats, inf where it overflows (and is then refused as out of the double range)."""
+    try:
+        return x**e
+    except OverflowError:
+        return math.inf
+
+
+def _require_field_range(check: str, mu: _Levels, **sides) -> None:
+    """``_require_double_range`` for a field check, unless the field is identically 0: its sides are 0 <= 0."""
+    if mu.levels[-1] > 0:
+        _require_double_range(check, TriMesh.n, "mesh", **sides)
+
+
 def _lp_norm(mu: _Levels, p: float) -> float:
     return mu.integral(lambda v: v**p) ** (1.0 / p)
 
@@ -230,6 +248,7 @@ def _field_inputs(mu: _Levels, **inputs) -> dict:
 # rearrangement inequalities
 
 
+@_quiet
 def verify_polya_szego(
     mesh: TriMesh,
     f: VertexField,
@@ -245,6 +264,7 @@ def verify_polya_szego(
     mu = _distribution(mesh, f)
     lhs = mu.rearranged_energy(p) ** (1.0 / p)
     rhs = const.ps_constant(mesh.n, K, choice) * p1_gradient_lp(mesh, f, p) ** (1.0 / p)
+    _require_field_range("PolyaSzego", mu, lhs=(lhs,), rhs=(rhs,))
     return VerificationReport(
         "PolyaSzego",
         lhs,
@@ -254,6 +274,7 @@ def verify_polya_szego(
     )
 
 
+@_quiet
 def verify_model_space_ps(
     mesh: TriMesh,
     f: VertexField,
@@ -276,8 +297,10 @@ def verify_model_space_ps(
         tol = t if p == 1.0 else (1.0 + t) ** p - 1.0
     except OverflowError:
         raise OutOfRange(f"tolerance {t} at p = {p} leaves the double range as (1 + t)^p - 1") from None
-    lhs = _distribution(mesh, f).rearranged_energy(p) / const.ps_constant(mesh.n, K, choice) ** p
-    return replace(ps, inequality_id="PolyaSzegoModelSpace", lhs=lhs, rhs=p1_gradient_lp(mesh, f, p), tolerance=tol,
+    mu = _distribution(mesh, f)
+    lhs, rhs = mu.rearranged_energy(p) / _power(const.ps_constant(mesh.n, K, choice), p), p1_gradient_lp(mesh, f, p)
+    _require_field_range("PolyaSzegoModelSpace", mu, lhs=(lhs,), rhs=(rhs,))
+    return replace(ps, inequality_id="PolyaSzegoModelSpace", lhs=lhs, rhs=rhs, tolerance=tol,
                    notes="lhs is the Euclidean rearrangement energy over PS^p: this check is ps to the power p")
 
 
@@ -326,6 +349,7 @@ def verify_isoperimetric(
 # Sobolev-type inequalities
 
 
+@_quiet
 def verify_p_sobolev(
     mesh: TriMesh,
     f: VertexField,
@@ -341,6 +365,7 @@ def verify_p_sobolev(
     lhs = _lp_norm(mu, const.sobolev_conjugate(mesh.n, p))
     s_const = const.talenti_constant(mesh.n, p) * const.ps_constant(mesh.n, K, choice)
     rhs = s_const * p1_gradient_lp(mesh, f, p) ** (1.0 / p)
+    _require_field_range("PSobolev", mu, lhs=(lhs,), rhs=(rhs,))
     return VerificationReport(
         "PSobolev",
         lhs,
@@ -350,6 +375,7 @@ def verify_p_sobolev(
     )
 
 
+@_quiet
 def verify_gn(
     obj,
     p: float,
@@ -371,7 +397,7 @@ def verify_gn(
         p, q = const._check_gn_domain(n, p, q)
         theta, r = const.gn_theta(n, p, q), const.gn_r_exponent(n, p, q)
         lhs, energy, norm_q = radial_lp(obj, r), radial_gradient_lp(obj, p), radial_lp(obj, q)
-        _require_double_range("GagliardoNirenberg", n, lhs=(lhs,), rhs=(energy, norm_q))
+        _require_double_range("GagliardoNirenberg", n, "radial", lhs=(lhs,), rhs=(energy, norm_q))
         rhs = const.egn_constant(n, p, q, reading) * (energy ** (1.0 / p)) ** theta * norm_q ** (1.0 - theta)
         return _radial_report("GagliardoNirenberg", lhs, rhs, tolerance, n=n, p=p, q=q, K=0.0, reading=reading.value)
     mesh: TriMesh = obj
@@ -383,7 +409,9 @@ def verify_gn(
     theta = const.gn_theta(mesh.n, p, q)
     lhs = _lp_norm(mu, const.gn_r_exponent(mesh.n, p, q))
     gn_const = const.egn_constant(mesh.n, p, q, reading) * const.ps_constant(mesh.n, K, choice)
-    rhs = gn_const * p1_gradient_lp(mesh, f, p) ** (theta / p) * _lp_norm(mu, q) ** (1.0 - theta)
+    energy, norm_q = p1_gradient_lp(mesh, f, p), _lp_norm(mu, q)
+    rhs = gn_const * energy ** (theta / p) * norm_q ** (1.0 - theta)
+    _require_field_range("GagliardoNirenberg", mu, lhs=(lhs,), rhs=(energy, norm_q, rhs))
     return VerificationReport(
         "GagliardoNirenberg",
         lhs,
@@ -393,16 +421,17 @@ def verify_gn(
     )
 
 
-def _require_double_range(check: str, n: int, **sides) -> None:
-    """Refuse a radial side with a factor that underflowed to 0 or overflowed to inf, which would pass on rounding."""
+def _require_double_range(check: str, n: int, where: str, **sides) -> None:
+    """Refuse a side, or a factor it is built from, that underflowed to 0, overflowed to inf or is NaN, on which the
+    check would pass or fail by rounding; ``where`` names the input, 'radial' or 'mesh'."""
     for side, values in sides.items():
         if not all(0.0 < abs(v) < math.inf for v in values):
-            raise OutOfRange(f"{check} at n = {n}: the radial {side} leaves the double range")
+            raise OutOfRange(f"{check} at n = {n}: the {where} {side} leaves the double range")
 
 
 def _radial_report(check: str, lhs: float, rhs: float, tolerance: float | None, **inputs) -> VerificationReport:
     """The report of a radial check, at tolerance 1e-6 unless given one; a side out of the double range is refused."""
-    _require_double_range(check, inputs["n"], lhs=(lhs,), rhs=(rhs,))
+    _require_double_range(check, inputs["n"], "radial", lhs=(lhs,), rhs=(rhs,))
     tol = 1e-6 if tolerance is None else tolerance
     return VerificationReport(check, lhs, rhs, tol, inputs={**inputs, "input": "radial"})
 
@@ -430,6 +459,7 @@ def select_egn_reading(n: int, p: float, q: float) -> Reading:
     return best
 
 
+@_quiet
 def verify_spectral_gap(
     mesh: TriMesh,
     f: VertexField,
@@ -448,7 +478,9 @@ def verify_spectral_gap(
     if area == 0.0:
         raise ZeroField("spectral-gap check needs a field positive on some triangle; its support area is 0")
     mu = _distribution(mesh, f)
-    lhs = p1_gradient_lp(mesh, f, 2) / mu.integral(np.square)
+    energy, mass = p1_gradient_lp(mesh, f, 2), mu.integral(np.square)
+    _require_field_range("SpectralGap", mu, lhs=(energy, mass))
+    lhs = energy / mass
     g = const.spectral_gap_constant(mesh.n, K, choice, reading)
     rhs = g / area
     # the bound blows up as the support shrinks: record the scaling trend
@@ -473,6 +505,7 @@ def _max_interior_h(curv) -> float:
     return float(curv.h_norm[interior].max()) if np.any(interior) else 0.0
 
 
+@_quiet
 def verify_log_sobolev(
     obj,
     p: float,
@@ -493,7 +526,7 @@ def verify_log_sobolev(
         log_c = math.log(c)
         unit = replace(obj, log_value=lambda r: obj.log_value(r) - log_c, log_slope=lambda r: obj.log_slope(r) - log_c)
         energy = const.log_sobolev_constant(n, p) * radial_gradient_lp(unit, p)
-        _require_double_range("LogSobolev", n, rhs=(energy,))
+        _require_double_range("LogSobolev", n, "radial", rhs=(energy,))
         return _radial_report("LogSobolev", radial_entropy(unit, p), (n / p) * math.log(energy), tolerance, n=n, p=p)
     mesh: TriMesh = obj
     _require_field(mesh, f)
@@ -505,7 +538,8 @@ def verify_log_sobolev(
         )
     _require_boundary_vanishing(mesh, f.values)
     mu = _distribution(mesh, f)
-    c = _lp_norm(mu, p)
+    c, gradient = _lp_norm(mu, p), p1_gradient_lp(mesh, f, p)
+    _require_field_range("LogSobolev", mu, lhs=(c,), rhs=(gradient,))
     if c <= 0:
         raise ZeroField("cannot normalize a zero field")
 
@@ -514,7 +548,7 @@ def verify_log_sobolev(
         return xlogy(w**p, w, out=w)
 
     lhs = p * mu.integral(entropy)
-    energy = p1_gradient_lp(mesh, f, p) / c**p
+    energy = gradient / c**p
     rhs = (mesh.n / p) * math.log(const.log_sobolev_constant(mesh.n, p) * energy)
     return VerificationReport(
         "LogSobolev",
@@ -531,6 +565,7 @@ def _curvature_term(curv, f: VertexField) -> float:
     return float(np.sum(curv.vertex_areas[interior] * curv.h_norm[interior] * f.values[interior]))
 
 
+@_quiet
 def verify_michael_simon_p1(
     mesh: TriMesh,
     f: VertexField,
@@ -545,6 +580,7 @@ def verify_michael_simon_p1(
     curvature_term = _derive(mesh, f, "curvature_term", lambda: _curvature_term(mean_curvature(mesh), f))
     c = choice.euclidean_product(mesh.n)
     rhs = c * (p1_gradient_lp(mesh, f, 1.0) + curvature_term)
+    _require_field_range("MichaelSimonP1", mu, lhs=(lhs,), rhs=(rhs,))
     return VerificationReport(
         "MichaelSimonP1",
         lhs,
@@ -609,7 +645,7 @@ class MonotoneSpec:
 def monotone_preset(name: str, n: int = 2, p: float | None = None) -> MonotoneSpec:
     """Named instantiations: 'sobolev-l1' recovers the isoperimetric /
     L^1-Sobolev functional form, 'p-sobolev' the p-Sobolev inequality."""
-    const._check_dimension(n)
+    _check_dimension(n, 2)
     if name == "sobolev-l1":
         ex = const.sobolev_conjugate(n, 1.0)
         return MonotoneSpec(
@@ -638,6 +674,7 @@ def monotone_preset(name: str, n: int = 2, p: float | None = None) -> MonotoneSp
     raise ValueError(f"unknown preset {name!r}")
 
 
+@_quiet
 def verify_monotonicity_principle(
     mesh: TriMesh,
     f: VertexField,
@@ -660,9 +697,18 @@ def verify_monotonicity_principle(
     mu = _distribution(mesh, f)
     # equimeasurable, v = u* and u have the same integrals of f and phi
     f_int, phi_int = mu.integral(spec.f), mu.integral(spec.phi)
+    # of each order a term takes: the rearrangement's energy, PS to that order and the surface's gradient energy
+    orders = {e: (mu.rearranged_energy(e), _power(ps, e), p1_gradient_lp(mesh, f, e))
+              for _, e in [*spec.g_terms, *spec.psi_terms]}
+
+    def powers(integral, terms):
+        return (integral, *(x for _, e in terms for x in orders[e]))
+
+    _require_field_range("MonotonicityPrinciple", mu, lhs=powers(f_int, spec.g_terms),
+                         rhs=powers(phi_int, spec.psi_terms))
 
     def rearranged_powers(terms):
-        return sum((coef * mu.rearranged_energy(ex) for coef, ex in terms), 0.0)
+        return sum((coef * orders[ex][0] for coef, ex in terms), 0.0)
 
     # Euclidean hypothesis on v = u*
     hyp_lhs = spec.L(f_int, rearranged_powers(spec.g_terms))
@@ -679,8 +725,8 @@ def verify_monotonicity_principle(
             notes="Euclidean hypothesis fails for the rearrangement; claim is vacuous",
         )
     # transferred claim on the surface, gradients scaled by PS
-    g_int = sum(b * ps**e * p1_gradient_lp(mesh, f, e) for b, e in spec.g_terms)
-    psi_int = sum(c * ps**e * p1_gradient_lp(mesh, f, e) for c, e in spec.psi_terms)
+    g_int = sum(b * orders[e][1] * orders[e][2] for b, e in spec.g_terms)
+    psi_int = sum(c * orders[e][1] * orders[e][2] for c, e in spec.psi_terms)
     lhs = spec.L(f_int, g_int)
     rhs = spec.lam(phi_int, psi_int)
     return VerificationReport("MonotonicityPrinciple", lhs, rhs, tol, inputs=inputs)

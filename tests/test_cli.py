@@ -74,6 +74,11 @@ class TestConstantsCommand:
         out = json.loads(capsys.readouterr().out)
         assert out["PS"] > 1.0
 
+    def test_log_sobolev_constant_past_the_separate_power(self, capsys):
+        # ((p - 1)/e)^(p - 1) overflows at p = 250 while LS(300, 250) = 4.58e135 is a double
+        assert dispatch(["constants", "--n", "300", "--p", "250"]) == 0
+        assert json.loads(capsys.readouterr().out)["LS"] == const.log_sobolev_constant(300, 250.0)
+
 
 class TestCurvatureCommand:
     def test_json_includes_reference(self, disk_files, capsys):
@@ -421,6 +426,17 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "_cmd_constants", fail)
         assert dispatch(["constants", "--n", "2"]) == 2
         assert capsys.readouterr().err == "psilab: no such thing\n"
+
+    def test_memory_error_exits_two(self, disk_files, monkeypatch, capsys):
+        # a subdivision whose samples do not fit in memory is a refusal, not a failed verification (exit 1)
+        def too_large(subdivision):
+            raise MemoryError("Unable to allocate 30.0 GiB for an array with shape (4026531840,) and data type float64")
+
+        monkeypatch.setattr(mesh_module, "_cell_centroids", too_large)
+        mesh_path, field_path, _ = disk_files
+        assert dispatch(["rearrange", "--mesh", mesh_path, "--field", field_path, "--subdivision", "12"]) == 2
+        assert capsys.readouterr() == ("", "psilab: Unable to allocate 30.0 GiB for an array with shape (4026531840,) "
+                                           "and data type float64\n")
 
     @pytest.mark.parametrize(
         "body",
@@ -902,6 +918,28 @@ def test_verify_arguments_refused_before_the_files_are_read(check, args, message
     if message.startswith("error: "):  # argparse's own refusal comes after its usage line
         expected = cli._parsers()[0].format_usage() + expected
     assert capsys.readouterr().err == expected
+
+
+@pytest.mark.parametrize(
+    "check, height, args, check_id",
+    [
+        ("sobolev", 10.0, ["--p", "1.99"], "PSobolev"),  # the L^398 integral overflows: lhs NaN, a false failure
+        ("sobolev", 0.01, ["--p", "1.99"], "PSobolev"),  # ... or underflows: lhs 0, a vacuous pass
+        ("mono", 10.0, ["--preset", "p-sobolev", "--p", "1.99"], "MonotonicityPrinciple"),
+        ("ps", 1000.0, ["--p", "200"], "PolyaSzego"),  # inf <= inf
+        ("ps", 0.01, ["--p", "200"], "PolyaSzego"),  # 0 <= 0
+    ],
+    ids=["sobolev-overflow", "sobolev-underflow", "mono-overflow", "ps-overflow", "ps-underflow"],
+)
+def test_a_mesh_side_out_of_the_double_range_is_refused(tmp_path, check, height, args, check_id, capsys):
+    # a side that is 0, inf or NaN for a nonzero field would pass or fail on rounding; no RuntimeWarning escapes
+    disk = analytic.make_disk(1.0, 16)
+    (tmp_path / "d16.off").write_text(mesh_to_off(disk))
+    hat = boundary_vanishing_field(disk, height * (1.0 - np.linalg.norm(disk.vertices[:, :2], axis=1)))
+    (tmp_path / "hat.csv").write_text(hat.to_csv())
+    argv = ["verify", check, "--mesh", str(tmp_path / "d16.off"), "--field", str(tmp_path / "hat.csv"), *args]
+    assert dispatch(argv) == 2
+    assert capsys.readouterr() == ("", f"psilab: {check_id} at n = 2: the mesh lhs leaves the double range\n")
 
 
 ZERO_FIELD_REFUSALS = {"spectral": "spectral-gap check needs a nonzero field", "logsob": "cannot normalize a zero field"}

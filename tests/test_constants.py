@@ -6,7 +6,7 @@ import pytest
 from scipy.special import gammaln
 
 from psilab import constants as const
-from psilab.errors import ComplexValued, CurvatureBoundViolated, GammaPole
+from psilab.errors import ComplexValued, CurvatureBoundViolated, GammaPole, OutOfRange
 from psilab.special_fn import bessel_first_zero, unit_ball_volume
 
 
@@ -174,6 +174,27 @@ class TestLogSobolev:
             const.log_sobolev_constant(3, 1.0)
         with pytest.raises(ValueError):
             const.log_sobolev_constant(3, 3.0)
+
+    def test_matches_the_product_form_where_it_is_finite(self):
+        # the product form raises ((p - 1)/e)^(p - 1) on its own, which overflows from p ~ 172.3
+        for n in (2, 3, 10, 174, 1000, 5000):
+            for p in (1.01, 1.5, 2.5, 100.0, 171.0):
+                if p < n:
+                    want = (p / (n * math.pi ** (0.5 * p)) * ((p - 1.0) / math.e) ** (p - 1.0)
+                            * math.exp((gammaln(0.5 * n + 1.0) - gammaln(n * (p - 1.0) / p + 1.0)) * p / n))
+                    assert const.log_sobolev_constant(n, p) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_finite_past_the_separate_power(self):
+        # log LS(300, 250) = 312.3708760672885069... (40-digit evaluation of the same log form)
+        assert math.log(const.log_sobolev_constant(300, 250.0)) == pytest.approx(312.3708760672885, rel=1e-14)
+
+    def test_refused_past_the_double_range(self):
+        # log LS(440, 439.5) = 713.1, past log(DBL_MAX) = 709.8; the table leaves LS out and keeps the rest
+        with pytest.raises(OutOfRange, match=r"^log-Sobolev constant LS\(n, p\) at n = 440, p = 439.5 leaves the double "
+                                             r"range$"):
+            const.log_sobolev_constant(440, 439.5)
+        table = const.build_constants_table(440, 0.0, const.brendle(1), p=439.5)
+        assert "LS" not in table and math.isfinite(table["TA"]) and math.isfinite(table["S"])
 
 
 class TestSpectralGap:

@@ -2,8 +2,8 @@
 with the same message.
 
 The hypotheses are the curvature bound 0 <= K < 1/C, the range 1 < p < n, the Gagliardo-Nirenberg range
-p < q <= p(n-1)/(n-p), the dimension n >= 2, the ball dimension n >= 1, Brendle's codimension m >= 1 and
-the blowup parameter lambda >= 1 (finite).
+p < q <= p(n-1)/(n-p), the dimension n (a whole number, >= 2, or >= 1 where only a unit ball is taken), Brendle's
+codimension m >= 1 and the blowup parameter lambda >= 1 (finite).
 """
 
 import json
@@ -130,20 +130,31 @@ N_ENTRIES = [
     ("tc_unit_sphere-paper", lambda n: const.tc_unit_sphere(n, const.TcConvention.PAPER_FORMULA)),
     ("iso_constant", lambda n: const.iso_constant(n, 0.0, B1)),
     ("spectral_gap_constant", lambda n: const.spectral_gap_constant(n, 0.0, B1)),
-    ("build_constants_table", lambda n: const.build_constants_table(n, 0.0, B1)),
+    ("build_constants_table", lambda n: const.build_constants_table(n, 0.0, B1, 1.5, 1.8)),
+    ("talenti_constant", lambda n: const.talenti_constant(n, 1.5)),
+    ("log_sobolev_constant", lambda n: const.log_sobolev_constant(n, 1.5)),
+    ("gn_beta", lambda n: const.gn_beta(n, 1.5, 1.8)),
+    ("gn_theta", lambda n: const.gn_theta(n, 1.5, 1.8)),
+    ("gn_r_exponent", lambda n: const.gn_r_exponent(n, 1.5, 1.8)),
+    ("egn_constant", lambda n: const.egn_constant(n, 1.5, 1.8)),
+    ("sobolev_conjugate", lambda n: const.sobolev_conjugate(n, 1.5)),
+    ("gn_extremal", lambda n: analytic.gn_extremal(n, 1.5, 1.8)),
+    ("logsobolev_extremal", lambda n: analytic.logsobolev_extremal(n, 1.5, 1.0)),
     ("monotone_preset", lambda n: v.monotone_preset("sobolev-l1", n)),
+    ("monotone_preset-p-sobolev", lambda n: v.monotone_preset("p-sobolev", n, 1.5)),
+    ("model_space", lambda n: model_space(n, 0.0, 1.0)),
+    ("from_json", lambda n: RadialProfile.from_json(json.dumps(
+        {"target": {"kind": "model", "n": n, "K": 0.0, "C": 1.0}, "interpolation": "step", "radii": [1.0],
+         "values": [1.0]}))),
 ]
 
 
-@pytest.mark.parametrize(
-    "entry, n",
-    [*[(e, n) for _, e in N_ENTRIES for n in (1, 0, -2)], (lambda n: model_space(n, 0.0, 1.0), 1)],
-    ids=[*[f"{name}-{n}" for name, _ in N_ENTRIES for n in (1, 0, -2)], "model_space-1"],
-)
+@pytest.mark.parametrize("n", [1, 0, -1, -2])
+@pytest.mark.parametrize("entry", [e for _, e in N_ENTRIES], ids=_ids(N_ENTRIES))
 def test_dimension_at_least_two(entry, n):
     with pytest.raises(ValueError) as caught:
         entry(n)
-    assert str(caught.value) == f"n must be >= 2, got {n}"
+    assert str(caught.value) == f"dimension must be >= 2, got {n}"
 
 
 M_ENTRIES = [
@@ -166,10 +177,6 @@ BALL_ENTRIES = [
     ("unit_ball_volume", unit_ball_volume),
     ("log_unit_ball_volume", log_unit_ball_volume),
     ("lebesgue", lebesgue),
-    ("model_space", lambda n: model_space(n, 0.0, 1.0)),
-    ("from_json", lambda n: RadialProfile.from_json(json.dumps(
-        {"target": {"kind": "model", "n": n, "K": 0.0, "C": 1.0}, "interpolation": "step", "radii": [1.0],
-         "values": [1.0]}))),
 ]
 
 
@@ -181,8 +188,13 @@ def test_ball_dimension(entry, n):
     assert str(caught.value) == f"dimension must be >= 1, got {n}"
 
 
+# the whole-number rule holds wherever n enters, for the unit ball and for the submanifold alike
+DIMENSION_ENTRIES = N_ENTRIES + BALL_ENTRIES
+NUMPY_ENTRIES = [(name, entry) for name, entry in DIMENSION_ENTRIES if name != "from_json"]  # JSON has neither
+
+
 @pytest.mark.parametrize("n", [2.5, math.nan, math.inf])
-@pytest.mark.parametrize("entry", [e for _, e in BALL_ENTRIES], ids=_ids(BALL_ENTRIES))
+@pytest.mark.parametrize("entry", [e for _, e in DIMENSION_ENTRIES], ids=_ids(DIMENSION_ENTRIES))
 def test_ball_dimension_is_a_whole_number(entry, n):
     with pytest.raises(ValueError) as caught:
         entry(n)
@@ -190,7 +202,7 @@ def test_ball_dimension_is_a_whole_number(entry, n):
 
 
 @pytest.mark.parametrize("n", [True, np.True_])
-@pytest.mark.parametrize("entry", [e for _, e in BALL_ENTRIES[:-1]], ids=_ids(BALL_ENTRIES[:-1]))
+@pytest.mark.parametrize("entry", [e for _, e in NUMPY_ENTRIES], ids=_ids(NUMPY_ENTRIES))
 def test_ball_dimension_is_not_a_bool(entry, n):
     # True == 1 and True % 1 == 0, so a bool passes both other rules; JSON's true is refused by from_json
     with pytest.raises(ValueError) as caught:
@@ -198,9 +210,18 @@ def test_ball_dimension_is_not_a_bool(entry, n):
     assert str(caught.value) == "dimension must be a whole number, got True"
 
 
-@pytest.mark.parametrize("entry", [e for _, e in BALL_ENTRIES[:-1]], ids=_ids(BALL_ENTRIES[:-1]))
+def _comparable(result):
+    """``result``, or for a preset or a radial function (whose callables compare by identity) their values."""
+    if isinstance(result, v.MonotoneSpec):
+        return [result.f(0.5), result.phi(0.5), result.L(0.5, 0.25), result.lam(0.5, 0.25), result.psi_terms]
+    if isinstance(result, analytic.RadialFunction):
+        return [result.n, result.value(0.5), result.derivative(0.5), result.support]
+    return result
+
+
+@pytest.mark.parametrize("entry", [e for _, e in NUMPY_ENTRIES], ids=_ids(NUMPY_ENTRIES))
 def test_ball_dimension_takes_a_numpy_integer(entry):
-    assert entry(np.int64(2)) == entry(2)
+    assert _comparable(entry(np.int64(3))) == _comparable(entry(3))
 
 
 LAMBDA_ENTRIES = [

@@ -6,8 +6,8 @@ imports ``argparse`` and its handlers are named after its commands, no two packa
 with the same values, only ``mesh`` names the ``_derived`` stores (every derived value is kept through
 ``mesh._derive``), only the CLI takes a rearrangement target from ``measure_space`` and no rearrangement
 energy is asked for on one, only the two target constructors (with the JSON reader and the CLI) read a
-``TargetKind`` member, every name in the ``__all__`` of ``psilab`` and of its modules exists, and a failing
-hypothesis test prints its example under the repo's warning filters."""
+``TargetKind`` member, one function refuses a dimension, every name in the ``__all__`` of ``psilab`` and of
+its modules exists, and a failing hypothesis test prints its example under the repo's warning filters."""
 
 import ast
 import enum
@@ -296,6 +296,48 @@ def test_the_guard_finds_a_kind_read():
              "            return 1.0\n        def inner():\n            return kinds.LEBESGUE_RN\n\n" \
              "KIND = TargetKind('model')\nBY_NAME = TargetKind['LEBESGUE_RN']\nx = TargetKind.value\n"
     assert _kind_readers(source) == ["T.volume", "T.volume.inner", "<module>", "<module>"]
+
+
+def _dimension_refusers(source: str) -> list[str]:
+    """The qualified name of the function or class around each ``raise`` whose message opens with 'dimension
+    must' or 'n must' (a refusal of the dimension n), '<module>' outside any."""
+    refusers = []
+
+    def opening(node) -> str:
+        """The literal text of the first argument of an exception call, its f-string fields left out."""
+        arg = node.exc.args[0] if isinstance(node.exc, ast.Call) and node.exc.args else None
+        parts = arg.values if isinstance(arg, ast.JoinedStr) else [arg]
+        return "".join(part.value for part in parts if isinstance(getattr(part, "value", None), str))
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Raise) and opening(child).startswith(("dimension must", "n must")):
+                refusers.append(scope)
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, child.name if scope == "<module>" else f"{scope}.{child.name}")
+            else:
+                visit(child, scope)
+
+    visit(ast.parse(source), "<module>")
+    return refusers
+
+
+def test_one_dimension_rule():
+    # every entry point that takes the dimension n refuses it through ``special_fn._check_dimension``
+    found = {name: set(_dimension_refusers(path.read_text())) for name, path in SOURCES.items()
+             if path.parent == PACKAGE}
+    assert {name: refusers for name, refusers in found.items() if refusers} == {"special_fn.py": {"_check_dimension"}}
+
+
+def test_the_guard_finds_a_second_dimension_rule():
+    source = "def check(n):\n    if n < 2:\n        raise ValueError(f'n must be >= 2, got {n}')\n\n" \
+             "class Space:\n    def __init__(self, n):\n        if n % 1:\n" \
+             "            raise ValueError('dimension must be a whole number')\n\n" \
+             "def others(d, n, p):\n    if d < 3:\n        raise ValueError(f'ambient dimension must be >= 3, got {d}')\n" \
+             "    if not 1 < p < n:\n        raise ValueError(f'requires 1 < p < n, got p = {p}, n = {n}')\n" \
+             "    raise ValueError('Brendle choice requires codimension m >= 1')\n\n" \
+             "raise ValueError(f'{n} must be whole')\n"
+    assert _dimension_refusers(source) == ["check", "Space.__init__"]
 
 
 def test_only_the_cli_parses_arguments():

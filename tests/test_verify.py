@@ -408,6 +408,37 @@ def test_radial_gn_refuses_sides_outside_the_double_range(n, side):
         verify_gn(analytic.gn_extremal(n, p, q), p, q)
 
 
+def _scaled_hat(height: float) -> VertexField:
+    return VertexField(height * HAT8)
+
+
+MS = const.IsoperimetricChoice()
+POWER_250 = MonotoneSpec(f=lambda v: v, phi=lambda v: v, g_terms=[], psi_terms=[(1.0, 250.0)], L=lambda s, t: s,
+                         lam=lambda s, t: t)
+OUT_OF_RANGE = {  # a check on the hat scaled to a height, and the side that leaves the double range
+    "gn-overflow": (lambda: verify_gn(DISK8, 1.5, 2.5, 0.0, B1, f=_scaled_hat(1e200)), "GagliardoNirenberg", "lhs"),
+    "gn-underflow": (lambda: verify_gn(DISK8, 1.5, 2.5, 0.0, B1, f=_scaled_hat(1e-200)), "GagliardoNirenberg", "lhs"),
+    "spectral-overflow": (lambda: verify_spectral_gap(DISK8, _scaled_hat(1e200), 0.0, B1), "SpectralGap", "lhs"),
+    "spectral-underflow": (lambda: verify_spectral_gap(DISK8, _scaled_hat(1e-200), 0.0, B1), "SpectralGap", "lhs"),
+    "logsob-overflow": (lambda: verify_log_sobolev(DISK8, 1.5, f=_scaled_hat(1e200)), "LogSobolev", "rhs"),
+    "logsob-underflow": (lambda: verify_log_sobolev(DISK8, 1.5, f=_scaled_hat(1e-300)), "LogSobolev", "lhs"),
+    "ms1-overflow": (lambda: verify_michael_simon_p1(DISK8, _scaled_hat(1e200), B1), "MichaelSimonP1", "rhs"),
+    "ms1-underflow": (lambda: verify_michael_simon_p1(DISK8, _scaled_hat(1e-320), B1), "MichaelSimonP1", "lhs"),
+    # PS^p and PS^250 with Michael-Simon's PS = 50 overflow a Python float
+    "model-ps-power": (lambda: verify_model_space_ps(DISK8, _scaled_hat(1.0), 200.0, 0.0, MS), "PolyaSzegoModelSpace",
+                       "lhs"),
+    "mono-ps-power": (lambda: verify_monotonicity_principle(DISK8, _scaled_hat(1.0), POWER_250, 0.0, MS),
+                      "MonotonicityPrinciple", "rhs"),
+}
+
+
+@pytest.mark.parametrize("case", OUT_OF_RANGE)
+def test_mesh_checks_refuse_sides_outside_the_double_range(case):
+    run, check, side = OUT_OF_RANGE[case]
+    with pytest.raises(OutOfRange, match=f"^{check} at n = 2: the mesh {side} leaves the double range$"):
+        run()
+
+
 def test_radial_log_sobolev_refuses_a_gradient_integral_of_zero():
     # the indicator of the unit ball has u' = 0 wherever it is differentiable
     ball = analytic.RadialFunction(lambda r: np.zeros(np.shape(r)), lambda r: np.full(np.shape(r), -np.inf), 3, 1.0)
