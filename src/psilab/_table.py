@@ -15,7 +15,12 @@ Writing is one rule for every table psilab writes but the blowup sweep (whose
 rows ``counterexample.sweep_to_csv`` spells itself, a little faster): each cell
 is its ``str``, so a float is the ``repr`` that reads back bit for bit, and a
 ``None`` is an empty cell. The JSON writer puts each item on a line of its own
-from one C-encoder call per value.
+from one C-encoder call per value. An array, in a table or a JSON payload, is
+written a block of rows at a time, and each distinct value of a block (by its
+bits, so ``-0.0`` and ``0.0`` are two) is spelled once and its text reused for
+every cell that holds it: the surfaces psilab measures repeat their per-vertex
+numbers a lot. Only one block's cell texts exist at once, and the bytes are
+those of spelling every cell.
 """
 
 from __future__ import annotations
@@ -110,25 +115,51 @@ def _parse_table(source, header: str, dtypes, path: str | None) -> list[np.ndarr
     return [np.ascontiguousarray(rows[name]) for name in names]
 
 
+_BLOCK = 16384  # rows formatted at a time: fewer rows spell a repeated value in more blocks, more hold more cells
+
+
+def _texts(values: np.ndarray, spell) -> list[str]:
+    """The text of each item of a 1-d array of bools, integers or floats. Each distinct item, told apart by its
+    bits, is spelled once: ``spell`` maps the list of their ``.tolist()`` values to their texts."""
+    distinct, inverse = np.unique(values.view(f"u{values.itemsize}"), return_inverse=True)
+    return np.array(spell(distinct.view(values.dtype).tolist()), dtype=object)[inverse].tolist()
+
+
+def _str_cells(values: list) -> list[str]:
+    return list(map(str, values))
+
+
 def format_table(header: str, *columns) -> str:
     """CSV text of equal-length columns, arrays or lists, under ``header``: each cell is its ``str`` (an array's
-    from ``.tolist()``), and a ``None`` in a list is an empty cell."""
-    line = ",".join(["%s"] * len(columns)) + "\n"
-    # a generator, not a list: only zip's iterators then hold the cells, and each column is freed once read through
-    cells = (c.tolist() if isinstance(c, np.ndarray) else ["" if x is None else x for x in c] for c in columns)
-    return header + "\n" + "".join([line % row for row in zip(*cells)])
+    from ``.tolist()``), and a ``None`` in a list is an empty cell. The rows are formatted a block at a time."""
+    blocks = [header + "\n"]
+    for start in range(0, min(map(len, columns), default=0), _BLOCK):
+        cells = [_texts(c[start:start + _BLOCK], _str_cells) if isinstance(c, np.ndarray)
+                 else ["" if x is None else str(x) for x in c[start:start + _BLOCK]] for c in columns]
+        blocks.append("\n".join(map(",".join, zip(*cells))) + "\n")
+    return "".join(blocks)
 
 
 _ITEM_LINES = json.JSONEncoder(separators=(",\n", ": "))  # an item per line; an encoded string holds no raw line break
 
 
+def _json_cells(values: list) -> list[str]:
+    return _ITEM_LINES.encode(values)[1:-1].split(",\n")  # numbers and booleans: no item holds the separator
+
+
 def indented_json(payload: dict) -> str:
-    """``json.dumps(payload, indent=2)`` of a dict of scalars, flat lists, flat dicts and lists of
-    non-empty flat dicts, one C-encoder call per value: each item on a line of its own, the indentation put in
-    by ``str.replace``. A flat dict ends in a scalar, so "},\n{" falls only between the dicts of a list."""
+    """``json.dumps(payload, indent=2)`` of a dict of scalars, flat lists, 1-d arrays (as their ``.tolist()``),
+    flat dicts and lists of non-empty flat dicts, one C-encoder call per value or array block: each item on a
+    line of its own, the indentation put in by ``str.replace``. A flat dict ends in a scalar, so "},\n{" falls
+    only between the dicts of a list."""
     items = []
     for key, value in payload.items():
-        text = _ITEM_LINES.encode(value)
+        if isinstance(value, np.ndarray):
+            text = ",\n    ".join([",\n    ".join(_texts(value[start:start + _BLOCK], _json_cells))
+                                    for start in range(0, len(value), _BLOCK)])
+            text = "[\n    " + text + "\n  ]" if text else "[]"
+        else:
+            text = _ITEM_LINES.encode(value)
         if isinstance(value, list) and value and isinstance(value[0], dict):
             text = text[2:-2].replace(",\n", ",\n      ").replace("},\n      {", "\n    },\n    {\n      ")
             text = "[\n    {\n      " + text + "\n    }\n  ]"

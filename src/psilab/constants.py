@@ -198,20 +198,24 @@ def sobolev_conjugate(n: int, p: float) -> float:
     return n * p / (n - p)
 
 
-def gn_beta(n: int, p: float, q: float) -> float:
+def _gn_exponents(n: int, p: float, q: float) -> tuple[float, float, float, float, float]:
+    """(p, q, beta, theta, r) of the Gagliardo-Nirenberg inequality, after one domain check."""
     p, q = _check_gn_domain(n, p, q)
-    return n * p - q * (n - p)
+    beta = n * p - q * (n - p)
+    return p, q, beta, n * (q - p) / ((q - 1.0) * beta), p * (q - 1.0) / (p - 1.0)
+
+
+def gn_beta(n: int, p: float, q: float) -> float:
+    return _gn_exponents(n, p, q)[2]
 
 
 def gn_theta(n: int, p: float, q: float) -> float:
     """Interpolation exponent of the Gagliardo-Nirenberg inequality, in (0, 1]."""
-    p, q = _check_gn_domain(n, p, q)
-    return n * (q - p) / ((q - 1.0) * gn_beta(n, p, q))
+    return _gn_exponents(n, p, q)[3]
 
 
 def gn_r_exponent(n: int, p: float, q: float) -> float:
-    p, q = _check_gn_domain(n, p, q)
-    return p * (q - 1.0) / (p - 1.0)
+    return _gn_exponents(n, p, q)[4]
 
 
 def egn_constant(n: int, p: float, q: float, reading: Reading = Reading.CORRECTED) -> float:
@@ -229,10 +233,7 @@ def egn_constant(n: int, p: float, q: float, reading: Reading = Reading.CORRECTE
     precision and degenerates to the Talenti constant at the endpoint
     q = p(n-1)/(n-p).
     """
-    p, q = _check_gn_domain(n, p, q)
-    beta = gn_beta(n, p, q)
-    theta = gn_theta(n, p, q)
-    r = gn_r_exponent(n, p, q)
+    p, q, beta, theta, r = _gn_exponents(n, p, q)
     if reading is Reading.LITERAL:
         num_arg = q * (p - 1.0) / (1.0 - p)
         mid_exp = 1.0 - theta

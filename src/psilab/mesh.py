@@ -37,7 +37,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
 from ._table import first_bad_row, format_table, read_table, read_text, undecodable
-from .errors import DegenerateTriangle, MeshParseError, NonManifoldMesh, require_order
+from .errors import DegenerateTriangle, MeshParseError, NonManifoldMesh, OutOfRange, require_order
 from .measure_space import DiscreteMeasuredFunction, _unit_rule
 from .special_fn import log_unit_ball_volume
 
@@ -100,12 +100,18 @@ class TriMesh:
         # Gram entries of the edges a = x1 - x0, b = x2 - x0: areas here, P1 gradients later;
         # np.take copies the same rows as v[idx] at a quarter of the cost
         x0 = np.take(v, tri[:, 0], axis=0)
-        a, b = np.take(v, tri[:, 1], axis=0) - x0, np.take(v, tri[:, 2], axis=0) - x0
-        del x0
-        gram = aa, bb, ab = tuple(np.einsum("ij,ij->i", x, y) for x, y in ((a, a), (b, b), (a, b)))
-        del a, b  # each temporary is freed once dead, which halves the peak of a build
-        areas = 0.5 * np.sqrt(np.maximum(aa * bb - ab * ab, 0.0))
-        longest2 = np.maximum(np.maximum(aa, bb), aa + bb - 2.0 * ab)  # the longest edge, squared
+        with np.errstate(over="ignore", invalid="ignore"):  # past the double range: refused below, not warned
+            a, b = np.take(v, tri[:, 1], axis=0) - x0, np.take(v, tri[:, 2], axis=0) - x0
+            del x0
+            gram = aa, bb, ab = tuple(np.einsum("ij,ij->i", x, y) for x, y in ((a, a), (b, b), (a, b)))
+            del a, b  # each temporary is freed once dead, which halves the peak of a build
+            areas = 0.5 * np.sqrt(np.maximum(aa * bb - ab * ab, 0.0))
+            longest2 = np.maximum(np.maximum(aa, bb), aa + bb - 2.0 * ab)  # the longest edge, squared
+        finite = np.isfinite(aa) & np.isfinite(bb) & np.isfinite(ab) & np.isfinite(areas)
+        if not finite.all():
+            raise OutOfRange(f"vertex coordinates span too wide a range: the edge Gram entries or area of triangle "
+                             f"{tri[finite.argmin()].tolist()} leave the double range")
+        del finite
         bad = np.nonzero(areas <= 1e-12 * longest2)[0]
         del longest2
         if bad.size:
@@ -556,15 +562,17 @@ class CurvatureReport:
     total: float = 0.0
 
     def as_dict(self) -> dict:
+        """The JSON payload, its per-vertex values as arrays: ``indented_json`` writes an array, and ``to_json``
+        its ``.tolist()``."""
         return {
             "total_mean_curvature": self.total,
-            "h_norm": self.h_norm.tolist(),
-            "vertex_areas": self.vertex_areas.tolist(),
-            "boundary": self.boundary_mask.astype(int).tolist(),
+            "h_norm": self.h_norm,
+            "vertex_areas": self.vertex_areas,
+            "boundary": self.boundary_mask.astype(int),
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.as_dict())
+        return json.dumps(self.as_dict(), default=np.ndarray.tolist)
 
     def to_csv(self) -> str:
         columns = np.arange(len(self.h_norm)), self.h_norm, self.vertex_areas, self.boundary_mask.astype(int)

@@ -394,8 +394,7 @@ def verify_gn(
     """
     if isinstance(obj, RadialFunction):
         n = obj.n
-        p, q = const._check_gn_domain(n, p, q)
-        theta, r = const.gn_theta(n, p, q), const.gn_r_exponent(n, p, q)
+        p, q, _, theta, r = const._gn_exponents(n, p, q)
         lhs, energy, norm_q = radial_lp(obj, r), radial_gradient_lp(obj, p), radial_lp(obj, q)
         _require_double_range("GagliardoNirenberg", n, "radial", lhs=(lhs,), rhs=(energy, norm_q))
         rhs = const.egn_constant(n, p, q, reading) * (energy ** (1.0 / p)) ** theta * norm_q ** (1.0 - theta)
@@ -404,10 +403,9 @@ def verify_gn(
     if choice is None or f is None:
         raise ValueError("mesh input needs an isoperimetric choice and a field")
     tol = _check_inputs(mesh, f, K, choice, tolerance)
-    p, q = const._check_gn_domain(mesh.n, p, q)
+    p, q, _, theta, r = const._gn_exponents(mesh.n, p, q)
     mu = _distribution(mesh, f)
-    theta = const.gn_theta(mesh.n, p, q)
-    lhs = _lp_norm(mu, const.gn_r_exponent(mesh.n, p, q))
+    lhs = _lp_norm(mu, r)
     gn_const = const.egn_constant(mesh.n, p, q, reading) * const.ps_constant(mesh.n, K, choice)
     energy, norm_q = p1_gradient_lp(mesh, f, p), _lp_norm(mu, q)
     rhs = gn_const * energy ** (theta / p) * norm_q ** (1.0 - theta)

@@ -1056,6 +1056,22 @@ def test_a_mesh_without_triangles_is_refused(tmp_path, capsys, text, command):
     assert capsys.readouterr() == ("", "psilab: mesh has no triangles\n")
 
 
+@pytest.mark.parametrize("x", ["1e155", "1e200"])
+@pytest.mark.parametrize("command", [["curvature"], ["verify", "iso", "--K", "0"]], ids=["curvature", "iso"])
+def test_a_far_vertex_is_refused(tmp_path, capsys, x, command):
+    # the squared edges to the far vertex overflow, so an area would read NaN: a NaN verdict, or a curvature of 0
+    mesh = analytic.make_disk(1.0, 4)
+    lines = mesh_to_off(mesh).splitlines(keepends=True)
+    lines[2] = x + lines[2][lines[2].index(" "):]  # vertex 0's x coordinate
+    path = tmp_path / "far.off"
+    path.write_text("".join(lines))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert dispatch(command + ["--mesh", str(path)]) == 2
+    assert capsys.readouterr() == ("", "psilab: vertex coordinates span too wide a range: the edge Gram entries or "
+                                       "area of triangle [0, 1, 2] leave the double range\n")
+
+
 @st.composite
 def small_off_and_field(draw):
     """OFF text of up to 5 vertices and 4 faces, and a field CSV on it, with NaN, inf, negative values and

@@ -161,6 +161,14 @@ class TestGagliardoNirenberg:
         table = const.build_constants_table(n, 0.5, const.brendle(1), p=p, q=q)
         assert math.isfinite(table["EGN"]) and math.isfinite(table["GN"])
 
+    @pytest.mark.parametrize("reading", list(const.Reading))
+    def test_egn_checks_its_domain_once(self, monkeypatch, reading):
+        calls = []
+        check = const._check_gn_domain
+        monkeypatch.setattr(const, "_check_gn_domain", lambda *args: calls.append(args) or check(*args))
+        const.egn_constant(3, 2.0, 3.5, reading)
+        assert calls == [(3, 2.0, 3.5)]
+
 
 class TestLogSobolev:
     def test_p2_closed_form(self):

@@ -14,7 +14,7 @@ from psilab import analytic
 from psilab import constants as const
 from psilab import mesh as mesh_module
 from psilab import verify
-from psilab.errors import DegenerateTriangle, MeshParseError, NonManifoldMesh
+from psilab.errors import DegenerateTriangle, MeshParseError, NonManifoldMesh, OutOfRange
 from psilab.mesh import (
     TriMesh,
     _cell_centroids,
@@ -145,6 +145,16 @@ class TestMeshValidation:
         needle = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.5, 1e-13, 0.0]])
         with pytest.raises(DegenerateTriangle, match=r"triangle \[0, 1, 2\] has \(near-\)zero area"):
             TriMesh(needle, np.array([[0, 1, 2]]))
+
+    @pytest.mark.parametrize("scale", [1e78, 1e200])
+    def test_coordinates_past_the_double_range_are_refused(self, scale):
+        # at 1e78 the Gram entries are finite but their products overflow, so the areas read NaN; at 1e200 the
+        # entries overflow too. Neither is a degenerate triangle, and neither warns.
+        cap = analytic.make_cap(0.5, 8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OutOfRange, match="^vertex coordinates span too wide a range: "):
+                TriMesh(cap.vertices * scale, cap.triangles)
 
     def test_meshes_and_fields_compare_by_identity(self):
         first, second = analytic.make_disk(1, 4), analytic.make_disk(1, 4)

@@ -9,24 +9,26 @@ must also leave the warning machinery as it found it.
 
 import csv
 import io
+import itertools
 import json
 import math
 import os
 import threading
+import tracemalloc
 import warnings
 from collections import OrderedDict
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from psilab import analytic
 from psilab import cli as cli_module
 from psilab import constants as const
 from psilab import verify
-from psilab._table import format_table, indented_json, read_table
+from psilab._table import _BLOCK, format_table, indented_json, read_table
 from psilab.errors import MeshParseError
 from psilab.cli import _parsers, dispatch
 from psilab.measure_space import (
@@ -103,9 +105,49 @@ def reference_summary_csv(reports):
 
 
 def reference_curvature_json(report, convention):
-    payload = json.loads(report.to_json())
-    payload["unit_sphere_reference"] = const.tc_unit_sphere(2, convention)
+    payload = {"total_mean_curvature": report.total, "h_norm": report.h_norm.tolist(),
+               "vertex_areas": report.vertex_areas.tolist(), "boundary": report.boundary_mask.astype(int).tolist(),
+               "unit_sphere_reference": const.tc_unit_sphere(2, convention)}
     return json.dumps(payload, indent=2)
+
+
+def reference_table(header, *columns):
+    """The "%s" row loop: every cell of an array's ``.tolist()`` or of a list through "%s", a ``None`` as ''."""
+    cells = [c.tolist() if isinstance(c, np.ndarray) else ["" if x is None else x for x in c] for c in columns]
+    line = ",".join(["%s"] * len(columns)) + "\n"
+    return header + "\n" + "".join([line % row for row in zip(*cells)])
+
+
+def first_difference(got: str, want: str):
+    """None if the texts are equal, else the first line they differ on, (1-based number, got's, want's): pytest's
+    own diff of two long texts that differ in many lines takes minutes."""
+    if got == want:
+        return None
+    pairs = itertools.zip_longest(got.split("\n"), want.split("\n"))
+    return next((k, a, b) for k, (a, b) in enumerate(pairs, start=1) if a != b)
+
+
+def _nans(bits, dtype):
+    return np.array(bits, dtype=f"u{np.dtype(dtype).itemsize}").view(dtype)
+
+
+# values that spell alike but differ in their bits (signed zeros, NaNs with the sign and payload bits set), the
+# edge cases of float repr, and whole numbers and booleans: a few items each, so an array of them repeats a lot
+POOLS = {
+    "float64": np.concatenate([[-0.0, 0.0, math.inf, -math.inf, 5e-324, 1e16, 1e-5, 0.1, -2.5],
+                               _nans([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000001,
+                                      0xFFFFFFFFFFFFFFFF], np.float64)]),
+    "float32": np.concatenate([np.array([-0.0, 0.0, math.inf, -math.inf, 1e-45, 1e16, 1e-5, 0.1, -2.5], np.float32),
+                               _nans([0x7FC00000, 0xFFC00000, 0x7FC00001, 0xFFFFFFFF], np.float32)]),
+    "int64": np.array([0, -1, 7, 2**63 - 1, -(2**63)], dtype=np.int64),
+    "bool": np.array([False, True]),
+}
+# short arrays, and lengths around the writers' block
+LENGTHS = st.one_of(st.integers(0, 40), st.sampled_from([_BLOCK - 1, _BLOCK, _BLOCK + 1]))
+
+
+def _drawn(kind, length, seed):
+    return np.random.default_rng(seed).choice(POOLS[kind], length)
 
 
 def same_bits(a, b):
@@ -161,6 +203,47 @@ class TestWritersMatchTheRowLoops:
     )
     def test_indented_json(self, payload):
         assert indented_json(payload) == json.dumps(payload, indent=2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(list(POOLS)), st.sampled_from(list(POOLS)), LENGTHS, st.integers(0, 2**32 - 1))
+    @example("float64", "int64", _BLOCK - 1, 0)
+    @example("float32", "bool", _BLOCK, 1)
+    @example("float64", "float64", _BLOCK + 1, 2)
+    def test_array_columns(self, first, second, length, seed):
+        a, b = _drawn(first, length, seed), _drawn(second, length, seed + 1)
+        listed = _drawn("float64", length, seed + 2).tolist()
+        listed[::5] = [None] * len(listed[::5])
+        columns = a, b[::-1], listed  # a reversed view: items told apart by bits need no contiguous array
+        assert first_difference(format_table("a,b,c", *columns), reference_table("a,b,c", *columns)) is None
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(list(POOLS)), LENGTHS, st.integers(0, 2**32 - 1))
+    @example("float64", _BLOCK - 1, 0)
+    @example("int64", _BLOCK, 1)
+    @example("float32", _BLOCK + 1, 2)
+    @example("bool", 0, 3)
+    def test_indented_json_of_arrays(self, kind, length, seed):
+        values = _drawn(kind, length, seed)
+        payload = {"values": values, "scalar": 1.5, "reversed": values[::-1]}
+        listed = {key: value.tolist() if isinstance(value, np.ndarray) else value for key, value in payload.items()}
+        assert first_difference(indented_json(payload), json.dumps(listed, indent=2)) is None
+
+    def test_a_long_table_peaks_below_the_row_loop(self):
+        # a block at a time: only one block's cells exist at once, never the whole columns' texts
+        radii = np.cumsum(np.random.default_rng(7).random(100_000))
+        profile = RadialProfile(lebesgue(2), radii, radii[::-1].copy(), STEP)
+
+        def peak(write):
+            tracemalloc.start()
+            try:
+                text = write()
+                return tracemalloc.get_traced_memory()[1], text
+            finally:
+                tracemalloc.stop()
+
+        got, text = peak(profile.to_csv)
+        want, reference = peak(lambda: reference_table("radius,value", profile.radii, profile.values))
+        assert first_difference(text, reference) is None and got <= want
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -255,7 +338,18 @@ def cli_inputs(tmp_path_factory):
     weights = np.concatenate([np.full(len(SPECIAL), 1e-3), rng.uniform(0.5, 1.5, 305) * 1e-3])
     lines = [f"{v!r},{w!r}\n" for v, w in zip(values.tolist(), weights.tolist())]
     (base / "samples.csv").write_text("value,weight\n" + "".join(lines[:100]) + "\n" + "".join(lines[100:]))
-    paths["samples"] = str(base / "samples.csv")
+    # a rotated icosphere, and a torus in R^4 of more vertices than the writers' block
+    for name, mesh in (("sphere", analytic.make_sphere(4)),
+                       ("torus", analytic.make_clifford_torus(math.isqrt(_BLOCK) + 2))):
+        rotation, _ = np.linalg.qr(rng.standard_normal((mesh.d, mesh.d)))
+        (base / f"{name}.off").write_text(mesh_to_off(TriMesh(mesh.vertices @ rotation, mesh.triangles)))
+        paths[name] = (str(base / f"{name}.off"), None)
+    # a step profile of more knots than the writers' block
+    values = np.concatenate([SPECIAL, np.round(rng.gamma(2.0, 1.0, _BLOCK + 2000), 6), np.zeros(5)])
+    weights = rng.uniform(0.5, 1.5, len(values)) * 1e-3
+    lines = [f"{v!r},{w!r}\n" for v, w in zip(values.tolist(), weights.tolist())]
+    (base / "many-samples.csv").write_text("value,weight\n" + "".join(lines))
+    paths["samples"], paths["many-samples"] = str(base / "samples.csv"), str(base / "many-samples.csv")
     return base, paths
 
 
@@ -266,7 +360,7 @@ def run_cli(base, argv):
 
 
 class TestCliOutputsMatchTheRowLoops:
-    @pytest.mark.parametrize("name", ["disk", "cap"])
+    @pytest.mark.parametrize("name", ["disk", "cap", "sphere", "torus"])
     @pytest.mark.parametrize("convention", ["trace", "paper"])
     def test_curvature(self, cli_inputs, name, convention):
         base, paths = cli_inputs
@@ -274,15 +368,15 @@ class TestCliOutputsMatchTheRowLoops:
         report = mean_curvature(load_mesh(Path(mesh_path).read_text()))
         conv = const.TcConvention.PAPER_FORMULA if convention == "paper" else const.TcConvention.TRACE_DERIVED
         argv = ["curvature", "--mesh", mesh_path, "--convention", convention]
-        assert run_cli(base, argv) == reference_curvature_json(report, conv)
-        assert run_cli(base, argv + ["--format", "csv"]) == reference_report_csv(report)
+        assert first_difference(run_cli(base, argv), reference_curvature_json(report, conv)) is None
+        assert first_difference(run_cli(base, argv + ["--format", "csv"]), reference_report_csv(report)) is None
 
-    @pytest.mark.parametrize("name", ["disk", "cap", "samples"])
+    @pytest.mark.parametrize("name", ["disk", "cap", "samples", "many-samples"])
     @pytest.mark.parametrize("interp", ["step", "linear"])
     def test_rearrange(self, cli_inputs, name, interp):
         base, paths = cli_inputs
         interpolation = STEP if interp == "step" else LINEAR
-        if name == "samples":
+        if name.endswith("samples"):
             argv = ["rearrange", "--input", paths[name]]
             dmf = DiscreteMeasuredFunction.from_csv(Path(paths[name]).read_text())
             target = lebesgue(2)
@@ -293,10 +387,12 @@ class TestCliOutputsMatchTheRowLoops:
             dmf = sample_field(mesh, VertexField.from_csv(Path(field_path).read_text(), mesh), 2)
             target = model_space(2, 0.5, const.brendle(1).value(2))
         profile = rearrange(dmf, target, interpolation)
+        if (name, interp) == ("many-samples", "step"):
+            assert len(profile.radii) > _BLOCK  # a linear profile is resampled at fewer knots
         argv += ["--interpolation", interp]
-        assert run_cli(base, argv + ["--format", "csv"]) == reference_profile_csv(profile)
+        assert first_difference(run_cli(base, argv + ["--format", "csv"]), reference_profile_csv(profile)) is None
         want = {
-            "target": {"kind": "lebesgue", "n": 2} if name == "samples"
+            "target": {"kind": "lebesgue", "n": 2} if name.endswith("samples")
             else {"kind": "model", "n": 2, "K": 0.5, "C": 0.28209479177387814},
             "interpolation": interp,
             "radii": profile.radii.tolist(),
