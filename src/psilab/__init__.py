@@ -10,6 +10,11 @@ analytic        parametric surfaces, blowup family, extremal radial functions
 verify          inequality verdict engine producing VerificationReports
 counterexample  the sphere blowup sweep and its threshold search
 cli             command-line entry point (``psilab`` console script)
+
+Importing any of them loads ``scipy.special`` and no other scipy
+subpackage. ``scipy.optimize`` loads with the first Bessel zero,
+``scipy.sparse`` with the first mesh built (its connectivity check) and
+``scipy.integrate`` with the first radial integral.
 """
 
 from .errors import (

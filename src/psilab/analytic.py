@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import beta, betainc
 
 from .constants import _check_gn_domain, _check_p_range
@@ -364,8 +363,11 @@ def _radial_quad(log_f, n: int, support: float, times_log: bool = False, cut: fl
     jump, in the double range at every n. ``times_log`` takes log_f less its value at the peak, which keeps
     one sign on each side, plus that value times the mass. A ``pole`` in (0, 1) says exp(log_f) grows like
     (support - r)^(-pole) at a finite support: ``quad`` takes that factor as its algebraic weight on the
-    last piece, where the rest is smooth and is read at the last double below the support.
+    last piece, where the rest is smooth and is read at the last double below the support. scipy.integrate
+    is imported on the first call, not with the module: no CLI command integrates a radial function.
     """
+    from scipy.integrate import quad
+
     r = np.geomspace(1e-16, 1.0, 65) * min(support, 1e8)
     for _ in range(3):  # each next grid spans the two steps around the maximum, 32 times narrower
         w = log_f(r) + (n - 1) * np.log(r)

@@ -33,8 +33,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 
 from ._table import first_bad_row, format_table, read_table, read_text, undecodable
 from .errors import DegenerateTriangle, MeshParseError, NonManifoldMesh, OutOfRange, require_order
@@ -59,12 +57,20 @@ class TriMesh:
     """Oriented triangle mesh, manifold with boundary, embedded in R^d.
 
     Validation runs at construction: there is a triangle, coordinates are
-    finite, every edge is shared by at most two triangles with opposite
+    finite and close enough that the edge Gram entries, the areas and the
+    products of the squared edges met at each corner stay in the double
+    range, every edge is shared by at most two triangles with opposite
     directions (consistent orientation), triangles are non-degenerate, and
     a disconnected mesh only warns. ``vertices`` and ``triangles`` are
     read-only (a writable array is copied, a read-only one taken as never
     changing), and so are the edge Gram entries, areas and boundary found
     on the way and what ``_derive`` keeps on it.
+
+    The connectivity check imports ``scipy.sparse`` on the first build, not
+    with the module, so a process that builds no mesh never loads it. That
+    import adds a warnings filter, and a new filter resets the default
+    filter's once-per-location record; it comes before the first mesh can
+    warn, so "mesh is not connected" still shows once per process.
     """
 
     vertices: np.ndarray
@@ -106,12 +112,19 @@ class TriMesh:
             gram = aa, bb, ab = tuple(np.einsum("ij,ij->i", x, y) for x, y in ((a, a), (b, b), (a, b)))
             del a, b  # each temporary is freed once dead, which halves the peak of a build
             areas = 0.5 * np.sqrt(np.maximum(aa * bb - ab * ab, 0.0))
-            longest2 = np.maximum(np.maximum(aa, bb), aa + bb - 2.0 * ab)  # the longest edge, squared
+            cc = aa + bb - 2.0 * ab  # the third edge x2 - x1, squared
+            # the curvature kernel multiplies the squared edges met at each corner; aa * bb is in areas
+            corners = np.isfinite(aa * cc) & np.isfinite(bb * cc)
         finite = np.isfinite(aa) & np.isfinite(bb) & np.isfinite(ab) & np.isfinite(areas)
         if not finite.all():
             raise OutOfRange(f"vertex coordinates span too wide a range: the edge Gram entries or area of triangle "
                              f"{tri[finite.argmin()].tolist()} leave the double range")
-        del finite
+        if not corners.all():
+            raise OutOfRange(f"vertex coordinates span too wide a range: the squared edges met at a corner of "
+                             f"triangle {tri[corners.argmin()].tolist()} multiply past the double range")
+        del finite, corners
+        longest2 = np.maximum(np.maximum(aa, bb), cc)  # the longest edge, squared
+        del cc
         bad = np.nonzero(areas <= 1e-12 * longest2)[0]
         del longest2
         if bad.size:
@@ -137,6 +150,9 @@ class TriMesh:
         del order, pair
         across = np.full(src.size, -1, dtype=np.int32)  # kept: half the bytes of int64
         across[first], across[second] = second // 3, first // 3
+        from scipy.sparse import coo_matrix  # here, before any mesh warns: see the class docstring
+        from scipy.sparse.csgraph import connected_components
+
         adjacency = coo_matrix((np.ones(first.size), (first // 3, second // 3)), shape=(len(tri),) * 2)
         del first, second
         self._disconnected = connected_components(adjacency, directed=False)[0] > 1

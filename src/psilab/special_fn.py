@@ -7,15 +7,17 @@ Stirling-regime ratios stay finite.
 
 Bessel functions of the first kind are ``scipy.special.jv``; the first
 positive zero is bracketed by an upward scan from below its known lower
-bound sqrt(order*(order+2)) and then found by ``scipy.optimize.brentq``.
+bound sqrt(order*(order+2)) and then found by ``scipy.optimize.brentq``,
+which is imported on the first such call, not with the module, and the
+zero of each order is kept for the process.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import jv
 
 from .errors import ConvergenceFailure
@@ -79,8 +81,9 @@ def bessel_j(order: float, x: float) -> float:
     return float(jv(order, x))
 
 
+@functools.lru_cache(maxsize=16)
 def bessel_first_zero(order: float) -> float:
-    """Smallest positive root of J_order.
+    """Smallest positive root of J_order, found once per order and kept.
 
     J_order is positive from 0 up to its first zero, which lies above
     sqrt(order*(order+2)); the scan steps upward from there until J is no
@@ -88,6 +91,7 @@ def bessel_first_zero(order: float) -> float:
     """
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
+    from scipy.optimize import brentq  # here, not at import: only the spectral-gap constant needs it
     a = math.sqrt(order * (order + 2.0)) if order > 0 else 0.5
     step = 0.25 * (1.0 + order ** (1.0 / 3.0))
     ceiling = order + 4.0 * (1.0 + order ** (1.0 / 3.0)) + 10.0

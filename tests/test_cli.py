@@ -608,6 +608,53 @@ for argv in json.loads(sys.argv[1]):
 print(json.dumps(records))
 """
 
+LAZY_SCIPY = ("scipy.optimize", "scipy.integrate", "scipy.sparse")
+
+# imports psilab.cli in a fresh interpreter under the default warning filter, then dispatches the argv lists of
+# argv[1]; prints which LAZY_SCIPY modules the import loaded, then [exit code, stdout, stderr, those loaded
+# after] for each dispatch
+LOADS_SCRIPT = r"""
+import io, json, sys
+from psilab import cli
+
+lazy = %r
+records = [[name for name in lazy if name in sys.modules]]
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    sys.stdout, sys.stderr = out, err
+    try:
+        code = cli.dispatch(argv)
+    finally:
+        sys.stdout, sys.stderr = sys.__stdout__, sys.__stderr__
+    records.append([code, out.getvalue(), err.getvalue(), [name for name in lazy if name in sys.modules]])
+print(json.dumps(records))
+""" % (LAZY_SCIPY,)
+
+
+def _run_fresh(argvs):
+    """LOADS_SCRIPT's records for ``argvs``, in a fresh interpreter with no PYTHONWARNINGS."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(psilab.__file__))
+    done = subprocess.run([sys.executable, "-c", LOADS_SCRIPT, json.dumps(argvs)], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+def test_scipy_subpackages_load_where_first_needed(capsys):
+    # importing the CLI loads scipy.special only; a blowup sweep or threshold never builds a mesh, so never loads
+    # scipy.sparse; the constants table loads scipy.optimize for its Bessel zero; no command integrates radially
+    argvs = [["counterexample", "--p", "1.5", "--lambda", "2", "10", "--format", "csv"],
+             ["counterexample", "--p", "1.5", "--N", "10"],
+             ["constants", "--n", "3", "--K", "0.5", "--p", "1.5", "--q", "2"]]
+    loaded, *records = _run_fresh(argvs)
+    assert loaded == []
+    assert [(code, err, "scipy.sparse" in mods) for code, _, err, mods in records[:2]] == [(0, "", False)] * 2
+    assert "scipy.optimize" in records[2][3] and "scipy.integrate" not in records[2][3]
+    for argv, (code, out, err, _) in zip(argvs, records):  # the same text as in this process
+        assert (code, out, err) == (dispatch(argv), *capsys.readouterr())
+    assert '"spectral_gap": ' in records[2][1]
+
 
 def _counted(monkeypatch, owner, name):
     """Replace owner.name by a wrapper that records each call; returns the list of calls."""
@@ -676,6 +723,17 @@ class TestVerifyKeepsInputs:
         assert len(warned) == (43 if flags else 1)
         assert all(f"{mesh_module.__file__}:" in err for err in warned)
         assert {code for code, _, _ in kept} >= {0, 2}
+
+    def test_a_later_scipy_import_does_not_warn_again(self, odd_meshes):
+        # scipy.optimize is first imported by the constants table, after the disconnected mesh has warned; the
+        # default filter keeps its once-per-location record, so the kept mesh does not warn a second time
+        two_mesh, two_field = odd_meshes[0]
+        ps = ["verify", "ps", "--mesh", two_mesh, "--field", two_field, "--p", "1.5"]
+        loaded, *records = _run_fresh([ps, ["constants", "--n", "2"], ps])
+        assert ["mesh is not connected" in err for _, _, err, _ in records] == [True, False, False]
+        assert loaded == []
+        assert [(code, mods) for code, _, _, mods in records] == [
+            (0, ["scipy.sparse"]), (0, ["scipy.optimize", "scipy.sparse"]), (0, ["scipy.optimize", "scipy.sparse"])]
 
     def test_each_input_built_once(self, disk_files, no_kept_inputs, monkeypatch, capsys):
         mesh_path, field_path, _ = disk_files
@@ -1070,6 +1128,19 @@ def test_a_far_vertex_is_refused(tmp_path, capsys, x, command):
         assert dispatch(command + ["--mesh", str(path)]) == 2
     assert capsys.readouterr() == ("", "psilab: vertex coordinates span too wide a range: the edge Gram entries or "
                                        "area of triangle [0, 1, 2] leave the double range\n")
+
+
+@pytest.mark.parametrize("command", [["curvature"], ["verify", "iso", "--K", "0"]], ids=["curvature", "iso"])
+def test_a_wide_rectangle_is_refused(tmp_path, capsys, command):
+    # each triangle's Gram entries and area are finite, but its two long edges meet at a corner where their
+    # squared lengths multiply past the double range: the curvature kernel would read every vertex area NaN
+    path = tmp_path / "wide.off"
+    path.write_text("OFF\n4 2 0\n0 0 0\n2e77 0 0\n0 1e70 0\n2e77 1e70 0\n3 0 1 2\n3 1 3 2\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert dispatch(command + ["--mesh", str(path)]) == 2
+    assert capsys.readouterr() == ("", "psilab: vertex coordinates span too wide a range: the squared edges met at "
+                                       "a corner of triangle [0, 1, 2] multiply past the double range\n")
 
 
 @st.composite

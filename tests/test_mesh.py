@@ -156,6 +156,23 @@ class TestMeshValidation:
             with pytest.raises(OutOfRange, match="^vertex coordinates span too wide a range: "):
                 TriMesh(cap.vertices * scale, cap.triangles)
 
+    @pytest.mark.parametrize("width", [2e76, 2e77])
+    def test_squared_edges_met_at_a_corner_stay_in_the_double_range(self, width):
+        # a rectangle as two triangles: its Gram entries and areas are finite at both widths, but at 2e77 the two
+        # long edges met at a corner have squared lengths whose product overflows, and the curvature kernel would
+        # read every vertex area NaN; at 2e76 the product fits and the vertex areas sum to the area
+        vertices = np.array([[0.0, 0.0, 0.0], [width, 0.0, 0.0], [0.0, 1e75, 0.0], [width, 1e75, 0.0]])
+        triangles = np.array([[0, 1, 2], [1, 3, 2]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if width > 1e77:
+                with pytest.raises(OutOfRange, match=r"the squared edges met at a corner of triangle \[0, 1, 2\] "
+                                                     r"multiply past the double range$"):
+                    TriMesh(vertices, triangles)
+            else:
+                areas = mean_curvature(TriMesh(vertices, triangles)).vertex_areas
+                assert areas.sum() == pytest.approx(width * 1e75, rel=1e-12)
+
     def test_meshes_and_fields_compare_by_identity(self):
         first, second = analytic.make_disk(1, 4), analytic.make_disk(1, 4)
         f, g = VertexField(np.ones(len(first.vertices))), VertexField(np.ones(len(first.vertices)))

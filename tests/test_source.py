@@ -7,7 +7,9 @@ with the same values, only ``mesh`` names the ``_derived`` stores (every derived
 ``mesh._derive``), only the CLI takes a rearrangement target from ``measure_space`` and no rearrangement
 energy is asked for on one, only the two target constructors (with the JSON reader and the CLI) read a
 ``TargetKind`` member, one function refuses a dimension, every name in the ``__all__`` of ``psilab`` and of
-its modules exists, and a failing hypothesis test prints its example under the repo's warning filters."""
+its modules exists, no package module imports ``scipy.optimize``, ``scipy.integrate`` or ``scipy.sparse`` outside
+a function (so importing the CLI loads none of them), and a failing hypothesis test prints its example under the
+repo's warning filters."""
 
 import ast
 import enum
@@ -69,6 +71,48 @@ def test_the_guard_finds_an_unused_import():
     source = "from __future__ import annotations\nimport os, sys\nimport numpy.linalg\nfrom math import pi as PI\n" \
              "__all__ = ['PI']\n\ndef f():\n    from json import dumps\n    return sys.argv\n"
     assert _unused_imports(source) == ["line 2: os", "line 3: numpy", "line 8: dumps"]
+
+
+LAZY_SCIPY = ("scipy.optimize", "scipy.integrate", "scipy.sparse")
+
+
+def _eager_imports(source: str, modules) -> list[str]:
+    """'line L: module' for each import of one of ``modules`` (or a submodule) that runs when ``source`` is
+    imported: anywhere but inside a function."""
+    found = []
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            if isinstance(child, ast.Import):
+                names = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom) and not child.level:
+                names = [child.module, *(f"{child.module}.{alias.name}" for alias in child.names)]
+            else:
+                names = []
+            hits = [m for m in modules if any(name == m or name.startswith(m + ".") for name in names)]
+            found.extend(f"line {child.lineno}: {m}" for m in hits)
+            visit(child)
+
+    visit(ast.parse(source))
+    return found
+
+
+@pytest.mark.parametrize("path", [path for path in SOURCES.values() if path.parent == PACKAGE],
+                         ids=[name for name, path in SOURCES.items() if path.parent == PACKAGE])
+def test_scipy_beyond_special_is_imported_where_used(path):
+    assert _eager_imports(path.read_text(), LAZY_SCIPY) == []
+
+
+def test_the_guard_finds_an_eager_import():
+    source = "import scipy\nfrom scipy.special import jv\nfrom scipy.optimize import brentq\n" \
+             "import scipy.sparse.csgraph\nfrom scipy import integrate, special\ntry:\n    import scipy.optimize\n" \
+             "except ImportError:\n    pass\n\nclass A:\n    from scipy.sparse import coo_matrix\n\n" \
+             "    def m(self):\n        from scipy.integrate import quad\n\ndef f():\n    import scipy.sparse\n"
+    assert _eager_imports(source, LAZY_SCIPY) == ["line 3: scipy.optimize", "line 4: scipy.sparse",
+                                                  "line 5: scipy.integrate", "line 7: scipy.optimize",
+                                                  "line 12: scipy.sparse"]
 
 
 def _callers(source: str, function: str) -> list[str]:

@@ -125,3 +125,23 @@ class TestBesselFirstZero:
     def test_domain(self):
         with pytest.raises(ValueError):
             bessel_first_zero(-0.5)
+
+    def test_each_order_is_solved_once(self, monkeypatch):
+        # the zero of an order is kept for the process: the scan and brentq run on its first call only, and a
+        # refused order is not kept
+        import scipy.optimize
+
+        calls = []
+        real = scipy.optimize.brentq
+        monkeypatch.setattr(scipy.optimize, "brentq", lambda *a, **k: calls.append(a) or real(*a, **k))
+        bessel_first_zero.cache_clear()
+        try:
+            first = bessel_first_zero(7.25)
+            assert bessel_first_zero(7.25) == first == bessel_first_zero.__wrapped__(7.25)
+            assert len(calls) == 2  # the first call and the unkept one
+            for _ in range(2):
+                with pytest.raises(ValueError):
+                    bessel_first_zero(-0.5)
+            assert bessel_first_zero.cache_info().currsize == 1
+        finally:
+            bessel_first_zero.cache_clear()
