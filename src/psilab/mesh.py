@@ -51,6 +51,8 @@ __all__ = [
     "sample_field",
 ]
 
+_CROSS2_FLOOR = 1e-300  # the least 4A^2 the curvature kernel divides a corner's dot by; _validate keeps above it
+
 
 @dataclass(eq=False)
 class TriMesh:
@@ -60,7 +62,8 @@ class TriMesh:
     finite and close enough that the edge Gram entries, the areas and the
     products of the squared edges met at each corner stay in the double
     range, every edge is shared by at most two triangles with opposite
-    directions (consistent orientation), triangles are non-degenerate, and
+    directions (consistent orientation), triangles are non-degenerate and
+    none is smaller than the curvature kernel resolves (area 5e-151), and
     a disconnected mesh only warns. ``vertices`` and ``triangles`` are
     read-only (a writable array is copied, a read-only one taken as never
     changing), and so are the edge Gram entries, areas and boundary found
@@ -129,6 +132,10 @@ class TriMesh:
         del longest2
         if bad.size:
             raise DegenerateTriangle(f"triangle {tri[bad[0]].tolist()} has (near-)zero area")
+        small, least = areas.argmin(), 0.5 * math.sqrt(_CROSS2_FLOOR)
+        if areas[small] < least:
+            raise OutOfRange(f"vertex coordinates are too small: triangle {tri[small].tolist()} has area "
+                             f"{areas[small]:.3g}, below the {least:.3g} the curvature kernel resolves")
         # half-edge 3t+k runs tri[t, k] -> tri[t, k+1]; its key is the undirected
         # edge with the direction in the low bit, so one sort puts twins side by side
         nv = len(v)
@@ -635,7 +642,7 @@ def _curvature_report(mesh: TriMesh) -> CurvatureReport:
         k = (c + 2) % 3
         # angle at k, opposite edge (i, j)
         dot = -np.einsum("ij,ij->i", edges[k], edges[(c + 1) % 3])
-        cross2 = np.maximum(sq_len[k] * sq_len[(c + 1) % 3] - dot * dot, 1e-300)
+        cross2 = np.maximum(sq_len[k] * sq_len[(c + 1) % 3] - dot * dot, _CROSS2_FLOOR)
         cot = dot / np.sqrt(cross2)
         cots[k] = cot  # indexed by the corner the angle sits at
         del dot, cross2

@@ -24,6 +24,10 @@ entropy and the monotonicity integrals as the integral of g(t) d(-mu), and
 the gradient energy of the rearrangement on R^n, by coarea, as the integral
 of I(mu)^p |mu'|^(1 - p) dt with I the Euclidean ball's perimeter (``model``
 divides it by PS(n, K)^p). No check samples the field.
+
+Every field check returns its verdict through ``_field_report``, which writes its inputs as n, the check's own
+keys, then the level count after merging and the merges made; the radial checks return through ``_radial_report``,
+and ``verify_isoperimetric``, which takes no field, writes one report per region.
 """
 
 from __future__ import annotations
@@ -239,9 +243,11 @@ def _lp_norm(mu: _Levels, p: float) -> float:
     return mu.integral(lambda v: v**p) ** (1.0 / p)
 
 
-def _field_inputs(mu: _Levels, **inputs) -> dict:
-    """A field check's report inputs, ending in the level count after merging and the merges made."""
-    return {**inputs, "levels": int(mu.levels.size), "merged_levels": mu.merged}
+def _field_report(check: str, mesh: TriMesh, mu: _Levels, lhs: float, rhs: float, tol: float, direction: str = "le",
+                  vacuous: bool = False, notes: str = "", **inputs) -> VerificationReport:
+    """The report of a field check, its inputs n, the check's own, the level count after merging and the merges made."""
+    inputs = {"n": mesh.n, **inputs, "levels": int(mu.levels.size), "merged_levels": mu.merged}
+    return VerificationReport(check, lhs, rhs, tol, inputs, direction, vacuous, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -265,13 +271,7 @@ def verify_polya_szego(
     lhs = mu.rearranged_energy(p) ** (1.0 / p)
     rhs = const.ps_constant(mesh.n, K, choice) * p1_gradient_lp(mesh, f, p) ** (1.0 / p)
     _require_field_range("PolyaSzego", mu, lhs=(lhs,), rhs=(rhs,))
-    return VerificationReport(
-        "PolyaSzego",
-        lhs,
-        rhs,
-        tol,
-        inputs=_field_inputs(mu, n=mesh.n, p=p, K=K, iso=choice.label()),
-    )
+    return _field_report("PolyaSzego", mesh, mu, lhs, rhs, tol, p=p, K=K, iso=choice.label())
 
 
 @_quiet
@@ -300,8 +300,8 @@ def verify_model_space_ps(
     mu = _distribution(mesh, f)
     lhs, rhs = mu.rearranged_energy(p) / _power(const.ps_constant(mesh.n, K, choice), p), p1_gradient_lp(mesh, f, p)
     _require_field_range("PolyaSzegoModelSpace", mu, lhs=(lhs,), rhs=(rhs,))
-    return replace(ps, inequality_id="PolyaSzegoModelSpace", lhs=lhs, rhs=rhs, tolerance=tol,
-                   notes="lhs is the Euclidean rearrangement energy over PS^p: this check is ps to the power p")
+    return _field_report("PolyaSzegoModelSpace", mesh, mu, lhs, rhs, tol, p=p, K=K, iso=choice.label(),
+                         notes="lhs is the Euclidean rearrangement energy over PS^p: this check is ps to the power p")
 
 
 # ---------------------------------------------------------------------------
@@ -366,13 +366,7 @@ def verify_p_sobolev(
     s_const = const.talenti_constant(mesh.n, p) * const.ps_constant(mesh.n, K, choice)
     rhs = s_const * p1_gradient_lp(mesh, f, p) ** (1.0 / p)
     _require_field_range("PSobolev", mu, lhs=(lhs,), rhs=(rhs,))
-    return VerificationReport(
-        "PSobolev",
-        lhs,
-        rhs,
-        tol,
-        inputs=_field_inputs(mu, n=mesh.n, p=p, K=K, iso=choice.label()),
-    )
+    return _field_report("PSobolev", mesh, mu, lhs, rhs, tol, p=p, K=K, iso=choice.label())
 
 
 @_quiet
@@ -410,13 +404,8 @@ def verify_gn(
     energy, norm_q = p1_gradient_lp(mesh, f, p), _lp_norm(mu, q)
     rhs = gn_const * energy ** (theta / p) * norm_q ** (1.0 - theta)
     _require_field_range("GagliardoNirenberg", mu, lhs=(lhs,), rhs=(energy, norm_q, rhs))
-    return VerificationReport(
-        "GagliardoNirenberg",
-        lhs,
-        rhs,
-        tol,
-        inputs=_field_inputs(mu, n=mesh.n, p=p, q=q, K=K, iso=choice.label(), reading=reading.value),
-    )
+    return _field_report("GagliardoNirenberg", mesh, mu, lhs, rhs, tol, p=p, q=q, K=K, iso=choice.label(),
+                         reading=reading.value)
 
 
 def _require_double_range(check: str, n: int, where: str, **sides) -> None:
@@ -483,16 +472,8 @@ def verify_spectral_gap(
     rhs = g / area
     # the bound blows up as the support shrinks: record the scaling trend
     trend = {f"rhs_at_area_fraction_{frac}": g / (frac * area) for frac in (1.0, 0.5, 0.25)}
-    return VerificationReport(
-        "SpectralGap",
-        lhs,
-        rhs,
-        tol,
-        direction="ge",
-        inputs=_field_inputs(
-            mu, n=mesh.n, K=K, iso=choice.label(), reading=reading.value, support_area=area, **trend
-        ),
-    )
+    return _field_report("SpectralGap", mesh, mu, lhs, rhs, tol, direction="ge", K=K, iso=choice.label(),
+                         reading=reading.value, support_area=area, **trend)
 
 
 _FLATNESS_THRESHOLD = 1e-2
@@ -548,13 +529,7 @@ def verify_log_sobolev(
     lhs = p * mu.integral(entropy)
     energy = gradient / c**p
     rhs = (mesh.n / p) * math.log(const.log_sobolev_constant(mesh.n, p) * energy)
-    return VerificationReport(
-        "LogSobolev",
-        lhs,
-        rhs,
-        _tolerance(tolerance),
-        inputs=_field_inputs(mu, n=mesh.n, p=p, max_interior_h=h_max),
-    )
+    return _field_report("LogSobolev", mesh, mu, lhs, rhs, _tolerance(tolerance), p=p, max_interior_h=h_max)
 
 
 def _curvature_term(curv, f: VertexField) -> float:
@@ -579,13 +554,7 @@ def verify_michael_simon_p1(
     c = choice.euclidean_product(mesh.n)
     rhs = c * (p1_gradient_lp(mesh, f, 1.0) + curvature_term)
     _require_field_range("MichaelSimonP1", mu, lhs=(lhs,), rhs=(rhs,))
-    return VerificationReport(
-        "MichaelSimonP1",
-        lhs,
-        rhs,
-        _tolerance(tolerance),
-        inputs=_field_inputs(mu, n=mesh.n, p=1.0, iso=choice.label()),
-    )
+    return _field_report("MichaelSimonP1", mesh, mu, lhs, rhs, _tolerance(tolerance), p=1.0, iso=choice.label())
 
 
 # ---------------------------------------------------------------------------
@@ -711,23 +680,16 @@ def verify_monotonicity_principle(
     # Euclidean hypothesis on v = u*
     hyp_lhs = spec.L(f_int, rearranged_powers(spec.g_terms))
     hyp_rhs = spec.lam(phi_int, rearranged_powers(spec.psi_terms))
-    inputs = _field_inputs(mu, n=mesh.n, K=K, iso=choice.label(), spec=spec.name)
+    inputs = {"K": K, "iso": choice.label(), "spec": spec.name}
     if hyp_lhs > hyp_rhs * (1.0 + tol):
-        return VerificationReport(
-            "MonotonicityPrinciple",
-            hyp_lhs,
-            hyp_rhs,
-            tol,
-            inputs=inputs,
-            vacuous=True,
-            notes="Euclidean hypothesis fails for the rearrangement; claim is vacuous",
-        )
+        return _field_report("MonotonicityPrinciple", mesh, mu, hyp_lhs, hyp_rhs, tol, vacuous=True,
+                             notes="Euclidean hypothesis fails for the rearrangement; claim is vacuous", **inputs)
     # transferred claim on the surface, gradients scaled by PS
     g_int = sum(b * orders[e][1] * orders[e][2] for b, e in spec.g_terms)
     psi_int = sum(c * orders[e][1] * orders[e][2] for c, e in spec.psi_terms)
     lhs = spec.L(f_int, g_int)
     rhs = spec.lam(phi_int, psi_int)
-    return VerificationReport("MonotonicityPrinciple", lhs, rhs, tol, inputs=inputs)
+    return _field_report("MonotonicityPrinciple", mesh, mu, lhs, rhs, tol, **inputs)
 
 
 # ---------------------------------------------------------------------------

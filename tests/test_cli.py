@@ -1143,6 +1143,24 @@ def test_a_wide_rectangle_is_refused(tmp_path, capsys, command):
                                        "a corner of triangle [0, 1, 2] multiply past the double range\n")
 
 
+def test_a_tiny_cap_is_refused(tmp_path, capsys):
+    # the cap scaled by 1e-77 has triangles below the area the curvature kernel resolves: it read TC 4.3e-5 and
+    # failed ps at K = 0.01 (ratio 1.0123), where the unit cap is refused for its total curvature 1.666
+    cap = analytic.make_cap(0.5, 8)
+    vertices = 1e-77 * cap.vertices
+    mesh_path, field_path = tmp_path / "tiny.off", tmp_path / "z.csv"
+    mesh_path.write_text(f"OFF\n{len(vertices)} {len(cap.triangles)} 0\n"
+                         + "".join(" ".join("%.17g" % x for x in v) + "\n" for v in vertices)
+                         + "".join("3 %d %d %d\n" % tuple(t) for t in cap.triangles))
+    field_path.write_text(VertexField(vertices[:, 2] - vertices[:, 2].min()).to_csv())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert dispatch(["verify", "ps", "--p", "2", "--K", "0.01", "--mesh", str(mesh_path),
+                         "--field", str(field_path)]) == 2
+    assert capsys.readouterr() == ("", "psilab: vertex coordinates are too small: triangle [0, 1, 2] has area "
+                                       "7.47e-158, below the 5e-151 the curvature kernel resolves\n")
+
+
 @st.composite
 def small_off_and_field(draw):
     """OFF text of up to 5 vertices and 4 faces, and a field CSV on it, with NaN, inf, negative values and

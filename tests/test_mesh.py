@@ -173,6 +173,26 @@ class TestMeshValidation:
                 areas = mean_curvature(TriMesh(vertices, triangles)).vertex_areas
                 assert areas.sum() == pytest.approx(width * 1e75, rel=1e-12)
 
+    @pytest.mark.parametrize("mesh", [analytic.make_cap(0.5, 8), analytic.make_disk(1.0, 8)], ids=["cap", "disk"])
+    def test_small_coordinates_keep_the_total_curvature_or_are_refused(self, mesh):
+        # TC is scale-invariant; below triangle area 5e-151 the curvature kernel's floor on 4A^2 bends the
+        # cotangents (the cap read TC 2.2456 at 1e-74 and 0.0332 at 1e-75), so such a mesh is refused instead
+        tc = mean_curvature(mesh).total
+        refused = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for e in range(-79, 1):
+                try:
+                    scaled = TriMesh(mesh.vertices * 10.0**e, mesh.triangles)
+                except (OutOfRange, DegenerateTriangle):
+                    refused.append(e)
+                    continue
+                assert abs(mean_curvature(scaled).total - tc) <= 1e-9 * max(tc, 1.0) + 1e-8, e
+        assert -77 in refused and -70 not in refused
+        with pytest.raises(OutOfRange, match=r"^vertex coordinates are too small: triangle \[\d+, \d+, \d+\] has area "
+                                             r"\S+, below the 5e-151 the curvature kernel resolves$"):
+            TriMesh(mesh.vertices * 1e-77, mesh.triangles)
+
     def test_meshes_and_fields_compare_by_identity(self):
         first, second = analytic.make_disk(1, 4), analytic.make_disk(1, 4)
         f, g = VertexField(np.ones(len(first.vertices))), VertexField(np.ones(len(first.vertices)))

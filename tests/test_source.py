@@ -8,10 +8,11 @@ with the same values, only ``mesh`` names the ``_derived`` stores (every derived
 energy is asked for on one, only the two target constructors (with the JSON reader and the CLI) read a
 ``TargetKind`` member, one function refuses a dimension, every name in the ``__all__`` of ``psilab`` and of
 its modules exists, no package module imports ``scipy.optimize``, ``scipy.integrate`` or ``scipy.sparse`` outside
-a function (so importing the CLI loads none of them), and a failing hypothesis test prints its example under the
-repo's warning filters."""
+a function (so importing the CLI loads none of them), three functions of ``verify`` write a report and none
+is rewritten by ``replace``, and a failing hypothesis test prints its example under the repo's warning filters."""
 
 import ast
+import dataclasses
 import enum
 import importlib
 import pathlib
@@ -24,6 +25,7 @@ import pytest
 import psilab
 from psilab import cli
 from psilab.measure_space import TargetKind
+from psilab.verify import VerificationReport
 
 PACKAGE = pathlib.Path(psilab.__file__).parent
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -262,6 +264,39 @@ def test_one_blowup_set_up():
     # numbers cannot drift apart
     callers = {name: _callers(path.read_text(), "_blowup_args") for name, path in SOURCES.items()}
     assert {name: found for name, found in callers.items() if found} == {"analytic.py": ["_blowup_terms"]}
+
+
+REPORT_FIELDS = {f.name for f in dataclasses.fields(VerificationReport)}
+
+
+def _report_replacements(source: str) -> list[str]:
+    """'line L' for each call of ``replace`` (by that name, an alias or an attribute) that sets a report field."""
+    tree = ast.parse(source)
+    names = {"replace"} | {a.asname for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                           for a in node.names if a.name == "replace" and a.asname}
+    return [f"line {node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) in names
+            and REPORT_FIELDS & {kw.arg for kw in node.keywords}]
+
+
+def test_one_report_path():
+    # every field check's report is written by ``verify._field_report``, a radial check's by ``_radial_report``
+    # and the isoperimetric check's, which takes no field, by ``verify_isoperimetric`` (``from_json`` reads one
+    # back through ``cls``); no report is rewritten by ``dataclasses.replace``
+    package = {name: path.read_text() for name, path in SOURCES.items() if path.parent == PACKAGE}
+    builders = {name: found for name, source in package.items() if (found := _callers(source, "VerificationReport"))}
+    assert builders == {"verify.py": ["_field_report", "verify_isoperimetric", "_radial_report"]}
+    assert {name: lines for name, source in package.items() if (lines := _report_replacements(source))} == {}
+
+
+def test_the_guard_finds_a_fourth_report_and_a_replace():
+    source = "import dataclasses\nfrom dataclasses import replace as swap\n\n" \
+             "def verify_x(mesh):\n    ps = VerificationReport('PolyaSzego', 1.0, 1.0, 0.01)\n" \
+             "    unit = swap(mesh, log_value=abs)\n" \
+             "    return swap(ps, inequality_id='x'), text.replace('a', 'b')\n\ndef verify_y(rep):\n" \
+             "    return dataclasses.replace(rep, notes=''), verify.VerificationReport('y', 0, 0, 0)\n"
+    assert _callers(source, "VerificationReport") == ["verify_x", "verify_y"]
+    assert _report_replacements(source) == ["line 7", "line 10"]
 
 
 TARGETS = {"lebesgue", "model_space", "TargetMeasure"}

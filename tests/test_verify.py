@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -694,3 +695,36 @@ def test_profile_checks_share_one_draw_and_one_sort(monkeypatch):
         verify_michael_simon_p1(DISK8, f, B1)
         verify_monotonicity_principle(DISK8, f, monotone_preset("sobolev-l1"), K, B1)
     assert (len(draws), len(builds)) == (0, 1)
+
+
+REPORT_KEYS = ["schema_version", "inequality_id", "lhs", "rhs", "ratio", "pass", "tolerance", "direction", "vacuous",
+               "notes", "inputs"]
+ZERO_RHS = MonotoneSpec(f=lambda v: v, phi=lambda v: v, g_terms=[], psi_terms=[(0.0, 1.0)], L=lambda s, t: s,
+                        lam=lambda s, t: t)
+FIELD_LAYOUTS = {  # a field check on the disk hat, its id and the keys of its inputs, in the order the JSON writes them
+    "ps": (lambda f: verify_polya_szego(DISK8, f, 2.0, 0.0, B1), "PolyaSzego", ["p", "K", "iso"]),
+    "model": (lambda f: verify_model_space_ps(DISK8, f, 2.0, 0.0, B1), "PolyaSzegoModelSpace", ["p", "K", "iso"]),
+    "sobolev": (lambda f: verify_p_sobolev(DISK8, f, 1.5, 0.0, B1), "PSobolev", ["p", "K", "iso"]),
+    "gn": (lambda f: verify_gn(DISK8, 1.5, 2.5, 0.0, B1, f=f), "GagliardoNirenberg",
+           ["p", "q", "K", "iso", "reading"]),
+    "spectral": (lambda f: verify_spectral_gap(DISK8, f, 0.0, B1), "SpectralGap",
+                 ["K", "iso", "reading", "support_area", "rhs_at_area_fraction_1.0", "rhs_at_area_fraction_0.5",
+                  "rhs_at_area_fraction_0.25"]),
+    "logsob": (lambda f: verify_log_sobolev(DISK8, 1.5, f=f), "LogSobolev", ["p", "max_interior_h"]),
+    "ms1": (lambda f: verify_michael_simon_p1(DISK8, f, B1), "MichaelSimonP1", ["p", "iso"]),
+    "mono": (lambda f: verify_monotonicity_principle(DISK8, f, monotone_preset("sobolev-l1"), 0.0, B1),
+             "MonotonicityPrinciple", ["K", "iso", "spec"]),
+    "mono-vacuous": (lambda f: verify_monotonicity_principle(DISK8, f, ZERO_RHS, 0.0, B1), "MonotonicityPrinciple",
+                     ["K", "iso", "spec"]),
+}
+
+
+@pytest.mark.parametrize("check", FIELD_LAYOUTS)
+def test_field_reports_keep_their_layout(check):
+    # the JSON key order of a field check's report: n, the check's own inputs, then its level counts
+    run, check_id, own = FIELD_LAYOUTS[check]
+    rep = run(VertexField(HAT8))
+    obj = json.loads(rep.to_json())
+    assert list(obj) == REPORT_KEYS and list(rep.as_dict()) == REPORT_KEYS
+    assert list(obj["inputs"]) == ["n", *own, "levels", "merged_levels"] == list(rep.inputs)
+    assert (obj["inequality_id"], obj["vacuous"]) == (check_id, check == "mono-vacuous")
