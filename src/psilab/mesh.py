@@ -418,16 +418,16 @@ def _stacked_gradient_lp(mesh: TriMesh, count: int, rows, p: float) -> list[floa
     """``p1_gradient_lp`` of ``count`` fields in one pass, each bit-identical to it. ``rows(lo, hi)`` gives the
     vertex values of fields lo, ..., hi - 1 as an (hi - lo, nv) array, refused as a field used on the mesh is.
 
-    The pass runs in blocks of at most ``_STACK_ENTRIES`` (field, triangle) entries. |grad u|^2 is formed,
-    and raised to p/2, only on the triangles where the field moves: elsewhere it is exactly 0, and so is its
-    p/2-th power for p >= 1. Each field's row of area-weighted powers is contiguous and summed by its own
-    ``np.sum``, as ``p1_gradient_lp`` sums it; a sum over a (triangle, field) layout rounds differently.
+    The pass runs in blocks of at most ``_STACK_ENTRIES`` (field, triangle) entries. A triangle on which
+    every field of the block is constant, the largest of its corners' maxima over the block equal to the
+    smallest of their minima, is skipped before any (field, triangle) entry is formed. On the others
+    |grad u|^2 is formed, and raised to p/2, only where the field moves: elsewhere it is exactly 0, and so is
+    its p/2-th power for p >= 1. Each field's row of area-weighted powers is contiguous, and one
+    ``sum(axis=1)`` adds each row pairwise as ``np.sum`` adds it in ``p1_gradient_lp``, with the same bits;
+    a sum over a (triangle, field) layout rounds differently.
     """
-    areas, half_p = mesh.triangle_areas(), 0.5 * require_order(p)
-    aa, bb, ab = mesh._gram
-    t0, t1, t2 = mesh.triangles.T
-    nt = len(t0)
-    step = max(1, _STACK_ENTRIES // nt)
+    half_p = 0.5 * require_order(p)
+    step = max(1, _STACK_ENTRIES // len(mesh.triangles))
     out = []
     for lo in range(0, count, step):
         u = np.asarray(rows(lo, min(lo + step, count)), dtype=float)
@@ -435,14 +435,36 @@ def _stacked_gradient_lp(mesh: TriMesh, count: int, rows, p: float) -> list[floa
             raise ValueError("stacked field values must be a 2-d array")
         _require_field_length(mesh, u)
         _require_field_values(u)
-        u0 = np.take(u, t0, axis=1)
-        du1, du2 = np.take(u, t1, axis=1) - u0, np.take(u, t2, axis=1) - u0
-        moving = np.flatnonzero((du1 != 0.0) | (du2 != 0.0))
-        du1, du2, tri = du1.ravel()[moving], du2.ravel()[moving], moving % nt
-        energy = np.zeros((len(u), nt))
-        energy.ravel()[moving] = areas[tri] * _gradient_sq(aa[tri], bb[tri], ab[tri], du1, du2) ** half_p
-        out += [float(np.sum(row)) for row in energy]
+        out += _block_gradient_lp(mesh, u, half_p).tolist()
     return out
+
+
+def _block_gradient_lp(mesh: TriMesh, u: np.ndarray, half_p: float) -> np.ndarray:
+    """The energies of one block of ``_stacked_gradient_lp``; its temporaries are freed on return, each
+    once dead, so that the peak of a pass is that of its largest block."""
+    tri, nt = mesh.triangles, len(mesh.triangles)
+    # the largest of a triangle's corner maxima over the block equals the smallest of their minima exactly
+    # when each corner's maximum is its minimum and the three are one value: NaN marks a corner whose fields
+    # differ (a value refused in a field), and equals nothing
+    level = u.max(axis=0)
+    level[level != u.min(axis=0)] = np.nan
+    first = level[tri[:, 0]]
+    flat = (first == level[tri[:, 1]]) & (first == level[tri[:, 2]])
+    candidates = np.flatnonzero(~flat)
+    del level, first, flat
+    t0, t1, t2 = (tri[:, k][candidates] for k in range(3))
+    u0 = np.take(u, t0, axis=1)
+    du1, du2 = np.take(u, t1, axis=1) - u0, np.take(u, t2, axis=1) - u0
+    del u0, t0, t1, t2
+    moving = np.flatnonzero((du1 != 0.0) | (du2 != 0.0))
+    du1, du2 = du1.ravel()[moving], du2.ravel()[moving]
+    fields, t = np.divmod(moving, len(candidates))
+    del moving
+    t = candidates[t]
+    aa, bb, ab = mesh._gram
+    energy = np.zeros((len(u), nt))
+    energy[fields, t] = mesh.triangle_areas()[t] * _gradient_sq(aa[t], bb[t], ab[t], du1, du2) ** half_p
+    return energy.sum(axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -243,6 +243,11 @@ def _lp_norm(mu: _Levels, p: float) -> float:
     return mu.integral(lambda v: v**p) ** (1.0 / p)
 
 
+def _rearranged_energy(mesh: TriMesh, f: VertexField, p: float) -> float:
+    """The Euclidean rearrangement's p-energy, kept on the field per p as ``p1_gradient_lp`` keeps its integral."""
+    return _derive(mesh, f, ("rearranged_energy", p), lambda: _distribution(mesh, f).rearranged_energy(p))
+
+
 def _field_report(check: str, mesh: TriMesh, mu: _Levels, lhs: float, rhs: float, tol: float, direction: str = "le",
                   vacuous: bool = False, notes: str = "", **inputs) -> VerificationReport:
     """The report of a field check, its inputs n, the check's own, the level count after merging and the merges made."""
@@ -268,7 +273,7 @@ def verify_polya_szego(
     tol = _check_inputs(mesh, f, K, choice, tolerance)
     p = require_order(p)
     mu = _distribution(mesh, f)
-    lhs = mu.rearranged_energy(p) ** (1.0 / p)
+    lhs = _rearranged_energy(mesh, f, p) ** (1.0 / p)
     rhs = const.ps_constant(mesh.n, K, choice) * p1_gradient_lp(mesh, f, p) ** (1.0 / p)
     _require_field_range("PolyaSzego", mu, lhs=(lhs,), rhs=(rhs,))
     return _field_report("PolyaSzego", mesh, mu, lhs, rhs, tol, p=p, K=K, iso=choice.label())
@@ -298,7 +303,8 @@ def verify_model_space_ps(
     except OverflowError:
         raise OutOfRange(f"tolerance {t} at p = {p} leaves the double range as (1 + t)^p - 1") from None
     mu = _distribution(mesh, f)
-    lhs, rhs = mu.rearranged_energy(p) / _power(const.ps_constant(mesh.n, K, choice), p), p1_gradient_lp(mesh, f, p)
+    lhs = _rearranged_energy(mesh, f, p) / _power(const.ps_constant(mesh.n, K, choice), p)
+    rhs = p1_gradient_lp(mesh, f, p)
     _require_field_range("PolyaSzegoModelSpace", mu, lhs=(lhs,), rhs=(rhs,))
     return _field_report("PolyaSzegoModelSpace", mesh, mu, lhs, rhs, tol, p=p, K=K, iso=choice.label(),
                          notes="lhs is the Euclidean rearrangement energy over PS^p: this check is ps to the power p")
@@ -549,7 +555,7 @@ def verify_michael_simon_p1(
     no total-curvature assumption, so closed surfaces are allowed."""
     _require_field(mesh, f)
     mu = _distribution(mesh, f)
-    lhs = mu.rearranged_energy(1.0)
+    lhs = _rearranged_energy(mesh, f, 1.0)
     curvature_term = _derive(mesh, f, "curvature_term", lambda: _curvature_term(mean_curvature(mesh), f))
     c = choice.euclidean_product(mesh.n)
     rhs = c * (p1_gradient_lp(mesh, f, 1.0) + curvature_term)
@@ -665,7 +671,7 @@ def verify_monotonicity_principle(
     # equimeasurable, v = u* and u have the same integrals of f and phi
     f_int, phi_int = mu.integral(spec.f), mu.integral(spec.phi)
     # of each order a term takes: the rearrangement's energy, PS to that order and the surface's gradient energy
-    orders = {e: (mu.rearranged_energy(e), _power(ps, e), p1_gradient_lp(mesh, f, e))
+    orders = {e: (_rearranged_energy(mesh, f, e), _power(ps, e), p1_gradient_lp(mesh, f, e))
               for _, e in [*spec.g_terms, *spec.psi_terms]}
 
     def powers(integral, terms):

@@ -653,7 +653,8 @@ WARM_MEASURES = {  # a check, the number it keeps and whether the mesh (else the
     "logsob": (lambda f: verify_log_sobolev(DISK8, 1.5, f=f), "max_interior_h", True,
                ["levels", "grad2", ("gradient_lp", 1.5)], lambda rep: rep.inputs["max_interior_h"]),
     "ms1": (lambda f: verify_michael_simon_p1(DISK8, f, B1), "curvature_term", False,
-            ["levels", "curvature_term", "grad2", ("gradient_lp", 1.0)], lambda rep: rep.rhs / B1.euclidean_product(2)),
+            ["levels", ("rearranged_energy", 1.0), "curvature_term", "grad2", ("gradient_lp", 1.0)],
+            lambda rep: rep.rhs / B1.euclidean_product(2)),
 }
 
 
@@ -695,6 +696,22 @@ def test_profile_checks_share_one_draw_and_one_sort(monkeypatch):
         verify_michael_simon_p1(DISK8, f, B1)
         verify_monotonicity_principle(DISK8, f, monotone_preset("sobolev-l1"), K, B1)
     assert (len(draws), len(builds)) == (0, 1)
+
+
+def test_ps_then_model_evaluate_the_rearrangement_energy_once(monkeypatch):
+    # model runs ps for its refusals and reads the energy ps kept on the field; mono and ms1 read it too
+    f, calls, real = VertexField(HAT8), [], mesh_module._Levels.rearranged_energy
+    monkeypatch.setattr(mesh_module._Levels, "rearranged_energy", lambda mu, p: calls.append(p) or real(mu, p))
+    ps = verify_polya_szego(DISK8, f, 1.5, 0.0, B1)
+    model = verify_model_space_ps(DISK8, f, 1.5, 0.0, B1)
+    assert calls == [1.5]
+    verify_michael_simon_p1(DISK8, f, B1)
+    verify_monotonicity_principle(DISK8, f, monotone_preset("sobolev-l1"), 0.0, B1)
+    verify_model_space_ps(DISK8, f, 1.0, 0.0, B1)
+    assert calls == [1.5, 1.0]
+    fresh = VertexField(HAT8)
+    assert ps == verify_polya_szego(DISK8, fresh, 1.5, 0.0, B1)
+    assert model == verify_model_space_ps(DISK8, fresh, 1.5, 0.0, B1)
 
 
 REPORT_KEYS = ["schema_version", "inequality_id", "lhs", "rhs", "ratio", "pass", "tolerance", "direction", "vacuous",
