@@ -8,7 +8,7 @@ just below 1. The full sphere is refused by the curvature-bounded checks.
 import numpy as np
 
 from psilab import constants as const
-from psilab.analytic import logsobolev_extremal, make_disk, make_sphere
+from psilab.analytic import logsobolev_extremal, make_disk, make_sphere, verify_radial_log_sobolev
 from psilab.errors import CurvatureBoundViolated
 from psilab.mesh import VertexField
 from psilab.special_fn import bessel_first_zero, bessel_j
@@ -43,12 +43,12 @@ reports = [
     verify_isoperimetric(disk, 0.0, B1)[0],
     verify_p_sobolev(disk, hat, 1.5, 0.0, B1),
     verify_spectral_gap(disk, eigen, 0.0, B1),
-    verify_log_sobolev(disk, 1.5, f=hat),
+    verify_log_sobolev(disk, hat, 1.5),
     verify_michael_simon_p1(disk, hat, B1),
     verify_monotonicity_principle(disk, hat, monotone_preset("sobolev-l1"), 0.0, B1),
 ]
 # the pure Euclidean extremal equality, for reference
-reports.append(verify_log_sobolev(logsobolev_extremal(3, 2.0, 1.0), 2.0))
+reports.append(verify_radial_log_sobolev(logsobolev_extremal(3, 2.0, 1.0), 2.0))
 
 print(f"{'inequality':<24}{'lhs':>12}{'rhs':>12}{'ratio':>10}  verdict")
 for rep in reports:

@@ -6,8 +6,8 @@ special_fn      gamma, unit-ball volumes, first Bessel zeros (on math and scipy)
 constants       the named sharp constants, with literal and corrected readings
 measure_space   Schwartz rearrangement over weighted samples, radial profiles
 mesh            triangle meshes in R^d: areas, P1 gradients, mean curvature
-analytic        parametric surfaces, blowup family, extremal radial functions
-verify          inequality verdict engine producing VerificationReports
+analytic        parametric surfaces, blowup family, radial extremals and their checks
+verify          the inequalities' verdicts on meshes, as VerificationReports
 counterexample  the sphere blowup sweep and its threshold search
 cli             command-line entry point (``psilab`` console script)
 

@@ -11,14 +11,13 @@ byte that does not decode is named by its line too, counted in the bytes
 decoded in one piece with it (a file numpy reads by path is decoded again
 whole).
 
-Writing is one rule for every table psilab writes but the blowup sweep (whose
-rows ``counterexample.sweep_to_csv`` spells itself, a little faster): each cell
-is its ``str``, so a float is the ``repr`` that reads back bit for bit, and a
-``None`` is an empty cell. The JSON writer puts each item on a line of its own
-from one C-encoder call per value. An array, in a table or a JSON payload, is
-written a block of rows at a time, and each distinct value of a block (by its
-bits, so ``-0.0`` and ``0.0`` are two) is spelled once and its text reused for
-every cell that holds it: the surfaces psilab measures repeat their per-vertex
+Writing is one rule for every table psilab writes: each cell is its ``str``,
+so a float is the ``repr`` that reads back bit for bit, and a ``None`` is an
+empty cell. The JSON writer puts each item on a line of its own from one
+C-encoder call per value. An array, in a table or a JSON payload, is written a
+block of rows at a time, and each distinct value of a block (by its bits, so
+``-0.0`` and ``0.0`` are two) is spelled once and its text reused for every
+cell that holds it: the surfaces psilab measures repeat their per-vertex
 numbers a lot. Only one block's cell texts exist at once, and the bytes are
 those of spelling every cell.
 """

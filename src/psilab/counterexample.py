@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._table import format_table
 from .analytic import _blowup_terms, example51_field, example51_gradient_integrals, make_sphere
 from .errors import DIVERGENT, ConvergenceFailure, require_order
 from .mesh import _stacked_gradient_lp
@@ -107,17 +108,11 @@ def sweep(p: float, lam_list, mesh_check: bool = False, subdiv: int = 5):
 
 
 def sweep_to_csv(rows) -> str:
-    """Plot-friendly CSV: one row per lambda, Divergent spelled out."""
-    lines = ["lambda,p,surface_grad_p,curvature_term,plane_grad_p,ratio,gradient_ratio,mesh_surface,flagged"]
-    for r in rows:
-        plane = "divergent" if r.plane_grad_p is DIVERGENT else repr(r.plane_grad_p)
-        ratio = "inf" if math.isinf(r.ratio) else repr(r.ratio)
-        gratio = "inf" if math.isinf(r.gradient_ratio) else repr(r.gradient_ratio)
-        ms = "" if r.mesh_surface is None else repr(r.mesh_surface)
-        lines.append(
-            f"{r.lam!r},{r.p!r},{r.surface_grad_p!r},{r.curvature_term!r},{plane},{ratio},{gratio},{ms},{int(r.flagged)}"
-        )
-    return "\n".join(lines) + "\n"
+    """Plot-friendly CSV: one row per lambda, Divergent spelled out, an infinite ratio "inf" as its ``str``."""
+    return format_table(
+        "lambda,p,surface_grad_p,curvature_term,plane_grad_p,ratio,gradient_ratio,mesh_surface,flagged",
+        *zip(*[(r.lam, r.p, r.surface_grad_p, r.curvature_term, "divergent" if r.plane_grad_p is DIVERGENT
+                else r.plane_grad_p, r.ratio, r.gradient_ratio, r.mesh_surface, int(r.flagged)) for r in rows]))
 
 
 _LAMBDA_CEILING = 1e12

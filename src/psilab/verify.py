@@ -26,8 +26,8 @@ of I(mu)^p |mu'|^(1 - p) dt with I the Euclidean ball's perimeter (``model``
 divides it by PS(n, K)^p). No check samples the field.
 
 Every field check returns its verdict through ``_field_report``, which writes its inputs as n, the check's own
-keys, then the level count after merging and the merges made; the radial checks return through ``_radial_report``,
-and ``verify_isoperimetric``, which takes no field, writes one report per region.
+keys, then the level count after merging and the merges made, and ``verify_isoperimetric``, which takes no field,
+writes one report per region. Every check here judges a mesh; ``analytic`` checks equality on the radial extremals.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from __future__ import annotations
 import inspect
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -43,14 +43,11 @@ from scipy.special import xlogy
 
 from . import constants as const
 from ._table import format_table
-from .analytic import RadialFunction, gn_extremal, radial_entropy, radial_gradient_lp, radial_lp
 from .constants import IsoperimetricChoice, Reading
 from .errors import (
-    ConvergenceFailure,
     CurvatureBoundViolated,
     NotMinimal,
     OutOfRange,
-    PsilabError,
     SpecInvalid,
     ZeroField,
     require_order,
@@ -77,7 +74,6 @@ __all__ = [
     "superlevel_region",
     "verify_p_sobolev",
     "verify_gn",
-    "select_egn_reading",
     "verify_spectral_gap",
     "verify_log_sobolev",
     "verify_michael_simon_p1",
@@ -377,31 +373,17 @@ def verify_p_sobolev(
 
 @_quiet
 def verify_gn(
-    obj,
+    mesh: TriMesh,
+    f: VertexField,
     p: float,
     q: float,
-    K: float = 0.0,
-    choice: IsoperimetricChoice | None = None,
+    K: float,
+    choice: IsoperimetricChoice,
     reading: Reading = Reading.CORRECTED,
-    f: VertexField | None = None,
     tolerance: float | None = None,
 ) -> VerificationReport:
-    """Gagliardo-Nirenberg: ||u||_r <= GN * ||grad u||_p^theta * ||u||_q^(1-theta).
-
-    A RadialFunction input checks the pure Euclidean inequality with the
-    EGN constant alone; a mesh input multiplies in the rearrangement
-    constant PS(n, K).
-    """
-    if isinstance(obj, RadialFunction):
-        n = obj.n
-        p, q, _, theta, r = const._gn_exponents(n, p, q)
-        lhs, energy, norm_q = radial_lp(obj, r), radial_gradient_lp(obj, p), radial_lp(obj, q)
-        _require_double_range("GagliardoNirenberg", n, "radial", lhs=(lhs,), rhs=(energy, norm_q))
-        rhs = const.egn_constant(n, p, q, reading) * (energy ** (1.0 / p)) ** theta * norm_q ** (1.0 - theta)
-        return _radial_report("GagliardoNirenberg", lhs, rhs, tolerance, n=n, p=p, q=q, K=0.0, reading=reading.value)
-    mesh: TriMesh = obj
-    if choice is None or f is None:
-        raise ValueError("mesh input needs an isoperimetric choice and a field")
+    """Gagliardo-Nirenberg: ||u||_r <= GN * ||grad u||_p^theta * ||u||_q^(1-theta), GN the EGN constant times
+    the rearrangement constant PS(n, K)."""
     tol = _check_inputs(mesh, f, K, choice, tolerance)
     p, q, _, theta, r = const._gn_exponents(mesh.n, p, q)
     mu = _distribution(mesh, f)
@@ -420,36 +402,6 @@ def _require_double_range(check: str, n: int, where: str, **sides) -> None:
     for side, values in sides.items():
         if not all(0.0 < abs(v) < math.inf for v in values):
             raise OutOfRange(f"{check} at n = {n}: the {where} {side} leaves the double range")
-
-
-def _radial_report(check: str, lhs: float, rhs: float, tolerance: float | None, **inputs) -> VerificationReport:
-    """The report of a radial check, at tolerance 1e-6 unless given one; a side out of the double range is refused."""
-    _require_double_range(check, inputs["n"], "radial", lhs=(lhs,), rhs=(rhs,))
-    tol = 1e-6 if tolerance is None else tolerance
-    return VerificationReport(check, lhs, rhs, tol, inputs={**inputs, "input": "radial"})
-
-
-def select_egn_reading(n: int, p: float, q: float) -> Reading:
-    """Pick the EGN reading under which the explicit extremal attains equality.
-
-    The literal printed constant either hits a gamma pole or misses the
-    extremal equality by a wide margin; whichever reading brings the
-    extremal's two sides within 1e-4 relative is returned.
-    """
-    v = gn_extremal(n, p, q)
-    best = None
-    for reading in (Reading.CORRECTED, Reading.LITERAL):
-        try:
-            rep = verify_gn(v, p, q, reading=reading)
-        except (PsilabError, ArithmeticError):
-            continue
-        if abs(rep.ratio - 1.0) < 1e-4:
-            return reading
-        if best is None:
-            best = reading
-    if best is None:
-        raise ConvergenceFailure("neither EGN reading is evaluable at these parameters")
-    return best
 
 
 @_quiet
@@ -492,28 +444,16 @@ def _max_interior_h(curv) -> float:
 
 @_quiet
 def verify_log_sobolev(
-    obj,
+    mesh: TriMesh,
+    f: VertexField,
     p: float,
-    f: VertexField | None = None,
     tolerance: float | None = None,
 ) -> VerificationReport:
     """Entropy of a unit-L^p function vs (n/p) ln(LS(n, p) * gradient p-integral).
 
-    Mesh inputs must be numerically minimal (max interior |H| below a
-    flatness threshold); the field is renormalized to unit L^p internally.
+    The mesh must be numerically minimal (max interior |H| below a flatness
+    threshold); the field is renormalized to unit L^p internally.
     """
-    if isinstance(obj, RadialFunction):
-        n = obj.n
-        p = const._check_p_range(n, p)
-        c = radial_lp(obj, p)
-        if not math.isfinite(c) or c <= 0:
-            raise ZeroField("cannot normalize: L^p norm is zero or infinite")
-        log_c = math.log(c)
-        unit = replace(obj, log_value=lambda r: obj.log_value(r) - log_c, log_slope=lambda r: obj.log_slope(r) - log_c)
-        energy = const.log_sobolev_constant(n, p) * radial_gradient_lp(unit, p)
-        _require_double_range("LogSobolev", n, "radial", rhs=(energy,))
-        return _radial_report("LogSobolev", radial_entropy(unit, p), (n / p) * math.log(energy), tolerance, n=n, p=p)
-    mesh: TriMesh = obj
     _require_field(mesh, f)
     p = const._check_p_range(mesh.n, p)
     h_max = _derive(mesh, None, "max_interior_h", lambda: _max_interior_h(mean_curvature(mesh)))

@@ -24,8 +24,6 @@ from psilab.measure_space import (
 from psilab.mesh import VertexField, hausdorff_measure, mean_curvature
 from psilab.special_fn import bessel_first_zero, bessel_j
 from psilab.verify import (
-    verify_gn,
-    verify_log_sobolev,
     verify_michael_simon_p1,
     verify_model_space_ps,
     verify_polya_szego,
@@ -185,12 +183,12 @@ def test_criterion_6_model_space(disk32, field_corpus):
 def test_criterion_7_sharp_constant_equality_oracles(disk32):
     with Stopwatch(30.0):
         for n, p, q in [(3, 2.0, 4.0), (4, 2.0, 3.0), (5, 3.0, 4.0)]:
-            rep = verify_gn(analytic.gn_extremal(n, p, q), p, q)
+            rep = analytic.verify_radial_gn(analytic.gn_extremal(n, p, q), p, q)
             assert abs(rep.ratio - 1.0) < 1e-6
         assert abs(const.egn_constant(3, 2.0, 4.0) - const.talenti_constant(3, 2.0)) < 1e-6
         for n, p in [(3, 2.0), (4, 2.0), (3, 1.5)]:
             for s in (0.5, 1.0, 2.0):
-                rep = verify_log_sobolev(analytic.logsobolev_extremal(n, p, s), p)
+                rep = analytic.verify_radial_log_sobolev(analytic.logsobolev_extremal(n, p, s), p)
                 assert abs(rep.lhs - rep.rhs) < 1e-6
         # first Dirichlet eigenfunction of the unit disk
         j0 = bessel_first_zero(0.0)

@@ -268,16 +268,16 @@ LIBRARY_CALLS = [
     ("sobolev", ["--p", "1.5", "--tolerance", "0.2"],
      lambda m, f: v.verify_p_sobolev(m, f, 1.5, 0.0, B1, tolerance=0.2)),
     ("gn", ["--p", "1.5", "--q", "2.5", "--iso", "brendle:2"],
-     lambda m, f: v.verify_gn(m, 1.5, 2.5, 0.0, const.brendle(2), f=f)),
+     lambda m, f: v.verify_gn(m, f, 1.5, 2.5, 0.0, const.brendle(2))),
     ("gn", ["--p", "1.5", "--q", "2.5", "--reading", "literal"],
-     lambda m, f: v.verify_gn(m, 1.5, 2.5, 0.0, B1, LITERAL, f=f)),
+     lambda m, f: v.verify_gn(m, f, 1.5, 2.5, 0.0, B1, LITERAL)),
     # at q < 2 the printed EGN takes gamma on (-2, -1), where it is positive
     ("gn", ["--p", "1.5", "--q", "1.8", "--reading", "literal"],
-     lambda m, f: v.verify_gn(m, 1.5, 1.8, 0.0, B1, LITERAL, f=f)),
+     lambda m, f: v.verify_gn(m, f, 1.5, 1.8, 0.0, B1, LITERAL)),
     ("spectral", ["--reading", "literal"],
      lambda m, f: v.verify_spectral_gap(m, f, 0.0, B1, LITERAL)),
     ("logsob", ["--p", "1.5", "--tolerance", "0.03"],
-     lambda m, f: v.verify_log_sobolev(m, 1.5, f=f, tolerance=0.03)),
+     lambda m, f: v.verify_log_sobolev(m, f, 1.5, tolerance=0.03)),
     ("ms1", ["--iso", "michael-simon"],
      lambda m, f: v.verify_michael_simon_p1(m, f, MS)),
     ("mono", ["--preset", "p-sobolev", "--p", "1.5", "--iso", "michael-simon"],

@@ -51,7 +51,7 @@ K_ENTRIES = [
     ("verify_model_space_ps", lambda K: v.verify_model_space_ps(DISK, HAT, 1.5, K, B1)),
     ("verify_isoperimetric", lambda K: v.verify_isoperimetric(DISK, K, B1)),
     ("verify_p_sobolev", lambda K: v.verify_p_sobolev(DISK, HAT, 1.5, K, B1)),
-    ("verify_gn", lambda K: v.verify_gn(DISK, 1.5, 2.5, K, B1, f=HAT)),
+    ("verify_gn", lambda K: v.verify_gn(DISK, HAT, 1.5, 2.5, K, B1)),
     ("verify_spectral_gap", lambda K: v.verify_spectral_gap(DISK, HAT, K, B1)),
     ("verify_monotonicity_principle",
      lambda K: v.verify_monotonicity_principle(DISK, HAT, v.monotone_preset("sobolev-l1"), K, B1)),
@@ -77,9 +77,10 @@ P_ENTRIES = [
     ("logsobolev_extremal", lambda p: analytic.logsobolev_extremal(2, p, 1.0)),
     ("monotone_preset", lambda p: v.monotone_preset("p-sobolev", 2, p)),
     ("verify_p_sobolev", lambda p: v.verify_p_sobolev(DISK, HAT, p, 0.0, B1)),
-    ("verify_gn", lambda p: v.verify_gn(DISK, p, 2.5, 0.0, B1, f=HAT)),
-    ("verify_log_sobolev", lambda p: v.verify_log_sobolev(DISK, p, f=HAT)),
-    ("verify_log_sobolev-radial", lambda p: v.verify_log_sobolev(analytic.logsobolev_extremal(2, 1.5, 1.0), p)),
+    ("verify_gn", lambda p: v.verify_gn(DISK, HAT, p, 2.5, 0.0, B1)),
+    ("verify_log_sobolev", lambda p: v.verify_log_sobolev(DISK, HAT, p)),
+    ("verify_log_sobolev-radial",
+     lambda p: analytic.verify_radial_log_sobolev(analytic.logsobolev_extremal(2, 1.5, 1.0), p)),
     *[(f"CHECKS[{c}]", lambda p, c=c: _refuse(c, p=p)) for c in ("sobolev", "gn", "logsob")],
     ("CHECKS[mono]", lambda p: _refuse("mono", p=p, spec="p-sobolev")),
 ]
@@ -99,8 +100,8 @@ GN_ENTRIES = [
     ("gn_r_exponent", lambda q: const.gn_r_exponent(2, 1.5, q)),
     ("egn_constant", lambda q: const.egn_constant(2, 1.5, q)),
     ("gn_extremal", lambda q: analytic.gn_extremal(2, 1.5, q)),
-    ("select_egn_reading", lambda q: v.select_egn_reading(2, 1.5, q)),
-    ("verify_gn", lambda q: v.verify_gn(DISK, 1.5, q, 0.0, B1, f=HAT)),
+    ("select_egn_reading", lambda q: analytic.select_egn_reading(2, 1.5, q)),
+    ("verify_gn", lambda q: v.verify_gn(DISK, HAT, 1.5, q, 0.0, B1)),
     ("CHECKS[gn]", lambda q: _refuse("gn", q=q)),
 ]
 

@@ -732,7 +732,7 @@ def parity_values(kind):
         "model": verify.verify_model_space_ps(mesh, f, 1.5, K, b1),
         "iso": verify.verify_isoperimetric(mesh, K, b1, [whole, region])[1],
         "sobolev": verify.verify_p_sobolev(mesh, f, 1.5, K, b1),
-        "gn": verify.verify_gn(mesh, 1.5, 2.5, K, b1, f=f),
+        "gn": verify.verify_gn(mesh, f, 1.5, 2.5, K, b1),
         "spectral": verify.verify_spectral_gap(mesh, f, K, b1),
         "ms1": verify.verify_michael_simon_p1(mesh, f, b1),
         "mono": verify.verify_monotonicity_principle(
@@ -740,7 +740,7 @@ def parity_values(kind):
         ),
     }
     if kind == "disk":  # log-Sobolev needs a minimal surface
-        reports["logsob"] = verify.verify_log_sobolev(mesh, 1.5, f=f)
+        reports["logsob"] = verify.verify_log_sobolev(mesh, f, 1.5)
     for name, rep in reports.items():
         out[name] = (float(rep.lhs), float(rep.rhs))
     return out

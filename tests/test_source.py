@@ -8,13 +8,16 @@ with the same values, only ``mesh`` names the ``_derived`` stores (every derived
 energy is asked for on one, only the two target constructors (with the JSON reader and the CLI) read a
 ``TargetKind`` member, one function refuses a dimension, every name in the ``__all__`` of ``psilab`` and of
 its modules exists, no package module imports ``scipy.optimize``, ``scipy.integrate`` or ``scipy.sparse`` outside
-a function (so importing the CLI loads none of them), three functions of ``verify`` write a report and none
-is rewritten by ``replace``, and a failing hypothesis test prints its example under the repo's warning filters."""
+a function (so importing the CLI loads none of them), two functions of ``verify`` and one of ``analytic`` write
+a report and none is rewritten by ``replace``, ``verify`` neither imports ``analytic`` nor names a radial function
+and each of its field checks takes (mesh, f) first, and a failing hypothesis test prints its example under the
+repo's warning filters."""
 
 import ast
 import dataclasses
 import enum
 import importlib
+import inspect
 import pathlib
 import subprocess
 import sys
@@ -23,7 +26,7 @@ import types
 import pytest
 
 import psilab
-from psilab import cli
+from psilab import cli, verify
 from psilab.measure_space import TargetKind
 from psilab.verify import VerificationReport
 
@@ -280,12 +283,12 @@ def _report_replacements(source: str) -> list[str]:
 
 
 def test_one_report_path():
-    # every field check's report is written by ``verify._field_report``, a radial check's by ``_radial_report``
-    # and the isoperimetric check's, which takes no field, by ``verify_isoperimetric`` (``from_json`` reads one
-    # back through ``cls``); no report is rewritten by ``dataclasses.replace``
+    # every field check's report is written by ``verify._field_report``, the isoperimetric check's, which takes
+    # no field, by ``verify_isoperimetric`` and a radial check's by ``analytic._radial_report`` (``from_json``
+    # reads one back through ``cls``); no report is rewritten by ``dataclasses.replace``
     package = {name: path.read_text() for name, path in SOURCES.items() if path.parent == PACKAGE}
     builders = {name: found for name, source in package.items() if (found := _callers(source, "VerificationReport"))}
-    assert builders == {"verify.py": ["_field_report", "verify_isoperimetric", "_radial_report"]}
+    assert builders == {"verify.py": ["_field_report", "verify_isoperimetric"], "analytic.py": ["_radial_report"]}
     assert {name: lines for name, source in package.items() if (lines := _report_replacements(source))} == {}
 
 
@@ -297,6 +300,55 @@ def test_the_guard_finds_a_fourth_report_and_a_replace():
              "    return dataclasses.replace(rep, notes=''), verify.VerificationReport('y', 0, 0, 0)\n"
     assert _callers(source, "VerificationReport") == ["verify_x", "verify_y"]
     assert _report_replacements(source) == ["line 7", "line 10"]
+
+
+def _analytic_imports(source: str) -> list[str]:
+    """'line L' for each import, at any depth, relative or absolute, of ``analytic`` or of a name from it."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [getattr(node, "module", None) or "", *(alias.name for alias in node.names)]
+            found += [f"line {node.lineno}"] if any("analytic" in name.split(".") for name in names) else []
+    return found
+
+
+def test_verify_judges_meshes_only():
+    # the checks of equality on the radial extremals live beside the radial functions, in ``analytic``: the
+    # verdict engine imports nothing of it and switches on no radial function
+    source = SOURCES["verify.py"].read_text()
+    assert _analytic_imports(source) + _uses_of(source, "RadialFunction") == []
+
+
+def test_the_guard_finds_analytic_in_verify():
+    source = "from .analytic import gn_extremal\nfrom . import analytic\n\ndef f(x):\n    import psilab.analytic\n" \
+             "    return isinstance(x, RadialFunction) or isinstance(x, analytic.RadialFunction)\n\n" \
+             "from .analytics import y\n"
+    assert _analytic_imports(source) == ["line 1", "line 2", "line 5"]
+    assert _uses_of(source, "RadialFunction") == ["line 6", "line 6"]
+
+
+def _not_field_first(module, checks) -> list[str]:
+    """The checks of ``checks`` whose verifier in ``module`` does not take (mesh, f) as its first two parameters."""
+    return [name for name, check in checks.items()
+            if list(inspect.signature(getattr(module, check.verifier)).parameters)[:2] != ["mesh", "f"]]
+
+
+def test_field_checks_take_the_mesh_and_the_field_first():
+    # every check but iso, which takes no field, takes a mesh and its field first: no check switches on the type
+    # of its first argument or keeps a default only another input uses
+    assert _not_field_first(verify, verify.CHECKS) == ["iso"]
+
+
+def test_the_guard_finds_a_check_that_takes_no_field_first():
+    def verify_radial_or_mesh(obj, p, K=0.0, f=None):
+        pass
+
+    def verify_field(mesh, f, p):
+        pass
+
+    module = types.SimpleNamespace(verify_radial_or_mesh=verify_radial_or_mesh, verify_field=verify_field)
+    checks = {"either": verify.Check("verify_radial_or_mesh", ()), "field": verify.Check("verify_field", ())}
+    assert _not_field_first(module, checks) == ["either"]
 
 
 TARGETS = {"lebesgue", "model_space", "TargetMeasure"}

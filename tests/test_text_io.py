@@ -275,12 +275,12 @@ def _nine_checks(mesh, K):
         verify.verify_model_space_ps(mesh, f, 1.5, K, B1),
         *verify.verify_isoperimetric(mesh, K, B1),
         verify.verify_p_sobolev(mesh, f, 1.5, K, B1),
-        verify.verify_gn(mesh, 1.5, 2.5, K, B1, f=f),
+        verify.verify_gn(mesh, f, 1.5, 2.5, K, B1),
         verify.verify_spectral_gap(mesh, f, K, B1, const.Reading.LITERAL),
         verify.verify_michael_simon_p1(mesh, f, MS),
         verify.verify_monotonicity_principle(mesh, f, verify.monotone_preset("p-sobolev", p=1.5), K, B1),
     ]
-    return reports + ([verify.verify_log_sobolev(mesh, 1.5, f=f)] if K == 0.0 else [])
+    return reports + ([verify.verify_log_sobolev(mesh, f, 1.5)] if K == 0.0 else [])
 
 
 class TestSummaryMatchesTheRowLoop:
@@ -291,8 +291,8 @@ class TestSummaryMatchesTheRowLoop:
         assert verify.reports_to_csv(reports) == reference_summary_csv(reports)
 
     def test_radial_reports(self):
-        reports = [verify.verify_gn(analytic.gn_extremal(2, 1.5, 2.5), 1.5, 2.5),
-                   verify.verify_log_sobolev(analytic.logsobolev_extremal(2, 1.5, 1.0), 1.5)]
+        reports = [analytic.verify_radial_gn(analytic.gn_extremal(2, 1.5, 2.5), 1.5, 2.5),
+                   analytic.verify_radial_log_sobolev(analytic.logsobolev_extremal(2, 1.5, 1.0), 1.5)]
         assert verify.reports_to_csv(reports) == reference_summary_csv(reports)
 
     def test_regions(self):

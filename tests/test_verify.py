@@ -17,7 +17,6 @@ from psilab.verify import (
     VerificationReport,
     monotone_preset,
     reports_to_csv,
-    select_egn_reading,
     superlevel_region,
     verify_gn,
     verify_isoperimetric,
@@ -109,7 +108,7 @@ class TestVerificationReport:
     def test_default_tolerance(self):
         # a mesh check given no tolerance allows 1%, as a sampled check did from subdivision 2 on
         f = VertexField(HAT8)
-        reports = [verify_polya_szego(DISK8, f, 2.0, 0.0, B1), verify_log_sobolev(DISK8, 1.5, f=f),
+        reports = [verify_polya_szego(DISK8, f, 2.0, 0.0, B1), verify_log_sobolev(DISK8, f, 1.5),
                    verify_michael_simon_p1(DISK8, f, B1), *verify_isoperimetric(DISK8, 0.0, B1)]
         assert verify_module._MESH_TOLERANCE == 0.01
         assert [r.tolerance for r in reports] == [0.01] * 4
@@ -154,10 +153,10 @@ NUMPY_EXPONENTS = {
     "ps": lambda p, q: verify_polya_szego(DISK8, VertexField(HAT8), p, 0.0, B1),
     "model": lambda p, q: verify_model_space_ps(DISK8, VertexField(HAT8), p, 0.0, B1),
     "sobolev": lambda p, q: verify_p_sobolev(DISK8, VertexField(HAT8), p, 0.0, B1),
-    "gn": lambda p, q: verify_gn(DISK8, p, q, 0.0, B1, f=VertexField(HAT8)),
-    "logsob": lambda p, q: verify_log_sobolev(DISK8, p, f=VertexField(HAT8)),
-    "gn-radial": lambda p, q: verify_gn(analytic.gn_extremal(2, 1.5, 2.5), p, q),
-    "logsob-radial": lambda p, q: verify_log_sobolev(analytic.logsobolev_extremal(2, 1.5, 1.0), p),
+    "gn": lambda p, q: verify_gn(DISK8, VertexField(HAT8), p, q, 0.0, B1),
+    "logsob": lambda p, q: verify_log_sobolev(DISK8, VertexField(HAT8), p),
+    "gn-radial": lambda p, q: analytic.verify_radial_gn(analytic.gn_extremal(2, 1.5, 2.5), p, q),
+    "logsob-radial": lambda p, q: analytic.verify_radial_log_sobolev(analytic.logsobolev_extremal(2, 1.5, 1.0), p),
 }
 
 
@@ -196,9 +195,9 @@ def test_a_custom_spec_keeps_python_floats(dtype):
 @pytest.mark.parametrize("call", [
     lambda mesh, f: verify_model_space_ps(mesh, f, 2.0, 0.0, B1),
     lambda mesh, f: verify_p_sobolev(mesh, f, 1.5, 0.0, B1),
-    lambda mesh, f: verify_gn(mesh, 1.5, 2.5, 0.0, B1, f=f),
+    lambda mesh, f: verify_gn(mesh, f, 1.5, 2.5, 0.0, B1),
     lambda mesh, f: verify_spectral_gap(mesh, f, 0.0, B1),
-    lambda mesh, f: verify_log_sobolev(mesh, 1.5, f=f),
+    lambda mesh, f: verify_log_sobolev(mesh, f, 1.5),
     lambda mesh, f: verify_monotonicity_principle(mesh, f, monotone_preset("sobolev-l1", n=2), 0.0, B1),
 ], ids=["model", "sobolev", "gn", "spectral", "logsob", "mono"])
 def test_field_checks_refuse_a_field_not_vanishing_on_the_boundary(disk32, call):
@@ -329,44 +328,44 @@ class TestPSobolev:
 
 class TestGagliardoNirenberg:
     def test_mesh_input(self, disk32, disk_hat):
-        rep = verify_gn(disk32, 1.5, 2.0, 0.0, B1, f=disk_hat)
+        rep = verify_gn(disk32, disk_hat, 1.5, 2.0, 0.0, B1)
         assert rep.passed
 
     def test_mesh_requires_field(self, disk32):
         with pytest.raises(ValueError):
-            verify_gn(disk32, 1.5, 2.0, 0.0, B1)
+            verify_gn(disk32, None, 1.5, 2.0, 0.0, B1)
 
     def test_select_reading_prefers_corrected(self):
         for n, p, q in [(3, 2.0, 4.0), (4, 2.0, 3.0), (5, 3.0, 4.0)]:
-            assert select_egn_reading(n, p, q) is const.Reading.CORRECTED
+            assert analytic.select_egn_reading(n, p, q) is const.Reading.CORRECTED
 
     def test_select_reading_fails_as_a_psilab_error(self, monkeypatch):
         def pole(*args, **kwargs):
             raise GammaPole("pole")
 
-        monkeypatch.setattr(verify_module, "verify_gn", pole)
+        monkeypatch.setattr(analytic, "verify_radial_gn", pole)
         with pytest.raises(ConvergenceFailure, match="neither EGN reading"):
-            select_egn_reading(3, 2.0, 4.0)
+            analytic.select_egn_reading(3, 2.0, 4.0)
 
     @pytest.mark.parametrize("pole_at", [(), (const.Reading.CORRECTED,)], ids=["both", "literal-only"])
     def test_select_reading_falls_back_to_the_first_evaluable(self, monkeypatch, pole_at):
         # no reading meets the extremal's equality: the first that evaluates is returned
-        def off_by_two(obj, p, q, reading, **kwargs):
+        def off_by_two(rf, p, q, reading, **kwargs):
             if reading in pole_at:
                 raise GammaPole("pole")
             return VerificationReport("GagliardoNirenberg", 2.0, 1.0, 1e-6)
 
-        monkeypatch.setattr(verify_module, "verify_gn", off_by_two)
+        monkeypatch.setattr(analytic, "verify_radial_gn", off_by_two)
         expect = const.Reading.LITERAL if pole_at else const.Reading.CORRECTED
-        assert select_egn_reading(3, 2.0, 4.0) is expect
+        assert analytic.select_egn_reading(3, 2.0, 4.0) is expect
 
     def test_select_reading_lets_a_bug_through(self, monkeypatch):
         def broken(*args, **kwargs):
             raise TypeError("a bug, not an unevaluable reading")
 
-        monkeypatch.setattr(verify_module, "verify_gn", broken)
+        monkeypatch.setattr(analytic, "verify_radial_gn", broken)
         with pytest.raises(TypeError, match="a bug"):
-            select_egn_reading(3, 2.0, 4.0)
+            analytic.select_egn_reading(3, 2.0, 4.0)
 
 
 class TestSpectralGap:
@@ -406,7 +405,7 @@ def test_radial_gn_refuses_sides_outside_the_double_range(n, side):
     p = 1.5
     q = 0.5 * (p + p * (n - 1.0) / (n - p))
     with pytest.raises(OutOfRange, match=f"^GagliardoNirenberg at n = {n}: the radial {side} leaves the double range$"):
-        verify_gn(analytic.gn_extremal(n, p, q), p, q)
+        analytic.verify_radial_gn(analytic.gn_extremal(n, p, q), p, q)
 
 
 def _scaled_hat(height: float) -> VertexField:
@@ -417,12 +416,12 @@ MS = const.IsoperimetricChoice()
 POWER_250 = MonotoneSpec(f=lambda v: v, phi=lambda v: v, g_terms=[], psi_terms=[(1.0, 250.0)], L=lambda s, t: s,
                          lam=lambda s, t: t)
 OUT_OF_RANGE = {  # a check on the hat scaled to a height, and the side that leaves the double range
-    "gn-overflow": (lambda: verify_gn(DISK8, 1.5, 2.5, 0.0, B1, f=_scaled_hat(1e200)), "GagliardoNirenberg", "lhs"),
-    "gn-underflow": (lambda: verify_gn(DISK8, 1.5, 2.5, 0.0, B1, f=_scaled_hat(1e-200)), "GagliardoNirenberg", "lhs"),
+    "gn-overflow": (lambda: verify_gn(DISK8, _scaled_hat(1e200), 1.5, 2.5, 0.0, B1), "GagliardoNirenberg", "lhs"),
+    "gn-underflow": (lambda: verify_gn(DISK8, _scaled_hat(1e-200), 1.5, 2.5, 0.0, B1), "GagliardoNirenberg", "lhs"),
     "spectral-overflow": (lambda: verify_spectral_gap(DISK8, _scaled_hat(1e200), 0.0, B1), "SpectralGap", "lhs"),
     "spectral-underflow": (lambda: verify_spectral_gap(DISK8, _scaled_hat(1e-200), 0.0, B1), "SpectralGap", "lhs"),
-    "logsob-overflow": (lambda: verify_log_sobolev(DISK8, 1.5, f=_scaled_hat(1e200)), "LogSobolev", "rhs"),
-    "logsob-underflow": (lambda: verify_log_sobolev(DISK8, 1.5, f=_scaled_hat(1e-300)), "LogSobolev", "lhs"),
+    "logsob-overflow": (lambda: verify_log_sobolev(DISK8, _scaled_hat(1e200), 1.5), "LogSobolev", "rhs"),
+    "logsob-underflow": (lambda: verify_log_sobolev(DISK8, _scaled_hat(1e-300), 1.5), "LogSobolev", "lhs"),
     "ms1-overflow": (lambda: verify_michael_simon_p1(DISK8, _scaled_hat(1e200), B1), "MichaelSimonP1", "rhs"),
     "ms1-underflow": (lambda: verify_michael_simon_p1(DISK8, _scaled_hat(1e-320), B1), "MichaelSimonP1", "lhs"),
     # PS^p and PS^250 with Michael-Simon's PS = 50 overflow a Python float
@@ -444,29 +443,29 @@ def test_radial_log_sobolev_refuses_a_gradient_integral_of_zero():
     # the indicator of the unit ball has u' = 0 wherever it is differentiable
     ball = analytic.RadialFunction(lambda r: np.zeros(np.shape(r)), lambda r: np.full(np.shape(r), -np.inf), 3, 1.0)
     with pytest.raises(OutOfRange, match="^LogSobolev at n = 3: the radial rhs leaves the double range$"):
-        verify_log_sobolev(ball, 1.5)
+        analytic.verify_radial_log_sobolev(ball, 1.5)
 
 
 class TestLogSobolev:
     def test_radial_extremal_equality(self):
         for n, p in [(3, 2.0), (4, 2.0), (3, 1.5)]:
-            rep = verify_log_sobolev(analytic.logsobolev_extremal(n, p, 1.0), p)
+            rep = analytic.verify_radial_log_sobolev(analytic.logsobolev_extremal(n, p, 1.0), p)
             assert abs(rep.lhs - rep.rhs) < 1e-6
 
     def test_mesh_path_on_flat_disk(self, disk32, disk_hat):
-        rep = verify_log_sobolev(disk32, 1.5, f=disk_hat)
+        rep = verify_log_sobolev(disk32, disk_hat, 1.5)
         assert rep.passed
 
     def test_curved_mesh_rejected(self, sphere4):
         f = VertexField(np.ones(len(sphere4.vertices)))
         with pytest.raises(NotMinimal):
-            verify_log_sobolev(sphere4, 1.5, f=f)
+            verify_log_sobolev(sphere4, f, 1.5)
 
     def test_catenoid_counts_as_minimal(self):
         mesh = analytic.make_catenoid(1.0, 24, 48)
         z = mesh.vertices[:, 2]
         f = boundary_vanishing_field(mesh, (1.0 - np.abs(z)) ** 2)
-        rep = verify_log_sobolev(mesh, 1.5, f=f)
+        rep = verify_log_sobolev(mesh, f, 1.5)
         assert rep.inputs["max_interior_h"] < 1e-2
         assert rep.passed
 
@@ -558,11 +557,13 @@ class TestMonotonicityPrinciple:
         lambda mesh: verify_polya_szego(mesh, None, 2.0, 0.0, B1),
         lambda mesh: verify_model_space_ps(mesh, None, 2.0, 0.0, B1),
         lambda mesh: verify_p_sobolev(mesh, None, 1.5, 0.0, B1),
+        lambda mesh: verify_gn(mesh, None, 1.5, 2.5, 0.0, B1),
         lambda mesh: verify_spectral_gap(mesh, None, 0.0, B1),
+        lambda mesh: verify_log_sobolev(mesh, None, 1.5),
         lambda mesh: verify_michael_simon_p1(mesh, None, B1),
         lambda mesh: verify_monotonicity_principle(mesh, None, monotone_preset("sobolev-l1"), 0.0, B1),
     ],
-    ids=["ps", "model", "sobolev", "spectral", "ms1", "mono"],
+    ids=["ps", "model", "sobolev", "gn", "spectral", "logsob", "ms1", "mono"],
 )
 def test_mesh_checks_require_a_field(disk32, check):
     with pytest.raises(ValueError, match="mesh input needs a field"):
@@ -579,9 +580,9 @@ HAT8 = boundary_vanishing_field(DISK8, 1.0 - np.linalg.norm(DISK8.vertices[:, :2
         lambda f: verify_polya_szego(DISK8, f, 2.0, 0.0, B1),
         lambda f: verify_model_space_ps(DISK8, f, 2.0, 0.0, B1),
         lambda f: verify_p_sobolev(DISK8, f, 1.5, 0.0, B1),
-        lambda f: verify_gn(DISK8, 1.5, 2.5, 0.0, B1, f=f),
+        lambda f: verify_gn(DISK8, f, 1.5, 2.5, 0.0, B1),
         lambda f: verify_spectral_gap(DISK8, f, 0.0, B1),
-        lambda f: verify_log_sobolev(DISK8, 1.5, f=f),
+        lambda f: verify_log_sobolev(DISK8, f, 1.5),
         lambda f: verify_michael_simon_p1(DISK8, f, B1),
         lambda f: verify_monotonicity_principle(DISK8, f, monotone_preset("sobolev-l1"), 0.0, B1),
         lambda f: mesh_module.p1_gradient_lp(DISK8, f, 2.0),
@@ -615,16 +616,16 @@ def test_a_field_is_paired_again_on_another_mesh():
 def test_the_largest_interior_h_is_measured_once_per_mesh(monkeypatch):
     mesh = TriMesh(DISK8.vertices, DISK8.triangles)
     calls = _count_calls(monkeypatch, verify_module, "_max_interior_h")
-    reports = [verify_log_sobolev(mesh, 1.5, f=VertexField(values)) for values in (HAT8, 2.0 * HAT8, HAT8)]
+    reports = [verify_log_sobolev(mesh, VertexField(values), 1.5) for values in (HAT8, 2.0 * HAT8, HAT8)]
     assert len(calls) == 1 and reports[0] == reports[2]
     assert {rep.inputs["max_interior_h"] for rep in reports} == {mesh._derived["max_interior_h"]}
 
 
 INTEGRAL_CHECKS = {
     "sobolev": lambda f, **kw: verify_p_sobolev(DISK8, f, 1.5, 0.0, B1, **kw),
-    "gn": lambda f, **kw: verify_gn(DISK8, 1.5, 2.5, 0.0, B1, f=f, **kw),
+    "gn": lambda f, **kw: verify_gn(DISK8, f, 1.5, 2.5, 0.0, B1, **kw),
     "spectral": lambda f, **kw: verify_spectral_gap(DISK8, f, 0.0, B1, **kw),
-    "logsob": lambda f, **kw: verify_log_sobolev(DISK8, 1.5, f=f, **kw),
+    "logsob": lambda f, **kw: verify_log_sobolev(DISK8, f, 1.5, **kw),
     "mono": lambda f, **kw: verify_monotonicity_principle(DISK8, f, monotone_preset("sobolev-l1"), 0.0, B1, **kw),
 }
 
@@ -650,7 +651,7 @@ WARM_MEASURES = {  # a check, the number it keeps and whether the mesh (else the
     # the field in order, and where the number shows in its report
     "spectral": (lambda f: verify_spectral_gap(DISK8, f, 0.0, B1), "support_area", False,
                  ["support_area", "levels", "grad2", ("gradient_lp", 2)], lambda rep: rep.inputs["support_area"]),
-    "logsob": (lambda f: verify_log_sobolev(DISK8, 1.5, f=f), "max_interior_h", True,
+    "logsob": (lambda f: verify_log_sobolev(DISK8, f, 1.5), "max_interior_h", True,
                ["levels", "grad2", ("gradient_lp", 1.5)], lambda rep: rep.inputs["max_interior_h"]),
     "ms1": (lambda f: verify_michael_simon_p1(DISK8, f, B1), "curvature_term", False,
             ["levels", ("rearranged_energy", 1.0), "curvature_term", "grad2", ("gradient_lp", 1.0)],
@@ -722,12 +723,12 @@ FIELD_LAYOUTS = {  # a field check on the disk hat, its id and the keys of its i
     "ps": (lambda f: verify_polya_szego(DISK8, f, 2.0, 0.0, B1), "PolyaSzego", ["p", "K", "iso"]),
     "model": (lambda f: verify_model_space_ps(DISK8, f, 2.0, 0.0, B1), "PolyaSzegoModelSpace", ["p", "K", "iso"]),
     "sobolev": (lambda f: verify_p_sobolev(DISK8, f, 1.5, 0.0, B1), "PSobolev", ["p", "K", "iso"]),
-    "gn": (lambda f: verify_gn(DISK8, 1.5, 2.5, 0.0, B1, f=f), "GagliardoNirenberg",
+    "gn": (lambda f: verify_gn(DISK8, f, 1.5, 2.5, 0.0, B1), "GagliardoNirenberg",
            ["p", "q", "K", "iso", "reading"]),
     "spectral": (lambda f: verify_spectral_gap(DISK8, f, 0.0, B1), "SpectralGap",
                  ["K", "iso", "reading", "support_area", "rhs_at_area_fraction_1.0", "rhs_at_area_fraction_0.5",
                   "rhs_at_area_fraction_0.25"]),
-    "logsob": (lambda f: verify_log_sobolev(DISK8, 1.5, f=f), "LogSobolev", ["p", "max_interior_h"]),
+    "logsob": (lambda f: verify_log_sobolev(DISK8, f, 1.5), "LogSobolev", ["p", "max_interior_h"]),
     "ms1": (lambda f: verify_michael_simon_p1(DISK8, f, B1), "MichaelSimonP1", ["p", "iso"]),
     "mono": (lambda f: verify_monotonicity_principle(DISK8, f, monotone_preset("sobolev-l1"), 0.0, B1),
              "MonotonicityPrinciple", ["K", "iso", "spec"]),
