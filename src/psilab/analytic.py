@@ -217,11 +217,16 @@ def example51_field(lam, points):
     lambda k, bit for bit.
     """
     lam = _check_lambda(lam)[..., None]
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    r = np.hypot(pts[:, 0], pts[:, 1])
-    on_cap = (pts[:, 2] > 0) & (r <= 1.0 / lam)
-    out = np.where(on_cap, lam * r, 1.0)
+    out = _example51_at(points)(lam)
     return out if np.ndim(points) > 1 else _shaped(out[..., 0])
+
+
+def _example51_at(points):
+    """lam -> ``example51_field`` of checked lambdas (a column for several) at ``points``, whose cylindrical radii
+    and hemisphere, which lambda does not move, are found once."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    r, upper = np.hypot(pts[:, 0], pts[:, 1]), pts[:, 2] > 0
+    return lambda lam: np.where(upper & (r <= 1.0 / lam), lam * r, 1.0)
 
 
 def example51_profile(lam: float) -> "RadialFunction":
@@ -517,18 +522,19 @@ def select_egn_reading(n: int, p: float, q: float) -> Reading:
     extremal's two sides within 1e-4 relative is returned.
     """
     v = gn_extremal(n, p, q)
-    best = None
+    best = refusal = None
     for reading in (Reading.CORRECTED, Reading.LITERAL):
         try:
             rep = verify_radial_gn(v, p, q, reading=reading)
-        except (PsilabError, ArithmeticError):
+        except (PsilabError, ArithmeticError) as exc:
+            refusal = refusal or exc
             continue
         if abs(rep.ratio - 1.0) < 1e-4:
             return reading
         if best is None:
             best = reading
-    if best is None:
-        raise ConvergenceFailure("neither EGN reading is evaluable at these parameters")
+    if best is None:  # name the cause: the first reading's refusal
+        raise ConvergenceFailure(f"neither EGN reading is evaluable at these parameters: {refusal}") from refusal
     return best
 
 

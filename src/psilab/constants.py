@@ -289,11 +289,14 @@ def spectral_gap_constant(
     Euclidean ball for the first Dirichlet eigenfunction.
     """
     ps = ps_constant(n, K, choice)
+    return _euclidean_gap(n, reading) / (ps if reading is Reading.LITERAL else ps * ps)
+
+
+def _euclidean_gap(n: int, reading: Reading) -> float:
+    """The spectral-gap constant at PS = 1: j omega_n^(2/n) literal, j^2 omega_n^(2/n) corrected."""
     j = bessel_first_zero(0.5 * n - 1.0)
     w = math.exp(2.0 * log_unit_ball_volume(n) / n)  # omega_n^(2/n); omega_n itself underflows from n ~ 450
-    if reading is Reading.LITERAL:
-        return j * w / ps
-    return j * j * w / (ps * ps)
+    return j * w if reading is Reading.LITERAL else j * j * w
 
 
 def asymptotic_ratio(n: int, K: float) -> float:

@@ -23,9 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._table import format_table
-from .analytic import _blowup_terms, example51_field, example51_gradient_integrals, make_sphere
+from .analytic import _blowup_terms, _example51_at, example51_gradient_integrals, make_sphere
 from .errors import DIVERGENT, ConvergenceFailure, require_order
-from .mesh import _stacked_gradient_lp
+from .mesh import _derive, _stacked_gradient_lp
 
 __all__ = [
     "SweepRow",
@@ -98,7 +98,8 @@ def sweep(p: float, lam_list, mesh_check: bool = False, subdiv: int = 5):
     ]
     if mesh_check:
         mesh = make_sphere(subdiv)
-        surfaces = _stacked_gradient_lp(mesh, len(lams), lambda lo, hi: example51_field(lams[lo:hi], mesh.vertices), p)
+        field = _derive(mesh, None, "example51_field", lambda: _example51_at(mesh.vertices))  # radii once per mesh
+        surfaces = _stacked_gradient_lp(mesh, len(lams), lambda lo, hi: field(lams[lo:hi, None]), p)
         for row, surface in zip(rows, surfaces):
             row.mesh_surface = surface
             deviation = abs(row.mesh_surface - row.surface_grad_p) / row.surface_grad_p

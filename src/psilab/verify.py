@@ -1,33 +1,23 @@
 """Inequality verdict engine.
 
-Each verifier assembles the two sides of one functional inequality from the
-mesh / rearrangement / constants machinery and returns a VerificationReport.
-The inequalities themselves are exact; the tolerance in a report is purely
-a discretization allowance (1% for a mesh check unless given one), and the
-raw ratio is always recorded so a reader can judge the margin independently
-of the verdict.
+Each verifier judges one functional inequality on a mesh and returns a VerificationReport. The inequalities are
+exact; the tolerance in a report is purely a discretization allowance (1% for a mesh check unless given one), and
+the raw ratio is always recorded so a reader can judge the margin independently of the verdict.
 
-Closed surfaces are refused by the curvature-bounded verifiers: a surface
-admissible for the rearrangement inequality must have nonempty boundary,
-and the total-curvature precondition TC <= K < 1/C is checked against the
-measured discrete curvature, not against trust in the caller.
+``CHECKS`` is the one table of the checks: each entry declares its argument refusals in order, its surface
+hypothesis, its sides at PS = 1 and the power e of the rearrangement constant PS(n, K) with the side PS^e scales.
+Every field check runs through ``_verdict``, which checks TC <= K against the measured curvature, not the caller's
+word, applies PS^e once and writes the report through ``_field_report``: its inputs n, the check's own keys, then
+the level count after merging and the merges made. ``verify_isoperimetric``, which takes no field, writes one
+report per region. Every check here judges a mesh; ``analytic`` checks equality on the radial extremals.
 
-Checks on one (mesh, field) pair share its work through ``mesh._derive``:
-the mesh keeps its curvature and its largest interior |H|, and the field,
-paired with the mesh (its length checked) on its first use there, its
-gradient norms, the exact distribution function mu(t) = |{u > t}| of the
-P1 interpolant (``mesh._distribution``), built once, and each number a
-check measures from the pair (a gradient energy, the support area, the
-curvature term), so a repeated check makes no pass over the triangles.
-Every integral a field check needs comes from mu: the L^p norms, the
-entropy and the monotonicity integrals as the integral of g(t) d(-mu), and
-the gradient energy of the rearrangement on R^n, by coarea, as the integral
-of I(mu)^p |mu'|^(1 - p) dt with I the Euclidean ball's perimeter (``model``
-divides it by PS(n, K)^p). No check samples the field.
-
-Every field check returns its verdict through ``_field_report``, which writes its inputs as n, the check's own
-keys, then the level count after merging and the merges made, and ``verify_isoperimetric``, which takes no field,
-writes one report per region. Every check here judges a mesh; ``analytic`` checks equality on the radial extremals.
+Checks on one (mesh, field) pair share their work through ``mesh._derive``: the mesh keeps its curvature and its
+largest interior |H|, and the field, paired with the mesh (its length checked) on its first use there, keeps its
+gradient norms, the exact distribution function mu(t) = |{u > t}| of the P1 interpolant (``mesh._distribution``)
+and each number a check measures from the pair, so a repeated check makes no pass over the triangles. Every
+integral a field check needs comes from mu: the L^p norms, the entropy and the monotonicity integrals as the
+integral of g(t) d(-mu), and the gradient energy of the rearrangement on R^n, by coarea, as the integral of
+I(mu)^p |mu'|^(1 - p) dt with I the Euclidean ball's perimeter. No check samples the field.
 """
 
 from __future__ import annotations
@@ -35,6 +25,7 @@ from __future__ import annotations
 import inspect
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
@@ -188,32 +179,6 @@ def _require_tc_bound(tc: float, K: float, what: str):
         )
 
 
-def _require_field(mesh: TriMesh, f: VertexField | None):
-    if f is None:
-        raise ValueError("mesh input needs a field")
-    _derive(mesh, f)  # the pairing, which checks the field's length
-
-
-def _require_boundary_vanishing(mesh: TriMesh, values: np.ndarray):
-    bv = mesh.boundary_vertices()
-    if bv.size and np.any(values[bv] != 0.0):
-        raise ValueError("field must vanish on boundary vertices")
-
-
-def _check_inputs(mesh, f, K, choice, tolerance) -> float:
-    """Refuse a missing field or one of another length, a closed surface, K outside [0, 1/C), total
-    curvature above K and a field not vanishing on the boundary; return the report tolerance."""
-    _require_field(mesh, f)
-    if mesh.is_closed():
-        raise CurvatureBoundViolated(
-            "closed surface: the rearrangement inequality requires nonempty boundary"
-        )
-    const._check_curvature_bound(K, choice.value(mesh.n))
-    _require_tc_bound(mean_curvature(mesh).total, K, "measured")
-    _require_boundary_vanishing(mesh, f.values)
-    return _tolerance(tolerance)
-
-
 def _tolerance(tolerance: float | None) -> float:
     return _MESH_TOLERANCE if tolerance is None else tolerance
 
@@ -221,12 +186,12 @@ def _tolerance(tolerance: float | None) -> float:
 _quiet = np.errstate(over="ignore", invalid="ignore")  # a value past the double range is refused, not warned of
 
 
-def _power(x: float, e: float) -> float:
-    """x ** e of Python floats, inf where it overflows (and is then refused as out of the double range)."""
-    try:
-        return x**e
-    except OverflowError:
-        return math.inf
+def _require_double_range(check: str, n: int, where: str, **sides) -> None:
+    """Refuse a side, or a factor it is built from, that underflowed to 0, overflowed to inf or is NaN, on which the
+    check would pass or fail by rounding; ``where`` names the input, 'radial' or 'mesh'."""
+    for side, values in sides.items():
+        if not all(0.0 < abs(v) < math.inf for v in values):
+            raise OutOfRange(f"{check} at n = {n}: the {where} {side} leaves the double range")
 
 
 def _require_field_range(check: str, mu: _Levels, **sides) -> None:
@@ -252,38 +217,107 @@ def _field_report(check: str, mesh: TriMesh, mu: _Levels, lhs: float, rhs: float
 
 
 # ---------------------------------------------------------------------------
+# the verdict template
+
+
+class _Sides(NamedTuple):
+    """A field check's two sides at PS = 1 (PS(n, 0) of Brendle's constant in codimension 1 or 2), its own report
+    inputs in order and the rest of its report. A check whose sides cannot be formed from numbers past the double
+    range (a quotient, a logarithm, a spec's L and lambda) refuses those numbers itself first (``ranged`` False)."""
+
+    lhs: float
+    rhs: float
+    inputs: dict
+    ranged: bool = True
+    tol: float | None = None  # the report tolerance, when it is not the one given
+    direction: str = "le"
+    vacuous: bool = False
+    notes: str = ""
+    area_fractions: tuple[float, ...] = ()  # the report records the scaled rhs at these fractions of the support
+
+
+def _ps_power(mesh: TriMesh, kw: dict) -> Callable[[float], float]:
+    """e -> PS(n, K)^e from one evaluation of the rearrangement constant, inf where the power overflows (and is then
+    refused as out of the double range)."""
+    ps = const.ps_constant(mesh.n, kw["K"], kw["choice"])
+
+    def power(e: float) -> float:
+        try:
+            return ps**e
+        except OverflowError:
+            return math.inf
+
+    return power
+
+
+@_quiet
+def _verdict(name: str, kw: dict) -> VerificationReport:
+    """The report of field check ``CHECKS[name]`` on its verifier's arguments ``kw``, the mesh and f among them.
+
+    The refusals come first, in this order: the field's pairing with the mesh, a closed surface (for a check that
+    takes K), the check's argument refusals, its surface hypothesis with the field vanishing on the boundary, and
+    the order p. Then the check measures its sides at PS = 1 from the field's distribution, PS(n, K)^e scales the
+    side it declares, the double-range rule judges the two sides, and the report is written.
+    """
+    check, mesh, f = CHECKS[name], kw["mesh"], kw["f"]
+    if f is None:
+        raise ValueError("mesh input needs a field")
+    _derive(mesh, f)  # the pairing, which checks the field's length
+    if "K" in kw and mesh.is_closed():
+        raise CurvatureBoundViolated("closed surface: the rearrangement inequality requires nonempty boundary")
+    check.refuse(kw)
+    if check.surface:
+        check.surface(mesh, kw)
+        bv = mesh.boundary_vertices()
+        if bv.size and np.any(f.values[bv] != 0.0):
+            raise ValueError("field must vanish on boundary vertices")
+    if "p" in kw:
+        kw["p"] = require_order(kw["p"])
+    mu = _distribution(mesh, f)
+    s = check.sides(mesh, f, mu, kw)
+    if check.power:
+        e = check.power(kw) if callable(check.power) else check.power
+        side, scale = check.scales
+        s = s._replace(**{side: scale(getattr(s, side), _ps_power(mesh, kw)(e))})
+    if s.ranged:
+        _require_field_range(check.inequality, mu, lhs=(s.lhs,), rhs=(s.rhs,))
+    tol = _tolerance(kw["tolerance"]) if s.tol is None else s.tol
+    trend = {f"rhs_at_area_fraction_{x}": s.rhs / x for x in s.area_fractions}
+    return _field_report(check.inequality, mesh, mu, s.lhs, s.rhs, tol, s.direction, s.vacuous, s.notes, **s.inputs,
+                         **trend)
+
+
+def _bounded_k(kw: dict) -> None:
+    """Refuse K outside [0, 1/C), the curvature bound every check that takes K assumes."""
+    const._check_curvature_bound(kw["K"], kw["choice"].value(TriMesh.n))
+
+
+def _curvature_bounded(mesh: TriMesh, kw: dict) -> None:
+    _require_tc_bound(mean_curvature(mesh).total, kw["K"], "measured")
+
+
+def _ps_inputs(kw: dict) -> dict:
+    return {"p": kw["p"], "K": kw["K"], "iso": kw["choice"].label()}
+
+
+# ---------------------------------------------------------------------------
 # rearrangement inequalities
 
 
-@_quiet
-def verify_polya_szego(
-    mesh: TriMesh,
-    f: VertexField,
-    p: float,
-    K: float,
-    choice: IsoperimetricChoice,
-    tolerance: float | None = None,
-) -> VerificationReport:
+def verify_polya_szego(mesh: TriMesh, f: VertexField, p: float, K: float, choice: IsoperimetricChoice,
+                       tolerance: float | None = None) -> VerificationReport:
     """Gradient p-norm of the planar rearrangement vs the surface gradient p-norm
     scaled by the rearrangement constant. Both sides are p-th-root norms."""
-    tol = _check_inputs(mesh, f, K, choice, tolerance)
-    p = require_order(p)
-    mu = _distribution(mesh, f)
-    lhs = _rearranged_energy(mesh, f, p) ** (1.0 / p)
-    rhs = const.ps_constant(mesh.n, K, choice) * p1_gradient_lp(mesh, f, p) ** (1.0 / p)
-    _require_field_range("PolyaSzego", mu, lhs=(lhs,), rhs=(rhs,))
-    return _field_report("PolyaSzego", mesh, mu, lhs, rhs, tol, p=p, K=K, iso=choice.label())
+    return _verdict("ps", locals())
 
 
-@_quiet
-def verify_model_space_ps(
-    mesh: TriMesh,
-    f: VertexField,
-    p: float,
-    K: float,
-    choice: IsoperimetricChoice,
-    tolerance: float | None = None,
-) -> VerificationReport:
+def _ps_sides(mesh, f, mu, kw) -> _Sides:
+    p = kw["p"]
+    return _Sides(_rearranged_energy(mesh, f, p) ** (1.0 / p), p1_gradient_lp(mesh, f, p) ** (1.0 / p), _ps_inputs(kw))
+
+
+def verify_model_space_ps(mesh: TriMesh, f: VertexField, p: float, K: float, choice: IsoperimetricChoice,
+                          tolerance: float | None = None) -> VerificationReport:
     """Model-space rearrangement energy vs the raw surface gradient p-integral: ``verify_polya_szego`` to the
     power p, with its refusals and inputs.
 
@@ -292,18 +326,18 @@ def verify_model_space_ps(
     energy over PS(n, K)^p. The tolerance is the Polya-Szego allowance t in energy terms, (1 + t)^p - 1 (t
     itself at p = 1), so this check passes exactly when ``verify_polya_szego`` does.
     """
-    ps = verify_polya_szego(mesh, f, p, K, choice, tolerance)
-    p, t = require_order(p), ps.tolerance
+    return _verdict("model", locals())
+
+
+def _model_sides(mesh, f, mu, kw) -> _Sides:
+    p, t = kw["p"], _tolerance(kw["tolerance"])
+    _require_tolerance(t)
     try:
         tol = t if p == 1.0 else (1.0 + t) ** p - 1.0
     except OverflowError:
         raise OutOfRange(f"tolerance {t} at p = {p} leaves the double range as (1 + t)^p - 1") from None
-    mu = _distribution(mesh, f)
-    lhs = _rearranged_energy(mesh, f, p) / _power(const.ps_constant(mesh.n, K, choice), p)
-    rhs = p1_gradient_lp(mesh, f, p)
-    _require_field_range("PolyaSzegoModelSpace", mu, lhs=(lhs,), rhs=(rhs,))
-    return _field_report("PolyaSzegoModelSpace", mesh, mu, lhs, rhs, tol, p=p, K=K, iso=choice.label(),
-                         notes="lhs is the Euclidean rearrangement energy over PS^p: this check is ps to the power p")
+    return _Sides(_rearranged_energy(mesh, f, p), p1_gradient_lp(mesh, f, p), _ps_inputs(kw), tol=tol,
+                  notes="lhs is the Euclidean rearrangement energy over PS^p: this check is ps to the power p")
 
 
 # ---------------------------------------------------------------------------
@@ -317,33 +351,21 @@ def superlevel_region(mesh: TriMesh, f: VertexField, t: float) -> np.ndarray:
     return np.nonzero(np.all(vals > t, axis=1))[0]
 
 
-def verify_isoperimetric(
-    mesh: TriMesh,
-    K: float,
-    choice: IsoperimetricChoice,
-    regions: Sequence[np.ndarray] | None = None,
-    tolerance: float | None = None,
-) -> list[VerificationReport]:
+def verify_isoperimetric(mesh: TriMesh, K: float, choice: IsoperimetricChoice,
+                         regions: Sequence[np.ndarray] | None = None, tolerance: float | None = None,
+                         ) -> list[VerificationReport]:
     """area^(1/2) <= I(2, K) * boundary length, one report per triangle region (by default the whole mesh, from
     its kept areas, boundary and curvature)."""
-    const._check_curvature_bound(K, choice.value(mesh.n))
+    CHECKS["iso"].refuse({"K": K, "choice": choice})
     curv = mean_curvature(mesh)
     out = []
     for region in [None] if regions is None else regions:
         size = len(mesh.triangles) if region is None else np.size(region)
         _require_tc_bound(_region_tc(mesh, curv, region), K, "region")
-        area = hausdorff_measure(mesh, region)
-        lhs = math.sqrt(area)
+        lhs = math.sqrt(hausdorff_measure(mesh, region))
         rhs = const.iso_constant(mesh.n, K, choice) * boundary_measure(mesh, region)
-        out.append(
-            VerificationReport(
-                "Isoperimetric",
-                lhs,
-                rhs,
-                _tolerance(tolerance),
-                inputs={"n": mesh.n, "K": K, "iso": choice.label(), "triangles": size},
-            )
-        )
+        inputs = {"n": mesh.n, "K": K, "iso": choice.label(), "triangles": size}
+        out.append(VerificationReport("Isoperimetric", lhs, rhs, _tolerance(tolerance), inputs))
     return out
 
 
@@ -351,87 +373,69 @@ def verify_isoperimetric(
 # Sobolev-type inequalities
 
 
-@_quiet
-def verify_p_sobolev(
-    mesh: TriMesh,
-    f: VertexField,
-    p: float,
-    K: float,
-    choice: IsoperimetricChoice,
-    tolerance: float | None = None,
-) -> VerificationReport:
-    """L^(p*) norm of the field vs S(n, p, K) times the gradient p-norm, p in (1, n)."""
-    p = const._check_p_range(mesh.n, p)
-    tol = _check_inputs(mesh, f, K, choice, tolerance)
-    mu = _distribution(mesh, f)
+def verify_p_sobolev(mesh: TriMesh, f: VertexField, p: float, K: float, choice: IsoperimetricChoice,
+                     tolerance: float | None = None) -> VerificationReport:
+    """L^(p*) norm of the field vs S(n, p, K) = Talenti's constant times PS(n, K), times the gradient p-norm,
+    p in (1, n)."""
+    return _verdict("sobolev", locals())
+
+
+def _p_then_k(kw: dict) -> None:
+    """Refuse p outside (1, n), then K."""
+    const._check_p_range(TriMesh.n, kw["p"])
+    _bounded_k(kw)
+
+
+def _sobolev_sides(mesh, f, mu, kw) -> _Sides:
+    p = kw["p"]
     lhs = _lp_norm(mu, const.sobolev_conjugate(mesh.n, p))
-    s_const = const.talenti_constant(mesh.n, p) * const.ps_constant(mesh.n, K, choice)
-    rhs = s_const * p1_gradient_lp(mesh, f, p) ** (1.0 / p)
-    _require_field_range("PSobolev", mu, lhs=(lhs,), rhs=(rhs,))
-    return _field_report("PSobolev", mesh, mu, lhs, rhs, tol, p=p, K=K, iso=choice.label())
+    return _Sides(lhs, const.talenti_constant(mesh.n, p) * p1_gradient_lp(mesh, f, p) ** (1.0 / p), _ps_inputs(kw))
 
 
-@_quiet
-def verify_gn(
-    mesh: TriMesh,
-    f: VertexField,
-    p: float,
-    q: float,
-    K: float,
-    choice: IsoperimetricChoice,
-    reading: Reading = Reading.CORRECTED,
-    tolerance: float | None = None,
-) -> VerificationReport:
+def verify_gn(mesh: TriMesh, f: VertexField, p: float, q: float, K: float, choice: IsoperimetricChoice,
+              reading: Reading = Reading.CORRECTED, tolerance: float | None = None) -> VerificationReport:
     """Gagliardo-Nirenberg: ||u||_r <= GN * ||grad u||_p^theta * ||u||_q^(1-theta), GN the EGN constant times
     the rearrangement constant PS(n, K)."""
-    tol = _check_inputs(mesh, f, K, choice, tolerance)
-    p, q, _, theta, r = const._gn_exponents(mesh.n, p, q)
-    mu = _distribution(mesh, f)
+    return _verdict("gn", locals())
+
+
+def _gn_domain(kw: dict) -> None:
+    """Refuse a missing q, then K, then (p, q) outside the GN domain or a pole or complex value of its constant."""
+    if kw["q"] is None:
+        raise ValueError("gn check requires --q")
+    _bounded_k(kw)
+    const.egn_constant(TriMesh.n, kw["p"], kw["q"], kw["reading"])
+
+
+def _gn_sides(mesh, f, mu, kw) -> _Sides:
+    p, q, _, theta, r = const._gn_exponents(mesh.n, kw["p"], kw["q"])
     lhs = _lp_norm(mu, r)
-    gn_const = const.egn_constant(mesh.n, p, q, reading) * const.ps_constant(mesh.n, K, choice)
     energy, norm_q = p1_gradient_lp(mesh, f, p), _lp_norm(mu, q)
-    rhs = gn_const * energy ** (theta / p) * norm_q ** (1.0 - theta)
-    _require_field_range("GagliardoNirenberg", mu, lhs=(lhs,), rhs=(energy, norm_q, rhs))
-    return _field_report("GagliardoNirenberg", mesh, mu, lhs, rhs, tol, p=p, q=q, K=K, iso=choice.label(),
-                         reading=reading.value)
+    rhs = const.egn_constant(mesh.n, p, q, kw["reading"]) * energy ** (theta / p) * norm_q ** (1.0 - theta)
+    return _Sides(lhs, rhs, {"p": p, "q": q, "K": kw["K"], "iso": kw["choice"].label(),
+                             "reading": kw["reading"].value})
 
 
-def _require_double_range(check: str, n: int, where: str, **sides) -> None:
-    """Refuse a side, or a factor it is built from, that underflowed to 0, overflowed to inf or is NaN, on which the
-    check would pass or fail by rounding; ``where`` names the input, 'radial' or 'mesh'."""
-    for side, values in sides.items():
-        if not all(0.0 < abs(v) < math.inf for v in values):
-            raise OutOfRange(f"{check} at n = {n}: the {where} {side} leaves the double range")
-
-
-@_quiet
-def verify_spectral_gap(
-    mesh: TriMesh,
-    f: VertexField,
-    K: float,
-    choice: IsoperimetricChoice,
-    reading: Reading = Reading.CORRECTED,
-    tolerance: float | None = None,
-) -> VerificationReport:
+def verify_spectral_gap(mesh: TriMesh, f: VertexField, K: float, choice: IsoperimetricChoice,
+                        reading: Reading = Reading.CORRECTED, tolerance: float | None = None) -> VerificationReport:
     """Rayleigh quotient of the field vs the spectral-gap constant over the
     support area. This is a lower bound, so the report direction is 'ge'."""
-    tol = _check_inputs(mesh, f, K, choice, tolerance)
+    return _verdict("spectral", locals())
+
+
+def _spectral_sides(mesh, f, mu, kw) -> _Sides:
     if not np.any(f.values > 0):
         raise ZeroField("spectral-gap check needs a nonzero field")
     area = _derive(mesh, f, "support_area", lambda: float(
         mesh.triangle_areas()[np.any(f.values[mesh.triangles] > 0, axis=1)].sum()))
     if area == 0.0:
         raise ZeroField("spectral-gap check needs a field positive on some triangle; its support area is 0")
-    mu = _distribution(mesh, f)
     energy, mass = p1_gradient_lp(mesh, f, 2), mu.integral(np.square)
-    _require_field_range("SpectralGap", mu, lhs=(energy, mass))
-    lhs = energy / mass
-    g = const.spectral_gap_constant(mesh.n, K, choice, reading)
-    rhs = g / area
-    # the bound blows up as the support shrinks: record the scaling trend
-    trend = {f"rhs_at_area_fraction_{frac}": g / (frac * area) for frac in (1.0, 0.5, 0.25)}
-    return _field_report("SpectralGap", mesh, mu, lhs, rhs, tol, direction="ge", K=K, iso=choice.label(),
-                         reading=reading.value, support_area=area, **trend)
+    _require_field_range("SpectralGap", mu, lhs=(energy, mass))  # before their quotient
+    # the bound blows up as the support shrinks: the report records the scaling trend
+    return _Sides(energy / mass, const._euclidean_gap(mesh.n, kw["reading"]) / area,
+                  {"K": kw["K"], "iso": kw["choice"].label(), "reading": kw["reading"].value, "support_area": area},
+                  ranged=False, direction="ge", area_fractions=(1.0, 0.5, 0.25))
 
 
 _FLATNESS_THRESHOLD = 1e-2
@@ -442,29 +446,26 @@ def _max_interior_h(curv) -> float:
     return float(curv.h_norm[interior].max()) if np.any(interior) else 0.0
 
 
-@_quiet
-def verify_log_sobolev(
-    mesh: TriMesh,
-    f: VertexField,
-    p: float,
-    tolerance: float | None = None,
-) -> VerificationReport:
+def verify_log_sobolev(mesh: TriMesh, f: VertexField, p: float,
+                       tolerance: float | None = None) -> VerificationReport:
     """Entropy of a unit-L^p function vs (n/p) ln(LS(n, p) * gradient p-integral).
 
     The mesh must be numerically minimal (max interior |H| below a flatness
     threshold); the field is renormalized to unit L^p internally.
     """
-    _require_field(mesh, f)
-    p = const._check_p_range(mesh.n, p)
+    return _verdict("logsob", locals())
+
+
+def _minimal(mesh: TriMesh, kw: dict) -> None:
     h_max = _derive(mesh, None, "max_interior_h", lambda: _max_interior_h(mean_curvature(mesh)))
     if h_max > _FLATNESS_THRESHOLD:
-        raise NotMinimal(
-            f"max interior |H| = {h_max} exceeds the minimal-surface threshold {_FLATNESS_THRESHOLD}"
-        )
-    _require_boundary_vanishing(mesh, f.values)
-    mu = _distribution(mesh, f)
+        raise NotMinimal(f"max interior |H| = {h_max} exceeds the minimal-surface threshold {_FLATNESS_THRESHOLD}")
+
+
+def _log_sobolev_sides(mesh, f, mu, kw) -> _Sides:
+    p = kw["p"]
     c, gradient = _lp_norm(mu, p), p1_gradient_lp(mesh, f, p)
-    _require_field_range("LogSobolev", mu, lhs=(c,), rhs=(gradient,))
+    _require_field_range("LogSobolev", mu, lhs=(c,), rhs=(gradient,))  # before their logarithm
     if c <= 0:
         raise ZeroField("cannot normalize a zero field")
 
@@ -473,9 +474,8 @@ def verify_log_sobolev(
         return xlogy(w**p, w, out=w)
 
     lhs = p * mu.integral(entropy)
-    energy = gradient / c**p
-    rhs = (mesh.n / p) * math.log(const.log_sobolev_constant(mesh.n, p) * energy)
-    return _field_report("LogSobolev", mesh, mu, lhs, rhs, _tolerance(tolerance), p=p, max_interior_h=h_max)
+    rhs = (mesh.n / p) * math.log(const.log_sobolev_constant(mesh.n, p) * (gradient / c**p))
+    return _Sides(lhs, rhs, {"p": p, "max_interior_h": _derive(mesh, None, "max_interior_h")}, ranged=False)
 
 
 def _curvature_term(curv, f: VertexField) -> float:
@@ -484,23 +484,18 @@ def _curvature_term(curv, f: VertexField) -> float:
     return float(np.sum(curv.vertex_areas[interior] * curv.h_norm[interior] * f.values[interior]))
 
 
-@_quiet
-def verify_michael_simon_p1(
-    mesh: TriMesh,
-    f: VertexField,
-    choice: IsoperimetricChoice,
-    tolerance: float | None = None,
-) -> VerificationReport:
+def verify_michael_simon_p1(mesh: TriMesh, f: VertexField, choice: IsoperimetricChoice,
+                            tolerance: float | None = None) -> VerificationReport:
     """The p = 1 rearrangement bound with the curvature term on the right:
     no total-curvature assumption, so closed surfaces are allowed."""
-    _require_field(mesh, f)
-    mu = _distribution(mesh, f)
+    return _verdict("ms1", locals())
+
+
+def _michael_simon_sides(mesh, f, mu, kw) -> _Sides:
     lhs = _rearranged_energy(mesh, f, 1.0)
     curvature_term = _derive(mesh, f, "curvature_term", lambda: _curvature_term(mean_curvature(mesh), f))
-    c = choice.euclidean_product(mesh.n)
-    rhs = c * (p1_gradient_lp(mesh, f, 1.0) + curvature_term)
-    _require_field_range("MichaelSimonP1", mu, lhs=(lhs,), rhs=(rhs,))
-    return _field_report("MichaelSimonP1", mesh, mu, lhs, rhs, _tolerance(tolerance), p=1.0, iso=choice.label())
+    rhs = kw["choice"].euclidean_product(mesh.n) * (p1_gradient_lp(mesh, f, 1.0) + curvature_term)
+    return _Sides(lhs, rhs, {"p": 1.0, "iso": kw["choice"].label()})
 
 
 # ---------------------------------------------------------------------------
@@ -587,15 +582,8 @@ def monotone_preset(name: str, n: int = 2, p: float | None = None) -> MonotoneSp
     raise ValueError(f"unknown preset {name!r}")
 
 
-@_quiet
-def verify_monotonicity_principle(
-    mesh: TriMesh,
-    f: VertexField,
-    spec: MonotoneSpec,
-    K: float,
-    choice: IsoperimetricChoice,
-    tolerance: float | None = None,
-) -> VerificationReport:
+def verify_monotonicity_principle(mesh: TriMesh, f: VertexField, spec: MonotoneSpec, K: float,
+                                  choice: IsoperimetricChoice, tolerance: float | None = None) -> VerificationReport:
     """Transfer of a first-order integral inequality from the rearrangement
     to the surface.
 
@@ -603,15 +591,17 @@ def verify_monotonicity_principle(
     if v does not satisfy it the claim is vacuous and the report says so
     instead of failing. Otherwise both sides of the transferred inequality
     are evaluated with the gradient arguments scaled by the rearrangement
-    constant.
+    constant, each term's energy by PS to that term's order.
     """
-    tol = _check_inputs(mesh, f, K, choice, tolerance)
-    ps = const.ps_constant(mesh.n, K, choice)
-    mu = _distribution(mesh, f)
+    return _verdict("mono", locals())
+
+
+def _monotone_sides(mesh, f, mu, kw) -> _Sides:
+    spec, ps_power = kw["spec"], _ps_power(mesh, kw)
     # equimeasurable, v = u* and u have the same integrals of f and phi
     f_int, phi_int = mu.integral(spec.f), mu.integral(spec.phi)
     # of each order a term takes: the rearrangement's energy, PS to that order and the surface's gradient energy
-    orders = {e: (_rearranged_energy(mesh, f, e), _power(ps, e), p1_gradient_lp(mesh, f, e))
+    orders = {e: (_rearranged_energy(mesh, f, e), ps_power(e), p1_gradient_lp(mesh, f, e))
               for _, e in [*spec.g_terms, *spec.psi_terms]}
 
     def powers(integral, terms):
@@ -626,16 +616,14 @@ def verify_monotonicity_principle(
     # Euclidean hypothesis on v = u*
     hyp_lhs = spec.L(f_int, rearranged_powers(spec.g_terms))
     hyp_rhs = spec.lam(phi_int, rearranged_powers(spec.psi_terms))
-    inputs = {"K": K, "iso": choice.label(), "spec": spec.name}
-    if hyp_lhs > hyp_rhs * (1.0 + tol):
-        return _field_report("MonotonicityPrinciple", mesh, mu, hyp_lhs, hyp_rhs, tol, vacuous=True,
-                             notes="Euclidean hypothesis fails for the rearrangement; claim is vacuous", **inputs)
+    inputs = {"K": kw["K"], "iso": kw["choice"].label(), "spec": spec.name}
+    if hyp_lhs > hyp_rhs * (1.0 + _tolerance(kw["tolerance"])):
+        return _Sides(hyp_lhs, hyp_rhs, inputs, ranged=False, vacuous=True,
+                      notes="Euclidean hypothesis fails for the rearrangement; claim is vacuous")
     # transferred claim on the surface, gradients scaled by PS
     g_int = sum(b * orders[e][1] * orders[e][2] for b, e in spec.g_terms)
     psi_int = sum(c * orders[e][1] * orders[e][2] for c, e in spec.psi_terms)
-    lhs = spec.L(f_int, g_int)
-    rhs = spec.lam(phi_int, psi_int)
-    return _field_report("MonotonicityPrinciple", mesh, mu, lhs, rhs, tol, **inputs)
+    return _Sides(spec.L(f_int, g_int), spec.lam(phi_int, psi_int), inputs, ranged=False)
 
 
 # ---------------------------------------------------------------------------
@@ -643,21 +631,33 @@ def verify_monotonicity_principle(
 
 
 class Check(NamedTuple):
-    """A check of ``CHECKS``: the name of its verifier in this module, looked up when the check runs (so a
-    rebound attribute, a tracing wrapper say, is what runs); the keywords the verifier takes besides the mesh,
-    read from its signature at import; and ``refuse(keywords)``, the check's own argument refusals, which raises
-    on bad arguments and turns the ``spec`` name into the value the verifier takes."""
+    """A check of ``CHECKS``, the one place that says how its verdict is refused and how PS(n, K) enters it.
+
+    ``verifier`` is the name of its verifier here, looked up when the check runs (so a rebound attribute, a
+    tracing wrapper say, is what runs), with the keywords it takes besides the mesh, read from its signature at
+    import. ``refuse(keywords)`` is the check's argument refusals in order. The rest drive ``_verdict``: the report
+    id, the ``sides`` at PS = 1, the ``surface`` hypothesis (with a field vanishing on the boundary; None for any
+    surface and field), the ``power`` e of PS(n, K), a number or a function of the keywords, and the side PS^e
+    ``scales`` with its operation. Without a power a check takes PS as its sides need it (mono, each term to its
+    order) or not at all.
+    """
 
     verifier: str
     keywords: tuple[str, ...]
     refuse: Callable[[dict], None] = lambda kw: None
+    inequality: str = ""
+    sides: Callable[..., _Sides] | None = None
+    surface: Callable[[TriMesh, dict], None] | None = _curvature_bounded
+    power: float | Callable[[dict], float] | None = None
+    scales: tuple[str, Callable[[float, float], float]] | None = None
 
     def refuse_arguments(self, kw: dict):
-        """Raise on bad arguments before any file is read, with the checks the verifier runs later and in
-        the order it meets them: ``refuse``, then the order p and the tolerance. A ``reading`` name is first
-        turned into its ``Reading``."""
+        """Raise on bad arguments before any file is read, in the verifier's order: ``refuse``, the order p, the
+        tolerance. A ``reading`` name is first turned into its ``Reading``, a ``spec`` name into its preset."""
         if "reading" in self.keywords:
             kw["reading"] = Reading(kw["reading"])
+        if "spec" in self.keywords:
+            kw["spec"] = monotone_preset(kw["spec"], n=TriMesh.n, p=kw["p"] if kw["spec"] == "p-sobolev" else None)
         self.refuse(kw)
         if "p" in self.keywords:
             require_order(kw["p"])
@@ -665,39 +665,26 @@ class Check(NamedTuple):
             _require_tolerance(kw["tolerance"])
 
 
-def _check(verifier: str, *refuse: Callable[[dict], None]) -> Check:
-    return Check(verifier, tuple(inspect.signature(globals()[verifier]).parameters)[1:], *refuse)
+def _check(verifier: str, *refuse: Callable[[dict], None], **verdict) -> Check:
+    return Check(verifier, tuple(inspect.signature(globals()[verifier]).parameters)[1:], *refuse, **verdict)
 
 
-def _refuse_k(kw):
-    const._check_curvature_bound(kw["K"], kw["choice"].value(TriMesh.n))
-
-
-def _refuse_p_then_k(kw):
-    const._check_p_range(TriMesh.n, kw["p"])
-    _refuse_k(kw)
-
-
-def _refuse_gn(kw):
-    if kw["q"] is None:
-        raise ValueError("gn check requires --q")
-    _refuse_k(kw)
-    const.egn_constant(TriMesh.n, kw["p"], kw["q"], kw["reading"])  # p, q domain; pole or complex literal
-
-
-def _refuse_mono(kw):
-    kw["spec"] = monotone_preset(kw["spec"], n=TriMesh.n, p=kw["p"] if kw["spec"] == "p-sobolev" else None)
-    _refuse_k(kw)
-
-
-CHECKS = {  # in the order the CLI lists them
-    "ps": _check("verify_polya_szego", _refuse_k),
-    "model": _check("verify_model_space_ps", _refuse_k),
-    "iso": _check("verify_isoperimetric", _refuse_k),
-    "sobolev": _check("verify_p_sobolev", _refuse_p_then_k),
-    "gn": _check("verify_gn", _refuse_gn),
-    "spectral": _check("verify_spectral_gap", _refuse_k),
-    "logsob": _check("verify_log_sobolev", lambda kw: const._check_p_range(TriMesh.n, kw["p"])),
-    "ms1": _check("verify_michael_simon_p1"),
-    "mono": _check("verify_monotonicity_principle", _refuse_mono),
+_RHS_TIMES, _LHS_OVER, _RHS_OVER = ("rhs", operator.mul), ("lhs", operator.truediv), ("rhs", operator.truediv)
+CHECKS = {  # in the order the CLI lists them; a check that takes K assumes a curvature-bounded surface
+    "ps": _check("verify_polya_szego", _bounded_k, inequality="PolyaSzego", sides=_ps_sides, power=1.0,
+                 scales=_RHS_TIMES),
+    "model": _check("verify_model_space_ps", _bounded_k, inequality="PolyaSzegoModelSpace", sides=_model_sides,
+                    power=lambda kw: kw["p"], scales=_LHS_OVER),
+    "iso": _check("verify_isoperimetric", _bounded_k),
+    "sobolev": _check("verify_p_sobolev", _p_then_k, inequality="PSobolev", sides=_sobolev_sides, power=1.0,
+                      scales=_RHS_TIMES),
+    "gn": _check("verify_gn", _gn_domain, inequality="GagliardoNirenberg", sides=_gn_sides, power=1.0,
+                 scales=_RHS_TIMES),
+    "spectral": _check("verify_spectral_gap", _bounded_k, inequality="SpectralGap", sides=_spectral_sides,
+                       power=lambda kw: 2.0 if kw["reading"] is Reading.CORRECTED else 1.0, scales=_RHS_OVER),
+    "logsob": _check("verify_log_sobolev", lambda kw: const._check_p_range(TriMesh.n, kw["p"]),
+                     inequality="LogSobolev", sides=_log_sobolev_sides, surface=_minimal),
+    "ms1": _check("verify_michael_simon_p1", inequality="MichaelSimonP1", sides=_michael_simon_sides, surface=None),
+    "mono": _check("verify_monotonicity_principle", _bounded_k, inequality="MonotonicityPrinciple",
+                   sides=_monotone_sides),
 }

@@ -10,8 +10,9 @@ energy is asked for on one, only the two target constructors (with the JSON read
 its modules exists, no package module imports ``scipy.optimize``, ``scipy.integrate`` or ``scipy.sparse`` outside
 a function (so importing the CLI loads none of them), two functions of ``verify`` and one of ``analytic`` write
 a report and none is rewritten by ``replace``, ``verify`` neither imports ``analytic`` nor names a radial function
-and each of its field checks takes (mesh, f) first, and a failing hypothesis test prints its example under the
-repo's warning filters."""
+and each of its field checks takes (mesh, f) first, ``verify`` evaluates PS(n, K) in one function and each of its
+verifiers runs the argument refusals its ``CHECKS`` entry names, and a failing hypothesis test prints its example
+under the repo's warning filters."""
 
 import ast
 import dataclasses
@@ -23,9 +24,12 @@ import subprocess
 import sys
 import types
 
+import numpy as np
 import pytest
 
 import psilab
+import psilab.analytic
+import psilab.mesh
 from psilab import cli, verify
 from psilab.measure_space import TargetKind
 from psilab.verify import VerificationReport
@@ -349,6 +353,74 @@ def test_the_guard_finds_a_check_that_takes_no_field_first():
     module = types.SimpleNamespace(verify_radial_or_mesh=verify_radial_or_mesh, verify_field=verify_field)
     checks = {"either": verify.Check("verify_radial_or_mesh", ()), "field": verify.Check("verify_field", ())}
     assert _not_field_first(module, checks) == ["either"]
+
+
+def _check_table_faults(source: str) -> list[str]:
+    """What in ``source`` (the text of ``verify.py``) goes round its check table: each function or class but the
+    template's power helper ``_ps_power`` that calls ``ps_constant``, and each ``_refuse_*`` function (a check's
+    argument refusals are one function, named by its ``CHECKS`` entry)."""
+    faults = [f"ps_constant in {scope}" for scope in _callers(source, "ps_constant") if scope != "_ps_power"]
+    return faults + [f"line {node.lineno}: {node.name}" for node in ast.walk(ast.parse(source))
+                     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name.startswith("_refuse_")]
+
+
+class _Refused(Exception):
+    pass
+
+
+def _unrefused(checks: dict, calls: dict) -> list[str]:
+    """The checks of ``checks`` whose verifier, run by ``calls[name]()``, does not call the entry's own ``refuse``:
+    each entry's refusal is swapped in turn for one that raises, and the run must raise it."""
+    missing = []
+    for name, check in list(checks.items()):
+        def refuse(kw):
+            raise _Refused
+
+        checks[name] = check._replace(refuse=refuse)
+        try:
+            calls[name]()
+            missing.append(name)
+        except _Refused:
+            pass
+        finally:
+            checks[name] = check
+    return missing
+
+
+def test_one_check_table():
+    # PS(n, K) is evaluated in one place, and each check's argument refusals are the function its entry names,
+    # which the CLI runs before it reads a file and the verifier where it meets them
+    source = SOURCES["verify.py"].read_text()
+    assert _callers(source, "ps_constant") == ["_ps_power"] and _check_table_faults(source) == []
+    disk = psilab.analytic.make_disk(1.0, 4)
+    f, b1 = psilab.mesh.VertexField(np.zeros(len(disk.vertices))), psilab.constants.brendle(1)
+    calls = {
+        "ps": lambda: verify.verify_polya_szego(disk, f, 1.5, 0.0, b1),
+        "model": lambda: verify.verify_model_space_ps(disk, f, 1.5, 0.0, b1),
+        "iso": lambda: verify.verify_isoperimetric(disk, 0.0, b1),
+        "sobolev": lambda: verify.verify_p_sobolev(disk, f, 1.5, 0.0, b1),
+        "gn": lambda: verify.verify_gn(disk, f, 1.5, 2.5, 0.0, b1),
+        "spectral": lambda: verify.verify_spectral_gap(disk, f, 0.0, b1),
+        "logsob": lambda: verify.verify_log_sobolev(disk, f, 1.5),
+        "ms1": lambda: verify.verify_michael_simon_p1(disk, f, b1),
+        "mono": lambda: verify.verify_monotonicity_principle(disk, f, verify.monotone_preset("sobolev-l1"), 0.0, b1),
+    }
+    assert list(calls) == list(verify.CHECKS) and _unrefused(verify.CHECKS, calls) == []
+
+
+def test_the_guard_finds_a_second_ps_constant_and_a_refusal_of_its_own():
+    source = "from . import constants as const\n\ndef _ps_power(mesh, kw):\n    ps = const.ps_constant(2, 0.0, c)\n" \
+             "    return lambda e: ps**e\n\ndef verify_model(mesh, f, p, K, choice):\n" \
+             "    return _verdict('model', locals()) / const.ps_constant(mesh.n, K, choice) ** p\n\n" \
+             "def _refuse_k(kw):\n    pass\n"
+    assert _check_table_faults(source) == ["ps_constant in verify_model", "line 10: _refuse_k"]
+
+    def own(kw):
+        pass
+
+    checks = {"entry": verify.Check("verify_a", (), own), "bypass": verify.Check("verify_b", (), own)}
+    calls = {"entry": lambda: checks["entry"].refuse({}), "bypass": lambda: own({})}
+    assert _unrefused(checks, calls) == ["bypass"]
 
 
 TARGETS = {"lebesgue", "model_space", "TargetMeasure"}

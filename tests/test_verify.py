@@ -359,6 +359,15 @@ class TestGagliardoNirenberg:
         expect = const.Reading.LITERAL if pole_at else const.Reading.CORRECTED
         assert analytic.select_egn_reading(3, 2.0, 4.0) is expect
 
+    def test_select_reading_names_the_refusal_of_both_readings(self):
+        # inside the GN domain at n = 400 the extremal's gradient integral underflows under either reading: the
+        # error says which side left the double range, and up to n = 300 the corrected reading is still picked
+        with pytest.raises(ConvergenceFailure, match="neither EGN reading .*: GagliardoNirenberg at n = 400: "
+                                                     "the radial rhs leaves the double range$") as caught:
+            analytic.select_egn_reading(400, 1.5, 1.50094)
+        assert isinstance(caught.value.__cause__, OutOfRange)
+        assert analytic.select_egn_reading(300, 1.5, 1.50094) is const.Reading.CORRECTED
+
     def test_select_reading_lets_a_bug_through(self, monkeypatch):
         def broken(*args, **kwargs):
             raise TypeError("a bug, not an unevaluable reading")
@@ -636,6 +645,24 @@ def _count_calls(monkeypatch, module, name) -> list:
     return calls
 
 
+PS_CHECKS = {  # each check that PS(n, K) enters, with K > 0
+    "ps": lambda f: verify_polya_szego(DISK8, f, 1.5, 0.5, B1),
+    "model": lambda f: verify_model_space_ps(DISK8, f, 1.5, 0.5, B1),
+    "sobolev": lambda f: verify_p_sobolev(DISK8, f, 1.5, 0.5, B1),
+    "gn": lambda f: verify_gn(DISK8, f, 1.5, 2.5, 0.5, B1),
+    "spectral": lambda f: verify_spectral_gap(DISK8, f, 0.5, B1),
+    "mono": lambda f: verify_monotonicity_principle(DISK8, f, monotone_preset("p-sobolev", 2, 1.5), 0.5, B1),
+}
+
+
+@pytest.mark.parametrize("check", PS_CHECKS)
+def test_the_rearrangement_constant_is_evaluated_once_per_check(check, monkeypatch):
+    # the verdict template applies PS(n, K)^e from one evaluation; model no longer runs ps for its refusals
+    calls = _count_calls(monkeypatch, const, "ps_constant")
+    PS_CHECKS[check](VertexField(HAT8))
+    assert calls == [(2, 0.5, B1)]
+
+
 @pytest.mark.parametrize("check", INTEGRAL_CHECKS)
 def test_integrals_draw_no_samples(check, monkeypatch):
     # every integral comes from the field's distribution function, built once and kept
@@ -650,7 +677,7 @@ def test_integrals_draw_no_samples(check, monkeypatch):
 WARM_MEASURES = {  # a check, the number it keeps and whether the mesh (else the field) keeps it, what it keeps on
     # the field in order, and where the number shows in its report
     "spectral": (lambda f: verify_spectral_gap(DISK8, f, 0.0, B1), "support_area", False,
-                 ["support_area", "levels", "grad2", ("gradient_lp", 2)], lambda rep: rep.inputs["support_area"]),
+                 ["levels", "support_area", "grad2", ("gradient_lp", 2)], lambda rep: rep.inputs["support_area"]),
     "logsob": (lambda f: verify_log_sobolev(DISK8, f, 1.5), "max_interior_h", True,
                ["levels", "grad2", ("gradient_lp", 1.5)], lambda rep: rep.inputs["max_interior_h"]),
     "ms1": (lambda f: verify_michael_simon_p1(DISK8, f, B1), "curvature_term", False,
