@@ -17,9 +17,10 @@ eight-mesh, eight-field LRU. An input that failed is not kept, and a kept
 disconnected mesh warns again on each use.
 
 The defaults prefer the corrected readings of the misprint-suspect
-constants and the trace convention for the sphere's total curvature; the
-literal printed variants are echoed alongside in every constants table so
-nothing is hidden.
+constants, and ``curvature`` echoes the trace convention for the sphere's
+total curvature; the literal printed variants and the paper's sphere
+reference are echoed alongside in every constants table so nothing is
+hidden.
 """
 
 from __future__ import annotations
@@ -107,12 +108,6 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
 
     pm = sub.add_parser("curvature", help="discrete mean curvature of an OFF/nOFF mesh")
     pm.add_argument("--mesh", required=True)
-    pm.add_argument(
-        "--convention",
-        choices=[c.value for c in const.TcConvention],
-        default="trace",
-        help="reference convention echoed for the unit sphere's total curvature",
-    )
     common(pm)
 
     pr = sub.add_parser("rearrange", help="radial rearrangement of samples or a mesh field")
@@ -147,7 +142,6 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     px.add_argument("--N", type=float, help="also locate the blowup threshold for this factor")
     px.add_argument("--mesh-check", action="store_true")
     px.add_argument("--subdiv", type=int, default=5)
-    px.add_argument("--plot-data", action="store_true", help="emit gnuplot-friendly columns")
     common(px)
     return ap, sub.choices
 
@@ -166,7 +160,7 @@ def _cmd_curvature(args) -> int:
     mesh = _load_mesh_arg(args.mesh)
     report = mean_curvature(mesh)
     if args.format == "json":
-        reference = const.tc_unit_sphere(TriMesh.n, const.TcConvention(args.convention))
+        reference = const.tc_unit_sphere(TriMesh.n)  # the trace convention; `constants` prints both
         _emit(indented_json({**report.as_dict(), "unit_sphere_reference": reference}), args.out)
     else:
         _emit(report.to_csv(), args.out)
@@ -219,10 +213,8 @@ def _cmd_counterexample(args) -> int:
     payload: dict = {}
     if args.N is not None:
         payload["lambda_bar"] = {"N": args.N, "p": args.p, "value": find_lambda_bar(args.N, args.p)}
-    if args.format == "csv" or args.plot_data:
+    if args.format == "csv":
         text = sweep_to_csv(rows)
-        if args.plot_data:  # gnuplot reads whitespace-separated columns; keep the header as a comment
-            text = "# " + text.replace(",", " ")
         if payload:
             text += f"# lambda_bar {payload['lambda_bar']['value']!r}\n"
         _emit(text, args.out)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import ComplexValued, CurvatureBoundViolated, GammaPole, OutOfRange
-from .special_fn import _check_dimension, bessel_first_zero, log_gamma, log_unit_ball_volume
+from .special_fn import _check_dimension, bessel_first_zero, log_unit_ball_volume
 
 __all__ = [
     "IsoperimetricChoice",
@@ -30,7 +30,6 @@ __all__ = [
     "iso_constant",
     "ps_constant",
     "talenti_constant",
-    "gn_beta",
     "gn_theta",
     "gn_r_exponent",
     "egn_constant",
@@ -184,7 +183,7 @@ def talenti_constant(n: int, p: float) -> float:
         / (math.sqrt(math.pi) * n ** (1.0 / p))
         * ((p - 1.0) / (n - p)) ** (1.0 - 1.0 / p)
         * math.exp(
-            (log_gamma(1.0 + 0.5 * n) + log_gamma(float(n)) - log_gamma(n / p) - log_gamma(1.0 + n - n / p))
+            (math.lgamma(1.0 + 0.5 * n) + math.lgamma(float(n)) - math.lgamma(n / p) - math.lgamma(1.0 + n - n / p))
             / n
         )
     )
@@ -203,10 +202,6 @@ def _gn_exponents(n: int, p: float, q: float) -> tuple[float, float, float, floa
     p, q = _check_gn_domain(n, p, q)
     beta = n * p - q * (n - p)
     return p, q, beta, n * (q - p) / ((q - 1.0) * beta), p * (q - 1.0) / (p - 1.0)
-
-
-def gn_beta(n: int, p: float, q: float) -> float:
-    return _gn_exponents(n, p, q)[2]
 
 
 def gn_theta(n: int, p: float, q: float) -> float:
@@ -267,7 +262,7 @@ def log_sobolev_constant(n: int, p: float) -> float:
         math.log(p / n)
         - 0.5 * p * math.log(math.pi)
         + (p - 1.0) * (math.log(p - 1.0) - 1.0)
-        + (log_gamma(0.5 * n + 1.0) - log_gamma(n * (p - 1.0) / p + 1.0)) * p / n
+        + (math.lgamma(0.5 * n + 1.0) - math.lgamma(n * (p - 1.0) / p + 1.0)) * p / n
     )
     try:
         return math.exp(log_ls)

@@ -52,7 +52,6 @@ __all__ = [
     "RadialProfile",
     "distribution_function",
     "rearrange",
-    "profile_inverse_tau",
     "lp_norm",
     "gradient_energy",
 ]
@@ -105,11 +104,6 @@ class DiscreteMeasuredFunction:
 
     def to_csv(self) -> str:
         return format_table("value,weight", self.values, self.weights)
-
-    def scaled(self, c: float) -> "DiscreteMeasuredFunction":
-        if c <= 0:
-            raise ValueError("scale factor must be > 0")
-        return DiscreteMeasuredFunction(c * self.values, self.weights.copy())
 
     def total_weight(self) -> float:
         return float(np.sum(self.weights))
@@ -194,7 +188,7 @@ class RadialProfile:
             raise ValueError("radii and values must be finite")
         if radii[0] < 0 or np.any(np.diff(radii) <= 0):
             raise ValueError("radii must be nonnegative and strictly increasing")
-        if np.any(values < 0) or np.any(np.diff(values) > 1e-15):
+        if np.any(values < 0) or np.any(np.diff(values) > 0):
             raise ValueError("values must be nonnegative and non-increasing")
         object.__setattr__(self, "radii", radii)
         object.__setattr__(self, "values", values)
@@ -209,17 +203,24 @@ class RadialProfile:
             out = np.interp(r, self.radii, self.values, left=self.values[0], right=0.0)
         return out if out.ndim else float(out)
 
-    def support_radius(self) -> float:
-        return float(self.radii[-1])
-
-    def max_value(self) -> float:
-        return float(self.values[0])
-
     def superlevel_measure(self, t: float) -> float:
-        """Target measure of {profile > t}."""
+        """Target measure of {profile > t}: the ball out to the last knot above t (step), or out to the
+        last crossing of level t (linear)."""
         if not t >= 0:  # NaN too
             raise ValueError("t must be >= 0")
-        tau = _generalized_inverse(self, t)
+        radii, values = self.radii, self.values
+        if self.interpolation is Interpolation.RIGHT_CONTINUOUS_STEP:
+            above = np.flatnonzero(values > t)
+            tau = radii[above[-1]] if above.size else 0.0
+        elif t >= values[0]:
+            tau = 0.0
+        elif t <= values[-1]:
+            tau = radii[-1]
+        else:  # values non-increasing: the first index where value <= t, so v0 > t >= v1
+            idx = int(np.argmax(values <= t))
+            r0, r1 = radii[idx - 1], radii[idx]
+            v0, v1 = values[idx - 1], values[idx]
+            tau = r0 + (v0 - t) * (r1 - r0) / (v0 - v1)
         return float(self.target.ball_volume(tau))
 
     def to_csv(self) -> str:
@@ -310,6 +311,13 @@ def rearrange(
         radii = target.ball_radius(measures)
         if not step:
             radii = np.concatenate([[0.0], radii])
+        # a weight below the running sum's resolution, or a root that rounds two radii to one, places a
+        # knot at its neighbour's radius; a run of such knots spans no measure, so one of them stays:
+        # the first for a step profile (the others' intervals are empty), the last for a linear one (so
+        # that it still ends at 0)
+        keep = np.diff(radii, prepend=-np.inf) > 0 if step else np.diff(radii, append=np.inf) > 0
+        if not keep.all():
+            radii, values = radii[keep], values[keep]
         return RadialProfile(target, radii, values, interpolation)
 
     size = dmf.values.size
@@ -349,36 +357,6 @@ def rearrange(
     knot_v = np.concatenate([[levels[0]], np.minimum.accumulate(levels[np.minimum(idx, levels.size - 1)])])
     knot_v[-1] = 0.0
     return place(cuts, knot_v)
-
-
-def _generalized_inverse(profile: RadialProfile, t: float) -> float:
-    """Radius of the superlevel set {profile > t} (step) or crossing radius (linear)."""
-    radii = profile.radii
-    values = profile.values
-    if profile.interpolation is Interpolation.RIGHT_CONTINUOUS_STEP:
-        above = np.flatnonzero(values > t)
-        return float(radii[above[-1]]) if above.size else 0.0
-    # piecewise linear: find the last crossing of level t
-    if t >= values[0]:
-        return 0.0
-    if t <= values[-1]:
-        return float(radii[-1])
-    # values non-increasing: first index where value <= t, so v0 > t >= v1
-    idx = int(np.argmax(values <= t))
-    r0, r1 = radii[idx - 1], radii[idx]
-    v0, v1 = values[idx - 1], values[idx]
-    return float(r0 + (v0 - t) * (r1 - r0) / (v0 - v1))
-
-
-def profile_inverse_tau(profile: RadialProfile, t: float) -> float:
-    """Radius tau(t) at which the profile crosses level t.
-
-    For step profiles this is the right endpoint of the level, so the ball
-    of radius tau(t) has exactly the measure of the superlevel set {u > t}.
-    """
-    if not 0 < t < profile.max_value():
-        raise ValueError(f"t must lie in (0, {profile.max_value()}), got {t}")
-    return _generalized_inverse(profile, t)
 
 
 @functools.cache

@@ -1,9 +1,9 @@
-"""Special functions on the standard library and scipy: gamma, unit-ball volumes, first Bessel zeros.
+"""Special functions on the standard library and scipy: the unit-ball volume, first Bessel zeros.
 
-Gamma and its logarithm are ``math.gamma`` and ``math.lgamma`` behind the
-positive-axis domain check, with +inf where Gamma overflows; ball volumes
-for dimensions beyond a few hundred go through the logarithmic form so that
-Stirling-regime ratios stay finite.
+The unit-ball volume omega_n is kept as its logarithm,
+(n/2) log pi - lgamma(n/2 + 1), which stays finite at every dimension, so
+ratios like omega_n^(1/n) in the Stirling regime stay finite too; log-Gamma
+is ``math.lgamma`` wherever the package needs it.
 
 Bessel functions of the first kind are ``scipy.special.jv``; the first
 positive zero is bracketed by an upward scan from below its known lower
@@ -22,31 +22,7 @@ from scipy.special import jv
 
 from .errors import ConvergenceFailure
 
-__all__ = [
-    "gamma",
-    "log_gamma",
-    "unit_ball_volume",
-    "log_unit_ball_volume",
-    "bessel_j",
-    "bessel_first_zero",
-]
-
-
-def log_gamma(x: float) -> float:
-    """Natural log of Gamma(x) for x > 0."""
-    if not x > 0:
-        raise ValueError(f"log_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
-
-
-def gamma(x: float) -> float:
-    """Gamma(x) for x > 0, +inf beyond the double range; raises ValueError outside the domain."""
-    if not x > 0:
-        raise ValueError(f"gamma requires x > 0, got {x}")
-    try:
-        return math.gamma(x)
-    except OverflowError:
-        return math.inf
+__all__ = ["log_unit_ball_volume", "bessel_j", "bessel_first_zero"]
 
 
 def _check_dimension(n: int, least: int = 1) -> None:
@@ -61,15 +37,7 @@ def _check_dimension(n: int, least: int = 1) -> None:
 def log_unit_ball_volume(n: int) -> float:
     """log of the Lebesgue volume of the unit ball in R^n."""
     _check_dimension(n)
-    return 0.5 * n * math.log(math.pi) - log_gamma(0.5 * n + 1.0)
-
-
-def unit_ball_volume(n: int) -> float:
-    """Lebesgue volume omega_n = pi^(n/2) / Gamma(n/2 + 1) of the unit n-ball."""
-    _check_dimension(n)
-    if n <= 200:
-        return math.pi ** (0.5 * n) / gamma(0.5 * n + 1.0)
-    return math.exp(log_unit_ball_volume(n))
+    return 0.5 * n * math.log(math.pi) - math.lgamma(0.5 * n + 1.0)
 
 
 def bessel_j(order: float, x: float) -> float:

@@ -89,10 +89,11 @@ class TestCurvatureCommand:
         assert out["total_mean_curvature"] == pytest.approx(0.0, abs=1e-6)
 
     def test_paper_convention(self, disk_files, capsys):
+        # retired: `constants` prints both sphere references, tc_sphere_trace and tc_sphere_paper
         mesh_path, _, _ = disk_files
-        assert dispatch(["curvature", "--mesh", mesh_path, "--convention", "paper"]) == 0
-        out = json.loads(capsys.readouterr().out)
-        assert out["unit_sphere_reference"] == pytest.approx(2.0 * math.sqrt(2.0 * math.pi))
+        for convention in ("paper", "trace"):
+            assert dispatch(["curvature", "--mesh", mesh_path, "--convention", convention]) == 2
+            assert "unrecognized arguments: --convention" in capsys.readouterr().err
 
     def test_csv(self, disk_files, capsys):
         mesh_path, _, _ = disk_files
@@ -130,6 +131,18 @@ class TestRearrangeCommand:
         assert code == 0
         out = json.loads(capsys.readouterr().out)
         assert out["target"]["kind"] == "model"
+
+    @pytest.mark.parametrize("rows", ["1.0,1.0\n0.5,1e-17", "1e300,1e300\n2.0,1e-300", "1.0,1.0\n0.5,3e-16"],
+                             ids=["tiny-weight", "huge-scale", "rounded-root"])
+    @pytest.mark.parametrize("interpolation", ["step", "linear"])
+    def test_two_knots_at_one_radius(self, tmp_path, capsys, rows, interpolation):
+        # the second level's weight does not move the running sum's radius: its knot is dropped, not refused
+        src = tmp_path / "samples.csv"
+        src.write_text(f"value,weight\n{rows}\n")
+        assert dispatch(["rearrange", "--input", str(src), "--interpolation", interpolation]) == 0
+        out = json.loads(capsys.readouterr().out)
+        top = float(rows.split(",")[0])
+        assert out["values"] == ([top] if interpolation == "step" else [top, 0.0])
 
     def test_mesh_without_field_is_usage_error(self, disk_files):
         mesh_path, _, _ = disk_files
@@ -358,6 +371,10 @@ class TestCounterexampleCommand:
     def test_mesh_check_matches_per_lambda_rows(self, subdiv, p, fmt, threshold, capsys):
         lams = [1.0, 2.0, 7.5, 20.0, 300.0, 1e8]
         argv = ["counterexample", "--p", str(p), "--lambda", *map(repr, lams), "--mesh-check", "--subdiv", str(subdiv)]
+        if fmt == ["--plot-data"]:  # retired: the same rows are --format csv
+            assert dispatch([*argv, *fmt, *threshold]) == 2
+            assert "unrecognized arguments: --plot-data" in capsys.readouterr().err
+            return
         assert dispatch([*argv, *fmt, *threshold]) == 0
         # the reference: the closed-form rows, cross-checked one lambda at a time
         mesh, rows = analytic.make_sphere(subdiv), sweep(p, lams)
@@ -367,8 +384,6 @@ class TestCounterexampleCommand:
         bar = find_lambda_bar(30.0, p) if threshold else None
         if fmt:
             expected = sweep_to_csv(rows)
-            if fmt == ["--plot-data"]:
-                expected = "# " + expected.replace(",", " ")
             if threshold:
                 expected += f"# lambda_bar {bar!r}\n"
         else:
@@ -378,11 +393,12 @@ class TestCounterexampleCommand:
         assert capsys.readouterr().out == expected
 
     def test_plot_data(self, capsys):
-        code = dispatch(["counterexample", "--p", "1.5", "--lambda", "5", "--plot-data"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert out.startswith("# lambda p ")
-        assert "," not in out.splitlines()[1]
+        # retired: it printed a space-separated copy of --format csv, and overrode --format json
+        for fmt in ([], ["--format", "json"], ["--format", "csv"]):
+            assert dispatch(["counterexample", "--p", "1.5", "--lambda", "5", "--plot-data", *fmt]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "unrecognized arguments: --plot-data" in captured.err
 
 
 class TestExitCodes:
@@ -486,7 +502,7 @@ VALID_ARGS = {
 }
 BAD_FLOAT = {"constants": ["--K", "x"], "curvature": None, "rearrange": ["--K", "x"], "verify": ["--p", "x"],
              "counterexample": ["--p", "x"]}  # curvature takes no number: no such case
-ABBREVIATED = {"constants": ["--form", "csv"], "curvature": ["--conv", "paper"], "rearrange": ["--interp", "linear"],
+ABBREVIATED = {"constants": ["--form", "csv"], "curvature": ["--form", "csv"], "rearrange": ["--interp", "linear"],
                "verify": ["--tol", "0.1"], "counterexample": ["--lam", "5"]}
 ROUTED_CASES = {
     "valid": lambda cmd: [cmd] + VALID_ARGS[cmd],
@@ -1190,8 +1206,11 @@ def test_dispatch_never_raises_on_small_inputs(tmp_path_factory, off_and_field):
 
 @pytest.mark.parametrize("fmt", [["--format", "csv"], ["--plot-data"]], ids=["csv", "plot-data"])
 def test_counterexample_text_output_ends_with_the_threshold(fmt, capsys):
-    assert dispatch(["counterexample", "--p", "1.5", "--lambda", "5", "10", "--N", "3", *fmt]) == 0
+    argv = ["counterexample", "--p", "1.5", "--lambda", "5", "10", "--N", "3", *fmt]
+    if fmt == ["--plot-data"]:  # retired: the same rows are --format csv
+        assert dispatch(argv) == 2
+        assert "unrecognized arguments: --plot-data" in capsys.readouterr().err
+        return
+    assert dispatch(argv) == 0
     table = sweep_to_csv(sweep(1.5, [5.0, 10.0]))
-    if fmt == ["--plot-data"]:
-        table = "# " + table.replace(",", " ")
     assert capsys.readouterr().out == table + f"# lambda_bar {find_lambda_bar(3.0, 1.5)!r}\n"

@@ -93,7 +93,7 @@ def _argv(rng, files) -> list[str]:
                 "--p": value(["1.5"]), "--q": value(["2.5", "2"]),
                 "--iso": value(["brendle:1", "michael-simon"], ["brendle:x", "brendle:0", "brendel:1"])}
     elif command == "curvature":
-        opts = {"--mesh": path("mesh"), "--convention": value(["trace", "paper"], ["tracee"])}
+        opts = {"--mesh": path("mesh")}
     elif command == "rearrange":
         source = {"--input": path("input")} if rng.random() < 0.5 else \
             {"--mesh": (mesh := path("mesh")), "--field": path("field", mesh),

@@ -18,7 +18,7 @@ from psilab import verify as v
 from psilab.errors import CurvatureBoundViolated
 from psilab.measure_space import RadialProfile, lebesgue, model_space
 from psilab.mesh import VertexField
-from psilab.special_fn import log_unit_ball_volume, unit_ball_volume
+from psilab.special_fn import log_unit_ball_volume
 
 from conftest import boundary_vanishing_field
 
@@ -95,7 +95,7 @@ def test_p_range(entry, p):
 
 
 GN_ENTRIES = [
-    ("gn_beta", lambda q: const.gn_beta(2, 1.5, q)),
+    ("gn_beta", lambda q: const._gn_exponents(2, 1.5, q)[2]),  # beta's one spelling, beside theta and r
     ("gn_theta", lambda q: const.gn_theta(2, 1.5, q)),
     ("gn_r_exponent", lambda q: const.gn_r_exponent(2, 1.5, q)),
     ("egn_constant", lambda q: const.egn_constant(2, 1.5, q)),
@@ -134,7 +134,7 @@ N_ENTRIES = [
     ("build_constants_table", lambda n: const.build_constants_table(n, 0.0, B1, 1.5, 1.8)),
     ("talenti_constant", lambda n: const.talenti_constant(n, 1.5)),
     ("log_sobolev_constant", lambda n: const.log_sobolev_constant(n, 1.5)),
-    ("gn_beta", lambda n: const.gn_beta(n, 1.5, 1.8)),
+    ("gn_beta", lambda n: const._gn_exponents(n, 1.5, 1.8)[2]),
     ("gn_theta", lambda n: const.gn_theta(n, 1.5, 1.8)),
     ("gn_r_exponent", lambda n: const.gn_r_exponent(n, 1.5, 1.8)),
     ("egn_constant", lambda n: const.egn_constant(n, 1.5, 1.8)),
@@ -175,7 +175,7 @@ def test_codimension_at_least_one(entry, m):
 
 
 BALL_ENTRIES = [
-    ("unit_ball_volume", unit_ball_volume),
+    ("unit_ball_volume", lambda n: math.exp(log_unit_ball_volume(n))),  # omega_n's one spelling
     ("log_unit_ball_volume", log_unit_ball_volume),
     ("lebesgue", lebesgue),
 ]

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
 
+from psilab import measure_space
 from psilab.errors import InterpolationMismatch
 from psilab.measure_space import (
     DiscreteMeasuredFunction,
@@ -21,13 +22,17 @@ from psilab.measure_space import (
     lebesgue,
     lp_norm,
     model_space,
-    profile_inverse_tau,
     rearrange,
 )
-from psilab.special_fn import log_unit_ball_volume, unit_ball_volume
+from psilab.special_fn import log_unit_ball_volume
 
 STEP = Interpolation.RIGHT_CONTINUOUS_STEP
 LINEAR = Interpolation.PIECEWISE_LINEAR
+
+
+def omega(n):
+    """omega_n = pi^(n/2) / Gamma(n/2 + 1), independently of psilab."""
+    return math.pi ** (0.5 * n) / math.gamma(0.5 * n + 1.0)
 
 
 def random_dmf(rng, size=None):
@@ -108,10 +113,8 @@ class TestDiscreteMeasuredFunction:
         assert dmf.weights.tolist() == [0.5, 0.25]
 
     def test_scaled(self):
-        dmf = DiscreteMeasuredFunction.from_samples([(2.0, 1.0)])
-        assert dmf.scaled(3.0).values[0] == 6.0
-        with pytest.raises(ValueError):
-            dmf.scaled(0.0)
+        # retired: a scaled copy is DiscreteMeasuredFunction(c * values, weights), as below
+        assert not hasattr(DiscreteMeasuredFunction, "scaled")
 
     @pytest.mark.parametrize("p", [1.5, 2.0, 6.0, 2.37])
     def test_lp_norm_leaves_read_only_samples_unchanged(self, p):
@@ -186,7 +189,7 @@ class TestStepRearrangement:
     def test_scaling_equivariance(self):
         dmf = DiscreteMeasuredFunction.from_samples([(1.0, 1.0), (3.0, 0.5)])
         p1 = rearrange(dmf, lebesgue(2))
-        p2 = rearrange(dmf.scaled(2.0), lebesgue(2))
+        p2 = rearrange(DiscreteMeasuredFunction(2.0 * dmf.values, dmf.weights), lebesgue(2))
         assert np.array_equal(p2.values, 2.0 * p1.values)
         assert np.array_equal(p2.radii, p1.radii)
 
@@ -287,6 +290,13 @@ class TestRadialProfile:
         with pytest.raises(ValueError):
             RadialProfile(lebesgue(2), np.array([1.0, 0.5]), np.array([2.0, 1.0]), LINEAR)
 
+    def test_a_rise_at_small_scale_is_refused(self):
+        # a rise of 5e-16 is a rise: admitted, {u > 1e-18} would measure 4 pi where the annulus has 3 pi
+        with pytest.raises(ValueError, match="values must be nonnegative and non-increasing"):
+            RadialProfile(lebesgue(2), np.array([1.0, 2.0]), np.array([1e-20, 5e-16]), STEP)
+        flat = RadialProfile(lebesgue(2), np.array([1.0, 2.0]), np.array([5e-16, 5e-16]), STEP)
+        assert flat.superlevel_measure(1e-18) == pytest.approx(4.0 * math.pi, rel=1e-15)
+
     def test_step_evaluation(self):
         prof = RadialProfile(lebesgue(2), np.array([1.0, 2.0]), np.array([3.0, 1.0]), STEP)
         assert prof(0.5) == 3.0
@@ -299,10 +309,13 @@ class TestRadialProfile:
         assert prof(3.0) == 0.0
 
     def test_inverse_tau(self):
+        # the crossing radius tau(t) lives in superlevel_measure, the ball of radius tau(t): tau(2) = 1 here
         prof = RadialProfile(lebesgue(2), np.array([0.0, 2.0]), np.array([4.0, 0.0]), LINEAR)
-        assert profile_inverse_tau(prof, 2.0) == pytest.approx(1.0, rel=1e-13)
-        with pytest.raises(ValueError):
-            profile_inverse_tau(prof, 5.0)
+        assert prof.superlevel_measure(2.0) == pytest.approx(math.pi, rel=1e-13)
+        assert prof.superlevel_measure(5.0) == 0.0
+        for name in ("support_radius", "max_value"):  # retired with profile_inverse_tau, their one caller
+            assert not hasattr(RadialProfile, name)
+        assert not hasattr(measure_space, "profile_inverse_tau")
 
     def test_json_roundtrip(self):
         prof = RadialProfile(
@@ -390,7 +403,6 @@ class TestRadialProfile:
         assert prof.superlevel_measure(1.0) == prof.superlevel_measure(0.5) == pytest.approx(4.0 * math.pi)
         assert prof.superlevel_measure(3.0) == pytest.approx(0.25 * math.pi)
         assert prof.superlevel_measure(1.5) == pytest.approx(2.25 * math.pi)
-        assert prof.support_radius() == 2.0
         with pytest.raises(ValueError, match="t must be >= 0"):
             prof.superlevel_measure(-0.1)
         with pytest.raises(ValueError, match="^t must be >= 0$"):
@@ -420,7 +432,7 @@ class TestProfileIntegrals:
         for n in (2, 3, 10):
             prof = RadialProfile(lebesgue(n), np.array([0.0, 1.0]), np.array([1.0, 0.0]), LINEAR)
             for p in (1.0, 1.5, 2.0, 2.5, 3.0, 3.7):
-                expect = n * unit_ball_volume(n) * special.beta(n, p + 1.0)
+                expect = n * omega(n) * special.beta(n, p + 1.0)
                 assert lp_norm(prof, p) ** p == pytest.approx(expect, rel=1e-13)
 
     @pytest.mark.parametrize("n", [100, 300])
@@ -429,7 +441,7 @@ class TestProfileIntegrals:
         # at n = 300
         prof = RadialProfile(lebesgue(n), np.array([0.0, 1.0]), np.array([1.0, 0.0]), LINEAR)
         for p in (1.0, 1.5, 3.7):
-            expect = n * unit_ball_volume(n) * special.beta(n, p + 1.0)
+            expect = n * omega(n) * special.beta(n, p + 1.0)
             assert lp_norm(prof, p) ** p == pytest.approx(expect, rel=1e-12, abs=0.0)  # expect is ~1e-40 at n = 100
 
     def test_cone_gradient_energy(self):
@@ -620,3 +632,60 @@ def test_property_equimeasurability(samples, t):
     assert prof.superlevel_measure(t) == pytest.approx(
         distribution_function(dmf, t), rel=1e-12, abs=1e-12
     )
+
+
+# weights below the running sum's resolution, and a root that rounds two radii to one, place two knots at one
+# radius; the three sample sets that rearrange once refused, as (value, weight) rows
+COINCIDENT_SAMPLES = {
+    "tiny-weight": [(1.0, 1.0), (0.5, 1e-17)],
+    "huge-scale": [(1e300, 1e300), (2.0, 1e-300)],
+    "rounded-root": [(1.0, 1.0), (0.5, 3e-16)],
+}
+
+
+def _assert_equimeasurable(dmf, prof):
+    """The step profile's superlevel measure at each level and at 0 is the samples' own, within 1e-12 of the
+    total weight."""
+    total = dmf.total_weight()
+    for t in [0.0, *np.unique(dmf.values)]:
+        assert abs(prof.superlevel_measure(t) - distribution_function(dmf, t)) <= 1e-12 * total
+
+
+class TestCoincidentKnots:
+    @pytest.mark.parametrize("name", list(COINCIDENT_SAMPLES))
+    def test_a_knot_at_its_neighbours_radius_is_dropped(self, name):
+        dmf = DiscreteMeasuredFunction.from_samples(COINCIDENT_SAMPLES[name])
+        step = rearrange(dmf, lebesgue(2))
+        assert step.values.tolist() == [dmf.values[0]]  # the first knot of the run: the others span nothing
+        _assert_equimeasurable(dmf, step)
+        linear = rearrange(dmf, lebesgue(2), LINEAR)
+        assert linear.values.tolist() == [dmf.values[0], 0.0]  # the last knot of the run: it still ends at 0
+        assert linear.radii[-1] == step.radii[-1]
+
+    @pytest.mark.parametrize("name", ["tiny-weight", "rounded-root"])  # 1e300^p overflows either side
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.7])
+    def test_lp_is_kept(self, name, p):
+        dmf = DiscreteMeasuredFunction.from_samples(COINCIDENT_SAMPLES[name])
+        assert lp_norm(rearrange(dmf, lebesgue(2)), p) == pytest.approx(lp_norm(dmf, p), rel=1e-12)
+
+
+@given(
+    st.lists(
+        st.tuples(st.floats(0.01, 10.0), st.floats(1e-3, 1e3), st.integers(0, 3)),
+        min_size=1,
+        max_size=30,
+    ),
+    st.floats(1.0, 4.0),
+)
+@settings(max_examples=60, deadline=None)
+def test_property_weights_below_the_running_sum(samples, p):
+    # every sample whose flag is 0 weighs 2^-60 of the heaviest one: below one ulp of any running sum past it
+    heaviest = max(w for _, w, _ in samples)
+    rows = [(v, w if flag else heaviest * 2.0**-60) for v, w, flag in samples]
+    dmf = DiscreteMeasuredFunction.from_samples(rows)
+    for n in (1, 2, 3):
+        prof = rearrange(dmf, lebesgue(n))
+        _assert_equimeasurable(dmf, prof)
+        assert lp_norm(prof, p) == pytest.approx(lp_norm(dmf, p), rel=1e-12)
+        linear = rearrange(dmf, lebesgue(n), LINEAR)
+        assert linear.radii[0] == 0.0 and linear.values[-1] == 0.0

@@ -2,7 +2,8 @@
 or listed in its ``__all__``, the package integrates with scipy's ``quad`` in one function only, takes its
 Gauss-Legendre rules from one and sets up the blowup closed forms in one, only the CLI draws samples, no
 package module imports ``hashlib``, ``mmap`` or ``csv``, only ``_table`` builds a JSON encoder, only the CLI
-imports ``argparse`` and its handlers are named after its commands, no two package enums encode one choice
+imports ``argparse`` and its handlers are named after its commands, README names every long option of every
+command, no two package enums encode one choice
 with the same values, only ``mesh`` names the ``_derived`` stores (every derived value is kept through
 ``mesh._derive``), only the CLI takes a rearrangement target from ``measure_space`` and no rearrangement
 energy is asked for on one, only the two target constructors (with the JSON reader and the CLI) read a
@@ -14,12 +15,14 @@ and each of its field checks takes (mesh, f) first, ``verify`` evaluates PS(n, K
 verifiers runs the argument refusals its ``CHECKS`` entry names, and a failing hypothesis test prints its example
 under the repo's warning filters."""
 
+import argparse
 import ast
 import dataclasses
 import enum
 import importlib
 import inspect
 import pathlib
+import re
 import subprocess
 import sys
 import types
@@ -561,6 +564,30 @@ def test_each_command_has_its_handler():
 def test_the_guard_finds_an_unpaired_command():
     namespace = {"_cmd_constants": None, "_cmd_old": None, "cmd_verify": None, "_parse": None}
     assert _unpaired_commands(namespace, {"constants": None, "verify": None}) == ["old", "verify"]
+
+
+def _undocumented_options(parsers: dict, readme: str) -> list[str]:
+    """'command --option' for each long option of each command's parser, -h/--help excepted, that ``readme``
+    never names: a switch only tests set is a switch no user knows of."""
+    return [f"{command} {option}" for command, parser in parsers.items() for action in parser._actions
+            for option in action.option_strings
+            if option.startswith("--") and option != "--help"
+            and not re.search(rf"(?<![\w-]){re.escape(option)}(?![\w-])", readme)]
+
+
+def test_every_switch_is_documented():
+    assert _undocumented_options(cli._parsers()[1], (ROOT / "README.md").read_text()) == []
+
+
+def test_the_guard_finds_an_undocumented_switch():
+    parser = argparse.ArgumentParser()
+    parser.add_argument("--mesh")
+    parser.add_argument("--mesh-check", action="store_true")
+    parser.add_argument("--plot-data", action="store_true")
+    readme = "psilab counterexample --mesh-check --mesh m.off --plot-datum"  # --mesh only inside --mesh-check
+    assert _undocumented_options({"counterexample": parser}, readme) == ["counterexample --plot-data"]
+    assert _undocumented_options({"counterexample": parser}, "--mesh-check only") == [
+        "counterexample --mesh", "counterexample --plot-data"]
 
 
 def _twin_enums(modules) -> list[list[str]]:

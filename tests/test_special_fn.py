@@ -1,77 +1,81 @@
 import math
 
-import numpy as np
 import pytest
 import scipy.special
 
-from psilab.special_fn import (
-    bessel_first_zero,
-    bessel_j,
-    gamma,
-    log_gamma,
-    log_unit_ball_volume,
-    unit_ball_volume,
-)
+from psilab import special_fn
+from psilab.special_fn import bessel_first_zero, bessel_j, log_unit_ball_volume
+
+
+def omega(n):
+    """omega_n = pi^(n/2) / Gamma(n/2 + 1), independently of psilab."""
+    return math.pi ** (0.5 * n) / math.gamma(0.5 * n + 1.0)
+
+
+def gamma_from_ball(n):
+    """Gamma(n/2 + 1) as the package takes it: pi^(n/2) / omega_n, through ``log_unit_ball_volume``."""
+    return math.exp(0.5 * n * math.log(math.pi) - log_unit_ball_volume(n))
 
 
 class TestGamma:
+    """Gamma enters the package as log Gamma(n/2 + 1) inside ``log_unit_ball_volume``; ``math.lgamma`` is the
+    one log-Gamma, so these check the Gamma values that the ball volume carries."""
+
     def test_half_integer_values(self):
-        assert gamma(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-14)
-        assert gamma(1.5) == pytest.approx(0.5 * math.sqrt(math.pi), rel=1e-14)
+        assert gamma_from_ball(1) == pytest.approx(0.5 * math.sqrt(math.pi), rel=1e-14)
+        assert gamma_from_ball(3) == pytest.approx(0.75 * math.sqrt(math.pi), rel=1e-14)
 
     def test_integer_factorials(self):
-        for n in range(1, 12):
-            assert gamma(float(n)) == pytest.approx(math.factorial(n - 1), rel=1e-13)
+        for k in range(1, 12):
+            assert gamma_from_ball(2 * k) == pytest.approx(math.factorial(k), rel=1e-13)
 
     def test_against_stdlib_on_grid(self):
-        for x in np.linspace(0.1, 30.0, 97):
-            assert gamma(float(x)) == pytest.approx(math.gamma(x), rel=1e-12)
+        for n in range(1, 171):
+            assert gamma_from_ball(n) == pytest.approx(math.gamma(0.5 * n + 1.0), rel=1e-12)
 
     def test_log_gamma_against_stdlib(self):
-        for x in [0.2, 1.0, 7.3, 50.0, 171.0, 500.0, 5000.0]:
-            assert log_gamma(x) == pytest.approx(math.lgamma(x), rel=1e-12, abs=1e-12)
+        for n in [1, 2, 13, 100, 341, 1000, 10000]:
+            log_gamma = 0.5 * n * math.log(math.pi) - log_unit_ball_volume(n)
+            assert log_gamma == pytest.approx(math.lgamma(0.5 * n + 1.0), rel=1e-12, abs=1e-12)
 
     def test_large_argument_goes_through_logs(self):
-        # Gamma(200) overflows naive intermediates but not the result path
-        assert gamma(170.0) == pytest.approx(math.gamma(170.0), rel=1e-11)
-        assert gamma(300.0) == math.inf or gamma(300.0) > 1e300
+        # Gamma(201) = 200! leaves the double range; its log, and so log omega_400, stay finite
+        with pytest.raises(OverflowError):
+            math.gamma(201.0)
+        log_factorial = math.fsum(math.log(k) for k in range(1, 201))
+        assert log_unit_ball_volume(400) == pytest.approx(200.0 * math.log(math.pi) - log_factorial, rel=1e-12)
 
     def test_domain(self):
-        with pytest.raises(ValueError):
-            gamma(0.0)
-        with pytest.raises(ValueError):
-            gamma(-2.5)
-        with pytest.raises(ValueError):
-            log_gamma(-1.0)
+        # the wrappers are retired: math.lgamma is the one log-Gamma, log_unit_ball_volume the one omega_n
+        for name in ("gamma", "log_gamma", "unit_ball_volume"):
+            assert not hasattr(special_fn, name)
+            assert name not in special_fn.__all__
 
 
 class TestBallVolume:
     def test_low_dimensions(self):
-        assert unit_ball_volume(1) == pytest.approx(2.0, rel=1e-14)
-        assert unit_ball_volume(2) == pytest.approx(math.pi, rel=1e-14)
-        assert unit_ball_volume(3) == pytest.approx(4.0 * math.pi / 3.0, rel=1e-14)
+        assert math.exp(log_unit_ball_volume(1)) == pytest.approx(2.0, rel=1e-14)
+        assert math.exp(log_unit_ball_volume(2)) == pytest.approx(math.pi, rel=1e-14)
+        assert math.exp(log_unit_ball_volume(3)) == pytest.approx(4.0 * math.pi / 3.0, rel=1e-14)
 
     def test_recurrence(self):
         # omega_n = omega_{n-2} * 2 pi / n
         for n in range(3, 40):
-            assert unit_ball_volume(n) == pytest.approx(
-                unit_ball_volume(n - 2) * 2.0 * math.pi / n, rel=1e-12
-            )
+            step = log_unit_ball_volume(n) - log_unit_ball_volume(n - 2)
+            assert step == pytest.approx(math.log(2.0 * math.pi / n), abs=1e-13)
 
     def test_log_form_consistent(self):
-        for n in [5, 50, 150, 199]:
-            assert log_unit_ball_volume(n) == pytest.approx(
-                math.log(unit_ball_volume(n)), rel=1e-12
-            )
+        for n in [5, 50, 150, 199, 300]:
+            assert log_unit_ball_volume(n) == pytest.approx(math.log(omega(n)), rel=1e-12)
 
     def test_huge_dimension_finite(self):
         # the volume itself underflows doubles around n ~ 1000; the log stays usable
-        assert unit_ball_volume(300) > 0.0
+        assert math.exp(log_unit_ball_volume(300)) > 0.0
         assert math.isfinite(log_unit_ball_volume(100000))
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            unit_ball_volume(0)
+            log_unit_ball_volume(0)
 
 
 class TestBesselJ:
